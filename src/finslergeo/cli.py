@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import ast
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -175,21 +173,6 @@ class TaskResult:
         self.messages.append(f"  {text}")
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("FINSLERGEO_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_samples(fn, items):
-    w = _workers()
-    if w == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- tasks ------------------------------------------------------------------------
 
 
@@ -248,7 +231,7 @@ def task_condition_matrix(ms, params, seed) -> TaskResult:
         return {name: condition_residuals(lift, fr, conditions)
                 for name, lift in lifts.items()}
 
-    per_point = _map_samples(eval_point, points)
+    per_point = [eval_point(w) for w in points]
     worst = {name: {c: 0.0 for c in conditions} for name in lift_names}
     for entry in per_point:
         for name in lift_names:

@@ -6,9 +6,8 @@ Taylor normalization (c_alpha = d^alpha f / alpha!). Arithmetic is exact on
 the retained coefficients, so partial derivatives extracted from a jet are
 exact derivatives of the evaluated expression.
 
-Coefficients are float64 by default but may themselves be Jets (nested
-lifts); nesting is what makes a rule written once against ``smath``
-evaluable at jet-valued centers.
+Coefficients are always float64. A rule written once against ``smath``
+serves both plain float evaluation and jet evaluation.
 """
 
 from __future__ import annotations
@@ -90,11 +89,7 @@ class JetSpace:
                 self._diff.append((src, fac))
 
     def constant(self, value) -> "Jet":
-        if isinstance(value, Jet):
-            c = np.empty(self.size, dtype=object)
-            c[:] = [value.space.constant(0.0) for _ in range(self.size)]
-        else:
-            c = np.zeros(self.size)
+        c = np.zeros(self.size)
         c[0] = value
         return Jet(self, c)
 
@@ -103,8 +98,7 @@ class JetSpace:
         if self.order >= 1:
             e = [0] * self.nvars
             e[var] = 1
-            one = center.space.constant(1.0) if isinstance(center, Jet) else 1.0
-            out.c[self.index[tuple(e)]] = one
+            out.c[self.index[tuple(e)]] = 1.0
         return out
 
     def __repr__(self):
@@ -112,9 +106,7 @@ class JetSpace:
 
 
 def _val(scalar) -> float:
-    while isinstance(scalar, Jet):
-        scalar = scalar.c[0]
-    return float(scalar)
+    return float(scalar.c[0] if isinstance(scalar, Jet) else scalar)
 
 
 class smath:
@@ -172,36 +164,24 @@ class Jet:
     def order(self) -> int:
         return self.space.order
 
-    def _is_object(self) -> bool:
-        return self.c.dtype == object
-
     def __repr__(self):
         return f"Jet(nvars={self.space.nvars}, order={self.order}, value={self.value!r})"
 
-    # Mixed-space arithmetic: a Jet from another space is treated as a
-    # coefficient scalar by the side that has object (nested) coefficients.
-    # Two plain float jets from different spaces colliding is almost always
-    # a missing truncate(), so that raises. Routing is explicit because
-    # Python skips reflected operators for same-class operands.
-    _RING, _SCALAR, _DELEGATE = 0, 1, 2
+    def _ring(self, other) -> bool:
+        """True for a jet of this space, False for a scalar.
 
-    def _route(self, other) -> int:
+        Jets from different spaces colliding is almost always a missing
+        truncate(), so that raises.
+        """
         if not isinstance(other, Jet):
-            return Jet._SCALAR
-        if other.space is self.space:
-            return Jet._RING
-        if self._is_object():
-            return Jet._SCALAR
-        if other._is_object():
-            return Jet._DELEGATE
-        raise ValueError("jet spaces differ; truncate explicitly first")
+            return False
+        if other.space is not self.space:
+            raise ValueError("jet spaces differ; truncate explicitly first")
+        return True
 
     def __add__(self, other):
-        r = self._route(other)
-        if r == Jet._RING:
+        if self._ring(other):
             return Jet(self.space, self.c + other.c)
-        if r == Jet._DELEGATE:
-            return other + self
         c = self.c.copy()
         c[0] = c[0] + other
         return Jet(self.space, c)
@@ -212,11 +192,8 @@ class Jet:
         return Jet(self.space, -self.c)
 
     def __sub__(self, other):
-        r = self._route(other)
-        if r == Jet._RING:
+        if self._ring(other):
             return Jet(self.space, self.c - other.c)
-        if r == Jet._DELEGATE:
-            return (-other) + self
         c = self.c.copy()
         c[0] = c[0] - other
         return Jet(self.space, c)
@@ -225,27 +202,19 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
-        r = self._route(other)
-        if r == Jet._RING:
-            sp = self.space
+        sp = self.space
+        if self._ring(other):
             prod = self.c[sp._mul_ia] * other.c[sp._mul_ib]
-            if prod.dtype == object:
-                out = sp.constant(prod[0] * 0.0).c
-                for k, p in zip(sp._mul_ic, prod):
-                    out[k] = out[k] + p
-                return Jet(sp, out)
             return Jet(sp, np.bincount(sp._mul_ic, weights=prod, minlength=sp.size))
-        if r == Jet._DELEGATE:
-            return other * self
-        return Jet(self.space, self.c * other)
+        return Jet(sp, self.c * other)
 
     __rmul__ = __mul__
 
     def _inverse(self):
         c0 = self.c[0]
-        if abs(_val(c0)) < 1e-300:
+        if abs(c0) < 1e-300:
             raise DomainError("division by a jet with zero value part")
-        inv_c0 = c0._inverse() if isinstance(c0, Jet) else 1.0 / c0
+        inv_c0 = 1.0 / c0
         u = self * inv_c0
         u.c[0] = u.c[0] - 1.0
         acc = self.space.constant(1.0)
@@ -254,10 +223,7 @@ class Jet:
         return acc * inv_c0
 
     def __truediv__(self, other):
-        r = self._route(other)
-        if r == Jet._RING or (r == Jet._DELEGATE):
-            return self * other._inverse()
-        if isinstance(other, Jet):
+        if self._ring(other):
             return self * other._inverse()
         return Jet(self.space, self.c / other)
 
@@ -284,10 +250,10 @@ class Jet:
 
     def sqrt(self):
         c0 = self.c[0]
-        if _val(c0) <= 0.0:
-            raise DomainError(f"sqrt of non-positive jet value {_val(c0)}")
+        if c0 <= 0.0:
+            raise DomainError(f"sqrt of non-positive jet value {c0}")
         k = self.space.order
-        inv_c0 = c0._inverse() if isinstance(c0, Jet) else 1.0 / c0
+        inv_c0 = 1.0 / c0
         u = self * inv_c0
         u.c[0] = u.c[0] - 1.0
         acc = self.space.constant(_binom_half(k))
@@ -306,10 +272,10 @@ class Jet:
 
     def log(self):
         c0 = self.c[0]
-        if _val(c0) <= 0.0:
-            raise DomainError(f"log of non-positive jet value {_val(c0)}")
+        if c0 <= 0.0:
+            raise DomainError(f"log of non-positive jet value {c0}")
         k = self.space.order
-        inv_c0 = c0._inverse() if isinstance(c0, Jet) else 1.0 / c0
+        inv_c0 = 1.0 / c0
         u = self * inv_c0
         u.c[0] = u.c[0] - 1.0
         acc = self.space.constant((-1.0) ** (k + 1) / k if k >= 1 else 0.0)
@@ -386,7 +352,7 @@ def _binom_half(j: int) -> float:
 
 
 def lift_any(f, center, order: int) -> Jet:
-    """Lift without the public order cap; centers may themselves be jets."""
+    """Lift without the public order cap (``center`` holds floats)."""
     space = space_for(len(center), order)
     seeds = [space.coordinate(i, center[i]) for i in range(len(center))]
     out = f(seeds)

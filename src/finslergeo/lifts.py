@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GridError, InvalidLift, NullReference
 from .jets import Jet, smath, solve_linear, space_for
-from .metrics import MetricSpec, TangentVector, g_pairing_with_w
+from .metrics import MetricSpec, TangentVector
 from .rng import SplitMix64
 from .spray import PointFrame, _add, _ex, _ey
 
@@ -47,12 +47,37 @@ _CLASSICAL_TABLE = {
 }
 
 
-@dataclass
-class GenericTangent:
-    """Tangent-vector carrier whose coordinates may be jet scalars."""
+@dataclass(frozen=True)
+class LiftPoint:
+    """The tangent point a lift rule receives.
+
+    ``x``, ``y``: coordinates; ``f2``: F^2 there; ``gw[i]``: half dF^2/dy^i,
+    so that g_w(w, v) = smath.dot(gw, v) by Euler's identity. ``f2`` and
+    ``gw`` are None for a bare spray. All entries are floats at a plain
+    point and order-1 jets in (x, y) inside ``lift_curvature``.
+    """
 
     x: list
     y: list
+    f2: object = None
+    gw: list | None = None
+
+
+def _lift_point(fr: PointFrame, jets: bool = False) -> LiftPoint:
+    """The rule carrier at fr's point, as floats or as order-1 jets."""
+    n = fr.n
+    z = list(fr.x) + list(fr.y)
+    if jets:
+        sp1 = space_for(2 * n, 1)
+        z = [sp1.coordinate(i, v) for i, v in enumerate(z)]
+
+    def at(p):
+        return p.truncate(1) if jets else float(p.value)
+
+    if fr.f is None:
+        return LiftPoint(z[:n], z[n:])
+    return LiftPoint(z[:n], z[n:], at(fr.f),
+                     [0.5 * at(fr.f.partial_poly(n + i)) for i in range(n)])
 
 
 class LiftSpec:
@@ -63,6 +88,11 @@ class LiftSpec:
     (w, u, v) -> vector for bare sprays (already output-valued). ``kind``
     marks the four classical connections, which use an exact fast path
     instead of their rule closures.
+
+    A rule receives ``w`` as a ``LiftPoint``: ``w.x``, ``w.y``, ``w.f2`` and
+    ``w.gw``, as floats at a plain point or as order-1 jets when
+    ``lift_curvature`` differentiates the lift's fields. Rules must be
+    written with arithmetic and ``smath`` so that one rule serves both.
     """
 
     def __init__(self, name, c_flat=None, cprime_flat=None, c_raw=None,
@@ -145,14 +175,14 @@ def classical_lift(kind, ms: MetricSpec) -> LiftSpec:
             return 0.0
         from .metrics import cartan_tensor
 
-        C = cartan_tensor(ms, w).C
+        C = cartan_tensor(ms, TangentVector(w.x, w.y)).C
         return float(np.einsum("ijk,i,j,k->", C, np.asarray(u, float),
                                np.asarray(v, float), np.asarray(t, float)))
 
     def cprime_flat(w, u, v, t):
         if not use_cp:
             return 0.0
-        Cp = cprime_tensor(ms, w).Cp
+        Cp = cprime_tensor(ms, TangentVector(w.x, w.y)).Cp
         return float(np.einsum("ijk,i,j,k->", Cp, np.asarray(u, float),
                                np.asarray(v, float), np.asarray(t, float)))
 
@@ -207,7 +237,7 @@ def lift_tensors(lift: LiftSpec, fr: PointFrame):
         cc = fr.raise_last(fr.C_low) if use_c else np.zeros((n, n, n))
         cp = fr.raise_last(fr.Cp_low) if use_cp else np.zeros((n, n, n))
         return cc, cp
-    w = fr.w
+    w = _lift_point(fr)
     if lift.c_raw is not None or lift.cprime_raw is not None:
         cc = _rule_tensor_raw(lift.c_raw, w, n) if lift.c_raw else np.zeros((n, n, n))
         cp = _rule_tensor_raw(lift.cprime_raw, w, n) if lift.cprime_raw else np.zeros((n, n, n))
@@ -226,8 +256,9 @@ def lift_tensors_flat(lift: LiftSpec, fr: PointFrame):
         cpf = fr.Cp_low if use_cp else np.zeros((n, n, n))
         return ccf, cpf
     if lift.c_flat is not None or lift.cprime_flat is not None:
-        ccf = _rule_tensor_flat(lift.c_flat, fr.w, n) if lift.c_flat else np.zeros((n, n, n))
-        cpf = _rule_tensor_flat(lift.cprime_flat, fr.w, n) if lift.cprime_flat else np.zeros((n, n, n))
+        w = _lift_point(fr)
+        ccf = _rule_tensor_flat(lift.c_flat, w, n) if lift.c_flat else np.zeros((n, n, n))
+        cpf = _rule_tensor_flat(lift.cprime_flat, w, n) if lift.cprime_flat else np.zeros((n, n, n))
         return ccf, cpf
     cc, cp = lift_tensors(lift, fr)
     return np.einsum("il,ijk->jkl", fr.g, cc), np.einsum("il,ijk->jkl", fr.g, cp)
@@ -438,24 +469,26 @@ def covariant_derivative_curve(lift: LiftSpec, src, curve, W, V):
 
 
 class _FieldJet:
-    """Value and first derivatives of a tensor field at the base point."""
+    """Value and first derivatives of an (n,n,n) tensor field at the base point."""
 
     __slots__ = ("val", "dx", "dy")
 
-    def __init__(self, shape, n):
-        self.val = np.zeros(shape)
-        self.dx = np.zeros((n,) + shape)
-        self.dy = np.zeros((n,) + shape)
+    def __init__(self, n):
+        self.val = np.zeros((n, n, n))
+        self.dx = np.zeros((n, n, n, n))
+        self.dy = np.zeros((n, n, n, n))
 
 
-def _collect_field(polys, shape, n) -> _FieldJet:
-    """Extract (value, d/dx, d/dy) from a nest of order-1 jets in 2n vars."""
-    fj = _FieldJet(shape, n)
-    it = np.ndindex(*shape)
-    for idx in it:
-        p = polys
-        for i in idx:
-            p = p[i]
+def _collect_field(polys, n) -> _FieldJet:
+    """Extract (value, d/dx, d/dy) from [i][j][k] order-1 jets in 2n vars.
+
+    ``polys`` None is the zero field; float entries are constants.
+    """
+    fj = _FieldJet(n)
+    if polys is None:
+        return fj
+    for idx in np.ndindex(n, n, n):
+        p = polys[idx[0]][idx[1]][idx[2]]
         if isinstance(p, Jet):
             fj.val[idx] = float(p.value)
             for l in range(n):
@@ -466,114 +499,85 @@ def _collect_field(polys, shape, n) -> _FieldJet:
     return fj
 
 
+def _classical_flat_polys(kind: ClassicalKind, fr5: PointFrame):
+    """Order-1 jets of the flat (C, C') fields of a classical lift (None if absent)."""
+    use_c, use_cp = _CLASSICAL_TABLE[kind]
+    if not (use_c or use_cp):
+        return None, None
+    n = fr5.n
+    sp1 = space_for(2 * n, 1)
+    f = fr5.f
+    # flat Cartan tensor as order-2 polynomials
+    cpoly = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        fi = f.partial_poly(n + i)
+        for j in range(n):
+            fij = fi.partial_poly(n + j)
+            for k in range(n):
+                cpoly[i][j][k] = fij.partial_poly(n + k) * 0.25
+    c1 = [[[cpoly[i][j][k].truncate(1) for k in range(n)] for j in range(n)]
+          for i in range(n)]
+    if not use_cp:
+        return c1, None
+    ypoly = [sp1.coordinate(n + r, fr5.y[r]) for r in range(n)]
+    gpoly1 = [p.truncate(1) for p in fr5.Gpoly]
+    npoly1 = [[fr5.Gpoly[i].partial_poly(n + j).truncate(1) for j in range(n)]
+              for i in range(n)]
+    cpf = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                acc = None
+                for l in range(n):
+                    term = ypoly[l] * cpoly[i][j][k].partial_poly(l)
+                    term = term - 2.0 * gpoly1[l] * cpoly[i][j][k].partial_poly(n + l)
+                    acc = term if acc is None else acc + term
+                for m in range(n):
+                    acc = acc - npoly1[m][i] * c1[m][j][k]
+                    acc = acc - npoly1[m][j] * c1[i][m][k]
+                    acc = acc - npoly1[m][k] * c1[i][j][m]
+                # same sign convention as PointFrame.Cp_low
+                cpf[i][j][k] = -acc
+    return (c1 if use_c else None), cpf
+
+
 def _lift_field_jets(lift: LiftSpec, fr5: PointFrame):
     """First-order jets of the raised lift tensor fields Cc, Cp at fr5's point.
 
     Classical metric lifts are assembled inside the truncated polynomial
     ring from the order-5 metric jet; rule-based lifts are jetted directly
-    by evaluating their rules at jet-valued tangent points.
+    by evaluating their rules at the order-1 jet carrier of fr5's point.
+    Flat tensors of either kind are raised through one order-1 g^-1 solve.
     """
     n = fr5.n
-    sp1 = space_for(2 * n, 1)
-    zero = _FieldJet((n, n, n), n)
+    raised = [None, None]
     if lift.kind is not None:
-        use_c, use_cp = _CLASSICAL_TABLE[lift.kind]
-        if not (use_c or use_cp):
-            return zero, _FieldJet((n, n, n), n)
-        f = fr5.f
-        # flat Cartan tensor as order-2 polynomials
-        cpoly = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            fi = f.partial_poly(n + i)
-            for j in range(n):
-                fij = fi.partial_poly(n + j)
-                for k in range(n):
-                    cpoly[i][j][k] = fij.partial_poly(n + k) * 0.25
+        flat = list(_classical_flat_polys(lift.kind, fr5))
+    else:
+        wjet = _lift_point(fr5, jets=True)
+        basis = np.eye(n)
+        flat = [None, None]
+        rules = ((lift.c_flat, lift.c_raw), (lift.cprime_flat, lift.cprime_raw))
+        for s, (flat_rule, raw_rule) in enumerate(rules):
+            if raw_rule is not None:
+                vecs = [[raw_rule(wjet, basis[j], basis[k]) for k in range(n)] for j in range(n)]
+                raised[s] = [[[vecs[j][k][i] for k in range(n)] for j in range(n)]
+                             for i in range(n)]
+            elif flat_rule is not None:
+                if fr5.metric is None:
+                    raise InvalidLift("flat lift rules require a metric")
+                flat[s] = [[[flat_rule(wjet, basis[j], basis[k], basis[l]) for l in range(n)]
+                            for k in range(n)] for j in range(n)]
+    if any(t is not None for t in flat):
+        sp1 = space_for(2 * n, 1)
         g1 = [[fr5.gpoly[i][j].truncate(1) for j in range(n)] for i in range(n)]
         eye = [[sp1.constant(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
         ginv1_cols = [solve_linear(g1, [eye[i][j] for i in range(n)]) for j in range(n)]
-        ginv1 = [[ginv1_cols[j][i] for j in range(n)] for i in range(n)]  # [i][l]
-        ypoly = [sp1.coordinate(n + r, fr5.y[r]) for r in range(n)]
-        gpoly1 = [p.truncate(1) for p in fr5.Gpoly]
-        npoly1 = [[fr5.Gpoly[i].partial_poly(n + j).truncate(1) for j in range(n)]
-                  for i in range(n)]
-
-        def raise_last_poly(tlow):
-            out = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        acc = None
-                        for l in range(n):
-                            term = ginv1[i][l] * tlow[j][k][l]
-                            acc = term if acc is None else acc + term
-                        out[i][j][k] = acc
-            return out
-
-        c1 = [[[cpoly[i][j][k].truncate(1) for k in range(n)] for j in range(n)]
-              for i in range(n)]
-        cc_polys = raise_last_poly(c1) if use_c else None
-        cp_polys = None
-        if use_cp:
-            cpf = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        acc = None
-                        for l in range(n):
-                            term = ypoly[l] * cpoly[i][j][k].partial_poly(l)
-                            term = term - 2.0 * gpoly1[l] * cpoly[i][j][k].partial_poly(n + l)
-                            acc = term if acc is None else acc + term
-                        for m in range(n):
-                            acc = acc - npoly1[m][i] * c1[m][j][k]
-                            acc = acc - npoly1[m][j] * c1[i][m][k]
-                            acc = acc - npoly1[m][k] * c1[i][j][m]
-                        # same sign convention as PointFrame.Cp_low
-                        cpf[i][j][k] = -acc
-            cp_polys = raise_last_poly(cpf)
-        cc_fj = _collect_field(cc_polys, (n, n, n), n) if use_c else zero
-        cp_fj = _collect_field(cp_polys, (n, n, n), n) if use_cp else _FieldJet((n, n, n), n)
-        return cc_fj, cp_fj
-
-    # rule-based lift: evaluate the rules at a jet-valued tangent point
-    xs = [sp1.coordinate(i, fr5.x[i]) for i in range(n)]
-    ys = [sp1.coordinate(n + i, fr5.y[i]) for i in range(n)]
-    wjet = GenericTangent(xs, ys)
-    basis = np.eye(n)
-
-    def tensor_polys(flat_rule, raw_rule):
-        out = [[[None] * n for _ in range(n)] for _ in range(n)]
-        if raw_rule is not None:
-            for j in range(n):
-                for k in range(n):
-                    vec = raw_rule(wjet, basis[j], basis[k])
-                    for i in range(n):
-                        out[i][j][k] = vec[i]
-            return out
-        if flat_rule is None:
-            return None
-        if fr5.metric is None:
-            raise InvalidLift("flat lift rules require a metric")
-        g1 = [[fr5.gpoly[i][j].truncate(1) for j in range(n)] for i in range(n)]
-        eye = [[sp1.constant(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
-        ginv1_cols = [solve_linear(g1, [eye[i][j] for i in range(n)]) for j in range(n)]
-        flat = [[[flat_rule(wjet, basis[j], basis[k], basis[l]) for l in range(n)]
-                 for k in range(n)] for j in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    acc = None
-                    for l in range(n):
-                        term = ginv1_cols[l][i] * flat[j][k][l]
-                        acc = term if acc is None else acc + term
-                    out[i][j][k] = acc
-        return out
-
-    cc_polys = tensor_polys(lift.c_flat, lift.c_raw)
-    cp_polys = tensor_polys(lift.cprime_flat, lift.cprime_raw)
-    cc_fj = _collect_field(cc_polys, (n, n, n), n) if cc_polys is not None else zero
-    cp_fj = _collect_field(cp_polys, (n, n, n), n) if cp_polys is not None else _FieldJet((n, n, n), n)
-    return cc_fj, cp_fj
+        for s, t in enumerate(flat):
+            if t is not None:
+                raised[s] = [[[sum(ginv1_cols[l][i] * t[j][k][l] for l in range(n))
+                               for k in range(n)] for j in range(n)] for i in range(n)]
+    return _collect_field(raised[0], n), _collect_field(raised[1], n)
 
 
 def lift_curvature(lift: LiftSpec, src, w: TangentVector, u, vertical_noise=None) -> np.ndarray:
@@ -681,9 +685,7 @@ def random_admissible_lift(ms: MetricSpec, seed: int, enforce_t1: bool = False,
 
     def project(w, v):
         """g_w-orthogonal projection of v killing the base direction."""
-        gv = g_pairing_with_w(ms, w.x, w.y, v)
-        f2 = ms.f2(list(w.x), list(w.y))
-        coef = gv / f2
+        coef = smath.dot(w.gw, v) / w.f2
         return [v[i] - coef * w.y[i] for i in range(n)]
 
     def make_rule(params, project_u, project_v, project_t):

@@ -262,33 +262,16 @@ def cartan_tensor(ms: MetricSpec, w: TangentVector) -> CartanTensor:
 
 
 def g_bilinear(ms: MetricSpec, xs, ys, t_vec, v_vec):
-    """g_w(t_vec, v_vec) evaluated generically (works at jet-valued xs, ys).
+    """g_w(t_vec, v_vec) at a float point (xs, ys).
 
     Half the mixed second derivative of (s, t) -> F^2(x, y + s T + t V).
     """
-    probe = ys[0]
     sp = space_for(2, 2)
-    zero = probe.space.constant(0.0) if isinstance(probe, Jet) else 0.0
-    s = sp.coordinate(0, zero)
-    t = sp.coordinate(1, zero)
+    s = sp.coordinate(0, 0.0)
+    t = sp.coordinate(1, 0.0)
     shifted = [ys[i] + s * float(t_vec[i]) + t * float(v_vec[i]) for i in range(len(ys))]
     out = ms.f2(xs, shifted)
     return out.partial((1, 1)) * 0.5
-
-
-def g_pairing_with_w(ms: MetricSpec, xs, ys, v):
-    """g_w(w, v) evaluated generically (Euler: half the y-gradient of F^2 against v).
-
-    Works at jet-valued (xs, ys) through one extra nesting level; used by
-    rule-based lift projections.
-    """
-    probe = ys[0]
-    sp = space_for(1, 1)
-    zero = probe.space.constant(0.0) if isinstance(probe, Jet) else 0.0
-    s = sp.coordinate(0, zero)
-    shifted = [ys[i] + s * float(v[i]) for i in range(len(ys))]
-    out = ms.f2(xs, shifted)
-    return out.partial((1,)) * 0.5
 
 
 # -- metric validation ----------------------------------------------------------

@@ -43,20 +43,6 @@ def test_csv_determinism(tmp_path):
     assert (tmp_path / "a" / "cm.csv").read_bytes() == (tmp_path / "b" / "cm.csv").read_bytes()
 
 
-def test_worker_fanout_deterministic(tmp_path, monkeypatch):
-    cfg = {
-        "version": 1, "task": "condition-matrix",
-        "metric": {"kind": "funk", "dim": 2},
-        "parameters": {"samples": 6, "seed": 5}, "name": "cmw",
-    }
-    path = _scenario(tmp_path, cfg)
-    cli.run_scenario(path, out_dir=tmp_path / "serial", stream=io.StringIO())
-    monkeypatch.setenv("FINSLERGEO_WORKERS", "3")
-    cli.run_scenario(path, out_dir=tmp_path / "pooled", stream=io.StringIO())
-    assert (tmp_path / "serial" / "cmw.csv").read_bytes() == \
-        (tmp_path / "pooled" / "cmw.csv").read_bytes()
-
-
 def test_config_error_no_artifacts(tmp_path):
     bad = dict(CHECK_EUCLID)
     bad["task"] = "not-a-task"

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslergeo.errors import DomainError
-from finslergeo.jets import jet_lift, lift_any, partial, smath, space_for
+from finslergeo.jets import jet_lift, partial, smath, space_for
 from finslergeo.rng import SplitMix64
 
 from oracles import sympy_polynomial_jet
@@ -104,34 +105,6 @@ def test_random_polynomials_exact_against_sympy():
     assert checked > 200
 
 
-def test_schwarz_symmetry_nested_lifts():
-    # order of nesting of directional lifts must not matter; the inner and
-    # outer lifts live in distinct spaces (1 and 2 nominal variables)
-    def f(v):
-        return smath.sqrt(1.0 + v[0] * v[0] + 0.5 * v[1] * v[1]) * smath.exp(0.3 * v[1])
-
-    center = [0.4, -0.7]
-    inner_space = space_for(1, 1)
-
-    def nested(first, second):
-        inner = inner_space.coordinate(0, 0.0)
-
-        def outer_rule(outer_vars):
-            x = list(center)
-            x[first] = x[first] + inner
-            x[second] = x[second] + outer_vars[0]
-            return f(x)
-
-        out = lift_any(outer_rule, [inner_space.constant(0.0), 0.0], 1)
-        return out.partial((1, 0)).partial((1,))
-
-    direct = jet_lift(f, center, 2)
-    d12 = nested(0, 1)
-    d21 = nested(1, 0)
-    assert abs(d12 - d21) < 1e-9
-    assert abs(d12 - partial(direct, (1, 1))) < 1e-9
-
-
 def test_division_and_series_consistency():
     a = jet_lift(lambda v: smath.sin(v[0]) + 2.0, [0.3], 4)
     b = jet_lift(lambda v: smath.exp(0.5 * v[0]) + v[0] * v[0], [0.3], 4)
@@ -151,11 +124,18 @@ def test_truncate_is_prefix():
         assert partial(t, alpha) == partial(j, alpha)
 
 
-def test_mixed_space_arithmetic_raises():
-    a = jet_lift(lambda v: v[0], [1.0, 2.0], 2)
-    b = jet_lift(lambda v: v[0], [1.0, 2.0], 3)
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv],
+                         ids=["add", "sub", "mul", "truediv"])
+def test_mixed_space_arithmetic_raises(op):
+    a = jet_lift(lambda v: 1.0 + v[0], [1.0, 2.0], 2)
+    b = jet_lift(lambda v: 1.0 + v[0], [1.0, 2.0], 3)
     with pytest.raises(ValueError):
-        _ = a * b
+        _ = op(a, b)
+    with pytest.raises(ValueError):
+        _ = op(b, a)
+    # coefficients are floats only: a jet cannot become a coefficient
+    with pytest.raises(TypeError):
+        space_for(2, 1).constant(a)
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,9 @@ from finslergeo.lifts import (ALL_CONDITIONS, ClassicalKind, LiftSpec,
                               nabla_g, random_admissible_lift,
                               section_from_rule, torsion)
 from finslergeo.findiff import christoffel
-from finslergeo.metrics import (TangentVector, cartan_tensor, random_tangent)
+from finslergeo.jets import Jet, smath
+from finslergeo.metrics import (TangentVector, cartan_tensor, fundamental_tensor,
+                                metric_value, random_tangent)
 from finslergeo.rng import SplitMix64
 from finslergeo.spray import (PointFrame, curvature_endomorphism,
                               spray_coefficients, spray_values)
@@ -434,3 +436,49 @@ def test_random_lift_projections(randers_var):
     m = random_admissible_lift(randers_var, 81, enforce_m1m2=True)
     res_m = condition_residuals(m, fr, ("M1", "M2"))
     assert res_m["M1"] < 1e-12 and res_m["M2"] < 1e-12
+
+
+def _recorded_points(ms, w):
+    """The carriers a flat rule receives at w: plain, then inside lift_curvature."""
+    seen = []
+
+    def rule(p, u, v, t):
+        seen.append(p)
+        return 0.0
+
+    lift = LiftSpec("record", c_flat=rule)
+    lift_tensors(lift, PointFrame(ms, w, order=4))
+    plain = seen[0]
+    seen.clear()
+    lift_curvature(lift, ms, w, [0.3, -0.8])
+    return plain, seen[0]
+
+
+def test_lift_point_carrier_matches_metric_oracles(randers_var, funk):
+    rng = SplitMix64(47)
+    h = 1e-5
+    for ms in (randers_var, funk):
+        n = ms.dim
+        for _ in range(3):
+            w = random_tangent(ms, rng)
+            plain, jet = _recorded_points(ms, w)
+            # Euler: F^2 = g_w(w, w) and half the y-gradient of F^2 is g_w(w, .)
+            assert abs(plain.f2 - metric_value(ms, w) ** 2) < 1e-12
+            want = fundamental_tensor(ms, w).g @ w.y
+            assert np.max(np.abs(np.array(plain.gw) - want)) < 1e-12
+
+            v = rng.direction(n)
+            pair = smath.dot(jet.gw, v)
+            assert isinstance(pair, Jet) and pair.order == 1
+
+            def pairing(z):
+                wz = TangentVector(z[:n], z[n:])
+                return float(v @ fundamental_tensor(ms, wz).g @ wz.y)
+
+            z0 = np.concatenate([w.x, w.y])
+            assert abs(pair.value - pairing(z0)) < 1e-12
+            for a in range(2 * n):
+                e = np.zeros(2 * n)
+                e[a] = h
+                fd = (pairing(z0 + e) - pairing(z0 - e)) / (2 * h)
+                assert abs(pair.partial(tuple(int(k == a) for k in range(2 * n))) - fd) < 1e-6
