@@ -10,11 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from .findiff import d1
-from .jets import lift_any
 from .lifts import (LiftSpec, affine_coefficients, classical_lift,
                     lift_tensors, nabla_apply, nabla_g, section_from_rule,
                     SectionJet)
-from .metrics import MetricSpec, TangentVector, g_bilinear
+from .metrics import MetricSpec, TangentVector, _f2_y_jet, g_bilinear
 from .rng import SplitMix64
 from .spray import PointFrame
 
@@ -228,9 +227,7 @@ def tensor_identity_residuals(ms: MetricSpec, w: TangentVector) -> dict:
     f2 = ms.f2(list(w.x), list(w.y))
     out["gww_identity"] = float(abs(y @ fr.g @ y - f2))
     # Euler: g_w(w, .) equals half the fiber gradient of F^2
-    jet = lift_any(lambda ys: ms.f2(list(w.x), ys), list(w.y), 1)
-    grad = np.array([jet.partial([1 if i == j else 0 for j in range(ms.dim)])
-                     for i in range(ms.dim)])
+    grad = _f2_y_jet(ms, w.x, w.y, 1).derivative(1)
     out["euler_gradient"] = float(np.max(np.abs(fr.g @ y - 0.5 * grad)))
     # homogeneity of g (degree 0) and C (degree -1)
     res_g, res_c = 0.0, 0.0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -87,6 +87,23 @@ class JetSpace:
                     src[i] = self.index[tuple(up)]
                     fac[i] = up[v]
                 self._diff.append((src, fac))
+        self._gathers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _gather(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficient index and alpha! weight for every ordered k-tuple of
+        variables, each of shape (nvars,)*k; built once per k."""
+        if not 0 <= k <= self.order:
+            raise IndexError(f"derivative order {k} outside 0..{self.order}")
+        if k not in self._gathers:
+            shape = (self.nvars,) * k
+            idx = np.empty(shape, dtype=np.intp)
+            weight = np.empty(shape)
+            for t in product(range(self.nvars), repeat=k):
+                alpha = tuple(t.count(v) for v in range(self.nvars))
+                idx[t] = self.index[alpha]
+                weight[t] = _alpha_factorial(alpha)
+            self._gathers[k] = (idx, weight)
+        return self._gathers[k]
 
     def constant(self, value) -> "Jet":
         c = np.zeros(self.size)
@@ -310,10 +327,19 @@ class Jet:
             raise IndexError("negative multi-index entry")
         if sum(alpha) > self.space.order:
             raise IndexError(f"|alpha|={sum(alpha)} exceeds jet order {self.space.order}")
-        fact = 1.0
-        for a in alpha:
-            fact *= math.factorial(a)
-        return self.c[self.space.index[alpha]] * fact
+        return self.c[self.space.index[alpha]] * _alpha_factorial(alpha)
+
+    def derivative(self, k: int) -> np.ndarray:
+        """All raw k-th partials at the center as a symmetric (nvars,)*k array.
+
+        Entry t is d^k f / dz_t1 ... dz_tk, read as c_alpha * alpha! through
+        the space's cached gather table, so it equals ``partial(alpha)``
+        bit for bit. Tensors are slices of it; for a joint (x, y) jet in 2n
+        variables, ``derivative(2)[n:, n:]`` is the fiber Hessian. Raises
+        IndexError for k outside 0..order.
+        """
+        idx, weight = self.space._gather(k)
+        return self.c[idx] * weight
 
     def truncate(self, order: int) -> "Jet":
         if order > self.space.order:
@@ -338,6 +364,13 @@ def _sin_cos(x, s0, c0, k, want_sin):
     if want_sin:
         return sin_x * c0 + cos_x * s0
     return cos_x * c0 - sin_x * s0
+
+
+def _alpha_factorial(alpha) -> float:
+    fact = 1.0
+    for a in alpha:
+        fact *= math.factorial(a)
+    return fact
 
 
 @lru_cache(maxsize=None)

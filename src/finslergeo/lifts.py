@@ -24,7 +24,7 @@ from .errors import GridError, InvalidLift, NullReference
 from .jets import Jet, smath, solve_linear, space_for
 from .metrics import MetricSpec, TangentVector
 from .rng import SplitMix64
-from .spray import PointFrame, _add, _ex, _ey
+from .spray import PointFrame
 
 ADMISSIBILITY_TOL = 1e-7
 
@@ -145,9 +145,8 @@ def section_from_rule(rule, w: TangentVector) -> SectionJet:
             value[i] = float(ci)
             continue
         value[i] = float(ci.value)
-        for j in range(n):
-            dx[i, j] = ci.partial(_ex(n, j))
-            dy[i, j] = ci.partial(_ey(n, j))
+        d1 = ci.derivative(1)
+        dx[i], dy[i] = d1[:n], d1[n:]
     return SectionJet(value, dx, dy)
 
 
@@ -487,15 +486,14 @@ def _collect_field(polys, n) -> _FieldJet:
     fj = _FieldJet(n)
     if polys is None:
         return fj
-    for idx in np.ndindex(n, n, n):
-        p = polys[idx[0]][idx[1]][idx[2]]
+    for i, j, k in np.ndindex(n, n, n):
+        p = polys[i][j][k]
         if isinstance(p, Jet):
-            fj.val[idx] = float(p.value)
-            for l in range(n):
-                fj.dx[(l,) + idx] = p.partial(_ex(n, l))
-                fj.dy[(l,) + idx] = p.partial(_ey(n, l))
+            fj.val[i, j, k] = float(p.value)
+            d1 = p.derivative(1)
+            fj.dx[:, i, j, k], fj.dy[:, i, j, k] = d1[:n], d1[n:]
         else:
-            fj.val[idx] = float(p)
+            fj.val[i, j, k] = float(p)
     return fj
 
 
@@ -596,23 +594,13 @@ def lift_curvature(lift: LiftSpec, src, w: TangentVector, u, vertical_noise=None
     u = np.asarray(u, float)
     cc_fj, cp_fj = _lift_field_jets(lift, fr5)
 
-    # N and B fields from the (order-3) spray polynomials
+    # N and B fields from the (order-3) spray polynomials; derivative index l first
     N = fr5.N
     B = fr5.B
-    dNdx = np.empty((n, n, n))
-    dNdy = np.empty((n, n, n))
-    dBdx = np.empty((n, n, n, n))
-    dBdy = np.empty((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                dNdx[l, i, j] = fr5.Gpoly[i].partial(_add(_ex(n, l), _ey(n, j)))
-                dNdy[l, i, j] = fr5.Gpoly[i].partial(_add(_ey(n, l), _ey(n, j)))
-                for k in range(n):
-                    dBdx[l, i, j, k] = fr5.Gpoly[i].partial(
-                        _add(_add(_ex(n, l), _ey(n, j)), _ey(n, k)))
-                    dBdy[l, i, j, k] = fr5.Gpoly[i].partial(
-                        _add(_add(_ey(n, l), _ey(n, j)), _ey(n, k)))
+    dG2 = fr5._dG(2).transpose(1, 0, 2)
+    dG3 = fr5._dG(3).transpose(1, 0, 2, 3)
+    dNdx, dNdy = dG2[:n, :, n:], dG2[n:, :, n:]
+    dBdx, dBdy = dG3[:n, :, n:, n:], dG3[n:, :, n:, n:]
 
     gh = B + cp_fj.val                      # Gamma_h^i_{jm}
     cc = cc_fj.val

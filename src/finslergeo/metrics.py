@@ -192,10 +192,10 @@ def custom(n: int, f2, name="custom", domain_margin=None, sample_radius=1.0,
 # -- tensor operations ---------------------------------------------------------
 
 
-def _f2_y_jet(ms: MetricSpec, w: TangentVector, order: int) -> Jet:
-    """Jet of y -> F^2(x0, y) at y0 (x held fixed)."""
-    xs = list(w.x)
-    return lift_any(lambda ys: ms.f2(xs, ys), list(w.y), order)
+def _f2_y_jet(ms: MetricSpec, x, y, order: int) -> Jet:
+    """Jet of y -> F^2(x, y) at y (x held fixed)."""
+    xs = list(x)
+    return lift_any(lambda ys: ms.f2(xs, ys), list(y), order)
 
 
 def metric_value(ms: MetricSpec, w: TangentVector) -> float:
@@ -227,15 +227,7 @@ def pivoted_cholesky_pd(a: np.ndarray, tol: float = 1e-12) -> bool:
 def fundamental_tensor(ms: MetricSpec, w: TangentVector) -> FundamentalTensor:
     """g_w = half the fiber Hessian of F^2 at w; checked positive definite."""
     ms.check_tangent(w)
-    n = ms.dim
-    jet = _f2_y_jet(ms, w, 2)
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            alpha = [0] * n
-            alpha[i] += 1
-            alpha[j] += 1
-            g[i, j] = g[j, i] = 0.5 * jet.partial(alpha)
+    g = 0.5 * _f2_y_jet(ms, w.x, w.y, 2).derivative(2)
     if not pivoted_cholesky_pd(g):
         raise NotPositiveDefinite(
             f"fundamental tensor of {ms.name} at x={w.x}, y={w.y} is not positive definite")
@@ -245,20 +237,7 @@ def fundamental_tensor(ms: MetricSpec, w: TangentVector) -> FundamentalTensor:
 def cartan_tensor(ms: MetricSpec, w: TangentVector) -> CartanTensor:
     """Fully symmetric C_w(u,v,z) = (1/4) third fiber derivative of F^2."""
     ms.check_tangent(w)
-    n = ms.dim
-    jet = _f2_y_jet(ms, w, 3)
-    c = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                alpha = [0] * n
-                alpha[i] += 1
-                alpha[j] += 1
-                alpha[k] += 1
-                val = 0.25 * jet.partial(alpha)
-                for perm in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-                    c[perm] = val
-    return CartanTensor(w, c)
+    return CartanTensor(w, 0.25 * _f2_y_jet(ms, w.x, w.y, 3).derivative(3))
 
 
 def g_bilinear(ms: MetricSpec, xs, ys, t_vec, v_vec):

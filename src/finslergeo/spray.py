@@ -4,6 +4,12 @@ Everything is extracted from a single joint (x, y)-jet of F^2: the spray
 coefficients G^i are solved for inside the truncated polynomial ring, so
 their partial derivatives (N = dG/dy, Berwald B = d2G/dy dy, and the mixed
 x-derivatives entering the curvature) are exact.
+
+Numeric tensors are slices of ``Jet.derivative(k)``, which returns all k-th
+partials in the 2n variables (x first, then y): N and Gx are the y- and
+x-columns of the stacked first derivatives of G, B and Gxy blocks of the
+second, and g, C, dg/dx, dC/dx, dC/dy blocks of the second to fourth
+derivatives of F^2 (times 1/2 or 1/4).
 """
 
 from __future__ import annotations
@@ -61,22 +67,6 @@ class SpraySpec:
         return f"SpraySpec({self.name}, dim={self.dim})"
 
 
-def _ex(n, k):
-    a = [0] * (2 * n)
-    a[k] = 1
-    return a
-
-
-def _ey(n, k):
-    a = [0] * (2 * n)
-    a[n + k] = 1
-    return a
-
-
-def _add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
 class PointFrame:
     """All jets of a metric/spray at one tangent point, order-managed.
 
@@ -108,11 +98,11 @@ class PointFrame:
                     gpoly[i][j] = gij
                     gpoly[j][i] = gij
             self.gpoly = gpoly
-            g = np.array([[gpoly[i][j].value for j in range(n)] for i in range(n)])
-            self.g = 0.5 * (g + g.T)
-            if np.linalg.cond(self.g) > COND_LIMIT:
+            self.g = 0.5 * self.f.derivative(2)[n:, n:]
+            ev = np.linalg.eigvalsh(self.g)
+            if ev[0] <= ev[-1] / COND_LIMIT:
                 raise NotPositiveDefinite(
-                    f"fundamental tensor near-degenerate at x={self.x}, y={self.y}")
+                    f"fundamental tensor indefinite or near-degenerate at x={self.x}, y={self.y}")
             self.ginv = np.linalg.inv(self.g)
             sp = space_for(2 * n, p)
             ypoly = [sp.coordinate(n + k, self.y[k]) for k in range(n)]
@@ -145,50 +135,27 @@ class PointFrame:
 
     @property
     def G(self):
-        return self._get("G", lambda: np.array([float(p.value) for p in self.Gpoly]))
+        return self._get("G", lambda: self._dG(0))
+
+    def _dG(self, k):
+        """All k-th partials of the spray coefficients: (n,) + (2n,)*k, x before y."""
+        return np.array([p.derivative(k) for p in self.Gpoly])
 
     @property
     def N(self):
-        def build():
-            n = self.n
-            return np.array([[self.Gpoly[i].partial(_ey(n, j)) for j in range(n)] for i in range(n)])
-
-        return self._get("N", build)
+        return self._get("N", lambda: self._dG(1)[:, self.n:])
 
     @property
     def B(self):
-        def build():
-            n = self.n
-            out = np.empty((n, n, n))
-            for i in range(n):
-                for j in range(n):
-                    for k in range(j, n):
-                        v = self.Gpoly[i].partial(_add(_ey(n, j), _ey(n, k)))
-                        out[i, j, k] = out[i, k, j] = v
-            return out
-
-        return self._get("B", build)
+        return self._get("B", lambda: self._dG(2)[:, self.n:, self.n:])
 
     @property
     def Gx(self):
-        def build():
-            n = self.n
-            return np.array([[self.Gpoly[i].partial(_ex(n, k)) for k in range(n)] for i in range(n)])
-
-        return self._get("Gx", build)
+        return self._get("Gx", lambda: self._dG(1)[:, :self.n])
 
     @property
     def Gxy(self):
-        def build():
-            n = self.n
-            out = np.empty((n, n, n))
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        out[i, j, k] = self.Gpoly[i].partial(_add(_ex(n, j), _ey(n, k)))
-            return out
-
-        return self._get("Gxy", build)
+        return self._get("Gxy", lambda: self._dG(2)[:, :self.n, self.n:])
 
     @property
     def R(self):
@@ -209,64 +176,28 @@ class PointFrame:
         if self.metric is None:
             raise TypeError("operation requires a metric, got a bare spray")
 
+    def _dF2(self, k):
+        """All k-th partials of F^2 in the joint (x, y) variables."""
+        self._need_metric()
+        return self.f.derivative(k)
+
     @property
     def C_low(self):
         """Cartan tensor with all indices down (fully symmetric)."""
-
-        def build():
-            self._need_metric()
-            n = self.n
-            out = np.empty((n, n, n))
-            for i in range(n):
-                for j in range(i, n):
-                    for k in range(j, n):
-                        alpha = _add(_add(_ey(n, i), _ey(n, j)), _ey(n, k))
-                        v = 0.25 * self.f.partial(alpha)
-                        for p in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-                            out[p] = v
-            return out
-
-        return self._get("C_low", build)
+        n = self.n
+        return self._get("C_low", lambda: 0.25 * self._dF2(3)[n:, n:, n:])
 
     @property
     def dC_dx(self):
         """(l,i,j,k): d C_ijk / dx^l."""
-
-        def build():
-            self._need_metric()
-            n = self.n
-            out = np.empty((n, n, n, n))
-            for l in range(n):
-                for i in range(n):
-                    for j in range(i, n):
-                        for k in range(j, n):
-                            alpha = _add(_add(_add(_ey(n, i), _ey(n, j)), _ey(n, k)), _ex(n, l))
-                            v = 0.25 * self.f.partial(alpha)
-                            for p in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-                                out[(l,) + p] = v
-            return out
-
-        return self._get("dC_dx", build)
+        n = self.n
+        return self._get("dC_dx", lambda: 0.25 * self._dF2(4)[:n, n:, n:, n:])
 
     @property
     def dC_dy(self):
         """(l,i,j,k): d C_ijk / dy^l."""
-
-        def build():
-            self._need_metric()
-            n = self.n
-            out = np.empty((n, n, n, n))
-            for l in range(n):
-                for i in range(n):
-                    for j in range(i, n):
-                        for k in range(j, n):
-                            alpha = _add(_add(_add(_ey(n, i), _ey(n, j)), _ey(n, k)), _ey(n, l))
-                            v = 0.25 * self.f.partial(alpha)
-                            for p in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-                                out[(l,) + p] = v
-            return out
-
-        return self._get("dC_dy", build)
+        n = self.n
+        return self._get("dC_dy", lambda: 0.25 * self._dF2(4)[n:, n:, n:, n:])
 
     @property
     def Cdot_low(self):
@@ -302,20 +233,8 @@ class PointFrame:
     @property
     def dg_dx(self):
         """(k,i,j): d g_ij / dx^k."""
-
-        def build():
-            self._need_metric()
-            n = self.n
-            out = np.empty((n, n, n))
-            for k in range(n):
-                for i in range(n):
-                    for j in range(i, n):
-                        alpha = _add(_add(_ey(n, i), _ey(n, j)), _ex(n, k))
-                        v = 0.5 * self.f.partial(alpha)
-                        out[k, i, j] = out[k, j, i] = v
-            return out
-
-        return self._get("dg_dx", build)
+        n = self.n
+        return self._get("dg_dx", lambda: 0.5 * self._dF2(3)[:n, n:, n:])
 
     def raise_last(self, t_low: np.ndarray) -> np.ndarray:
         """Raise the last index of a (u,v,t)-flat tensor: T^i_jk = g^il T_jkl."""
@@ -341,18 +260,10 @@ def spray_values(src, x, y) -> np.ndarray:
     n = len(x)
     if isinstance(src, MetricSpec):
         f = lift_any(lambda v: src.f2(v[:n], v[n:]), list(x) + list(y), 2)
-        g = np.empty((n, n))
-        rhs = np.empty(n)
-        for i in range(n):
-            fi = f.partial_poly(n + i)
-            for j in range(i, n):
-                g[i, j] = g[j, i] = 0.5 * fi.partial(tuple(_ey(n, j))[:])
-        for l in range(n):
-            fl = f.partial_poly(n + l)
-            acc = 0.0
-            for k in range(n):
-                acc += y[k] * fl.partial(tuple(_ex(n, k)))
-            rhs[l] = acc - f.partial(tuple(_ex(n, l)))
+        h = f.derivative(2)
+        g = 0.5 * h[n:, n:]
+        # a row sum, not a matmul, keeps the summation order of G fixed
+        rhs = (h[n:, :n] * np.asarray(y, float)).sum(axis=1) - f.derivative(1)[:n]
         return 0.25 * np.linalg.solve(g, rhs)
     return np.array([float(v) for v in src.g_rule(list(x), list(y))])
 
@@ -376,11 +287,11 @@ def curvature_endomorphism(src, w: TangentVector) -> CurvatureEndomorphism:
     return CurvatureEndomorphism(at=w, R=fr.R)
 
 
-def flag_curvature(ms: MetricSpec, w: TangentVector, u, _frame: PointFrame | None = None) -> float:
+def flag_curvature(ms: MetricSpec, w: TangentVector, u) -> float:
     """K(w,u) = g(R_w(u),u) / (g(w,w) g(u,u) - g(w,u)^2)."""
     if not isinstance(ms, MetricSpec):
         raise TypeError("flag curvature requires a metric")
-    fr = _frame if _frame is not None else PointFrame(ms, w, order=4)
+    fr = PointFrame(ms, w, order=4)
     u = np.asarray(u, float)
     g = fr.g
     y = fr.y

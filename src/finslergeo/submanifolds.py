@@ -13,7 +13,7 @@ from scipy.linalg import null_space
 from .errors import InvalidLift, NoConvergence, SingularBasis
 from .jets import lift_any, smath
 from .lifts import LiftSpec, classical_lift, condition_residuals, lift_tensors
-from .metrics import MetricSpec, TangentVector, metric_value
+from .metrics import MetricSpec, TangentVector, _f2_y_jet, metric_value
 from .spray import PointFrame
 
 
@@ -39,36 +39,22 @@ class Submanifold:
         out = self.immersion([float(p) for p in np.atleast_1d(param)])
         return np.array([float(v) for v in out])
 
-    def _component_jet(self, param, i, order):
-        return lift_any(lambda ps: self.immersion(ps)[i], list(np.atleast_1d(param)), order)
+    def _derivative(self, param, k) -> np.ndarray:
+        """(n,) + (param_dim,)*k array of k-th parameter derivatives."""
+        ps = list(np.atleast_1d(param))
+        return np.array([lift_any(lambda v, i=i: self.immersion(v)[i], ps, k).derivative(k)
+                         for i in range(self.dim)])
 
     def jacobian(self, param) -> np.ndarray:
         """(n, k) matrix of tangent vectors d phi / d p_a."""
-        k, n = self.param_dim, self.dim
-        out = np.empty((n, k))
-        for i in range(n):
-            jet = self._component_jet(param, i, 1)
-            for a in range(k):
-                e = [0] * k
-                e[a] = 1
-                out[i, a] = jet.partial(e)
-        if np.linalg.matrix_rank(out, tol=1e-10) < k:
+        out = self._derivative(param, 1)
+        if np.linalg.matrix_rank(out, tol=1e-10) < self.param_dim:
             raise SingularBasis(f"immersion differential rank-deficient at {param}")
         return out
 
     def hessian(self, param) -> np.ndarray:
         """(n, k, k) second parameter derivatives of the immersion."""
-        k, n = self.param_dim, self.dim
-        out = np.empty((n, k, k))
-        for i in range(n):
-            jet = self._component_jet(param, i, 2)
-            for a in range(k):
-                for b in range(a, k):
-                    e = [0] * k
-                    e[a] += 1
-                    e[b] += 1
-                    out[i, a, b] = out[i, b, a] = jet.partial(e)
-        return out
+        return self._derivative(param, 2)
 
 
 def affine_subspace(point, directions, name="affine") -> Submanifold:
@@ -125,9 +111,7 @@ def _g_matrix(ms: MetricSpec, x, y) -> np.ndarray:
 
 
 def _dF2_dy(ms: MetricSpec, x, y) -> np.ndarray:
-    n = len(y)
-    jet = lift_any(lambda ys: ms.f2(list(x), ys), list(y), 1)
-    return np.array([jet.partial([1 if i == j else 0 for j in range(n)]) for i in range(n)])
+    return _f2_y_jet(ms, x, y, 1).derivative(1)
 
 
 def normal_cone_solve(P: Submanifold, param, ms: MetricSpec, guess,

@@ -123,6 +123,15 @@ def test_minkowski_condition_scenario_passes():
     assert cli.run_scenario_config(cfg, stream=io.StringIO()) == 0
 
 
+@pytest.mark.parametrize("offset", [271291275, 1440089986])
+def test_curvature_sweep_avoids_degenerate_flags(offset):
+    """At these verify-all seed offsets scenario 09 used to draw flags with
+    u nearly parallel to y (flag invariance 3.7e-09 > 1e-9, or DegenerateFlag)."""
+    cfg = dict(dict(cli.bundled_scenarios())["09_curvature_sweep_funk.json"])
+    code = cli.run_scenario_config(cfg, seed_override=41 + offset, stream=io.StringIO())
+    assert code == 0
+
+
 def test_seed_variation_stable_pass_pattern(tmp_path):
     cfg = {
         "version": 1, "task": "condition-matrix",

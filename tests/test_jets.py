@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 
@@ -64,6 +65,9 @@ def test_partial_order_overflow_raises():
         partial(j, (3,))
     with pytest.raises(IndexError):
         partial(j, (1, 1))  # wrong arity
+    for k in (3, -1):
+        with pytest.raises(IndexError):
+            j.derivative(k)
 
 
 def test_order_cap_enforced():
@@ -102,6 +106,13 @@ def test_random_polynomials_exact_against_sympy():
             want = exact(alpha, center)
             assert abs(got - want) < 1e-12 * max(1.0, abs(want)), (alpha, got, want)
             checked += 1
+        for k in range(5):
+            dk = jet.derivative(k)
+            assert dk.shape == (nvars,) * k
+            for t in itertools.product(range(nvars), repeat=k):
+                alpha = tuple(t.count(v) for v in range(nvars))
+                want = exact(alpha, center)
+                assert abs(dk[t] - want) < 1e-12 * max(1.0, abs(want)), (t, dk[t], want)
     assert checked > 200
 
 

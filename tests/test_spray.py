@@ -148,3 +148,7 @@ def test_condition_number_guard():
     ill = metrics.riemannian(2, lambda xs: [[1.0, 0.0], [0.0, 1e-14]], name="ill")
     with pytest.raises(NotPositiveDefinite):
         spray_coefficients(ill, TangentVector([0.0, 0.0], [1.0, 1.0]))
+    # |beta| > 1: g is indefinite here (eigenvalues about -0.226, 0.092) yet well conditioned
+    wild = metrics.randers(2, [1.3, 0.0])
+    with pytest.raises(NotPositiveDefinite):
+        PointFrame(wild, TangentVector([0.0, 0.0], [-1.0, 0.2]))
