@@ -346,8 +346,9 @@ def task_curvature_sweep(ms, params, seed) -> TaskResult:
         samples.append((w, u))
 
     values = []
-    for w, u in samples:
-        k = flag_curvature(ms, w, u)
+    frames = [PointFrame(ms, w, order=4) for w, _ in samples]
+    for (w, u), fr in zip(samples, frames):
+        k = flag_curvature(ms, w, u, _frame=fr)
         values.append(k)
         res.csv_rows.append((";".join(_fmt(v) for v in w.x),
                              ";".join(_fmt(v) for v in w.y),
@@ -359,10 +360,9 @@ def task_curvature_sweep(ms, params, seed) -> TaskResult:
         res.check(f"flag curvature = {target}", float(np.max(np.abs(values - target))), tol)
     if params.get("flag_invariance", True):
         worst = 0.0
-        for w, u in samples[: min(20, flags)]:
-            k0 = flag_curvature(ms, w, u)
-            k1 = flag_curvature(ms, w, u + 3.0 * w.y)
-            k2 = flag_curvature(ms, w, 0.2 * u)
+        for (w, u), fr, k0 in zip(samples[: min(20, flags)], frames, values):
+            k1 = flag_curvature(ms, w, u + 3.0 * w.y, _frame=fr)
+            k2 = flag_curvature(ms, w, 0.2 * u, _frame=fr)
             worst = max(worst, abs(k1 - k0), abs(k2 - k0))
         res.check("flag invariance under u -> u + 3w, 0.2u", worst, 1e-9)
     if params.get("christoffel_check"):
@@ -375,8 +375,7 @@ def task_curvature_sweep(ms, params, seed) -> TaskResult:
 
         worst_r, worst_a, worst_f = 0.0, 0.0, 0.0
         lifts = {name: classical_lift(name, ms) for name in CLASSICAL}
-        for w, u in samples[: min(20, flags)]:
-            fr = PointFrame(ms, w, order=4)
+        for (w, _), fr in zip(samples[: min(20, flags)], frames):
             oracle = riemann_jacobi_operator(lambda x: gfield(list(x)), w.x, w.y)
             worst_r = max(worst_r, float(np.max(np.abs(fr.R - oracle))))
             gam = christoffel(lambda x: np.asarray(gfield(list(x)), float), w.x)

@@ -175,7 +175,6 @@ def cprime_transport_residual(ms: MetricSpec, w: TangentVector, tau: float = 1e-
     from scipy.integrate import solve_ivp
 
     from .lifts import cprime_tensor
-    from .spray import spray_values
 
     rng = rng or SplitMix64(1)
     n = ms.dim
@@ -186,7 +185,7 @@ def cprime_transport_residual(ms: MetricSpec, w: TangentVector, tau: float = 1e-
     def rhs(t, s):
         x, y = s[:n], s[n:2 * n]
         fr = PointFrame(ms, TangentVector(x, y), order=3)
-        out = [y, -2.0 * spray_values(ms, x, y)]
+        out = [y, -2.0 * fr.G]
         for m in range(3):
             V = s[2 * n + m * n:2 * n + (m + 1) * n]
             out.append(-fr.N @ V)

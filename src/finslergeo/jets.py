@@ -1,10 +1,17 @@
-"""Truncated multivariate Taylor (jet) arithmetic.
+"""Truncated multivariate Taylor (jet) arithmetic, scalar- or tensor-valued.
 
-A ``Jet`` is the Taylor expansion of a scalar function about a center,
-truncated at a total degree. Coefficients are stored per multi-index in
-Taylor normalization (c_alpha = d^alpha f / alpha!). Arithmetic is exact on
-the retained coefficients, so partial derivatives extracted from a jet are
-exact derivatives of the evaluated expression.
+A ``Jet`` is the Taylor expansion of a function about a center, truncated
+at a total degree. Coefficients are stored per multi-index in Taylor
+normalization (c_alpha = d^alpha f / alpha!) along the last axis of ``c``.
+Any axes before it are leading axes: one jet carries a whole tensor field,
+e.g. ``c.shape == (n, n, size)`` for a matrix of functions. Arithmetic, the
+series functions and ``derivative(k)`` act entrywise and broadcast over the
+leading axes like numpy, and indexing a jet indexes its leading axes.
+``grad()`` returns all first formal partials, one order lower, as a new
+last leading axis; ``contract`` sums jet products over leading indices and
+``solve_linear`` solves a jet-valued linear system. Arithmetic is exact on
+the retained coefficients, so derivatives read from a jet are exact
+derivatives of the evaluated expression.
 
 Coefficients are always float64. A rule written once against ``smath``
 serves both plain float evaluation and jet evaluation.
@@ -20,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["Jet", "JetSpace", "jet_lift", "partial", "smath"]
+__all__ = ["Jet", "JetSpace", "contract", "jet_lift", "partial", "smath", "solve_linear"]
 
 MAX_PUBLIC_ORDER = 4
 
@@ -59,6 +66,8 @@ class JetSpace:
         self.alphas = _multi_indices(nvars, order)
         self.size = len(self.alphas)
         self.index = {a: i for i, a in enumerate(self.alphas)}
+        self._units = [self.index.get(tuple(int(v == w) for w in range(nvars)))
+                       for v in range(nvars)]
 
         ia, ib, ic = [], [], []
         for i, a in enumerate(self.alphas):
@@ -73,21 +82,20 @@ class JetSpace:
         self._mul_ib = np.array(ib, dtype=np.intp)
         self._mul_ic = np.array(ic, dtype=np.intp)
 
-        # partial-derivative index maps: coeff of d f/dx_v at beta is
-        # (beta_v + 1) * coeff of f at beta + e_v
-        self._diff: list[tuple[np.ndarray, np.ndarray]] = []
+        # gradient index map: coeff of d f/dz_v at beta is
+        # (beta_v + 1) * coeff of f at beta + e_v, one row per variable v
         if order >= 1:
             lower = _multi_indices(nvars, order - 1)
+            self._grad_src = np.empty((nvars, len(lower)), dtype=np.intp)
+            self._grad_fac = np.empty((nvars, len(lower)))
             for v in range(nvars):
-                src = np.empty(len(lower), dtype=np.intp)
-                fac = np.empty(len(lower), dtype=np.float64)
                 for i, a in enumerate(lower):
                     up = list(a)
                     up[v] += 1
-                    src[i] = self.index[tuple(up)]
-                    fac[i] = up[v]
-                self._diff.append((src, fac))
+                    self._grad_src[v, i] = self.index[tuple(up)]
+                    self._grad_fac[v, i] = up[v]
         self._gathers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._scatters: dict[int, np.ndarray] = {}
 
     def _gather(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Coefficient index and alpha! weight for every ordered k-tuple of
@@ -105,25 +113,50 @@ class JetSpace:
             self._gathers[k] = (idx, weight)
         return self._gathers[k]
 
+    def _scatter(self, prod: np.ndarray) -> np.ndarray:
+        """Sum pair products (..., pairs) into coefficients (..., size), one
+        bincount in scalar-product order, so entries match scalar products bitwise."""
+        m = prod.size // len(self._mul_ic)
+        idx = self._scatters.get(m)
+        if idx is None:
+            idx = (np.arange(m)[:, None] * self.size + self._mul_ic).ravel()
+            self._scatters[m] = idx
+        out = np.bincount(idx, weights=prod.ravel(), minlength=m * self.size)
+        return out.reshape(prod.shape[:-1] + (self.size,))
+
     def constant(self, value) -> "Jet":
         c = np.zeros(self.size)
-        c[0] = value
+        c[0] = float(value)
         return Jet(self, c)
 
-    def coordinate(self, var: int, center) -> "Jet":
-        out = self.constant(center)
+    def coordinates(self, center) -> "Jet":
+        """The (nvars,) jet of the coordinate functions about ``center``."""
+        c = np.zeros((self.nvars, self.size))
+        c[:, 0] = center
         if self.order >= 1:
-            e = [0] * self.nvars
-            e[var] = 1
-            out.c[self.index[tuple(e)]] = 1.0
-        return out
+            c[np.arange(self.nvars), self._units] = 1.0
+        return Jet(self, c)
 
     def __repr__(self):
         return f"JetSpace(nvars={self.nvars}, order={self.order})"
 
 
-def _val(scalar) -> float:
-    return float(scalar.c[0] if isinstance(scalar, Jet) else scalar)
+def _any(flags) -> bool:
+    """``flags.any()``, cheap on the numpy scalar of a scalar jet."""
+    return flags.any() if isinstance(flags, np.ndarray) else bool(flags)
+
+
+def _map(fn, c0):
+    """A float function at every value part (a scalar or a leading-shaped array)."""
+    return np.vectorize(fn, otypes=[float])(c0) if isinstance(c0, np.ndarray) else fn(c0)
+
+
+def _shift(c: np.ndarray, other) -> np.ndarray:
+    """A copy of coefficients ``c`` with ``other`` added to each value part."""
+    c = c.copy()
+    # c.T[0] is the value-part view for any number of leading axes
+    c.T[0] += other.T if isinstance(other, np.ndarray) else other
+    return c
 
 
 class smath:
@@ -166,7 +199,12 @@ class smath:
 
 
 class Jet:
+    """Coefficients ``c`` of shape leading axes + (space.size,); a non-jet
+    operand of arithmetic is a float or an array over the leading axes."""
+
     __slots__ = ("space", "c", "center")
+    # numpy operands defer to the jet's reflected operators
+    __array_ufunc__ = None
 
     def __init__(self, space: JetSpace, coeffs: np.ndarray, center=None):
         self.space = space
@@ -175,14 +213,31 @@ class Jet:
 
     @property
     def value(self):
-        return self.c[0]
+        return self.c[0] if self.c.ndim == 1 else self.c[..., 0]
 
     @property
     def order(self) -> int:
         return self.space.order
 
+    @property
+    def shape(self) -> tuple:
+        """The leading axes."""
+        return self.c.shape[:-1]
+
     def __repr__(self):
-        return f"Jet(nvars={self.space.nvars}, order={self.order}, value={self.value!r})"
+        lead = f", shape={self.shape}" if self.shape else ""
+        return f"Jet(nvars={self.space.nvars}, order={self.order}{lead}, value={self.value!r})"
+
+    def __getitem__(self, key):
+        """Index the leading axes; the coefficient axis is never indexed."""
+        if self.c.ndim == 1:
+            raise TypeError("a scalar jet has no leading axes to index")
+        key = key if isinstance(key, tuple) else (key,)
+        return Jet(self.space, self.c[key + (slice(None),)])
+
+    def transpose(self, *axes) -> "Jet":
+        """Permute the leading axes."""
+        return Jet(self.space, self.c.transpose(*axes, len(axes)))
 
     def _ring(self, other) -> bool:
         """True for a jet of this space, False for a scalar.
@@ -199,9 +254,7 @@ class Jet:
     def __add__(self, other):
         if self._ring(other):
             return Jet(self.space, self.c + other.c)
-        c = self.c.copy()
-        c[0] = c[0] + other
-        return Jet(self.space, c)
+        return Jet(self.space, _shift(self.c, other))
 
     __radd__ = __add__
 
@@ -211,9 +264,7 @@ class Jet:
     def __sub__(self, other):
         if self._ring(other):
             return Jet(self.space, self.c - other.c)
-        c = self.c.copy()
-        c[0] = c[0] - other
-        return Jet(self.space, c)
+        return Jet(self.space, _shift(self.c, -other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -221,19 +272,24 @@ class Jet:
     def __mul__(self, other):
         sp = self.space
         if self._ring(other):
-            prod = self.c[sp._mul_ia] * other.c[sp._mul_ib]
-            return Jet(sp, np.bincount(sp._mul_ic, weights=prod, minlength=sp.size))
+            if self.c.ndim == 1 and other.c.ndim == 1:
+                prod = self.c[sp._mul_ia] * other.c[sp._mul_ib]
+                return Jet(sp, np.bincount(sp._mul_ic, weights=prod, minlength=sp.size))
+            prod = self.c.take(sp._mul_ia, axis=-1) * other.c.take(sp._mul_ib, axis=-1)
+            return Jet(sp, sp._scatter(prod))
+        if isinstance(other, np.ndarray):
+            other = other[..., None]
         return Jet(sp, self.c * other)
 
     __rmul__ = __mul__
 
     def _inverse(self):
-        c0 = self.c[0]
-        if abs(c0) < 1e-300:
+        c0 = self.value
+        if _any(abs(c0) < 1e-300):
             raise DomainError("division by a jet with zero value part")
         inv_c0 = 1.0 / c0
         u = self * inv_c0
-        u.c[0] = u.c[0] - 1.0
+        u.c.T[0] -= 1.0
         acc = self.space.constant(1.0)
         for _ in range(self.space.order):
             acc = 1.0 - u * acc
@@ -242,6 +298,8 @@ class Jet:
     def __truediv__(self, other):
         if self._ring(other):
             return self * other._inverse()
+        if isinstance(other, np.ndarray):
+            other = other[..., None]
         return Jet(self.space, self.c / other)
 
     def __rtruediv__(self, other):
@@ -266,57 +324,63 @@ class Jet:
     # -- analytic functions via series on the nilpotent part ---------------
 
     def sqrt(self):
-        c0 = self.c[0]
-        if c0 <= 0.0:
-            raise DomainError(f"sqrt of non-positive jet value {c0}")
+        c0 = self.value
+        if _any(c0 <= 0.0):
+            raise DomainError(f"sqrt of non-positive jet value {np.min(c0)}")
         k = self.space.order
         inv_c0 = 1.0 / c0
         u = self * inv_c0
-        u.c[0] = u.c[0] - 1.0
+        u.c.T[0] -= 1.0
         acc = self.space.constant(_binom_half(k))
         for j in reversed(range(k)):
             acc = acc * u + _binom_half(j)
-        return acc * smath.sqrt(c0)
+        return acc * _map(smath.sqrt, c0)
 
     def exp(self):
         k = self.space.order
-        c0 = self.c[0]
+        c0 = self.value
         x = self - c0
         acc = self.space.constant(1.0 / math.factorial(k))
         for j in reversed(range(k)):
             acc = acc * x + 1.0 / math.factorial(j)
-        return acc * smath.exp(c0)
+        return acc * _map(smath.exp, c0)
 
     def log(self):
-        c0 = self.c[0]
-        if c0 <= 0.0:
-            raise DomainError(f"log of non-positive jet value {c0}")
+        c0 = self.value
+        if _any(c0 <= 0.0):
+            raise DomainError(f"log of non-positive jet value {np.min(c0)}")
         k = self.space.order
         inv_c0 = 1.0 / c0
         u = self * inv_c0
-        u.c[0] = u.c[0] - 1.0
+        u.c.T[0] -= 1.0
         acc = self.space.constant((-1.0) ** (k + 1) / k if k >= 1 else 0.0)
         for j in reversed(range(1, k)):
             acc = acc * u + (-1.0) ** (j + 1) / j
-        return acc * u + smath.log(c0)
+        return acc * u + _map(smath.log, c0)
 
     def sin(self):
-        c0 = self.c[0]
-        return _sin_cos(self - c0, smath.sin(c0), smath.cos(c0), self.space.order, True)
+        c0 = self.value
+        return _sin_cos(self - c0, _map(smath.sin, c0), _map(smath.cos, c0),
+                        self.space.order, True)
 
     def cos(self):
-        c0 = self.c[0]
-        return _sin_cos(self - c0, smath.sin(c0), smath.cos(c0), self.space.order, False)
+        c0 = self.value
+        return _sin_cos(self - c0, _map(smath.sin, c0), _map(smath.cos, c0),
+                        self.space.order, False)
 
     # -- derivative access ---------------------------------------------------
 
-    def partial_poly(self, var: int) -> "Jet":
-        """Formal partial derivative as a jet of order one lower (exact)."""
-        if self.space.order == 0:
+    def grad(self) -> "Jet":
+        """All first formal partials as a new last leading axis, one order lower.
+
+        ``f.grad()[..., v]`` is the exact jet of df/dz_v, and
+        ``f.grad().value`` equals ``f.derivative(1)``.
+        """
+        sp = self.space
+        if sp.order == 0:
             raise IndexError("cannot differentiate an order-0 jet")
-        src, fac = self.space._diff[var]
-        lower = space_for(self.space.nvars, self.space.order - 1)
-        return Jet(lower, self.c[src] * fac)
+        lower = space_for(sp.nvars, sp.order - 1)
+        return Jet(lower, self.c.take(sp._grad_src, axis=-1) * sp._grad_fac)
 
     def partial(self, alpha):
         """Raw partial derivative d^alpha f at the center."""
@@ -327,10 +391,10 @@ class Jet:
             raise IndexError("negative multi-index entry")
         if sum(alpha) > self.space.order:
             raise IndexError(f"|alpha|={sum(alpha)} exceeds jet order {self.space.order}")
-        return self.c[self.space.index[alpha]] * _alpha_factorial(alpha)
+        return self.c[..., self.space.index[alpha]] * _alpha_factorial(alpha)
 
     def derivative(self, k: int) -> np.ndarray:
-        """All raw k-th partials at the center as a symmetric (nvars,)*k array.
+        """All raw k-th partials at the center: leading axes + (nvars,)*k.
 
         Entry t is d^k f / dz_t1 ... dz_tk, read as c_alpha * alpha! through
         the space's cached gather table, so it equals ``partial(alpha)``
@@ -339,7 +403,7 @@ class Jet:
         IndexError for k outside 0..order.
         """
         idx, weight = self.space._gather(k)
-        return self.c[idx] * weight
+        return self.c.take(idx, axis=-1) * weight
 
     def truncate(self, order: int) -> "Jet":
         if order > self.space.order:
@@ -347,7 +411,7 @@ class Jet:
         if order == self.space.order:
             return self
         lower = space_for(self.space.nvars, order)
-        return Jet(lower, self.c[: lower.size].copy())
+        return Jet(lower, self.c[..., : lower.size].copy())
 
 
 def _sin_cos(x, s0, c0, k, want_sin):
@@ -385,14 +449,26 @@ def _binom_half(j: int) -> float:
 
 
 def lift_any(f, center, order: int) -> Jet:
-    """Lift without the public order cap (``center`` holds floats)."""
+    """Lift without the public order cap (``center`` holds floats).
+
+    ``f`` receives the list of coordinate jets and returns a scalar or a
+    (nested) sequence of scalars, jets or floats; each level of nesting
+    becomes a leading axis of the one jet returned.
+    """
     space = space_for(len(center), order)
-    seeds = [space.coordinate(i, center[i]) for i in range(len(center))]
-    out = f(seeds)
-    if not isinstance(out, Jet) or out.space is not space:
-        if isinstance(out, Jet):
-            raise ValueError("rule returned a jet from an unexpected space")
-        out = space.constant(float(out))
+
+    def coeffs(item):
+        if isinstance(item, Jet):
+            if item.space is not space:
+                raise ValueError("rule returned a jet from an unexpected space")
+            return item.c
+        if isinstance(item, (list, tuple, np.ndarray)):
+            return np.stack(np.broadcast_arrays(*[coeffs(v) for v in item]))
+        return space.constant(float(item)).c
+
+    out = f([Jet(space, row) for row in space.coordinates(center).c])
+    c = coeffs(out)
+    out = out if isinstance(out, Jet) else Jet(space, c)
     out.center = list(center)
     return out
 
@@ -414,31 +490,38 @@ def partial(jet: Jet, alpha):
     return jet.partial(alpha)
 
 
-def solve_linear(amat, b):
-    """Solve A x = b by Gaussian elimination with jet-valued entries.
+def contract(spec: str, a: Jet, b: Jet) -> Jet:
+    """Two-operand einsum over leading axes, with truncated jet products.
 
-    Pivots on value-part magnitude. Used to invert the fundamental tensor
-    inside the truncated polynomial ring.
+    ``spec`` names leading axes only, e.g. ``"mi,mjk->ijk"``; an index left
+    out of the output is summed over. The letter Z is reserved.
     """
+    sp = a.space
+    if b.space is not sp:
+        raise ValueError("jet spaces differ; truncate explicitly first")
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    prod = np.einsum(f"{sa}Z,{sb}Z->{out}Z", a.c.take(sp._mul_ia, axis=-1),
+                     b.c.take(sp._mul_ib, axis=-1))
+    return Jet(sp, sp._scatter(prod))
 
-    def inv(entry):
-        return entry._inverse() if isinstance(entry, Jet) else 1.0 / entry
 
-    n = len(b)
-    a = [list(row) for row in amat]
-    x = list(b)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(_val(a[r][col])))
-        if abs(_val(a[piv][col])) < 1e-300:
-            raise DomainError("singular matrix in jet linear solve")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            x[col], x[piv] = x[piv], x[col]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = a[r][col] * inv(a[col][col])
-            for cc in range(col, n):
-                a[r][cc] = a[r][cc] - factor * a[col][cc]
-            x[r] = x[r] - factor * x[col]
-    return [x[i] * inv(a[i][i]) for i in range(n)]
+def solve_linear(a: Jet, b: Jet, a0inv) -> Jet:
+    """Solve a x = b in the truncated ring by a Neumann series.
+
+    ``a`` is an (n, n) jet, ``b`` a jet whose first leading axis has length
+    n, and ``a0inv`` the numeric inverse of a's value part. With d the
+    nilpotent part of a (its value part zeroed), each pass of
+    x <- a0inv (b - d x), from x = a0inv b, fixes one more degree, so
+    ``order`` passes give the exact truncated solution.
+    """
+    d = Jet(a.space, a.c.copy())
+    d.c[..., 0] = 0.0
+
+    def apply_inv(rhs):
+        return Jet(rhs.space, np.tensordot(a0inv, rhs.c, axes=1))
+
+    x = apply_inv(b)
+    for _ in range(b.order):
+        x = apply_inv(b - contract("ij,j...->i...", d, x))
+    return x

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import GridError, InvalidLift, NullReference
-from .jets import Jet, smath, solve_linear, space_for
+from .jets import Jet, contract, lift_any, smath, solve_linear, space_for
 from .metrics import MetricSpec, TangentVector
 from .rng import SplitMix64
 from .spray import PointFrame
@@ -53,31 +53,22 @@ class LiftPoint:
 
     ``x``, ``y``: coordinates; ``f2``: F^2 there; ``gw[i]``: half dF^2/dy^i,
     so that g_w(w, v) = smath.dot(gw, v) by Euler's identity. ``f2`` and
-    ``gw`` are None for a bare spray. All entries are floats at a plain
-    point and order-1 jets in (x, y) inside ``lift_curvature``.
+    ``gw`` are None for a bare spray. At a plain point these are floats and
+    float arrays; inside ``lift_curvature`` ``x`` and ``y`` are lists of
+    order-1 jets in (x, y), ``f2`` is one and ``gw`` is an (n,) jet.
     """
 
-    x: list
-    y: list
+    x: object
+    y: object
     f2: object = None
-    gw: list | None = None
+    gw: object = None
 
 
-def _lift_point(fr: PointFrame, jets: bool = False) -> LiftPoint:
-    """The rule carrier at fr's point, as floats or as order-1 jets."""
-    n = fr.n
-    z = list(fr.x) + list(fr.y)
-    if jets:
-        sp1 = space_for(2 * n, 1)
-        z = [sp1.coordinate(i, v) for i, v in enumerate(z)]
-
-    def at(p):
-        return p.truncate(1) if jets else float(p.value)
-
+def _lift_point(fr: PointFrame) -> LiftPoint:
+    """The rule carrier at fr's point, as floats."""
     if fr.f is None:
-        return LiftPoint(z[:n], z[n:])
-    return LiftPoint(z[:n], z[n:], at(fr.f),
-                     [0.5 * at(fr.f.partial_poly(n + i)) for i in range(n)])
+        return LiftPoint(fr.x, fr.y)
+    return LiftPoint(fr.x, fr.y, float(fr.f.value), 0.5 * fr.f.derivative(1)[fr.n:])
 
 
 class LiftSpec:
@@ -132,22 +123,9 @@ class SectionJet:
 def section_from_rule(rule, w: TangentVector) -> SectionJet:
     """Jet a generic section rule (xs, ys) -> list of n scalars at w."""
     n = w.n
-    sp = space_for(2 * n, 1)
-    xs = [sp.coordinate(i, float(w.x[i])) for i in range(n)]
-    ys = [sp.coordinate(n + i, float(w.y[i])) for i in range(n)]
-    comps = rule(xs, ys)
-    value = np.empty(n)
-    dx = np.zeros((n, n))
-    dy = np.zeros((n, n))
-    for i in range(n):
-        ci = comps[i]
-        if not isinstance(ci, Jet):
-            value[i] = float(ci)
-            continue
-        value[i] = float(ci.value)
-        d1 = ci.derivative(1)
-        dx[i], dy[i] = d1[:n], d1[n:]
-    return SectionJet(value, dx, dy)
+    sec = lift_any(lambda v: rule(v[:n], v[n:]), np.concatenate([w.x, w.y]), 1)
+    d1 = sec.derivative(1)
+    return SectionJet(sec.value, d1[:, :n], d1[:, n:])
 
 
 def canonical_section(w: TangentVector) -> SectionJet:
@@ -205,27 +183,22 @@ def cprime_tensor(ms: MetricSpec, w: TangentVector) -> CPrimeTensor:
 # -- lift tensors at a point -----------------------------------------------------
 
 
-def _rule_tensor_flat(rule, w, n) -> np.ndarray:
-    """Evaluate a flat rule on the chart basis: out[u, v, t]."""
+def _rule_fields(lift: LiftSpec, w, n):
+    """The lift's rules on the chart basis at carrier w, zero where a rule is absent.
+
+    Nested [tensor][direction][section][slot], tensors (C, C'): the slot is
+    the output index for raw rules and the metric slot for flat rules.
+    """
     basis = np.eye(n)
-    out = np.empty((n, n, n))
-    for j in range(n):
-        for k in range(n):
-            for l in range(n):
-                out[j, k, l] = rule(w, basis[j], basis[k], basis[l])
-    return out
+    if _is_raw(lift):
+        return [[[rule(w, bj, bk) if rule else [0.0] * n for bk in basis] for bj in basis]
+                for rule in (lift.c_raw, lift.cprime_raw)]
+    return [[[[rule(w, bj, bk, bl) if rule else 0.0 for bl in basis] for bk in basis]
+             for bj in basis] for rule in (lift.c_flat, lift.cprime_flat)]
 
 
-def _rule_tensor_raw(rule, w, n) -> np.ndarray:
-    """Evaluate a raw rule on the chart basis: out[output, u, v]."""
-    basis = np.eye(n)
-    out = np.empty((n, n, n))
-    for j in range(n):
-        for k in range(n):
-            vec = rule(w, basis[j], basis[k])
-            for i in range(n):
-                out[i, j, k] = vec[i]
-    return out
+def _is_raw(lift: LiftSpec) -> bool:
+    return lift.c_raw is not None or lift.cprime_raw is not None
 
 
 def lift_tensors(lift: LiftSpec, fr: PointFrame):
@@ -236,14 +209,11 @@ def lift_tensors(lift: LiftSpec, fr: PointFrame):
         cc = fr.raise_last(fr.C_low) if use_c else np.zeros((n, n, n))
         cp = fr.raise_last(fr.Cp_low) if use_cp else np.zeros((n, n, n))
         return cc, cp
-    w = _lift_point(fr)
-    if lift.c_raw is not None or lift.cprime_raw is not None:
-        cc = _rule_tensor_raw(lift.c_raw, w, n) if lift.c_raw else np.zeros((n, n, n))
-        cp = _rule_tensor_raw(lift.cprime_raw, w, n) if lift.cprime_raw else np.zeros((n, n, n))
+    fields = np.array(_rule_fields(lift, _lift_point(fr), n), float)
+    if _is_raw(lift):
+        cc, cp = np.moveaxis(fields, -1, 1)
         return cc, cp
-    ccf = _rule_tensor_flat(lift.c_flat, w, n) if lift.c_flat else np.zeros((n, n, n))
-    cpf = _rule_tensor_flat(lift.cprime_flat, w, n) if lift.cprime_flat else np.zeros((n, n, n))
-    return fr.raise_last(ccf), fr.raise_last(cpf)
+    return fr.raise_last(fields[0]), fr.raise_last(fields[1])
 
 
 def lift_tensors_flat(lift: LiftSpec, fr: PointFrame):
@@ -254,10 +224,8 @@ def lift_tensors_flat(lift: LiftSpec, fr: PointFrame):
         ccf = fr.C_low if use_c else np.zeros((n, n, n))
         cpf = fr.Cp_low if use_cp else np.zeros((n, n, n))
         return ccf, cpf
-    if lift.c_flat is not None or lift.cprime_flat is not None:
-        w = _lift_point(fr)
-        ccf = _rule_tensor_flat(lift.c_flat, w, n) if lift.c_flat else np.zeros((n, n, n))
-        cpf = _rule_tensor_flat(lift.cprime_flat, w, n) if lift.cprime_flat else np.zeros((n, n, n))
+    if not _is_raw(lift):
+        ccf, cpf = np.array(_rule_fields(lift, _lift_point(fr), n), float)
         return ccf, cpf
     cc, cp = lift_tensors(lift, fr)
     return np.einsum("il,ijk->jkl", fr.g, cc), np.einsum("il,ijk->jkl", fr.g, cp)
@@ -467,115 +435,52 @@ def covariant_derivative_curve(lift: LiftSpec, src, curve, W, V):
 # -- honest curvature of a lift ---------------------------------------------------
 
 
-class _FieldJet:
-    """Value and first derivatives of an (n,n,n) tensor field at the base point."""
+def _classical_flat_jets(kind: ClassicalKind, fr5: PointFrame):
+    """Order-1 jet of the flat (C, C') fields of a classical lift, stacked (2, n, n, n).
 
-    __slots__ = ("val", "dx", "dy")
-
-    def __init__(self, n):
-        self.val = np.zeros((n, n, n))
-        self.dx = np.zeros((n, n, n, n))
-        self.dy = np.zeros((n, n, n, n))
-
-
-def _collect_field(polys, n) -> _FieldJet:
-    """Extract (value, d/dx, d/dy) from [i][j][k] order-1 jets in 2n vars.
-
-    ``polys`` None is the zero field; float entries are constants.
+    C' is minus the flow derivative of C with parallel arguments, the sign
+    convention of ``PointFrame.Cp_low``; an absent tensor is zero.
     """
-    fj = _FieldJet(n)
-    if polys is None:
-        return fj
-    for i, j, k in np.ndindex(n, n, n):
-        p = polys[i][j][k]
-        if isinstance(p, Jet):
-            fj.val[i, j, k] = float(p.value)
-            d1 = p.derivative(1)
-            fj.dx[:, i, j, k], fj.dy[:, i, j, k] = d1[:n], d1[n:]
-        else:
-            fj.val[i, j, k] = float(p)
-    return fj
-
-
-def _classical_flat_polys(kind: ClassicalKind, fr5: PointFrame):
-    """Order-1 jets of the flat (C, C') fields of a classical lift (None if absent)."""
     use_c, use_cp = _CLASSICAL_TABLE[kind]
-    if not (use_c or use_cp):
-        return None, None
     n = fr5.n
-    sp1 = space_for(2 * n, 1)
-    f = fr5.f
-    # flat Cartan tensor as order-2 polynomials
-    cpoly = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        fi = f.partial_poly(n + i)
-        for j in range(n):
-            fij = fi.partial_poly(n + j)
-            for k in range(n):
-                cpoly[i][j][k] = fij.partial_poly(n + k) * 0.25
-    c1 = [[[cpoly[i][j][k].truncate(1) for k in range(n)] for j in range(n)]
-          for i in range(n)]
-    if not use_cp:
-        return c1, None
-    ypoly = [sp1.coordinate(n + r, fr5.y[r]) for r in range(n)]
-    gpoly1 = [p.truncate(1) for p in fr5.Gpoly]
-    npoly1 = [[fr5.Gpoly[i].partial_poly(n + j).truncate(1) for j in range(n)]
-              for i in range(n)]
-    cpf = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = None
-                for l in range(n):
-                    term = ypoly[l] * cpoly[i][j][k].partial_poly(l)
-                    term = term - 2.0 * gpoly1[l] * cpoly[i][j][k].partial_poly(n + l)
-                    acc = term if acc is None else acc + term
-                for m in range(n):
-                    acc = acc - npoly1[m][i] * c1[m][j][k]
-                    acc = acc - npoly1[m][j] * c1[i][m][k]
-                    acc = acc - npoly1[m][k] * c1[i][j][m]
-                # same sign convention as PointFrame.Cp_low
-                cpf[i][j][k] = -acc
-    return (c1 if use_c else None), cpf
+    cpoly = 0.5 * fr5.gpoly.grad()[:, :, n:]        # flat Cartan tensor at order q-3
+    c1 = cpoly.truncate(1)
+    cp1 = 0.0 * c1
+    if use_cp:
+        y1 = space_for(2 * n, 1).coordinates(np.concatenate([fr5.x, fr5.y]))[n:]
+        n1 = fr5.Gpoly.grad()[:, n:].truncate(1)   # N[m, j] = dG^m/dy^j
+        dc = cpoly.grad()
+        cp1 = -(contract("ijkl,l->ijk", dc[..., :n], y1)
+                - 2.0 * contract("ijkl,l->ijk", dc[..., n:], fr5.Gpoly.truncate(1))
+                - contract("mi,mjk->ijk", n1, c1)
+                - contract("mj,imk->ijk", n1, c1)
+                - contract("mk,ijm->ijk", n1, c1))
+    return Jet(c1.space, np.stack([c1.c if use_c else 0.0 * c1.c, cp1.c]))
 
 
 def _lift_field_jets(lift: LiftSpec, fr5: PointFrame):
-    """First-order jets of the raised lift tensor fields Cc, Cp at fr5's point.
+    """Order-1 jet of the raised lift fields at fr5's point, (2, n, n, n) with
+    layout [(Cc, Cp), output, direction, section].
 
-    Classical metric lifts are assembled inside the truncated polynomial
-    ring from the order-5 metric jet; rule-based lifts are jetted directly
-    by evaluating their rules at the order-1 jet carrier of fr5's point.
+    Classical lifts are assembled in the truncated ring from the order-5
+    metric jet; rule lifts evaluate their rules at the order-1 jet carrier.
     Flat tensors of either kind are raised through one order-1 g^-1 solve.
     """
     n = fr5.n
-    raised = [None, None]
+    if not _is_raw(lift) and fr5.metric is None:
+        raise InvalidLift("flat lift rules require a metric")
     if lift.kind is not None:
-        flat = list(_classical_flat_polys(lift.kind, fr5))
+        flat = _classical_flat_jets(lift.kind, fr5)
     else:
-        wjet = _lift_point(fr5, jets=True)
-        basis = np.eye(n)
-        flat = [None, None]
-        rules = ((lift.c_flat, lift.c_raw), (lift.cprime_flat, lift.cprime_raw))
-        for s, (flat_rule, raw_rule) in enumerate(rules):
-            if raw_rule is not None:
-                vecs = [[raw_rule(wjet, basis[j], basis[k]) for k in range(n)] for j in range(n)]
-                raised[s] = [[[vecs[j][k][i] for k in range(n)] for j in range(n)]
-                             for i in range(n)]
-            elif flat_rule is not None:
-                if fr5.metric is None:
-                    raise InvalidLift("flat lift rules require a metric")
-                flat[s] = [[[flat_rule(wjet, basis[j], basis[k], basis[l]) for l in range(n)]
-                            for k in range(n)] for j in range(n)]
-    if any(t is not None for t in flat):
-        sp1 = space_for(2 * n, 1)
-        g1 = [[fr5.gpoly[i][j].truncate(1) for j in range(n)] for i in range(n)]
-        eye = [[sp1.constant(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
-        ginv1_cols = [solve_linear(g1, [eye[i][j] for i in range(n)]) for j in range(n)]
-        for s, t in enumerate(flat):
-            if t is not None:
-                raised[s] = [[[sum(ginv1_cols[l][i] * t[j][k][l] for l in range(n))
-                               for k in range(n)] for j in range(n)] for i in range(n)]
-    return _collect_field(raised[0], n), _collect_field(raised[1], n)
+        f1 = gw1 = None
+        if fr5.f is not None:
+            f1, gw1 = fr5.f.truncate(1), 0.5 * fr5.f.grad()[n:].truncate(1)
+        flat = lift_any(lambda v: _rule_fields(lift, LiftPoint(v[:n], v[n:], f1, gw1), n),
+                        np.concatenate([fr5.x, fr5.y]), 1)
+        if _is_raw(lift):
+            return flat.transpose(0, 3, 1, 2)
+    raised = solve_linear(fr5.gpoly.truncate(1), flat.transpose(3, 0, 1, 2), fr5.ginv)
+    return raised.transpose(1, 0, 2, 3)
 
 
 def lift_curvature(lift: LiftSpec, src, w: TangentVector, u, vertical_noise=None) -> np.ndarray:
@@ -592,41 +497,27 @@ def lift_curvature(lift: LiftSpec, src, w: TangentVector, u, vertical_noise=None
     n = fr5.n
     y = fr5.y
     u = np.asarray(u, float)
-    cc_fj, cp_fj = _lift_field_jets(lift, fr5)
+    fields = _lift_field_jets(lift, fr5)
+    cc1, cp1 = fields[0], fields[1]
+    y1 = space_for(2 * n, 1).coordinates(np.concatenate([fr5.x, fr5.y]))[n:]
+    dspray = fr5.Gpoly.grad()
+    gh1 = dspray.grad()[:, n:, n:] + cp1    # Gamma_h^i_{jm} = B + Cp as a field
+    N, B = fr5.N, fr5.B
+    dNdx = fr5._dG(2)[:, :n, n:].transpose(1, 0, 2)    # [l, i, j]
 
-    # N and B fields from the (order-3) spray polynomials; derivative index l first
-    N = fr5.N
-    B = fr5.B
-    dG2 = fr5._dG(2).transpose(1, 0, 2)
-    dG3 = fr5._dG(3).transpose(1, 0, 2, 3)
-    dNdx, dNdy = dG2[:n, :, n:], dG2[n:, :, n:]
-    dBdx, dBdy = dG3[:n, :, n:, n:], dG3[n:, :, n:, n:]
+    def split(field):
+        """Value, delta/dx and d/dy of an order-1 field, derivative index first."""
+        d1 = np.moveaxis(field.derivative(1), -1, 0)
+        return field.value, d1[:n] - np.einsum("aj,a...->j...", N, d1[n:]), d1[n:]
 
-    gh = B + cp_fj.val                      # Gamma_h^i_{jm}
-    cc = cc_fj.val
-
-    # section field P[i,k] = (nabla_{delta/dx^k} C)^i evaluated as a field
-    P = -N + np.einsum("ikr,r->ik", B + cp_fj.val, y)
-    dPdx = -dNdx + np.einsum("likr,r->lik", dBdx + cp_fj.dx, y)
-    # d/dy^l of Gamma_h^i_{kr} Y^r contributes the extra Gamma_h^i_{kl}
-    dPdy = (-dNdy + np.einsum("likr,r->lik", dBdy + cp_fj.dy, y)
-            + np.transpose(B + cp_fj.val, (2, 0, 1)))
-
-    # section field V[i,m] = (nabla_{d/dy^m} C)^i
-    V = np.eye(n) + np.einsum("imr,r->im", cc, y)
-    dVdx = np.einsum("limr,r->lim", cc_fj.dx, y)
-    dVdy = np.einsum("limr,r->lim", cc_fj.dy, y) + np.transpose(cc, (2, 0, 1))
+    gh, cc = gh1.value, cc1.value
+    # section fields P[i,k] = (nabla_{delta/dx^k} C)^i and V[i,m] = (nabla_{d/dy^m} C)^i
+    P, dP_h, dPdy = split(contract("ikr,r->ik", gh1, y1) - dspray[:, n:].truncate(1))
+    V, dV_h, _ = split(contract("imr,r->im", cc1, y1) + np.eye(n))
 
     # frame bracket curvature of the nonlinear connection
     rho = (np.einsum("kmj->mjk", dNdx) - np.einsum("jmk->mjk", dNdx)
            + np.einsum("aj,mka->mjk", N, B) - np.einsum("ak,mja->mjk", N, B))
-
-    def delta_x(field_val_dx_dy):
-        val, dx, dy = field_val_dx_dy
-        return dx - np.einsum("aj,a...->j...", N, dy)
-
-    dP_h = delta_x((P, dPdx, dPdy))         # [j, i, k]
-    dV_h = delta_x((V, dVdx, dVdy))         # [j, i, m]
 
     # R(delta_j, delta_k)C, contracted later with y^j u^k
     r_hh = (np.einsum("mjk,im->ijk", rho, V)

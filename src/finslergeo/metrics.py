@@ -15,6 +15,7 @@ from .jets import Jet, lift_any, smath, space_for
 from .rng import SplitMix64
 
 NULL_DIRECTION_TOL = 1e-12
+COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -207,30 +208,20 @@ def metric_value(ms: MetricSpec, w: TangentVector) -> float:
     return float(np.sqrt(v))
 
 
-def pivoted_cholesky_pd(a: np.ndarray, tol: float = 1e-12) -> bool:
-    """Positive-definiteness via diagonally pivoted Cholesky."""
-    m = np.array(a, dtype=float)
-    n = m.shape[0]
-    scale = max(np.max(np.abs(np.diag(m))), 1e-30)
-    for k in range(n):
-        piv = k + int(np.argmax(np.diag(m)[k:]))
-        if m[piv, piv] <= tol * scale:
-            return False
-        m[[k, piv]] = m[[piv, k]]
-        m[:, [k, piv]] = m[:, [piv, k]]
-        m[k, k] = np.sqrt(m[k, k])
-        m[k + 1:, k] /= m[k, k]
-        m[k + 1:, k + 1:] -= np.outer(m[k + 1:, k], m[k + 1:, k])
-    return True
+def require_positive_definite(g: np.ndarray, x, y) -> None:
+    """The package's one strong-convexity test: refuse the fundamental tensor
+    g at (x, y) unless its smallest eigenvalue exceeds its largest / COND_LIMIT."""
+    ev = np.linalg.eigvalsh(g)
+    if ev[0] <= ev[-1] / COND_LIMIT:
+        raise NotPositiveDefinite(
+            f"fundamental tensor indefinite or near-degenerate at x={x}, y={y}")
 
 
 def fundamental_tensor(ms: MetricSpec, w: TangentVector) -> FundamentalTensor:
     """g_w = half the fiber Hessian of F^2 at w; checked positive definite."""
     ms.check_tangent(w)
     g = 0.5 * _f2_y_jet(ms, w.x, w.y, 2).derivative(2)
-    if not pivoted_cholesky_pd(g):
-        raise NotPositiveDefinite(
-            f"fundamental tensor of {ms.name} at x={w.x}, y={w.y} is not positive definite")
+    require_positive_definite(g, w.x, w.y)
     return FundamentalTensor(w, g)
 
 
@@ -245,9 +236,7 @@ def g_bilinear(ms: MetricSpec, xs, ys, t_vec, v_vec):
 
     Half the mixed second derivative of (s, t) -> F^2(x, y + s T + t V).
     """
-    sp = space_for(2, 2)
-    s = sp.coordinate(0, 0.0)
-    t = sp.coordinate(1, 0.0)
+    s, t = space_for(2, 2).coordinates([0.0, 0.0])
     shifted = [ys[i] + s * float(t_vec[i]) + t * float(v_vec[i]) for i in range(len(ys))]
     out = ms.f2(xs, shifted)
     return out.partial((1, 1)) * 0.5

@@ -39,7 +39,3 @@ class SplitMix64:
             v = self.vector(n)
             if np.linalg.norm(v) >= min_norm:
                 return v
-
-    def spawn(self) -> "SplitMix64":
-        """Independent child stream (used to fan sweeps out deterministically)."""
-        return SplitMix64(self.next_u64())

@@ -1,9 +1,14 @@
 """Geodesic sprays, the canonical nonlinear connection and curvature.
 
-Everything is extracted from a single joint (x, y)-jet of F^2: the spray
-coefficients G^i are solved for inside the truncated polynomial ring, so
-their partial derivatives (N = dG/dy, Berwald B = d2G/dy dy, and the mixed
-x-derivatives entering the curvature) are exact.
+Everything is extracted from a single joint (x, y)-jet of F^2. The spray
+coefficients solve 4 g G = (d2F^2/dy dx) y - dF^2/dx inside the truncated
+polynomial ring, where g, the right-hand side and G are each one
+tensor-valued jet. The solve is a Neumann series around the numeric
+inverse of g at the point: writing g = g(w) + d, with d nilpotent in the
+truncated ring, G = sum_j (-g(w)^-1 d)^j g(w)^-1 rhs / 4 ends after
+``order`` terms. So the partial derivatives of G (N = dG/dy, Berwald
+B = d2G/dy dy, and the mixed x-derivatives entering the curvature) are
+exact.
 
 Numeric tensors are slices of ``Jet.derivative(k)``, which returns all k-th
 partials in the 2n variables (x first, then y): N and Gx are the y- and
@@ -18,11 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFlag, NotPositiveDefinite, NullDirection
-from .jets import lift_any, solve_linear, space_for
-from .metrics import MetricSpec, TangentVector, NULL_DIRECTION_TOL
-
-COND_LIMIT = 1e12
+from .errors import DegenerateFlag, DomainError, NullDirection
+from .jets import contract, lift_any, solve_linear, space_for
+from .metrics import MetricSpec, TangentVector, NULL_DIRECTION_TOL, require_positive_definite
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,6 @@ class SpraySpec:
         if float(np.linalg.norm(w.y)) < NULL_DIRECTION_TOL:
             raise NullDirection("fiber direction is numerically zero")
         if self.domain_margin is not None and self.domain_margin(w.x) <= 0.0:
-            from .errors import DomainError
-
             raise DomainError(f"point {w.x} outside validity region of {self.name}")
 
     def __repr__(self):
@@ -90,40 +91,19 @@ class PointFrame:
         p = order - 2
         if self.metric is not None:
             self.f = lift_any(lambda v: src.f2(v[:n], v[n:]), center, order)
-            gpoly = [[None] * n for _ in range(n)]
-            for i in range(n):
-                fi = self.f.partial_poly(n + i)
-                for j in range(i, n):
-                    gij = fi.partial_poly(n + j) * 0.5
-                    gpoly[i][j] = gij
-                    gpoly[j][i] = gij
-            self.gpoly = gpoly
             self.g = 0.5 * self.f.derivative(2)[n:, n:]
-            ev = np.linalg.eigvalsh(self.g)
-            if ev[0] <= ev[-1] / COND_LIMIT:
-                raise NotPositiveDefinite(
-                    f"fundamental tensor indefinite or near-degenerate at x={self.x}, y={self.y}")
+            require_positive_definite(self.g, self.x, self.y)
             self.ginv = np.linalg.inv(self.g)
-            sp = space_for(2 * n, p)
-            ypoly = [sp.coordinate(n + k, self.y[k]) for k in range(n)]
-            rhs = []
-            for l in range(n):
-                fl = self.f.partial_poly(n + l)
-                acc = None
-                for k in range(n):
-                    term = ypoly[k] * fl.partial_poly(k)
-                    acc = term if acc is None else acc + term
-                rhs.append(acc - self.f.partial_poly(l).truncate(p))
-            self.Gpoly = [u * 0.25 for u in solve_linear(gpoly, rhs)]
+            grad = self.f.grad()
+            hess = grad.grad()
+            self.gpoly = 0.5 * hess[n:, n:]
+            # 4 g G = (d2F^2/dy dx) y - dF^2/dx, all jets at order p
+            y = space_for(2 * n, p).coordinates(center)[n:]
+            rhs = contract("lk,k->l", hess[n:, :n], y) - grad[:n].truncate(p)
+            self.Gpoly = 0.25 * solve_linear(self.gpoly, rhs, self.ginv)
         else:
-            self.f = None
-            self.gpoly = None
-            self.g = None
-            self.ginv = None
-            self.Gpoly = [
-                lift_any(lambda v, i=i: src.g_rule(v[:n], v[n:])[i], center, p)
-                for i in range(n)
-            ]
+            self.f = self.gpoly = self.g = self.ginv = None
+            self.Gpoly = lift_any(lambda v: src.g_rule(v[:n], v[n:]), center, p)
         self._cache = {}
 
     def _get(self, key, builder):
@@ -139,7 +119,7 @@ class PointFrame:
 
     def _dG(self, k):
         """All k-th partials of the spray coefficients: (n,) + (2n,)*k, x before y."""
-        return np.array([p.derivative(k) for p in self.Gpoly])
+        return self.Gpoly.derivative(k)
 
     @property
     def N(self):
@@ -256,12 +236,13 @@ def spray_coefficients(src, w: TangentVector) -> SprayData:
 
 
 def spray_values(src, x, y) -> np.ndarray:
-    """Fast G-only evaluation for ODE right-hand sides."""
+    """Fast G-only evaluation for ODE right-hand sides (g checked positive definite)."""
     n = len(x)
     if isinstance(src, MetricSpec):
         f = lift_any(lambda v: src.f2(v[:n], v[n:]), list(x) + list(y), 2)
         h = f.derivative(2)
         g = 0.5 * h[n:, n:]
+        require_positive_definite(g, x, y)
         # a row sum, not a matmul, keeps the summation order of G fixed
         rhs = (h[n:, :n] * np.asarray(y, float)).sum(axis=1) - f.derivative(1)[:n]
         return 0.25 * np.linalg.solve(g, rhs)
@@ -287,11 +268,12 @@ def curvature_endomorphism(src, w: TangentVector) -> CurvatureEndomorphism:
     return CurvatureEndomorphism(at=w, R=fr.R)
 
 
-def flag_curvature(ms: MetricSpec, w: TangentVector, u) -> float:
+def flag_curvature(ms: MetricSpec, w: TangentVector, u,
+                   _frame: PointFrame | None = None) -> float:
     """K(w,u) = g(R_w(u),u) / (g(w,w) g(u,u) - g(w,u)^2)."""
     if not isinstance(ms, MetricSpec):
         raise TypeError("flag curvature requires a metric")
-    fr = PointFrame(ms, w, order=4)
+    fr = _frame if _frame is not None else PointFrame(ms, w, order=4)
     u = np.asarray(u, float)
     g = fr.g
     y = fr.y

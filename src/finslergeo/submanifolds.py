@@ -42,8 +42,7 @@ class Submanifold:
     def _derivative(self, param, k) -> np.ndarray:
         """(n,) + (param_dim,)*k array of k-th parameter derivatives."""
         ps = list(np.atleast_1d(param))
-        return np.array([lift_any(lambda v, i=i: self.immersion(v)[i], ps, k).derivative(k)
-                         for i in range(self.dim)])
+        return lift_any(self.immersion, ps, k).derivative(k)
 
     def jacobian(self, param) -> np.ndarray:
         """(n, k) matrix of tangent vectors d phi / d p_a."""

@@ -108,6 +108,16 @@ def _solve(src, rhs, state0, t_end, rtol, atol, dim):
     return sol
 
 
+def _geodesic_rhs(src):
+    """Right-hand side of x-ddot = -2 G(x, x-dot) on the state (x, x-dot)."""
+    n = src.dim
+
+    def rhs(t, s):
+        return np.concatenate([s[n:], -2.0 * spray_values(src, s[:n], s[n:])])
+
+    return rhs
+
+
 def integrate_geodesic(src, w0: TangentVector, t_end: float,
                        rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                        nodes: int = DEFAULT_NODES) -> Curve:
@@ -116,12 +126,8 @@ def integrate_geodesic(src, w0: TangentVector, t_end: float,
     if t_end == 0:
         raise ValueError("t_end must be nonzero")
     n = src.dim
-
-    def rhs(t, s):
-        return np.concatenate([s[n:], -2.0 * spray_values(src, s[:n], s[n:])])
-
     state0 = np.concatenate([w0.x, w0.y])
-    sol = _solve(src, rhs, state0, t_end, rtol, atol, n)
+    sol = _solve(src, _geodesic_rhs(src), state0, t_end, rtol, atol, n)
     grid = np.linspace(0.0, t_end, nodes)
     if t_end < 0:
         grid = grid[::-1]
@@ -215,10 +221,6 @@ def metric_value_on(ms: MetricSpec, curve: Curve, i: int) -> float:
     return metric_value(ms, TangentVector(curve.points[i], curve.velocities[i]))
 
 
-def _n_matrix(src, x, y):
-    return PointFrame(src, TangentVector(x, y), order=3).N
-
-
 def jacobi_integrate(src, geo: Curve, J0, J0dot, rtol: float = DEFAULT_RTOL,
                      atol: float = DEFAULT_ATOL) -> FieldAlongCurve:
     """Integrate the Jacobi equation D^2 J + R(J) = 0 along a geodesic.
@@ -262,10 +264,7 @@ def jacobi_variation_oracle(src, w0: TangentVector, u, t, h: float = 1e-3,
     tarr = np.atleast_1d(np.asarray(t, float))
     t_end = float(np.max(tarr))
     n = src.dim
-
-    def rhs(tt, s):
-        return np.concatenate([s[n:], -2.0 * spray_values(src, s[:n], s[n:])])
-
+    rhs = _geodesic_rhs(src)
     sols = []
     for sign in (+1.0, -1.0):
         state0 = np.concatenate([w0.x, w0.y + sign * h * u])
@@ -287,8 +286,8 @@ def parallel_transport(src, geo: Curve, v0) -> FieldAlongCurve:
 
     def rhs(t, s):
         x, y, V = s[:n], s[n:2 * n], s[2 * n:]
-        N = _n_matrix(src, x, y)
-        return np.concatenate([y, -2.0 * spray_values(src, x, y), -N @ V])
+        fr = PointFrame(src, TangentVector(x, y), order=3)
+        return np.concatenate([y, -2.0 * fr.G, -fr.N @ V])
 
     state0 = np.concatenate([geo.points[0], geo.velocities[0], np.asarray(v0, float)])
     sol = _solve(src, rhs, state0, geo.grid[-1] - geo.grid[0], DEFAULT_RTOL, DEFAULT_ATOL, n)

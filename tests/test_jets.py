@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslergeo.errors import DomainError
-from finslergeo.jets import jet_lift, partial, smath, space_for
+from finslergeo.jets import (Jet, contract, jet_lift, lift_any, partial, smath,
+                             solve_linear, space_for)
 from finslergeo.rng import SplitMix64
 
 from oracles import sympy_polynomial_jet
@@ -166,3 +167,60 @@ def test_pow_matches_repeated_multiplication():
     assert np.max(np.abs((j ** 3).c - (j * j * j).c)) < 1e-14
     inv2 = j ** (-2)
     assert np.max(np.abs((inv2 * j * j).c - jet_lift(lambda v: 1.0, [0.2], 4).c)) < 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_tensor_jet_ops_match_scalar_components(nvars, order, seed):
+    sp = space_for(nvars, order)
+    rs = np.random.default_rng(seed)
+    a = Jet(sp, rs.uniform(-2, 2, (2, 3, sp.size)))
+    b = Jet(sp, rs.uniform(-2, 2, (2, 3, sp.size)))
+    s = Jet(sp, rs.uniform(-2, 2, sp.size))
+    ops = {"add": a + b, "sub": a - b, "mul": a * b, "bcast": s * a, "shift": a - 2.5}
+    for i, j in itertools.product(range(2), range(3)):
+        ai, bi = Jet(sp, a.c[i, j]), Jet(sp, b.c[i, j])
+        want = {"add": ai + bi, "sub": ai - bi, "mul": ai * bi, "bcast": s * ai,
+                "shift": ai - 2.5}
+        for name, got in ops.items():
+            assert np.array_equal(got[i, j].c, want[name].c), name
+        for k in range(order + 1):
+            assert np.array_equal(a.derivative(k)[i, j], ai.derivative(k))
+        if order >= 1:
+            assert np.array_equal(a.grad()[i, j].c, ai.grad().c)
+    if order >= 1:
+        # grad's new axis is last and its value part is the first derivative
+        assert a.grad().shape == (2, 3, nvars)
+        assert np.array_equal(a.grad().value, a.derivative(1))
+    else:
+        with pytest.raises(IndexError):
+            a.grad()
+
+
+@pytest.mark.parametrize("order", range(6))
+def test_solve_linear_residual(order):
+    rs = np.random.default_rng(100 + order)
+    sp = space_for(2, order)
+    n = 3
+    for trial in range(5):
+        m = rs.uniform(-1, 1, (n, n))
+        c = rs.uniform(-1, 1, (n, n, sp.size))
+        c[..., 0] = m @ m.T + 0.5 * np.eye(n)
+        a = Jet(sp, c)
+        b = Jet(sp, rs.uniform(-1, 1, (n, 2, sp.size)) if trial % 2 else
+                rs.uniform(-1, 1, (n, sp.size)))
+        x = solve_linear(a, b, np.linalg.inv(a.value))
+        residual = contract("ij,j...->i...", a, x) - b
+        assert x.shape == b.shape
+        assert np.max(np.abs(residual.c)) < 1e-13
+
+
+def test_lift_any_stacks_sequences():
+    rule = lambda v: [[v[0] * v[1], 2.0], [smath.sin(v[1]), v[0]]]
+    jet = lift_any(rule, [0.4, -0.3], 3)
+    assert jet.shape == (2, 2)
+    for i, j in itertools.product(range(2), range(2)):
+        one = lift_any(lambda v: rule(v)[i][j], [0.4, -0.3], 3)
+        assert np.array_equal(jet[i, j].c, one.c)
+    with pytest.raises(TypeError):
+        jet[0, 0][0]

@@ -8,7 +8,8 @@ from finslergeo.metrics import TangentVector, random_tangent
 from finslergeo.rng import SplitMix64
 from finslergeo.spray import (PointFrame, SpraySpec, curvature_endomorphism,
                               flag_curvature, horizontal_lift,
-                              spray_coefficients, vertical_projector)
+                              spray_coefficients, spray_values, vertical_projector)
+from finslergeo.variational import integrate_geodesic
 
 from oracles import euler_lagrange_spray
 
@@ -150,5 +151,12 @@ def test_condition_number_guard():
         spray_coefficients(ill, TangentVector([0.0, 0.0], [1.0, 1.0]))
     # |beta| > 1: g is indefinite here (eigenvalues about -0.226, 0.092) yet well conditioned
     wild = metrics.randers(2, [1.3, 0.0])
+    w = TangentVector([0.0, 0.0], [-1.0, 0.2])
     with pytest.raises(NotPositiveDefinite):
-        PointFrame(wild, TangentVector([0.0, 0.0], [-1.0, 0.2]))
+        PointFrame(wild, w)
+    with pytest.raises(NotPositiveDefinite):
+        metrics.fundamental_tensor(wild, w)
+    with pytest.raises(NotPositiveDefinite):
+        spray_values(wild, w.x, w.y)
+    with pytest.raises(NotPositiveDefinite):
+        integrate_geodesic(wild, w, 0.5)
