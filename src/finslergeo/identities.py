@@ -11,11 +11,12 @@ import numpy as np
 
 from .findiff import d1
 from .lifts import (LiftSpec, affine_coefficients, classical_lift,
-                    lift_tensors, nabla_apply, nabla_g, section_from_rule,
-                    SectionJet)
+                    cprime_tensor, lift_tensors, nabla_apply, nabla_g,
+                    section_from_rule, SectionJet)
 from .metrics import MetricSpec, TangentVector, _f2_y_jet, g_bilinear
 from .rng import SplitMix64
 from .spray import PointFrame
+from .variational import _solve, _transport_rhs
 
 
 class AffineField:
@@ -169,43 +170,24 @@ def cprime_transport_residual(ms: MetricSpec, w: TangentVector, tau: float = 1e-
     """Package C' against the geodesic-transport oracle.
 
     The oracle integrates the geodesic and the parallel transports of three
-    random vectors and differentiates the Cartan contraction in t; the
-    package tensor is minus that derivative (see the C' sign convention).
+    random vectors, the columns of one transport solve, and differentiates
+    the Cartan contraction in t; the package tensor is minus that
+    derivative (see the C' sign convention).
     """
-    from scipy.integrate import solve_ivp
-
-    from .lifts import cprime_tensor
-
     rng = rng or SplitMix64(1)
     n = ms.dim
-    u0 = rng.direction(n)
-    v0 = rng.direction(n)
-    z0 = rng.direction(n)
-
-    def rhs(t, s):
-        x, y = s[:n], s[n:2 * n]
-        fr = PointFrame(ms, TangentVector(x, y), order=3)
-        out = [y, -2.0 * fr.G]
-        for m in range(3):
-            V = s[2 * n + m * n:2 * n + (m + 1) * n]
-            out.append(-fr.N @ V)
-        return np.concatenate(out)
-
-    state0 = np.concatenate([w.x, w.y, u0, v0, z0])
+    vecs0 = np.column_stack([rng.direction(n), rng.direction(n), rng.direction(n)])
+    rhs = _transport_rhs(ms, vecs0.shape)
+    state0 = np.concatenate([w.x, w.y, vecs0.ravel()])
 
     def contraction(t):
-        if t == 0.0:
-            x, y, u, v, z = w.x, w.y, u0, v0, z0
-        else:
-            sol = solve_ivp(rhs, (0.0, t), state0, rtol=1e-11, atol=1e-13)
-            st = sol.y[:, -1]
-            x, y = st[:n], st[n:2 * n]
-            u, v, z = st[2 * n:3 * n], st[3 * n:4 * n], st[4 * n:5 * n]
+        st = _solve(ms, rhs, state0, t, 1e-11, 1e-13, n).y[:, -1]
+        x, y, vecs = st[:n], st[n:2 * n], st[2 * n:].reshape(n, 3)
         C = PointFrame(ms, TangentVector(x, y), order=3).C_low
-        return np.einsum("ijk,i,j,k->", C, u, v, z)
+        return np.einsum("ijk,i,j,k->", C, *vecs.T)
 
     oracle = (contraction(tau) - contraction(-tau)) / (2.0 * tau)
-    mine = np.einsum("ijk,i,j,k->", cprime_tensor(ms, w).Cp, u0, v0, z0)
+    mine = np.einsum("ijk,i,j,k->", cprime_tensor(ms, w).Cp, *vecs0.T)
     return float(abs(mine + oracle))
 
 

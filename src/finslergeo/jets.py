@@ -66,8 +66,8 @@ class JetSpace:
         self.alphas = _multi_indices(nvars, order)
         self.size = len(self.alphas)
         self.index = {a: i for i, a in enumerate(self.alphas)}
-        self._units = [self.index.get(tuple(int(v == w) for w in range(nvars)))
-                       for v in range(nvars)]
+        # entry [v, k]: coefficient k + 1 (the degree-1 block) of coordinate v
+        self._unit_block = np.array(self.alphas[1:nvars + 1], float).T
 
         ia, ib, ic = [], [], []
         for i, a in enumerate(self.alphas):
@@ -130,11 +130,19 @@ class JetSpace:
         return Jet(self, c)
 
     def coordinates(self, center) -> "Jet":
-        """The (nvars,) jet of the coordinate functions about ``center``."""
-        c = np.zeros((self.nvars, self.size))
-        c[:, 0] = center
+        """The jet of the coordinate functions about ``center``.
+
+        ``center`` has shape (..., nvars); the jet has leading axes
+        (nvars, ...), so ``coordinates(center)[v]`` is coordinate v about
+        every center of the batch at once.
+        """
+        center = np.asarray(center, float)
+        batch = center.ndim - 1
+        c = np.zeros((self.nvars,) + center.shape[:-1] + (self.size,))
+        c[..., 0] = center.transpose(-1, *range(batch))
         if self.order >= 1:
-            c[np.arange(self.nvars), self._units] = 1.0
+            c[..., 1:self.nvars + 1] = self._unit_block.reshape(
+                (self.nvars,) + (1,) * batch + (self.nvars,))
         return Jet(self, c)
 
     def __repr__(self):
@@ -453,9 +461,12 @@ def lift_any(f, center, order: int) -> Jet:
 
     ``f`` receives the list of coordinate jets and returns a scalar or a
     (nested) sequence of scalars, jets or floats; each level of nesting
-    becomes a leading axis of the one jet returned.
+    becomes a leading axis of the one jet returned. A ``center`` of shape
+    (..., nvars) lifts at every center of the batch in one rule trace: the
+    coordinate jets, and so the result, carry the batch axes last among
+    the leading axes.
     """
-    space = space_for(len(center), order)
+    space = space_for(np.shape(center)[-1], order)
 
     def coeffs(item):
         if isinstance(item, Jet):

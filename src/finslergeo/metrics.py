@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NotPositiveDefinite, NullDirection
-from .jets import Jet, lift_any, smath, space_for
+from .jets import Jet, _any, lift_any, smath, space_for
 from .rng import SplitMix64
 
 NULL_DIRECTION_TOL = 1e-12
@@ -210,9 +210,17 @@ def metric_value(ms: MetricSpec, w: TangentVector) -> float:
 
 def require_positive_definite(g: np.ndarray, x, y) -> None:
     """The package's one strong-convexity test: refuse the fundamental tensor
-    g at (x, y) unless its smallest eigenvalue exceeds its largest / COND_LIMIT."""
-    ev = np.linalg.eigvalsh(g)
-    if ev[0] <= ev[-1] / COND_LIMIT:
+    g at (x, y) unless its smallest eigenvalue exceeds its largest / COND_LIMIT.
+
+    ``g`` may carry leading batch axes, (..., n, n), matching those of
+    ``x`` and ``y``; one failing point refuses the batch, and the message
+    names the first such point.
+    """
+    ev = np.linalg.eigvalsh(g).T  # eigenvalues first, batch axes reversed
+    bad = ev[0] <= ev[-1] / COND_LIMIT
+    if _any(bad):
+        at = np.unravel_index(np.argmax(bad.T), bad.T.shape)
+        x, y = np.asarray(x, float)[at], np.asarray(y, float)[at]
         raise NotPositiveDefinite(
             f"fundamental tensor indefinite or near-degenerate at x={x}, y={y}")
 

@@ -15,6 +15,12 @@ partials in the 2n variables (x first, then y): N and Gx are the y- and
 x-columns of the stacked first derivatives of G, B and Gxy blocks of the
 second, and g, C, dg/dx, dC/dx, dC/dy blocks of the second to fourth
 derivatives of F^2 (times 1/2 or 1/4).
+
+ODE right-hand sides that need only G call ``spray_values``, which skips
+the frame: an order-2 jet of F^2 and one numeric solve. It takes points
+with leading batch axes and serves a whole batch (the stacked oracle
+geodesics, the Gauss nodes of a geodesic residual) with one lift at all
+centers, one guard and one batched solve.
 """
 
 from __future__ import annotations
@@ -236,16 +242,27 @@ def spray_coefficients(src, w: TangentVector) -> SprayData:
 
 
 def spray_values(src, x, y) -> np.ndarray:
-    """Fast G-only evaluation for ODE right-hand sides (g checked positive definite)."""
-    n = len(x)
+    """Fast G-only evaluation for ODE right-hand sides (g checked positive definite).
+
+    ``x`` and ``y`` have shape (..., n); G has the same shape. A batch of
+    points is one order-2 lift of F^2 at all centers, one positive-
+    definiteness guard and one batched linear solve, and each point's G is
+    bitwise equal to its own unbatched call. A bare spray's rule runs once
+    per point.
+    """
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    n = x.shape[-1]
     if isinstance(src, MetricSpec):
-        f = lift_any(lambda v: src.f2(v[:n], v[n:]), list(x) + list(y), 2)
+        f = lift_any(lambda v: src.f2(v[:n], v[n:]), np.concatenate([x, y], axis=-1), 2)
         h = f.derivative(2)
-        g = 0.5 * h[n:, n:]
+        g = 0.5 * h[..., n:, n:]
         require_positive_definite(g, x, y)
         # a row sum, not a matmul, keeps the summation order of G fixed
-        rhs = (h[n:, :n] * np.asarray(y, float)).sum(axis=1) - f.derivative(1)[:n]
-        return 0.25 * np.linalg.solve(g, rhs)
+        rhs = (h[..., n:, :n] * y[..., None, :]).sum(axis=-1) - f.derivative(1)[..., :n]
+        return 0.25 * np.linalg.solve(g, rhs[..., None])[..., 0]
+    if x.ndim > 1:
+        return np.array([spray_values(src, xi, yi) for xi, yi in zip(x, y)])
     return np.array([float(v) for v in src.g_rule(list(x), list(y))])
 
 

@@ -1,4 +1,14 @@
-"""Geodesic integration, energy, Jacobi fields and the second variation."""
+"""Geodesic integration, energy, Jacobi fields and the second variation.
+
+Every ODE goes through ``_solve``: DOP853 (Hairer-Norsett-Wanner, *Solving
+ODEs I*) with dense output, at ``DEFAULT_RTOL``/``DEFAULT_ATOL`` unless a
+caller asks for tighter, and a terminal event at the chart's domain margin.
+Systems that share work are stacked into one state. Jacobi fields and
+parallel-transported vectors are the columns of an (n, m) block that shares
+one geodesic and one ``PointFrame`` per right-hand side; the two perturbed
+geodesics of the variation oracle are one state whose positions and
+velocities are evaluated by one batched ``spray_values`` call.
+"""
 
 from __future__ import annotations
 
@@ -84,22 +94,24 @@ def fd_derivative(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def _margin_event(src, dim):
+def _margin_event(src, dim, stacked):
+    """Terminal event on the smallest domain margin over the ``stacked``
+    positions at the front of the state, s[:stacked * dim]."""
     margin = getattr(src, "domain_margin", None)
     if margin is None:
         return None
 
     def event(t, s):
-        return margin(s[:dim]) - 1e-9
+        return min(margin(x) for x in s[:stacked * dim].reshape(stacked, dim)) - 1e-9
 
     event.terminal = True
     event.direction = -1
     return event
 
 
-def _solve(src, rhs, state0, t_end, rtol, atol, dim):
-    events = _margin_event(src, dim)
-    sol = solve_ivp(rhs, (0.0, t_end), state0, method="RK45", rtol=rtol, atol=atol,
+def _solve(src, rhs, state0, t_end, rtol, atol, dim, stacked=1):
+    events = _margin_event(src, dim, stacked)
+    sol = solve_ivp(rhs, (0.0, t_end), state0, method="DOP853", rtol=rtol, atol=atol,
                     dense_output=True, events=[events] if events else None)
     if sol.status == 1:
         raise DomainExit(f"trajectory left the validity region at t={sol.t_events[0][0]:.6g}")
@@ -109,11 +121,32 @@ def _solve(src, rhs, state0, t_end, rtol, atol, dim):
 
 
 def _geodesic_rhs(src):
-    """Right-hand side of x-ddot = -2 G(x, x-dot) on the state (x, x-dot)."""
+    """Right-hand side of x-ddot = -2 G(x, x-dot) on the state (x, x-dot).
+
+    A state of k geodesics stacks their positions, then their velocities,
+    (x_1 .. x_k, y_1 .. y_k); all k sprays come from one batched call.
+    """
     n = src.dim
 
     def rhs(t, s):
-        return np.concatenate([s[n:], -2.0 * spray_values(src, s[:n], s[n:])])
+        half = len(s) // 2
+        x, y = s[:half], s[half:]
+        if half > n:
+            x, y = x.reshape(-1, n), y.reshape(-1, n)
+        return np.concatenate([s[half:], -2.0 * spray_values(src, x, y).ravel()])
+
+    return rhs
+
+
+def _transport_rhs(src, shape):
+    """Geodesic flow plus D^{gdot} V/dt = 0 for V of ``shape``, (n,) or
+    (n, m): m vectors transported as the columns of one block."""
+    n = src.dim
+
+    def rhs(t, s):
+        x, y, V = s[:n], s[n:2 * n], s[2 * n:].reshape(shape)
+        fr = PointFrame(src, TangentVector(x, y), order=3)
+        return np.concatenate([y, -2.0 * fr.G, (-fr.N @ V).ravel()])
 
     return rhs
 
@@ -163,30 +196,29 @@ def geodesic_residual(src, curve: Curve, stride: int = 1) -> float:
     n = curve.n
     if curve.dense is not None and curve.solver_nodes is not None and len(curve.solver_nodes) > 1:
         ts = curve.solver_nodes
-        worst = 0.0
-        for i in range(0, len(ts) - 1, stride):
-            a, b = ts[i], ts[i + 1]
-            if b <= a:
-                continue
-            half = 0.5 * (b - a)
-            quad = np.zeros(n)
-            scale = 1.0
-            for node, weight in zip(_GAUSS4_NODES, _GAUSS4_WEIGHTS):
-                st = curve.dense(0.5 * (a + b) + half * node)
-                g2 = 2.0 * spray_values(src, st[:n], st[n:])
-                quad += weight * g2
-                scale = max(scale, float(np.max(np.abs(st))))
-            defect = (curve.dense(b)[n:] - curve.dense(a)[n:]) + half * quad
-            worst = max(worst, float(np.max(np.abs(defect))) / scale)
-        return worst
-    acc = fd_derivative(curve.velocities, curve.grid)
-    worst = 0.0
-    for i in range(0, len(curve.grid), stride):
-        g2 = 2.0 * spray_values(src, curve.points[i], curve.velocities[i])
-        scale = max(1.0, float(np.max(np.abs(curve.points[i]))),
-                    float(np.max(np.abs(curve.velocities[i]))))
-        worst = max(worst, float(np.max(np.abs(acc[i] + g2))) / scale)
-    return worst
+        a, b = ts[:-1:stride], ts[1::stride]
+        keep = b > a
+        a, b = a[keep], b[keep]
+        if a.size == 0:
+            return 0.0
+        half = 0.5 * (b - a)
+        # all Gauss nodes, then both step ends, in one dense evaluation
+        nodes = 0.5 * (a + b)[:, None] + half[:, None] * _GAUSS4_NODES
+        states = curve.dense(np.concatenate([nodes.ravel(), a, b])).T
+        st = states[:nodes.size].reshape(len(a), 4, 2 * n)
+        g2 = 2.0 * spray_values(src, st[..., :n], st[..., n:])
+        quad = np.zeros((len(a), n))
+        for j, weight in enumerate(_GAUSS4_WEIGHTS):
+            quad += weight * g2[:, j]
+        scale = np.maximum(1.0, np.abs(st).max(axis=(1, 2)))
+        ends = states[nodes.size:, n:]
+        defect = (ends[len(a):] - ends[:len(a)]) + half[:, None] * quad
+        return float(np.max(np.abs(defect).max(axis=1) / scale))
+    acc = fd_derivative(curve.velocities, curve.grid)[::stride]
+    pts, vels = curve.points[::stride], curve.velocities[::stride]
+    g2 = 2.0 * spray_values(src, pts, vels)
+    scale = np.maximum(1.0, np.maximum(np.abs(pts).max(axis=1), np.abs(vels).max(axis=1)))
+    return float(np.max(np.abs(acc + g2).max(axis=1) / scale))
 
 
 def energy(ms: MetricSpec, curve: Curve) -> float:
@@ -227,29 +259,39 @@ def jacobi_integrate(src, geo: Curve, J0, J0dot, rtol: float = DEFAULT_RTOL,
 
     First-order form in (J, K = covariant derivative of J): the geodesic is
     re-integrated jointly so R and the connection are evaluated on the exact
-    flow. ``J0dot`` is the initial covariant derivative.
+    flow. ``J0dot`` is the initial covariant derivative. ``J0`` and
+    ``J0dot`` have shape (n,), or (n, m) for m fields integrated as the
+    columns of one solve sharing the geodesic and one frame per step;
+    ``vectors`` and ``covariant_derivative`` then have shape (N, n, m).
     """
     res = geodesic_residual(src, geo, stride=8)
     if res > 1e-6:
         raise GridError(f"input curve is not a geodesic (residual {res:.2e})")
     n = geo.n
+    J0 = np.asarray(J0, float)
+    J0dot = np.asarray(J0dot, float)
+    if J0.shape != J0dot.shape or J0.shape[:1] != (n,) or J0.ndim > 2:
+        raise ValueError(f"J0 and J0dot must share shape (n,) or (n, m), got "
+                         f"{J0.shape} and {J0dot.shape}")
+    cut = 2 * n + J0.size
 
     def rhs(t, s):
-        x, y, J, K = s[:n], s[n:2 * n], s[2 * n:3 * n], s[3 * n:]
+        x, y = s[:n], s[n:2 * n]
+        J, K = s[2 * n:cut].reshape(J0.shape), s[cut:].reshape(J0.shape)
         fr = PointFrame(src, TangentVector(x, y), order=4)
         return np.concatenate([
             y, -2.0 * fr.G,
-            K - fr.N @ J,
-            -fr.R @ J - fr.N @ K,
+            (K - fr.N @ J).ravel(),
+            (-fr.R @ J - fr.N @ K).ravel(),
         ])
 
-    state0 = np.concatenate([geo.points[0], geo.velocities[0],
-                             np.asarray(J0, float), np.asarray(J0dot, float)])
+    state0 = np.concatenate([geo.points[0], geo.velocities[0], J0.ravel(), J0dot.ravel()])
     t_end = geo.grid[-1] - geo.grid[0]
     sol = _solve(src, rhs, state0, t_end, rtol, atol, n)
-    states = sol.sol(geo.grid - geo.grid[0])
-    return FieldAlongCurve(grid=geo.grid, vectors=states[2 * n:3 * n].T,
-                           covariant_derivative=states[3 * n:].T)
+    states = sol.sol(geo.grid - geo.grid[0]).T
+    shape = (len(geo.grid),) + J0.shape
+    return FieldAlongCurve(grid=geo.grid, vectors=states[:, 2 * n:cut].reshape(shape),
+                           covariant_derivative=states[:, cut:].reshape(shape))
 
 
 def jacobi_variation_oracle(src, w0: TangentVector, u, t, h: float = 1e-3,
@@ -258,41 +300,37 @@ def jacobi_variation_oracle(src, w0: TangentVector, u, t, h: float = 1e-3,
 
     Returns (exp(x0, y0 + h u, t) - exp(x0, y0 - h u, t)) / 2h, the Jacobi
     field with J(0) = 0 and covariant initial derivative u; ``t`` may be a
-    scalar or a grid.
+    scalar or a grid. Both geodesics are one stacked solve; it raises
+    ``DomainExit`` when either of them leaves the chart's domain.
     """
     u = np.asarray(u, float)
     tarr = np.atleast_1d(np.asarray(t, float))
     t_end = float(np.max(tarr))
     n = src.dim
-    rhs = _geodesic_rhs(src)
-    sols = []
-    for sign in (+1.0, -1.0):
-        state0 = np.concatenate([w0.x, w0.y + sign * h * u])
-        sols.append(_solve(src, rhs, state0, t_end, rtol, atol, n))
-    out = np.empty((tarr.size, n))
-    for i, ti in enumerate(tarr):
-        xp = sols[0].sol(ti)[:n]
-        xm = sols[1].sol(ti)[:n]
-        out[i] = (xp - xm) / (2.0 * h)
+    state0 = np.concatenate([w0.x, w0.x, w0.y + h * u, w0.y - h * u])
+    sol = _solve(src, _geodesic_rhs(src), state0, t_end, rtol, atol, n, stacked=2)
+    states = sol.sol(tarr)
+    out = ((states[:n] - states[n:2 * n]) / (2.0 * h)).T
     return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
 def parallel_transport(src, geo: Curve, v0) -> FieldAlongCurve:
-    """Solve D^{gdot} V/dt = 0 along a geodesic."""
+    """Solve D^{gdot} V/dt = 0 along a geodesic.
+
+    ``v0`` has shape (n,), or (n, m) to transport m vectors in one solve;
+    ``vectors`` then has shape (N, n) or (N, n, m).
+    """
     res = geodesic_residual(src, geo, stride=8)
     if res > 1e-6:
         raise GridError(f"input curve is not a geodesic (residual {res:.2e})")
     n = geo.n
-
-    def rhs(t, s):
-        x, y, V = s[:n], s[n:2 * n], s[2 * n:]
-        fr = PointFrame(src, TangentVector(x, y), order=3)
-        return np.concatenate([y, -2.0 * fr.G, -fr.N @ V])
-
-    state0 = np.concatenate([geo.points[0], geo.velocities[0], np.asarray(v0, float)])
-    sol = _solve(src, rhs, state0, geo.grid[-1] - geo.grid[0], DEFAULT_RTOL, DEFAULT_ATOL, n)
-    states = sol.sol(geo.grid - geo.grid[0])
-    return FieldAlongCurve(grid=geo.grid, vectors=states[2 * n:].T)
+    v0 = np.asarray(v0, float)
+    state0 = np.concatenate([geo.points[0], geo.velocities[0], v0.ravel()])
+    sol = _solve(src, _transport_rhs(src, v0.shape), state0, geo.grid[-1] - geo.grid[0],
+                 DEFAULT_RTOL, DEFAULT_ATOL, n)
+    states = sol.sol(geo.grid - geo.grid[0]).T
+    return FieldAlongCurve(grid=geo.grid,
+                           vectors=states[:, 2 * n:].reshape((len(geo.grid),) + v0.shape))
 
 
 # -- second variation -----------------------------------------------------------

@@ -224,3 +224,16 @@ def test_lift_any_stacks_sequences():
         assert np.array_equal(jet[i, j].c, one.c)
     with pytest.raises(TypeError):
         jet[0, 0][0]
+
+
+def test_lift_any_batched_centers_bitwise():
+    rule = lambda v: [v[0] * v[1] / (2.0 + v[2]), smath.sqrt(1.0 + v[0] * v[0]) * smath.exp(v[2])]
+    centers = np.array([[[0.4, -0.3, 0.1], [0.0, 0.7, -0.5]],
+                        [[1.2, 0.2, 0.3], [-0.6, -0.1, 0.9]]])
+    jet = lift_any(rule, centers, 4)
+    assert jet.shape == (2, 2, 2)
+    coords = space_for(3, 4).coordinates(centers)
+    assert coords.shape == (3, 2, 2)
+    for a, b in itertools.product(range(2), range(2)):
+        assert np.array_equal(coords[:, a, b].c, space_for(3, 4).coordinates(centers[a, b]).c)
+        assert np.array_equal(jet[:, a, b].c, lift_any(rule, list(centers[a, b]), 4).c)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from finslergeo import metrics
+from finslergeo.jets import smath
 from finslergeo.errors import DegenerateFlag, NotPositiveDefinite
 from finslergeo.findiff import riemann_jacobi_operator
 from finslergeo.metrics import TangentVector, random_tangent
@@ -160,3 +161,84 @@ def test_condition_number_guard():
         spray_values(wild, w.x, w.y)
     with pytest.raises(NotPositiveDefinite):
         integrate_geodesic(wild, w, 0.5)
+
+
+# -- point-batched spray_values ----------------------------------------------------
+
+
+def _closed_randers():
+    """Randers with Euclidean alpha and closed beta = df, f = 0.2 x0 x1 + 0.3 sin x0."""
+    return metrics.randers(2, lambda xs: [0.2 * xs[1] + 0.3 * smath.cos(xs[0]), 0.2 * xs[0]],
+                           name="randers_closed")
+
+
+def _quadratic_spray():
+    gam = np.array([[[0.3, 0.1], [0.1, -0.2]], [[0.0, 0.25], [0.25, 0.4]]])
+
+    def g_rule(xs, ys):
+        return [0.5 * sum(gam[i][j][k] * ys[j] * ys[k] for j in range(2) for k in range(2))
+                + 0.1 * xs[i] * ys[i] for i in range(2)]
+
+    return SpraySpec(2, g_rule, name="quadratic")
+
+
+def _batch(src, count, seed):
+    rng = SplitMix64(seed)
+    ws = [random_tangent(src, rng) if isinstance(src, metrics.MetricSpec)
+          else TangentVector(rng.vector(src.dim, -1, 1), rng.direction(src.dim))
+          for _ in range(count)]
+    return np.array([w.x for w in ws]), np.array([w.y for w in ws])
+
+
+def test_spray_values_batch_bitwise_equals_single_points(sphere, poincare, funk, randers_const,
+                                                          randers_var):
+    disk = metrics.custom(2, lambda xs, ys: smath.dot(ys, ys) * smath.exp(xs[0] * xs[1]),
+                          name="conformal", domain_margin=lambda x: 1.0 - float(x @ x))
+    sources = [metrics.euclidean(3), sphere, poincare, funk, metrics.funk(3), randers_const,
+               randers_var, _closed_randers(), disk, _quadratic_spray()]
+    for k, src in enumerate(sources):
+        X, Y = _batch(src, 12, 100 + k)
+        single = np.array([spray_values(src, x, y) for x, y in zip(X, Y)])
+        assert np.array_equal(spray_values(src, X, Y), single), src.name
+        grid = spray_values(src, X.reshape(3, 4, -1), Y.reshape(3, 4, -1))
+        assert grid.shape == (3, 4, src.dim)
+        assert np.array_equal(grid.reshape(12, -1), single), src.name
+
+
+def test_spray_values_batch_refuses_one_indefinite_point():
+    # |beta| > 1: g is positive definite at the first two directions, indefinite at the last
+    wild = metrics.randers(2, [1.3, 0.0])
+    Y = np.array([[1.0, 0.2], [0.5, 1.0], [-1.0, 0.2]])
+    spray_values(wild, np.zeros((2, 2)), Y[:2])
+    for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
+        with pytest.raises(NotPositiveDefinite, match=r"y=\[-1\.\s+0\.2\]"):
+            spray_values(wild, np.zeros((3, 2)), Y[order])
+    with pytest.raises(NotPositiveDefinite):
+        spray_values(wild, np.zeros((2, 3, 2)), np.tile(Y, (2, 1, 1)))
+
+
+def _cross(G, Y):
+    return G[..., 0] * Y[..., 1] - G[..., 1] * Y[..., 0]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_funk_spray_closed_form(dim):
+    # Shen, Differential Geometry of Spray and Finsler Spaces (2001): G = F y / 2
+    ms = metrics.funk(dim)
+    X, Y = _batch(ms, 40, 7 + dim)
+    F = np.sqrt([ms.f2(list(x), list(y)) for x, y in zip(X, Y)])
+    assert np.max(np.abs(spray_values(ms, X, Y) - 0.5 * F[:, None] * Y)) < 1e-12
+    frames = np.array([PointFrame(ms, TangentVector(x, y)).G for x, y in zip(X, Y)])
+    assert np.max(np.abs(frames - 0.5 * F[:, None] * Y)) < 1e-12
+
+
+def test_closed_randers_spray_is_projective(randers_var):
+    # alpha Euclidean and beta closed: G = P y (Bao-Chern-Shen 2000, ch. 11)
+    ms = _closed_randers()
+    X, Y = _batch(ms, 40, 21)
+    assert np.max(np.abs(_cross(spray_values(ms, X, Y), Y))) <= 1e-14
+    frames = np.array([PointFrame(ms, TangentVector(x, y)).G for x, y in zip(X, Y)])
+    assert np.max(np.abs(_cross(frames, Y))) <= 1e-14
+    # the non-closed beta of randers_var is far from projective
+    X, Y = _batch(randers_var, 40, 21)
+    assert np.max(np.abs(_cross(spray_values(randers_var, X, Y), Y))) >= 1e-2

@@ -280,3 +280,73 @@ def test_second_variation_sphere_analytic(sphere):
     V = FieldAlongCurve(geo.grid, np.sin(np.pi * geo.grid)[:, None] * pt.vectors)
     val = second_variation_formula(sphere, geo, V)
     assert val == pytest.approx(np.pi ** 2 / 2 - 0.5, abs=1e-6)
+
+
+# -- batched and stacked ODE work ------------------------------------------------------
+
+
+_GAUSS4 = ((-0.8611363115940526, 0.3478548451374538), (-0.3399810435848563, 0.6521451548625461),
+           (0.3399810435848563, 0.6521451548625461), (0.8611363115940526, 0.3478548451374538))
+
+
+def _residual_per_step(src, curve, stride):
+    """The geodesic defect one accepted step and one Gauss node at a time."""
+    from finslergeo.spray import spray_values
+
+    n = curve.n
+    ts = curve.solver_nodes
+    worst = 0.0
+    for i in range(0, len(ts) - 1, stride):
+        a, b = ts[i], ts[i + 1]
+        half = 0.5 * (b - a)
+        quad = np.zeros(n)
+        scale = 1.0
+        for node, weight in _GAUSS4:
+            st = curve.dense(0.5 * (a + b) + half * node)
+            quad += weight * 2.0 * spray_values(src, st[:n], st[n:])
+            scale = max(scale, float(np.max(np.abs(st))))
+        defect = (curve.dense(b)[n:] - curve.dense(a)[n:]) + half * quad
+        worst = max(worst, float(np.max(np.abs(defect))) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("name", ["sphere", "funk", "randers_var"])
+def test_batched_geodesic_residual_matches_step_loop(name, request):
+    ms = request.getfixturevalue(name)
+    w = unit_tangent(ms, random_tangent(ms, SplitMix64(5)))
+    for t_end in (1.0, -0.3):
+        geo = integrate_geodesic(ms, w, t_end)
+        for stride in (1, 3, 8):
+            ref = _residual_per_step(ms, geo, stride)
+            assert ref > 0.0
+            assert abs(geodesic_residual(ms, geo, stride=stride) - ref) <= 1e-15 * ref
+
+
+def test_jacobi_columns_match_single_solves(randers_var, funk):
+    for ms in (randers_var, funk):
+        rng = SplitMix64(19)
+        w0 = unit_tangent(ms, random_tangent(ms, rng))
+        geo = integrate_geodesic(ms, w0, 1.0)
+        J0 = np.column_stack([rng.direction(2), [0.0, 0.0]])
+        J0dot = np.column_stack([rng.direction(2), rng.direction(2)])
+        both = jacobi_integrate(ms, geo, J0, J0dot)
+        assert both.vectors.shape == both.covariant_derivative.shape == (len(geo.grid), 2, 2)
+        for col in range(2):
+            one = jacobi_integrate(ms, geo, J0[:, col], J0dot[:, col])
+            assert np.max(np.abs(both.vectors[:, :, col] - one.vectors)) < 1e-8
+            assert np.max(np.abs(both.covariant_derivative[:, :, col]
+                                 - one.covariant_derivative)) < 1e-8
+        pt = parallel_transport(ms, geo, J0dot)
+        for col in range(2):
+            one = parallel_transport(ms, geo, J0dot[:, col])
+            assert np.max(np.abs(pt.vectors[:, :, col] - one.vectors)) < 1e-8
+
+
+def test_stacked_oracle_exits_when_one_geodesic_leaves(poincare):
+    # y0 + h u = (0.5, 0) stays well inside the disk up to t = 2; y0 - h u = (-10.5, 0)
+    # has hyperbolic speed 21 and reaches the domain margin near t = 1.05
+    w0 = TangentVector([0.0, 0.0], [-5.0, 0.0])
+    u = np.array([1.0, 0.0])
+    assert np.all(np.isfinite(jacobi_variation_oracle(poincare, w0, u, 0.5, h=5.5)))
+    with pytest.raises(DomainExit):
+        jacobi_variation_oracle(poincare, w0, u, 2.0, h=5.5)
