@@ -319,8 +319,8 @@ def _run_identity_battery(ms, identities, seed, res: TaskResult):
     d = np.array([0.25, 0.1])
 
     def rule(s, t):
-        return base + t * d + np.array([0.05 * s * np.sin(np.pi * t),
-                                        0.04 * s * t * (1 - t) + 0.03 * s])
+        return base + t[..., None] * d + np.stack([0.05 * s * np.sin(np.pi * t),
+                                                   0.04 * s * t * (1 - t) + 0.03 * s], axis=-1)
 
     worst = variation_symmetry_residual(ms, VariationFamily(rule=rule), nodes=101)
     res.check("variation covariant-derivative symmetry", worst, tol_fd)
@@ -501,7 +501,7 @@ def task_second_variation(ms, params, seed) -> TaskResult:
         n = ms.dim
 
         def rule(s, t):
-            return dense(t)[:n] + s * np.sin(np.pi * t) * e_spline(t)
+            return dense(t)[:n].T + s * np.sin(np.pi * t)[..., None] * e_spline(t)
 
         fam = VariationFamily(rule=rule)
         fd = variation_energy_derivatives(ms, fam, 2)
@@ -533,12 +533,13 @@ def task_second_variation(ms, params, seed) -> TaskResult:
     n = ms.dim
 
     def vfun(t):
+        t = t[..., None]
         return (1 - t) * c1 * d1v + t * c2 * d2v + np.sin(np.pi * t) * e0
 
     def rule(s, t):
-        return dense(t)[:n] + s * vfun(t)
+        return dense(t)[:n].T + s * vfun(t)
 
-    vfield = FieldAlongCurve(geo.grid, np.array([vfun(t) for t in geo.grid]))
+    vfield = FieldAlongCurve(geo.grid, vfun(geo.grid))
     formula = second_variation_formula(ms, geo, vfield, P1=(line1, [0.0]), P2=(line2, [0.0]))
     fam = VariationFamily(rule=rule)
     fd = variation_energy_derivatives(ms, fam, 2)

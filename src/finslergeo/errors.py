@@ -26,7 +26,7 @@ class InvalidLift(FinslerError):
 
 
 class NoConvergence(FinslerError):
-    """An iterative solve (Newton) did not converge."""
+    """An iterative solve (Newton) or a table refinement did not converge."""
 
 
 class GridError(FinslerError):

@@ -16,7 +16,7 @@ from .lifts import (LiftSpec, affine_coefficients, classical_lift,
 from .metrics import MetricSpec, TangentVector, _f2_y_jet, g_bilinear
 from .rng import SplitMix64
 from .spray import PointFrame
-from .variational import _solve, _transport_rhs
+from .variational import _transport, integrate_geodesic
 
 
 class AffineField:
@@ -169,21 +169,21 @@ def cprime_transport_residual(ms: MetricSpec, w: TangentVector, tau: float = 1e-
                               rng: SplitMix64 | None = None) -> float:
     """Package C' against the geodesic-transport oracle.
 
-    The oracle integrates the geodesic and the parallel transports of three
-    random vectors, the columns of one transport solve, and differentiates
-    the Cartan contraction in t; the package tensor is minus that
-    derivative (see the C' sign convention).
+    The oracle integrates the geodesic, transports three random vectors
+    along it (the columns of one solve on the geodesic's frame table) and
+    differentiates the Cartan contraction in t; the package tensor is minus
+    that derivative (see the C' sign convention).
     """
     rng = rng or SplitMix64(1)
     n = ms.dim
     vecs0 = np.column_stack([rng.direction(n), rng.direction(n), rng.direction(n)])
-    rhs = _transport_rhs(ms, vecs0.shape)
-    state0 = np.concatenate([w.x, w.y, vecs0.ravel()])
 
     def contraction(t):
-        st = _solve(ms, rhs, state0, t, 1e-11, 1e-13, n).y[:, -1]
-        x, y, vecs = st[:n], st[n:2 * n], st[2 * n:].reshape(n, 3)
-        C = PointFrame(ms, TangentVector(x, y), order=3).C_low
+        # the span starts at w, time 0, and runs backwards for t < 0
+        geo = integrate_geodesic(ms, w, t, rtol=1e-11, atol=1e-13, nodes=5)
+        vecs = _transport(ms, geo, vecs0, (0.0, t), 1e-11, 1e-13).y[:, -1].reshape(n, 3)
+        st = geo.dense(t)
+        C = PointFrame(ms, TangentVector(st[:n], st[n:]), order=3).C_low
         return np.einsum("ijk,i,j,k->", C, *vecs.T)
 
     oracle = (contraction(tau) - contraction(-tau)) / (2.0 * tau)

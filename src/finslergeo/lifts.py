@@ -404,13 +404,15 @@ def affine_coefficients(lift: LiftSpec, src, w: TangentVector,
     return AffineCoefficients(at=w, A=fr.B + cp)
 
 
-def covariant_derivative_curve(lift: LiftSpec, src, curve, W, V):
+def covariant_derivative_curve(lift: LiftSpec, src, curve, W, V,
+                               _frames: list[PointFrame] | None = None):
     """(D^W V / dt) along a curve from grid samples of W and V.
 
     Uses the coefficient form Vdot + A(lambda(t), W(t))(lambdadot, V); the
     correction term of the non-horizontal-lift formula cancels exactly
     against the vertical transport term (a dedicated test re-verifies this
-    against the raw two-term evaluation).
+    against the raw two-term evaluation). ``_frames``, if given, holds the
+    order-4 frames at (curve.points[i], W.vectors[i]).
     """
     from .variational import FieldAlongCurve, fd_derivative
 
@@ -423,9 +425,9 @@ def covariant_derivative_curve(lift: LiftSpec, src, curve, W, V):
         raise NullReference("reference field W vanishes at a node")
     vdot = fd_derivative(V.vectors, grid)
     out = np.empty_like(V.vectors)
-    for i, t in enumerate(grid):
-        wt = TangentVector(curve.points[i], W.vectors[i])
-        fr = PointFrame(src, wt, order=4)
+    for i in range(len(grid)):
+        fr = (_frames[i] if _frames is not None
+              else PointFrame(src, TangentVector(curve.points[i], W.vectors[i]), order=4))
         _, cp = lift_tensors(lift, fr)
         a = fr.B + cp
         out[i] = vdot[i] + np.einsum("ijk,j,k->i", a, curve.velocities[i], V.vectors[i])

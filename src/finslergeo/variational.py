@@ -2,12 +2,19 @@
 
 Every ODE goes through ``_solve``: DOP853 (Hairer-Norsett-Wanner, *Solving
 ODEs I*) with dense output, at ``DEFAULT_RTOL``/``DEFAULT_ATOL`` unless a
-caller asks for tighter, and a terminal event at the chart's domain margin.
-Systems that share work are stacked into one state. Jacobi fields and
-parallel-transported vectors are the columns of an (n, m) block that shares
-one geodesic and one ``PointFrame`` per right-hand side; the two perturbed
-geodesics of the variation oracle are one state whose positions and
-velocities are evaluated by one batched ``spray_values`` call.
+caller asks for tighter. Geodesic solves stop at the chart's domain margin;
+the two perturbed geodesics of the variation oracle are one stacked state
+whose sprays come from one batched ``spray_values`` call.
+
+Along a known geodesic, Jacobi fields and parallel transport are linear
+ODEs whose coefficients are the spray's N and R (every admissible
+connection gives the same ones). They are read from one frame table per
+geodesic: ``PointFrame``s built once at the Chebyshev-Lobatto nodes of the
+geodesic's time interval, interpolated barycentrically (Berrut-Trefethen,
+*SIAM Review* 46, 2004). The node count doubles from 16 intervals until the
+table's Chebyshev tail falls below the solve's ``rtol``, and a right-hand
+side only interpolates the table. Jacobi fields and transported vectors are
+the columns of an (n, m) block integrated in one solve.
 """
 
 from __future__ import annotations
@@ -15,10 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import dct
 from scipy.integrate import solve_ivp
 
-from .errors import (DomainExit, GridError, NormalityViolation, NullDirection,
-                     StepFailure)
+from .errors import (DomainExit, GridError, NoConvergence, NormalityViolation,
+                     NullDirection, StepFailure)
+from .jets import lift_any
 from .lifts import LiftSpec, classical_lift, covariant_derivative_curve
 from .metrics import MetricSpec, TangentVector, metric_value
 from .spray import PointFrame, spray_values
@@ -26,6 +35,8 @@ from .spray import PointFrame, spray_values
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
 DEFAULT_NODES = 401
+_TABLE_INTERVALS = 16       # first Chebyshev table size; doubled until converged
+_TABLE_MAX_INTERVALS = 256
 
 
 @dataclass
@@ -35,7 +46,7 @@ class Curve:
     grid: np.ndarray
     points: np.ndarray      # (N, n)
     velocities: np.ndarray  # (N, n)
-    dense: object = None    # optional dense-output callable t -> state
+    dense: object = None    # optional dense output: grid times t -> states (2n, ...)
     solver_nodes: np.ndarray | None = None  # accepted integrator times
 
     def __post_init__(self):
@@ -65,7 +76,12 @@ class FieldAlongCurve:
 
 @dataclass
 class VariationFamily:
-    """A smooth family of curves: rule(s, t) -> chart point."""
+    """A smooth family of curves: rule(s, t) -> chart points.
+
+    ``s`` is a float and ``t`` an array of N times; the rule returns the N
+    points of curve s as an array of shape (N, n), so one call samples a
+    whole curve.
+    """
 
     rule: object
     eps: float = 1e-2
@@ -109,10 +125,10 @@ def _margin_event(src, dim, stacked):
     return event
 
 
-def _solve(src, rhs, state0, t_end, rtol, atol, dim, stacked=1):
-    events = _margin_event(src, dim, stacked)
-    sol = solve_ivp(rhs, (0.0, t_end), state0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True, events=[events] if events else None)
+def _solve(rhs, state0, span, rtol, atol, event=None):
+    """DOP853 over the time ``span`` (t0, t1) with dense output, stopping at ``event``."""
+    sol = solve_ivp(rhs, span, state0, method="DOP853", rtol=rtol, atol=atol,
+                    dense_output=True, events=[event] if event else None)
     if sol.status == 1:
         raise DomainExit(f"trajectory left the validity region at t={sol.t_events[0][0]:.6g}")
     if not sol.success:
@@ -138,19 +154,6 @@ def _geodesic_rhs(src):
     return rhs
 
 
-def _transport_rhs(src, shape):
-    """Geodesic flow plus D^{gdot} V/dt = 0 for V of ``shape``, (n,) or
-    (n, m): m vectors transported as the columns of one block."""
-    n = src.dim
-
-    def rhs(t, s):
-        x, y, V = s[:n], s[n:2 * n], s[2 * n:].reshape(shape)
-        fr = PointFrame(src, TangentVector(x, y), order=3)
-        return np.concatenate([y, -2.0 * fr.G, (-fr.N @ V).ravel()])
-
-    return rhs
-
-
 def integrate_geodesic(src, w0: TangentVector, t_end: float,
                        rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                        nodes: int = DEFAULT_NODES) -> Curve:
@@ -160,7 +163,7 @@ def integrate_geodesic(src, w0: TangentVector, t_end: float,
         raise ValueError("t_end must be nonzero")
     n = src.dim
     state0 = np.concatenate([w0.x, w0.y])
-    sol = _solve(src, _geodesic_rhs(src), state0, t_end, rtol, atol, n)
+    sol = _solve(_geodesic_rhs(src), state0, (0.0, t_end), rtol, atol, _margin_event(src, n, 1))
     grid = np.linspace(0.0, t_end, nodes)
     if t_end < 0:
         grid = grid[::-1]
@@ -236,11 +239,13 @@ def energy(ms: MetricSpec, curve: Curve) -> float:
     hs = np.diff(grid)
     if np.max(np.abs(hs - hs[0])) > 1e-10 * max(1.0, abs(hs[0])):
         raise GridError("energy quadrature requires a uniform grid")
-    vals = np.empty(len(grid))
-    for i in range(len(grid)):
-        if np.linalg.norm(vels[i]) < 1e-12:
-            raise NullDirection(f"zero velocity at node {i}")
-        vals[i] = ms.f2(list(points[i]), list(vels[i]))
+    null = np.flatnonzero(np.linalg.norm(vels, axis=1) < 1e-12)
+    if null.size:
+        raise NullDirection(f"zero velocity at node {null[0]}")
+    # F^2 at all nodes: one order-0 lift at the (N, 2n) centers
+    n = points.shape[1]
+    vals = lift_any(lambda v: ms.f2(v[:n], v[n:]),
+                    np.concatenate([points, vels], axis=1), 0).c[:, 0]
     h = hs[0]
     weights = np.ones(len(grid))
     weights[1:-1:2] = 4.0
@@ -253,44 +258,119 @@ def metric_value_on(ms: MetricSpec, curve: Curve, i: int) -> float:
     return metric_value(ms, TangentVector(curve.points[i], curve.velocities[i]))
 
 
+class _ChebyshevTable:
+    """Samples of a smooth function of t at Chebyshev-Lobatto nodes of [t0, t1].
+
+    ``sample(ts)`` returns the values at an array of times, shape
+    (len(ts),) + shape. The table starts at ``_TABLE_INTERVALS`` intervals
+    and doubles until the last quarter of the Chebyshev coefficients is
+    below ``rtol`` times the largest sampled value. The nodes nest (node k
+    of m intervals is node 2k of 2m), so a doubling samples only the new
+    nodes. Past ``_TABLE_MAX_INTERVALS`` it raises ``NoConvergence``.
+    Calling the table at a time interpolates it barycentrically.
+    """
+
+    def __init__(self, sample, t0: float, t1: float, rtol: float):
+        mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+
+        def nodes(k, m):
+            return mid - half * np.cos(np.pi * k / m)
+
+        m = _TABLE_INTERVALS
+        t = nodes(np.arange(m + 1), m)
+        t[0], t[-1] = t0, t1
+        values = np.asarray(sample(t), float)
+        while not self._converged(values, rtol):
+            if m >= _TABLE_MAX_INTERVALS:
+                raise NoConvergence(f"frame table not resolved to rtol {rtol:.1e} "
+                                    f"with {m} Chebyshev intervals on [{t0:.6g}, {t1:.6g}]")
+            odd = nodes(np.arange(1, 2 * m, 2), 2 * m)
+            t = np.insert(t, np.arange(1, m + 1), odd)
+            values = np.insert(values, np.arange(1, m + 1), np.asarray(sample(odd), float), axis=0)
+            m *= 2
+        self.t = t
+        self.values = values
+        self._flat = values.reshape(m + 1, -1)
+        self._weights = (-1.0) ** np.arange(m + 1)
+        self._weights[[0, -1]] *= 0.5
+
+    @staticmethod
+    def _converged(values, rtol):
+        m = len(values) - 1
+        coef = np.abs(dct(values.reshape(m + 1, -1), type=1, axis=0)) / m
+        coef[[0, -1]] *= 0.5
+        return coef[m - m // 4 + 1:].max() <= rtol * np.abs(values).max()
+
+    def __call__(self, t: float) -> np.ndarray:
+        d = t - self.t
+        hit = np.flatnonzero(d == 0.0)
+        if hit.size:
+            return self.values[hit[0]]
+        c = self._weights / d
+        return (c @ self._flat / c.sum()).reshape(self.values.shape[1:])
+
+
+def _frame_table(src, geo: Curve, order: int, read, rtol: float) -> _ChebyshevTable:
+    """``read(frame)`` along a geodesic, one order-``order`` frame per table node.
+
+    The states come from the curve's dense output; a hand-built curve is
+    re-integrated from its first point.
+    """
+    n = geo.n
+    states = geo.dense
+    if states is None:
+        t0 = geo.grid[0]
+        dense = integrate_geodesic(src, TangentVector(geo.points[0], geo.velocities[0]),
+                                   geo.grid[-1] - t0, nodes=5).dense
+
+        def states(t):
+            return dense(t - t0)
+
+    def sample(ts):
+        return np.array([read(PointFrame(src, TangentVector(s[:n], s[n:]), order=order))
+                         for s in states(ts).T])
+
+    return _ChebyshevTable(sample, geo.grid[0], geo.grid[-1], rtol)
+
+
+def _require_geodesic(src, geo: Curve) -> None:
+    res = geodesic_residual(src, geo, stride=8)
+    if res > 1e-6:
+        raise GridError(f"input curve is not a geodesic (residual {res:.2e})")
+
+
 def jacobi_integrate(src, geo: Curve, J0, J0dot, rtol: float = DEFAULT_RTOL,
                      atol: float = DEFAULT_ATOL) -> FieldAlongCurve:
     """Integrate the Jacobi equation D^2 J + R(J) = 0 along a geodesic.
 
-    First-order form in (J, K = covariant derivative of J): the geodesic is
-    re-integrated jointly so R and the connection are evaluated on the exact
-    flow. ``J0dot`` is the initial covariant derivative. ``J0`` and
-    ``J0dot`` have shape (n,), or (n, m) for m fields integrated as the
-    columns of one solve sharing the geodesic and one frame per step;
-    ``vectors`` and ``covariant_derivative`` then have shape (N, n, m).
+    First-order form in (J, K = covariant derivative of J), a linear system
+    J' = K - N J, K' = -R J - N K whose coefficients come from a frame table
+    of N and R along the geodesic. ``J0dot`` is the initial covariant
+    derivative. ``J0`` and ``J0dot`` have shape (n,), or (n, m) for m fields
+    integrated as the columns of one solve; ``vectors`` and
+    ``covariant_derivative`` then have shape (N, n, m). Raises
+    ``NoConvergence`` when the table does not resolve N and R to ``rtol``.
     """
-    res = geodesic_residual(src, geo, stride=8)
-    if res > 1e-6:
-        raise GridError(f"input curve is not a geodesic (residual {res:.2e})")
+    _require_geodesic(src, geo)
     n = geo.n
     J0 = np.asarray(J0, float)
     J0dot = np.asarray(J0dot, float)
     if J0.shape != J0dot.shape or J0.shape[:1] != (n,) or J0.ndim > 2:
         raise ValueError(f"J0 and J0dot must share shape (n,) or (n, m), got "
                          f"{J0.shape} and {J0dot.shape}")
-    cut = 2 * n + J0.size
+    table = _frame_table(src, geo, 4, lambda fr: np.stack([fr.N, fr.R]), rtol)
+    cut = J0.size
 
     def rhs(t, s):
-        x, y = s[:n], s[n:2 * n]
-        J, K = s[2 * n:cut].reshape(J0.shape), s[cut:].reshape(J0.shape)
-        fr = PointFrame(src, TangentVector(x, y), order=4)
-        return np.concatenate([
-            y, -2.0 * fr.G,
-            (K - fr.N @ J).ravel(),
-            (-fr.R @ J - fr.N @ K).ravel(),
-        ])
+        N, R = table(t)
+        J, K = s[:cut].reshape(J0.shape), s[cut:].reshape(J0.shape)
+        return np.concatenate([(K - N @ J).ravel(), (-R @ J - N @ K).ravel()])
 
-    state0 = np.concatenate([geo.points[0], geo.velocities[0], J0.ravel(), J0dot.ravel()])
-    t_end = geo.grid[-1] - geo.grid[0]
-    sol = _solve(src, rhs, state0, t_end, rtol, atol, n)
-    states = sol.sol(geo.grid - geo.grid[0]).T
+    sol = _solve(rhs, np.concatenate([J0.ravel(), J0dot.ravel()]),
+                 (geo.grid[0], geo.grid[-1]), rtol, atol)
+    states = sol.sol(geo.grid).T
     shape = (len(geo.grid),) + J0.shape
-    return FieldAlongCurve(grid=geo.grid, vectors=states[:, 2 * n:cut].reshape(shape),
+    return FieldAlongCurve(grid=geo.grid, vectors=states[:, :cut].reshape(shape),
                            covariant_derivative=states[:, cut:].reshape(shape))
 
 
@@ -308,10 +388,25 @@ def jacobi_variation_oracle(src, w0: TangentVector, u, t, h: float = 1e-3,
     t_end = float(np.max(tarr))
     n = src.dim
     state0 = np.concatenate([w0.x, w0.x, w0.y + h * u, w0.y - h * u])
-    sol = _solve(src, _geodesic_rhs(src), state0, t_end, rtol, atol, n, stacked=2)
+    sol = _solve(_geodesic_rhs(src), state0, (0.0, t_end), rtol, atol,
+                 _margin_event(src, n, 2))
     states = sol.sol(tarr)
     out = ((states[:n] - states[n:2 * n]) / (2.0 * h)).T
     return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+
+
+def _transport(src, geo: Curve, v0: np.ndarray, span, rtol: float = DEFAULT_RTOL,
+               atol: float = DEFAULT_ATOL):
+    """Dense solution of V' = -N V with V(t0) = v0 over ``span`` = (t0, t1).
+
+    N comes from a frame table along ``geo``; ``span`` may run backwards.
+    """
+    table = _frame_table(src, geo, 3, lambda fr: fr.N, rtol)
+
+    def rhs(t, s):
+        return (-table(t) @ s.reshape(v0.shape)).ravel()
+
+    return _solve(rhs, v0.ravel(), span, rtol, atol)
 
 
 def parallel_transport(src, geo: Curve, v0) -> FieldAlongCurve:
@@ -320,17 +415,11 @@ def parallel_transport(src, geo: Curve, v0) -> FieldAlongCurve:
     ``v0`` has shape (n,), or (n, m) to transport m vectors in one solve;
     ``vectors`` then has shape (N, n) or (N, n, m).
     """
-    res = geodesic_residual(src, geo, stride=8)
-    if res > 1e-6:
-        raise GridError(f"input curve is not a geodesic (residual {res:.2e})")
-    n = geo.n
+    _require_geodesic(src, geo)
     v0 = np.asarray(v0, float)
-    state0 = np.concatenate([geo.points[0], geo.velocities[0], v0.ravel()])
-    sol = _solve(src, _transport_rhs(src, v0.shape), state0, geo.grid[-1] - geo.grid[0],
-                 DEFAULT_RTOL, DEFAULT_ATOL, n)
-    states = sol.sol(geo.grid - geo.grid[0]).T
+    sol = _transport(src, geo, v0, (geo.grid[0], geo.grid[-1]))
     return FieldAlongCurve(grid=geo.grid,
-                           vectors=states[:, 2 * n:].reshape((len(geo.grid),) + v0.shape))
+                           vectors=sol.sol(geo.grid).T.reshape((len(geo.grid),) + v0.shape))
 
 
 # -- second variation -----------------------------------------------------------
@@ -383,10 +472,11 @@ def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
         boundary += sign * sff_connection(sub, param, vel, coeffs, coeffs, ms, lift=lift)
 
     W = FieldAlongCurve(grid=grid, vectors=geo.velocities)
-    DV = covariant_derivative_curve(lift, ms, geo, W, V)
+    frames = [PointFrame(ms, TangentVector(x, y), order=4)
+              for x, y in zip(geo.points, geo.velocities)]
+    DV = covariant_derivative_curve(lift, ms, geo, W, V, _frames=frames)
     vals = np.empty(len(grid))
-    for i in range(len(grid)):
-        fr = PointFrame(ms, TangentVector(geo.points[i], geo.velocities[i]), order=4)
+    for i, fr in enumerate(frames):
         dv = DV.vectors[i]
         vals[i] = dv @ fr.g @ dv - (fr.R @ V.vectors[i]) @ fr.g @ V.vectors[i]
     h = grid[1] - grid[0]
@@ -396,11 +486,19 @@ def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
     return float(h / 3.0 * np.sum(weights * vals) + boundary)
 
 
+def _family_points(fam: VariationFamily, s: float, grid: np.ndarray) -> np.ndarray:
+    pts = np.asarray(fam.rule(s, grid), float)
+    if pts.ndim != 2 or len(pts) != len(grid):
+        raise ValueError(f"a variation rule must map {len(grid)} times to an (N, n) "
+                         f"array, got shape {pts.shape}")
+    return pts
+
+
 def family_curve(fam: VariationFamily, s: float, t0: float = 0.0, t1: float = 1.0,
                  nodes: int = 801) -> Curve:
     """Sample one member of a variation family; velocities by finite differences."""
     grid = np.linspace(t0, t1, nodes)
-    pts = np.array([np.asarray(fam.rule(s, t), float) for t in grid])
+    pts = _family_points(fam, s, grid)
     vels = fd_derivative(pts, grid)
     return Curve(grid=grid, points=pts, velocities=vels)
 
@@ -434,14 +532,10 @@ def variation_symmetry_residual(ms: MetricSpec, fam: VariationFamily, lift: Lift
         lift = classical_lift("berwald", ms)
     grid = np.linspace(0.0, 1.0, nodes)
     svals = np.array([-2 * h, -h, 0.0, h, 2 * h])
-    pts = np.array([[np.asarray(fam.rule(s, t), float) for t in grid] for s in svals])
+    pts = np.array([_family_points(fam, s, grid) for s in svals])
     T = np.array([fd_derivative(pts[j], grid) for j in range(len(svals))])
-    U = np.empty_like(T)
-    for i in range(len(grid)):
-        U[:, i, :] = fd_derivative(pts[:, i, :], svals)
-    dT_ds = np.empty_like(T[2])
-    for i in range(len(grid)):
-        dT_ds[i] = fd_derivative(T[:, i, :], svals)[2]
+    U = fd_derivative(pts, svals)
+    dT_ds = fd_derivative(T, svals)[2]
     dU_dt = fd_derivative(U[2], grid)
     worst = 0.0
     for i in range(len(grid)):

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from finslergeo.errors import (DomainExit, GridError, NormalityViolation,
-                               NullDirection)
+from finslergeo import metrics, variational
+from finslergeo.errors import (DomainExit, GridError, NoConvergence,
+                               NormalityViolation, NullDirection)
 from finslergeo.metrics import (TangentVector, fundamental_tensor,
                                 metric_value, random_tangent)
 from finslergeo.rng import SplitMix64
 from finslergeo.spray import PointFrame
 from finslergeo.submanifolds import affine_subspace, circle
-from finslergeo.variational import (Curve, FieldAlongCurve, VariationFamily,
-                                    energy, exponential_map, fd_derivative,
+from finslergeo.variational import (DEFAULT_ATOL, DEFAULT_RTOL, Curve,
+                                    FieldAlongCurve, VariationFamily, _ChebyshevTable,
+                                    energy, exponential_map, family_curve, fd_derivative,
                                     geodesic_residual, integrate_geodesic,
                                     jacobi_integrate, jacobi_variation_oracle,
                                     parallel_transport,
@@ -207,7 +210,7 @@ def test_transport_isometry(name, tspan, request):
 
 
 def test_second_variation_euclidean_analytic(euclid2):
-    fam = VariationFamily(rule=lambda s, t: np.array([t, s * np.sin(np.pi * t)]))
+    fam = VariationFamily(rule=lambda s, t: np.stack([t, s * np.sin(np.pi * t)], axis=-1))
     d2 = variation_energy_derivatives(euclid2, fam, 2)
     assert d2 == pytest.approx(np.pi ** 2 / 2, abs=1e-6)
     d1v = variation_energy_derivatives(euclid2, fam, 1)
@@ -234,7 +237,8 @@ def test_second_variation_circle_endpoint_analytic(euclid2):
                                    P1=(circ, [np.pi / 2]), P2=(line, [0.0]))
     assert val == pytest.approx(1.0, abs=1e-10)
     fam = VariationFamily(
-        rule=lambda s, t: np.array([np.sin(s), (1 - t) * (np.cos(s) - 1) + t]))
+        rule=lambda s, t: np.stack([np.full_like(t, np.sin(s)),
+                                    (1 - t) * (np.cos(s) - 1) + t], axis=-1))
     assert variation_energy_derivatives(euclid2, fam, 2) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -260,8 +264,8 @@ def test_second_variation_normality_guard(euclid2):
 
 def test_variation_symmetry_residual(randers_var):
     def rule(s, t):
-        return np.array([0.3 * t + 0.05 * s * np.sin(np.pi * t),
-                         -0.2 + 0.25 * t + 0.04 * s * t * (1 - t) + 0.02 * s])
+        return np.stack([0.3 * t + 0.05 * s * np.sin(np.pi * t),
+                         -0.2 + 0.25 * t + 0.04 * s * t * (1 - t) + 0.02 * s], axis=-1)
 
     assert variation_symmetry_residual(randers_var, VariationFamily(rule=rule),
                                        nodes=101) < 1e-6
@@ -350,3 +354,144 @@ def test_stacked_oracle_exits_when_one_geodesic_leaves(poincare):
     assert np.all(np.isfinite(jacobi_variation_oracle(poincare, w0, u, 0.5, h=5.5)))
     with pytest.raises(DomainExit):
         jacobi_variation_oracle(poincare, w0, u, 2.0, h=5.5)
+
+
+# -- frame tables along geodesics --------------------------------------------------------
+
+
+def _per_rhs_frame_solve(src, geo, blocks):
+    """The joint solve that frame tables replaced: the geodesic and the linear
+    blocks in one state, with one order-4 PointFrame per right-hand side.
+
+    ``blocks`` is (J0, J0dot) for Jacobi fields or (v0,) for parallel
+    transport; returns the blocks on the geodesic's grid.
+    """
+    n = geo.n
+    shape, size = blocks[0].shape, blocks[0].size
+
+    def rhs(t, s):
+        fr = PointFrame(src, TangentVector(s[:n], s[n:2 * n]), order=4)
+        V = [s[2 * n + k * size:2 * n + (k + 1) * size].reshape(shape)
+             for k in range(len(blocks))]
+        if len(V) == 1:
+            dV = [-fr.N @ V[0]]
+        else:
+            J, K = V
+            dV = [K - fr.N @ J, -fr.R @ J - fr.N @ K]
+        return np.concatenate([s[n:2 * n], -2.0 * fr.G] + [d.ravel() for d in dV])
+
+    state0 = np.concatenate([geo.points[0], geo.velocities[0]] + [b.ravel() for b in blocks])
+    sol = solve_ivp(rhs, (0.0, geo.grid[-1] - geo.grid[0]), state0, method="DOP853",
+                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, dense_output=True)
+    states = sol.sol(geo.grid - geo.grid[0]).T
+    return [states[:, 2 * n + k * size:2 * n + (k + 1) * size].reshape((len(geo.grid),) + shape)
+            for k in range(len(blocks))]
+
+
+@pytest.mark.parametrize("name", ["sphere", "poincare", "randers_var", "funk", "funk3"])
+def test_frame_table_matches_per_rhs_frames(name, request):
+    ms = metrics.funk(3) if name == "funk3" else request.getfixturevalue(name)
+    n = ms.dim
+    rng = SplitMix64(31)
+    w0 = unit_tangent(ms, random_tangent(ms, rng))
+    geo = integrate_geodesic(ms, w0, 1.0)
+    J0, J0dot = 0.3 * rng.direction(n), rng.direction(n)
+    J = jacobi_integrate(ms, geo, J0, J0dot)
+    J_ref, K_ref = _per_rhs_frame_solve(ms, geo, (J0, J0dot))
+    assert np.max(np.abs(J.vectors - J_ref)) <= 1e-7
+    assert np.max(np.abs(J.covariant_derivative - K_ref)) <= 1e-7
+    v0 = np.column_stack([rng.direction(n), w0.y])
+    (V_ref,) = _per_rhs_frame_solve(ms, geo, (v0,))
+    assert np.max(np.abs(parallel_transport(ms, geo, v0).vectors - V_ref)) <= 1e-7
+    one = parallel_transport(ms, geo, v0[:, 0]).vectors
+    assert np.max(np.abs(one - V_ref[:, :, 0])) <= 1e-7
+
+
+def test_hand_built_geodesic_is_reintegrated(sphere):
+    w0 = unit_tangent(sphere, TangentVector([0.1, 0.2], [0.5, -0.3]))
+    geo = integrate_geodesic(sphere, w0, 1.0)
+    bare = Curve(geo.grid, geo.points, geo.velocities)
+    for a, b in ((jacobi_integrate(sphere, geo, [0, 0], [0.2, 1.0]),
+                  jacobi_integrate(sphere, bare, [0, 0], [0.2, 1.0])),
+                 (parallel_transport(sphere, geo, [1.0, 0.5]),
+                  parallel_transport(sphere, bare, [1.0, 0.5]))):
+        assert np.max(np.abs(a.vectors - b.vectors)) < 1e-9
+
+
+def test_jacobi_builds_one_frame_per_table_node(sphere, monkeypatch):
+    built, tables = [], []
+
+    class CountingFrame(PointFrame):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("order"))
+            super().__init__(*args, **kwargs)
+
+    class RecordingTable(_ChebyshevTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tables.append(self)
+
+    monkeypatch.setattr(variational, "PointFrame", CountingFrame)
+    monkeypatch.setattr(variational, "_ChebyshevTable", RecordingTable)
+    # this geodesic runs out to |x| ~ 9 in the chart: the table doubles several times
+    w0 = unit_tangent(sphere, TangentVector([0.1, -0.05], [0.6, 0.45]))
+    geo = integrate_geodesic(sphere, w0, 3.0)
+    jacobi_integrate(sphere, geo, [0, 0], [0, 1])
+    assert len(tables) == 1
+    assert len(tables[0].t) > 33
+    assert built == [4] * len(tables[0].t)
+
+
+def test_chebyshev_table_interpolates_and_refuses_a_kink():
+    table = _ChebyshevTable(lambda t: np.stack([np.sin(3 * t), np.exp(t)], axis=-1),
+                            0.0, 2.0, DEFAULT_RTOL)
+    assert np.array_equal(table.t[[0, -1]], [0.0, 2.0])
+    assert np.all(np.diff(table.t) > 0)
+    for t in (0.0, 0.0123, 0.77, 1.5, 2.0):
+        assert np.max(np.abs(table(t) - [np.sin(3 * t), np.exp(t)])) < 1e-13
+    with pytest.raises(NoConvergence):
+        _ChebyshevTable(lambda t: np.abs(t - 0.5), 0.0, 1.0, DEFAULT_RTOL)
+
+
+# -- one rule call per curve, one F^2 lift per energy --------------------------------------
+
+
+def _simpson_energy_per_node(ms, curve):
+    vals = [ms.f2(list(x), list(v)) for x, v in zip(curve.points, curve.velocities)]
+    weights = np.ones(len(curve.grid))
+    weights[1:-1:2] = 4.0
+    weights[2:-2:2] = 2.0
+    h = curve.grid[1] - curve.grid[0]
+    return float(0.5 * h / 3.0 * np.sum(weights * vals))
+
+
+@pytest.mark.parametrize("name", ["randers_var", "funk", "sphere"])
+def test_vectorized_family_and_energy_match_node_loops(name, request):
+    ms = request.getfixturevalue(name)
+
+    def rule(s, t):
+        return np.stack([0.3 * t + 0.05 * s * np.sin(np.pi * t),
+                         -0.2 + 0.25 * t + 0.04 * s * t * (1 - t)], axis=-1)
+
+    fam = VariationFamily(rule=rule)
+    curve = family_curve(fam, 0.01)
+    per_node = np.array([rule(0.01, np.array([t]))[0] for t in curve.grid])
+    assert np.array_equal(curve.points, per_node)
+    ref = _simpson_energy_per_node(ms, curve)
+    assert abs(energy(ms, curve) - ref) <= 1e-14 * abs(ref)
+    with pytest.raises(ValueError):
+        family_curve(VariationFamily(rule=lambda s, t: rule(s, t)[0]), 0.0)
+
+
+def test_energy_names_first_zero_velocity_node(euclid2):
+    # few nodes plus dense output: energy resamples 401 nodes, two of them at rest
+    def dense(t):
+        t = np.asarray(t, float)
+        speed = np.where((np.abs(t - 0.5) < 1e-12) | (np.abs(t - 0.75) < 1e-12), 0.0, 1.0)
+        return np.stack([t, 0.0 * t, speed, 0.0 * t])
+
+    grid = np.linspace(0, 1, 5)
+    curve = Curve(grid, np.stack([grid, 0 * grid], 1), np.tile([1.0, 0.0], (5, 1)),
+                  dense=dense)
+    with pytest.raises(NullDirection, match="node 200$"):
+        energy(euclid2, curve)
