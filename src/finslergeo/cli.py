@@ -346,7 +346,11 @@ def task_curvature_sweep(ms, params, seed) -> TaskResult:
         samples.append((w, u))
 
     values = []
-    frames = [PointFrame(ms, w, order=4) for w, _ in samples]
+    frames = []
+    if samples:
+        batch = PointFrame(ms, TangentVector(np.array([w.x for w, _ in samples]),
+                                             np.array([w.y for w, _ in samples])), order=4)
+        frames = [batch[i] for i in range(len(samples))]
     for (w, u), fr in zip(samples, frames):
         k = flag_curvature(ms, w, u, _frame=fr)
         values.append(k)
@@ -431,11 +435,15 @@ def task_jacobi_compare(ms, params, seed) -> TaskResult:
         w0 = TangentVector(w0.x, w0.y / scale)
         u = rng.direction(ms.dim)
         geo = integrate_geodesic(ms, w0, t_end)
-        Jor = jacobi_variation_oracle(ms, w0, u, geo.grid)
+        Jor = jacobi_variation_oracle(ms, geo, u)
         if curv is None:
             J = jacobi_integrate(ms, geo, np.zeros(ms.dim), u).vectors
             return float(np.max(np.abs(J - Jor))), 0.0
-        gm0 = PointFrame(ms, w0, order=2).g
+        # g at w0 and at every 40th node, from one batched frame
+        nodes = range(0, len(geo.grid), 40)
+        gs = PointFrame(ms, TangentVector(np.vstack([w0.x, geo.points[::40]]),
+                                          np.vstack([w0.y, geo.velocities[::40]])), order=2).g
+        gm0 = gs[0]
         uperp = u - (u @ gm0 @ w0.y) / (w0.y @ gm0 @ w0.y) * w0.y
         unorm = float(np.sqrt(uperp @ gm0 @ uperp))
         # u and its g-normal part as the two columns of one Jacobi solve
@@ -443,8 +451,7 @@ def task_jacobi_compare(ms, params, seed) -> TaskResult:
         Jp = J[:, :, 1]
         prof = 0.0
         kap = float(curv)
-        for i in range(0, len(geo.grid), 40):
-            gi = PointFrame(ms, TangentVector(geo.points[i], geo.velocities[i]), order=2).g
+        for i, gi in zip(nodes, gs[1:]):
             nrm = float(np.sqrt(Jp[i] @ gi @ Jp[i]))
             t = geo.grid[i]
             if kap > 0:

@@ -463,10 +463,11 @@ def lift_any(f, center, order: int) -> Jet:
     (nested) sequence of scalars, jets or floats; each level of nesting
     becomes a leading axis of the one jet returned. A ``center`` of shape
     (..., nvars) lifts at every center of the batch in one rule trace: the
-    coordinate jets, and so the result, carry the batch axes last among
-    the leading axes.
+    coordinate jets, and so the result (constants included), carry the
+    batch axes last among the leading axes.
     """
     space = space_for(np.shape(center)[-1], order)
+    batch = np.shape(center)[:-1]
 
     def coeffs(item):
         if isinstance(item, Jet):
@@ -475,11 +476,12 @@ def lift_any(f, center, order: int) -> Jet:
             return item.c
         if isinstance(item, (list, tuple, np.ndarray)):
             return np.stack(np.broadcast_arrays(*[coeffs(v) for v in item]))
-        return space.constant(float(item)).c
+        # a constant carries the batch axes too
+        return np.broadcast_to(space.constant(float(item)).c, batch + (space.size,))
 
     out = f([Jet(space, row) for row in space.coordinates(center).c])
     c = coeffs(out)
-    out = out if isinstance(out, Jet) else Jet(space, c)
+    out = out if isinstance(out, Jet) else Jet(space, np.ascontiguousarray(c))
     out.center = list(center)
     return out
 
@@ -520,19 +522,28 @@ def contract(spec: str, a: Jet, b: Jet) -> Jet:
 def solve_linear(a: Jet, b: Jet, a0inv) -> Jet:
     """Solve a x = b in the truncated ring by a Neumann series.
 
-    ``a`` is an (n, n) jet, ``b`` a jet whose first leading axis has length
-    n, and ``a0inv`` the numeric inverse of a's value part. With d the
+    ``a`` is a jet of shape (..., n, n) and ``a0inv`` the numeric inverse of
+    its value part, (..., n, n); ``b`` is a jet of shape (..., n) + rest
+    with the same leading batch axes (...), and x has b's shape. With d the
     nilpotent part of a (its value part zeroed), each pass of
     x <- a0inv (b - d x), from x = a0inv b, fixes one more degree, so
-    ``order`` passes give the exact truncated solution.
+    ``order`` passes give the exact truncated solution. Each batch entry
+    is bitwise equal to its own unbatched solve.
     """
     d = Jet(a.space, a.c.copy())
     d.c[..., 0] = 0.0
+    lead = a.c.ndim - 2      # batch axes plus the solved-for axis
 
     def apply_inv(rhs):
-        return Jet(rhs.space, np.tensordot(a0inv, rhs.c, axes=1))
+        c = rhs.c.reshape(rhs.c.shape[:lead] + (-1,))
+        return Jet(rhs.space, np.matmul(a0inv, c).reshape(rhs.c.shape))
+
+    def apply_d(x):
+        # the rest axes as one, so that one contraction spec serves every shape
+        flat = Jet(x.space, x.c.reshape(x.c.shape[:lead] + (-1, x.space.size)))
+        return Jet(x.space, contract("...ij,...jr->...ir", d, flat).c.reshape(x.c.shape))
 
     x = apply_inv(b)
     for _ in range(b.order):
-        x = apply_inv(b - contract("ij,j...->i...", d, x))
+        x = apply_inv(b - apply_d(x))
     return x

@@ -201,19 +201,30 @@ def _is_raw(lift: LiftSpec) -> bool:
     return lift.c_raw is not None or lift.cprime_raw is not None
 
 
+def _rule_tensors(lift: LiftSpec, fr: PointFrame) -> np.ndarray:
+    """The lift's rule fields at every point of fr, shape (..., 2, n, n, n):
+    one set of rule calls per point, since rules take a float carrier."""
+    if fr.x.ndim > 1:
+        return np.array([_rule_tensors(lift, fr[i]) for i in range(len(fr.x))])
+    return np.array(_rule_fields(lift, _lift_point(fr), fr.n), float)
+
+
 def lift_tensors(lift: LiftSpec, fr: PointFrame):
-    """(Cc, Cp) with the output index raised, layout [output, direction, section]."""
-    n = fr.n
+    """(Cc, Cp) with the output index raised, layout [..., output, direction, section].
+
+    A batched frame gives tensors with its batch axes first.
+    """
+    shape = fr.y.shape + (fr.n, fr.n)
     if lift.kind is not None:
         use_c, use_cp = _CLASSICAL_TABLE[lift.kind]
-        cc = fr.raise_last(fr.C_low) if use_c else np.zeros((n, n, n))
-        cp = fr.raise_last(fr.Cp_low) if use_cp else np.zeros((n, n, n))
+        cc = fr.raise_last(fr.C_low) if use_c else np.zeros(shape)
+        cp = fr.raise_last(fr.Cp_low) if use_cp else np.zeros(shape)
         return cc, cp
-    fields = np.array(_rule_fields(lift, _lift_point(fr), n), float)
+    fields = _rule_tensors(lift, fr)
     if _is_raw(lift):
-        cc, cp = np.moveaxis(fields, -1, 1)
-        return cc, cp
-    return fr.raise_last(fields[0]), fr.raise_last(fields[1])
+        fields = np.moveaxis(fields, -1, -3)
+        return fields[..., 0, :, :, :], fields[..., 1, :, :, :]
+    return fr.raise_last(fields[..., 0, :, :, :]), fr.raise_last(fields[..., 1, :, :, :])
 
 
 def lift_tensors_flat(lift: LiftSpec, fr: PointFrame):
@@ -405,14 +416,15 @@ def affine_coefficients(lift: LiftSpec, src, w: TangentVector,
 
 
 def covariant_derivative_curve(lift: LiftSpec, src, curve, W, V,
-                               _frames: list[PointFrame] | None = None):
+                               _frames: PointFrame | None = None):
     """(D^W V / dt) along a curve from grid samples of W and V.
 
     Uses the coefficient form Vdot + A(lambda(t), W(t))(lambdadot, V); the
     correction term of the non-horizontal-lift formula cancels exactly
     against the vertical transport term (a dedicated test re-verifies this
-    against the raw two-term evaluation). ``_frames``, if given, holds the
-    order-4 frames at (curve.points[i], W.vectors[i]).
+    against the raw two-term evaluation). The frames at all nodes are one
+    order-4 frame batched over (curve.points, W.vectors); ``_frames``, if
+    given, is that frame.
     """
     from .variational import FieldAlongCurve, fd_derivative
 
@@ -423,14 +435,12 @@ def covariant_derivative_curve(lift: LiftSpec, src, curve, W, V,
         raise GridError("curve and field grids do not match")
     if np.min(np.linalg.norm(W.vectors, axis=1)) < 1e-12:
         raise NullReference("reference field W vanishes at a node")
-    vdot = fd_derivative(V.vectors, grid)
-    out = np.empty_like(V.vectors)
-    for i in range(len(grid)):
-        fr = (_frames[i] if _frames is not None
-              else PointFrame(src, TangentVector(curve.points[i], W.vectors[i]), order=4))
-        _, cp = lift_tensors(lift, fr)
-        a = fr.B + cp
-        out[i] = vdot[i] + np.einsum("ijk,j,k->i", a, curve.velocities[i], V.vectors[i])
+    fr = (_frames if _frames is not None
+          else PointFrame(src, TangentVector(curve.points, W.vectors), order=4))
+    _, cp = lift_tensors(lift, fr)
+    a = fr.B + cp
+    out = fd_derivative(V.vectors, grid) + np.einsum("...ijk,...j,...k->...i", a,
+                                                     curve.velocities, V.vectors)
     return FieldAlongCurve(grid=grid, vectors=out)
 
 

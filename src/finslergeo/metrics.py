@@ -33,7 +33,8 @@ class TangentVector:
 
     @property
     def n(self) -> int:
-        return self.x.size
+        """The chart dimension; ``x`` and ``y`` may carry leading batch axes, (..., n)."""
+        return self.x.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -71,15 +72,48 @@ class MetricSpec:
         return f"MetricSpec({self.name}, dim={self.dim})"
 
     def check_point(self, x) -> None:
-        if self.domain_margin is not None and self.domain_margin(np.asarray(x, float)) <= 0.0:
-            raise DomainError(f"point {np.asarray(x)} outside validity region of {self.name}")
+        _check_domain(x, self.domain_margin, self.name)
 
     def check_tangent(self, w: TangentVector) -> None:
-        if w.n != self.dim:
-            raise ValueError(f"dimension mismatch: metric dim {self.dim}, vector dim {w.n}")
-        if float(np.linalg.norm(w.y)) < NULL_DIRECTION_TOL:
-            raise NullDirection("fiber direction is numerically zero")
-        self.check_point(w.x)
+        check_slit_domain(w, self.dim, self.domain_margin, self.name)
+
+
+def _batch_note(shape, k: int) -> str:
+    """Where flat point ``k`` of a batch of ``shape`` is; empty for a single point."""
+    if not shape:
+        return ""
+    return f" at batch index {tuple(int(i) for i in np.unravel_index(k, shape))}"
+
+
+def _check_domain(x, domain_margin, name) -> None:
+    """Refuse points outside the chart domain (``domain_margin(x) <= 0``).
+
+    ``x`` may carry leading batch axes, (..., n); the margin is checked per
+    point, and the message names the first point outside.
+    """
+    if domain_margin is None:
+        return
+    x = np.asarray(x, float)
+    for k, p in enumerate(x.reshape(-1, x.shape[-1])):
+        if domain_margin(p) <= 0.0:
+            raise DomainError(f"point {p} outside validity region of {name}"
+                              + _batch_note(x.shape[:-1], k))
+
+
+def check_slit_domain(w: TangentVector, dim: int, domain_margin, name) -> None:
+    """The admissibility rules of a tangent point: its dimension, a nonzero
+    fiber direction (the slit bundle) and the chart domain.
+
+    ``w`` may carry leading batch axes; one bad point refuses the batch,
+    and the message names the first.
+    """
+    if w.n != dim:
+        raise ValueError(f"dimension mismatch: {name} dim {dim}, vector dim {w.n}")
+    null = np.linalg.norm(w.y, axis=-1) < NULL_DIRECTION_TOL
+    if _any(null):
+        raise NullDirection("fiber direction is numerically zero"
+                            + _batch_note(null.shape, int(np.argmax(null))))
+    _check_domain(w.x, domain_margin, name)
 
 
 # -- built-in metrics ----------------------------------------------------------

@@ -16,11 +16,17 @@ x-columns of the stacked first derivatives of G, B and Gxy blocks of the
 second, and g, C, dg/dx, dC/dx, dC/dy blocks of the second to fourth
 derivatives of F^2 (times 1/2 or 1/4).
 
+A ``PointFrame`` holds these jets at one tangent point or at a batch of
+them, (..., n): one lift of F^2 at all centers, one positive-definiteness
+guard, one batched g^-1 and one Neumann solve, in fixed-size blocks for
+large batches. Every tensor then carries the batch axes first, and each
+point is bitwise equal to its own single-point frame. Frame tables along
+geodesics, the second variation and the sweeps build one batched frame.
+
 ODE right-hand sides that need only G call ``spray_values``, which skips
 the frame: an order-2 jet of F^2 and one numeric solve. It takes points
-with leading batch axes and serves a whole batch (the stacked oracle
-geodesics, the Gauss nodes of a geodesic residual) with one lift at all
-centers, one guard and one batched solve.
+with leading batch axes too, and serves the Gauss nodes of a geodesic
+residual with one lift at all centers, one guard and one batched solve.
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFlag, DomainError, NullDirection
-from .jets import contract, lift_any, solve_linear, space_for
-from .metrics import MetricSpec, TangentVector, NULL_DIRECTION_TOL, require_positive_definite
+from .errors import DegenerateFlag
+from .jets import Jet, contract, lift_any, solve_linear, space_for
+from .metrics import MetricSpec, TangentVector, check_slit_domain, require_positive_definite
 
 
 @dataclass(frozen=True)
@@ -63,24 +69,66 @@ class SpraySpec:
         self.sample_radius = float(sample_radius)
 
     def check_tangent(self, w: TangentVector) -> None:
-        if w.n != self.dim:
-            raise ValueError("dimension mismatch")
-        if float(np.linalg.norm(w.y)) < NULL_DIRECTION_TOL:
-            raise NullDirection("fiber direction is numerically zero")
-        if self.domain_margin is not None and self.domain_margin(w.x) <= 0.0:
-            raise DomainError(f"point {w.x} outside validity region of {self.name}")
+        check_slit_domain(w, self.dim, self.domain_margin, self.name)
 
     def __repr__(self):
         return f"SpraySpec({self.name}, dim={self.dim})"
 
 
+# Points per lift in a large batch: bounds the jet temporaries and the
+# number of distinct batch sizes the jet spaces cache a scatter index for.
+_BLOCK = 32
+
+
+def _frame_jets(src, x, y, order):
+    """(f, g, ginv, gpoly, Gpoly) at points (..., n); the metric parts are
+    None for a bare spray. Every jet has the batch axes first."""
+    n = x.shape[-1]
+    center = np.concatenate([x, y], axis=-1)
+    p = order - 2
+    if not isinstance(src, MetricSpec):
+        G = lift_any(lambda v: src.g_rule(v[:n], v[n:]), center, p)
+        return None, None, None, None, Jet(G.space, np.moveaxis(G.c, 0, -2))
+    f = lift_any(lambda v: src.f2(v[:n], v[n:]), center, order)
+    g = 0.5 * f.derivative(2)[..., n:, n:]
+    require_positive_definite(g, x, y)
+    ginv = np.linalg.inv(g)
+    grad = f.grad()
+    hess = grad.grad()
+    gpoly = 0.5 * hess[..., n:, n:]
+    # 4 g G = (d2F^2/dy dx) y - dF^2/dx, all jets at order p
+    sp = space_for(2 * n, p)
+    yj = Jet(sp, np.moveaxis(sp.coordinates(center).c[n:], 0, -2))
+    rhs = contract("...lk,...k->...l", hess[..., n:, :n], yj) - grad[..., :n].truncate(p)
+    return f, g, ginv, gpoly, 0.25 * solve_linear(gpoly, rhs, ginv)
+
+
+def _join(parts, batch):
+    """Concatenate per-block values along the flat batch axis, then reshape it to ``batch``."""
+    if parts[0] is None:
+        return None
+    if isinstance(parts[0], Jet):
+        c = np.concatenate([j.c for j in parts])
+        return Jet(parts[0].space, c.reshape(batch + c.shape[1:]))
+    a = np.concatenate(parts)
+    return a.reshape(batch + a.shape[1:])
+
+
 class PointFrame:
-    """All jets of a metric/spray at one tangent point, order-managed.
+    """All jets of a metric/spray at a tangent point or a batch of them, order-managed.
 
     ``order`` is the F^2 jet order q; spray polynomials live at order q-2.
     q=4 serves every pointwise tensor; q=5 additionally provides first
     derivatives of the Berwald and Cartan-derived coefficient fields (used
     by the honest lift-curvature evaluation).
+
+    ``w.x`` and ``w.y`` may carry leading batch axes, (..., n). A batch is
+    one lift of F^2 at all centers, one positive-definiteness guard, one
+    batched g^-1 and one spray solve, in blocks of ``_BLOCK`` points when
+    it is larger; every tensor then carries the batch axes first, and each
+    point is bitwise equal to its own single-point frame. One bad point
+    (null, outside the domain, or with g not positive definite) refuses
+    the batch, naming the first. ``fr[i]`` is the frame at batch index i.
     """
 
     def __init__(self, src, w: TangentVector, order: int = 4):
@@ -88,29 +136,35 @@ class PointFrame:
         self.src = src
         self.metric = src if isinstance(src, MetricSpec) else None
         self.w = w
-        self.n = src.dim
+        self.n = n = src.dim
         self.order = order
-        self.x = np.asarray(w.x, float)
-        self.y = np.asarray(w.y, float)
-        n = self.n
-        center = list(self.x) + list(self.y)
-        p = order - 2
-        if self.metric is not None:
-            self.f = lift_any(lambda v: src.f2(v[:n], v[n:]), center, order)
-            self.g = 0.5 * self.f.derivative(2)[n:, n:]
-            require_positive_definite(self.g, self.x, self.y)
-            self.ginv = np.linalg.inv(self.g)
-            grad = self.f.grad()
-            hess = grad.grad()
-            self.gpoly = 0.5 * hess[n:, n:]
-            # 4 g G = (d2F^2/dy dx) y - dF^2/dx, all jets at order p
-            y = space_for(2 * n, p).coordinates(center)[n:]
-            rhs = contract("lk,k->l", hess[n:, :n], y) - grad[:n].truncate(p)
-            self.Gpoly = 0.25 * solve_linear(self.gpoly, rhs, self.ginv)
+        self.x = w.x
+        self.y = w.y
+        batch = w.x.shape[:-1]
+        if int(np.prod(batch)) <= _BLOCK:
+            jets = _frame_jets(src, self.x, self.y, order)
         else:
-            self.f = self.gpoly = self.g = self.ginv = None
-            self.Gpoly = lift_any(lambda v: src.g_rule(v[:n], v[n:]), center, p)
+            x, y = self.x.reshape(-1, n), self.y.reshape(-1, n)
+            blocks = [_frame_jets(src, x[k:k + _BLOCK], y[k:k + _BLOCK], order)
+                      for k in range(0, len(x), _BLOCK)]
+            jets = [_join(parts, batch) for parts in zip(*blocks)]
+        self.f, self.g, self.ginv, self.gpoly, self.Gpoly = jets
         self._cache = {}
+
+    def __getitem__(self, i):
+        """The frame at batch index ``i``: the batch's jets and computed
+        tensors, sliced; nothing is rebuilt."""
+        if self.x.ndim == 1:
+            raise TypeError("a single-point frame has no batch axes to index")
+        fr = object.__new__(type(self))
+        fr.src, fr.metric, fr.n, fr.order = self.src, self.metric, self.n, self.order
+        fr.x, fr.y = self.x[i], self.y[i]
+        fr.w = TangentVector(fr.x, fr.y)
+        for name in ("f", "g", "ginv", "gpoly", "Gpoly"):
+            value = getattr(self, name)
+            setattr(fr, name, None if value is None else value[i])
+        fr._cache = {key: value[i] for key, value in self._cache.items()}
+        return fr
 
     def _get(self, key, builder):
         if key not in self._cache:
@@ -124,24 +178,24 @@ class PointFrame:
         return self._get("G", lambda: self._dG(0))
 
     def _dG(self, k):
-        """All k-th partials of the spray coefficients: (n,) + (2n,)*k, x before y."""
+        """All k-th partials of the spray coefficients: (..., n) + (2n,)*k, x before y."""
         return self.Gpoly.derivative(k)
 
     @property
     def N(self):
-        return self._get("N", lambda: self._dG(1)[:, self.n:])
+        return self._get("N", lambda: self._dG(1)[..., self.n:])
 
     @property
     def B(self):
-        return self._get("B", lambda: self._dG(2)[:, self.n:, self.n:])
+        return self._get("B", lambda: self._dG(2)[..., self.n:, self.n:])
 
     @property
     def Gx(self):
-        return self._get("Gx", lambda: self._dG(1)[:, :self.n])
+        return self._get("Gx", lambda: self._dG(1)[..., :self.n])
 
     @property
     def Gxy(self):
-        return self._get("Gxy", lambda: self._dG(2)[:, :self.n, self.n:])
+        return self._get("Gxy", lambda: self._dG(2)[..., :self.n, self.n:])
 
     @property
     def R(self):
@@ -150,8 +204,8 @@ class PointFrame:
         def build():
             y = self.y
             return (2.0 * self.Gx
-                    - np.einsum("j,ijk->ik", y, self.Gxy)
-                    + 2.0 * np.einsum("j,ijk->ik", self.G, self.B)
+                    - np.einsum("...j,...ijk->...ik", y, self.Gxy)
+                    + 2.0 * np.einsum("...j,...ijk->...ik", self.G, self.B)
                     - self.N @ self.N)
 
         return self._get("R", build)
@@ -171,19 +225,19 @@ class PointFrame:
     def C_low(self):
         """Cartan tensor with all indices down (fully symmetric)."""
         n = self.n
-        return self._get("C_low", lambda: 0.25 * self._dF2(3)[n:, n:, n:])
+        return self._get("C_low", lambda: 0.25 * self._dF2(3)[..., n:, n:, n:])
 
     @property
     def dC_dx(self):
         """(l,i,j,k): d C_ijk / dx^l."""
         n = self.n
-        return self._get("dC_dx", lambda: 0.25 * self._dF2(4)[:n, n:, n:, n:])
+        return self._get("dC_dx", lambda: 0.25 * self._dF2(4)[..., :n, n:, n:, n:])
 
     @property
     def dC_dy(self):
         """(l,i,j,k): d C_ijk / dy^l."""
         n = self.n
-        return self._get("dC_dy", lambda: 0.25 * self._dF2(4)[n:, n:, n:, n:])
+        return self._get("dC_dy", lambda: 0.25 * self._dF2(4)[..., n:, n:, n:, n:])
 
     @property
     def Cdot_low(self):
@@ -197,11 +251,11 @@ class PointFrame:
 
         def build():
             C = self.C_low
-            return (np.einsum("l,lijk->ijk", self.y, self.dC_dx)
-                    - 2.0 * np.einsum("l,lijk->ijk", self.G, self.dC_dy)
-                    - np.einsum("mi,mjk->ijk", self.N, C)
-                    - np.einsum("mj,imk->ijk", self.N, C)
-                    - np.einsum("mk,ijm->ijk", self.N, C))
+            return (np.einsum("...l,...lijk->...ijk", self.y, self.dC_dx)
+                    - 2.0 * np.einsum("...l,...lijk->...ijk", self.G, self.dC_dy)
+                    - np.einsum("...mi,...mjk->...ijk", self.N, C)
+                    - np.einsum("...mj,...imk->...ijk", self.N, C)
+                    - np.einsum("...mk,...ijm->...ijk", self.N, C))
 
         return self._get("Cdot_low", build)
 
@@ -220,12 +274,12 @@ class PointFrame:
     def dg_dx(self):
         """(k,i,j): d g_ij / dx^k."""
         n = self.n
-        return self._get("dg_dx", lambda: 0.5 * self._dF2(3)[:n, n:, n:])
+        return self._get("dg_dx", lambda: 0.5 * self._dF2(3)[..., :n, n:, n:])
 
     def raise_last(self, t_low: np.ndarray) -> np.ndarray:
         """Raise the last index of a (u,v,t)-flat tensor: T^i_jk = g^il T_jkl."""
         self._need_metric()
-        return np.einsum("il,jkl->ijk", self.ginv, t_low)
+        return np.einsum("...il,...jkl->...ijk", self.ginv, t_low)
 
 
 def frame(src, w: TangentVector, order: int = 4) -> PointFrame:

@@ -2,19 +2,25 @@
 
 Every ODE goes through ``_solve``: DOP853 (Hairer-Norsett-Wanner, *Solving
 ODEs I*) with dense output, at ``DEFAULT_RTOL``/``DEFAULT_ATOL`` unless a
-caller asks for tighter. Geodesic solves stop at the chart's domain margin;
-the two perturbed geodesics of the variation oracle are one stacked state
-whose sprays come from one batched ``spray_values`` call.
+caller asks for tighter. Geodesic solves stop at the chart's domain margin.
 
 Along a known geodesic, Jacobi fields and parallel transport are linear
 ODEs whose coefficients are the spray's N and R (every admissible
 connection gives the same ones). They are read from one frame table per
-geodesic: ``PointFrame``s built once at the Chebyshev-Lobatto nodes of the
+geodesic: a ``PointFrame`` batched over the Chebyshev-Lobatto nodes of the
 geodesic's time interval, interpolated barycentrically (Berrut-Trefethen,
-*SIAM Review* 46, 2004). The node count doubles from 16 intervals until the
-table's Chebyshev tail falls below the solve's ``rtol``, and a right-hand
-side only interpolates the table. Jacobi fields and transported vectors are
-the columns of an (n, m) block integrated in one solve.
+*SIAM Review* 46, 2004). The node count doubles from 16 intervals, one
+batched frame over the new nodes per doubling, until the table's Chebyshev
+tail falls below the solve's ``rtol``, and a right-hand side only
+interpolates the table. Jacobi fields and transported vectors are the
+columns of an (n, m) block integrated in one solve.
+
+The Jacobi oracle is the linearized spray flow, the variational equation of
+the geodesic ODE and so the exact derivative of the exponential map
+(Hairer-Norsett-Wanner, section I.14): it reads Gx and N from its own frame
+table and uses neither R nor a connection. The second variation reads g, R
+and the lift's coefficients from one frame batched over the geodesic's
+nodes.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ class Curve:
     velocities: np.ndarray  # (N, n)
     dense: object = None    # optional dense output: grid times t -> states (2n, ...)
     solver_nodes: np.ndarray | None = None  # accepted integrator times
+    rtol: float | None = None  # the dense output's tolerance; None: hand-built, taken as exact
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, float)
@@ -110,15 +117,14 @@ def fd_derivative(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def _margin_event(src, dim, stacked):
-    """Terminal event on the smallest domain margin over the ``stacked``
-    positions at the front of the state, s[:stacked * dim]."""
+def _margin_event(src, dim):
+    """Terminal event on the domain margin of the position s[:dim]."""
     margin = getattr(src, "domain_margin", None)
     if margin is None:
         return None
 
     def event(t, s):
-        return min(margin(x) for x in s[:stacked * dim].reshape(stacked, dim)) - 1e-9
+        return margin(s[:dim]) - 1e-9
 
     event.terminal = True
     event.direction = -1
@@ -137,19 +143,11 @@ def _solve(rhs, state0, span, rtol, atol, event=None):
 
 
 def _geodesic_rhs(src):
-    """Right-hand side of x-ddot = -2 G(x, x-dot) on the state (x, x-dot).
-
-    A state of k geodesics stacks their positions, then their velocities,
-    (x_1 .. x_k, y_1 .. y_k); all k sprays come from one batched call.
-    """
+    """Right-hand side of x-ddot = -2 G(x, x-dot) on the state (x, x-dot)."""
     n = src.dim
 
     def rhs(t, s):
-        half = len(s) // 2
-        x, y = s[:half], s[half:]
-        if half > n:
-            x, y = x.reshape(-1, n), y.reshape(-1, n)
-        return np.concatenate([s[half:], -2.0 * spray_values(src, x, y).ravel()])
+        return np.concatenate([s[n:], -2.0 * spray_values(src, s[:n], s[n:])])
 
     return rhs
 
@@ -163,13 +161,13 @@ def integrate_geodesic(src, w0: TangentVector, t_end: float,
         raise ValueError("t_end must be nonzero")
     n = src.dim
     state0 = np.concatenate([w0.x, w0.y])
-    sol = _solve(_geodesic_rhs(src), state0, (0.0, t_end), rtol, atol, _margin_event(src, n, 1))
+    sol = _solve(_geodesic_rhs(src), state0, (0.0, t_end), rtol, atol, _margin_event(src, n))
     grid = np.linspace(0.0, t_end, nodes)
     if t_end < 0:
         grid = grid[::-1]
     states = sol.sol(grid)
     return Curve(grid=grid, points=states[:n].T, velocities=states[n:].T, dense=sol.sol,
-                 solver_nodes=np.sort(sol.t))
+                 solver_nodes=np.sort(sol.t), rtol=rtol)
 
 
 def exponential_map(src, x0, v, t: float, rtol: float = DEFAULT_RTOL,
@@ -311,24 +309,28 @@ class _ChebyshevTable:
 
 
 def _frame_table(src, geo: Curve, order: int, read, rtol: float) -> _ChebyshevTable:
-    """``read(frame)`` along a geodesic, one order-``order`` frame per table node.
+    """``read(frame)`` along a geodesic, from one order-``order`` frame batched
+    over each doubling's new table nodes; ``read`` keeps the batch axis first.
 
-    The states come from the curve's dense output; a hand-built curve is
-    re-integrated from its first point.
+    The states come from the curve's dense output. A curve without one, or
+    whose dense output is looser than ``rtol``, is integrated again from its
+    first point at ``rtol``.
     """
     n = geo.n
     states = geo.dense
-    if states is None:
+    if states is None or (geo.rtol is not None and rtol < geo.rtol):
         t0 = geo.grid[0]
-        dense = integrate_geodesic(src, TangentVector(geo.points[0], geo.velocities[0]),
-                                   geo.grid[-1] - t0, nodes=5).dense
+        w0 = TangentVector(geo.points[0], geo.velocities[0])
+        dense = integrate_geodesic(src, w0, geo.grid[-1] - t0, rtol=min(rtol, DEFAULT_RTOL),
+                                   atol=DEFAULT_ATOL * min(1.0, rtol / DEFAULT_RTOL),
+                                   nodes=5).dense
 
         def states(t):
             return dense(t - t0)
 
     def sample(ts):
-        return np.array([read(PointFrame(src, TangentVector(s[:n], s[n:]), order=order))
-                         for s in states(ts).T])
+        st = states(ts)
+        return read(PointFrame(src, TangentVector(st[:n].T, st[n:].T), order=order))
 
     return _ChebyshevTable(sample, geo.grid[0], geo.grid[-1], rtol)
 
@@ -358,7 +360,7 @@ def jacobi_integrate(src, geo: Curve, J0, J0dot, rtol: float = DEFAULT_RTOL,
     if J0.shape != J0dot.shape or J0.shape[:1] != (n,) or J0.ndim > 2:
         raise ValueError(f"J0 and J0dot must share shape (n,) or (n, m), got "
                          f"{J0.shape} and {J0dot.shape}")
-    table = _frame_table(src, geo, 4, lambda fr: np.stack([fr.N, fr.R]), rtol)
+    table = _frame_table(src, geo, 4, lambda fr: np.stack([fr.N, fr.R], axis=1), rtol)
     cut = J0.size
 
     def rhs(t, s):
@@ -374,25 +376,31 @@ def jacobi_integrate(src, geo: Curve, J0, J0dot, rtol: float = DEFAULT_RTOL,
                            covariant_derivative=states[:, cut:].reshape(shape))
 
 
-def jacobi_variation_oracle(src, w0: TangentVector, u, t, h: float = 1e-3,
-                            rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL):
-    """Geodesic-variation Jacobi field by central differences of the exponential.
+def jacobi_variation_oracle(src, geo: Curve, u, rtol: float = DEFAULT_RTOL,
+                            atol: float = DEFAULT_ATOL) -> np.ndarray:
+    """The Jacobi field along a geodesic with J(0) = 0 and covariant initial
+    derivative u, as the derivative of the exponential map.
 
-    Returns (exp(x0, y0 + h u, t) - exp(x0, y0 - h u, t)) / 2h, the Jacobi
-    field with J(0) = 0 and covariant initial derivative u; ``t`` may be a
-    scalar or a grid. Both geodesics are one stacked solve; it raises
-    ``DomainExit`` when either of them leaves the chart's domain.
+    Integrates the linearized spray flow, the variational equation of
+    x-ddot = -2 G(x, x-dot): dx-ddot = -2 Gx dx - 2 N dx-dot from
+    (dx, dx-dot) = (0, u), with Gx = dG/dx and N = dG/dy read from an
+    order-3 frame table along ``geo``. It uses neither R nor a connection.
+    ``u`` has shape (n,) or (n, m); returns dx on ``geo.grid``, shape
+    (N, n) or (N, n, m).
     """
+    _require_geodesic(src, geo)
     u = np.asarray(u, float)
-    tarr = np.atleast_1d(np.asarray(t, float))
-    t_end = float(np.max(tarr))
-    n = src.dim
-    state0 = np.concatenate([w0.x, w0.x, w0.y + h * u, w0.y - h * u])
-    sol = _solve(_geodesic_rhs(src), state0, (0.0, t_end), rtol, atol,
-                 _margin_event(src, n, 2))
-    states = sol.sol(tarr)
-    out = ((states[:n] - states[n:2 * n]) / (2.0 * h)).T
-    return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+    table = _frame_table(src, geo, 3, lambda fr: np.stack([fr.Gx, fr.N], axis=1), rtol)
+    cut = u.size
+
+    def rhs(t, s):
+        Gx, N = table(t)
+        dx, dv = s[:cut].reshape(u.shape), s[cut:].reshape(u.shape)
+        return np.concatenate([s[cut:], (-2.0 * (Gx @ dx + N @ dv)).ravel()])
+
+    sol = _solve(rhs, np.concatenate([np.zeros(cut), u.ravel()]),
+                 (geo.grid[0], geo.grid[-1]), rtol, atol)
+    return sol.sol(geo.grid)[:cut].T.reshape((len(geo.grid),) + u.shape)
 
 
 def _transport(src, geo: Curve, v0: np.ndarray, span, rtol: float = DEFAULT_RTOL,
@@ -472,13 +480,11 @@ def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
         boundary += sign * sff_connection(sub, param, vel, coeffs, coeffs, ms, lift=lift)
 
     W = FieldAlongCurve(grid=grid, vectors=geo.velocities)
-    frames = [PointFrame(ms, TangentVector(x, y), order=4)
-              for x, y in zip(geo.points, geo.velocities)]
-    DV = covariant_derivative_curve(lift, ms, geo, W, V, _frames=frames)
-    vals = np.empty(len(grid))
-    for i, fr in enumerate(frames):
-        dv = DV.vectors[i]
-        vals[i] = dv @ fr.g @ dv - (fr.R @ V.vectors[i]) @ fr.g @ V.vectors[i]
+    frames = PointFrame(ms, TangentVector(geo.points, geo.velocities), order=4)
+    DV = covariant_derivative_curve(lift, ms, geo, W, V, _frames=frames).vectors
+    RV = np.einsum("...ij,...j->...i", frames.R, V.vectors)
+    vals = (np.einsum("...i,...ij,...j->...", DV, frames.g, DV)
+            - np.einsum("...i,...ij,...j->...", RV, frames.g, V.vectors))
     h = grid[1] - grid[0]
     weights = np.ones(len(grid))
     weights[1:-1:2] = 4.0

@@ -4,6 +4,7 @@ import numpy as np
 import sympy as sp
 
 from finslergeo.metrics import TangentVector, fundamental_tensor
+from finslergeo.variational import integrate_geodesic
 
 
 def sympy_polynomial_jet(coeff_map, nvars):
@@ -65,3 +66,14 @@ def euler_lagrange_spray(ms, x0, y0, h=1e-5):
     gmat = fundamental_tensor(ms, TangentVector(x0, y0)).g
     acc = np.linalg.solve(gmat, dx - d2 @ y0) / 2.0  # x-ddot
     return -acc / 2.0
+
+
+def exp_map_jacobi_difference(src, w0, u, grid, h=1e-3):
+    """The Jacobi field with J(0) = 0 and initial derivative u, by central
+    differences of the exponential map: (exp(x0, y0 + h u) - exp(x0, y0 - h u)) / 2h
+    at the times ``grid`` (starting at 0). Its error is O(h^2)."""
+    u = np.asarray(u, float)
+    n = len(u)
+    ends = [integrate_geodesic(src, TangentVector(w0.x, w0.y + s * h * u), grid[-1]).dense(grid)[:n]
+            for s in (1.0, -1.0)]
+    return ((ends[0] - ends[1]) / (2.0 * h)).T

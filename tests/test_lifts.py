@@ -199,6 +199,24 @@ def test_minkowski_exact_pass_set(randers_const):
     assert passing == {"T1", "T2", "T3", "M1", "M2", "M3", "M5", "M7"}
 
 
+def test_lift_tensors_of_a_batched_frame(randers_var):
+    rng = SplitMix64(12)
+    ws = [random_tangent(randers_var, rng) for _ in range(6)]
+    X, Y = np.array([w.x for w in ws]), np.array([w.y for w in ws])
+    raw = LiftSpec("raw", c_raw=lambda w, u, v: [w.x[0] * u[0] * v[1], w.y[1] * u[1] * v[0]],
+                   cprime_raw=lambda w, u, v: [smath.sin(w.x[1]) * u[0] * v[0], 0.0])
+    lifts = ([classical_lift(k, randers_var) for k in ClassicalKind]
+             + [random_admissible_lift(randers_var, 4), raw])
+    batch = PointFrame(randers_var, TangentVector(X.reshape(2, 3, 2), Y.reshape(2, 3, 2)))
+    singles = [PointFrame(randers_var, w) for w in ws]
+    for lift in lifts:
+        got = lift_tensors(lift, batch)
+        for k, fr in enumerate(singles):
+            for part, ref in zip(got, lift_tensors(lift, fr)):
+                assert part.shape == (2, 3, 2, 2, 2)
+                assert np.array_equal(part.reshape(6, 2, 2, 2)[k], ref), (lift.name, k)
+
+
 def test_m_conditions_need_metric():
     from finslergeo.spray import SpraySpec
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from finslergeo import metrics
+from finslergeo import metrics, spray
 from finslergeo.jets import smath
-from finslergeo.errors import DegenerateFlag, NotPositiveDefinite
+from finslergeo.errors import DegenerateFlag, DomainError, NotPositiveDefinite, NullDirection
 from finslergeo.findiff import riemann_jacobi_operator
 from finslergeo.metrics import TangentVector, random_tangent
 from finslergeo.rng import SplitMix64
@@ -242,3 +242,99 @@ def test_closed_randers_spray_is_projective(randers_var):
     # the non-closed beta of randers_var is far from projective
     X, Y = _batch(randers_var, 40, 21)
     assert np.max(np.abs(_cross(spray_values(randers_var, X, Y), Y))) >= 1e-2
+
+
+# -- batched frames -------------------------------------------------------------------
+
+FRAME_TENSORS = ("G", "N", "B", "Gx", "Gxy", "R", "g", "ginv", "C_low", "dC_dx", "dC_dy",
+                 "Cdot_low", "Cp_low", "dg_dx")
+
+
+def _frame_tensors(fr):
+    """Every tensor property the frame's order and source provide."""
+    out = {}
+    for name in FRAME_TENSORS:
+        try:
+            value = getattr(fr, name)
+        except (IndexError, TypeError):   # beyond the jet order, or a metric tensor of a spray
+            continue
+        if value is not None:
+            out[name] = value
+    return out
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_batched_frame_bitwise_equals_single_frames(order, sphere, poincare, funk, randers_var):
+    sources = [metrics.euclidean(3), sphere, poincare, funk, metrics.funk(3), randers_var,
+               _quadratic_spray()]
+    for k, src in enumerate(sources):
+        X, Y = _batch(src, 17, 200 + k)
+        singles = [_frame_tensors(PointFrame(src, TangentVector(x, y), order=order))
+                   for x, y in zip(X, Y)]
+        for shape in ((17,), (3, 4)):
+            count = int(np.prod(shape))
+            fr = PointFrame(src, TangentVector(X[:count].reshape(shape + (-1,)),
+                                               Y[:count].reshape(shape + (-1,))), order=order)
+            tensors = _frame_tensors(fr)
+            assert tensors.keys() == singles[0].keys(), src.name
+            assert {"R", "Cp_low"} <= tensors.keys() or order == 3 or src.kind == "spray"
+            for name, value in tensors.items():
+                assert value.shape[:len(shape)] == shape, (src.name, name)
+                ref = np.array([single[name] for single in singles[:count]])
+                assert np.array_equal(value.reshape(ref.shape), ref), (src.name, order, name)
+            # a point of the batch is that point's frame, cached tensors included
+            view = fr[2] if len(shape) == 1 else fr[0][2]
+            assert view.x.shape == (src.dim,)
+            for name, value in _frame_tensors(view).items():
+                assert np.array_equal(value, singles[2][name]), (src.name, name)
+
+
+def test_single_point_frame_has_no_batch_to_index(sphere):
+    with pytest.raises(TypeError):
+        PointFrame(sphere, TangentVector([0.1, 0.2], [1.0, 0.0]))[0]
+
+
+def test_blocked_frame_equals_unblocked(randers_var, monkeypatch):
+    # 150 nodes are two full blocks and a partial one
+    assert 150 % spray._BLOCK and 150 > 2 * spray._BLOCK
+    X, Y = _batch(randers_var, 150, 41)
+    w = TangentVector(X.reshape(10, 15, 2), Y.reshape(10, 15, 2))
+    blocked = _frame_tensors(PointFrame(randers_var, w, order=4))
+    monkeypatch.setattr(spray, "_BLOCK", 10 ** 6)
+    whole = _frame_tensors(PointFrame(randers_var, w, order=4))
+    assert blocked.keys() == whole.keys()
+    for name, value in whole.items():
+        assert value.shape[:2] == (10, 15)
+        assert np.array_equal(blocked[name], value), name
+
+
+def test_batched_frame_refuses_one_bad_point(poincare):
+    # |beta| > 1: g is positive definite at the first two directions, indefinite at the last
+    wild = metrics.randers(2, [1.3, 0.0])
+    Y = np.array([[1.0, 0.2], [0.5, 1.0], [-1.0, 0.2]])
+    PointFrame(wild, TangentVector(np.zeros((2, 2)), Y[:2]))
+    for perm in ([0, 1, 2], [2, 0, 1]):
+        with pytest.raises(NotPositiveDefinite, match=r"y=\[-1\.\s+0\.2\]"):
+            PointFrame(wild, TangentVector(np.zeros((3, 2)), Y[perm]))
+    # and in a batch large enough to be built in blocks, in its last block
+    many = np.tile(Y[:2], (40, 1))
+    many[-3] = Y[2]
+    with pytest.raises(NotPositiveDefinite, match=r"y=\[-1\.\s+0\.2\]"):
+        PointFrame(wild, TangentVector(np.zeros((80, 2)), many))
+
+    X = np.full((2, 3, 2), 0.1)
+    Yp = np.ones((2, 3, 2))
+    out = X.copy()
+    out[1, 1] = [0.8, 0.7]
+    with pytest.raises(DomainError, match=r"outside validity region of poincare_disk "
+                                          r"at batch index \(1, 1\)"):
+        PointFrame(poincare, TangentVector(out, Yp))
+    null = Yp.copy()
+    null[1, 2] = 0.0
+    null[0, 2] = 1e-14
+    with pytest.raises(NullDirection, match=r"at batch index \(0, 2\)$"):
+        PointFrame(poincare, TangentVector(X, null))
+    with pytest.raises(NullDirection, match=r"zero$"):
+        PointFrame(poincare, TangentVector(X[0, 0], null[1, 2]))
+    with pytest.raises(DomainError, match=r"poincare_disk$"):
+        PointFrame(poincare, TangentVector(out[1, 1], Yp[0, 0]))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import exp_map_jacobi_difference
 from scipy.integrate import solve_ivp
 
 from finslergeo import metrics, variational
@@ -129,8 +130,7 @@ def test_jacobi_euclidean_linear(euclid2):
     geo = integrate_geodesic(euclid2, TangentVector([0, 0], [1.0, 0.3]), 1.0)
     J = jacobi_integrate(euclid2, geo, [0, 0], [0.2, 1.0])
     assert np.max(np.abs(J.vectors - np.outer(geo.grid, [0.2, 1.0]))) < 1e-12
-    oracle = jacobi_variation_oracle(euclid2, TangentVector([0, 0], [1.0, 0.3]),
-                                     [0.2, 1.0], geo.grid)
+    oracle = jacobi_variation_oracle(euclid2, geo, [0.2, 1.0])
     assert np.max(np.abs(oracle - J.vectors)) < 1e-9
 
 
@@ -170,8 +170,30 @@ def test_jacobi_oracle_agreement(name, request):
         u = rng.direction(2)
         geo = integrate_geodesic(ms, w0, 1.0)
         J = jacobi_integrate(ms, geo, [0, 0], u)
-        oracle = jacobi_variation_oracle(ms, w0, u, geo.grid)
-        assert np.max(np.abs(J.vectors - oracle)) < 1e-3
+        oracle = jacobi_variation_oracle(ms, geo, u)
+        assert np.max(np.abs(J.vectors - oracle)) < 1e-7
+
+
+@pytest.mark.parametrize("name", ["sphere", "randers_var"])
+def test_linearized_flow_oracle_matches_exponential_map_difference(name, request):
+    ms = request.getfixturevalue(name)
+    rng = SplitMix64(78)
+    for _ in range(3):
+        w0 = unit_tangent(ms, random_tangent(ms, rng))
+        u = rng.direction(2)
+        geo = integrate_geodesic(ms, w0, 1.0)
+        oracle = jacobi_variation_oracle(ms, geo, u)
+        assert np.max(np.abs(oracle - exp_map_jacobi_difference(ms, w0, u, geo.grid))) <= 1e-5
+        both = jacobi_variation_oracle(ms, geo, np.column_stack([u, 2.0 * u]))
+        assert both.shape == (len(geo.grid), 2, 2)
+        assert np.max(np.abs(both[:, :, 1] - 2.0 * oracle)) < 1e-7
+
+
+def test_linearized_flow_oracle_needs_a_geodesic(euclid2):
+    grid = np.linspace(0, 1, 101)
+    pts = np.stack([grid, grid ** 2], axis=1)
+    with pytest.raises(GridError):
+        jacobi_variation_oracle(euclid2, Curve(grid, pts, fd_derivative(pts, grid)), [1, 0])
 
 
 def test_jacobi_requires_geodesic(euclid2):
@@ -346,16 +368,6 @@ def test_jacobi_columns_match_single_solves(randers_var, funk):
             assert np.max(np.abs(pt.vectors[:, :, col] - one.vectors)) < 1e-8
 
 
-def test_stacked_oracle_exits_when_one_geodesic_leaves(poincare):
-    # y0 + h u = (0.5, 0) stays well inside the disk up to t = 2; y0 - h u = (-10.5, 0)
-    # has hyperbolic speed 21 and reaches the domain margin near t = 1.05
-    w0 = TangentVector([0.0, 0.0], [-5.0, 0.0])
-    u = np.array([1.0, 0.0])
-    assert np.all(np.isfinite(jacobi_variation_oracle(poincare, w0, u, 0.5, h=5.5)))
-    with pytest.raises(DomainExit):
-        jacobi_variation_oracle(poincare, w0, u, 2.0, h=5.5)
-
-
 # -- frame tables along geodesics --------------------------------------------------------
 
 
@@ -422,9 +434,9 @@ def test_jacobi_builds_one_frame_per_table_node(sphere, monkeypatch):
     built, tables = [], []
 
     class CountingFrame(PointFrame):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs.get("order"))
-            super().__init__(*args, **kwargs)
+        def __init__(self, src, w, order=4):
+            built.append((order, len(w.x)))
+            super().__init__(src, w, order)
 
     class RecordingTable(_ChebyshevTable):
         def __init__(self, *args, **kwargs):
@@ -439,7 +451,25 @@ def test_jacobi_builds_one_frame_per_table_node(sphere, monkeypatch):
     jacobi_integrate(sphere, geo, [0, 0], [0, 1])
     assert len(tables) == 1
     assert len(tables[0].t) > 33
-    assert built == [4] * len(tables[0].t)
+    # one batched frame for the first 17 nodes, then one per doubling over its new nodes
+    m = len(tables[0].t) - 1
+    doublings = int(np.log2(m // 16))
+    assert built == [(4, 17)] + [(4, 16 * 2 ** k) for k in range(doublings)]
+
+
+def test_tight_rtol_reintegrates_a_looser_geodesic(sphere):
+    # the dense output at the default rtol cannot resolve a 1e-11 table on this
+    # geodesic, which runs out to |x| ~ 9 in the chart
+    w0 = unit_tangent(sphere, TangentVector([0.1, -0.05], [0.6, 0.45]))
+    geo = integrate_geodesic(sphere, w0, 3.0)
+    assert geo.rtol == DEFAULT_RTOL
+    assert Curve(geo.grid, geo.points, geo.velocities).rtol is None
+    tight = jacobi_integrate(sphere, geo, [0, 0], [0, 1], rtol=1e-11, atol=1e-13)
+    ref = jacobi_integrate(sphere, integrate_geodesic(sphere, w0, 3.0, rtol=1e-11, atol=1e-13),
+                           [0, 0], [0, 1], rtol=1e-11, atol=1e-13)
+    assert np.max(np.abs(tight.vectors - ref.vectors)) <= 1e-9
+    default = jacobi_integrate(sphere, geo, [0, 0], [0, 1])
+    assert np.max(np.abs(tight.vectors - default.vectors)) <= 1e-6
 
 
 def test_chebyshev_table_interpolates_and_refuses_a_kink():
