@@ -1,22 +1,62 @@
-"""Residual evaluators for the identity battery behind the verification suite.
+"""Residual evaluators and oracles for the identity battery of the verification suite.
 
-Each function returns a nonnegative residual that vanishes (to numerical
-precision) exactly when the corresponding assertion holds. They are shared
-by the CLI verification tasks and the test suite.
+Each residual function returns a nonnegative residual that vanishes (to
+numerical precision) exactly when the corresponding assertion holds. They
+are shared by the CLI verification tasks and the test suite. The metric
+compatibility residuals differentiate along a curve by a 4th-order central
+difference; ``levi_civita`` is the exact classical oracle behind the
+Riemannian-reduction check, read from jets of the coefficient field g(x)
+alone, with no F^2 and no spray.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .findiff import d1
-from .lifts import (LiftSpec, affine_coefficients, classical_lift,
-                    cprime_tensor, lift_tensors, nabla_apply, nabla_g,
-                    section_from_rule, SectionJet)
+from .jets import lift_any
+from .lifts import (LiftSpec, SectionJet, affine_coefficients, classical_lift,
+                    cprime_tensor, nabla_apply, nabla_g)
 from .metrics import MetricSpec, TangentVector, _f2_y_jet, g_bilinear
 from .rng import SplitMix64
 from .spray import PointFrame
 from .variational import _transport, integrate_geodesic
+
+
+def _d1(f, h: float) -> float:
+    """df/dt at t = 0 of a scalar function of one variable, 4th-order central difference."""
+    return (f(-2 * h) - 8 * f(-h) + 8 * f(h) - f(2 * h)) / (12 * h)
+
+
+def levi_civita(ms: MetricSpec, x, y):
+    """Levi-Civita symbols and Jacobi operator of a ``metrics.riemannian`` metric, exactly.
+
+    One order-2 jet of the coefficient field ``ms._g_field`` at every point
+    of ``x`` (..., n) gives g and its first and second partials. Then
+    Gamma^i_jk = g^ia (d_j g_ak + d_k g_aj - d_a g_jk) / 2, and its partials
+    follow with d(g^-1) = -g^-1 dg g^-1. Returns Gamma (..., n, n, n) and the
+    matrix (..., n, n) of u -> R(u, y)y, with
+    R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj + Gamma^i_km Gamma^m_lj - Gamma^i_lm Gamma^m_kj,
+    the sign for which the round sphere has sectional curvature +1.
+    """
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    jet = lift_any(ms._g_field, x, 2)
+    # batch axes first: g[..., a, b], dg[..., a, b, k] = d_k g_ab, d2g[..., a, b, k, l]
+    g, dg, d2g = (np.moveaxis(jet.derivative(k), (0, 1), (x.ndim - 1, x.ndim))
+                  for k in range(3))
+    ginv = np.linalg.inv(g)
+    # Christoffel symbols of the first kind, Gamma_ajk, and their partials d_l
+    low = 0.5 * (np.einsum("...akj->...ajk", dg) + dg - np.einsum("...jka->...ajk", dg))
+    dlow = 0.5 * (np.einsum("...akjl->...ajkl", d2g) + d2g
+                  - np.einsum("...jkal->...ajkl", d2g))
+    dginv = -np.einsum("...ia,...abl,...bc->...icl", ginv, dg, ginv)
+    gam = np.einsum("...ia,...ajk->...ijk", ginv, low)
+    dgam = (np.einsum("...ial,...ajk->...ijkl", dginv, low)
+            + np.einsum("...ia,...ajkl->...ijkl", ginv, dlow))  # d_l Gamma^i_jk
+    riem = (np.einsum("...iljk->...ijkl", dgam) - np.einsum("...ikjl->...ijkl", dgam)
+            + np.einsum("...ikm,...mlj->...ijkl", gam, gam)
+            - np.einsum("...ilm,...mkj->...ijkl", gam, gam))
+    return gam, np.einsum("...ijkl,...j,...l->...ik", riem, y, y)
 
 
 class AffineField:
@@ -84,7 +124,7 @@ def metric_compat_residual(lift: LiftSpec, ms: MetricSpec, x0, rng: SplitMix64,
         wx = W(x)
         return g_bilinear(ms, list(x), list(wx), wx, V(x))
 
-    lhs = d1(phi, 0.0, h)
+    lhs = _d1(phi, h)
     w0 = W(x0)
     duw = W.A @ u0 + np.einsum("ijk,j,k->i",
                                affine_coefficients(lift, ms, TangentVector(x0, w0)).A, u0, w0)
@@ -113,7 +153,7 @@ def metric_compat_geodesic_residual(ms: MetricSpec, x0, rng: SplitMix64,
         wx = W(x)
         return g_bilinear(ms, list(x), list(wx), T(x), V(x))
 
-    lhs = d1(phi, 0.0, h)
+    lhs = _d1(phi, h)
     dwt = _affine_cov(lift, ms, x0, w0, W, T)
     dwv = _affine_cov(lift, ms, x0, w0, W, V)
     rhs = dwt @ fr.g @ V(x0) + T(x0) @ fr.g @ dwv
@@ -140,7 +180,7 @@ def family_metric_identity_residual(kind: str, ms: MetricSpec, x0, rng: SplitMix
         wx = W(x)
         return g_bilinear(ms, list(x), list(wx), t0, v0)
 
-    dg = d1(phi, 0.0, h)
+    dg = _d1(phi, h)
     dut = _affine_cov(lift, ms, x0, w0, U, AffineField(x0, t0, np.zeros((ms.dim, ms.dim))))
     duv = _affine_cov(lift, ms, x0, w0, U, AffineField(x0, v0, np.zeros((ms.dim, ms.dim))))
     lhs = dg - dut @ fr.g @ v0 - t0 @ fr.g @ duv

@@ -117,6 +117,9 @@ class JetSpace:
         """Sum pair products (..., pairs) into coefficients (..., size), one
         bincount in scalar-product order, so entries match scalar products bitwise."""
         m = prod.size // len(self._mul_ic)
+        if not m:
+            # bincount over no entries gives int64, which jet arithmetic cannot take
+            return np.zeros(prod.shape[:-1] + (self.size,))
         idx = self._scatters.get(m)
         if idx is None:
             idx = (np.arange(m)[:, None] * self.size + self._mul_ic).ravel()
@@ -534,13 +537,15 @@ def solve_linear(a: Jet, b: Jet, a0inv) -> Jet:
     d.c[..., 0] = 0.0
     lead = a.c.ndim - 2      # batch axes plus the solved-for axis
 
+    # explicit sizes, not -1, so that an empty batch reshapes too
     def apply_inv(rhs):
-        c = rhs.c.reshape(rhs.c.shape[:lead] + (-1,))
+        c = rhs.c.reshape(rhs.c.shape[:lead] + (math.prod(rhs.c.shape[lead:]),))
         return Jet(rhs.space, np.matmul(a0inv, c).reshape(rhs.c.shape))
 
     def apply_d(x):
         # the rest axes as one, so that one contraction spec serves every shape
-        flat = Jet(x.space, x.c.reshape(x.c.shape[:lead] + (-1, x.space.size)))
+        rest = math.prod(x.c.shape[lead:-1])
+        flat = Jet(x.space, x.c.reshape(x.c.shape[:lead] + (rest, x.space.size)))
         return Jet(x.space, contract("...ij,...jr->...ir", d, flat).c.reshape(x.c.shape))
 
     x = apply_inv(b)

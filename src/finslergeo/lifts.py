@@ -77,8 +77,8 @@ class LiftSpec:
     ``c_flat`` / ``cprime_flat``: rules (w, u, v, t) -> scalar for the
     metric-lowered tensors (metric case). ``c_raw`` / ``cprime_raw``: rules
     (w, u, v) -> vector for bare sprays (already output-valued). ``kind``
-    marks the four classical connections, which use an exact fast path
-    instead of their rule closures.
+    marks the four classical connections; they have no rules (all four
+    fields are None) and take C and C' from the frame instead.
 
     A rule receives ``w`` as a ``LiftPoint``: ``w.x``, ``w.y``, ``w.f2`` and
     ``w.gw``, as floats at a plain point or as order-1 jets when
@@ -143,27 +143,13 @@ def constant_section(w: TangentVector, value) -> SectionJet:
 
 
 def classical_lift(kind, ms: MetricSpec) -> LiftSpec:
-    """The Berwald / Cartan / Chern-Rund / Hashiguchi lift of a metric."""
+    """The Berwald / Cartan / Chern-Rund / Hashiguchi lift of a metric.
+
+    It carries no rules: every engine path reads its tensors from the
+    frame through ``kind`` (see ``_CLASSICAL_TABLE``).
+    """
     kind = ClassicalKind(kind)
-    use_c, use_cp = _CLASSICAL_TABLE[kind]
-
-    def c_flat(w, u, v, t):
-        if not use_c:
-            return 0.0
-        from .metrics import cartan_tensor
-
-        C = cartan_tensor(ms, TangentVector(w.x, w.y)).C
-        return float(np.einsum("ijk,i,j,k->", C, np.asarray(u, float),
-                               np.asarray(v, float), np.asarray(t, float)))
-
-    def cprime_flat(w, u, v, t):
-        if not use_cp:
-            return 0.0
-        Cp = cprime_tensor(ms, TangentVector(w.x, w.y)).Cp
-        return float(np.einsum("ijk,i,j,k->", Cp, np.asarray(u, float),
-                               np.asarray(v, float), np.asarray(t, float)))
-
-    return LiftSpec(name=kind.value, c_flat=c_flat, cprime_flat=cprime_flat, kind=kind)
+    return LiftSpec(name=kind.value, kind=kind)
 
 
 def cprime_tensor(ms: MetricSpec, w: TangentVector) -> CPrimeTensor:

@@ -77,3 +77,94 @@ def exp_map_jacobi_difference(src, w0, u, grid, h=1e-3):
     ends = [integrate_geodesic(src, TangentVector(w0.x, w0.y + s * h * u), grid[-1]).dense(grid)[:n]
             for s in (1.0, -1.0)]
     return ((ends[0] - ends[1]) / (2.0 * h)).T
+
+
+# -- finite-difference references --------------------------------------------
+
+
+def d2(f, x: float, h: float = 1e-4, order: int = 4) -> float:
+    """Second derivative of a scalar function of one variable."""
+    if order == 2:
+        return (f(x + h) - 2 * f(x) + f(x - h)) / (h * h)
+    return (-f(x - 2 * h) + 16 * f(x - h) - 30 * f(x) + 16 * f(x + h)
+            - f(x + 2 * h)) / (12 * h * h)
+
+
+def hessian(f, x, h: float = 1e-4) -> np.ndarray:
+    """Symmetric second-derivative matrix by central differences."""
+    x = np.asarray(x, float)
+    n = x.size
+    out = np.empty((n, n))
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = 1.0
+        out[i, i] = d2(lambda s: f(x + s * ei), 0.0, h, order=2)
+        for j in range(i + 1, n):
+            ej = np.zeros(n)
+            ej[j] = 1.0
+            val = (f(x + h * ei + h * ej) - f(x + h * ei - h * ej)
+                   - f(x - h * ei + h * ej) + f(x - h * ei - h * ej)) / (4 * h * h)
+            out[i, j] = out[j, i] = val
+    return out
+
+
+def third_derivative(f, x, i: int, j: int, k: int, h: float = 1e-3) -> float:
+    """d^3 f / dx_i dx_j dx_k by nesting a central difference over a Hessian entry."""
+    x = np.asarray(x, float)
+    ek = np.zeros(x.size)
+    ek[k] = 1.0
+
+    def hess_entry(s):
+        return hessian(f, x + s * ek, h)[i, j]
+
+    return (hess_entry(h) - hess_entry(-h)) / (2 * h)
+
+
+def christoffel(g_field, x, h: float = 1e-4) -> np.ndarray:
+    """Levi-Civita symbols of a Riemannian coefficient field by finite differences.
+
+    ``g_field`` maps a float vector to the n x n metric matrix.
+    """
+    x = np.asarray(x, float)
+    n = x.size
+    dg = np.empty((n, n, n))  # dg[k,i,j] = d g_ij / dx^k
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = 1.0
+        dg[k] = (np.asarray(g_field(x - 2 * h * e)) - 8 * np.asarray(g_field(x - h * e))
+                 + 8 * np.asarray(g_field(x + h * e)) - np.asarray(g_field(x + 2 * h * e))) / (12 * h)
+    ginv = np.linalg.inv(np.asarray(g_field(x), float))
+    gamma = np.empty((n, n, n))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                gamma[i, j, k] = 0.5 * sum(
+                    ginv[i, l] * (dg[j, l, k] + dg[k, l, j] - dg[l, j, k]) for l in range(n))
+    return gamma
+
+
+def riemann_jacobi_operator(g_field, x, w, h: float = 1e-3) -> np.ndarray:
+    """The classical Jacobi operator u -> R(u, w)w as a matrix, by FD Christoffels.
+
+    Sign convention fixed so the round sphere gives a positive-definite
+    operator on the orthogonal complement of w (sectional curvature +1).
+    """
+    x = np.asarray(x, float)
+    w = np.asarray(w, float)
+    n = x.size
+    gamma0 = christoffel(g_field, x, h=1e-4)
+    dgamma = np.empty((n, n, n, n))  # dgamma[l,i,j,k] = d Gamma^i_jk / dx^l
+    for l in range(n):
+        e = np.zeros(n)
+        e[l] = 1.0
+        dgamma[l] = (christoffel(g_field, x - 2 * h * e, h=1e-4)
+                     - 8.0 * christoffel(g_field, x - h * e, h=1e-4)
+                     + 8.0 * christoffel(g_field, x + h * e, h=1e-4)
+                     - christoffel(g_field, x + 2 * h * e, h=1e-4)) / (12 * h)
+    # R(e_k, e_l) e_j = R^i_jkl e_i with
+    # R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj + Gamma^i_km Gamma^m_lj - Gamma^i_lm Gamma^m_kj
+    riem = (np.einsum("kilj->ijkl", dgamma) - np.einsum("likj->ijkl", dgamma)
+            + np.einsum("ikm,mlj->ijkl", gamma0, gamma0)
+            - np.einsum("ilm,mkj->ijkl", gamma0, gamma0))
+    # R(u, w)w: X = u in slot k, Y = w in slot l, Z = w in slot j
+    return np.einsum("ijkl,j,l->ik", riem, w, w)

@@ -43,7 +43,7 @@ def test_criterion_1_riemannian_reduction(sphere, poincare):
             w = random_tangent(ms, rng)
             worst_flag = max(worst_flag, abs(flag_curvature(ms, w, rng.direction(2)) - target))
     worst_affine = 0.0
-    from finslergeo.findiff import christoffel
+    from oracles import christoffel
 
     for ms in (sphere, poincare):
         for _ in range(10):

@@ -8,18 +8,20 @@ from finslergeo.lifts import (ALL_CONDITIONS, ClassicalKind, LiftSpec,
                               check_conditions, classical_lift,
                               condition_residuals, constant_section,
                               covariant_derivative_curve, cprime_tensor,
-                              lift_curvature, lift_tensors, nabla_apply,
+                              lift_curvature, lift_tensors,
+                              lift_tensors_flat, nabla_apply,
                               nabla_g, random_admissible_lift,
                               section_from_rule, torsion)
-from finslergeo.findiff import christoffel
 from finslergeo.jets import Jet, smath
 from finslergeo.metrics import (TangentVector, cartan_tensor, fundamental_tensor,
-                                metric_value, random_tangent)
+                                metric_value, random_tangent, riemannian)
 from finslergeo.rng import SplitMix64
 from finslergeo.spray import (PointFrame, curvature_endomorphism,
                               spray_coefficients, spray_values)
 from finslergeo.variational import (Curve, FieldAlongCurve, fd_derivative,
                                     integrate_geodesic, parallel_transport)
+
+from oracles import christoffel, riemann_jacobi_operator
 
 THEOREM_SETS = {
     "berwald": ("T3", "M5"),
@@ -34,23 +36,19 @@ THEOREM_SETS = {
 
 def test_berwald_rules_vanish(randers_var):
     lf = classical_lift("berwald", randers_var)
-    w = TangentVector([0.1, 0.2], [0.7, -0.3])
-    assert lf.c_flat(w, [1, 0], [0, 1], [1, 1]) == 0.0
-    assert lf.cprime_flat(w, [1, 0], [0, 1], [1, 1]) == 0.0
+    fr = PointFrame(randers_var, TangentVector([0.1, 0.2], [0.7, -0.3]), order=4)
+    ccf, cpf = lift_tensors_flat(lf, fr)
+    assert not ccf.any() and not cpf.any()
 
 
 def test_cartan_lift_carries_cartan_tensor(randers_var):
-    lf = classical_lift(ClassicalKind.CARTAN, randers_var)
     w = TangentVector([0.3, -0.1], [0.6, 0.8])
     C = cartan_tensor(randers_var, w).C
-    rng = SplitMix64(2)
-    for _ in range(5):
-        u, v, t = rng.direction(2), rng.direction(2), rng.direction(2)
-        want = float(np.einsum("ijk,i,j,k->", C, u, v, t))
-        assert abs(lf.c_flat(w, u, v, t) - want) < 1e-12
-        # Hashiguchi carries the same C rule
-        lh = classical_lift("hashiguchi", randers_var)
-        assert abs(lh.c_flat(w, u, v, t) - want) < 1e-12
+    fr = PointFrame(randers_var, w, order=4)
+    # Hashiguchi carries the same flat C
+    for kind in (ClassicalKind.CARTAN, "hashiguchi"):
+        ccf, _ = lift_tensors_flat(classical_lift(kind, randers_var), fr)
+        assert np.max(np.abs(ccf - C)) < 1e-12
 
 
 def test_hashiguchi_on_riemannian_equals_berwald(sphere):
@@ -297,6 +295,42 @@ def test_affine_riemannian_equals_christoffel(sphere):
         for k in THEOREM_SETS:
             A = affine_coefficients(classical_lift(k, sphere), sphere, w).A
             assert np.max(np.abs(A - gam)) < 1e-8
+
+
+def _generic_riemannian(n):
+    """A Riemannian metric that is not conformally flat, with off-diagonal
+    coefficients that vary in x."""
+
+    def g_field(xs):
+        v = [0.4 * smath.sin(xs[(i + 1) % n]) + 0.2 * xs[i] for i in range(n)]
+        return [[(1.0 + 0.3 * (i + 1) * xs[i] * xs[i] if i == j else 0.0) + v[i] * v[j]
+                 for j in range(n)] for i in range(n)]
+
+    return riemannian(n, g_field, name=f"generic{n}")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_levi_civita_oracle(n):
+    ms = _generic_riemannian(n)
+    rng = SplitMix64(3)
+    ws = [random_tangent(ms, rng) for _ in range(10)]
+    X, Y = np.array([w.x for w in ws]), np.array([w.y for w in ws])
+    gam, R = ident.levi_civita(ms, X, Y)
+    assert gam.shape == (10, n, n, n) and R.shape == (10, n, n)
+    # the finite-difference references, off by their truncation error
+    g_float = lambda x: np.asarray(ms._g_field(list(x)), float)
+    for x, y, gam_i, R_i in zip(X, Y, gam, R):
+        assert np.max(np.abs(gam_i - christoffel(g_float, x))) < 1e-8
+        assert np.max(np.abs(R_i - riemann_jacobi_operator(g_float, x, y))) < 1e-8
+    # the engine: the spray curvature and the four classical affine coefficients
+    fr = PointFrame(ms, TangentVector(X, Y), order=4)
+    assert np.max(np.abs(fr.R - R)) < 1e-13
+    for k in THEOREM_SETS:
+        A = affine_coefficients(classical_lift(k, ms), ms, fr.w, _frame=fr).A
+        assert np.max(np.abs(A - gam)) < 1e-13
+    # a point of the batch is that point's own oracle
+    single = ident.levi_civita(ms, X[4], Y[4])
+    assert np.array_equal(single[0], gam[4]) and np.array_equal(single[1], R[4])
 
 
 # -- covariant derivatives along curves -------------------------------------------

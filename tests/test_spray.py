@@ -3,8 +3,8 @@ import pytest
 
 from finslergeo import metrics, spray
 from finslergeo.jets import smath
+from finslergeo.lifts import classical_lift, lift_tensors
 from finslergeo.errors import DegenerateFlag, DomainError, NotPositiveDefinite, NullDirection
-from finslergeo.findiff import riemann_jacobi_operator
 from finslergeo.metrics import TangentVector, random_tangent
 from finslergeo.rng import SplitMix64
 from finslergeo.spray import (PointFrame, SpraySpec, curvature_endomorphism,
@@ -12,7 +12,7 @@ from finslergeo.spray import (PointFrame, SpraySpec, curvature_endomorphism,
                               spray_coefficients, spray_values, vertical_projector)
 from finslergeo.variational import integrate_geodesic
 
-from oracles import euler_lagrange_spray
+from oracles import euler_lagrange_spray, riemann_jacobi_operator
 
 
 def test_euclidean_spray_vanishes(euclid2):
@@ -244,6 +244,53 @@ def test_closed_randers_spray_is_projective(randers_var):
     assert np.max(np.abs(_cross(spray_values(randers_var, X, Y), Y))) >= 1e-2
 
 
+def _randers_var_closed_form_spray():
+    """randers_var's spray in closed form: with alpha Euclidean,
+    G^i = (e_00 / 2F - s_0) y^i + alpha s^i_0 (Chern-Shen, Riemann-Finsler
+    Geometry, 2005), where r_ij and s_ij are the symmetric and antisymmetric
+    parts of d_j b_i, s_0 = b^i s_ij y^j, s^i_0 = s_ij y^j and
+    e_00 = r_00 + 2 beta s_0."""
+
+    def g_rule(xs, ys):
+        b = [0.35 + 0.2 * smath.sin(xs[1]), 0.2 * smath.cos(xs[0])]
+        db = [[0.0, 0.2 * smath.cos(xs[1])], [-0.2 * smath.sin(xs[0]), 0.0]]  # d_j b_i
+        s = [[0.5 * (db[i][j] - db[j][i]) for j in range(2)] for i in range(2)]
+        r00 = sum(db[i][j] * ys[i] * ys[j] for i in range(2) for j in range(2))
+        s0 = sum(b[i] * s[i][j] * ys[j] for i in range(2) for j in range(2))
+        si0 = [sum(s[i][j] * ys[j] for j in range(2)) for i in range(2)]
+        alpha = smath.sqrt(smath.dot(ys, ys))
+        beta = smath.dot(b, ys)
+        e00 = r00 + 2.0 * beta * s0
+        scale = e00 / (2.0 * (alpha + beta)) - s0
+        return [scale * ys[i] + alpha * si0[i] for i in range(2)]
+
+    return SpraySpec(2, g_rule, name="randers_var_closed_form")
+
+
+def test_randers_closed_form_spray(randers_var):
+    # the first curvature oracle on a metric neither Riemannian nor projectively flat
+    w = TangentVector(*_batch(randers_var, 30, 5))
+    metric = PointFrame(randers_var, w, order=4)
+    closed = PointFrame(_randers_var_closed_form_spray(), w, order=4)
+    for name in ("G", "N", "B", "R"):
+        ref = getattr(metric, name)
+        assert np.max(np.abs(getattr(closed, name) - ref)) <= 1e-14 * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("kind,dim,K", [("sphere", 2, 1.0), ("poincare", 2, -1.0),
+                                        ("funk", 2, -0.25), ("funk", 3, -0.25)])
+def test_constant_flag_curvature_operator(kind, dim, K):
+    # constant flag curvature K: R = K (F^2 I - y (g y)^T)
+    ms = {"sphere": metrics.sphere_stereographic, "poincare": metrics.poincare_disk,
+          "funk": metrics.funk}[kind](dim)
+    X, Y = _batch(ms, 30, 9)
+    fr = PointFrame(ms, TangentVector(X, Y), order=4)
+    gy = np.einsum("...kl,...l->...k", fr.g, Y)
+    f2 = np.einsum("...k,...k->...", gy, Y)
+    ref = K * (f2[:, None, None] * np.eye(dim) - Y[:, :, None] * gy[:, None, :])
+    assert np.max(np.abs(fr.R - ref)) < 2e-13
+
+
 # -- batched frames -------------------------------------------------------------------
 
 FRAME_TENSORS = ("G", "N", "B", "Gx", "Gxy", "R", "g", "ginv", "C_low", "dC_dx", "dC_dy",
@@ -338,3 +385,22 @@ def test_batched_frame_refuses_one_bad_point(poincare):
         PointFrame(poincare, TangentVector(X[0, 0], null[1, 2]))
     with pytest.raises(DomainError, match=r"poincare_disk$"):
         PointFrame(poincare, TangentVector(out[1, 1], Yp[0, 0]))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_empty_batch_gives_empty_results(order, dim):
+    empty = np.zeros((0, dim))
+    one = TangentVector(np.full(dim, 0.1), np.ones(dim))
+    for src in (metrics.funk(dim), metrics.sphere_stereographic(dim), metrics.euclidean(dim)):
+        assert spray_values(src, empty, empty).shape == (0, dim)
+        fr = PointFrame(src, TangentVector(empty, empty), order=order)
+        single = _frame_tensors(PointFrame(src, one, order=order))
+        tensors = _frame_tensors(fr)
+        assert tensors.keys() == single.keys()
+        for name, value in tensors.items():
+            assert value.shape == (0,) + single[name].shape, name
+        if order >= 4:
+            for kind in ("berwald", "cartan"):
+                for t in lift_tensors(classical_lift(kind, src), fr):
+                    assert t.shape == (0, dim, dim, dim)
