@@ -225,18 +225,9 @@ def task_condition_matrix(ms, params, seed) -> TaskResult:
     lifts = {name: classical_lift(name, ms) for name in lift_names}
     rng = SplitMix64(seed)
     points = [random_tangent(ms, rng) for _ in range(samples)]
-
-    def eval_point(w):
-        fr = PointFrame(ms, w, order=4)
-        return {name: condition_residuals(lift, fr, conditions)
-                for name, lift in lifts.items()}
-
-    per_point = [eval_point(w) for w in points]
-    worst = {name: {c: 0.0 for c in conditions} for name in lift_names}
-    for entry in per_point:
-        for name in lift_names:
-            for c in conditions:
-                worst[name][c] = max(worst[name][c], entry[name][c])
+    fr = PointFrame(ms, TangentVector(np.array([w.x for w in points]),
+                                      np.array([w.y for w in points])), order=4)
+    worst = {name: condition_residuals(lift, fr, conditions) for name, lift in lifts.items()}
 
     res.metadata = [("task", "condition-matrix"), ("metric", ms.name),
                     ("samples", samples), ("seed", seed), ("tolerance", tol)]
@@ -660,9 +651,10 @@ def task_lift_independence(ms, params, seed) -> TaskResult:
             if "covariant" in checks:
                 W = ident.AffineField.random(w.x, rng, min_norm=0.6)
                 U = ident.AffineField.random(w.x, rng)
+                fr = PointFrame(ms, TangentVector(w.x, W(w.x)), order=4)
                 vals = []
                 for lf in lifts:
-                    A = affine_coefficients(lf, ms, TangentVector(w.x, W(w.x))).A
+                    A = affine_coefficients(lf, ms, fr.w, _frame=fr).A
                     vals.append(U.A @ W(w.x) + np.einsum("ijk,j,k->i", A, W(w.x), U(w.x)))
                 spread = float(np.max(np.abs(np.max(vals, axis=0) - np.min(vals, axis=0))))
                 worst_cov = max(worst_cov, spread)
@@ -737,6 +729,12 @@ def validate_scenario(cfg) -> None:
     for key in ("tolerance", "lagrangean_tolerance", "profile_tolerance"):
         if key in params and float(params[key]) <= 0:
             raise ConfigError(f"parameter {key} must be positive")
+    counts = {key: params.get(key) for key in ("samples", "flags", "identity_samples")}
+    if isinstance(params.get("identities"), dict):
+        counts["identities.samples"] = params["identities"].get("samples")
+    for key, value in counts.items():
+        if value is not None and int(value) < 1:
+            raise ConfigError(f"parameter {key} must be at least 1")
     metric_from_config(cfg["metric"])
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GridError, InvalidLift, NullReference
 from .jets import Jet, contract, lift_any, smath, solve_linear, space_for
-from .metrics import MetricSpec, TangentVector
+from .metrics import MetricSpec, TangentVector, random_tangent
 from .rng import SplitMix64
 from .spray import PointFrame
 
@@ -64,26 +64,22 @@ class LiftPoint:
     gw: object = None
 
 
-def _lift_point(fr: PointFrame) -> LiftPoint:
-    """The rule carrier at fr's point, as floats."""
-    if fr.f is None:
-        return LiftPoint(fr.x, fr.y)
-    return LiftPoint(fr.x, fr.y, float(fr.f.value), 0.5 * fr.f.derivative(1)[fr.n:])
-
-
 class LiftSpec:
     """A lift of the canonical connection.
 
-    ``c_flat`` / ``cprime_flat``: rules (w, u, v, t) -> scalar for the
-    metric-lowered tensors (metric case). ``c_raw`` / ``cprime_raw``: rules
-    (w, u, v) -> vector for bare sprays (already output-valued). ``kind``
-    marks the four classical connections; they have no rules (all four
-    fields are None) and take C and C' from the frame instead.
+    Every rule gives a whole tensor in one call, ``rule(w) -> T[j][k][l]``:
+    a nested n x n x n sequence (any other shape raises ``InvalidLift``)
+    with axes direction j, section k and slot l. ``c_flat`` / ``cprime_flat``
+    give the metric-lowered tensors, l the metric slot; ``c_raw`` /
+    ``cprime_raw`` serve bare sprays, l the output index. ``kind`` marks the
+    four classical connections; they have no rules (all four fields are
+    None) and take C and C' from the frame instead.
 
     A rule receives ``w`` as a ``LiftPoint``: ``w.x``, ``w.y``, ``w.f2`` and
-    ``w.gw``, as floats at a plain point or as order-1 jets when
-    ``lift_curvature`` differentiates the lift's fields. Rules must be
-    written with arithmetic and ``smath`` so that one rule serves both.
+    ``w.gw``, as floats at a plain point (once per point of a batch) or as
+    order-1 jets when ``lift_curvature`` differentiates the lift's fields.
+    Rules must be written with arithmetic and ``smath`` so that one rule
+    serves both.
     """
 
     def __init__(self, name, c_flat=None, cprime_flat=None, c_raw=None,
@@ -170,17 +166,17 @@ def cprime_tensor(ms: MetricSpec, w: TangentVector) -> CPrimeTensor:
 
 
 def _rule_fields(lift: LiftSpec, w, n):
-    """The lift's rules on the chart basis at carrier w, zero where a rule is absent.
+    """Each of the lift's rules called once at carrier w, zero where a rule is absent.
 
     Nested [tensor][direction][section][slot], tensors (C, C'): the slot is
     the output index for raw rules and the metric slot for flat rules.
     """
-    basis = np.eye(n)
-    if _is_raw(lift):
-        return [[[rule(w, bj, bk) if rule else [0.0] * n for bk in basis] for bj in basis]
-                for rule in (lift.c_raw, lift.cprime_raw)]
-    return [[[[rule(w, bj, bk, bl) if rule else 0.0 for bl in basis] for bk in basis]
-             for bj in basis] for rule in (lift.c_flat, lift.cprime_flat)]
+    rules = (lift.c_raw, lift.cprime_raw) if _is_raw(lift) else (lift.c_flat, lift.cprime_flat)
+    fields = [rule(w) if rule else np.zeros((n, n, n)) for rule in rules]
+    for t in fields:
+        if np.array(t, dtype=object).shape != (n, n, n):
+            raise InvalidLift(f"lift {lift.name}: a rule returned no {n} x {n} x {n} tensor")
+    return fields
 
 
 def _is_raw(lift: LiftSpec) -> bool:
@@ -189,10 +185,14 @@ def _is_raw(lift: LiftSpec) -> bool:
 
 def _rule_tensors(lift: LiftSpec, fr: PointFrame) -> np.ndarray:
     """The lift's rule fields at every point of fr, shape (..., 2, n, n, n):
-    one set of rule calls per point, since rules take a float carrier."""
+    one call per rule and point, since rules take a float carrier."""
     if fr.x.ndim > 1:
-        return np.array([_rule_tensors(lift, fr[i]) for i in range(len(fr.x))])
-    return np.array(_rule_fields(lift, _lift_point(fr), fr.n), float)
+        points = [_rule_tensors(lift, fr[i]) for i in range(len(fr.x))]
+        return np.array(points).reshape(fr.x.shape[:-1] + (2,) + (fr.n,) * 3)
+    w = LiftPoint(fr.x, fr.y)
+    if fr.f is not None:
+        w = LiftPoint(fr.x, fr.y, float(fr.f.value), 0.5 * fr.f.derivative(1)[fr.n:])
+    return np.array(_rule_fields(lift, w, fr.n), float)
 
 
 def lift_tensors(lift: LiftSpec, fr: PointFrame):
@@ -200,32 +200,25 @@ def lift_tensors(lift: LiftSpec, fr: PointFrame):
 
     A batched frame gives tensors with its batch axes first.
     """
-    shape = fr.y.shape + (fr.n, fr.n)
-    if lift.kind is not None:
-        use_c, use_cp = _CLASSICAL_TABLE[lift.kind]
-        cc = fr.raise_last(fr.C_low) if use_c else np.zeros(shape)
-        cp = fr.raise_last(fr.Cp_low) if use_cp else np.zeros(shape)
-        return cc, cp
-    fields = _rule_tensors(lift, fr)
     if _is_raw(lift):
-        fields = np.moveaxis(fields, -1, -3)
+        fields = np.moveaxis(_rule_tensors(lift, fr), -1, -3)
         return fields[..., 0, :, :, :], fields[..., 1, :, :, :]
-    return fr.raise_last(fields[..., 0, :, :, :]), fr.raise_last(fields[..., 1, :, :, :])
+    used = _CLASSICAL_TABLE[lift.kind] if lift.kind is not None else (True, True)
+    return tuple(fr.raise_last(t) if u else t for t, u in zip(lift_tensors_flat(lift, fr), used))
 
 
 def lift_tensors_flat(lift: LiftSpec, fr: PointFrame):
-    """(C_flat, Cp_flat) with layout [direction, section, metric-slot]."""
-    n = fr.n
+    """(C_flat, Cp_flat) with layout [..., direction, section, metric-slot]."""
+    shape = fr.y.shape + (fr.n, fr.n)
     if lift.kind is not None:
         use_c, use_cp = _CLASSICAL_TABLE[lift.kind]
-        ccf = fr.C_low if use_c else np.zeros((n, n, n))
-        cpf = fr.Cp_low if use_cp else np.zeros((n, n, n))
+        ccf = fr.C_low if use_c else np.zeros(shape)
+        cpf = fr.Cp_low if use_cp else np.zeros(shape)
         return ccf, cpf
-    if not _is_raw(lift):
-        ccf, cpf = np.array(_rule_fields(lift, _lift_point(fr), n), float)
-        return ccf, cpf
-    cc, cp = lift_tensors(lift, fr)
-    return np.einsum("il,ijk->jkl", fr.g, cc), np.einsum("il,ijk->jkl", fr.g, cp)
+    if _is_raw(lift):
+        return tuple(np.einsum("...il,...ijk->...jkl", fr.g, t) for t in lift_tensors(lift, fr))
+    fields = _rule_tensors(lift, fr)
+    return fields[..., 0, :, :, :], fields[..., 1, :, :, :]
 
 
 def _check_admissible(cc, cp, y):
@@ -280,18 +273,17 @@ def torsion(lift: LiftSpec, src, w: TangentVector, X, Y,
 # -- metric compatibility -----------------------------------------------------
 
 
-def _nabla_g_tensors(lift: LiftSpec, fr: PointFrame):
-    """Componentwise nabla g in the adapted frame.
+def _nabla_g_tensors(fr: PointFrame, cc, cp):
+    """Componentwise nabla g in the adapted frame, for raised lift tensors (cc, cp).
 
-    h[j,i,k] = (nabla_{delta/dx^j} g)(e_i, e_k); v[j,i,k] over d/dy^j.
+    h[..., j,i,k] = (nabla_{delta/dx^j} g)(e_i, e_k); v[..., j,i,k] over d/dy^j.
     """
-    cc, cp = lift_tensors(lift, fr)
     g = fr.g
     c2 = 2.0 * fr.C_low
     gh = fr.B + cp
-    dg_h = fr.dg_dx - np.einsum("mj,mik->jik", fr.N, c2)
-    h = dg_h - np.einsum("mk,mji->jik", g, gh) - np.einsum("im,mjk->jik", g, gh)
-    v = c2 - np.einsum("mk,mji->jik", g, cc) - np.einsum("im,mjk->jik", g, cc)
+    dg_h = fr.dg_dx - np.einsum("...mj,...mik->...jik", fr.N, c2)
+    h = dg_h - np.einsum("...mk,...mji->...jik", g, gh) - np.einsum("...im,...mjk->...jik", g, gh)
+    v = c2 - np.einsum("...mk,...mji->...jik", g, cc) - np.einsum("...im,...mjk->...jik", g, cc)
     return h, v
 
 
@@ -299,7 +291,7 @@ def nabla_g(lift: LiftSpec, ms: MetricSpec, w: TangentVector, X, s1, s2,
             _frame: PointFrame | None = None) -> float:
     """(nabla_X g)(s1, s2) for constant sections s1, s2 (tensorial)."""
     fr = _frame if _frame is not None else PointFrame(ms, w, order=4)
-    h, v = _nabla_g_tensors(lift, fr)
+    h, v = _nabla_g_tensors(fr, *lift_tensors(lift, fr))
     a, b = adapted_split(fr, X)
     s1 = np.asarray(s1, float)
     s2 = np.asarray(s2, float)
@@ -308,35 +300,39 @@ def nabla_g(lift: LiftSpec, ms: MetricSpec, w: TangentVector, X, s1, s2,
 
 
 def condition_residuals(lift: LiftSpec, fr: PointFrame, conditions=ALL_CONDITIONS):
-    """Sup-norm residual of each requested condition at one point.
+    """Sup-norm residual of each requested condition over fr's point(s).
 
     Residuals are coefficient-tensor sup norms, i.e. the exact maximum over
-    unit-box argument vectors.
+    unit-box argument vectors and over a batched frame's points. The lift
+    is evaluated once: metric conditions read its flat tensors and raise them.
     """
     y = fr.y
-    cc, cp = lift_tensors(lift, fr)
     out = {}
     need_metric = any(c.startswith("M") for c in conditions)
     if need_metric:
-        h, v = _nabla_g_tensors(lift, fr)
+        ccf, cpf = lift_tensors_flat(lift, fr)
+        cc, cp = fr.raise_last(ccf), fr.raise_last(cpf)
+        h, v = _nabla_g_tensors(fr, cc, cp)
         c2 = 2.0 * fr.C_low
         cp2 = 2.0 * fr.Cp_low
-        ccf, _ = lift_tensors_flat(lift, fr)
+    else:
+        cc, cp = lift_tensors(lift, fr)
     for cond in conditions:
         if cond == "T1":
-            asym_y = np.einsum("ijk,j->ik", cp, y) - np.einsum("ikj,j->ik", cp, y)
-            sec_y = np.einsum("ijk,k->ij", cc, y)
+            asym_y = (np.einsum("...ijk,...j->...ik", cp, y)
+                      - np.einsum("...ikj,...j->...ik", cp, y))
+            sec_y = np.einsum("...ijk,...k->...ij", cc, y)
             out[cond] = max(np.max(np.abs(asym_y)), np.max(np.abs(sec_y)))
         elif cond == "T2":
-            out[cond] = np.max(np.abs(cp - np.transpose(cp, (0, 2, 1))))
+            out[cond] = np.max(np.abs(cp - np.swapaxes(cp, -1, -2)))
         elif cond == "T3":
-            out[cond] = max(np.max(np.abs(cp - np.transpose(cp, (0, 2, 1)))),
+            out[cond] = max(np.max(np.abs(cp - np.swapaxes(cp, -1, -2))),
                             np.max(np.abs(cc)))
         elif cond == "M1":
-            out[cond] = max(np.max(np.abs(np.einsum("jik,k->ji", h, y))),
-                            np.max(np.abs(np.einsum("jik,k->ji", v, y))))
+            out[cond] = max(np.max(np.abs(np.einsum("...jik,...k->...ji", h, y))),
+                            np.max(np.abs(np.einsum("...jik,...k->...ji", v, y))))
         elif cond == "M2":
-            out[cond] = np.max(np.abs(np.einsum("jkl,l->jk", ccf, y)))
+            out[cond] = np.max(np.abs(np.einsum("...jkl,...l->...jk", ccf, y)))
         elif cond == "M3":
             out[cond] = max(np.max(np.abs(h)), np.max(np.abs(v - c2)))
         elif cond == "M4":
@@ -346,7 +342,7 @@ def condition_residuals(lift: LiftSpec, fr: PointFrame, conditions=ALL_CONDITION
         elif cond == "M6":
             out[cond] = max(np.max(np.abs(h)), np.max(np.abs(v)))
         elif cond == "M7":
-            out[cond] = np.max(np.abs(ccf - np.transpose(ccf, (0, 2, 1))))
+            out[cond] = np.max(np.abs(ccf - np.swapaxes(ccf, -1, -2)))
         else:
             raise ValueError(f"unknown condition {cond!r}")
     return out
@@ -373,21 +369,17 @@ class ConditionReport:
 def check_conditions(lift: LiftSpec, ms, conditions=ALL_CONDITIONS, samples: int = 25,
                      seed: int = 0) -> ConditionReport:
     """Max residual of each condition over random admissible points."""
-    from .metrics import random_tangent
-
     conditions = tuple(conditions)
     if any(c.startswith("M") for c in conditions) and not isinstance(ms, MetricSpec):
         raise TypeError("metric conditions require a MetricSpec")
+    if samples < 1:
+        raise ValueError(f"check_conditions needs at least one sample, got {samples}")
     rng = SplitMix64(seed)
-    worst = {c: 0.0 for c in conditions}
-    for _ in range(samples):
-        w = random_tangent(ms, rng)
-        fr = PointFrame(ms, w, order=4)
-        res = condition_residuals(lift, fr, conditions)
-        for c in conditions:
-            worst[c] = max(worst[c], res[c])
+    ws = [random_tangent(ms, rng) for _ in range(samples)]
+    fr = PointFrame(ms, TangentVector(np.array([w.x for w in ws]), np.array([w.y for w in ws])),
+                    order=4)
     return ConditionReport(lift=lift.name, metric=ms.name, samples=samples,
-                           seed=seed, residuals=worst)
+                           seed=seed, residuals=condition_residuals(lift, fr, conditions))
 
 
 # -- affine family ---------------------------------------------------------------
@@ -549,42 +541,36 @@ def random_admissible_lift(ms: MetricSpec, seed: int, enforce_t1: bool = False,
     rng = SplitMix64(seed)
 
     def draw():
-        k0 = np.array([[[rng.uniform(-amplitude, amplitude) for _ in range(n)]
-                        for _ in range(n)] for _ in range(n)])
-        k1 = np.array([[[rng.uniform(-amplitude, amplitude) for _ in range(n)]
-                        for _ in range(n)] for _ in range(n)])
+        k0 = np.array([rng.uniform(-amplitude, amplitude) for _ in range(n ** 3)]).reshape(n, n, n)
+        k1 = np.array([rng.uniform(-amplitude, amplitude) for _ in range(n ** 3)]).reshape(n, n, n)
         px = [rng.uniform(-1.0, 1.0) for _ in range(n)]
         py = [rng.uniform(-1.0, 1.0) for _ in range(n)]
         return k0, k1, px, py
 
-    par_c = draw()
-    par_p = draw()
-
-    def project(w, v):
-        """g_w-orthogonal projection of v killing the base direction."""
-        coef = smath.dot(w.gw, v) / w.f2
-        return [v[i] - coef * w.y[i] for i in range(n)]
+    def contract_first(t, cols):
+        """sum_a t[a][b][c] cols[j][a] as [b][c][j]: the first slot contracted
+        and moved last; no cols contracts with the identity."""
+        fibers = [[[t[a][b][c] for a in range(n)] for c in range(n)] for b in range(n)]
+        if cols is None:
+            return fibers
+        return [[[smath.dot(fiber, col) for col in cols] for fiber in row] for row in fibers]
 
     def make_rule(params, project_u, project_v, project_t):
         k0, k1, px, py = params
 
-        def rule(w, u, v, t):
-            uu = project(w, u) if project_u else list(u)
-            vv = project(w, v) if project_v else list(v)
-            tt = project(w, t) if project_t else list(t)
-            phase = smath.dot(px, w.x) + smath.dot(py, w.y)
-            s = smath.sin(phase)
-            acc = None
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        term = (k0[i, j, k] + k1[i, j, k] * s) * uu[i] * vv[j] * tt[k]
-                        acc = term if acc is None else acc + term
-            return acc
+        def rule(w):
+            inv = 1.0 / w.f2
+            # column j of the g_w-orthogonal projection killing the base direction
+            cols = [[float(a == j) - w.y[a] * w.gw[j] * inv for a in range(n)] for j in range(n)]
+            t = k0 + k1 * smath.sin(smath.dot(px, w.x) + smath.dot(py, w.y))
+            for project in (project_u, project_v, project_t):
+                t = contract_first(t, cols if project else None)
+            return t
 
         return rule
 
-    c_rule = make_rule(par_c, False, True, enforce_m1m2)
-    p_rule = make_rule(par_p, enforce_t1, True, enforce_m1m2)
+    # the draws for C come before those for C'
+    c_rule = make_rule(draw(), False, True, enforce_m1m2)
+    p_rule = make_rule(draw(), enforce_t1, True, enforce_m1m2)
     tags = "".join([".t1" if enforce_t1 else "", ".m1m2" if enforce_m1m2 else ""])
     return LiftSpec(name=f"random[{seed}]{tags}", c_flat=c_rule, cprime_flat=p_rule)

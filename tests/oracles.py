@@ -3,7 +3,10 @@
 import numpy as np
 import sympy as sp
 
+from finslergeo.jets import smath
+from finslergeo.lifts import LiftSpec
 from finslergeo.metrics import TangentVector, fundamental_tensor
+from finslergeo.rng import SplitMix64
 from finslergeo.variational import integrate_geodesic
 
 
@@ -168,3 +171,57 @@ def riemann_jacobi_operator(g_field, x, w, h: float = 1e-3) -> np.ndarray:
             - np.einsum("ilm,mkj->ijkl", gamma0, gamma0))
     # R(u, w)w: X = u in slot k, Y = w in slot l, Z = w in slot j
     return np.einsum("ijkl,j,l->ik", riem, w, w)
+
+
+# -- per-basis-triple random lift ----------------------------------------------
+
+
+def basis_triple_random_lift(ms, seed: int, enforce_t1: bool = False,
+                             enforce_m1m2: bool = False, amplitude: float = 0.4) -> LiftSpec:
+    """``lifts.random_admissible_lift`` in its scalar form: the same draws, a
+    multilinear rule (w, u, v, t) -> scalar that projects its arguments and
+    sums n^3 products, and whole tensors made by calling it on every chart
+    basis triple."""
+    n = ms.dim
+    rng = SplitMix64(seed)
+
+    def draw():
+        k0 = np.array([[[rng.uniform(-amplitude, amplitude) for _ in range(n)]
+                        for _ in range(n)] for _ in range(n)])
+        k1 = np.array([[[rng.uniform(-amplitude, amplitude) for _ in range(n)]
+                        for _ in range(n)] for _ in range(n)])
+        px = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        py = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        return k0, k1, px, py
+
+    par_c = draw()
+    par_p = draw()
+
+    def project(w, v):
+        """g_w-orthogonal projection of v killing the base direction."""
+        coef = smath.dot(w.gw, v) / w.f2
+        return [v[i] - coef * w.y[i] for i in range(n)]
+
+    def make_rule(params, project_u, project_v, project_t):
+        k0, k1, px, py = params
+
+        def scalar(w, u, v, t):
+            uu = project(w, u) if project_u else list(u)
+            vv = project(w, v) if project_v else list(v)
+            tt = project(w, t) if project_t else list(t)
+            s = smath.sin(smath.dot(px, w.x) + smath.dot(py, w.y))
+            acc = None
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        term = (k0[i, j, k] + k1[i, j, k] * s) * uu[i] * vv[j] * tt[k]
+                        acc = term if acc is None else acc + term
+            return acc
+
+        basis = np.eye(n)
+        return lambda w: [[[scalar(w, bj, bk, bl) for bl in basis] for bk in basis]
+                          for bj in basis]
+
+    c_rule = make_rule(par_c, False, True, enforce_m1m2)
+    p_rule = make_rule(par_p, enforce_t1, True, enforce_m1m2)
+    return LiftSpec(f"basis-triple[{seed}]", c_flat=c_rule, cprime_flat=p_rule)

@@ -60,6 +60,20 @@ def test_version_field_required(tmp_path):
         cli.run_scenario(_scenario(tmp_path, bad), stream=io.StringIO())
 
 
+@pytest.mark.parametrize("task, params", [
+    ("curvature-sweep", {"flags": 0, "expect_value": -0.25}),
+    ("jacobi-compare", {"samples": 0}),
+    ("condition-matrix", {"samples": -3}),
+    ("condition-matrix", {"samples": 2, "identities": {"samples": 0}}),
+    ("check-metric", {"tensor_identities": True, "identity_samples": 0}),
+], ids=["flags", "samples-zero", "samples-negative", "identities.samples", "identity_samples"])
+def test_counts_below_one_are_config_errors(tmp_path, capsys, task, params):
+    cfg = {"version": 1, "task": task, "metric": {"kind": "funk", "dim": 2},
+           "parameters": params}
+    assert cli.main(["run", str(_scenario(tmp_path, cfg))]) == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_expression_rejects_unsafe_constructs():
     with pytest.raises(ConfigError):
         cli.compile_expression("__import__('os').system('true')", 2)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from finslergeo import identities as ident
+from finslergeo import metrics
 from finslergeo.errors import GridError, InvalidLift, NullReference
 from finslergeo.lifts import (ALL_CONDITIONS, ClassicalKind, LiftSpec,
                               affine_coefficients, canonical_section,
@@ -21,7 +22,7 @@ from finslergeo.spray import (PointFrame, curvature_endomorphism,
 from finslergeo.variational import (Curve, FieldAlongCurve, fd_derivative,
                                     integrate_geodesic, parallel_transport)
 
-from oracles import christoffel, riemann_jacobi_operator
+from oracles import basis_triple_random_lift, christoffel, riemann_jacobi_operator
 
 THEOREM_SETS = {
     "berwald": ("T3", "M5"),
@@ -137,8 +138,8 @@ def test_nabla_apply_section_from_rule(randers_var):
 
 
 def test_invalid_lift_detected(randers_var):
-    bad = LiftSpec("bad", c_flat=lambda w, u, v, t: float(np.dot(u, v) * np.dot(v, t)),
-                   cprime_flat=lambda w, u, v, t: 0.0)
+    bad = LiftSpec("bad", c_flat=lambda w: np.einsum("jk,kl->jkl", np.eye(2), np.eye(2)),
+                   cprime_flat=lambda w: np.zeros((2, 2, 2)))
     w = TangentVector([0.1, 0.1], [1.0, 0.4])
     with pytest.raises(InvalidLift):
         nabla_apply(bad, randers_var, w, [1, 0, 0, 0], canonical_section(w))
@@ -201,8 +202,10 @@ def test_lift_tensors_of_a_batched_frame(randers_var):
     rng = SplitMix64(12)
     ws = [random_tangent(randers_var, rng) for _ in range(6)]
     X, Y = np.array([w.x for w in ws]), np.array([w.y for w in ws])
-    raw = LiftSpec("raw", c_raw=lambda w, u, v: [w.x[0] * u[0] * v[1], w.y[1] * u[1] * v[0]],
-                   cprime_raw=lambda w, u, v: [smath.sin(w.x[1]) * u[0] * v[0], 0.0])
+    raw = LiftSpec("raw", c_raw=lambda w: [[[0.0, 0.0], [w.x[0], 0.0]],
+                                          [[0.0, w.y[1]], [0.0, 0.0]]],
+                   cprime_raw=lambda w: [[[smath.sin(w.x[1]), 0.0], [0.0, 0.0]],
+                                         [[0.0, 0.0], [0.0, 0.0]]])
     lifts = ([classical_lift(k, randers_var) for k in ClassicalKind]
              + [random_admissible_lift(randers_var, 4), raw])
     batch = PointFrame(randers_var, TangentVector(X.reshape(2, 3, 2), Y.reshape(2, 3, 2)))
@@ -215,12 +218,34 @@ def test_lift_tensors_of_a_batched_frame(randers_var):
                 assert np.array_equal(part.reshape(6, 2, 2, 2)[k], ref), (lift.name, k)
 
 
+def _batch(ms, ws):
+    return PointFrame(ms, TangentVector(np.array([w.x for w in ws]), np.array([w.y for w in ws])))
+
+
+def test_batched_condition_residuals_are_the_sup_over_points(randers_var):
+    rng = SplitMix64(37)
+    ws = [random_tangent(randers_var, rng) for _ in range(6)]
+    raw = LiftSpec("raw", c_raw=lambda w: [[[0.0, w.y[0]], [0.0, 0.0]],
+                                          [[0.0, 0.0], [w.x[1], 0.0]]],
+                   cprime_raw=lambda w: [[[0.0, 0.0], [0.0, smath.cos(w.x[0])]],
+                                         [[w.y[1], 0.0], [0.0, 0.0]]])
+    lifts = ([classical_lift(k, randers_var) for k in ClassicalKind]
+             + [random_admissible_lift(randers_var, 39),
+                random_admissible_lift(randers_var, 39, enforce_m1m2=True), raw])
+    batch = _batch(randers_var, ws)
+    for lift in lifts:
+        got = condition_residuals(lift, batch)
+        singles = [condition_residuals(lift, PointFrame(randers_var, w)) for w in ws]
+        for c in ALL_CONDITIONS:
+            assert got[c] == max(res[c] for res in singles), (lift.name, c)
+
+
 def test_m_conditions_need_metric():
     from finslergeo.spray import SpraySpec
 
     spray = SpraySpec(2, lambda xs, ys: [0.0, 0.0])
-    lift = LiftSpec("zero", c_raw=lambda w, u, v: [0.0, 0.0],
-                    cprime_raw=lambda w, u, v: [0.0, 0.0])
+    lift = LiftSpec("zero", c_raw=lambda w: np.zeros((2, 2, 2)),
+                    cprime_raw=lambda w: np.zeros((2, 2, 2)))
     with pytest.raises(TypeError):
         check_conditions(lift, spray, ("M1",), samples=2, seed=1)
 
@@ -494,9 +519,9 @@ def _recorded_points(ms, w):
     """The carriers a flat rule receives at w: plain, then inside lift_curvature."""
     seen = []
 
-    def rule(p, u, v, t):
+    def rule(p):
         seen.append(p)
-        return 0.0
+        return np.zeros((ms.dim,) * 3)
 
     lift = LiftSpec("record", c_flat=rule)
     lift_tensors(lift, PointFrame(ms, w, order=4))
@@ -534,3 +559,68 @@ def test_lift_point_carrier_matches_metric_oracles(randers_var, funk):
                 e[a] = h
                 fd = (pairing(z0 + e) - pairing(z0 - e)) / (2 * h)
                 assert abs(pair.partial(tuple(int(k == a) for k in range(2 * n))) - fd) < 1e-6
+
+
+# -- whole-tensor rules ----------------------------------------------------------
+
+
+def test_one_rule_call_per_tensor_per_point(randers_var):
+    base = random_admissible_lift(randers_var, 31, enforce_t1=True)
+    calls = {"c": 0, "cprime": 0}
+
+    def counted(key, rule):
+        def wrapped(w):
+            calls[key] += 1
+            return rule(w)
+        return wrapped
+
+    lift = LiftSpec("counted", c_flat=counted("c", base.c_flat),
+                    cprime_flat=counted("cprime", base.cprime_flat))
+    rng = SplitMix64(33)
+    ws = [random_tangent(randers_var, rng) for _ in range(5)]
+    lift_tensors(lift, PointFrame(randers_var, ws[0]))
+    assert calls == {"c": 1, "cprime": 1}
+    lift_tensors(lift, _batch(randers_var, ws))
+    assert calls == {"c": 6, "cprime": 6}
+    lift_curvature(lift, randers_var, ws[0], [0.3, -0.8], vertical_noise=[0.1, 0.2])
+    assert calls == {"c": 7, "cprime": 7}
+    condition_residuals(lift, _batch(randers_var, ws))
+    assert calls == {"c": 12, "cprime": 12}
+
+
+@pytest.mark.parametrize("flags", [(False, False), (True, False), (False, True)])
+def test_random_lift_matches_basis_triple_reference(randers_var, funk, flags):
+    for ms in (randers_var, funk, metrics.funk(3)):
+        new = random_admissible_lift(ms, 17, *flags)
+        ref = basis_triple_random_lift(ms, 17, *flags)
+        rng = SplitMix64(19)
+        for _ in range(3):
+            w = random_tangent(ms, rng)
+            fr = PointFrame(ms, w, order=4)
+            for got, want in zip(lift_tensors(new, fr), lift_tensors(ref, fr)):
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            u, nu = rng.direction(ms.dim), rng.direction(ms.dim)
+            got = lift_curvature(new, ms, w, u, vertical_noise=nu)
+            want = lift_curvature(ref, ms, w, u, vertical_noise=nu)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("rule", [lambda w: np.zeros((2, 2)),
+                                  lambda w: np.zeros((2, 2, 3)),
+                                  lambda w: [[[0.0, 0.0], [0.0]], [[0.0, 0.0], [0.0, 0.0]]]],
+                         ids=["rank-2", "wide-slot", "ragged"])
+def test_rule_of_wrong_shape_is_invalid(randers_var, rule):
+    lift = LiftSpec("misshapen", c_flat=rule)
+    w = TangentVector([0.1, 0.2], [0.7, -0.3])
+    with pytest.raises(InvalidLift, match="misshapen"):
+        lift_tensors(lift, PointFrame(randers_var, w))
+    with pytest.raises(InvalidLift, match="misshapen"):
+        lift_curvature(lift, randers_var, w, [0.3, -0.8])
+
+
+def test_rule_lift_of_an_empty_batch(funk):
+    empty = np.zeros((0, 2))
+    fr = PointFrame(funk, TangentVector(empty, empty))
+    lift = random_admissible_lift(funk, 3)
+    for t in lift_tensors(lift, fr) + lift_tensors_flat(lift, fr):
+        assert t.shape == (0, 2, 2, 2)
