@@ -23,7 +23,7 @@ from . import metrics as metrics_mod
 from . import submanifolds as subm
 from .errors import ConfigError, FinslerError
 from .jets import smath
-from .lifts import (affine_coefficients, classical_lift,
+from .lifts import (_matvec, affine_coefficients, classical_lift,
                     condition_residuals, lift_curvature, lift_tensors,
                     random_admissible_lift)
 from .metrics import MetricSpec, TangentVector, check_metric, random_tangent
@@ -203,12 +203,9 @@ def task_check_metric(ms, params, seed) -> TaskResult:
                      "cartan_homogeneity": 1e-9}
         iden_tols.update({k: float(v) for k, v in params.get("identity_tolerances", {}).items()})
         rng = SplitMix64(seed + 1)
-        worst = {k: 0.0 for k in iden_tols}
         n_id = int(params.get("identity_samples", 25))
-        for _ in range(n_id):
-            w = random_tangent(ms, rng)
-            for k, v in ident.tensor_identity_residuals(ms, w).items():
-                worst[k] = max(worst[k], v)
+        worst = ident.tensor_identity_residuals(
+            ms, TangentVector.stack([random_tangent(ms, rng) for _ in range(n_id)]))
         for k, tol in iden_tols.items():
             res.check(f"identity {k}", worst[k], tol)
             res.csv_rows.append((k, worst[k]))
@@ -224,9 +221,8 @@ def task_condition_matrix(ms, params, seed) -> TaskResult:
                                   ("T1", "T2", "T3", "M1", "M2", "M3", "M4", "M5", "M6", "M7")))
     lifts = {name: classical_lift(name, ms) for name in lift_names}
     rng = SplitMix64(seed)
-    points = [random_tangent(ms, rng) for _ in range(samples)]
-    fr = PointFrame(ms, TangentVector(np.array([w.x for w in points]),
-                                      np.array([w.y for w in points])), order=4)
+    fr = PointFrame(ms, TangentVector.stack([random_tangent(ms, rng) for _ in range(samples)]),
+                    order=4)
     worst = {name: condition_residuals(lift, fr, conditions) for name, lift in lifts.items()}
 
     res.metadata = [("task", "condition-matrix"), ("metric", ms.name),
@@ -261,47 +257,33 @@ def _run_identity_battery(ms, identities, seed, res: TaskResult):
     n_pts = int(identities.get("samples", 10))
     tol_exact = float(identities.get("tolerance", 1e-7))
     tol_fd = float(identities.get("fd_tolerance", 1e-6))
-    points = [random_tangent(ms, rng) for _ in range(n_pts)]
+    w = TangentVector.stack([random_tangent(ms, rng) for _ in range(n_pts)])
     lifts = {name: classical_lift(name, ms) for name in CLASSICAL}
 
-    worst = 0.0
-    for name, lift in lifts.items():
-        for w in points:
-            worst = max(worst, ident.nabla_s_g_residual(lift, ms, w))
+    # one call per identity and lift over all points; the calls draw from
+    # rng in turn, point by point
+    worst = max(ident.nabla_s_g_residual(lift, ms, w) for lift in lifts.values())
     res.check("nabla_S g = 0 (all classical lifts)", worst, tol_exact)
     res.csv_rows.append(("identity", "nabla_S_g", worst))
 
-    worst = 0.0
-    for name, lift in lifts.items():
-        for w in points:
-            worst = max(worst, ident.symmetry_residual(lift, ms, w.x, rng))
+    worst = max(ident.symmetry_residual(lift, ms, w.x, rng) for lift in lifts.values())
     res.check("covariant symmetry (T2 lifts)", worst, tol_fd)
     res.csv_rows.append(("identity", "symmetry_D", worst))
 
-    worst = 0.0
-    for name in ("berwald", "cartan"):
-        for w in points:
-            worst = max(worst, ident.metric_compat_residual(lifts[name], ms, w.x, rng))
+    worst = max(ident.metric_compat_residual(lifts[name], ms, w.x, rng)
+                for name in ("berwald", "cartan"))
     res.check("metric compatibility (M1+M2)", worst, tol_fd)
     res.csv_rows.append(("identity", "metric_compat", worst))
 
-    worst = 0.0
-    for w in points:
-        worst = max(worst, ident.metric_compat_geodesic_residual(ms, w.x, rng))
+    worst = ident.metric_compat_geodesic_residual(ms, w.x, rng)
     res.check("metric compatibility along geodesic fields", worst, tol_fd)
     res.csv_rows.append(("identity", "metric_compat_geodesic", worst))
 
-    worst = 0.0
-    for name in CLASSICAL:
-        for w in points:
-            worst = max(worst, ident.family_metric_identity_residual(name, ms, w.x, rng))
+    worst = max(ident.family_metric_identity_residual(name, ms, w.x, rng) for name in CLASSICAL)
     res.check("family metric identities", worst, tol_fd)
     res.csv_rows.append(("identity", "family_metric", worst))
 
-    worst = 0.0
-    for name, lift in lifts.items():
-        for w in points:
-            worst = max(worst, ident.spray_derivative_residual(lift, ms, w, rng))
+    worst = max(ident.spray_derivative_residual(lift, ms, w, rng) for lift in lifts.values())
     res.check("spray-direction derivative identity (T1 lifts)", worst, tol_exact)
     res.csv_rows.append(("identity", "spray_derivative", worst))
 
@@ -639,29 +621,31 @@ def task_lift_independence(ms, params, seed) -> TaskResult:
         lifts = [classical_lift("berwald", ms), classical_lift("cartan", ms)]
         lifts += [random_admissible_lift(ms, seed + 100 + i, enforce_t1=True)
                   for i in range(n_random)]
-        worst_curv, worst_cov = 0.0, 0.0
+        # the draws, sample by sample, then one call per lift over all samples
+        ws, us, fields = [], [], []
         for _ in range(samples):
-            w = random_tangent(ms, rng)
-            u = rng.direction(ms.dim)
-            if "curvature" in checks:
-                base = curvature_endomorphism(ms, w).R @ u
-                for lf in lifts:
-                    worst_curv = max(worst_curv, float(np.max(np.abs(
-                        lift_curvature(lf, ms, w, u) - base))))
+            ws.append(random_tangent(ms, rng))
+            us.append(rng.direction(ms.dim))
             if "covariant" in checks:
-                W = ident.AffineField.random(w.x, rng, min_norm=0.6)
-                U = ident.AffineField.random(w.x, rng)
-                fr = PointFrame(ms, TangentVector(w.x, W(w.x)), order=4)
-                vals = []
-                for lf in lifts:
-                    A = affine_coefficients(lf, ms, fr.w, _frame=fr).A
-                    vals.append(U.A @ W(w.x) + np.einsum("ijk,j,k->i", A, W(w.x), U(w.x)))
-                spread = float(np.max(np.abs(np.max(vals, axis=0) - np.min(vals, axis=0))))
-                worst_cov = max(worst_cov, spread)
+                fields.append([ident.AffineField.random(ws[-1].x, rng, min_norm=0.6),
+                               ident.AffineField.random(ws[-1].x, rng)])
+        w, u = TangentVector.stack(ws), np.array(us)
         if "curvature" in checks:
+            base = _matvec(curvature_endomorphism(ms, w).R, u)
+            fr5 = PointFrame(ms, w, order=5)
+            worst_curv = max(float(np.max(np.abs(lift_curvature(lf, ms, w, u, _frame=fr5) - base)))
+                             for lf in lifts)
             res.check("curvature endomorphism across lifts", worst_curv, tol)
             res.csv_rows.append(("curvature", worst_curv))
         if "covariant" in checks:
+            W, U = (ident.AffineField.stack(col) for col in zip(*fields))
+            wx = W(w.x)
+            fr = PointFrame(ms, TangentVector(w.x, wx), order=4)
+            vals = [_matvec(U.A, wx) + np.einsum("...ijk,...j,...k->...i",
+                                                 affine_coefficients(lf, ms, fr.w, _frame=fr).A,
+                                                 wx, U(w.x))
+                    for lf in lifts]
+            worst_cov = float(np.max(np.abs(np.max(vals, axis=0) - np.min(vals, axis=0))))
             res.check("covariant derivative D^W_W across lifts", worst_cov, tol)
             res.csv_rows.append(("covariant", worst_cov))
 
@@ -669,16 +653,14 @@ def task_lift_independence(ms, params, seed) -> TaskResult:
         tol_co = float(params.get("coincidence_tolerance", 1e-12))
         floor = float(params.get("family_difference_floor", 1e-3))
         lifts = {k: classical_lift(k, ms) for k in CLASSICAL}
-        worst_bh, worst_cc, best_diff = 0.0, 0.0, 0.0
-        for _ in range(samples):
-            w = random_tangent(ms, rng)
-            fr = PointFrame(ms, w, order=4)
-            A = {k: affine_coefficients(lf, ms, w, _frame=fr).A for k, lf in lifts.items()}
-            worst_bh = max(worst_bh, float(np.max(np.abs(A["berwald"] - A["hashiguchi"]))))
-            worst_cc = max(worst_cc, float(np.max(np.abs(A["cartan"] - A["chern-rund"]))))
-            best_diff = max(best_diff, float(np.max(np.abs(A["cartan"] - A["berwald"]))))
-            claimed = np.einsum("ijk,j,k->i", A["cartan"], w.y, w.y)
-            worst_bh = max(worst_bh, float(np.max(np.abs(claimed - 2.0 * fr.G))))
+        fr = PointFrame(ms, TangentVector.stack([random_tangent(ms, rng) for _ in range(samples)]),
+                        order=4)
+        A = {k: affine_coefficients(lf, ms, fr.w, _frame=fr).A for k, lf in lifts.items()}
+        claimed = np.einsum("...ijk,...j,...k->...i", A["cartan"], fr.y, fr.y)
+        worst_bh = float(max(np.max(np.abs(A["berwald"] - A["hashiguchi"])),
+                             np.max(np.abs(claimed - 2.0 * fr.G))))
+        worst_cc = float(np.max(np.abs(A["cartan"] - A["chern-rund"])))
+        best_diff = float(np.max(np.abs(A["cartan"] - A["berwald"])))
         res.check("Berwald and Hashiguchi families coincide", worst_bh, tol_co)
         res.check("Cartan and Chern-Rund families coincide", worst_cc, tol_co)
         res.check("the two families differ somewhere", best_diff, floor, invert=True)

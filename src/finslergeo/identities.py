@@ -2,9 +2,13 @@
 
 Each residual function returns a nonnegative residual that vanishes (to
 numerical precision) exactly when the corresponding assertion holds. They
-are shared by the CLI verification tasks and the test suite. The metric
-compatibility residuals differentiate along a curve by a 4th-order central
-difference; ``levi_civita`` is the exact classical oracle behind the
+are shared by the CLI verification tasks and the test suite. A residual
+takes points with leading batch axes, (..., n), builds one frame for all
+of them and returns the sup over them; random fields are drawn point by
+point, so a batch consumes a shared RNG as a loop over its points does,
+and an empty batch raises ``ValueError``. The metric compatibility
+residuals differentiate along a curve by a 4th-order central difference,
+one evaluation of ``g_bilinear`` per stencil offset for all points; ``levi_civita`` is the exact classical oracle behind the
 Riemannian-reduction check, read from jets of the coefficient field g(x)
 alone, with no F^2 and no spray.
 """
@@ -14,9 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from .jets import lift_any
-from .lifts import (LiftSpec, SectionJet, affine_coefficients, classical_lift,
-                    cprime_tensor, nabla_apply, nabla_g)
-from .metrics import MetricSpec, TangentVector, _f2_y_jet, g_bilinear
+from .lifts import (LiftSpec, SectionJet, _matvec, _nabla_g_tensors, adapted_split,
+                    affine_coefficients, classical_lift, cprime_tensor, lift_tensors,
+                    nabla_apply)
+from .metrics import MetricSpec, TangentVector, _f2_y_jet, g_bilinear, require_points
 from .rng import SplitMix64
 from .spray import PointFrame
 from .variational import _transport, integrate_geodesic
@@ -60,7 +65,11 @@ def levi_civita(ms: MetricSpec, x, y):
 
 
 class AffineField:
-    """An affine vector field U(x) = u0 + A (x - x0) for identity tests."""
+    """An affine vector field U(x) = u0 + A (x - x0) for identity tests.
+
+    ``x0``, ``u0`` and ``A`` may carry leading batch axes, (..., n) and
+    (..., n, n): one field per point of a batch.
+    """
 
     def __init__(self, x0, u0, A):
         self.x0 = np.asarray(x0, float)
@@ -68,7 +77,7 @@ class AffineField:
         self.A = np.asarray(A, float)
 
     def __call__(self, x):
-        return self.u0 + self.A @ (np.asarray(x, float) - self.x0)
+        return self.u0 + _matvec(self.A, np.asarray(x, float) - self.x0)
 
     @staticmethod
     def random(x0, rng: SplitMix64, min_norm: float = 0.4) -> "AffineField":
@@ -77,35 +86,67 @@ class AffineField:
         A = np.array([[rng.uniform(-0.5, 0.5) for _ in range(n)] for _ in range(n)])
         return AffineField(x0, u0, A)
 
+    @staticmethod
+    def stack(fields) -> "AffineField":
+        """One field batched over a sequence of single fields."""
+        return AffineField(*(np.array([getattr(f, k) for f in fields]) for k in ("x0", "u0", "A")))
 
-def _affine_cov(lift: LiftSpec, ms, x0, w0, U: AffineField, V: AffineField) -> np.ndarray:
-    """D^W_U V at x0 for affine fields, with the direction value w0 = W(x0)."""
-    A = affine_coefficients(lift, ms, TangentVector(x0, w0)).A
-    return V.A @ U(x0) + np.einsum("ijk,j,k->i", A, U(x0), V(x0))
+
+def _points(x, what: str) -> np.ndarray:
+    """Points (..., n) as rows (m, n); an empty batch is refused."""
+    x = np.asarray(x, float)
+    require_points(x, what)
+    return x.reshape(-1, x.shape[-1])
+
+
+def _tangents(w: TangentVector, what: str) -> TangentVector:
+    return TangentVector(_points(w.x, what), w.y.reshape(-1, w.n))
+
+
+def _drawn(pts, draw):
+    """``draw(x)`` at each row of ``pts`` in order, so that a shared RNG is
+    consumed as by a loop over the points; each of its results, an
+    ``AffineField`` or an array, comes back stacked over the points."""
+    rows = [draw(x) for x in pts]
+    return [AffineField.stack(col) if isinstance(col[0], AffineField) else np.array(col)
+            for col in zip(*rows)]
+
+
+def _pair(a, g, b):
+    """a @ g @ b at every point, (..., n), (..., n, n), (..., n)."""
+    return ((a[..., None, :] @ g) @ b[..., :, None])[..., 0, 0]
+
+
+def _sup(res) -> float:
+    return float(np.max(np.abs(res)))
+
+
+def _affine_cov(A, U: AffineField, V: AffineField) -> np.ndarray:
+    """D^W_U V at the fields' base points for affine fields, where A holds the
+    affine coefficients at the direction W there."""
+    u, v = U(U.x0), V(V.x0)
+    return _matvec(V.A, u) + np.einsum("...ijk,...j,...k->...i", A, u, v)
 
 
 def nabla_s_g_residual(lift: LiftSpec, ms: MetricSpec, w: TangentVector) -> float:
     """| (nabla_S g) | at w, exact zero for every lift of the canonical connection."""
-    fr = PointFrame(ms, w, order=4)
-    s_raw = np.concatenate([fr.y, -fr.N @ fr.y])
-    worst = 0.0
-    eye = np.eye(ms.dim)
-    for i in range(ms.dim):
-        for k in range(ms.dim):
-            worst = max(worst, abs(nabla_g(lift, ms, w, s_raw, eye[i], eye[k], _frame=fr)))
-    return worst
+    fr = PointFrame(ms, _tangents(w, "nabla_s_g_residual"), order=4)
+    s_raw = np.concatenate([fr.y, -_matvec(fr.N, fr.y)], axis=-1)
+    h, v = _nabla_g_tensors(fr, *lift_tensors(lift, fr))
+    a, b = adapted_split(fr, s_raw)
+    # (nabla_S g)(e_i, e_k) for every i, k
+    return _sup(np.einsum("...j,...jik->...ik", a, h) + np.einsum("...j,...jik->...ik", b, v))
 
 
 def symmetry_residual(lift: LiftSpec, ms: MetricSpec, x0, rng: SplitMix64) -> float:
     """Torsion symmetry of the affine family: D^W_U V - D^W_V U - [U, V]."""
-    n = ms.dim
-    W = AffineField.random(x0, rng)
-    U = AffineField.random(x0, rng)
-    V = AffineField.random(x0, rng)
-    w0 = W(x0)
-    bracket = V.A @ U(x0) - U.A @ V(x0)
-    lhs = _affine_cov(lift, ms, x0, w0, U, V) - _affine_cov(lift, ms, x0, w0, V, U)
-    return float(np.max(np.abs(lhs - bracket)))
+    pts = _points(x0, "symmetry_residual")
+    W, U, V = _drawn(pts, lambda x: [AffineField.random(x, rng) for _ in range(3)])
+    fr = PointFrame(ms, TangentVector(pts, W(pts)), order=4)
+    A = affine_coefficients(lift, ms, fr.w, _frame=fr).A
+    bracket = _matvec(V.A, U(pts)) - _matvec(U.A, V(pts))
+    lhs = _affine_cov(A, U, V) - _affine_cov(A, V, U)
+    return _sup(lhs - bracket)
 
 
 def metric_compat_residual(lift: LiftSpec, ms: MetricSpec, x0, rng: SplitMix64,
@@ -114,24 +155,24 @@ def metric_compat_residual(lift: LiftSpec, ms: MetricSpec, x0, rng: SplitMix64,
 
     The left side is a finite-difference directional derivative.
     """
-    W = AffineField.random(x0, rng, min_norm=0.6)
-    U = AffineField.random(x0, rng)
-    V = AffineField.random(x0, rng)
-    u0 = U(x0)
+    pts = _points(x0, "metric_compat_residual")
+    W, U, V = _drawn(pts, lambda x: [AffineField.random(x, rng, min_norm=0.6),
+                                     AffineField.random(x, rng), AffineField.random(x, rng)])
+    u0 = U(pts)
 
     def phi(t):
-        x = np.asarray(x0, float) + t * u0
+        x = pts + t * u0
         wx = W(x)
-        return g_bilinear(ms, list(x), list(wx), wx, V(x))
+        return g_bilinear(ms, x, wx, wx, V(x))
 
     lhs = _d1(phi, h)
-    w0 = W(x0)
-    duw = W.A @ u0 + np.einsum("ijk,j,k->i",
-                               affine_coefficients(lift, ms, TangentVector(x0, w0)).A, u0, w0)
-    duv = _affine_cov(lift, ms, x0, w0, U, V)
-    fr = PointFrame(ms, TangentVector(x0, w0), order=2)
-    rhs = duw @ fr.g @ V(x0) + w0 @ fr.g @ duv
-    return float(abs(lhs - rhs))
+    w0 = W(pts)
+    fr = PointFrame(ms, TangentVector(pts, w0), order=4)
+    A = affine_coefficients(lift, ms, fr.w, _frame=fr).A
+    duw = _matvec(W.A, u0) + np.einsum("...ijk,...j,...k->...i", A, u0, w0)
+    duv = _affine_cov(A, U, V)
+    rhs = _pair(duw, fr.g, V(pts)) + _pair(w0, fr.g, duv)
+    return _sup(lhs - rhs)
 
 
 def metric_compat_geodesic_residual(ms: MetricSpec, x0, rng: SplitMix64,
@@ -141,23 +182,25 @@ def metric_compat_geodesic_residual(ms: MetricSpec, x0, rng: SplitMix64,
     if lift is None:
         lift = classical_lift("berwald", ms)
     n = ms.dim
-    w0 = rng.direction(n, 0.6)
-    fr = PointFrame(ms, TangentVector(x0, w0), order=4)
-    a_w = np.outer(-2.0 * fr.G, w0) / float(w0 @ w0)
-    W = AffineField(x0, w0, a_w)
-    T = AffineField.random(x0, rng)
-    V = AffineField.random(x0, rng)
+    pts = _points(x0, "metric_compat_geodesic_residual")
+    w0, T, V = _drawn(pts, lambda x: [rng.direction(n, 0.6), AffineField.random(x, rng),
+                                      AffineField.random(x, rng)])
+    fr = PointFrame(ms, TangentVector(pts, w0), order=4)
+    ww = np.array([float(w @ w) for w in w0])
+    a_w = (-2.0 * fr.G)[:, :, None] * w0[:, None, :] / ww[:, None, None]
+    W = AffineField(pts, w0, a_w)
 
     def phi(t):
-        x = np.asarray(x0, float) + t * w0
+        x = pts + t * w0
         wx = W(x)
-        return g_bilinear(ms, list(x), list(wx), T(x), V(x))
+        return g_bilinear(ms, x, wx, T(x), V(x))
 
     lhs = _d1(phi, h)
-    dwt = _affine_cov(lift, ms, x0, w0, W, T)
-    dwv = _affine_cov(lift, ms, x0, w0, W, V)
-    rhs = dwt @ fr.g @ V(x0) + T(x0) @ fr.g @ dwv
-    return float(abs(lhs - rhs))
+    A = affine_coefficients(lift, ms, fr.w, _frame=fr).A
+    dwt = _affine_cov(A, W, T)
+    dwv = _affine_cov(A, W, V)
+    rhs = _pair(dwt, fr.g, V(pts)) + _pair(T(pts), fr.g, dwv)
+    return _sup(lhs - rhs)
 
 
 def family_metric_identity_residual(kind: str, ms: MetricSpec, x0, rng: SplitMix64, h: float = 1e-5) -> float:
@@ -167,42 +210,42 @@ def family_metric_identity_residual(kind: str, ms: MetricSpec, x0, rng: SplitMix
     Berwald/Hashiguchi family: ... = 2 C_W(D^W_U W, T, V) + 2 C'_W(U, T, V).
     """
     lift = classical_lift(kind, ms)
-    W = AffineField.random(x0, rng, min_norm=0.6)
-    U = AffineField.random(x0, rng)
-    T = AffineField.random(x0, rng)
-    V = AffineField.random(x0, rng)
-    u0, t0, v0 = U(x0), T(x0), V(x0)
-    w0 = W(x0)
-    fr = PointFrame(ms, TangentVector(x0, w0), order=4)
+    pts = _points(x0, "family_metric_identity_residual")
+    W, U, T, V = _drawn(pts, lambda x: [AffineField.random(x, rng, min_norm=0.6)]
+                        + [AffineField.random(x, rng) for _ in range(3)])
+    u0, t0, v0 = U(pts), T(pts), V(pts)
+    w0 = W(pts)
+    fr = PointFrame(ms, TangentVector(pts, w0), order=4)
 
     def phi(s):
-        x = np.asarray(x0, float) + s * u0
+        x = pts + s * u0
         wx = W(x)
-        return g_bilinear(ms, list(x), list(wx), t0, v0)
+        return g_bilinear(ms, x, wx, t0, v0)
 
     dg = _d1(phi, h)
-    dut = _affine_cov(lift, ms, x0, w0, U, AffineField(x0, t0, np.zeros((ms.dim, ms.dim))))
-    duv = _affine_cov(lift, ms, x0, w0, U, AffineField(x0, v0, np.zeros((ms.dim, ms.dim))))
-    lhs = dg - dut @ fr.g @ v0 - t0 @ fr.g @ duv
-    duw = W.A @ u0 + np.einsum("ijk,j,k->i",
-                               affine_coefficients(lift, ms, TangentVector(x0, w0)).A, u0, w0)
-    rhs = 2.0 * np.einsum("ijk,i,j,k->", fr.C_low, duw, t0, v0)
+    A = affine_coefficients(lift, ms, fr.w, _frame=fr).A
+    # D^W_U of the constant fields T(x0) and V(x0)
+    dut = np.einsum("...ijk,...j,...k->...i", A, u0, t0)
+    duv = np.einsum("...ijk,...j,...k->...i", A, u0, v0)
+    lhs = dg - _pair(dut, fr.g, v0) - _pair(t0, fr.g, duv)
+    duw = _matvec(W.A, u0) + np.einsum("...ijk,...j,...k->...i", A, u0, w0)
+    rhs = 2.0 * np.einsum("...ijk,...i,...j,...k->...", fr.C_low, duw, t0, v0)
     if kind in ("berwald", "hashiguchi"):
-        rhs += 2.0 * np.einsum("ijk,i,j,k->", fr.Cp_low, u0, t0, v0)
-    return float(abs(lhs - rhs))
+        rhs += 2.0 * np.einsum("...ijk,...i,...j,...k->...", fr.Cp_low, u0, t0, v0)
+    return _sup(lhs - rhs)
 
 
 def spray_derivative_residual(lift: LiftSpec, ms: MetricSpec, w: TangentVector,
-                     rng: SplitMix64) -> float:
+                              rng: SplitMix64) -> float:
     """For T1 lifts: nabla_S J(Y) = V[S, J(Y)] for projectable Y."""
-    n = ms.dim
-    U = AffineField.random(w.x, rng)
+    w = _tangents(w, "spray_derivative_residual")
+    U = AffineField.stack([AffineField.random(x, rng) for x in w.x])
     fr = PointFrame(ms, w, order=4)
-    s_raw = np.concatenate([fr.y, -fr.N @ fr.y])
-    section = SectionJet(U(w.x), U.A.copy(), np.zeros((n, n)))
+    s_raw = np.concatenate([fr.y, -_matvec(fr.N, fr.y)], axis=-1)
+    section = SectionJet(U(w.x), U.A.copy(), np.zeros(U.A.shape))
     lhs = nabla_apply(lift, ms, w, s_raw, section, _frame=fr)
-    rhs = U.A @ fr.y + fr.N @ U(w.x)
-    return float(np.max(np.abs(lhs - rhs)))
+    rhs = _matvec(U.A, fr.y) + _matvec(fr.N, U(w.x))
+    return _sup(lhs - rhs)
 
 
 def cprime_transport_residual(ms: MetricSpec, w: TangentVector, tau: float = 1e-3,
@@ -232,30 +275,31 @@ def cprime_transport_residual(ms: MetricSpec, w: TangentVector, tau: float = 1e-
 
 
 def tensor_identity_residuals(ms: MetricSpec, w: TangentVector) -> dict:
-    """Pointwise tensor identities: contractions, symmetry, Euler, homogeneity."""
-    fr = PointFrame(ms, w, order=4)
+    """Pointwise tensor identities: contractions, symmetry, Euler, homogeneity.
+
+    One frame serves w and both rescaled directions.
+    """
+    w = _tangents(w, "tensor_identity_residuals")
+    lams = (0.5, 3.0)
+    frames = PointFrame(ms, TangentVector(np.stack([w.x] * 3), np.stack(
+        [w.y] + [lam * w.y for lam in lams])), order=4)
+    fr = frames[0]
     y = fr.y
     C = fr.C_low
     Cp = fr.Cp_low
     out = {}
-    out["cartan_contract"] = float(np.max(np.abs(np.einsum("ijk,k->ij", C, y))))
-    out["cprime_contract"] = float(np.max(np.abs(np.einsum("ijk,k->ij", Cp, y))))
-    sym = 0.0
-    for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        sym = max(sym, float(np.max(np.abs(C - np.transpose(C, perm)))))
-        sym = max(sym, float(np.max(np.abs(Cp - np.transpose(Cp, perm)))))
-    out["full_symmetry"] = sym
-    f2 = ms.f2(list(w.x), list(w.y))
-    out["gww_identity"] = float(abs(y @ fr.g @ y - f2))
+    out["cartan_contract"] = _sup(np.einsum("...ijk,...k->...ij", C, y))
+    out["cprime_contract"] = _sup(np.einsum("...ijk,...k->...ij", Cp, y))
+    out["full_symmetry"] = max(_sup(t - np.transpose(t, (0,) + tuple(1 + p for p in perm)))
+                               for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+                               for t in (C, Cp))
+    f2 = np.array([ms.f2(list(x), list(v)) for x, v in zip(w.x, w.y)])
+    out["gww_identity"] = _sup(_pair(y, fr.g, y) - f2)
     # Euler: g_w(w, .) equals half the fiber gradient of F^2
-    grad = _f2_y_jet(ms, w.x, w.y, 1).derivative(1)
-    out["euler_gradient"] = float(np.max(np.abs(fr.g @ y - 0.5 * grad)))
+    grad = np.array([_f2_y_jet(ms, x, v, 1).derivative(1) for x, v in zip(w.x, w.y)])
+    out["euler_gradient"] = _sup(_matvec(fr.g, y) - 0.5 * grad)
     # homogeneity of g (degree 0) and C (degree -1)
-    res_g, res_c = 0.0, 0.0
-    for lam in (0.5, 3.0):
-        fr2 = PointFrame(ms, TangentVector(w.x, lam * y), order=4)
-        res_g = max(res_g, float(np.max(np.abs(fr2.g - fr.g))))
-        res_c = max(res_c, float(np.max(np.abs(fr2.C_low - C / lam))))
-    out["g_homogeneity"] = res_g
-    out["cartan_homogeneity"] = res_c
+    out["g_homogeneity"] = max(_sup(frames[k].g - fr.g) for k in (1, 2))
+    out["cartan_homogeneity"] = max(_sup(frames[k].C_low - C / lam)
+                                    for k, lam in zip((1, 2), lams))
     return out

@@ -158,48 +158,56 @@ def _any(flags) -> bool:
 
 
 def _map(fn, c0):
-    """A float function at every value part (a scalar or a leading-shaped array)."""
+    """A scalar float function at a float, or at every entry of a float array."""
     return np.vectorize(fn, otypes=[float])(c0) if isinstance(c0, np.ndarray) else fn(c0)
 
 
 def _shift(c: np.ndarray, other) -> np.ndarray:
-    """A copy of coefficients ``c`` with ``other`` added to each value part."""
+    """A copy of coefficients ``c`` with ``other`` added to each value part;
+    an array ``other`` broadcasts against the leading axes like numpy, from the back."""
     c = c.copy()
-    # c.T[0] is the value-part view for any number of leading axes
-    c.T[0] += other.T if isinstance(other, np.ndarray) else other
+    if c.ndim == 1:
+        c[0] += other   # a scalar jet: item access is several times cheaper
+    else:
+        c[..., 0] += other
     return c
 
 
 class smath:
-    """Scalar math generic over float and Jet, for writing rules once."""
+    """Scalar math generic over float and Jet, for writing rules once.
+
+    A float argument may also be a float array, taken entry by entry with
+    the scalar ``math`` function, so that a rule evaluated at a batch of
+    float points gives each point its single-point value bit for bit.
+    """
 
     @staticmethod
     def sqrt(u):
         if isinstance(u, Jet):
             return u.sqrt()
-        if u <= 0.0:
-            raise DomainError(f"sqrt of non-positive value {u}")
-        return math.sqrt(u)
+        if _any(u <= 0.0):
+            raise DomainError(f"sqrt of non-positive value {np.min(u)}")
+        return _map(math.sqrt, u)
 
     @staticmethod
     def exp(u):
-        return u.exp() if isinstance(u, Jet) else math.exp(u)
+        return u.exp() if isinstance(u, Jet) else _map(math.exp, u)
 
     @staticmethod
     def log(u):
         if isinstance(u, Jet):
             return u.log()
-        if u <= 0.0:
-            raise DomainError(f"log of non-positive value {u}")
-        return math.log(u)
+        if _any(u <= 0.0):
+            raise DomainError(f"log of non-positive value {np.min(u)}")
+        return _map(math.log, u)
 
     @staticmethod
     def sin(u):
-        return u.sin() if isinstance(u, Jet) else math.sin(u)
+        return u.sin() if isinstance(u, Jet) else _map(math.sin, u)
 
     @staticmethod
     def cos(u):
-        return u.cos() if isinstance(u, Jet) else math.cos(u)
+        return u.cos() if isinstance(u, Jet) else _map(math.cos, u)
 
     @staticmethod
     def dot(u, v):
@@ -245,10 +253,6 @@ class Jet:
             raise TypeError("a scalar jet has no leading axes to index")
         key = key if isinstance(key, tuple) else (key,)
         return Jet(self.space, self.c[key + (slice(None),)])
-
-    def transpose(self, *axes) -> "Jet":
-        """Permute the leading axes."""
-        return Jet(self.space, self.c.transpose(*axes, len(axes)))
 
     def _ring(self, other) -> bool:
         """True for a jet of this space, False for a scalar.
@@ -345,7 +349,7 @@ class Jet:
         acc = self.space.constant(_binom_half(k))
         for j in reversed(range(k)):
             acc = acc * u + _binom_half(j)
-        return acc * _map(smath.sqrt, c0)
+        return acc * smath.sqrt(c0)
 
     def exp(self):
         k = self.space.order
@@ -354,7 +358,7 @@ class Jet:
         acc = self.space.constant(1.0 / math.factorial(k))
         for j in reversed(range(k)):
             acc = acc * x + 1.0 / math.factorial(j)
-        return acc * _map(smath.exp, c0)
+        return acc * smath.exp(c0)
 
     def log(self):
         c0 = self.value
@@ -367,16 +371,16 @@ class Jet:
         acc = self.space.constant((-1.0) ** (k + 1) / k if k >= 1 else 0.0)
         for j in reversed(range(1, k)):
             acc = acc * u + (-1.0) ** (j + 1) / j
-        return acc * u + _map(smath.log, c0)
+        return acc * u + smath.log(c0)
 
     def sin(self):
         c0 = self.value
-        return _sin_cos(self - c0, _map(smath.sin, c0), _map(smath.cos, c0),
+        return _sin_cos(self - c0, smath.sin(c0), smath.cos(c0),
                         self.space.order, True)
 
     def cos(self):
         c0 = self.value
-        return _sin_cos(self - c0, _map(smath.sin, c0), _map(smath.cos, c0),
+        return _sin_cos(self - c0, smath.sin(c0), smath.cos(c0),
                         self.space.order, False)
 
     # -- derivative access ---------------------------------------------------
@@ -472,19 +476,30 @@ def lift_any(f, center, order: int) -> Jet:
     space = space_for(np.shape(center)[-1], order)
     batch = np.shape(center)[:-1]
 
-    def coeffs(item):
+    leaves = []
+
+    def nesting(item):
+        """Collect the coefficients of item's leaves in order; return the
+        shape of its nesting, so that the leaves are stacked once."""
         if isinstance(item, Jet):
             if item.space is not space:
                 raise ValueError("rule returned a jet from an unexpected space")
-            return item.c
+            leaves.append(item.c)
+            return ()
         if isinstance(item, (list, tuple, np.ndarray)):
-            return np.stack(np.broadcast_arrays(*[coeffs(v) for v in item]))
+            shapes = {nesting(v) for v in item}
+            if len(shapes) != 1:
+                raise ValueError("rule returned a ragged or empty sequence")
+            return (len(item),) + shapes.pop()
         # a constant carries the batch axes too
-        return np.broadcast_to(space.constant(float(item)).c, batch + (space.size,))
+        leaves.append(np.broadcast_to(space.constant(float(item)).c, batch + (space.size,)))
+        return ()
 
     out = f([Jet(space, row) for row in space.coordinates(center).c])
-    c = coeffs(out)
-    out = out if isinstance(out, Jet) else Jet(space, np.ascontiguousarray(c))
+    shape = nesting(out)
+    if not isinstance(out, Jet):
+        c = np.stack(np.broadcast_arrays(*leaves))
+        out = Jet(space, c.reshape(shape + c.shape[1:]))
     out.center = list(center)
     return out
 

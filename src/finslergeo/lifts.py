@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GridError, InvalidLift, NullReference
 from .jets import Jet, contract, lift_any, smath, solve_linear, space_for
-from .metrics import MetricSpec, TangentVector, random_tangent
+from .metrics import MetricSpec, TangentVector, _batch_note, random_tangent, require_points
 from .rng import SplitMix64
 from .spray import PointFrame
 
@@ -55,7 +55,9 @@ class LiftPoint:
     so that g_w(w, v) = smath.dot(gw, v) by Euler's identity. ``f2`` and
     ``gw`` are None for a bare spray. At a plain point these are floats and
     float arrays; inside ``lift_curvature`` ``x`` and ``y`` are lists of
-    order-1 jets in (x, y), ``f2`` is one and ``gw`` is an (n,) jet.
+    order-1 jets in (x, y), ``f2`` is one and ``gw`` is a jet with the
+    component axis first. These jets carry the batch of ``lift_curvature``'s
+    points as leading axes (none for a single point).
     """
 
     x: object
@@ -77,9 +79,12 @@ class LiftSpec:
 
     A rule receives ``w`` as a ``LiftPoint``: ``w.x``, ``w.y``, ``w.f2`` and
     ``w.gw``, as floats at a plain point (once per point of a batch) or as
-    order-1 jets when ``lift_curvature`` differentiates the lift's fields.
-    Rules must be written with arithmetic and ``smath`` so that one rule
-    serves both.
+    order-1 jets when ``lift_curvature`` differentiates the lift's fields
+    (once for its whole batch, which the jets carry). Rules must be written
+    with arithmetic and ``smath`` so that one rule serves both, and must
+    combine numpy constants with the carrier entry by entry (``k[a, b, c] *
+    s``, not ``k * s``): an array times a jet that carries a batch does not
+    broadcast.
     """
 
     def __init__(self, name, c_flat=None, cprime_flat=None, c_raw=None,
@@ -109,11 +114,12 @@ class CPrimeTensor:
 
 @dataclass(frozen=True)
 class SectionJet:
-    """A vertical section s^i(x, y) with its first-order jets at a point."""
+    """A vertical section s^i(x, y) with its first-order jets at a point,
+    or at each point of a batch (leading axes)."""
 
-    value: np.ndarray  # (n,)
-    dx: np.ndarray     # (n,n): dx[i,j] = ds^i/dx^j
-    dy: np.ndarray     # (n,n)
+    value: np.ndarray  # (..., n)
+    dx: np.ndarray     # (..., n, n): dx[i,j] = ds^i/dx^j
+    dy: np.ndarray     # (..., n, n)
 
 
 def section_from_rule(rule, w: TangentVector) -> SectionJet:
@@ -221,22 +227,38 @@ def lift_tensors_flat(lift: LiftSpec, fr: PointFrame):
     return fields[..., 0, :, :, :], fields[..., 1, :, :, :]
 
 
+def _matvec(m, v):
+    """m @ v over leading batch axes, (..., n, n) and (..., n); each point is
+    bitwise equal to its own single-point ``m @ v``."""
+    return (m @ v[..., None])[..., 0]
+
+
 def _check_admissible(cc, cp, y):
-    scale = (1.0 + max(np.max(np.abs(cc)), np.max(np.abs(cp)))) * max(1.0, float(np.linalg.norm(y)))
-    bad_c = np.max(np.abs(np.einsum("ijk,k->ij", cc, y)))
-    bad_p = np.max(np.abs(np.einsum("ijk,k->ij", cp, y)))
-    if max(bad_c, bad_p) > ADMISSIBILITY_TOL * scale:
+    """Refuse lift tensors that do not vanish on the base direction y, at
+    every point of a batch; the message names the first bad point."""
+    def sup(t):
+        """Max |t| over the tensor axes, per point."""
+        return np.max(np.abs(t), axis=tuple(range(y.ndim - 1 - t.ndim, 0)))
+
+    scale = (1.0 + np.maximum(sup(cc), sup(cp))) * np.maximum(1.0, np.linalg.norm(y, axis=-1))
+    bad_c = sup(np.einsum("...ijk,...k->...ij", cc, y))
+    bad_p = sup(np.einsum("...ijk,...k->...ij", cp, y))
+    bad = np.maximum(bad_c, bad_p) > ADMISSIBILITY_TOL * scale
+    if np.any(bad):
+        k = int(np.argmax(bad))
         raise InvalidLift(
-            f"lift tensors do not vanish on the base direction: |C(.,w)|={bad_c:.2e}, "
-            f"|C'(.,w)|={bad_p:.2e}")
+            f"lift tensors do not vanish on the base direction: |C(.,w)|="
+            f"{np.ravel(bad_c)[k]:.2e}, |C'(.,w)|={np.ravel(bad_p)[k]:.2e}"
+            + _batch_note(np.shape(bad), k))
 
 
 def adapted_split(fr: PointFrame, X):
-    """Raw (dx, dy) components -> adapted (horizontal a, vertical-fiber b)."""
+    """Raw (dx, dy) components -> adapted (horizontal a, vertical-fiber b),
+    over fr's batch axes."""
     X = np.asarray(X, float)
     n = fr.n
-    a = X[:n]
-    return a, X[n:] + fr.N @ a
+    a = X[..., :n]
+    return a, X[..., n:] + _matvec(fr.N, a)
 
 
 # -- connection application and torsion ------------------------------------------
@@ -244,16 +266,18 @@ def adapted_split(fr: PointFrame, X):
 
 def nabla_apply(lift: LiftSpec, src, w: TangentVector, X, section: SectionJet,
                 _frame: PointFrame | None = None) -> np.ndarray:
-    """Fiber components of nabla_X J(Y) for the given section jet at w."""
+    """Fiber components of nabla_X J(Y) for the given section jet at w.
+
+    ``w``, ``X`` and the section may carry leading batch axes."""
     fr = _frame if _frame is not None else PointFrame(src, w, order=4)
     cc, cp = lift_tensors(lift, fr)
     _check_admissible(cc, cp, fr.y)
     a, b = adapted_split(fr, X)
     gh = fr.B + cp
     s = section.value
-    ds_adapted = section.dx - np.einsum("im,mj->ij", section.dy, fr.N)
-    out = ds_adapted @ a + np.einsum("ijk,j,k->i", gh, a, s)
-    out += section.dy @ b + np.einsum("ijk,j,k->i", cc, b, s)
+    ds_adapted = section.dx - np.einsum("...im,...mj->...ij", section.dy, fr.N)
+    out = _matvec(ds_adapted, a) + np.einsum("...ijk,...j,...k->...i", gh, a, s)
+    out += _matvec(section.dy, b) + np.einsum("...ijk,...j,...k->...i", cc, b, s)
     return out
 
 
@@ -305,8 +329,10 @@ def condition_residuals(lift: LiftSpec, fr: PointFrame, conditions=ALL_CONDITION
     Residuals are coefficient-tensor sup norms, i.e. the exact maximum over
     unit-box argument vectors and over a batched frame's points. The lift
     is evaluated once: metric conditions read its flat tensors and raise them.
+    An empty batch raises ``ValueError``.
     """
     y = fr.y
+    require_points(y, "condition_residuals")
     out = {}
     need_metric = any(c.startswith("M") for c in conditions)
     if need_metric:
@@ -375,8 +401,7 @@ def check_conditions(lift: LiftSpec, ms, conditions=ALL_CONDITIONS, samples: int
     if samples < 1:
         raise ValueError(f"check_conditions needs at least one sample, got {samples}")
     rng = SplitMix64(seed)
-    ws = [random_tangent(ms, rng) for _ in range(samples)]
-    fr = PointFrame(ms, TangentVector(np.array([w.x for w in ws]), np.array([w.y for w in ws])),
+    fr = PointFrame(ms, TangentVector.stack([random_tangent(ms, rng) for _ in range(samples)]),
                     order=4)
     return ConditionReport(lift=lift.name, metric=ms.name, samples=samples,
                            seed=seed, residuals=condition_residuals(lift, fr, conditions))
@@ -425,36 +450,53 @@ def covariant_derivative_curve(lift: LiftSpec, src, curve, W, V,
 # -- honest curvature of a lift ---------------------------------------------------
 
 
+def _move(a: np.ndarray, source: int, destination: int) -> np.ndarray:
+    """``np.moveaxis`` for one axis as one transpose, which costs a fraction
+    of it on the small arrays of a single point."""
+    axes = list(range(a.ndim))
+    axes.insert(destination % a.ndim, axes.pop(source))
+    return a.transpose(axes)
+
+
+def _fiber_jets(fr5: PointFrame) -> Jet:
+    """Order-1 jets of the fiber coordinates y at fr5's point(s), (..., n)."""
+    n = fr5.n
+    sp = space_for(2 * n, 1)
+    coords = sp.coordinates(np.concatenate([fr5.x, fr5.y], axis=-1)).c[n:]
+    return Jet(sp, _move(coords, 0, -2))
+
+
 def _classical_flat_jets(kind: ClassicalKind, fr5: PointFrame):
-    """Order-1 jet of the flat (C, C') fields of a classical lift, stacked (2, n, n, n).
+    """Order-1 jet of the flat (C, C') fields of a classical lift, stacked (..., 2, n, n, n).
 
     C' is minus the flow derivative of C with parallel arguments, the sign
     convention of ``PointFrame.Cp_low``; an absent tensor is zero.
     """
     use_c, use_cp = _CLASSICAL_TABLE[kind]
     n = fr5.n
-    cpoly = 0.5 * fr5.gpoly.grad()[:, :, n:]        # flat Cartan tensor at order q-3
+    cpoly = 0.5 * fr5.gpoly.grad()[..., n:]        # flat Cartan tensor at order q-3
     c1 = cpoly.truncate(1)
     cp1 = 0.0 * c1
     if use_cp:
-        y1 = space_for(2 * n, 1).coordinates(np.concatenate([fr5.x, fr5.y]))[n:]
-        n1 = fr5.Gpoly.grad()[:, n:].truncate(1)   # N[m, j] = dG^m/dy^j
+        y1 = _fiber_jets(fr5)
+        n1 = fr5.Gpoly.grad()[..., n:].truncate(1)   # N[m, j] = dG^m/dy^j
         dc = cpoly.grad()
-        cp1 = -(contract("ijkl,l->ijk", dc[..., :n], y1)
-                - 2.0 * contract("ijkl,l->ijk", dc[..., n:], fr5.Gpoly.truncate(1))
-                - contract("mi,mjk->ijk", n1, c1)
-                - contract("mj,imk->ijk", n1, c1)
-                - contract("mk,ijm->ijk", n1, c1))
-    return Jet(c1.space, np.stack([c1.c if use_c else 0.0 * c1.c, cp1.c]))
+        cp1 = -(contract("...ijkl,...l->...ijk", dc[..., :n], y1)
+                - 2.0 * contract("...ijkl,...l->...ijk", dc[..., n:], fr5.Gpoly.truncate(1))
+                - contract("...mi,...mjk->...ijk", n1, c1)
+                - contract("...mj,...imk->...ijk", n1, c1)
+                - contract("...mk,...ijm->...ijk", n1, c1))
+    return Jet(c1.space, np.stack([c1.c if use_c else 0.0 * c1.c, cp1.c], axis=-5))
 
 
 def _lift_field_jets(lift: LiftSpec, fr5: PointFrame):
-    """Order-1 jet of the raised lift fields at fr5's point, (2, n, n, n) with
-    layout [(Cc, Cp), output, direction, section].
+    """Order-1 jet of the raised lift fields at fr5's point(s), (..., 2, n, n, n)
+    with layout [..., (Cc, Cp), output, direction, section].
 
     Classical lifts are assembled in the truncated ring from the order-5
-    metric jet; rule lifts evaluate their rules at the order-1 jet carrier.
-    Flat tensors of either kind are raised through one order-1 g^-1 solve.
+    metric jet; rule lifts evaluate their rules once at the order-1 jet
+    carrier, which holds the whole batch. Flat tensors of either kind are
+    raised through one order-1 g^-1 solve.
     """
     n = fr5.n
     if not _is_raw(lift) and fr5.metric is None:
@@ -464,16 +506,22 @@ def _lift_field_jets(lift: LiftSpec, fr5: PointFrame):
     else:
         f1 = gw1 = None
         if fr5.f is not None:
-            f1, gw1 = fr5.f.truncate(1), 0.5 * fr5.f.grad()[n:].truncate(1)
-        flat = lift_any(lambda v: _rule_fields(lift, LiftPoint(v[:n], v[n:], f1, gw1), n),
-                        np.concatenate([fr5.x, fr5.y]), 1)
+            gw = 0.5 * fr5.f.grad()[..., n:].truncate(1)
+            f1, gw1 = fr5.f.truncate(1), Jet(gw.space, _move(gw.c, -2, 0))
+        rules = lift_any(lambda v: _rule_fields(lift, LiftPoint(v[:n], v[n:], f1, gw1), n),
+                         np.concatenate([fr5.x, fr5.y], axis=-1), 1)
+        # lift_any puts the batch axes after the rules' (2, n, n, n)
+        flat = Jet(rules.space, rules.c.transpose(*range(4, rules.c.ndim - 1), 0, 1, 2, 3, -1))
         if _is_raw(lift):
-            return flat.transpose(0, 3, 1, 2)
-    raised = solve_linear(fr5.gpoly.truncate(1), flat.transpose(3, 0, 1, 2), fr5.ginv)
-    return raised.transpose(1, 0, 2, 3)
+            return Jet(flat.space, _move(flat.c, -2, -4))
+    # the metric slot goes first after the batch axes for the solve, then back
+    slot_first = Jet(flat.space, _move(flat.c, -2, -5))
+    raised = solve_linear(fr5.gpoly.truncate(1), slot_first, fr5.ginv)
+    return Jet(raised.space, _move(raised.c, -5, -4))
 
 
-def lift_curvature(lift: LiftSpec, src, w: TangentVector, u, vertical_noise=None) -> np.ndarray:
+def lift_curvature(lift: LiftSpec, src, w: TangentVector, u, vertical_noise=None,
+                   _frame: PointFrame | None = None) -> np.ndarray:
     """i_w^{-1} R(S, X)C computed from the lift's coefficient fields.
 
     X is the horizontal lift of u, optionally plus vertical noise (fiber
@@ -482,46 +530,55 @@ def lift_curvature(lift: LiftSpec, src, w: TangentVector, u, vertical_noise=None
     coefficient-field jets and differentiated, with no analytic cancellation
     of the lift-dependent terms; lift independence is then a numerical fact
     to be observed, not an input.
+
+    ``w``, ``u`` and ``vertical_noise`` may carry leading batch axes,
+    (..., n): one order-5 frame and one evaluation of the lift's fields
+    serve every point, the result is (..., n), and each point is bitwise
+    equal to its own single-point call. ``_frame``, if given, is that
+    order-5 frame at w, shared by the calls for several lifts.
     """
-    fr5 = PointFrame(src, w, order=5)
+    fr5 = _frame if _frame is not None else PointFrame(src, w, order=5)
+    if fr5.order != 5:
+        raise ValueError(f"lift_curvature needs an order-5 frame, got order {fr5.order}")
     n = fr5.n
     y = fr5.y
     u = np.asarray(u, float)
     fields = _lift_field_jets(lift, fr5)
-    cc1, cp1 = fields[0], fields[1]
-    y1 = space_for(2 * n, 1).coordinates(np.concatenate([fr5.x, fr5.y]))[n:]
+    cc1, cp1 = fields[..., 0, :, :, :], fields[..., 1, :, :, :]
+    y1 = _fiber_jets(fr5)
     dspray = fr5.Gpoly.grad()
-    gh1 = dspray.grad()[:, n:, n:] + cp1    # Gamma_h^i_{jm} = B + Cp as a field
+    gh1 = dspray.grad()[..., n:, n:] + cp1    # Gamma_h^i_{jm} = B + Cp as a field
     N, B = fr5.N, fr5.B
-    dNdx = fr5._dG(2)[:, :n, n:].transpose(1, 0, 2)    # [l, i, j]
+    dNdx = np.swapaxes(fr5._dG(2)[..., :n, n:], -3, -2)    # [l, i, j]
 
     def split(field):
-        """Value, delta/dx and d/dy of an order-1 field, derivative index first."""
-        d1 = np.moveaxis(field.derivative(1), -1, 0)
-        return field.value, d1[:n] - np.einsum("aj,a...->j...", N, d1[n:]), d1[n:]
+        """Value, delta/dx and d/dy of an order-1 (..., n, n) field, derivative index first."""
+        d1 = _move(field.derivative(1), -1, -3)
+        dy = d1[..., n:, :, :]
+        return field.value, d1[..., :n, :, :] - np.einsum("...aj,...aik->...jik", N, dy), dy
 
     gh, cc = gh1.value, cc1.value
     # section fields P[i,k] = (nabla_{delta/dx^k} C)^i and V[i,m] = (nabla_{d/dy^m} C)^i
-    P, dP_h, dPdy = split(contract("ikr,r->ik", gh1, y1) - dspray[:, n:].truncate(1))
-    V, dV_h, _ = split(contract("imr,r->im", cc1, y1) + np.eye(n))
+    P, dP_h, dPdy = split(contract("...ikr,...r->...ik", gh1, y1) - dspray[..., n:].truncate(1))
+    V, dV_h, _ = split(contract("...imr,...r->...im", cc1, y1) + np.eye(n))
 
     # frame bracket curvature of the nonlinear connection
-    rho = (np.einsum("kmj->mjk", dNdx) - np.einsum("jmk->mjk", dNdx)
-           + np.einsum("aj,mka->mjk", N, B) - np.einsum("ak,mja->mjk", N, B))
+    rho = (np.einsum("...kmj->...mjk", dNdx) - np.einsum("...jmk->...mjk", dNdx)
+           + np.einsum("...aj,...mka->...mjk", N, B) - np.einsum("...ak,...mja->...mjk", N, B))
 
     # R(delta_j, delta_k)C, contracted later with y^j u^k
-    r_hh = (np.einsum("mjk,im->ijk", rho, V)
-            - np.einsum("jik->ijk", dP_h) - np.einsum("ijm,mk->ijk", gh, P)
-            + np.einsum("kij->ijk", dP_h) + np.einsum("ikm,mj->ijk", gh, P))
+    r_hh = (np.einsum("...mjk,...im->...ijk", rho, V)
+            - np.einsum("...jik->...ijk", dP_h) - np.einsum("...ijm,...mk->...ijk", gh, P)
+            + np.einsum("...kij->...ijk", dP_h) + np.einsum("...ikm,...mj->...ijk", gh, P))
 
-    out = np.einsum("ijk,j,k->i", r_hh, y, u)
+    out = np.einsum("...ijk,...j,...k->...i", r_hh, y, u)
     if vertical_noise is not None:
         nu = np.asarray(vertical_noise, float)
         # R(delta_j, d/dy^m)C
-        r_hv = (np.einsum("bjm,ib->ijm", B, V)
-                - np.einsum("jim->ijm", dV_h) - np.einsum("ijr,rm->ijm", gh, V)
-                + np.einsum("mij->ijm", dPdy) + np.einsum("imr,rj->ijm", cc, P))
-        out = out + np.einsum("ijm,j,m->i", r_hv, y, nu)
+        r_hv = (np.einsum("...bjm,...ib->...ijm", B, V)
+                - np.einsum("...jim->...ijm", dV_h) - np.einsum("...ijr,...rm->...ijm", gh, V)
+                + np.einsum("...mij->...ijm", dPdy) + np.einsum("...imr,...rj->...ijm", cc, P))
+        out = out + np.einsum("...ijm,...j,...m->...i", r_hv, y, nu)
     return out
 
 
@@ -562,7 +619,10 @@ def random_admissible_lift(ms: MetricSpec, seed: int, enforce_t1: bool = False,
             inv = 1.0 / w.f2
             # column j of the g_w-orthogonal projection killing the base direction
             cols = [[float(a == j) - w.y[a] * w.gw[j] * inv for a in range(n)] for j in range(n)]
-            t = k0 + k1 * smath.sin(smath.dot(px, w.x) + smath.dot(py, w.y))
+            s = smath.sin(smath.dot(px, w.x) + smath.dot(py, w.y))
+            # entry by entry: an array times a jet carrying a batch does not broadcast
+            t = [[[k0[a, b, c] + k1[a, b, c] * s for c in range(n)] for b in range(n)]
+                 for a in range(n)]
             for project in (project_u, project_v, project_t):
                 t = contract_first(t, cols if project else None)
             return t

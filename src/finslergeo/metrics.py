@@ -36,6 +36,11 @@ class TangentVector:
         """The chart dimension; ``x`` and ``y`` may carry leading batch axes, (..., n)."""
         return self.x.shape[-1]
 
+    @staticmethod
+    def stack(ws) -> "TangentVector":
+        """One tangent vector batched over a sequence of single ones, (len(ws), n)."""
+        return TangentVector(np.array([w.x for w in ws]), np.array([w.y for w in ws]))
+
 
 @dataclass(frozen=True)
 class FundamentalTensor:
@@ -83,6 +88,13 @@ def _batch_note(shape, k: int) -> str:
     if not shape:
         return ""
     return f" at batch index {tuple(int(i) for i in np.unravel_index(k, shape))}"
+
+
+def require_points(x, what: str) -> None:
+    """Refuse an empty batch of points (..., n) where a sup over the points is asked for."""
+    if np.size(x) == 0:
+        raise ValueError(f"{what} needs at least one point, got an empty batch of shape "
+                         f"{np.shape(x)}: a sup over no points is undefined")
 
 
 def _check_domain(x, domain_margin, name) -> None:
@@ -274,13 +286,20 @@ def cartan_tensor(ms: MetricSpec, w: TangentVector) -> CartanTensor:
 
 
 def g_bilinear(ms: MetricSpec, xs, ys, t_vec, v_vec):
-    """g_w(t_vec, v_vec) at a float point (xs, ys).
+    """g_w(t_vec, v_vec) at a float point (xs, ys), or at every point of a batch.
 
     Half the mixed second derivative of (s, t) -> F^2(x, y + s T + t V).
+    All four arguments may carry leading batch axes, (..., n): one
+    evaluation of the F^2 rule then serves every point (its x arguments
+    are float arrays over the batch), and each point is bitwise equal to
+    its own single-point call.
     """
-    s, t = space_for(2, 2).coordinates([0.0, 0.0])
-    shifted = [ys[i] + s * float(t_vec[i]) + t * float(v_vec[i]) for i in range(len(ys))]
-    out = ms.f2(xs, shifted)
+    # component axis first: a single point gives float components
+    xs, ys, t_vec, v_vec = (np.moveaxis(np.asarray(a, float), -1, 0)
+                            for a in (xs, ys, t_vec, v_vec))
+    s, t = space_for(2, 2).coordinates(np.zeros(ys.shape[1:] + (2,)))
+    shifted = [yi + s * ti + t * vi for yi, ti, vi in zip(ys, t_vec, v_vec)]
+    out = ms.f2(list(xs), shifted)
     return out.partial((1, 1)) * 0.5
 
 

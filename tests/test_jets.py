@@ -177,11 +177,17 @@ def test_tensor_jet_ops_match_scalar_components(nvars, order, seed):
     a = Jet(sp, rs.uniform(-2, 2, (2, 3, sp.size)))
     b = Jet(sp, rs.uniform(-2, 2, (2, 3, sp.size)))
     s = Jet(sp, rs.uniform(-2, 2, sp.size))
-    ops = {"add": a + b, "sub": a - b, "mul": a * b, "bcast": s * a, "shift": a - 2.5}
+    # arrays of lower rank broadcast against the leading axes from the back, like numpy
+    row, col = rs.uniform(-2, 2, 3), rs.uniform(-2, 2, (2, 1))
+    ops = {"add": a + b, "sub": a - b, "mul": a * b, "bcast": s * a, "shift": a - 2.5,
+           "add_row": a + row, "sub_row": a - row, "radd_row": row + a, "rsub_row": row - a,
+           "add_col": a + col, "rsub_col": col - a}
     for i, j in itertools.product(range(2), range(3)):
         ai, bi = Jet(sp, a.c[i, j]), Jet(sp, b.c[i, j])
         want = {"add": ai + bi, "sub": ai - bi, "mul": ai * bi, "bcast": s * ai,
-                "shift": ai - 2.5}
+                "shift": ai - 2.5, "add_row": ai + row[j], "sub_row": ai - row[j],
+                "radd_row": row[j] + ai, "rsub_row": row[j] - ai, "add_col": ai + col[i, 0],
+                "rsub_col": col[i, 0] - ai}
         for name, got in ops.items():
             assert np.array_equal(got[i, j].c, want[name].c), name
         for k in range(order + 1):
@@ -237,3 +243,15 @@ def test_lift_any_batched_centers_bitwise():
     for a, b in itertools.product(range(2), range(2)):
         assert np.array_equal(coords[:, a, b].c, space_for(3, 4).coordinates(centers[a, b]).c)
         assert np.array_equal(jet[:, a, b].c, lift_any(rule, list(centers[a, b]), 4).c)
+
+
+def test_smath_on_float_arrays_is_entrywise():
+    a = np.random.default_rng(3).uniform(0.1, 3.0, (2, 3))
+    for fn in (smath.sqrt, smath.exp, smath.log, smath.sin, smath.cos):
+        got = fn(a)
+        assert got.shape == a.shape
+        assert all(got[idx] == fn(float(a[idx])) for idx in np.ndindex(a.shape))
+    with pytest.raises(DomainError):
+        smath.sqrt(np.array([1.0, -1.0]))
+    with pytest.raises(DomainError):
+        smath.log(np.array([0.0, 1.0]))

@@ -17,10 +17,11 @@ from finslergeo.jets import Jet, smath
 from finslergeo.metrics import (TangentVector, cartan_tensor, fundamental_tensor,
                                 metric_value, random_tangent, riemannian)
 from finslergeo.rng import SplitMix64
-from finslergeo.spray import (PointFrame, curvature_endomorphism,
+from finslergeo.spray import (PointFrame, SpraySpec, curvature_endomorphism,
                               spray_coefficients, spray_values)
-from finslergeo.variational import (Curve, FieldAlongCurve, fd_derivative,
-                                    integrate_geodesic, parallel_transport)
+from finslergeo.variational import (Curve, FieldAlongCurve, VariationFamily, fd_derivative,
+                                    integrate_geodesic, parallel_transport,
+                                    variation_symmetry_residual)
 
 from oracles import basis_triple_random_lift, christoffel, riemann_jacobi_operator
 
@@ -219,7 +220,7 @@ def test_lift_tensors_of_a_batched_frame(randers_var):
 
 
 def _batch(ms, ws):
-    return PointFrame(ms, TangentVector(np.array([w.x for w in ws]), np.array([w.y for w in ws])))
+    return PointFrame(ms, TangentVector.stack(ws))
 
 
 def test_batched_condition_residuals_are_the_sup_over_points(randers_var):
@@ -290,6 +291,77 @@ def test_lift_curvature_vertical_noise(randers_var):
     shifted = lift_curvature(loose, randers_var, w, u, vertical_noise=noise)
     unshifted = lift_curvature(loose, randers_var, w, u)
     assert np.max(np.abs(shifted - unshifted)) > 1e-4
+
+
+def _raw_lift_on_a_spray():
+    """A bare spray (no metric) and a lift given by raw rules."""
+    spray = SpraySpec(2, lambda xs, ys: [0.1 * xs[0] * ys[0] * ys[1] + 0.2 * ys[1] * ys[1],
+                                         0.3 * smath.sin(xs[1]) * ys[0] * ys[0]])
+    raw = LiftSpec("raw", c_raw=lambda w: [[[0.0, 0.0], [w.x[0] * w.y[1], 0.0]],
+                                          [[0.0, w.y[1]], [0.0, 0.0]]],
+                   cprime_raw=lambda w: [[[smath.sin(w.x[1]), 0.0], [0.0, 0.0]],
+                                         [[0.0, 0.0], [0.0, w.y[0] * w.y[0]]]])
+    return spray, raw
+
+
+@pytest.mark.parametrize("name", ["randers_var", "funk", "funk3", "euclid2", "spray"])
+def test_batched_lift_curvature_is_bitwise_per_point(name, request):
+    if name == "spray":
+        ms, raw = _raw_lift_on_a_spray()
+        lifts = [raw]
+    else:
+        ms = metrics.funk(3) if name == "funk3" else request.getfixturevalue(name)
+        lifts = [classical_lift(k, ms) for k in ClassicalKind]
+        lifts += [random_admissible_lift(ms, 23), random_admissible_lift(ms, 24, enforce_t1=True)]
+    n = ms.dim
+    rng = SplitMix64(29)
+    ws = [TangentVector(rng.vector(n, -0.5, 0.5), rng.direction(n)) for _ in range(6)]
+    u = np.array([rng.direction(n) for _ in ws])
+    nu = np.array([rng.direction(n) for _ in ws])
+    w = TangentVector.stack(ws)
+    w = TangentVector(w.x.reshape(2, 3, n), w.y.reshape(2, 3, n))
+    for lift in lifts:
+        for noise in (None, nu):
+            batch_noise = None if noise is None else noise.reshape(2, 3, n)
+            got = lift_curvature(lift, ms, w, u.reshape(2, 3, n), vertical_noise=batch_noise)
+            assert got.shape == (2, 3, n)
+            for k, wk in enumerate(ws):
+                ref = lift_curvature(lift, ms, wk, u[k],
+                                     vertical_noise=None if noise is None else noise[k])
+                assert np.array_equal(got.reshape(6, n)[k], ref), (lift.name, k, noise is None)
+
+
+def test_lift_curvature_shares_an_order_5_frame(randers_var):
+    rng = SplitMix64(31)
+    ws = [random_tangent(randers_var, rng) for _ in range(3)]
+    w, u = TangentVector.stack(ws), np.array([rng.direction(2) for _ in ws])
+    lift = random_admissible_lift(randers_var, 5, enforce_t1=True)
+    fr5 = PointFrame(randers_var, w, order=5)
+    assert np.array_equal(lift_curvature(lift, randers_var, w, u, _frame=fr5),
+                          lift_curvature(lift, randers_var, w, u))
+    with pytest.raises(ValueError, match="order-5"):
+        lift_curvature(lift, randers_var, w, u, _frame=PointFrame(randers_var, w, order=4))
+
+
+def test_empty_batches(funk):
+    empty = np.zeros((0, 2))
+    w = TangentVector(empty, empty)
+    for lift in (classical_lift("cartan", funk), random_admissible_lift(funk, 3)):
+        assert lift_curvature(lift, funk, w, empty).shape == (0, 2)
+        assert lift_curvature(lift, funk, w, empty, vertical_noise=empty).shape == (0, 2)
+    # a sup over no points is refused
+    berwald = classical_lift("berwald", funk)
+    calls = [lambda: condition_residuals(berwald, PointFrame(funk, w)),
+             lambda: ident.nabla_s_g_residual(berwald, funk, w),
+             lambda: ident.symmetry_residual(berwald, funk, empty, SplitMix64(1)),
+             lambda: ident.metric_compat_residual(berwald, funk, empty, SplitMix64(1)),
+             lambda: ident.metric_compat_geodesic_residual(funk, empty, SplitMix64(1)),
+             lambda: ident.family_metric_identity_residual("cartan", funk, empty, SplitMix64(1)),
+             lambda: ident.spray_derivative_residual(berwald, funk, w, SplitMix64(1)),
+             lambda: ident.tensor_identity_residuals(funk, w)]
+    for call in calls:
+        with pytest.raises(ValueError, match="empty batch"):
+            call()
 
 
 # -- affine family ---------------------------------------------------------------
@@ -501,6 +573,64 @@ def test_spray_direction_derivative_identity(randers_var):
                                           randers_var, w, rng) < 1e-7
 
 
+def _identity_residuals(ms):
+    """Each identity residual as a function of a point or batch and an rng."""
+    cartan, loose = classical_lift("cartan", ms), random_admissible_lift(ms, 71)
+    return {
+        "nabla_s_g": lambda w, rng: ident.nabla_s_g_residual(cartan, ms, w),
+        "symmetry": lambda w, rng: ident.symmetry_residual(loose, ms, w.x, rng),
+        "metric_compat": lambda w, rng: ident.metric_compat_residual(cartan, ms, w.x, rng),
+        "geodesic": lambda w, rng: ident.metric_compat_geodesic_residual(ms, w.x, rng),
+        "family": lambda w, rng: ident.family_metric_identity_residual("hashiguchi", ms,
+                                                                       w.x, rng),
+        "spray_derivative": lambda w, rng: ident.spray_derivative_residual(cartan, ms, w, rng),
+    }
+
+
+@pytest.mark.parametrize("name", ["randers_var", "funk"])
+def test_batched_identity_residuals_are_the_sup_over_points(name, request):
+    ms = request.getfixturevalue(name)
+    rng = SplitMix64(43)
+    ws = [random_tangent(ms, rng) for _ in range(4)]
+    w = TangentVector.stack(ws)
+    w = TangentVector(w.x.reshape(2, 2, 2), w.y.reshape(2, 2, 2))
+    for key, fn in _identity_residuals(ms).items():
+        # the batch draws its fields point by point from one stream, as a loop does
+        got = fn(w, SplitMix64(5))
+        shared = SplitMix64(5)
+        assert got == max(fn(p, shared) for p in ws), key
+    got = ident.tensor_identity_residuals(ms, w)
+    singles = [ident.tensor_identity_residuals(ms, p) for p in ws]
+    for key, value in got.items():
+        assert value == max(res[key] for res in singles), key
+
+
+def test_identity_residuals_build_one_frame_per_call(randers_var, monkeypatch):
+    built = []
+    init = PointFrame.__init__
+
+    def counted(self, src, w, order=4):
+        built.append(order)
+        init(self, src, w, order)
+
+    monkeypatch.setattr(PointFrame, "__init__", counted)
+    rng = SplitMix64(47)
+    w = TangentVector.stack([random_tangent(randers_var, rng) for _ in range(3)])
+    calls = {key: (lambda fn=fn: fn(w, SplitMix64(1)))
+             for key, fn in _identity_residuals(randers_var).items()}
+    calls["tensor"] = lambda: ident.tensor_identity_residuals(randers_var, w)
+    calls["variation_symmetry"] = lambda: variation_symmetry_residual(
+        randers_var, VariationFamily(rule=lambda s, t: np.stack([0.3 * t + 0.05 * s, 0.2 * t], -1)),
+        nodes=41)
+    calls["lift_curvature"] = lambda: lift_curvature(
+        random_admissible_lift(randers_var, 3), randers_var, w, w.y)
+    for key, call in calls.items():
+        built.clear()
+        call()
+        assert len(built) == 1, key
+    assert built == [5]
+
+
 def test_random_lift_projections(randers_var):
     w = TangentVector([0.4, -0.25], [0.6, 0.7])
     fr = PointFrame(randers_var, w, order=4)
@@ -586,6 +716,10 @@ def test_one_rule_call_per_tensor_per_point(randers_var):
     assert calls == {"c": 7, "cprime": 7}
     condition_residuals(lift, _batch(randers_var, ws))
     assert calls == {"c": 12, "cprime": 12}
+    # the jet carrier of a batched lift_curvature holds all 5 points
+    u = np.tile([0.3, -0.8], (5, 1))
+    lift_curvature(lift, randers_var, TangentVector.stack(ws), u, vertical_noise=0.5 * u)
+    assert calls == {"c": 13, "cprime": 13}
 
 
 @pytest.mark.parametrize("flags", [(False, False), (True, False), (False, True)])
