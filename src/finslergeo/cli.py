@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import operator
 import sys
 import time
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -23,21 +25,15 @@ from . import metrics as metrics_mod
 from . import submanifolds as subm
 from .errors import ConfigError, FinslerError
 from .jets import smath
-from .lifts import (_matvec, affine_coefficients, classical_lift,
-                    condition_residuals, lift_curvature, lift_tensors,
+from .lifts import (affine_coefficients, classical_lift, condition_residuals, lift_curvature,
                     random_admissible_lift)
 from .metrics import MetricSpec, TangentVector, check_metric, random_tangent
 from .rng import SplitMix64
-from .spray import PointFrame, curvature_endomorphism, flag_curvature
-from .variational import (Curve, FieldAlongCurve, VariationFamily,
-                          integrate_geodesic, jacobi_integrate,
-                          jacobi_variation_oracle, metric_value_on,
+from .spray import PointFrame, _matvec, curvature_endomorphism, flag_curvature
+from .variational import (FieldAlongCurve, VariationFamily, integrate_geodesic,
+                          jacobi_integrate, jacobi_variation_oracle, metric_value_on,
                           parallel_transport, second_variation_formula,
-                          variation_energy_derivatives,
-                          variation_symmetry_residual)
-
-TASK_NAMES = ("check-metric", "condition-matrix", "curvature-sweep", "geodesic",
-              "jacobi-compare", "second-variation", "sff-compare", "lift-independence")
+                          variation_energy_derivatives, variation_symmetry_residual)
 
 CLASSICAL = ("berwald", "cartan", "chern-rund", "hashiguchi")
 
@@ -100,21 +96,20 @@ def metric_from_config(cfg) -> MetricSpec:
         return metrics_mod.funk(dim)
     if kind == "randers":
         beta_cfg = cfg.get("beta")
-        if beta_cfg is None:
-            raise ConfigError("randers metric needs a 'beta' field")
+        if not isinstance(beta_cfg, (list, tuple)) or len(beta_cfg) != dim:
+            raise ConfigError(f"randers metric needs a 'beta' list of {dim} entries, "
+                              f"got {beta_cfg!r}")
         if all(isinstance(b, (int, float)) for b in beta_cfg):
             beta = [float(b) for b in beta_cfg]
         else:
             comps = [compile_expression(str(b), dim, allow_y=False) for b in beta_cfg]
             beta = lambda xs: [c(xs) for c in comps]
-        name = cfg.get("name", "randers")
-        return metrics_mod.randers(dim, beta, name=name, params=dict(cfg))
+        return metrics_mod.randers(dim, beta, name=cfg.get("name", "randers"))
     if kind == "custom":
         if "f2" not in cfg:
             raise ConfigError("custom metric needs an 'f2' expression")
         rule = compile_expression(str(cfg["f2"]), dim, allow_y=True)
-        return metrics_mod.custom(dim, lambda xs, ys: rule(xs, ys),
-                                  name=cfg.get("name", "custom"), params=dict(cfg))
+        return metrics_mod.custom(dim, rule, name=cfg.get("name", "custom"))
     raise ConfigError(f"unknown metric kind {kind!r}")
 
 
@@ -130,7 +125,41 @@ def submanifold_from_config(cfg, dim) -> subm.Submanifold:
     raise ConfigError(f"unknown submanifold shape {shape!r}")
 
 
-# -- output helpers ---------------------------------------------------------------
+# -- check records and output ------------------------------------------------------
+
+_RELATIONS = {"<": operator.lt, ">": operator.gt, "=": operator.eq}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verdict: ``residual`` compared with ``tol`` by ``relation``.
+
+    ``<`` and ``>`` bound a residual; ``=`` is a yes/no match (the residual
+    counts mismatches against a tolerance of 0), whose line shows its label
+    alone.
+    """
+
+    label: str
+    residual: float
+    tol: float
+    relation: str = "<"
+
+    @property
+    def passed(self) -> bool:
+        return _RELATIONS[self.relation](self.residual, self.tol)
+
+
+def verdict(ok: bool) -> str:
+    """The word a report prints for a check, a scenario or the corpus table."""
+    return "PASS" if ok else "FAIL"
+
+
+def render(check: Check) -> str:
+    """The report line of a check."""
+    line = f"  [{verdict(check.passed)}] {check.label}"
+    if check.relation == "=":
+        return line
+    return f"{line}: {check.residual:.3e} {check.relation} {check.tol:.1e}"
 
 
 def _fmt(v) -> str:
@@ -139,63 +168,52 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _csv_lines(header, rows, metadata):
+    return ([f"# {k} = {_fmt(v)}" for k, v in metadata] + [",".join(header)]
+            + [",".join(_fmt(v) for v in row) for row in rows])
+
+
 def write_csv(path: Path, header, rows, metadata):
-    lines = [f"# {k} = {_fmt(v)}" for k, v in metadata]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(_csv_lines(header, rows, metadata)) + "\n", encoding="utf-8")
 
 
 class TaskResult:
-    def __init__(self, name):
-        self.name = name
-        self.passed = True
-        self.messages = []
-        self.csv_header = None
+    """A task's check records and its CSV artifact; it passes when every check does."""
+
+    def __init__(self, task, ms, csv_header, **metadata):
+        self.metadata = [("task", task), ("metric", ms.name), *metadata.items()]
+        self.csv_header = csv_header
         self.csv_rows = []
-        self.metadata = []
-        self.worst = 0.0
+        self.checks = []
 
-    def check(self, label, residual, tol, invert=False):
-        ok = (residual > tol) if invert else (residual < tol)
-        rel = ">" if invert else "<"
-        self.messages.append(
-            f"  [{'PASS' if ok else 'FAIL'}] {label}: {residual:.3e} {rel} {tol:.1e}")
-        if not ok:
-            self.passed = False
-        if not invert:
-            self.worst = max(self.worst, residual)
-        return ok
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
-    def note(self, text):
-        self.messages.append(f"  {text}")
+    def check(self, label, residual, tol, relation="<", row=None):
+        """Record a check; ``row``, if given, is appended to the CSV rows."""
+        self.checks.append(Check(label, float(residual), float(tol), relation))
+        if row is not None:
+            self.csv_rows.append(row)
 
 
 # -- tasks ------------------------------------------------------------------------
 
 
 def task_check_metric(ms, params, seed) -> TaskResult:
-    res = TaskResult("check-metric")
     samples = int(params.get("samples", 100))
     tols = params.get("tolerances", {})
-    tol_h = float(tols.get("homogeneity", 1e-10))
-    tol_g = float(tols.get("gww", 1e-10))
     rep = check_metric(ms, samples, seed)
-    res.metadata = [("task", "check-metric"), ("metric", ms.name),
-                    ("samples", samples), ("seed", seed)]
-    res.csv_header = ("quantity", "value")
-    res.csv_rows = [(k, v) for k, v in rep.rows()]
-    res.check("homogeneity max residual", rep.homogeneity_max, tol_h)
-    res.check("F^2 = g_w(w,w) max residual", rep.gww_identity_max, tol_g)
-    expect_pd_failures = bool(params.get("expect_pd_failures", False))
-    if expect_pd_failures:
-        res.check("positive-definiteness failures found", float(rep.pd_failures), 0.5,
-                  invert=True)
-    elif rep.pd_failures:
-        res.passed = False
-        res.note(f"[FAIL] {rep.pd_failures} positive-definiteness failures")
+    res = TaskResult("check-metric", ms, ("quantity", "value"), samples=samples, seed=seed)
+    res.csv_rows = rep.rows()
+    res.check("homogeneity max residual", rep.homogeneity_max,
+              float(tols.get("homogeneity", 1e-10)))
+    res.check("F^2 = g_w(w,w) max residual", rep.gww_identity_max, float(tols.get("gww", 1e-10)))
+    if params.get("expect_pd_failures", False):
+        res.check("positive-definiteness failures found", rep.pd_failures, 0.5, ">")
+    else:
+        res.check("positive-definiteness failures", rep.pd_failures, 0.5)
     if params.get("tensor_identities"):
         iden_tols = {"cartan_contract": 1e-9, "cprime_contract": 1e-9,
                      "full_symmetry": 1e-10, "gww_identity": 1e-10,
@@ -207,49 +225,48 @@ def task_check_metric(ms, params, seed) -> TaskResult:
         worst = ident.tensor_identity_residuals(
             ms, TangentVector.stack([random_tangent(ms, rng) for _ in range(n_id)]))
         for k, tol in iden_tols.items():
-            res.check(f"identity {k}", worst[k], tol)
-            res.csv_rows.append((k, worst[k]))
+            res.check(f"identity {k}", worst[k], tol, row=(k, worst[k]))
     return res
 
 
 def task_condition_matrix(ms, params, seed) -> TaskResult:
-    res = TaskResult("condition-matrix")
     samples = int(params.get("samples", 50))
     tol = float(params.get("tolerance", 1e-7))
     lift_names = params.get("lifts", list(CLASSICAL))
     conditions = tuple(params.get("conditions",
                                   ("T1", "T2", "T3", "M1", "M2", "M3", "M4", "M5", "M6", "M7")))
-    lifts = {name: classical_lift(name, ms) for name in lift_names}
     rng = SplitMix64(seed)
     fr = PointFrame(ms, TangentVector.stack([random_tangent(ms, rng) for _ in range(samples)]),
                     order=4)
-    worst = {name: condition_residuals(lift, fr, conditions) for name, lift in lifts.items()}
+    worst = {name: condition_residuals(classical_lift(name, ms), fr, conditions)
+             for name in lift_names}
 
-    res.metadata = [("task", "condition-matrix"), ("metric", ms.name),
-                    ("samples", samples), ("seed", seed), ("tolerance", tol)]
-    res.csv_header = ("lift", "condition", "max_residual")
-    for name in lift_names:
-        for c in conditions:
-            res.csv_rows.append((name, c, worst[name][c]))
-
-    expected = params.get("expect", {})
-    for name, conds in expected.items():
+    res = TaskResult("condition-matrix", ms, ("lift", "condition", "max_residual"),
+                     samples=samples, seed=seed, tolerance=tol)
+    res.csv_rows = [(name, c, worst[name][c]) for name in lift_names for c in conditions]
+    for name, conds in params.get("expect", {}).items():
         for c in conds:
             res.check(f"{name} satisfies {c}", worst[name][c], tol)
     for name, fails in params.get("expect_fail", {}).items():
         for c, threshold in fails.items():
-            res.check(f"{name} violates {c}", worst[name][c], float(threshold), invert=True)
+            res.check(f"{name} violates {c}", worst[name][c], float(threshold), ">")
     for name, conds in params.get("expect_exact", {}).items():
         passing = {c for c in conditions if worst[name][c] < tol}
-        ok = passing == set(conds)
-        res.messages.append(f"  [{'PASS' if ok else 'FAIL'}] {name} passes exactly {sorted(conds)}"
-                            f" (got {sorted(passing)})")
-        res.passed &= ok
+        res.check(f"{name} passes exactly {sorted(conds)} (got {sorted(passing)})",
+                  len(passing ^ set(conds)), 0, "=")
 
     identities = params.get("identities")
     if identities:
         _run_identity_battery(ms, identities, seed, res)
     return res
+
+
+def _battery_family(s, t):
+    """The variation of the battery's covariant-derivative symmetry check."""
+    base = np.array([0.0, 0.0])
+    d = np.array([0.25, 0.1])
+    return base + t[..., None] * d + np.stack([0.05 * s * np.sin(np.pi * t),
+                                               0.04 * s * t * (1 - t) + 0.03 * s], axis=-1)
 
 
 def _run_identity_battery(ms, identities, seed, res: TaskResult):
@@ -260,148 +277,114 @@ def _run_identity_battery(ms, identities, seed, res: TaskResult):
     w = TangentVector.stack([random_tangent(ms, rng) for _ in range(n_pts)])
     lifts = {name: classical_lift(name, ms) for name in CLASSICAL}
 
-    # one call per identity and lift over all points; the calls draw from
-    # rng in turn, point by point
-    worst = max(ident.nabla_s_g_residual(lift, ms, w) for lift in lifts.values())
-    res.check("nabla_S g = 0 (all classical lifts)", worst, tol_exact)
-    res.csv_rows.append(("identity", "nabla_S_g", worst))
-
-    worst = max(ident.symmetry_residual(lift, ms, w.x, rng) for lift in lifts.values())
-    res.check("covariant symmetry (T2 lifts)", worst, tol_fd)
-    res.csv_rows.append(("identity", "symmetry_D", worst))
-
-    worst = max(ident.metric_compat_residual(lifts[name], ms, w.x, rng)
-                for name in ("berwald", "cartan"))
-    res.check("metric compatibility (M1+M2)", worst, tol_fd)
-    res.csv_rows.append(("identity", "metric_compat", worst))
-
-    worst = ident.metric_compat_geodesic_residual(ms, w.x, rng)
-    res.check("metric compatibility along geodesic fields", worst, tol_fd)
-    res.csv_rows.append(("identity", "metric_compat_geodesic", worst))
-
-    worst = max(ident.family_metric_identity_residual(name, ms, w.x, rng) for name in CLASSICAL)
-    res.check("family metric identities", worst, tol_fd)
-    res.csv_rows.append(("identity", "family_metric", worst))
-
-    worst = max(ident.spray_derivative_residual(lift, ms, w, rng) for lift in lifts.values())
-    res.check("spray-direction derivative identity (T1 lifts)", worst, tol_exact)
-    res.csv_rows.append(("identity", "spray_derivative", worst))
-
-    # variation-square symmetry on a bundled family
-    base = np.array([0.0, 0.0])
-    d = np.array([0.25, 0.1])
-
-    def rule(s, t):
-        return base + t[..., None] * d + np.stack([0.05 * s * np.sin(np.pi * t),
-                                                   0.04 * s * t * (1 - t) + 0.03 * s], axis=-1)
-
-    worst = variation_symmetry_residual(ms, VariationFamily(rule=rule), nodes=101)
-    res.check("variation covariant-derivative symmetry", worst, tol_fd)
-    res.csv_rows.append(("identity", "variation_symmetry", worst))
+    # (label, CSV key, tolerance, residual): one call per identity and lift
+    # over all points, run in this order, since the calls draw from rng in
+    # turn, point by point
+    battery = (
+        ("nabla_S g = 0 (all classical lifts)", "nabla_S_g", tol_exact,
+         lambda: max(ident.nabla_s_g_residual(lift, ms, w) for lift in lifts.values())),
+        ("covariant symmetry (T2 lifts)", "symmetry_D", tol_fd,
+         lambda: max(ident.symmetry_residual(lift, ms, w.x, rng) for lift in lifts.values())),
+        ("metric compatibility (M1+M2)", "metric_compat", tol_fd,
+         lambda: max(ident.metric_compat_residual(lifts[name], ms, w.x, rng)
+                     for name in ("berwald", "cartan"))),
+        ("metric compatibility along geodesic fields", "metric_compat_geodesic", tol_fd,
+         lambda: ident.metric_compat_geodesic_residual(ms, w.x, rng)),
+        ("family metric identities", "family_metric", tol_fd,
+         lambda: max(ident.family_metric_identity_residual(name, ms, w.x, rng)
+                     for name in CLASSICAL)),
+        ("spray-direction derivative identity (T1 lifts)", "spray_derivative", tol_exact,
+         lambda: max(ident.spray_derivative_residual(lift, ms, w, rng) for lift in lifts.values())),
+        ("variation covariant-derivative symmetry", "variation_symmetry", tol_fd,
+         lambda: variation_symmetry_residual(ms, VariationFamily(rule=_battery_family), nodes=101)),
+    )
+    for label, key, tol, residual in battery:
+        worst = residual()
+        res.check(label, worst, tol, row=("identity", key, worst))
 
 
 def task_curvature_sweep(ms, params, seed) -> TaskResult:
     """Flag curvature at random flags. ``christoffel_check`` compares R and the
     classical affine coefficients at the first 20 samples with the exact
     oracle ``identities.levi_civita`` (Riemannian built-ins only)."""
-    res = TaskResult("curvature-sweep")
     flags = int(params.get("flags", 100))
     rng = SplitMix64(seed)
-    res.metadata = [("task", "curvature-sweep"), ("metric", ms.name),
-                    ("flags", flags), ("seed", seed)]
-    res.csv_header = ("x", "y", "u", "K")
-    samples = []
+    res = TaskResult("curvature-sweep", ms, ("x", "y", "u", "K"), flags=flags, seed=seed)
+    ws, us = [], []
     for _ in range(flags):
-        w = random_tangent(ms, rng)
+        ws.append(random_tangent(ms, rng))
         u = rng.direction(ms.dim)
         # a near-degenerate flag loses the curvature to cancellation; the
         # component of u orthogonal to y spans the same flag plane
-        perp = u - (u @ w.y) / (w.y @ w.y) * w.y
+        y = ws[-1].y
+        perp = u - (u @ y) / (y @ y) * y
         if np.linalg.norm(perp) < 0.2 * np.linalg.norm(u):
             u = perp / np.linalg.norm(perp)
-        samples.append((w, u))
-
-    values = []
-    xs = np.array([w.x for w, _ in samples]).reshape(-1, ms.dim)
-    ys = np.array([w.y for w, _ in samples]).reshape(-1, ms.dim)
-    batch = PointFrame(ms, TangentVector(xs, ys), order=4)
-    frames = [batch[i] for i in range(len(samples))]
-    for (w, u), fr in zip(samples, frames):
-        k = flag_curvature(ms, w, u, _frame=fr)
-        values.append(k)
-        res.csv_rows.append((";".join(_fmt(v) for v in w.x),
-                             ";".join(_fmt(v) for v in w.y),
-                             ";".join(_fmt(v) for v in u), k))
-    values = np.array(values)
+        us.append(u)
+    w, u = TangentVector.stack(ws), np.array(us)
+    fr = PointFrame(ms, w, order=4)
+    values = flag_curvature(ms, w, u, _frame=fr)
+    res.csv_rows = [(*(";".join(_fmt(v) for v in vec) for vec in (x, y, ui)), k)
+                    for x, y, ui, k in zip(w.x, w.y, u, values)]
     if "expect_value" in params:
         target = float(params["expect_value"])
-        tol = float(params.get("tolerance", 1e-6))
-        res.check(f"flag curvature = {target}", float(np.max(np.abs(values - target))), tol)
+        res.check(f"flag curvature = {target}", np.max(np.abs(values - target)),
+                  float(params.get("tolerance", 1e-6)))
+    head = fr[:20]
     if params.get("flag_invariance", True):
-        worst = 0.0
-        for (w, u), fr, k0 in zip(samples[: min(20, flags)], frames, values):
-            k1 = flag_curvature(ms, w, u + 3.0 * w.y, _frame=fr)
-            k2 = flag_curvature(ms, w, 0.2 * u, _frame=fr)
-            worst = max(worst, abs(k1 - k0), abs(k2 - k0))
-        res.check("flag invariance under u -> u + 3w, 0.2u", worst, 1e-9)
+        k0, uh = values[:20], u[:20]
+        k1 = flag_curvature(ms, head.w, uh + 3.0 * head.y, _frame=head)
+        k2 = flag_curvature(ms, head.w, 0.2 * uh, _frame=head)
+        res.check("flag invariance under u -> u + 3w, 0.2u",
+                  max(np.max(np.abs(k1 - k0)), np.max(np.abs(k2 - k0))), 1e-9)
     if params.get("christoffel_check"):
         if getattr(ms, "_g_field", None) is None:
             raise ConfigError("christoffel_check requires a Riemannian built-in")
-        tol_r = float(params.get("riemann_tolerance", 1e-7))
-        tol_a = float(params.get("affine_tolerance", 1e-8))
-        gams, oracles = ident.levi_civita(ms, xs[:20], ys[:20])
-
-        worst_r, worst_a, worst_f = 0.0, 0.0, 0.0
-        lifts = {name: classical_lift(name, ms) for name in CLASSICAL}
-        for (w, _), fr, gam, oracle in zip(samples, frames, gams, oracles):
-            worst_r = max(worst_r, float(np.max(np.abs(fr.R - oracle))))
-            a_ref = None
-            for name, lift in lifts.items():
-                A = affine_coefficients(lift, ms, w, _frame=fr).A
-                worst_a = max(worst_a, float(np.max(np.abs(A - gam))))
-                if a_ref is None:
-                    a_ref = A
-                else:
-                    worst_f = max(worst_f, float(np.max(np.abs(A - a_ref))))
-        res.check("curvature matches Christoffel oracle", worst_r, tol_r)
-        res.check("affine coefficients = Levi-Civita symbols", worst_a, tol_a)
-        res.check("four classical lifts identical", worst_f, 1e-12)
+        gams, oracles = ident.levi_civita(ms, head.x, head.y)
+        A = [affine_coefficients(classical_lift(name, ms), ms, head.w, _frame=head).A
+             for name in CLASSICAL]
+        res.check("curvature matches Christoffel oracle", np.max(np.abs(head.R - oracles)),
+                  float(params.get("riemann_tolerance", 1e-7)))
+        res.check("affine coefficients = Levi-Civita symbols",
+                  max(np.max(np.abs(a - gams)) for a in A),
+                  float(params.get("affine_tolerance", 1e-8)))
+        res.check("four classical lifts identical", max(np.max(np.abs(a - A[0])) for a in A[1:]),
+                  1e-12)
     return res
 
 
+def _node_table(ms, geo):
+    """CSV header and rows (t, x, y) of a geodesic's nodes."""
+    header = ("t", *(f"x{i + 1}" for i in range(ms.dim)), *(f"y{i + 1}" for i in range(ms.dim)))
+    return header, [(t, *x, *y) for t, x, y in zip(geo.grid, geo.points, geo.velocities)]
+
+
 def task_geodesic(ms, params, seed) -> TaskResult:
-    res = TaskResult("geodesic")
     x0 = [float(v) for v in params.get("x0", [0.0] * ms.dim)]
     y0 = [float(v) for v in params.get("y0", [1.0] + [0.0] * (ms.dim - 1))]
     t_end = float(params.get("t", 1.0))
     rtol = float(params.get("rtol", 1e-9))
     nodes = int(params.get("nodes", 401))
     geo = integrate_geodesic(ms, TangentVector(x0, y0), t_end, rtol=rtol, nodes=nodes)
-    res.metadata = [("task", "geodesic"), ("metric", ms.name), ("t", t_end),
-                    ("rtol", rtol), ("seed", seed)]
-    res.csv_header = tuple(["t"] + [f"x{i + 1}" for i in range(ms.dim)]
-                           + [f"y{i + 1}" for i in range(ms.dim)])
-    for i, t in enumerate(geo.grid):
-        res.csv_rows.append((t, *geo.points[i], *geo.velocities[i]))
+    header, rows = _node_table(ms, geo)
+    res = TaskResult("geodesic", ms, header, t=t_end, rtol=rtol, seed=seed)
+    res.csv_rows = rows
     fvals = [metric_value_on(ms, geo, i) for i in range(0, nodes, max(1, nodes // 40))]
-    drift = max(fvals) - min(fvals)
-    res.check("speed conservation drift", drift, 10.0 * max(rtol, 1e-9) * max(1.0, fvals[0]))
+    res.check("speed conservation drift", max(fvals) - min(fvals),
+              10.0 * max(rtol, 1e-9) * max(1.0, fvals[0]))
     return res
 
 
 def task_jacobi_compare(ms, params, seed) -> TaskResult:
-    res = TaskResult("jacobi-compare")
     samples = int(params.get("samples", 10))
     tol = float(params.get("tolerance", 1e-3))
     t_end = float(params.get("t", 1.0))
     rng = SplitMix64(seed)
-    res.metadata = [("task", "jacobi-compare"), ("metric", ms.name),
-                    ("samples", samples), ("seed", seed), ("tolerance", tol)]
-    res.csv_header = ("sample", "sup_norm_diff", "profile_residual")
-    sinh_tol = float(params.get("profile_tolerance", 1e-3))
+    res = TaskResult("jacobi-compare", ms, ("sample", "sup_norm_diff", "profile_residual"),
+                     samples=samples, seed=seed, tolerance=tol)
     curv = params.get("constant_curvature")
 
-    def one(idx):
+    def one():
         w0 = random_tangent(ms, rng)
         scale = metrics_mod.metric_value(ms, w0)
         w0 = TangentVector(w0.x, w0.y / scale)
@@ -435,14 +418,11 @@ def task_jacobi_compare(ms, params, seed) -> TaskResult:
             prof = max(prof, abs(nrm - abs(ref)))
         return float(np.max(np.abs(J[:, :, 0] - Jor))), prof
 
-    rows = [one(i) for i in range(samples)]
-    worst = max(r[0] for r in rows)
-    worst_prof = max(r[1] for r in rows)
-    for i, (sup, prof) in enumerate(rows):
-        res.csv_rows.append((i, sup, prof))
-    res.check("ODE vs geodesic-variation oracle (sup norm)", worst, tol)
+    res.csv_rows = [(i, *one()) for i in range(samples)]
+    res.check("ODE vs geodesic-variation oracle (sup norm)", max(r[1] for r in res.csv_rows), tol)
     if curv is not None:
-        res.check(f"constant-curvature profile K={curv}", worst_prof, sinh_tol)
+        res.check(f"constant-curvature profile K={curv}", max(r[2] for r in res.csv_rows),
+                  float(params.get("profile_tolerance", 1e-3)))
     return res
 
 
@@ -456,100 +436,77 @@ def _normal_direction(ms, x, vel, rng):
 
 
 def task_second_variation(ms, params, seed) -> TaskResult:
-    res = TaskResult("second-variation")
     mode = params.get("mode", "fixed")
-    tol_rel = float(params.get("tolerance", 1e-3))
-    tol_first = float(params.get("first_variation_tolerance", 1e-6))
     rng = SplitMix64(seed)
-    res.metadata = [("task", "second-variation"), ("metric", ms.name),
-                    ("mode", mode), ("seed", seed)]
-    res.csv_header = ("quantity", "value")
-
+    res = TaskResult("second-variation", ms, ("quantity", "value"), mode=mode, seed=seed)
+    ends, h_terms = {}, ()
     if mode == "fixed":
+        from scipy.interpolate import CubicSpline
+
         w0 = random_tangent(ms, rng)
         w0 = TangentVector(w0.x, w0.y / metrics_mod.metric_value(ms, w0))
         geo = integrate_geodesic(ms, w0, 1.0)
         e0 = _normal_direction(ms, w0.x, w0.y, rng)
         pt = parallel_transport(ms, geo, e0)
-        from scipy.interpolate import CubicSpline
-
         e_spline = CubicSpline(geo.grid, pt.vectors)
         vfield = FieldAlongCurve(geo.grid, np.sin(np.pi * geo.grid)[:, None] * pt.vectors)
-        formula = second_variation_formula(ms, geo, vfield)
-        dense = geo.dense
-        n = ms.dim
 
-        def rule(s, t):
-            return dense(t)[:n].T + s * np.sin(np.pi * t)[..., None] * e_spline(t)
+        def offset(s, t):
+            return s * np.sin(np.pi * t)[..., None] * e_spline(t)
+    elif mode == "submanifold":
+        # geodesic segment normal to an affine line at each end
+        x_a = np.asarray(params.get("x0", [0.05, -0.1]), float)
+        d1v = np.asarray(params.get("direction", [0.9, 0.45]), float)
+        line1 = subm.affine_subspace(x_a, [d1v], name="P1")
+        nv = subm.normal_cone_solve(line1, [0.0], ms, guess=np.array([-d1v[1], d1v[0]]))
+        geo = integrate_geodesic(ms, TangentVector(x_a, nv.eta), 1.0)
+        x_b, vel_b = geo.points[-1], geo.velocities[-1]
+        d2v = _normal_direction(ms, x_b, vel_b, rng)
+        line2 = subm.affine_subspace(x_b, [d2v], name="P2")
+        c1, c2 = 0.8, -0.6
+        e0 = rng.direction(ms.dim)
 
-        fam = VariationFamily(rule=rule)
-        fd = variation_energy_derivatives(ms, fam, 2)
-        first = variation_energy_derivatives(ms, fam, 1)
-        res.csv_rows += [("formula", formula), ("fd", fd), ("first_variation", first)]
-        res.check("second variation formula vs FD (relative)",
-                  abs(formula - fd) / max(1e-12, abs(fd)), tol_rel)
-        res.check("first variation at geodesic", abs(first), tol_first)
-        return res
+        def vfun(t):
+            t = t[..., None]
+            return (1 - t) * c1 * d1v + t * c2 * d2v + np.sin(np.pi * t) * e0
 
-    if mode != "submanifold":
+        def offset(s, t):
+            return s * vfun(t)
+
+        vfield = FieldAlongCurve(geo.grid, vfun(geo.grid))
+        ends = {"P1": (line1, [0.0]), "P2": (line2, [0.0])}
+        h_terms = (subm.sff_connection(line1, [0.0], geo.velocities[0], [c1], [c1], ms),
+                   subm.sff_connection(line2, [0.0], vel_b, [c2], [c2], ms))
+    else:
         raise ConfigError(f"unknown second-variation mode {mode!r}")
 
-    # geodesic segment normal to an affine line at each end
-    x_a = np.asarray(params.get("x0", [0.05, -0.1]), float)
-    d1v = np.asarray(params.get("direction", [0.9, 0.45]), float)
-    line1 = subm.affine_subspace(x_a, [d1v], name="P1")
-    guess = np.array([-d1v[1], d1v[0]])
-    nv = subm.normal_cone_solve(line1, [0.0], ms, guess=guess)
-    geo = integrate_geodesic(ms, TangentVector(x_a, nv.eta), 1.0)
-    x_b, vel_b = geo.points[-1], geo.velocities[-1]
-    d2v = _normal_direction(ms, x_b, vel_b, rng)
-    line2 = subm.affine_subspace(x_b, [d2v], name="P2")
-
-    c1 = 0.8
-    c2 = -0.6
-    e0 = rng.direction(ms.dim)
-    dense = geo.dense
-    n = ms.dim
-
-    def vfun(t):
-        t = t[..., None]
-        return (1 - t) * c1 * d1v + t * c2 * d2v + np.sin(np.pi * t) * e0
-
-    def rule(s, t):
-        return dense(t)[:n].T + s * vfun(t)
-
-    vfield = FieldAlongCurve(geo.grid, vfun(geo.grid))
-    formula = second_variation_formula(ms, geo, vfield, P1=(line1, [0.0]), P2=(line2, [0.0]))
-    fam = VariationFamily(rule=rule)
+    formula = second_variation_formula(ms, geo, vfield, **ends)
+    dense, n = geo.dense, ms.dim
+    fam = VariationFamily(rule=lambda s, t: dense(t)[:n].T + offset(s, t))
     fd = variation_energy_derivatives(ms, fam, 2)
     first = variation_energy_derivatives(ms, fam, 1)
-    from .submanifolds import sff_connection
-
-    h1 = sff_connection(line1, [0.0], geo.velocities[0], [c1], [c1], ms)
-    h2 = sff_connection(line2, [0.0], vel_b, [c2], [c2], ms)
-    res.csv_rows += [("formula", formula), ("fd", fd), ("first_variation", first),
-                     ("h_term_start", h1), ("h_term_end", h2)]
-    res.check("second variation formula vs FD (relative)",
-              abs(formula - fd) / max(1e-12, abs(fd)), tol_rel)
-    res.check("first variation at geodesic", abs(first), tol_first)
-    res.check("boundary terms nonzero (exercised)", min(abs(h1), abs(h2)),
-              float(params.get("h_term_floor", 1e-4)), invert=True)
+    res.csv_rows = [("formula", formula), ("fd", fd), ("first_variation", first)]
+    res.check("second variation formula vs FD (relative)", abs(formula - fd) / max(1e-12, abs(fd)),
+              float(params.get("tolerance", 1e-3)))
+    res.check("first variation at geodesic", abs(first),
+              float(params.get("first_variation_tolerance", 1e-6)))
+    if h_terms:
+        res.csv_rows += [("h_term_start", h_terms[0]), ("h_term_end", h_terms[1])]
+        res.check("boundary terms nonzero (exercised)", min(abs(h) for h in h_terms),
+                  float(params.get("h_term_floor", 1e-4)), ">")
     return res
 
 
 def task_sff_compare(ms, params, seed) -> TaskResult:
-    res = TaskResult("sff-compare")
     samples = int(params.get("samples", 10))
-    tol = float(params.get("tolerance", 1e-5))
-    tol_lag = float(params.get("lagrangean_tolerance", 1e-6))
     rng = SplitMix64(seed)
     subs = [submanifold_from_config(c, ms.dim) for c in params.get(
         "submanifolds", [{"shape": "circle", "radius": 1.0},
                          {"shape": "line", "point": [0.1, -0.2], "direction": [0.8, 0.6]}])]
-    res.metadata = [("task", "sff-compare"), ("metric", ms.name),
-                    ("samples", samples), ("seed", seed)]
-    res.csv_header = ("submanifold", "param", "agreement", "lagrangean", "lift_spread")
-    worst_agree, worst_lag, worst_spread, worst_t2 = 0.0, 0.0, 0.0, 0.0
+    res = TaskResult("sff-compare", ms,
+                     ("submanifold", "param", "agreement", "lagrangean", "lift_spread"),
+                     samples=samples, seed=seed)
+    worst = np.zeros(4)
     lifts = [classical_lift(k, ms) for k in CLASSICAL]
     lifts.append(random_admissible_lift(ms, seed + 5, enforce_m1m2=True))
     for i in range(samples):
@@ -559,63 +516,51 @@ def task_sff_compare(ms, params, seed) -> TaskResult:
         x = sub.value(param)
         if ms.domain_margin is not None and ms.domain_margin(x) <= 0.05:
             continue
-        tang = sub.jacobian(param)[:, 0]
-        guess = np.array([-tang[1], tang[0]])
-        if sub.name.startswith("circle"):
-            center = np.zeros(ms.dim)
-            if guess @ (center - x) < 0:
-                guess = -guess
+        basis = sub.jacobian(param)
+        guess = np.array([-basis[1, 0], basis[0, 0]])
+        if sub.name.startswith("circle") and guess @ (np.zeros(ms.dim) - x) < 0:
+            guess = -guess
         try:
             nv = subm.normal_cone_solve(sub, param, ms, guess=guess)
         except FinslerError:
             nv = subm.normal_cone_solve(sub, param, ms, guess=-guess)
-        u = [rng.uniform(-1.0, 1.0)]
-        v = [rng.uniform(-1.0, 1.0)]
-        hc = subm.sff_connection(sub, param, nv.eta, u, v, ms)
-        bs = subm.sff_symplectic(sub, nv, u, v, ms)
-        agree = abs(hc - bs)
-        rows = subm.normal_bundle_tangent_basis(sub, nv, ms)
-        lag = 0.0
+        u = np.array([rng.uniform(-1.0, 1.0)])
+        v = np.array([rng.uniform(-1.0, 1.0)])
+        # one order-4 frame at the normal serves every lift and the shortcut
         wtv = TangentVector(nv.x, nv.eta)
-        for a in range(ms.dim):
-            for b in range(a + 1, ms.dim):
-                lag = max(lag, abs(subm.omega_F(ms, wtv, rows[a], rows[b])))
-        vals = [subm.sff_connection(sub, param, nv.eta, u, v, ms, lift=lf) for lf in lifts]
+        fr = PointFrame(ms, wtv, order=4)
+        vals = [subm.sff_connection(sub, param, nv.eta, u, v, ms, lift=lf, _frame=fr)
+                for lf in lifts]
+        hc = vals[0]    # Berwald, sff_connection's default lift
+        agree = abs(hc - subm.sff_symplectic(sub, nv, u, v, ms))
+        rows = subm.normal_bundle_tangent_basis(sub, nv, ms)
+        lag = max((abs(subm.omega_F(ms, wtv, rows[a], rows[b]))
+                   for a in range(ms.dim) for b in range(a + 1, ms.dim)), default=0.0)
         spread = max(vals) - min(vals)
         # unsymmetrized shortcut for torsion-symmetric lifts
-        fr = PointFrame(ms, wtv, order=4)
-        _, cp = lift_tensors(lifts[1], fr)
-        A = fr.B + cp
-        basis = sub.jacobian(param)
-        hess = sub.hessian(param)
-        uu = basis @ np.asarray(u, float)
-        vv = basis @ np.asarray(v, float)
-        unsym = float(nv.eta @ fr.g @ (
-            np.einsum("iab,a,b->i", hess, np.asarray(u, float), np.asarray(v, float))
-            + np.einsum("ijk,j,k->i", A, uu, vv)))
-        worst_t2 = max(worst_t2, abs(unsym - hc))
-        worst_agree = max(worst_agree, agree)
-        worst_lag = max(worst_lag, lag)
-        worst_spread = max(worst_spread, spread)
+        A = affine_coefficients(lifts[1], ms, wtv, _frame=fr).A
+        unsym = float(nv.eta @ fr.g @ (np.einsum("iab,a,b->i", sub.hessian(param), u, v)
+                                        + np.einsum("ijk,j,k->i", A, basis @ u, basis @ v)))
+        worst = np.maximum(worst, [agree, lag, spread, abs(unsym - hc)])
         res.csv_rows.append((sub.name, param[0], agree, lag, spread))
-    res.check("symplectic vs connection second fundamental form", worst_agree, tol)
-    res.check("Lagrangean residual of the normal bundle", worst_lag, tol_lag)
-    res.check("lift independence of the second fundamental form", worst_spread,
-              float(params.get("lift_tolerance", 1e-8)))
-    res.check("unsymmetrized shortcut (torsion-symmetric lift)", worst_t2, 1e-7)
+    tols = (float(params.get("tolerance", 1e-5)), float(params.get("lagrangean_tolerance", 1e-6)),
+            float(params.get("lift_tolerance", 1e-8)), 1e-7)
+    labels = ("symplectic vs connection second fundamental form",
+              "Lagrangean residual of the normal bundle",
+              "lift independence of the second fundamental form",
+              "unsymmetrized shortcut (torsion-symmetric lift)")
+    for label, residual, tol in zip(labels, worst, tols):
+        res.check(label, residual, tol)
     return res
 
 
 def task_lift_independence(ms, params, seed) -> TaskResult:
-    res = TaskResult("lift-independence")
     samples = int(params.get("samples", 25))
     tol = float(params.get("tolerance", 1e-7))
     n_random = int(params.get("random_lifts", 5))
     checks = params.get("checks", ["curvature", "covariant"])
     rng = SplitMix64(seed)
-    res.metadata = [("task", "lift-independence"), ("metric", ms.name),
-                    ("samples", samples), ("seed", seed)]
-    res.csv_header = ("check", "max_spread")
+    res = TaskResult("lift-independence", ms, ("check", "max_spread"), samples=samples, seed=seed)
 
     if "curvature" in checks or "covariant" in checks:
         lifts = [classical_lift("berwald", ms), classical_lift("cartan", ms)]
@@ -633,10 +578,9 @@ def task_lift_independence(ms, params, seed) -> TaskResult:
         if "curvature" in checks:
             base = _matvec(curvature_endomorphism(ms, w).R, u)
             fr5 = PointFrame(ms, w, order=5)
-            worst_curv = max(float(np.max(np.abs(lift_curvature(lf, ms, w, u, _frame=fr5) - base)))
-                             for lf in lifts)
-            res.check("curvature endomorphism across lifts", worst_curv, tol)
-            res.csv_rows.append(("curvature", worst_curv))
+            worst = max(float(np.max(np.abs(lift_curvature(lf, ms, w, u, _frame=fr5) - base)))
+                        for lf in lifts)
+            res.check("curvature endomorphism across lifts", worst, tol, row=("curvature", worst))
         if "covariant" in checks:
             W, U = (ident.AffineField.stack(col) for col in zip(*fields))
             wx = W(w.x)
@@ -645,28 +589,27 @@ def task_lift_independence(ms, params, seed) -> TaskResult:
                                                  affine_coefficients(lf, ms, fr.w, _frame=fr).A,
                                                  wx, U(w.x))
                     for lf in lifts]
-            worst_cov = float(np.max(np.abs(np.max(vals, axis=0) - np.min(vals, axis=0))))
-            res.check("covariant derivative D^W_W across lifts", worst_cov, tol)
-            res.csv_rows.append(("covariant", worst_cov))
+            worst = float(np.max(np.abs(np.max(vals, axis=0) - np.min(vals, axis=0))))
+            res.check("covariant derivative D^W_W across lifts", worst, tol,
+                      row=("covariant", worst))
 
     if "affine_families" in checks:
         tol_co = float(params.get("coincidence_tolerance", 1e-12))
-        floor = float(params.get("family_difference_floor", 1e-3))
-        lifts = {k: classical_lift(k, ms) for k in CLASSICAL}
         fr = PointFrame(ms, TangentVector.stack([random_tangent(ms, rng) for _ in range(samples)]),
                         order=4)
-        A = {k: affine_coefficients(lf, ms, fr.w, _frame=fr).A for k, lf in lifts.items()}
+        A = {k: affine_coefficients(classical_lift(k, ms), ms, fr.w, _frame=fr).A
+             for k in CLASSICAL}
         claimed = np.einsum("...ijk,...j,...k->...i", A["cartan"], fr.y, fr.y)
         worst_bh = float(max(np.max(np.abs(A["berwald"] - A["hashiguchi"])),
                              np.max(np.abs(claimed - 2.0 * fr.G))))
         worst_cc = float(np.max(np.abs(A["cartan"] - A["chern-rund"])))
-        best_diff = float(np.max(np.abs(A["cartan"] - A["berwald"])))
-        res.check("Berwald and Hashiguchi families coincide", worst_bh, tol_co)
-        res.check("Cartan and Chern-Rund families coincide", worst_cc, tol_co)
-        res.check("the two families differ somewhere", best_diff, floor, invert=True)
-        res.csv_rows += [("berwald_vs_hashiguchi", worst_bh),
-                         ("cartan_vs_chern_rund", worst_cc),
-                         ("family_gap", best_diff)]
+        gap = float(np.max(np.abs(A["cartan"] - A["berwald"])))
+        res.check("Berwald and Hashiguchi families coincide", worst_bh, tol_co,
+                  row=("berwald_vs_hashiguchi", worst_bh))
+        res.check("Cartan and Chern-Rund families coincide", worst_cc, tol_co,
+                  row=("cartan_vs_chern_rund", worst_cc))
+        res.check("the two families differ somewhere", gap,
+                  float(params.get("family_difference_floor", 1e-3)), ">", row=("family_gap", gap))
     return res
 
 
@@ -680,6 +623,8 @@ TASKS = {
     "sff-compare": task_sff_compare,
     "lift-independence": task_lift_independence,
 }
+
+TASK_NAMES = tuple(TASKS)
 
 
 # -- scenario runner ----------------------------------------------------------------
@@ -736,15 +681,13 @@ def run_scenario_config(cfg: dict, out_dir=None, seed_override=None,
         print(f"scenario {name}: domain error: {exc}", file=stream)
         return 1
     elapsed = time.perf_counter() - t0
-    status = "PASS" if result.passed else "FAIL"
-    print(f"scenario {name} [{cfg['task']} on {ms.name}] ... {status} ({elapsed:.2f}s)",
-          file=stream)
-    for msg in result.messages:
-        print(msg, file=stream)
-    if out_dir is not None and result.csv_header is not None:
+    print(f"scenario {name} [{cfg['task']} on {ms.name}] ... {verdict(result.passed)} "
+          f"({elapsed:.2f}s)", file=stream)
+    for check in result.checks:
+        print(render(check), file=stream)
+    if out_dir is not None:
         csv_path = Path(out_dir) / f"{name}.csv"
-        meta = list(result.metadata) + [("seed", seed)] if not result.metadata else result.metadata
-        write_csv(csv_path, result.csv_header, result.csv_rows, meta)
+        write_csv(csv_path, result.csv_header, result.csv_rows, result.metadata)
         print(f"  wrote {csv_path}", file=stream)
     return 0 if result.passed else 2
 
@@ -778,7 +721,7 @@ def verify_all(seed=None, out_dir=None, stream=sys.stdout) -> int:
     print("", file=stream)
     print(f"{'scenario':44s} result", file=stream)
     for name, code in results:
-        print(f"{name:44s} {'PASS' if code == 0 else 'FAIL'}", file=stream)
+        print(f"{name:44s} {verdict(code == 0)}", file=stream)
     bad = sum(1 for _, code in results if code != 0)
     print(f"\n{len(results) - bad}/{len(results)} scenarios passed in {elapsed:.1f}s",
           file=stream)
@@ -808,7 +751,8 @@ def main(argv=None) -> int:
     p_geo.add_argument("--t", type=float, default=1.0)
     p_geo.add_argument("--nodes", type=int, default=101)
     p_geo.add_argument("--beta", default=None,
-                       help="comma-separated covector for the randers metric")
+                       help="comma-separated covector for the randers metric "
+                            "(default 0.5,0,...)")
 
     args = parser.parse_args(argv)
     try:
@@ -820,15 +764,12 @@ def main(argv=None) -> int:
             x0 = [float(v) for v in args.x0.split(",")]
             cfg = {"kind": args.metric, "dim": len(x0)}
             if args.metric == "randers":
-                cfg["beta"] = [float(v) for v in (args.beta or "0.5,0").split(",")]
+                cfg["beta"] = ([float(v) for v in args.beta.split(",")] if args.beta
+                               else [0.5] + [0.0] * (len(x0) - 1))
             ms = metric_from_config(cfg)
             y0 = [float(v) for v in args.y0.split(",")]
             geo = integrate_geodesic(ms, TangentVector(x0, y0), args.t, nodes=args.nodes)
-            header = ["t"] + [f"x{i + 1}" for i in range(ms.dim)] \
-                + [f"y{i + 1}" for i in range(ms.dim)]
-            print(",".join(header))
-            for i, t in enumerate(geo.grid):
-                print(",".join(_fmt(v) for v in (t, *geo.points[i], *geo.velocities[i])))
+            print("\n".join(_csv_lines(*_node_table(ms, geo), [])))
             return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -18,12 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 from .jets import lift_any
-from .lifts import (LiftSpec, SectionJet, _matvec, _nabla_g_tensors, adapted_split,
+from .lifts import (LiftSpec, SectionJet, _nabla_g_tensors, adapted_split,
                     affine_coefficients, classical_lift, cprime_tensor, lift_tensors,
                     nabla_apply)
 from .metrics import MetricSpec, TangentVector, _f2_y_jet, g_bilinear, require_points
 from .rng import SplitMix64
-from .spray import PointFrame
+from .spray import PointFrame, _matvec, _pair
 from .variational import _transport, integrate_geodesic
 
 
@@ -110,11 +110,6 @@ def _drawn(pts, draw):
     rows = [draw(x) for x in pts]
     return [AffineField.stack(col) if isinstance(col[0], AffineField) else np.array(col)
             for col in zip(*rows)]
-
-
-def _pair(a, g, b):
-    """a @ g @ b at every point, (..., n), (..., n, n), (..., n)."""
-    return ((a[..., None, :] @ g) @ b[..., :, None])[..., 0, 0]
 
 
 def _sup(res) -> float:
@@ -277,7 +272,8 @@ def cprime_transport_residual(ms: MetricSpec, w: TangentVector, tau: float = 1e-
 def tensor_identity_residuals(ms: MetricSpec, w: TangentVector) -> dict:
     """Pointwise tensor identities: contractions, symmetry, Euler, homogeneity.
 
-    One frame serves w and both rescaled directions.
+    One frame serves w and both rescaled directions, and one F^2 evaluation
+    and one y-only jet serve the F^2 and Euler checks at every point.
     """
     w = _tangents(w, "tensor_identity_residuals")
     lams = (0.5, 3.0)
@@ -293,10 +289,11 @@ def tensor_identity_residuals(ms: MetricSpec, w: TangentVector) -> dict:
     out["full_symmetry"] = max(_sup(t - np.transpose(t, (0,) + tuple(1 + p for p in perm)))
                                for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
                                for t in (C, Cp))
-    f2 = np.array([ms.f2(list(x), list(v)) for x, v in zip(w.x, w.y)])
+    # one F^2 evaluation over float arrays, component axis first
+    f2 = ms.f2(list(w.x.T), list(w.y.T))
     out["gww_identity"] = _sup(_pair(y, fr.g, y) - f2)
-    # Euler: g_w(w, .) equals half the fiber gradient of F^2
-    grad = np.array([_f2_y_jet(ms, x, v, 1).derivative(1) for x, v in zip(w.x, w.y)])
+    # Euler: g_w(w, .) equals half the fiber gradient of F^2, from an independent y-only jet
+    grad = _f2_y_jet(ms, w.x, w.y, 1).derivative(1)
     out["euler_gradient"] = _sup(_matvec(fr.g, y) - 0.5 * grad)
     # homogeneity of g (degree 0) and C (degree -1)
     out["g_homogeneity"] = max(_sup(frames[k].g - fr.g) for k in (1, 2))

@@ -221,14 +221,13 @@ class Jet:
     """Coefficients ``c`` of shape leading axes + (space.size,); a non-jet
     operand of arithmetic is a float or an array over the leading axes."""
 
-    __slots__ = ("space", "c", "center")
+    __slots__ = ("space", "c")
     # numpy operands defer to the jet's reflected operators
     __array_ufunc__ = None
 
-    def __init__(self, space: JetSpace, coeffs: np.ndarray, center=None):
+    def __init__(self, space: JetSpace, coeffs: np.ndarray):
         self.space = space
         self.c = coeffs
-        self.center = center
 
     @property
     def value(self):
@@ -497,11 +496,10 @@ def lift_any(f, center, order: int) -> Jet:
 
     out = f([Jet(space, row) for row in space.coordinates(center).c])
     shape = nesting(out)
-    if not isinstance(out, Jet):
-        c = np.stack(np.broadcast_arrays(*leaves))
-        out = Jet(space, c.reshape(shape + c.shape[1:]))
-    out.center = list(center)
-    return out
+    if isinstance(out, Jet):
+        return out
+    c = np.stack(np.broadcast_arrays(*leaves))
+    return Jet(space, c.reshape(shape + c.shape[1:]))
 
 
 def jet_lift(f, center, order: int) -> Jet:

@@ -24,7 +24,7 @@ from .errors import GridError, InvalidLift, NullReference
 from .jets import Jet, contract, lift_any, smath, solve_linear, space_for
 from .metrics import MetricSpec, TangentVector, _batch_note, random_tangent, require_points
 from .rng import SplitMix64
-from .spray import PointFrame
+from .spray import PointFrame, _matvec
 
 ADMISSIBILITY_TOL = 1e-7
 
@@ -53,11 +53,12 @@ class LiftPoint:
 
     ``x``, ``y``: coordinates; ``f2``: F^2 there; ``gw[i]``: half dF^2/dy^i,
     so that g_w(w, v) = smath.dot(gw, v) by Euler's identity. ``f2`` and
-    ``gw`` are None for a bare spray. At a plain point these are floats and
-    float arrays; inside ``lift_curvature`` ``x`` and ``y`` are lists of
-    order-1 jets in (x, y), ``f2`` is one and ``gw`` is a jet with the
-    component axis first. These jets carry the batch of ``lift_curvature``'s
-    points as leading axes (none for a single point).
+    ``gw`` are None for a bare spray. On a frame these are floats, or float
+    arrays over the frame's batch, with the component axis first (``x[i]``
+    is coordinate i at every point). Inside ``lift_curvature`` ``x`` and
+    ``y`` are lists of order-1 jets in (x, y), ``f2`` is one and ``gw`` is
+    a jet with the component axis first; these jets carry the batch of
+    ``lift_curvature``'s points as leading axes (none for a single point).
     """
 
     x: object
@@ -78,13 +79,13 @@ class LiftSpec:
     None) and take C and C' from the frame instead.
 
     A rule receives ``w`` as a ``LiftPoint``: ``w.x``, ``w.y``, ``w.f2`` and
-    ``w.gw``, as floats at a plain point (once per point of a batch) or as
-    order-1 jets when ``lift_curvature`` differentiates the lift's fields
-    (once for its whole batch, which the jets carry). Rules must be written
-    with arithmetic and ``smath`` so that one rule serves both, and must
-    combine numpy constants with the carrier entry by entry (``k[a, b, c] *
-    s``, not ``k * s``): an array times a jet that carries a batch does not
-    broadcast.
+    ``w.gw``, as floats or float arrays over a frame's batch (once per
+    frame) or as order-1 jets when ``lift_curvature`` differentiates the
+    lift's fields (once for its whole batch, which the jets carry). Rules
+    must be written with arithmetic and ``smath`` so that one rule serves
+    both, and must combine numpy constants with the carrier entry by entry
+    (``k[a, b, c] * s``, not ``k * s``): an array times a carrier that
+    holds a batch does not broadcast.
     """
 
     def __init__(self, name, c_flat=None, cprime_flat=None, c_raw=None,
@@ -180,7 +181,8 @@ def _rule_fields(lift: LiftSpec, w, n):
     rules = (lift.c_raw, lift.cprime_raw) if _is_raw(lift) else (lift.c_flat, lift.cprime_flat)
     fields = [rule(w) if rule else np.zeros((n, n, n)) for rule in rules]
     for t in fields:
-        if np.array(t, dtype=object).shape != (n, n, n):
+        # a float carrier over a batch gives array leaves, one more axis
+        if np.array(t, dtype=object).shape[:3] != (n, n, n):
             raise InvalidLift(f"lift {lift.name}: a rule returned no {n} x {n} x {n} tensor")
     return fields
 
@@ -191,14 +193,17 @@ def _is_raw(lift: LiftSpec) -> bool:
 
 def _rule_tensors(lift: LiftSpec, fr: PointFrame) -> np.ndarray:
     """The lift's rule fields at every point of fr, shape (..., 2, n, n, n):
-    one call per rule and point, since rules take a float carrier."""
-    if fr.x.ndim > 1:
-        points = [_rule_tensors(lift, fr[i]) for i in range(len(fr.x))]
-        return np.array(points).reshape(fr.x.shape[:-1] + (2,) + (fr.n,) * 3)
-    w = LiftPoint(fr.x, fr.y)
+    one call per rule on a float carrier over fr's batch, component axis
+    first; a constant leaf is broadcast over the batch."""
+    n, batch = fr.n, fr.x.shape[:-1]
+    x, y = np.moveaxis(fr.x, -1, 0), np.moveaxis(fr.y, -1, 0)
+    w = LiftPoint(x, y)
     if fr.f is not None:
-        w = LiftPoint(fr.x, fr.y, float(fr.f.value), 0.5 * fr.f.derivative(1)[fr.n:])
-    return np.array(_rule_fields(lift, w, fr.n), float)
+        w = LiftPoint(x, y, fr.f.value, np.moveaxis(0.5 * fr.f.derivative(1)[..., n:], -1, 0))
+    leaves = [np.broadcast_to(np.asarray(t[j][k][l], float), batch)
+              for t in _rule_fields(lift, w, n)
+              for j in range(n) for k in range(n) for l in range(n)]
+    return np.stack(leaves, axis=-1).reshape(batch + (2, n, n, n))
 
 
 def lift_tensors(lift: LiftSpec, fr: PointFrame):
@@ -225,12 +230,6 @@ def lift_tensors_flat(lift: LiftSpec, fr: PointFrame):
         return tuple(np.einsum("...il,...ijk->...jkl", fr.g, t) for t in lift_tensors(lift, fr))
     fields = _rule_tensors(lift, fr)
     return fields[..., 0, :, :, :], fields[..., 1, :, :, :]
-
-
-def _matvec(m, v):
-    """m @ v over leading batch axes, (..., n, n) and (..., n); each point is
-    bitwise equal to its own single-point ``m @ v``."""
-    return (m @ v[..., None])[..., 0]
 
 
 def _check_admissible(cc, cp, y):

@@ -63,15 +63,13 @@ class MetricSpec:
     """
 
     def __init__(self, dim, f2, name="custom", kind="custom", domain_margin=None,
-                 sample_radius=1.0, params=None, riemannian=False):
+                 sample_radius=1.0):
         self.dim = int(dim)
         self.f2 = f2
         self.name = name
         self.kind = kind
         self.domain_margin = domain_margin
         self.sample_radius = float(sample_radius)
-        self.params = dict(params or {})
-        self.riemannian = bool(riemannian)
 
     def __repr__(self):
         return f"MetricSpec({self.name}, dim={self.dim})"
@@ -135,12 +133,11 @@ def euclidean(n: int) -> MetricSpec:
     def f2(xs, ys):
         return smath.dot(ys, ys)
 
-    return MetricSpec(n, f2, name="euclidean", kind="euclidean",
-                      params={"dim": n}, riemannian=True)
+    return MetricSpec(n, f2, name="euclidean", kind="euclidean")
 
 
 def riemannian(n: int, g_field, name="riemannian", domain_margin=None,
-               sample_radius=1.0, params=None) -> MetricSpec:
+               sample_radius=1.0) -> MetricSpec:
     """Riemannian metric from a generic coefficient field x -> n x n matrix."""
 
     def f2(xs, ys):
@@ -153,7 +150,7 @@ def riemannian(n: int, g_field, name="riemannian", domain_margin=None,
         return acc
 
     ms = MetricSpec(n, f2, name=name, kind="riemannian", domain_margin=domain_margin,
-                    sample_radius=sample_radius, params=params, riemannian=True)
+                    sample_radius=sample_radius)
     ms._g_field = g_field
     return ms
 
@@ -166,8 +163,7 @@ def sphere_stereographic(n: int = 2) -> MetricSpec:
         conf = 4.0 / ((1.0 + r2) * (1.0 + r2))
         return [[conf if i == j else 0.0 for j in range(n)] for i in range(n)]
 
-    return riemannian(n, g_field, name="sphere_stereographic",
-                      sample_radius=1.2, params={"dim": n})
+    return riemannian(n, g_field, name="sphere_stereographic", sample_radius=1.2)
 
 
 def poincare_disk(n: int = 2) -> MetricSpec:
@@ -179,20 +175,22 @@ def poincare_disk(n: int = 2) -> MetricSpec:
         return [[conf if i == j else 0.0 for j in range(n)] for i in range(n)]
 
     return riemannian(n, g_field, name="poincare_disk",
-                      domain_margin=lambda x: 1.0 - float(x @ x),
-                      sample_radius=0.6, params={"dim": n})
+                      domain_margin=lambda x: 1.0 - float(x @ x), sample_radius=0.6)
 
 
-def randers(n: int, beta, alpha=None, name="randers", sample_radius=1.0, params=None) -> MetricSpec:
+def randers(n: int, beta, alpha=None, name="randers", sample_radius=1.0) -> MetricSpec:
     """Randers metric F = sqrt(y^T a(x) y) + b(x).y.
 
-    ``beta``: constant covector or generic rule xs -> list of n scalars.
+    ``beta``: constant covector of length n (any other length raises
+    ``ValueError``) or generic rule xs -> list of n scalars.
     ``alpha``: None (identity) or generic rule xs -> n x n matrix.
     Validity (the Randers condition |b|_a < 1) is *not* enforced here; it
     surfaces as positive-definiteness failures during checks.
     """
     if not callable(beta):
         bconst = [float(v) for v in beta]
+        if len(bconst) != n:
+            raise ValueError(f"randers: constant beta has {len(bconst)} entries, dimension is {n}")
         beta_rule = lambda xs: bconst
     else:
         beta_rule = beta
@@ -211,8 +209,7 @@ def randers(n: int, beta, alpha=None, name="randers", sample_radius=1.0, params=
         froot = smath.sqrt(a_quad) + smath.dot(b, ys)
         return froot * froot
 
-    return MetricSpec(n, f2, name=name, kind="randers",
-                      sample_radius=sample_radius, params=params)
+    return MetricSpec(n, f2, name=name, kind="randers", sample_radius=sample_radius)
 
 
 def funk(n: int = 2) -> MetricSpec:
@@ -226,23 +223,26 @@ def funk(n: int = 2) -> MetricSpec:
         return froot * froot
 
     return MetricSpec(n, f2, name="funk", kind="funk",
-                      domain_margin=lambda x: 1.0 - float(x @ x),
-                      sample_radius=0.6, params={"dim": n})
+                      domain_margin=lambda x: 1.0 - float(x @ x), sample_radius=0.6)
 
 
-def custom(n: int, f2, name="custom", domain_margin=None, sample_radius=1.0,
-           params=None) -> MetricSpec:
+def custom(n: int, f2, name="custom", domain_margin=None, sample_radius=1.0) -> MetricSpec:
     return MetricSpec(n, f2, name=name, kind="custom", domain_margin=domain_margin,
-                      sample_radius=sample_radius, params=params)
+                      sample_radius=sample_radius)
 
 
 # -- tensor operations ---------------------------------------------------------
 
 
 def _f2_y_jet(ms: MetricSpec, x, y, order: int) -> Jet:
-    """Jet of y -> F^2(x, y) at y (x held fixed)."""
-    xs = list(x)
-    return lift_any(lambda ys: ms.f2(xs, ys), list(y), order)
+    """Jet of y -> F^2(x, y) at y (x held fixed).
+
+    ``x`` and ``y`` may carry leading batch axes, (..., n): the F^2 rule
+    then runs once, on x as float arrays over the batch and on y-jets that
+    carry it, and each point is bitwise equal to its own single-point jet.
+    """
+    xs = list(np.moveaxis(np.asarray(x, float), -1, 0))
+    return lift_any(lambda ys: ms.f2(xs, ys), np.asarray(y, float), order)
 
 
 def metric_value(ms: MetricSpec, w: TangentVector) -> float:

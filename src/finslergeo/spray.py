@@ -36,8 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFlag
-from .jets import Jet, contract, lift_any, solve_linear, space_for
-from .metrics import MetricSpec, TangentVector, check_slit_domain, require_positive_definite
+from .jets import Jet, _any, contract, lift_any, solve_linear, space_for
+from .metrics import (MetricSpec, TangentVector, _batch_note, check_slit_domain,
+                      require_positive_definite)
 
 
 @dataclass(frozen=True)
@@ -339,16 +340,39 @@ def curvature_endomorphism(src, w: TangentVector) -> CurvatureEndomorphism:
     return CurvatureEndomorphism(at=w, R=fr.R)
 
 
+def _matvec(m, v):
+    """m @ v over leading batch axes, (..., n, n) and (..., n); each point is
+    bitwise equal to its own single-point ``m @ v``."""
+    return (m @ v[..., None])[..., 0]
+
+
+def _pair(a, g, b):
+    """a @ g @ b at every point, (..., n), (..., n, n), (..., n); each point is
+    bitwise equal to its own single-point ``a @ g @ b``."""
+    return ((a[..., None, :] @ g) @ b[..., :, None])[..., 0, 0]
+
+
 def flag_curvature(ms: MetricSpec, w: TangentVector, u,
-                   _frame: PointFrame | None = None) -> float:
-    """K(w,u) = g(R_w(u),u) / (g(w,w) g(u,u) - g(w,u)^2)."""
+                   _frame: PointFrame | None = None):
+    """K(w,u) = g(R_w(u),u) / (g(w,w) g(u,u) - g(w,u)^2).
+
+    ``w`` and ``u`` may carry leading batch axes, (..., n): one frame serves
+    every point, K has shape (...) (a float for a single point), and each
+    point is bitwise equal to its own single-point call. One degenerate
+    flag refuses the batch, naming the first.
+    """
     if not isinstance(ms, MetricSpec):
         raise TypeError("flag curvature requires a metric")
     fr = _frame if _frame is not None else PointFrame(ms, w, order=4)
     u = np.asarray(u, float)
     g = fr.g
     y = fr.y
-    denom = (y @ g @ y) * (u @ g @ u) - (y @ g @ u) ** 2
-    if denom < 1e-10:
-        raise DegenerateFlag(f"flag (w,u) degenerate: denominator {denom}")
-    return float((u @ g @ (fr.R @ u)) / denom)
+    # float_power is C pow at every entry, as ** is on a single point's numpy scalar
+    denom = _pair(y, g, y) * _pair(u, g, u) - np.float_power(_pair(y, g, u), 2)
+    bad = denom < 1e-10
+    if _any(bad):
+        k = int(np.argmax(bad))
+        raise DegenerateFlag(f"flag (w,u) degenerate: denominator {np.ravel(denom)[k]}"
+                             + _batch_note(bad.shape, k))
+    K = _pair(u, g, _matvec(fr.R, u)) / denom
+    return float(K) if K.ndim == 0 else K

@@ -160,13 +160,14 @@ def normality_residual(P: Submanifold, param, ms: MetricSpec, eta) -> float:
 
 
 def sff_connection(P: Submanifold, param, eta, u, v, ms: MetricSpec,
-                   lift: LiftSpec | None = None, check_lift: bool = True) -> float:
+                   lift: LiftSpec | None = None, _frame: PointFrame | None = None) -> float:
     """h_eta(u, v) = (1/2) g_eta(eta, D^eta_U V + D^eta_V U).
 
     ``u``, ``v`` are parameter-space vectors; extensions are the coordinate
     fields of the immersion, whose derivative data is the immersion Hessian.
-    The lift must satisfy the two metric compatibility conditions (checked
-    at eta unless ``check_lift`` is False).
+    The lift must satisfy the two metric compatibility conditions, checked
+    at eta. ``_frame``, if given, is the order-4 frame at (x, eta), shared
+    by the calls for several lifts.
     """
     param = np.atleast_1d(np.asarray(param, float))
     eta = np.asarray(eta, float)
@@ -174,15 +175,13 @@ def sff_connection(P: Submanifold, param, eta, u, v, ms: MetricSpec,
     v = np.atleast_1d(np.asarray(v, float))
     if lift is None:
         lift = classical_lift("berwald", ms)
-    x = P.value(param)
-    w = TangentVector(x, eta)
-    fr = PointFrame(ms, w, order=4)
-    if check_lift:
-        res = condition_residuals(lift, fr, ("M1", "M2"))
-        if max(res.values()) > 1e-6:
-            raise InvalidLift(
-                f"lift {lift.name} violates the metric compatibility prerequisites "
-                f"at eta: M1={res['M1']:.2e}, M2={res['M2']:.2e}")
+    fr = _frame if _frame is not None else PointFrame(ms, TangentVector(P.value(param), eta),
+                                                      order=4)
+    res = condition_residuals(lift, fr, ("M1", "M2"))
+    if max(res.values()) > 1e-6:
+        raise InvalidLift(
+            f"lift {lift.name} violates the metric compatibility prerequisites "
+            f"at eta: M1={res['M1']:.2e}, M2={res['M2']:.2e}")
     basis = P.jacobian(param)
     hess = P.hessian(param)
     U = basis @ u

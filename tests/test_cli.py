@@ -1,7 +1,9 @@
+import importlib.util
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,8 +117,104 @@ def test_invalid_metric_reports_exit_one(tmp_path):
         "metric": {"kind": "randers", "dim": 2, "beta": [1.2, 0.0]},
         "parameters": {"samples": 30, "seed": 4}, "name": "invalid_randers",
     }
-    code = cli.run_scenario(_scenario(tmp_path, cfg), stream=io.StringIO())
+    out = io.StringIO()
+    code = cli.run_scenario(_scenario(tmp_path, cfg), stream=out)
     assert code == 2  # PD failures reported, not thrown
+    assert ("  [FAIL] positive-definiteness failures: 3.000e+00 < 5.0e-01"
+            in out.getvalue().splitlines())
+
+
+@pytest.mark.parametrize("dim, beta", [(3, [0.1, 0.2]), (2, [0.1, 0.2, 0.3]),
+                                       (2, ["0.1 * x1"]), (2, ["0.1", "0.2 * x2", "0.0"])],
+                         ids=["numeric-short", "numeric-long", "expr-short", "expr-long"])
+def test_randers_beta_of_wrong_length_is_a_config_error(dim, beta):
+    with pytest.raises(ConfigError, match="'beta' list of"):
+        cli.metric_from_config({"kind": "randers", "dim": dim, "beta": beta})
+
+
+def test_geodesic_subcommand_randers_beta_fits_the_dimension(monkeypatch, capsys):
+    seen = []
+    build = cli.metric_from_config
+    monkeypatch.setattr(cli, "metric_from_config", lambda cfg: seen.append(cfg) or build(cfg))
+    argv = ["geodesic", "--metric", "randers", "--x0", "0,0,0", "--y0", "0,0.6,0.8",
+            "--t", "0.5", "--nodes", "3"]
+    assert cli.main(argv) == 0
+    assert seen[0]["beta"] == [0.5, 0.0, 0.0]
+    assert capsys.readouterr().out.splitlines()[0] == "t,x1,x2,x3,y1,y2,y3"
+    assert cli.main(argv + ["--beta", "0.5,0"]) == 1
+    assert "'beta' list of 3 entries" in capsys.readouterr().err
+
+
+def _perfbench_parsers():
+    """The regexes the benchmark reads the report lines with."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.VerifyCorpus._CHECK, mod.VerifyCorpus._EXACT
+
+
+def test_rendered_lines_are_pinned():
+    check_re, exact_re = _perfbench_parsers()
+    lines = {
+        cli.Check("homogeneity max residual", 2.5381e-16, 1e-12):
+            "  [PASS] homogeneity max residual: 2.538e-16 < 1.0e-12",
+        cli.Check("berwald violates M6", 3.2341, 1e-3, ">"):
+            "  [PASS] berwald violates M6: 3.234e+00 > 1.0e-03",
+        cli.Check("positive-definiteness failures", 3.0, 0.5):
+            "  [FAIL] positive-definiteness failures: 3.000e+00 < 5.0e-01",
+        cli.Check("the two families differ somewhere", 1e-5, 1e-3, ">"):
+            "  [FAIL] the two families differ somewhere: 1.000e-05 > 1.0e-03",
+    }
+    for check, line in lines.items():
+        assert cli.render(check) == line
+        m = check_re.match(line)
+        assert (m[1], m[2], float(m[3]), m[4], float(m[5])) == (
+            cli.verdict(check.passed), check.label, float(f"{check.residual:.3e}"),
+            check.relation, check.tol)
+    for mismatches, verdict in ((0, "PASS"), (2, "FAIL")):
+        label = "berwald passes exactly ['M1', 'T1'] (got ['M1', 'T1'])"
+        line = cli.render(cli.Check(label, mismatches, 0, "="))
+        assert line == f"  [{verdict}] {label}"
+        assert not check_re.match(line)
+        assert exact_re.match(line).groups() == (verdict, label)
+
+
+def test_passed_is_false_exactly_when_a_record_fails(euclid2):
+    passing = [cli.Check("small", 1e-9, 1e-6), cli.Check("large", 3.0, 1e-3, ">"),
+               cli.Check("match", 0, 0, "=")]
+    failing = [cli.Check("small", 1e-3, 1e-6), cli.Check("large", 1e-4, 1e-3, ">"),
+               cli.Check("match", 1, 0, "="), cli.Check("nan", float("nan"), 1.0)]
+    res = cli.TaskResult("check-metric", euclid2, ("quantity", "value"))
+    assert res.passed
+    for check in passing:
+        res.check(check.label, check.residual, check.tol, check.relation)
+    assert res.passed and res.checks == passing
+    for bad in failing:
+        res.checks = passing + [bad]
+        assert not res.passed
+
+
+@pytest.mark.parametrize("scenario", ["01_check_metric_euclidean.json",
+                                      "05_condition_matrix_minkowski.json"])
+def test_printed_lines_are_the_task_records(scenario):
+    cfg = dict(dict(cli.bundled_scenarios())[scenario])
+    out = io.StringIO()
+    code = cli.run_scenario_config(cfg, stream=out)
+    params = cfg["parameters"]
+    result = cli.TASKS[cfg["task"]](cli.metric_from_config(cfg["metric"]), params,
+                                    int(params.get("seed", 0)))
+    lines = out.getvalue().splitlines()
+    assert lines[1:] == [cli.render(c) for c in result.checks]
+    assert code == (0 if result.passed else 2)
+
+
+def test_expect_exact_mismatch_fails_the_scenario():
+    cfg = dict(dict(cli.bundled_scenarios())["05_condition_matrix_minkowski.json"])
+    cfg["parameters"] = {**cfg["parameters"], "expect_exact": {"berwald": ["T1"]}}
+    out = io.StringIO()
+    assert cli.run_scenario_config(cfg, stream=out) == 2
+    assert "  [FAIL] berwald passes exactly ['T1'] (got [" in out.getvalue()
 
 
 def test_geodesic_subcommand_stdout(capsys):

@@ -195,3 +195,10 @@ def test_f2_jets_agree_with_central_differences(name, request):
     C = cartan_tensor(ms, w).C
     fd3 = 0.25 * third_derivative(f2, w.y, 0, 1, 1, h=1e-3)
     assert abs(C[0, 1, 1] - fd3) / max(1.0, abs(C[0, 1, 1])) < 1e-4
+
+
+@pytest.mark.parametrize("dim, beta", [(3, [0.1, 0.2]), (2, [0.1, 0.2, 0.3])],
+                         ids=["short", "long"])
+def test_randers_constant_beta_of_wrong_length_is_refused(dim, beta):
+    with pytest.raises(ValueError, match="beta has"):
+        metrics.randers(dim, beta)

@@ -103,6 +103,30 @@ def test_degenerate_flag_raises(euclid2):
         flag_curvature(euclid2, w, [2.0, 0.0])
 
 
+def test_batched_flag_curvature_is_bitwise_per_point(randers_var):
+    for ms in (randers_var, metrics.funk(3)):
+        rng = SplitMix64(67)
+        ws = [random_tangent(ms, rng) for _ in range(6)]
+        us = np.array([rng.direction(ms.dim) for _ in ws])
+        w = TangentVector.stack(ws)
+        K = flag_curvature(ms, TangentVector(w.x.reshape(2, 3, -1), w.y.reshape(2, 3, -1)),
+                           us.reshape(2, 3, -1))
+        assert K.shape == (2, 3)
+        for i, (wi, ui) in enumerate(zip(ws, us)):
+            single = flag_curvature(ms, wi, ui)
+            assert isinstance(single, float)
+            assert K.flat[i] == single
+
+
+def test_degenerate_flag_in_a_batch_names_its_index(randers_var):
+    rng = SplitMix64(71)
+    ws = TangentVector.stack([random_tangent(randers_var, rng) for _ in range(5)])
+    us = np.array([rng.direction(2) for _ in range(5)])
+    us[3] = -2.0 * ws.y[3]
+    with pytest.raises(DegenerateFlag, match=r"at batch index \(3,\)"):
+        flag_curvature(randers_var, ws, us)
+
+
 def test_curvature_g_symmetry_and_kernel(randers_var, funk):
     rng = SplitMix64(44)
     for ms in (randers_var, funk):

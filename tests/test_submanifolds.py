@@ -108,6 +108,22 @@ def test_sff_lift_independence(randers_var):
     assert max(vals) - min(vals) < 1e-8
 
 
+def test_sff_connection_on_a_given_frame(randers_var):
+    from finslergeo.spray import PointFrame
+
+    circ = circle([0, 0], 1.0)
+    nv = normal_cone_solve(circ, [0.3], randers_var, guess=inward_circle_guess(0.3))
+    fr = PointFrame(randers_var, TangentVector(nv.x, nv.eta), order=4)
+    for lift in (None, classical_lift("cartan", randers_var),
+                 random_admissible_lift(randers_var, 23, enforce_m1m2=True)):
+        assert (sff_connection(circ, [0.3], nv.eta, [0.7], [-0.4], randers_var, lift=lift,
+                               _frame=fr)
+                == sff_connection(circ, [0.3], nv.eta, [0.7], [-0.4], randers_var, lift=lift))
+    with pytest.raises(InvalidLift):
+        sff_connection(circ, [0.3], nv.eta, [0.7], [-0.4], randers_var,
+                       lift=random_admissible_lift(randers_var, 29), _frame=fr)
+
+
 def test_sff_rejects_incompatible_lift(randers_var):
     circ = circle([0, 0], 1.0)
     nv = normal_cone_solve(circ, [0.5], randers_var, guess=inward_circle_guess(0.5))
