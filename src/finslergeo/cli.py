@@ -31,9 +31,9 @@ from .metrics import MetricSpec, TangentVector, check_metric, random_tangent
 from .rng import SplitMix64
 from .spray import PointFrame, _matvec, curvature_endomorphism, flag_curvature
 from .variational import (FieldAlongCurve, VariationFamily, integrate_geodesic,
-                          jacobi_integrate, jacobi_variation_oracle, metric_value_on,
-                          parallel_transport, second_variation_formula,
-                          variation_energy_derivatives, variation_symmetry_residual)
+                          jacobi_integrate, jacobi_variation_oracle, parallel_transport,
+                          second_variation_formula, variation_energy_derivatives,
+                          variation_symmetry_residual)
 
 CLASSICAL = ("berwald", "cartan", "chern-rund", "hashiguchi")
 
@@ -81,10 +81,27 @@ def compile_expression(src: str, dim: int, allow_y: bool = True):
     return rule
 
 
+def _refuse_unknown_keys(cfg: dict, known, where: str) -> None:
+    """Refuse a mapping with a key outside ``known``: a misspelled key would
+    otherwise be ignored and its default used in silence."""
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} in {where}; "
+                          f"known keys: {', '.join(sorted(known))}")
+
+
+# The keys each metric kind reads besides "kind" and "dim".
+METRIC_KEYS = {"euclidean": (), "sphere_stereographic": (), "poincare_disk": (), "funk": (),
+               "randers": ("beta", "name"), "custom": ("f2", "name")}
+
+
 def metric_from_config(cfg) -> MetricSpec:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("metric descriptor must be a mapping with a 'kind' field")
     kind = cfg["kind"]
+    if not isinstance(kind, str) or kind not in METRIC_KEYS:
+        raise ConfigError(f"unknown metric kind {kind!r}")
+    _refuse_unknown_keys(cfg, ("kind", "dim", *METRIC_KEYS[kind]), f"metric kind {kind!r}")
     dim = int(cfg.get("dim", 2))
     if kind == "euclidean":
         return metrics_mod.euclidean(dim)
@@ -105,24 +122,27 @@ def metric_from_config(cfg) -> MetricSpec:
             comps = [compile_expression(str(b), dim, allow_y=False) for b in beta_cfg]
             beta = lambda xs: [c(xs) for c in comps]
         return metrics_mod.randers(dim, beta, name=cfg.get("name", "randers"))
-    if kind == "custom":
-        if "f2" not in cfg:
-            raise ConfigError("custom metric needs an 'f2' expression")
-        rule = compile_expression(str(cfg["f2"]), dim, allow_y=True)
-        return metrics_mod.custom(dim, rule, name=cfg.get("name", "custom"))
-    raise ConfigError(f"unknown metric kind {kind!r}")
+    if "f2" not in cfg:  # custom
+        raise ConfigError("custom metric needs an 'f2' expression")
+    rule = compile_expression(str(cfg["f2"]), dim, allow_y=True)
+    return metrics_mod.custom(dim, rule, name=cfg.get("name", "custom"))
+
+
+# The keys each submanifold shape reads besides "shape".
+SHAPE_KEYS = {"circle": ("center", "radius"), "line": ("point", "direction")}
 
 
 def submanifold_from_config(cfg, dim) -> subm.Submanifold:
     if not isinstance(cfg, dict) or "shape" not in cfg:
         raise ConfigError("submanifold descriptor must be a mapping with a 'shape' field")
     shape = cfg["shape"]
+    if not isinstance(shape, str) or shape not in SHAPE_KEYS:
+        raise ConfigError(f"unknown submanifold shape {shape!r}")
+    _refuse_unknown_keys(cfg, ("shape", *SHAPE_KEYS[shape]), f"submanifold shape {shape!r}")
     if shape == "circle":
         return subm.circle(cfg.get("center", [0.0] * dim), float(cfg.get("radius", 1.0)))
-    if shape == "line":
-        return subm.affine_subspace(cfg.get("point", [0.0] * dim),
-                                    [cfg.get("direction", [1.0] + [0.0] * (dim - 1))])
-    raise ConfigError(f"unknown submanifold shape {shape!r}")
+    return subm.affine_subspace(cfg.get("point", [0.0] * dim),  # line
+                                [cfg.get("direction", [1.0] + [0.0] * (dim - 1))])
 
 
 # -- check records and output ------------------------------------------------------
@@ -261,12 +281,17 @@ def task_condition_matrix(ms, params, seed) -> TaskResult:
     return res
 
 
-def _battery_family(s, t):
-    """The variation of the battery's covariant-derivative symmetry check."""
-    base = np.array([0.0, 0.0])
-    d = np.array([0.25, 0.1])
-    return base + t[..., None] * d + np.stack([0.05 * s * np.sin(np.pi * t),
-                                               0.04 * s * t * (1 - t) + 0.03 * s], axis=-1)
+def _battery_family(dim):
+    """The variation of the battery's covariant-derivative symmetry check: a
+    plane family, padded with zero coordinates in dimension ``dim``."""
+    d = np.array([0.25, 0.1] + [0.0] * (dim - 2))
+
+    def rule(s, t):
+        offset = np.stack([0.05 * s * np.sin(np.pi * t), 0.04 * s * t * (1 - t) + 0.03 * s]
+                          + [np.zeros_like(t)] * (dim - 2), axis=-1)
+        return np.zeros(dim) + t[..., None] * d + offset
+
+    return rule
 
 
 def _run_identity_battery(ms, identities, seed, res: TaskResult):
@@ -296,7 +321,8 @@ def _run_identity_battery(ms, identities, seed, res: TaskResult):
         ("spray-direction derivative identity (T1 lifts)", "spray_derivative", tol_exact,
          lambda: max(ident.spray_derivative_residual(lift, ms, w, rng) for lift in lifts.values())),
         ("variation covariant-derivative symmetry", "variation_symmetry", tol_fd,
-         lambda: variation_symmetry_residual(ms, VariationFamily(rule=_battery_family), nodes=101)),
+         lambda: variation_symmetry_residual(ms, VariationFamily(rule=_battery_family(ms.dim)),
+                                             nodes=101)),
     )
     for label, key, tol, residual in battery:
         worst = residual()
@@ -369,7 +395,8 @@ def task_geodesic(ms, params, seed) -> TaskResult:
     header, rows = _node_table(ms, geo)
     res = TaskResult("geodesic", ms, header, t=t_end, rtol=rtol, seed=seed)
     res.csv_rows = rows
-    fvals = [metric_value_on(ms, geo, i) for i in range(0, nodes, max(1, nodes // 40))]
+    fvals = [metrics_mod.metric_value(ms, TangentVector(geo.points[i], geo.velocities[i]))
+             for i in range(0, nodes, max(1, nodes // 40))]
     res.check("speed conservation drift", max(fvals) - min(fvals),
               10.0 * max(rtol, 1e-9) * max(1.0, fvals[0]))
     return res
@@ -394,10 +421,10 @@ def task_jacobi_compare(ms, params, seed) -> TaskResult:
         if curv is None:
             J = jacobi_integrate(ms, geo, np.zeros(ms.dim), u).vectors
             return float(np.max(np.abs(J - Jor))), 0.0
-        # g at w0 and at every 40th node, from one batched frame
+        # g at w0 and at every 40th node, from one batched y-jet
         nodes = range(0, len(geo.grid), 40)
-        gs = PointFrame(ms, TangentVector(np.vstack([w0.x, geo.points[::40]]),
-                                          np.vstack([w0.y, geo.velocities[::40]])), order=2).g
+        gs = metrics_mod.fundamental_tensor(ms, TangentVector(
+            np.vstack([w0.x, geo.points[::40]]), np.vstack([w0.y, geo.velocities[::40]]))).g
         gm0 = gs[0]
         uperp = u - (u @ gm0 @ w0.y) / (w0.y @ gm0 @ w0.y) * w0.y
         unorm = float(np.sqrt(uperp @ gm0 @ uperp))
@@ -428,8 +455,7 @@ def task_jacobi_compare(ms, params, seed) -> TaskResult:
 
 def _normal_direction(ms, x, vel, rng):
     """A direction g_w-orthogonal to vel at (x, vel)."""
-    fr = PointFrame(ms, TangentVector(x, vel), order=2)
-    m = fr.g @ vel
+    m = metrics_mod.fundamental_tensor(ms, TangentVector(x, vel)).g @ vel
     d = rng.direction(len(x))
     d = d - (d @ m) / (vel @ m) * vel
     return d / np.linalg.norm(d)
@@ -532,8 +558,8 @@ def task_sff_compare(ms, params, seed) -> TaskResult:
         vals = [subm.sff_connection(sub, param, nv.eta, u, v, ms, lift=lf, _frame=fr)
                 for lf in lifts]
         hc = vals[0]    # Berwald, sff_connection's default lift
-        agree = abs(hc - subm.sff_symplectic(sub, nv, u, v, ms))
         rows = subm.normal_bundle_tangent_basis(sub, nv, ms)
+        agree = abs(hc - subm.sff_symplectic(sub, nv, u, v, ms, _basis=rows))
         lag = max((abs(subm.omega_F(ms, wtv, rows[a], rows[b]))
                    for a in range(ms.dim) for b in range(a + 1, ms.dim)), default=0.0)
         spread = max(vals) - min(vals)
@@ -626,6 +652,28 @@ TASKS = {
 
 TASK_NAMES = tuple(TASKS)
 
+# The parameter keys each task reads, besides "seed"; a scenario naming any
+# other key is refused. The defaults stay in the tasks, where they are read.
+TASK_KEYS = {
+    "check-metric": ("samples", "tolerances", "expect_pd_failures", "tensor_identities",
+                     "identity_tolerances", "identity_samples"),
+    "condition-matrix": ("samples", "tolerance", "lifts", "conditions", "expect",
+                         "expect_fail", "expect_exact", "identities"),
+    "curvature-sweep": ("flags", "expect_value", "tolerance", "flag_invariance",
+                        "christoffel_check", "riemann_tolerance", "affine_tolerance"),
+    "geodesic": ("x0", "y0", "t", "rtol", "nodes"),
+    "jacobi-compare": ("samples", "tolerance", "t", "constant_curvature", "profile_tolerance"),
+    "second-variation": ("mode", "x0", "direction", "tolerance", "first_variation_tolerance",
+                         "h_term_floor"),
+    "sff-compare": ("samples", "submanifolds", "tolerance", "lagrangean_tolerance",
+                    "lift_tolerance"),
+    "lift-independence": ("samples", "tolerance", "random_lifts", "checks",
+                          "coincidence_tolerance", "family_difference_floor"),
+}
+SCENARIO_KEYS = ("version", "task", "metric", "parameters", "name")
+IDENTITY_KEYS = ("samples", "tolerance", "fd_tolerance")      # condition-matrix "identities"
+LIFT_CHECKS = ("curvature", "covariant", "affine_families")   # lift-independence "checks"
+
 
 # -- scenario runner ----------------------------------------------------------------
 
@@ -641,26 +689,48 @@ def load_scenario(path) -> dict:
     return cfg
 
 
+def _number(key, value, kind):
+    """``kind(value)`` for parameter ``key``, a ``ConfigError`` if it is not a number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"parameter {key} must be a number, got {value!r}") from exc
+
+
 def validate_scenario(cfg) -> None:
     if not isinstance(cfg, dict):
         raise ConfigError("scenario must be a JSON object")
+    _refuse_unknown_keys(cfg, SCENARIO_KEYS, "the scenario")
     if cfg.get("version") != 1:
         raise ConfigError("scenario must declare \"version\": 1")
-    if cfg.get("task") not in TASK_NAMES:
-        raise ConfigError(f"task must be one of {TASK_NAMES}, got {cfg.get('task')!r}")
+    task = cfg.get("task")
+    if task not in TASK_NAMES:
+        raise ConfigError(f"task must be one of {TASK_NAMES}, got {task!r}")
     if "metric" not in cfg:
         raise ConfigError("scenario must name a metric")
     params = cfg.get("parameters", {})
     if not isinstance(params, dict):
         raise ConfigError("parameters must be a mapping")
+    _refuse_unknown_keys(params, ("seed", *TASK_KEYS[task]), f"the parameters of task {task!r}")
+    identities = params.get("identities")
+    if identities is not None:
+        if not isinstance(identities, dict):
+            raise ConfigError("parameter identities must be a mapping")
+        _refuse_unknown_keys(identities, IDENTITY_KEYS, "parameter identities")
+    checks = params.get("checks", [])
+    if not isinstance(checks, list):
+        raise ConfigError(f"parameter checks must be a list, got {checks!r}")
+    for entry in checks:
+        if entry not in LIFT_CHECKS:
+            raise ConfigError(f"unknown entry {entry!r} in parameter checks; "
+                              f"known entries: {', '.join(LIFT_CHECKS)}")
     for key in ("tolerance", "lagrangean_tolerance", "profile_tolerance"):
-        if key in params and float(params[key]) <= 0:
+        if key in params and _number(key, params[key], float) <= 0:
             raise ConfigError(f"parameter {key} must be positive")
     counts = {key: params.get(key) for key in ("samples", "flags", "identity_samples")}
-    if isinstance(params.get("identities"), dict):
-        counts["identities.samples"] = params["identities"].get("samples")
+    counts["identities.samples"] = (identities or {}).get("samples")
     for key, value in counts.items():
-        if value is not None and int(value) < 1:
+        if value is not None and _number(key, value, int) < 1:
             raise ConfigError(f"parameter {key} must be at least 1")
     metric_from_config(cfg["metric"])
 

@@ -24,12 +24,7 @@ from .lifts import (LiftSpec, SectionJet, _nabla_g_tensors, adapted_split,
 from .metrics import MetricSpec, TangentVector, _f2_y_jet, g_bilinear, require_points
 from .rng import SplitMix64
 from .spray import PointFrame, _matvec, _pair
-from .variational import _transport, integrate_geodesic
-
-
-def _d1(f, h: float) -> float:
-    """df/dt at t = 0 of a scalar function of one variable, 4th-order central difference."""
-    return (f(-2 * h) - 8 * f(-h) + 8 * f(h) - f(2 * h)) / (12 * h)
+from .variational import _d1, _linear_flow, integrate_geodesic
 
 
 def levi_civita(ms: MetricSpec, x, y):
@@ -259,7 +254,9 @@ def cprime_transport_residual(ms: MetricSpec, w: TangentVector, tau: float = 1e-
     def contraction(t):
         # the span starts at w, time 0, and runs backwards for t < 0
         geo = integrate_geodesic(ms, w, t, rtol=1e-11, atol=1e-13, nodes=5)
-        vecs = _transport(ms, geo, vecs0, (0.0, t), 1e-11, 1e-13).y[:, -1].reshape(n, 3)
+        (flow,) = _linear_flow(ms, geo, 3, lambda fr: fr.N, lambda N, v: (-N @ v,), (vecs0,),
+                               span=(0.0, t), rtol=1e-11, atol=1e-13)
+        vecs = flow[-1 if t > 0 else 0]
         st = geo.dense(t)
         C = PointFrame(ms, TangentVector(st[:n], st[n:]), order=3).C_low
         return np.einsum("ijk,i,j,k->", C, *vecs.T)

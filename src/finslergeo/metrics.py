@@ -271,12 +271,23 @@ def require_positive_definite(g: np.ndarray, x, y) -> None:
             f"fundamental tensor indefinite or near-degenerate at x={x}, y={y}")
 
 
+def _legendre(ms: MetricSpec, x, y):
+    """(xi, g) at (x, y): the Legendre covector g_y(y, .), half the fiber
+    gradient of F^2, and the fundamental tensor g_y, half its fiber Hessian.
+
+    One order-2 y-jet gives both; g is checked positive definite. ``x`` and
+    ``y`` may carry leading batch axes, (..., n).
+    """
+    jet = _f2_y_jet(ms, x, y, 2)
+    g = 0.5 * jet.derivative(2)
+    require_positive_definite(g, x, y)
+    return 0.5 * jet.derivative(1), g
+
+
 def fundamental_tensor(ms: MetricSpec, w: TangentVector) -> FundamentalTensor:
     """g_w = half the fiber Hessian of F^2 at w; checked positive definite."""
     ms.check_tangent(w)
-    g = 0.5 * _f2_y_jet(ms, w.x, w.y, 2).derivative(2)
-    require_positive_definite(g, w.x, w.y)
-    return FundamentalTensor(w, g)
+    return FundamentalTensor(w, _legendre(ms, w.x, w.y)[1])
 
 
 def cartan_tensor(ms: MetricSpec, w: TangentVector) -> CartanTensor:

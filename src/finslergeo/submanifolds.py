@@ -13,7 +13,7 @@ from scipy.linalg import null_space
 from .errors import InvalidLift, NoConvergence, SingularBasis
 from .jets import lift_any, smath
 from .lifts import LiftSpec, classical_lift, condition_residuals, lift_tensors
-from .metrics import MetricSpec, TangentVector, _f2_y_jet, metric_value
+from .metrics import MetricSpec, TangentVector, _legendre, metric_value
 from .spray import PointFrame
 
 
@@ -105,20 +105,13 @@ class NormalVector:
     eta: np.ndarray
 
 
-def _g_matrix(ms: MetricSpec, x, y) -> np.ndarray:
-    return PointFrame(ms, TangentVector(x, y), order=2).g
-
-
-def _dF2_dy(ms: MetricSpec, x, y) -> np.ndarray:
-    return _f2_y_jet(ms, x, y, 1).derivative(1)
-
-
 def normal_cone_solve(P: Submanifold, param, ms: MetricSpec, guess,
                       tol: float = 1e-13, max_iter: int = 50) -> NormalVector:
     """Solve g_eta(eta, T_x P) = 0 for eta near a guess, normalized to F = 1.
 
     Newton iteration over tangential corrections eta = guess + dphi . c (a
-    square k x k system with the tangential Gram matrix as Jacobian).
+    square k x k system with the tangential Gram matrix as Jacobian); each
+    step reads the residual and the Gram matrix off one Legendre jet.
     """
     param = np.atleast_1d(np.asarray(param, float))
     x = P.value(param)
@@ -128,10 +121,11 @@ def normal_cone_solve(P: Submanifold, param, ms: MetricSpec, guess,
     if np.linalg.norm(eta) < 1e-12:
         raise NoConvergence("zero guess for the normal solve")
     for _ in range(max_iter):
-        resid = 0.5 * basis.T @ _dF2_dy(ms, x, eta)  # g_eta(eta, dphi_a)
+        xi, g = _legendre(ms, x, eta)
+        resid = basis.T @ xi  # g_eta(eta, dphi_a)
         if np.max(np.abs(resid)) < tol:
             break
-        gram = basis.T @ _g_matrix(ms, x, eta) @ basis
+        gram = basis.T @ g @ basis
         try:
             c = np.linalg.solve(gram, -resid)
         except np.linalg.LinAlgError as exc:
@@ -143,7 +137,7 @@ def normal_cone_solve(P: Submanifold, param, ms: MetricSpec, guess,
         raise NoConvergence(f"normal solve did not reach tolerance {tol} "
                             f"in {max_iter} iterations")
     eta = eta / metric_value(ms, TangentVector(x, eta))
-    resid = 0.5 * basis.T @ _dF2_dy(ms, x, eta)
+    resid = basis.T @ _legendre(ms, x, eta)[0]
     if np.max(np.abs(resid)) > 1e-10:
         raise NoConvergence(f"normality residual {np.max(np.abs(resid)):.2e} after rescale")
     return NormalVector(param=param, x=x, eta=eta)
@@ -153,7 +147,7 @@ def normality_residual(P: Submanifold, param, ms: MetricSpec, eta) -> float:
     param = np.atleast_1d(np.asarray(param, float))
     x = P.value(param)
     basis = P.jacobian(param)
-    return float(np.max(np.abs(0.5 * basis.T @ _dF2_dy(ms, x, np.asarray(eta, float)))))
+    return float(np.max(np.abs(basis.T @ _legendre(ms, x, np.asarray(eta, float))[0])))
 
 
 # -- second fundamental form via connections -------------------------------------
@@ -210,7 +204,7 @@ def omega_F(ms: MetricSpec, w: TangentVector, X1, X2) -> float:
 def legendre_transform(ms: MetricSpec, w: TangentVector) -> np.ndarray:
     """The covector g_w(w, .) (half the fiber gradient of F^2)."""
     ms.check_tangent(w)
-    return 0.5 * _dF2_dy(ms, w.x, w.y)
+    return _legendre(ms, w.x, w.y)[0]
 
 
 def legendre_inverse(ms: MetricSpec, x, xi, guess=None, tol: float = 1e-12,
@@ -220,18 +214,20 @@ def legendre_inverse(ms: MetricSpec, x, xi, guess=None, tol: float = 1e-12,
     y = np.asarray(guess, float).copy() if guess is not None else xi.copy()
     if np.linalg.norm(y) < 1e-12:
         raise NoConvergence("zero guess for the Legendre inverse")
-    res = 0.5 * _dF2_dy(ms, x, y) - xi
+    cov, g = _legendre(ms, x, y)
+    res = cov - xi
     for _ in range(max_iter):
         if np.max(np.abs(res)) < tol:
             return y
-        step = np.linalg.solve(_g_matrix(ms, x, y), -res)
+        step = np.linalg.solve(g, -res)
         lam = 1.0
         for _ in range(30):
             ytry = y + lam * step
             if np.linalg.norm(ytry) > 1e-12:
-                rtry = 0.5 * _dF2_dy(ms, x, ytry) - xi
+                cov, gtry = _legendre(ms, x, ytry)
+                rtry = cov - xi
                 if np.linalg.norm(rtry) < np.linalg.norm(res):
-                    y, res = ytry, rtry
+                    y, res, g = ytry, rtry, gtry
                     break
             lam *= 0.5
         else:
@@ -245,7 +241,8 @@ def normal_bundle_tangent_basis(P: Submanifold, nv: NormalVector, ms: MetricSpec
 
     k vectors follow the solved normal along each parameter direction
     (implicit differentiation by re-solving), plus (n - k) fiber directions
-    of the normal cone, the radial one first.
+    of the normal cone, the radial one first. Row a < k has base part
+    dphi_a, the a-th column of the immersion's Jacobian.
     """
     n, k = P.dim, P.param_dim
     basis = P.jacobian(nv.param)
@@ -258,7 +255,7 @@ def normal_bundle_tangent_basis(P: Submanifold, nv: NormalVector, ms: MetricSpec
         rows[a, :n] = basis[:, a]
         rows[a, n:] = (eta_p - eta_m) / (2 * h)
     # fiber directions: g_eta(v, T_x P) = 0
-    g = _g_matrix(ms, nv.x, nv.eta)
+    g = _legendre(ms, nv.x, nv.eta)[1]
     constraints = basis.T @ g  # (k, n)
     kern = null_space(constraints)
     if kern.shape[1] != n - k:
@@ -282,26 +279,23 @@ def normal_bundle_tangent_basis(P: Submanifold, nv: NormalVector, ms: MetricSpec
 
 
 def sff_symplectic(P: Submanifold, nv: NormalVector, u, v, ms: MetricSpec,
-                   h: float = 1e-4) -> float:
+                   _basis: np.ndarray | None = None) -> float:
     """b_eta(u, v) read off the Lagrangean tangent space of the normal bundle.
 
-    For each parameter vector u, the basis combination of along-submanifold
-    tangent vectors with base projection dphi(u) has vertical part v_full;
-    the defining relation of the Lagrangean graph gives
-    b_eta(u, v) = -g_eta(v_full, dphi(v)). The radial (cone) direction has
-    zero base projection and stays out of the solve.
+    The along-submanifold rows of the basis have base parts dphi_a, so the
+    combination with base projection dphi(u) has coefficients u; its
+    vertical part v_full gives, by the defining relation of the Lagrangean
+    graph, b_eta(u, v) = -g_eta(v_full, dphi(v)). The radial (cone)
+    direction has zero base projection and stays out. ``_basis``, if given,
+    is ``normal_bundle_tangent_basis(P, nv, ms)``, shared with other reads.
     """
     u = np.atleast_1d(np.asarray(u, float))
     v = np.atleast_1d(np.asarray(v, float))
     n, k = P.dim, P.param_dim
-    rows = normal_bundle_tangent_basis(P, nv, ms, h=h)
-    base = rows[:k, :n].T  # (n, k) projections of the along-submanifold vectors
-    coeffs, *_ = np.linalg.lstsq(base, P.jacobian(nv.param) @ u, rcond=None)
-    if np.max(np.abs(base @ coeffs - P.jacobian(nv.param) @ u)) > 1e-8:
-        raise SingularBasis("along-submanifold basis does not span the requested tangent")
+    rows = normal_bundle_tangent_basis(P, nv, ms) if _basis is None else _basis
     # vertical part in the split representation: fiber component of the
     # vertical projection, not the raw dy block
     fr = PointFrame(ms, TangentVector(nv.x, nv.eta), order=3)
-    raw = rows[:k].T @ coeffs  # (2n,) combined raw tangent vector
+    raw = rows[:k].T @ u  # (2n,) combined raw tangent vector
     v_full = raw[n:] + fr.N @ raw[:n]
-    return float(-v_full @ fr.g @ (P.jacobian(nv.param) @ v))
+    return float(-v_full @ fr.g @ (rows[:k, :n].T @ v))

@@ -12,8 +12,8 @@ geodesic's time interval, interpolated barycentrically (Berrut-Trefethen,
 *SIAM Review* 46, 2004). The node count doubles from 16 intervals, one
 batched frame over the new nodes per doubling, until the table's Chebyshev
 tail falls below the solve's ``rtol``, and a right-hand side only
-interpolates the table. Jacobi fields and transported vectors are the
-columns of an (n, m) block integrated in one solve.
+interpolates the table. Each such linear ODE, the oracle's below too, is
+one table and one solve in ``_linear_flow``, over (n, m) column blocks.
 
 The Jacobi oracle is the linearized spray flow, the variational equation of
 the geodesic ODE and so the exact derivative of the exponential map
@@ -35,7 +35,7 @@ from .errors import (DomainExit, GridError, NoConvergence, NormalityViolation,
                      NullDirection, StepFailure)
 from .jets import lift_any
 from .lifts import LiftSpec, affine_coefficients, classical_lift, covariant_derivative_curve
-from .metrics import MetricSpec, TangentVector, metric_value
+from .metrics import MetricSpec, TangentVector
 from .spray import PointFrame, spray_values
 
 DEFAULT_RTOL = 1e-9
@@ -91,7 +91,6 @@ class VariationFamily:
     """
 
     rule: object
-    eps: float = 1e-2
 
 
 def fd_derivative(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -222,6 +221,19 @@ def geodesic_residual(src, curve: Curve, stride: int = 1) -> float:
     return float(np.max(np.abs(acc + g2).max(axis=1) / scale))
 
 
+def _simpson_weights(count: int) -> np.ndarray:
+    """Composite Simpson weights (1, 4, 2, ..., 4, 1) over ``count`` nodes, before h/3."""
+    weights = np.ones(count)
+    weights[1:-1:2] = 4.0
+    weights[2:-2:2] = 2.0
+    return weights
+
+
+def _d1(f, h: float) -> float:
+    """df/dt at t = 0 of a scalar function of one variable, 4th-order central difference."""
+    return (f(-2 * h) - 8 * f(-h) + 8 * f(h) - f(2 * h)) / (12 * h)
+
+
 def energy(ms: MetricSpec, curve: Curve) -> float:
     """E = (1/2) integral of F(velocity)^2 by composite Simpson."""
     grid = curve.grid
@@ -244,16 +256,7 @@ def energy(ms: MetricSpec, curve: Curve) -> float:
     n = points.shape[1]
     vals = lift_any(lambda v: ms.f2(v[:n], v[n:]),
                     np.concatenate([points, vels], axis=1), 0).c[:, 0]
-    h = hs[0]
-    weights = np.ones(len(grid))
-    weights[1:-1:2] = 4.0
-    weights[2:-2:2] = 2.0
-    return float(0.5 * h / 3.0 * np.sum(weights * vals))
-
-
-def metric_value_on(ms: MetricSpec, curve: Curve, i: int) -> float:
-    """F of the curve velocity at node i."""
-    return metric_value(ms, TangentVector(curve.points[i], curve.velocities[i]))
+    return float(0.5 * hs[0] / 3.0 * np.sum(_simpson_weights(len(grid)) * vals))
 
 
 class _ChebyshevTable:
@@ -341,6 +344,34 @@ def _require_geodesic(src, geo: Curve) -> None:
         raise GridError(f"input curve is not a geodesic (residual {res:.2e})")
 
 
+def _linear_flow(src, geo: Curve, order: int, read, rhs, s0, span=None,
+                 rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL):
+    """Integrate a linear ODE along a geodesic in one solve.
+
+    ``s0`` is a tuple of initial blocks of one shape, (n,) or (n, m);
+    ``rhs(c, *blocks)`` returns their derivatives, with ``c = read(frame)``
+    interpolated from one order-``order`` frame table along ``geo``.
+    ``span`` (t0, t1), by default the curve's grid interval, may run
+    backwards. Returns the blocks on ``geo.grid``, each (N,) + block shape.
+    """
+    _require_geodesic(src, geo)
+    s0 = [np.asarray(b, float) for b in s0]
+    shape = s0[0].shape
+    if any(b.shape != shape for b in s0) or shape[:1] != (geo.n,) or len(shape) > 2:
+        raise ValueError(f"initial vectors must share shape (n,) or (n, m) with n = {geo.n}, "
+                         f"got {' and '.join(str(b.shape) for b in s0)}")
+    table = _frame_table(src, geo, order, read, rtol)
+    blocks = (len(s0),) + shape
+
+    def flat_rhs(t, s):
+        return np.concatenate([np.ravel(d) for d in rhs(table(t), *s.reshape(blocks))])
+
+    sol = _solve(flat_rhs, np.concatenate([b.ravel() for b in s0]),
+                 span or (geo.grid[0], geo.grid[-1]), rtol, atol)
+    states = sol.sol(geo.grid).T.reshape((len(geo.grid),) + blocks)
+    return [states[:, i] for i in range(len(s0))]
+
+
 def jacobi_integrate(src, geo: Curve, J0, J0dot, rtol: float = DEFAULT_RTOL,
                      atol: float = DEFAULT_ATOL) -> FieldAlongCurve:
     """Integrate the Jacobi equation D^2 J + R(J) = 0 along a geodesic.
@@ -353,27 +384,13 @@ def jacobi_integrate(src, geo: Curve, J0, J0dot, rtol: float = DEFAULT_RTOL,
     ``covariant_derivative`` then have shape (N, n, m). Raises
     ``NoConvergence`` when the table does not resolve N and R to ``rtol``.
     """
-    _require_geodesic(src, geo)
-    n = geo.n
-    J0 = np.asarray(J0, float)
-    J0dot = np.asarray(J0dot, float)
-    if J0.shape != J0dot.shape or J0.shape[:1] != (n,) or J0.ndim > 2:
-        raise ValueError(f"J0 and J0dot must share shape (n,) or (n, m), got "
-                         f"{J0.shape} and {J0dot.shape}")
-    table = _frame_table(src, geo, 4, lambda fr: np.stack([fr.N, fr.R], axis=1), rtol)
-    cut = J0.size
+    def rhs(c, J, K):
+        N, R = c
+        return K - N @ J, -R @ J - N @ K
 
-    def rhs(t, s):
-        N, R = table(t)
-        J, K = s[:cut].reshape(J0.shape), s[cut:].reshape(J0.shape)
-        return np.concatenate([(K - N @ J).ravel(), (-R @ J - N @ K).ravel()])
-
-    sol = _solve(rhs, np.concatenate([J0.ravel(), J0dot.ravel()]),
-                 (geo.grid[0], geo.grid[-1]), rtol, atol)
-    states = sol.sol(geo.grid).T
-    shape = (len(geo.grid),) + J0.shape
-    return FieldAlongCurve(grid=geo.grid, vectors=states[:, :cut].reshape(shape),
-                           covariant_derivative=states[:, cut:].reshape(shape))
+    J, K = _linear_flow(src, geo, 4, lambda fr: np.stack([fr.N, fr.R], axis=1), rhs,
+                        (J0, J0dot), rtol=rtol, atol=atol)
+    return FieldAlongCurve(grid=geo.grid, vectors=J, covariant_derivative=K)
 
 
 def jacobi_variation_oracle(src, geo: Curve, u, rtol: float = DEFAULT_RTOL,
@@ -388,33 +405,13 @@ def jacobi_variation_oracle(src, geo: Curve, u, rtol: float = DEFAULT_RTOL,
     ``u`` has shape (n,) or (n, m); returns dx on ``geo.grid``, shape
     (N, n) or (N, n, m).
     """
-    _require_geodesic(src, geo)
+    def rhs(c, dx, dv):
+        Gx, N = c
+        return dv, -2.0 * (Gx @ dx + N @ dv)
+
     u = np.asarray(u, float)
-    table = _frame_table(src, geo, 3, lambda fr: np.stack([fr.Gx, fr.N], axis=1), rtol)
-    cut = u.size
-
-    def rhs(t, s):
-        Gx, N = table(t)
-        dx, dv = s[:cut].reshape(u.shape), s[cut:].reshape(u.shape)
-        return np.concatenate([s[cut:], (-2.0 * (Gx @ dx + N @ dv)).ravel()])
-
-    sol = _solve(rhs, np.concatenate([np.zeros(cut), u.ravel()]),
-                 (geo.grid[0], geo.grid[-1]), rtol, atol)
-    return sol.sol(geo.grid)[:cut].T.reshape((len(geo.grid),) + u.shape)
-
-
-def _transport(src, geo: Curve, v0: np.ndarray, span, rtol: float = DEFAULT_RTOL,
-               atol: float = DEFAULT_ATOL):
-    """Dense solution of V' = -N V with V(t0) = v0 over ``span`` = (t0, t1).
-
-    N comes from a frame table along ``geo``; ``span`` may run backwards.
-    """
-    table = _frame_table(src, geo, 3, lambda fr: fr.N, rtol)
-
-    def rhs(t, s):
-        return (-table(t) @ s.reshape(v0.shape)).ravel()
-
-    return _solve(rhs, v0.ravel(), span, rtol, atol)
+    return _linear_flow(src, geo, 3, lambda fr: np.stack([fr.Gx, fr.N], axis=1), rhs,
+                        (np.zeros(u.shape), u), rtol=rtol, atol=atol)[0]
 
 
 def parallel_transport(src, geo: Curve, v0) -> FieldAlongCurve:
@@ -423,20 +420,11 @@ def parallel_transport(src, geo: Curve, v0) -> FieldAlongCurve:
     ``v0`` has shape (n,), or (n, m) to transport m vectors in one solve;
     ``vectors`` then has shape (N, n) or (N, n, m).
     """
-    _require_geodesic(src, geo)
-    v0 = np.asarray(v0, float)
-    sol = _transport(src, geo, v0, (geo.grid[0], geo.grid[-1]))
-    return FieldAlongCurve(grid=geo.grid,
-                           vectors=sol.sol(geo.grid).T.reshape((len(geo.grid),) + v0.shape))
+    (V,) = _linear_flow(src, geo, 3, lambda fr: fr.N, lambda N, v: (-N @ v,), (v0,))
+    return FieldAlongCurve(grid=geo.grid, vectors=V)
 
 
 # -- second variation -----------------------------------------------------------
-
-
-def _endpoint_tangent_basis(endpoint):
-    """(submanifold, param) -> columns spanning the tangent space at the point."""
-    sub, param = endpoint
-    return sub.jacobian(param)
 
 
 def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
@@ -455,6 +443,8 @@ def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
     if V.vectors.shape != geo.points.shape or not np.allclose(V.grid, grid):
         raise GridError("variation field must live on the geodesic grid")
 
+    # one order-4 frame over the nodes; its end frames serve the boundary terms
+    frames = PointFrame(ms, TangentVector(geo.points, geo.velocities), order=4)
     boundary = 0.0
     for which, endpoint, sign in (("start", P1, -1.0), ("end", P2, +1.0)):
         idx = 0 if which == "start" else -1
@@ -466,10 +456,10 @@ def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
                     f"fixed-endpoint variation must vanish at the {which} (|V|={np.linalg.norm(vend):.2e})")
             continue
         sub, param = endpoint
-        basis = _endpoint_tangent_basis(endpoint)
+        basis = sub.jacobian(param)
         if np.max(np.abs(sub.value(param) - geo.points[idx])) > 1e-8:
             raise NormalityViolation(f"{which} submanifold does not pass through the endpoint")
-        fr = PointFrame(ms, TangentVector(geo.points[idx], vel), order=2)
+        fr = frames[idx]
         normality = np.max(np.abs(basis.T @ (fr.g @ vel)))
         if normality > 1e-6:
             raise NormalityViolation(
@@ -477,19 +467,16 @@ def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
         coeffs, res, *_ = np.linalg.lstsq(basis, vend, rcond=None)
         if np.max(np.abs(basis @ coeffs - vend)) > 1e-6:
             raise NormalityViolation(f"variation field is not tangent at the {which} submanifold")
-        boundary += sign * sff_connection(sub, param, vel, coeffs, coeffs, ms, lift=lift)
+        boundary += sign * sff_connection(sub, param, vel, coeffs, coeffs, ms, lift=lift,
+                                          _frame=fr)
 
     W = FieldAlongCurve(grid=grid, vectors=geo.velocities)
-    frames = PointFrame(ms, TangentVector(geo.points, geo.velocities), order=4)
     DV = covariant_derivative_curve(lift, ms, geo, W, V, _frames=frames).vectors
     RV = np.einsum("...ij,...j->...i", frames.R, V.vectors)
     vals = (np.einsum("...i,...ij,...j->...", DV, frames.g, DV)
             - np.einsum("...i,...ij,...j->...", RV, frames.g, V.vectors))
     h = grid[1] - grid[0]
-    weights = np.ones(len(grid))
-    weights[1:-1:2] = 4.0
-    weights[2:-2:2] = 2.0
-    return float(h / 3.0 * np.sum(weights * vals) + boundary)
+    return float(h / 3.0 * np.sum(_simpson_weights(len(grid)) * vals) + boundary)
 
 
 def _family_points(fam: VariationFamily, s: float, grid: np.ndarray) -> np.ndarray:
@@ -514,14 +501,13 @@ def variation_energy_derivatives(ms: MetricSpec, fam: VariationFamily, order: in
     """d/ds or d^2/ds^2 of s -> E(lambda_s) at s=0, 4th-order stencils."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    evals = {}
-    svals = (-2, -1, 1, 2) if order == 1 else (-2, -1, 0, 1, 2)
-    for k in svals:
-        evals[k] = energy(ms, family_curve(fam, k * h, nodes=nodes))
+
+    def e(s):
+        return energy(ms, family_curve(fam, s, nodes=nodes))
+
     if order == 1:
-        return (evals[-2] - 8 * evals[-1] + 8 * evals[1] - evals[2]) / (12 * h)
-    return (-evals[-2] + 16 * evals[-1] - 30 * evals[0] + 16 * evals[1]
-            - evals[2]) / (12 * h * h)
+        return _d1(e, h)
+    return (-e(-2 * h) + 16 * e(-h) - 30 * e(0.0) + 16 * e(h) - e(2 * h)) / (12 * h * h)
 
 
 def variation_symmetry_residual(ms: MetricSpec, fam: VariationFamily, lift: LiftSpec | None = None,

@@ -1,6 +1,8 @@
 import importlib.util
+import inspect
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -286,3 +288,97 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert "configuration error" in proc.stderr
+
+
+FUNK = {"kind": "funk", "dim": 2}
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"version": 1, "task": "curvature-sweep", "metric": FUNK,
+      "paramters": {"flags": 5, "expect_value": 0.7}}, "paramters"),
+    ({"version": 1, "task": "lift-independence", "metric": FUNK,
+      "parameters": {"samples": 2, "checks": ["curvatur"]}}, "curvatur"),
+    ({"version": 1, "task": "lift-independence", "metric": FUNK,
+      "parameters": {"samples": 2, "checks": "curvature"}}, "checks"),
+    ({"version": 1, "task": "jacobi-compare", "metric": FUNK,
+      "parameters": {"samples": 1, "tolerence": 1e-30}}, "tolerence"),
+    ({"version": 1, "task": "curvature-sweep", "metric": {"kind": "funk", "dimension": 3},
+      "parameters": {"flags": 5, "expect_value": -0.25}}, "dimension"),
+    ({"version": 1, "task": "sff-compare", "metric": {"kind": "euclidean"},
+      "parameters": {"samples": 1, "submanifolds": [{"shape": "circle", "raduis": 0.5}]}},
+     "raduis"),
+    ({"version": 1, "task": "condition-matrix", "metric": FUNK,
+      "parameters": {"samples": 2, "identities": {"sample": 2}}}, "sample"),
+    ({"version": 1, "task": "curvature-sweep", "metric": FUNK,
+      "parameters": {"flags": 5, "expect_value": -0.25, "tolerance": "tight"}}, "tolerance"),
+], ids=["top-level", "checks-entry", "checks-string", "task", "metric", "submanifold",
+        "identities", "not-a-number"])
+def test_unknown_keys_and_bad_numbers_are_config_errors(tmp_path, capsys, cfg, key):
+    # a misspelled key used to be ignored, its default used and the scenario passed
+    assert cli.main(["run", str(_scenario(tmp_path, cfg))]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert repr(key) in err or f"parameter {key} " in err
+
+
+def _keys_read(fn, mapping):
+    return set(re.findall(mapping + r'(?:\.get\(\s*|\[)"(\w+)"', inspect.getsource(fn)))
+
+
+def test_key_tables_match_the_keys_the_code_reads():
+    assert set(cli.TASK_KEYS) == set(cli.TASKS)
+    for task, fn in cli.TASKS.items():
+        assert _keys_read(fn, "params") == set(cli.TASK_KEYS[task]), task
+    assert _keys_read(cli._run_identity_battery, "identities") == set(cli.IDENTITY_KEYS)
+    assert _keys_read(cli.submanifold_from_config, "cfg") == \
+        {"shape"} | {k for keys in cli.SHAPE_KEYS.values() for k in keys}
+    assert _keys_read(cli.metric_from_config, "cfg") == \
+        {"kind", "dim"} | {k for keys in cli.METRIC_KEYS.values() for k in keys}
+
+
+def test_identity_battery_in_three_dimensions():
+    cfg = dict(cli.bundled_scenarios())["06_identity_suite_lifts.json"]
+    cfg["metric"]["dim"] = 3
+    cfg["metric"]["beta"].append("0.1*x3")
+    out = io.StringIO()
+    assert cli.run_scenario_config(cfg, stream=out) == 0
+    assert out.getvalue().count("[PASS]") == 7
+
+
+@pytest.mark.parametrize("scenario", ["12_jacobi_sphere", "16_second_variation_euclidean",
+                                      "18_second_variation_submanifold",
+                                      "19_sff_compare_euclidean", "20_sff_compare_randers"])
+def test_g_alone_builds_no_order_two_frame(scenario, monkeypatch):
+    from finslergeo.spray import PointFrame
+
+    orders = []
+    init = PointFrame.__init__
+
+    def counting(self, src, w, order=4):
+        orders.append(order)
+        init(self, src, w, order)
+
+    monkeypatch.setattr(PointFrame, "__init__", counting)
+    cfg = dict(cli.bundled_scenarios())[scenario + ".json"]
+    assert cli.run_scenario_config(cfg, stream=io.StringIO()) == 0
+    assert orders and 2 not in orders
+
+
+def test_sff_compare_solves_one_normal_bundle_per_sample(monkeypatch):
+    # 1 + 2k normal-cone solves per sample: the normal, then the k re-solve pairs
+    # of one normal-bundle basis, shared by both of its readers
+    from finslergeo import submanifolds as subm
+
+    calls = []
+    solve = subm.normal_cone_solve
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(subm, "normal_cone_solve", counting)
+    cfg = dict(cli.bundled_scenarios())["20_sff_compare_randers.json"]
+    params = cfg["parameters"]
+    res = cli.task_sff_compare(cli.metric_from_config(cfg["metric"]), params, params["seed"])
+    assert len(res.csv_rows) == params["samples"]
+    assert len(calls) == 3 * params["samples"]

@@ -202,3 +202,20 @@ def test_f2_jets_agree_with_central_differences(name, request):
 def test_randers_constant_beta_of_wrong_length_is_refused(dim, beta):
     with pytest.raises(ValueError, match="beta has"):
         metrics.randers(dim, beta)
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_one_legendre_jet_gives_the_order_one_and_two_jets_values(name, request):
+    # g and the Legendre covector come from one order-2 y-jet, bit for bit what
+    # the separate order-2 and order-1 jets gave, on a batch
+    from finslergeo.submanifolds import legendre_transform
+
+    ms = request.getfixturevalue(name)
+    rng = SplitMix64(43)
+    w = TangentVector.stack([random_tangent(ms, rng) for _ in range(7)])
+    g = fundamental_tensor(ms, w).g
+    assert np.array_equal(g, 0.5 * metrics._f2_y_jet(ms, w.x, w.y, 2).derivative(2))
+    for k in range(len(w.x)):
+        wk = TangentVector(w.x[k], w.y[k])
+        assert np.array_equal(legendre_transform(ms, wk),
+                              0.5 * metrics._f2_y_jet(ms, wk.x, wk.y, 1).derivative(1))

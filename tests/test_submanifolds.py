@@ -262,3 +262,15 @@ def test_graph_curve_vertex_curvature(euclid2):
                           euclid2) == pytest.approx(1.0)
     assert sff_symplectic(half_parabola, nv, [1.0], [1.0],
                           euclid2) == pytest.approx(1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("name", ["euclid2", "randers_var"])
+def test_sff_symplectic_with_a_shared_basis_is_the_same_number(name, request):
+    ms = request.getfixturevalue(name)
+    for sub, param, guess in ((circle([0, 0], 1.0), [0.9], inward_circle_guess(0.9)),
+                              (affine_subspace([0.1, -0.2], [[0.8, 0.6]]), [0.3], [-0.6, 0.8])):
+        nv = normal_cone_solve(sub, param, ms, guess=guess)
+        rows = normal_bundle_tangent_basis(sub, nv, ms)
+        for u, v in (([1.0], [1.0]), ([0.4], [-0.7])):
+            assert sff_symplectic(sub, nv, u, v, ms, _basis=rows) == \
+                sff_symplectic(sub, nv, u, v, ms)

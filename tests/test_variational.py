@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from oracles import exp_map_jacobi_difference
@@ -525,3 +527,25 @@ def test_energy_names_first_zero_velocity_node(euclid2):
                   dense=dense)
     with pytest.raises(NullDirection, match="node 200$"):
         energy(euclid2, curve)
+
+
+@pytest.fixture(scope="module")
+def funk_geodesic():
+    ms = metrics.funk(2)
+    return ms, integrate_geodesic(ms, unit_tangent(ms, TangentVector([0.1, -0.2], [0.6, 0.3])),
+                                  1.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3,), (1, 2)])
+@pytest.mark.parametrize("call", ["transport", "oracle", "jacobi"])
+def test_malformed_initial_vectors_are_refused_naming_the_shape(funk_geodesic, call, shape):
+    # one check in the linear-flow driver serves all three
+    ms, geo = funk_geodesic
+    v = np.ones(shape)
+    with pytest.raises(ValueError, match=r"initial vectors .*" + re.escape(str(shape))):
+        if call == "transport":
+            parallel_transport(ms, geo, v)
+        elif call == "oracle":
+            jacobi_variation_oracle(ms, geo, v)
+        else:
+            jacobi_integrate(ms, geo, v, v)
