@@ -25,8 +25,8 @@ from . import metrics as metrics_mod
 from . import submanifolds as subm
 from .errors import ConfigError, FinslerError
 from .jets import smath
-from .lifts import (affine_coefficients, classical_lift, condition_residuals, lift_curvature,
-                    random_admissible_lift)
+from .lifts import (ALL_CONDITIONS, affine_coefficients, classical_lift, condition_residuals,
+                    lift_curvature, random_admissible_lift)
 from .metrics import MetricSpec, TangentVector, check_metric, random_tangent
 from .rng import SplitMix64
 from .spray import PointFrame, _matvec, curvature_endomorphism, flag_curvature
@@ -81,13 +81,14 @@ def compile_expression(src: str, dim: int, allow_y: bool = True):
     return rule
 
 
-def _refuse_unknown_keys(cfg: dict, known, where: str) -> None:
-    """Refuse a mapping with a key outside ``known``: a misspelled key would
-    otherwise be ignored and its default used in silence."""
+def _refuse_unknown_keys(cfg, known, where: str, what: str = "key") -> None:
+    """Refuse a mapping with a key outside ``known``, or a list with such an
+    entry: a misspelled key would otherwise be ignored and its default used
+    in silence, and a misspelled name end in a traceback."""
     unknown = sorted(set(cfg) - set(known))
     if unknown:
-        raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} in {where}; "
-                          f"known keys: {', '.join(sorted(known))}")
+        raise ConfigError(f"unknown {what} {', '.join(map(repr, unknown))} in {where}; "
+                          f"known {what}s: {', '.join(sorted(known))}")
 
 
 # The keys each metric kind reads besides "kind" and "dim".
@@ -221,27 +222,39 @@ class TaskResult:
 # -- tasks ------------------------------------------------------------------------
 
 
+# The keys of check-metric's tolerance maps, with their defaults.
+METRIC_TOLERANCES = {"homogeneity": 1e-10, "gww": 1e-10}
+IDENTITY_TOLERANCES = {"cartan_contract": 1e-9, "cprime_contract": 1e-9, "full_symmetry": 1e-10,
+                       "gww_identity": 1e-10, "euler_gradient": 1e-10, "g_homogeneity": 1e-10,
+                       "cartan_homogeneity": 1e-9}
+
+
+def _tolerances(key, given, defaults) -> dict:
+    """The tolerance map of parameter ``key``: ``defaults`` updated by ``given``,
+    whose keys must be among the defaults' and whose values must be numbers."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"parameter {key} must be a mapping, got {given!r}")
+    _refuse_unknown_keys(given, defaults, f"parameter {key}")
+    return {k: _number(f"{key}.{k}", given.get(k, v), float) for k, v in defaults.items()}
+
+
 def task_check_metric(ms, params, seed) -> TaskResult:
-    samples = int(params.get("samples", 100))
-    tols = params.get("tolerances", {})
+    samples = _param(params, "samples", 100, int)
+    tols = _tolerances("tolerances", params.get("tolerances", {}), METRIC_TOLERANCES)
+    iden_tols = _tolerances("identity_tolerances", params.get("identity_tolerances", {}),
+                            IDENTITY_TOLERANCES)
     rep = check_metric(ms, samples, seed)
     res = TaskResult("check-metric", ms, ("quantity", "value"), samples=samples, seed=seed)
     res.csv_rows = rep.rows()
-    res.check("homogeneity max residual", rep.homogeneity_max,
-              float(tols.get("homogeneity", 1e-10)))
-    res.check("F^2 = g_w(w,w) max residual", rep.gww_identity_max, float(tols.get("gww", 1e-10)))
+    res.check("homogeneity max residual", rep.homogeneity_max, tols["homogeneity"])
+    res.check("F^2 = g_w(w,w) max residual", rep.gww_identity_max, tols["gww"])
     if params.get("expect_pd_failures", False):
         res.check("positive-definiteness failures found", rep.pd_failures, 0.5, ">")
     else:
         res.check("positive-definiteness failures", rep.pd_failures, 0.5)
     if params.get("tensor_identities"):
-        iden_tols = {"cartan_contract": 1e-9, "cprime_contract": 1e-9,
-                     "full_symmetry": 1e-10, "gww_identity": 1e-10,
-                     "euler_gradient": 1e-10, "g_homogeneity": 1e-10,
-                     "cartan_homogeneity": 1e-9}
-        iden_tols.update({k: float(v) for k, v in params.get("identity_tolerances", {}).items()})
         rng = SplitMix64(seed + 1)
-        n_id = int(params.get("identity_samples", 25))
+        n_id = _param(params, "identity_samples", 25, int)
         worst = ident.tensor_identity_residuals(
             ms, TangentVector.stack([random_tangent(ms, rng) for _ in range(n_id)]))
         for k, tol in iden_tols.items():
@@ -250,11 +263,19 @@ def task_check_metric(ms, params, seed) -> TaskResult:
 
 
 def task_condition_matrix(ms, params, seed) -> TaskResult:
-    samples = int(params.get("samples", 50))
-    tol = float(params.get("tolerance", 1e-7))
+    samples = _param(params, "samples", 50, int)
+    tol = _param(params, "tolerance", 1e-7)
     lift_names = params.get("lifts", list(CLASSICAL))
-    conditions = tuple(params.get("conditions",
-                                  ("T1", "T2", "T3", "M1", "M2", "M3", "M4", "M5", "M6", "M7")))
+    conditions = tuple(params.get("conditions", ALL_CONDITIONS))
+    _refuse_unknown_keys(lift_names, CLASSICAL, "parameter lifts", "lift")
+    _refuse_unknown_keys(conditions, ALL_CONDITIONS, "parameter conditions", "condition")
+    for key in ("expect", "expect_fail", "expect_exact"):
+        expected = params.get(key, {})
+        if not isinstance(expected, dict):
+            raise ConfigError(f"parameter {key} must be a mapping, got {expected!r}")
+        _refuse_unknown_keys(expected, lift_names, f"parameter {key}", "lift")
+        for name, conds in expected.items():
+            _refuse_unknown_keys(conds, conditions, f"parameter {key} of {name!r}", "condition")
     rng = SplitMix64(seed)
     fr = PointFrame(ms, TangentVector.stack([random_tangent(ms, rng) for _ in range(samples)]),
                     order=4)
@@ -269,7 +290,8 @@ def task_condition_matrix(ms, params, seed) -> TaskResult:
             res.check(f"{name} satisfies {c}", worst[name][c], tol)
     for name, fails in params.get("expect_fail", {}).items():
         for c, threshold in fails.items():
-            res.check(f"{name} violates {c}", worst[name][c], float(threshold), ">")
+            res.check(f"{name} violates {c}", worst[name][c],
+                      _number(f"expect_fail.{name}.{c}", threshold, float), ">")
     for name, conds in params.get("expect_exact", {}).items():
         passing = {c for c in conditions if worst[name][c] < tol}
         res.check(f"{name} passes exactly {sorted(conds)} (got {sorted(passing)})",
@@ -296,9 +318,9 @@ def _battery_family(dim):
 
 def _run_identity_battery(ms, identities, seed, res: TaskResult):
     rng = SplitMix64(seed + 77)
-    n_pts = int(identities.get("samples", 10))
-    tol_exact = float(identities.get("tolerance", 1e-7))
-    tol_fd = float(identities.get("fd_tolerance", 1e-6))
+    n_pts = _param(identities, "samples", 10, int, "identities.")
+    tol_exact = _param(identities, "tolerance", 1e-7, float, "identities.")
+    tol_fd = _param(identities, "fd_tolerance", 1e-6, float, "identities.")
     w = TangentVector.stack([random_tangent(ms, rng) for _ in range(n_pts)])
     lifts = {name: classical_lift(name, ms) for name in CLASSICAL}
 
@@ -333,7 +355,7 @@ def task_curvature_sweep(ms, params, seed) -> TaskResult:
     """Flag curvature at random flags. ``christoffel_check`` compares R and the
     classical affine coefficients at the first 20 samples with the exact
     oracle ``identities.levi_civita`` (Riemannian built-ins only)."""
-    flags = int(params.get("flags", 100))
+    flags = _param(params, "flags", 100, int)
     rng = SplitMix64(seed)
     res = TaskResult("curvature-sweep", ms, ("x", "y", "u", "K"), flags=flags, seed=seed)
     ws, us = [], []
@@ -353,9 +375,9 @@ def task_curvature_sweep(ms, params, seed) -> TaskResult:
     res.csv_rows = [(*(";".join(_fmt(v) for v in vec) for vec in (x, y, ui)), k)
                     for x, y, ui, k in zip(w.x, w.y, u, values)]
     if "expect_value" in params:
-        target = float(params["expect_value"])
+        target = _number("expect_value", params["expect_value"], float)
         res.check(f"flag curvature = {target}", np.max(np.abs(values - target)),
-                  float(params.get("tolerance", 1e-6)))
+                  _param(params, "tolerance", 1e-6))
     head = fr[:20]
     if params.get("flag_invariance", True):
         k0, uh = values[:20], u[:20]
@@ -370,10 +392,10 @@ def task_curvature_sweep(ms, params, seed) -> TaskResult:
         A = [affine_coefficients(classical_lift(name, ms), ms, head.w, _frame=head).A
              for name in CLASSICAL]
         res.check("curvature matches Christoffel oracle", np.max(np.abs(head.R - oracles)),
-                  float(params.get("riemann_tolerance", 1e-7)))
+                  _param(params, "riemann_tolerance", 1e-7))
         res.check("affine coefficients = Levi-Civita symbols",
                   max(np.max(np.abs(a - gams)) for a in A),
-                  float(params.get("affine_tolerance", 1e-8)))
+                  _param(params, "affine_tolerance", 1e-8))
         res.check("four classical lifts identical", max(np.max(np.abs(a - A[0])) for a in A[1:]),
                   1e-12)
     return res
@@ -386,11 +408,11 @@ def _node_table(ms, geo):
 
 
 def task_geodesic(ms, params, seed) -> TaskResult:
-    x0 = [float(v) for v in params.get("x0", [0.0] * ms.dim)]
-    y0 = [float(v) for v in params.get("y0", [1.0] + [0.0] * (ms.dim - 1))]
-    t_end = float(params.get("t", 1.0))
-    rtol = float(params.get("rtol", 1e-9))
-    nodes = int(params.get("nodes", 401))
+    x0 = _vector("x0", params.get("x0", [0.0] * ms.dim), ms.dim)
+    y0 = _vector("y0", params.get("y0", [1.0] + [0.0] * (ms.dim - 1)), ms.dim)
+    t_end = _param(params, "t", 1.0)
+    rtol = _param(params, "rtol", 1e-9)
+    nodes = _param(params, "nodes", 401, int)
     geo = integrate_geodesic(ms, TangentVector(x0, y0), t_end, rtol=rtol, nodes=nodes)
     header, rows = _node_table(ms, geo)
     res = TaskResult("geodesic", ms, header, t=t_end, rtol=rtol, seed=seed)
@@ -403,20 +425,22 @@ def task_geodesic(ms, params, seed) -> TaskResult:
 
 
 def task_jacobi_compare(ms, params, seed) -> TaskResult:
-    samples = int(params.get("samples", 10))
-    tol = float(params.get("tolerance", 1e-3))
-    t_end = float(params.get("t", 1.0))
+    samples = _param(params, "samples", 10, int)
+    tol = _param(params, "tolerance", 1e-3)
+    t_end = _param(params, "t", 1.0)
     rng = SplitMix64(seed)
     res = TaskResult("jacobi-compare", ms, ("sample", "sup_norm_diff", "profile_residual"),
                      samples=samples, seed=seed, tolerance=tol)
     curv = params.get("constant_curvature")
-
-    def one():
+    # the draws, sample by sample, then one batched solve for every geodesic
+    ws, us = [], []
+    for _ in range(samples):
         w0 = random_tangent(ms, rng)
-        scale = metrics_mod.metric_value(ms, w0)
-        w0 = TangentVector(w0.x, w0.y / scale)
-        u = rng.direction(ms.dim)
-        geo = integrate_geodesic(ms, w0, t_end)
+        ws.append(TangentVector(w0.x, w0.y / metrics_mod.metric_value(ms, w0)))
+        us.append(rng.direction(ms.dim))
+    geos = integrate_geodesic(ms, TangentVector.stack(ws), t_end)
+
+    def one(w0, u, geo):
         Jor = jacobi_variation_oracle(ms, geo, u)
         if curv is None:
             J = jacobi_integrate(ms, geo, np.zeros(ms.dim), u).vectors
@@ -432,7 +456,7 @@ def task_jacobi_compare(ms, params, seed) -> TaskResult:
         J = jacobi_integrate(ms, geo, np.zeros((ms.dim, 2)), np.column_stack([u, uperp])).vectors
         Jp = J[:, :, 1]
         prof = 0.0
-        kap = float(curv)
+        kap = _number("constant_curvature", curv, float)
         for i, gi in zip(nodes, gs[1:]):
             nrm = float(np.sqrt(Jp[i] @ gi @ Jp[i]))
             t = geo.grid[i]
@@ -445,11 +469,11 @@ def task_jacobi_compare(ms, params, seed) -> TaskResult:
             prof = max(prof, abs(nrm - abs(ref)))
         return float(np.max(np.abs(J[:, :, 0] - Jor))), prof
 
-    res.csv_rows = [(i, *one()) for i in range(samples)]
+    res.csv_rows = [(i, *one(*sample)) for i, sample in enumerate(zip(ws, us, geos))]
     res.check("ODE vs geodesic-variation oracle (sup norm)", max(r[1] for r in res.csv_rows), tol)
     if curv is not None:
         res.check(f"constant-curvature profile K={curv}", max(r[2] for r in res.csv_rows),
-                  float(params.get("profile_tolerance", 1e-3)))
+                  _param(params, "profile_tolerance", 1e-3))
     return res
 
 
@@ -481,8 +505,8 @@ def task_second_variation(ms, params, seed) -> TaskResult:
             return s * np.sin(np.pi * t)[..., None] * e_spline(t)
     elif mode == "submanifold":
         # geodesic segment normal to an affine line at each end
-        x_a = np.asarray(params.get("x0", [0.05, -0.1]), float)
-        d1v = np.asarray(params.get("direction", [0.9, 0.45]), float)
+        x_a = _vector("x0", params.get("x0", [0.05, -0.1]), ms.dim)
+        d1v = _vector("direction", params.get("direction", [0.9, 0.45]), ms.dim)
         line1 = subm.affine_subspace(x_a, [d1v], name="P1")
         nv = subm.normal_cone_solve(line1, [0.0], ms, guess=np.array([-d1v[1], d1v[0]]))
         geo = integrate_geodesic(ms, TangentVector(x_a, nv.eta), 1.0)
@@ -513,18 +537,18 @@ def task_second_variation(ms, params, seed) -> TaskResult:
     first = variation_energy_derivatives(ms, fam, 1)
     res.csv_rows = [("formula", formula), ("fd", fd), ("first_variation", first)]
     res.check("second variation formula vs FD (relative)", abs(formula - fd) / max(1e-12, abs(fd)),
-              float(params.get("tolerance", 1e-3)))
+              _param(params, "tolerance", 1e-3))
     res.check("first variation at geodesic", abs(first),
-              float(params.get("first_variation_tolerance", 1e-6)))
+              _param(params, "first_variation_tolerance", 1e-6))
     if h_terms:
         res.csv_rows += [("h_term_start", h_terms[0]), ("h_term_end", h_terms[1])]
         res.check("boundary terms nonzero (exercised)", min(abs(h) for h in h_terms),
-                  float(params.get("h_term_floor", 1e-4)), ">")
+                  _param(params, "h_term_floor", 1e-4), ">")
     return res
 
 
 def task_sff_compare(ms, params, seed) -> TaskResult:
-    samples = int(params.get("samples", 10))
+    samples = _param(params, "samples", 10, int)
     rng = SplitMix64(seed)
     subs = [submanifold_from_config(c, ms.dim) for c in params.get(
         "submanifolds", [{"shape": "circle", "radius": 1.0},
@@ -569,8 +593,8 @@ def task_sff_compare(ms, params, seed) -> TaskResult:
                                         + np.einsum("ijk,j,k->i", A, basis @ u, basis @ v)))
         worst = np.maximum(worst, [agree, lag, spread, abs(unsym - hc)])
         res.csv_rows.append((sub.name, param[0], agree, lag, spread))
-    tols = (float(params.get("tolerance", 1e-5)), float(params.get("lagrangean_tolerance", 1e-6)),
-            float(params.get("lift_tolerance", 1e-8)), 1e-7)
+    tols = (_param(params, "tolerance", 1e-5), _param(params, "lagrangean_tolerance", 1e-6),
+            _param(params, "lift_tolerance", 1e-8), 1e-7)
     labels = ("symplectic vs connection second fundamental form",
               "Lagrangean residual of the normal bundle",
               "lift independence of the second fundamental form",
@@ -581,9 +605,9 @@ def task_sff_compare(ms, params, seed) -> TaskResult:
 
 
 def task_lift_independence(ms, params, seed) -> TaskResult:
-    samples = int(params.get("samples", 25))
-    tol = float(params.get("tolerance", 1e-7))
-    n_random = int(params.get("random_lifts", 5))
+    samples = _param(params, "samples", 25, int)
+    tol = _param(params, "tolerance", 1e-7)
+    n_random = _param(params, "random_lifts", 5, int)
     checks = params.get("checks", ["curvature", "covariant"])
     rng = SplitMix64(seed)
     res = TaskResult("lift-independence", ms, ("check", "max_spread"), samples=samples, seed=seed)
@@ -620,7 +644,7 @@ def task_lift_independence(ms, params, seed) -> TaskResult:
                       row=("covariant", worst))
 
     if "affine_families" in checks:
-        tol_co = float(params.get("coincidence_tolerance", 1e-12))
+        tol_co = _param(params, "coincidence_tolerance", 1e-12)
         fr = PointFrame(ms, TangentVector.stack([random_tangent(ms, rng) for _ in range(samples)]),
                         order=4)
         A = {k: affine_coefficients(classical_lift(k, ms), ms, fr.w, _frame=fr).A
@@ -635,7 +659,7 @@ def task_lift_independence(ms, params, seed) -> TaskResult:
         res.check("Cartan and Chern-Rund families coincide", worst_cc, tol_co,
                   row=("cartan_vs_chern_rund", worst_cc))
         res.check("the two families differ somewhere", gap,
-                  float(params.get("family_difference_floor", 1e-3)), ">", row=("family_gap", gap))
+                  _param(params, "family_difference_floor", 1e-3), ">", row=("family_gap", gap))
     return res
 
 
@@ -695,6 +719,19 @@ def _number(key, value, kind):
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"parameter {key} must be a number, got {value!r}") from exc
+
+
+def _param(params, key, default, kind=float, where=""):
+    """Parameter ``key`` of ``params``, ``default`` when absent, as a number of
+    type ``kind``; ``where`` prefixes the key of a nested map in messages."""
+    return _number(where + key, params.get(key, default), kind)
+
+
+def _vector(key, value, dim) -> np.ndarray:
+    """Parameter ``key``, a list of ``dim`` numbers, as a float array."""
+    if not isinstance(value, (list, tuple)) or len(value) != dim:
+        raise ConfigError(f"parameter {key} must be a list of {dim} numbers, got {value!r}")
+    return np.array([_number(key, v, float) for v in value])
 
 
 def validate_scenario(cfg) -> None:

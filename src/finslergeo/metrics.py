@@ -254,6 +254,12 @@ def metric_value(ms: MetricSpec, w: TangentVector) -> float:
     return float(np.sqrt(v))
 
 
+def _not_positive_definite(g: np.ndarray):
+    """Whether each g of a batch (..., n, n) fails the strong-convexity test."""
+    ev = np.linalg.eigvalsh(g).T  # eigenvalues first, batch axes reversed
+    return (ev[0] <= ev[-1] / COND_LIMIT).T
+
+
 def require_positive_definite(g: np.ndarray, x, y) -> None:
     """The package's one strong-convexity test: refuse the fundamental tensor
     g at (x, y) unless its smallest eigenvalue exceeds its largest / COND_LIMIT.
@@ -262,10 +268,9 @@ def require_positive_definite(g: np.ndarray, x, y) -> None:
     ``x`` and ``y``; one failing point refuses the batch, and the message
     names the first such point.
     """
-    ev = np.linalg.eigvalsh(g).T  # eigenvalues first, batch axes reversed
-    bad = ev[0] <= ev[-1] / COND_LIMIT
+    bad = _not_positive_definite(g)
     if _any(bad):
-        at = np.unravel_index(np.argmax(bad.T), bad.T.shape)
+        at = np.unravel_index(np.argmax(bad), bad.shape)
         x, y = np.asarray(x, float)[at], np.asarray(y, float)[at]
         raise NotPositiveDefinite(
             f"fundamental tensor indefinite or near-degenerate at x={x}, y={y}")
@@ -352,26 +357,58 @@ def random_tangent(ms: MetricSpec, rng: SplitMix64, radius: float | None = None)
     return TangentVector(x, y)
 
 
+def _f2_values(ms: MetricSpec, x, y) -> np.ndarray:
+    """F^2 at every point of a batch (N, n), one rule evaluation; NaN at a
+    point where the rule leaves its domain (then the points go one by one)."""
+    try:
+        return np.broadcast_to(np.asarray(ms.f2(list(x.T), list(y.T)), float), len(x))
+    except DomainError:
+        out = np.full(len(x), np.nan)
+        for k, (xk, yk) in enumerate(zip(x, y)):
+            try:
+                out[k] = ms.f2(list(xk), list(yk))
+            except DomainError:
+                pass
+        return out
+
+
 def check_metric(ms: MetricSpec, samples: int, seed: int,
                  lambdas=(0.5, 2.0, 7.0)) -> MetricValidationReport:
     """Sweep homogeneity, positive definiteness and F^2 = g_w(w,w).
 
-    Failures are reported, never raised.
+    The samples are drawn first. F^2 at every sample and rescaled direction
+    is one evaluation and g at every sample one y-jet; failures are then
+    counted point by point, in sample order, never raised.
     """
     rng = SplitMix64(seed)
     rep = MetricValidationReport(metric=ms.name, samples=samples, seed=seed)
-    for _ in range(samples):
-        w = random_tangent(ms, rng)
-        try:
-            fval = metric_value(ms, w)
-            for lam in lambdas:
-                fl = metric_value(ms, TangentVector(w.x, lam * w.y))
-                rep.homogeneity_max = max(rep.homogeneity_max, abs(fl - lam * fval) / max(1.0, lam))
-            g = fundamental_tensor(ms, w).g
-            rep.gww_identity_max = max(rep.gww_identity_max, abs(w.y @ g @ w.y - fval ** 2))
-        except NotPositiveDefinite:
+    w = TangentVector.stack([random_tangent(ms, rng) for _ in range(samples)])
+    scales = (1.0, *lambdas)
+    f2 = _f2_values(ms, np.tile(w.x, (len(scales), 1)),
+                    np.concatenate([lam * w.y for lam in scales])).reshape(len(scales), -1)
+    fvals = np.sqrt(np.where(f2 > 0.0, f2, np.nan))
+    # g where F > 0 at every scale; elsewhere the point is a domain error
+    ok = ~np.isnan(fvals).any(axis=0)
+    g = np.empty((samples, ms.dim, ms.dim))
+    indefinite = np.zeros(samples, bool)
+    if ok.any():
+        g[ok] = 0.5 * _f2_y_jet(ms, w.x[ok], w.y[ok], 2).derivative(2)
+        indefinite[ok] = _not_positive_definite(g[ok])
+    for k in range(samples):
+        x, y = w.x[k], w.y[k]
+        fval = fvals[0, k]
+        if np.isnan(fval):
+            rep.failures.append(("domain_error", x.tolist(), y.tolist()))
+            continue
+        for lam, fl in zip(lambdas, fvals[1:, k]):
+            if np.isnan(fl):
+                break
+            rep.homogeneity_max = max(rep.homogeneity_max, abs(fl - lam * fval) / max(1.0, lam))
+        if not ok[k]:
+            rep.failures.append(("domain_error", x.tolist(), y.tolist()))
+        elif indefinite[k]:
             rep.pd_failures += 1
-            rep.failures.append(("not_positive_definite", w.x.tolist(), w.y.tolist()))
-        except DomainError:
-            rep.failures.append(("domain_error", w.x.tolist(), w.y.tolist()))
+            rep.failures.append(("not_positive_definite", x.tolist(), y.tolist()))
+        else:
+            rep.gww_identity_max = max(rep.gww_identity_max, abs(y @ g[k] @ y - fval ** 2))
     return rep

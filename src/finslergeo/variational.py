@@ -1,19 +1,30 @@
 """Geodesic integration, energy, Jacobi fields and the second variation.
 
-Every ODE goes through ``_solve``: DOP853 (Hairer-Norsett-Wanner, *Solving
-ODEs I*) with dense output, at ``DEFAULT_RTOL``/``DEFAULT_ATOL`` unless a
-caller asks for tighter. Geodesic solves stop at the chart's domain margin.
+A geodesic is the Picard fixed point s = s0 + integral of f(s), with
+f(x, v) = (v, -2 G(x, v)), solved by Chebyshev-Picard iteration
+(Clenshaw-Norton, *Comput. J.* 6, 1963; Bai-Junkins, *J. Astronaut. Sci.*
+58, 2011) on the Chebyshev-Lobatto nodes of its time span. One sweep is
+one batched ``spray_values`` call over every node of every geodesic being
+solved, then products with a spectral integration matrix; there is no
+linear solve. A segment starts at 16 intervals and doubles, warm-started
+from its interpolant, until its Chebyshev tail is below ``rtol``. A
+segment whose iterate leaves the chart or whose sweeps stall is split in
+two. A converged segment with a node past the chart's domain margin, or a
+chart split below ``_MIN_SEGMENT`` of the span, is a ``DomainExit``. The
+converged segments are the curve's dense output, interpolated
+barycentrically (Berrut-Trefethen, *SIAM Review* 46, 2004).
 
 Along a known geodesic, Jacobi fields and parallel transport are linear
 ODEs whose coefficients are the spray's N and R (every admissible
 connection gives the same ones). They are read from one frame table per
 geodesic: a ``PointFrame`` batched over the Chebyshev-Lobatto nodes of the
-geodesic's time interval, interpolated barycentrically (Berrut-Trefethen,
-*SIAM Review* 46, 2004). The node count doubles from 16 intervals, one
-batched frame over the new nodes per doubling, until the table's Chebyshev
-tail falls below the solve's ``rtol``, and a right-hand side only
-interpolates the table. Each such linear ODE, the oracle's below too, is
-one table and one solve in ``_linear_flow``, over (n, m) column blocks.
+geodesic's time interval, at states read off the geodesic's own
+interpolant. The node count doubles from 16 intervals, one batched frame
+over the new nodes per doubling, until the table's Chebyshev tail falls
+below the solve's ``rtol``, and a right-hand side only interpolates the
+table. Each such linear ODE, the oracle's below too, is one table and one
+DOP853 solve (Hairer-Norsett-Wanner, *Solving ODEs I*) in
+``_linear_flow``, over (n, m) column blocks.
 
 The Jacobi oracle is the linearized spray flow, the variational equation of
 the geodesic ODE and so the exact derivative of the exponential map
@@ -41,8 +52,14 @@ from .spray import PointFrame, spray_values
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
 DEFAULT_NODES = 401
-_TABLE_INTERVALS = 16       # first Chebyshev table size; doubled until converged
+_TABLE_INTERVALS = 16       # first Chebyshev table or segment size; doubled until converged
 _TABLE_MAX_INTERVALS = 256
+_SWEEP_TOL = 1e-3           # Picard sweeps stop when an update is below this share of the tolerance
+_MAX_SWEEPS = 50            # sweeps at one node count before a segment counts as stalled
+_BLOWUP = 1e6               # an iterate this many times larger than its start has stalled
+_EXIT_MARGIN = 1e-9         # a node whose domain margin is this small has left the chart
+_MIN_SEGMENT = 1e-9         # the shortest segment, relative to the span, before a split gives up
+_INTEGRATION = {}           # spectral integration matrices by interval count, built on first use
 
 
 @dataclass
@@ -53,7 +70,6 @@ class Curve:
     points: np.ndarray      # (N, n)
     velocities: np.ndarray  # (N, n)
     dense: object = None    # optional dense output: grid times t -> states (2n, ...)
-    solver_nodes: np.ndarray | None = None  # accepted integrator times
     rtol: float | None = None  # the dense output's tolerance; None: hand-built, taken as exact
 
     def __post_init__(self):
@@ -116,57 +132,300 @@ def fd_derivative(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def _margin_event(src, dim):
-    """Terminal event on the domain margin of the position s[:dim]."""
-    margin = getattr(src, "domain_margin", None)
-    if margin is None:
-        return None
-
-    def event(t, s):
-        return margin(s[:dim]) - 1e-9
-
-    event.terminal = True
-    event.direction = -1
-    return event
-
-
-def _solve(rhs, state0, span, rtol, atol, event=None):
-    """DOP853 over the time ``span`` (t0, t1) with dense output, stopping at ``event``."""
-    sol = solve_ivp(rhs, span, state0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True, events=[event] if event else None)
-    if sol.status == 1:
-        raise DomainExit(f"trajectory left the validity region at t={sol.t_events[0][0]:.6g}")
+def _solve(rhs, state0, span, rtol, atol):
+    """DOP853 over the time ``span`` (t0, t1) with dense output."""
+    sol = solve_ivp(rhs, span, state0, method="DOP853", rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
         raise StepFailure(f"integrator failed: {sol.message}")
     return sol
 
 
-def _geodesic_rhs(src):
-    """Right-hand side of x-ddot = -2 G(x, x-dot) on the state (x, x-dot)."""
-    n = src.dim
+# -- Chebyshev tables and spectral geodesics ------------------------------------
 
-    def rhs(t, s):
-        return np.concatenate([s[n:], -2.0 * spray_values(src, s[:n], s[n:])])
 
-    return rhs
+class _ChebyshevTable:
+    """Samples of a smooth function of t at Chebyshev-Lobatto nodes of [t0, t1].
+
+    ``sample(ts)`` returns the values at an array of times, shape
+    (len(ts),) + shape. The table starts at ``_TABLE_INTERVALS`` intervals
+    and doubles until the last quarter of the Chebyshev coefficients is
+    below ``rtol`` times the largest sampled value. The nodes nest (node k
+    of m intervals is node 2k of 2m), so a doubling samples only the new
+    nodes. Past ``_TABLE_MAX_INTERVALS`` it raises ``NoConvergence``.
+    Calling the table at a time, or ``at`` at an array of times,
+    interpolates it barycentrically; ``from_nodes`` wraps values already at
+    the nodes.
+    """
+
+    def __init__(self, sample, t0: float, t1: float, rtol: float):
+        m = _TABLE_INTERVALS
+        t = self.nodes(t0, t1, m)
+        values = np.asarray(sample(t), float)
+        while not self._converged(values, rtol):
+            if m >= _TABLE_MAX_INTERVALS:
+                raise NoConvergence(f"frame table not resolved to rtol {rtol:.1e} "
+                                    f"with {m} Chebyshev intervals on [{t0:.6g}, {t1:.6g}]")
+            t, values = self._doubled(t, values, sample)
+            m *= 2
+        self._set(t, values)
+
+    @classmethod
+    def from_nodes(cls, t, values) -> "_ChebyshevTable":
+        table = cls.__new__(cls)
+        table._set(t, values)
+        return table
+
+    def _set(self, t, values):
+        m = len(t) - 1
+        self.t = t
+        self.values = values
+        self._flat = values.reshape(m + 1, -1)
+        self._weights = (-1.0) ** np.arange(m + 1)
+        self._weights[[0, -1]] *= 0.5
+
+    @staticmethod
+    def nodes(t0: float, t1: float, m: int) -> np.ndarray:
+        """The m + 1 nodes of m intervals, from t0 to t1, both ends exact."""
+        t = 0.5 * (t0 + t1) - 0.5 * (t1 - t0) * np.cos(np.pi * np.arange(m + 1) / m)
+        t[0], t[-1] = t0, t1
+        return t
+
+    @classmethod
+    def _doubled(cls, t, values, sample):
+        """The nodes of twice the intervals, and the values with ``sample`` at the new ones."""
+        m = len(t) - 1
+        odd = cls.nodes(t[0], t[-1], 2 * m)[1::2]
+        at = np.arange(1, m + 1)
+        return (np.insert(t, at, odd),
+                np.insert(values, at, np.asarray(sample(odd), float), axis=0))
+
+    @staticmethod
+    def _converged(values, rtol):
+        m = len(values) - 1
+        coef = np.abs(dct(values.reshape(m + 1, -1), type=1, axis=0)) / m
+        coef[[0, -1]] *= 0.5
+        return coef[m - m // 4 + 1:].max() <= rtol * np.abs(values).max()
+
+    def __call__(self, t: float) -> np.ndarray:
+        d = t - self.t
+        hit = np.flatnonzero(d == 0.0)
+        if hit.size:
+            return self.values[hit[0]]
+        c = self._weights / d
+        return (c @ self._flat / c.sum()).reshape(self.values.shape[1:])
+
+    def at(self, ts) -> np.ndarray:
+        """The values at an array of times, (len(ts),) + shape.
+
+        The sums run node by node, so each time's value is the same
+        whatever other times share the call.
+        """
+        d = np.asarray(ts, float).reshape(-1, 1) - self.t
+        rows, cols = np.nonzero(d == 0.0)
+        d[rows, cols] = 1.0
+        c = self._weights / d
+        num, den = c[:, :1] * self._flat[0], c[:, 0].copy()
+        for k in range(1, len(self.t)):
+            num += c[:, k:k + 1] * self._flat[k]
+            den += c[:, k]
+        out = num / den[:, None]
+        out[rows] = self._flat[cols]
+        return out.reshape((len(out),) + self.values.shape[1:])
+
+
+def _integration_matrix(m: int) -> np.ndarray:
+    """Q with (Q f)_j the integral from -1 to xi_j of the degree-m polynomial
+    through f at the Chebyshev-Lobatto nodes xi_k = -cos(pi k / m).
+
+    The values go to Chebyshev coefficients, the coefficients to those of the
+    antiderivative (Clenshaw-Norton), and these back to values at the nodes
+    less the value at -1. Exact on polynomials of degree m; cached per m.
+    """
+    Q = _INTEGRATION.get(m)
+    if Q is None:
+        k = np.arange(m + 2)
+        # T_i(xi_k) = (-1)^i cos(pi i k / m), rows k = 0..m, columns i = 0..m + 1
+        T = (-1.0) ** k * np.cos(np.pi * np.outer(k[:-1], k) / m)
+        ends = np.full(m + 1, 1.0)
+        ends[[0, -1]] = 0.5
+        coef = (2.0 / m) * T[:, :-1].T * ends * ends[:, None]
+        anti = np.zeros((m + 2, m + 1))
+        j = np.arange(1, m + 1)
+        anti[1, 0] = 1.0
+        anti[j + 1, j] = 0.5 / (j + 1)
+        anti[j[1:] - 1, j[1:]] = -0.5 / (j[1:] - 1)
+        Q = (T - (-1.0) ** k) @ anti @ coef
+        Q[0] = 0.0
+        _INTEGRATION[m] = Q
+    return Q
+
+
+class _ChebyshevCurve:
+    """A geodesic's dense output: its Chebyshev segments in solve order.
+
+    At a time it gives the state (2n,), at an array of N times (2n, N);
+    each time is interpolated alone, on the segment that holds it.
+    """
+
+    def __init__(self, segments):
+        self.segments = segments
+        self._by_time = sorted(segments, key=lambda seg: min(seg.t[0], seg.t[-1]))
+        self._starts = np.array([min(seg.t[0], seg.t[-1]) for seg in self._by_time])
+
+    @property
+    def t(self) -> np.ndarray:
+        """Every node of every segment, ascending: the ends of the Chebyshev intervals."""
+        return np.unique(np.concatenate([seg.t for seg in self.segments]))
+
+    def __call__(self, t):
+        t = np.asarray(t, float)
+        flat = t.reshape(-1)
+        which = np.clip(np.searchsorted(self._starts, flat, side="right") - 1,
+                        0, len(self._starts) - 1)
+        out = np.empty((flat.size, self.segments[0].values.shape[1]))
+        for k in np.unique(which):
+            pick = which == k
+            out[pick] = self._by_time[k].at(flat[pick])
+        return out.T.reshape(out.shape[1:] + t.shape)
+
+
+class _PicardSegment:
+    """One geodesic's Chebyshev-Picard iterate ``values`` at the nodes ``t`` of
+    its current segment, which starts at state ``s0``.
+
+    ``plan`` lists the segments still to solve, this one first, as (end time,
+    warm start or None) in solve order; ``done`` holds the converged ones.
+    """
+
+    def __init__(self, s0, t0, plan, rtol, atol, margin, floor):
+        self.n = len(s0) // 2
+        self.rtol, self.atol, self.margin, self.floor = rtol, atol, margin, floor
+        self.scale0 = max(1.0, np.abs(s0).max())
+        self.plan = plan
+        self.done = []
+        self._begin(s0, t0)
+
+    def _begin(self, s0, t0):
+        n = self.n
+        t1, warm = self.plan.pop(0)
+        self.s0, self.t0, self.t1, self.sweeps = s0, t0, t1, 0
+        if warm is None:
+            # the first iterate runs straight ahead at the initial velocity
+            self.t = _ChebyshevTable.nodes(t0, t1, _TABLE_INTERVALS)
+            self.values = np.concatenate(
+                [s0[:n] + (self.t - t0)[:, None] * s0[n:], np.tile(s0[n:], (len(self.t), 1))],
+                axis=1)
+        else:
+            self.t, self.values = warm.t, warm.values.copy()
+            self.values[0] = s0
+
+    def outside(self) -> bool:
+        """Whether a node of the iterate is past the chart's domain margin."""
+        return self.margin is not None and any(
+            self.margin(x) <= _EXIT_MARGIN for x in self.values[:, :self.n])
+
+    def split(self, left_chart: bool) -> None:
+        """Start over on the first half of the segment; the second half follows it."""
+        half = 0.5 * (self.t1 - self.t0)
+        if abs(half) < self.floor:
+            if left_chart:
+                raise DomainExit(f"trajectory left the validity region at t={self.t0:.6g}")
+            raise NoConvergence(f"geodesic sweeps do not converge on [{self.t0:.6g}, "
+                                f"{self.t1:.6g}]")
+        self.plan[:0] = [(self.t0 + half, None), (self.t1, None)]
+        self._begin(self.s0, self.t0)
+
+    def sweep(self, G) -> None:
+        """One Picard sweep from the spray ``G`` at the nodes: v first, then x from the new v."""
+        n = self.n
+        half = 0.5 * (self.t1 - self.t0)
+        Q = _integration_matrix(len(self.t) - 1)
+        v = self.s0[n:] - 2.0 * half * (Q @ G)
+        x = self.s0[:n] + half * (Q @ v)
+        new = np.concatenate([x, v], axis=1)
+        self.update = np.abs(new - self.values).max()
+        self.values = new
+        self.sweeps += 1
+
+    def settle(self) -> bool:
+        """Split, double or finish the segment after a sweep; False once the span is solved."""
+        size = np.abs(self.values).max()
+        if not np.isfinite(size) or size > _BLOWUP * self.scale0:
+            self.split(False)
+        elif self.update > _SWEEP_TOL * (self.rtol * max(1.0, size) + self.atol):
+            if self.sweeps >= _MAX_SWEEPS:
+                self.split(False)
+        elif not _ChebyshevTable._converged(self.values, self.rtol):
+            if len(self.t) > _TABLE_MAX_INTERVALS:
+                self.split(False)
+            else:
+                self.t, self.values = _ChebyshevTable._doubled(
+                    self.t, self.values, _ChebyshevTable.from_nodes(self.t, self.values).at)
+                self.sweeps = 0
+        else:
+            if self.outside():
+                raise DomainExit("trajectory left the validity region before "
+                                 f"t={self.t1:.6g}")
+            self.done.append(_ChebyshevTable.from_nodes(self.t, self.values))
+            if not self.plan:
+                return False
+            self._begin(self.values[-1], self.t1)
+        return True
+
+
+def _picard_geodesics(src, states0, t0: float, t1: float, rtol: float, atol: float,
+                      warm=None) -> list:
+    """The geodesics from the states (B, 2n) at time t0 to t1, one
+    ``_ChebyshevCurve`` each, from one batched Chebyshev-Picard solve.
+
+    ``warm``, B curves over the same span, starts each geodesic from its
+    segments: a refinement to a tighter ``rtol``.
+    """
+    n = states0.shape[1] // 2
+    margin = getattr(src, "domain_margin", None)
+    floor = _MIN_SEGMENT * max(1.0, abs(t1 - t0))
+    segs = [_PicardSegment(s0, t0, [(t1, None)] if warm is None else
+                           [(seg.t[-1], seg) for seg in warm[b].segments],
+                           rtol, atol, margin, floor)
+            for b, s0 in enumerate(states0)]
+    active = segs
+    while active:
+        for seg in active:
+            while seg.outside():
+                seg.split(True)
+        states = np.concatenate([seg.values for seg in active])
+        G = spray_values(src, states[:, :n], states[:, n:])
+        at = np.cumsum([0] + [len(seg.t) for seg in active])
+        for seg, a, b in zip(active, at[:-1], at[1:]):
+            seg.sweep(G[a:b])
+        active = [seg for seg in active if seg.settle()]
+    return [_ChebyshevCurve(seg.done) for seg in segs]
 
 
 def integrate_geodesic(src, w0: TangentVector, t_end: float,
                        rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                       nodes: int = DEFAULT_NODES) -> Curve:
-    """Solve x-ddot = -2 G(x, x-dot) from w0 and sample on a uniform grid."""
+                       nodes: int = DEFAULT_NODES):
+    """Solve x-ddot = -2 G(x, x-dot) from w0 and sample on a uniform grid.
+
+    ``w0`` of shape (n,) gives one ``Curve``; with a leading batch axis,
+    (B, n), it gives a list of B curves from one batched solve, each equal
+    to its own single solve. ``t_end`` may be negative.
+    """
     src.check_tangent(w0)
+    t_end = float(t_end)
     if t_end == 0:
         raise ValueError("t_end must be nonzero")
     n = src.dim
-    state0 = np.concatenate([w0.x, w0.y])
-    sol = _solve(_geodesic_rhs(src), state0, (0.0, t_end), rtol, atol, _margin_event(src, n))
+    states0 = np.concatenate([w0.x, w0.y], axis=-1)
     grid = np.linspace(0.0, t_end, nodes)
     if t_end < 0:
         grid = grid[::-1]
-    states = sol.sol(grid)
-    return Curve(grid=grid, points=states[:n].T, velocities=states[n:].T, dense=sol.sol,
-                 solver_nodes=np.sort(sol.t), rtol=rtol)
+    curves = []
+    for dense in _picard_geodesics(src, states0.reshape(-1, 2 * n), 0.0, t_end, rtol, atol):
+        states = dense(grid)
+        curves.append(Curve(grid=grid, points=states[:n].T, velocities=states[n:].T,
+                            dense=dense, rtol=rtol))
+    return curves[0] if states0.ndim == 1 else curves
 
 
 def exponential_map(src, x0, v, t: float, rtol: float = DEFAULT_RTOL,
@@ -187,22 +446,19 @@ _GAUSS4_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461,
 def geodesic_residual(src, curve: Curve, stride: int = 1) -> float:
     """Scale-normalized defect of the geodesic equation along the curve.
 
-    With dense output the defect is measured in integrated form per
-    accepted step, | dx-dot - integral of -2G | (Gauss quadrature against
-    the dense states), normalized by the local state scale; this equals the
-    integrator's local error and involves no numerical differentiation.
-    Hand-built curves fall back to grid-stencil acceleration.
+    With Chebyshev dense output the defect is measured in integrated form
+    on every ``stride``-th interval between consecutive Chebyshev nodes,
+    | dx-dot - integral of -2G | (Gauss quadrature against the dense
+    states), normalized by the local state scale; this is the interpolation
+    error of the spray along the curve and involves no numerical
+    differentiation. Other curves fall back to grid-stencil acceleration.
     """
     n = curve.n
-    if curve.dense is not None and curve.solver_nodes is not None and len(curve.solver_nodes) > 1:
-        ts = curve.solver_nodes
+    if isinstance(curve.dense, _ChebyshevCurve):
+        ts = curve.dense.t
         a, b = ts[:-1:stride], ts[1::stride]
-        keep = b > a
-        a, b = a[keep], b[keep]
-        if a.size == 0:
-            return 0.0
         half = 0.5 * (b - a)
-        # all Gauss nodes, then both step ends, in one dense evaluation
+        # all Gauss nodes, then both interval ends, in one dense evaluation
         nodes = 0.5 * (a + b)[:, None] + half[:, None] * _GAUSS4_NODES
         states = curve.dense(np.concatenate([nodes.ravel(), a, b])).T
         st = states[:nodes.size].reshape(len(a), 4, 2 * n)
@@ -259,77 +515,31 @@ def energy(ms: MetricSpec, curve: Curve) -> float:
     return float(0.5 * hs[0] / 3.0 * np.sum(_simpson_weights(len(grid)) * vals))
 
 
-class _ChebyshevTable:
-    """Samples of a smooth function of t at Chebyshev-Lobatto nodes of [t0, t1].
-
-    ``sample(ts)`` returns the values at an array of times, shape
-    (len(ts),) + shape. The table starts at ``_TABLE_INTERVALS`` intervals
-    and doubles until the last quarter of the Chebyshev coefficients is
-    below ``rtol`` times the largest sampled value. The nodes nest (node k
-    of m intervals is node 2k of 2m), so a doubling samples only the new
-    nodes. Past ``_TABLE_MAX_INTERVALS`` it raises ``NoConvergence``.
-    Calling the table at a time interpolates it barycentrically.
-    """
-
-    def __init__(self, sample, t0: float, t1: float, rtol: float):
-        mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-
-        def nodes(k, m):
-            return mid - half * np.cos(np.pi * k / m)
-
-        m = _TABLE_INTERVALS
-        t = nodes(np.arange(m + 1), m)
-        t[0], t[-1] = t0, t1
-        values = np.asarray(sample(t), float)
-        while not self._converged(values, rtol):
-            if m >= _TABLE_MAX_INTERVALS:
-                raise NoConvergence(f"frame table not resolved to rtol {rtol:.1e} "
-                                    f"with {m} Chebyshev intervals on [{t0:.6g}, {t1:.6g}]")
-            odd = nodes(np.arange(1, 2 * m, 2), 2 * m)
-            t = np.insert(t, np.arange(1, m + 1), odd)
-            values = np.insert(values, np.arange(1, m + 1), np.asarray(sample(odd), float), axis=0)
-            m *= 2
-        self.t = t
-        self.values = values
-        self._flat = values.reshape(m + 1, -1)
-        self._weights = (-1.0) ** np.arange(m + 1)
-        self._weights[[0, -1]] *= 0.5
-
-    @staticmethod
-    def _converged(values, rtol):
-        m = len(values) - 1
-        coef = np.abs(dct(values.reshape(m + 1, -1), type=1, axis=0)) / m
-        coef[[0, -1]] *= 0.5
-        return coef[m - m // 4 + 1:].max() <= rtol * np.abs(values).max()
-
-    def __call__(self, t: float) -> np.ndarray:
-        d = t - self.t
-        hit = np.flatnonzero(d == 0.0)
-        if hit.size:
-            return self.values[hit[0]]
-        c = self._weights / d
-        return (c @ self._flat / c.sum()).reshape(self.values.shape[1:])
+def _solved_again(src, geo: Curve, rtol: float) -> _ChebyshevCurve:
+    """The geodesic ``geo`` at ``rtol``: its own Chebyshev segments refined by
+    warm-started doubling, or, for a curve without them, solved from its
+    first state."""
+    atol = DEFAULT_ATOL * min(1.0, rtol / DEFAULT_RTOL)
+    dense = geo.dense
+    if isinstance(dense, _ChebyshevCurve):
+        first, last = dense.segments[0], dense.segments[-1]
+        return _picard_geodesics(src, first.values[:1], first.t[0], last.t[-1], rtol, atol,
+                                 [dense])[0]
+    start = np.concatenate([geo.points[0], geo.velocities[0]])[None]
+    return _picard_geodesics(src, start, geo.grid[0], geo.grid[-1], rtol, atol)[0]
 
 
 def _frame_table(src, geo: Curve, order: int, read, rtol: float) -> _ChebyshevTable:
     """``read(frame)`` along a geodesic, from one order-``order`` frame batched
     over each doubling's new table nodes; ``read`` keeps the batch axis first.
 
-    The states come from the curve's dense output. A curve without one, or
-    whose dense output is looser than ``rtol``, is integrated again from its
-    first point at ``rtol``.
+    The states are read off the curve's dense output, refined first when it
+    is looser than ``rtol``.
     """
     n = geo.n
     states = geo.dense
     if states is None or (geo.rtol is not None and rtol < geo.rtol):
-        t0 = geo.grid[0]
-        w0 = TangentVector(geo.points[0], geo.velocities[0])
-        dense = integrate_geodesic(src, w0, geo.grid[-1] - t0, rtol=min(rtol, DEFAULT_RTOL),
-                                   atol=DEFAULT_ATOL * min(1.0, rtol / DEFAULT_RTOL),
-                                   nodes=5).dense
-
-        def states(t):
-            return dense(t - t0)
+        states = _solved_again(src, geo, min(rtol, DEFAULT_RTOL))
 
     def sample(ts):
         st = states(ts)

@@ -311,10 +311,20 @@ FUNK = {"kind": "funk", "dim": 2}
       "parameters": {"samples": 2, "identities": {"sample": 2}}}, "sample"),
     ({"version": 1, "task": "curvature-sweep", "metric": FUNK,
       "parameters": {"flags": 5, "expect_value": -0.25, "tolerance": "tight"}}, "tolerance"),
+    ({"version": 1, "task": "condition-matrix", "metric": FUNK,
+      "parameters": {"samples": 3, "expect": {"berwlad": ["T1"]}}}, "berwlad"),
+    ({"version": 1, "task": "condition-matrix", "metric": FUNK,
+      "parameters": {"samples": 3, "expect_fail": {"cartan": {"T9": 1e-3}}}}, "T9"),
+    ({"version": 1, "task": "check-metric", "metric": FUNK,
+      "parameters": {"samples": 3, "tolerances": {"homogenity": 1e-30}}}, "homogenity"),
+    ({"version": 1, "task": "jacobi-compare", "metric": FUNK,
+      "parameters": {"samples": 1, "t": "long"}}, "t"),
 ], ids=["top-level", "checks-entry", "checks-string", "task", "metric", "submanifold",
-        "identities", "not-a-number"])
+        "identities", "not-a-number", "expect-lift", "expect-condition", "tolerance-key",
+        "task-number"])
 def test_unknown_keys_and_bad_numbers_are_config_errors(tmp_path, capsys, cfg, key):
-    # a misspelled key used to be ignored, its default used and the scenario passed
+    # a misspelled key used to be ignored, its default used and the scenario
+    # passed; a misspelled name or a word for a number ended in a traceback
     assert cli.main(["run", str(_scenario(tmp_path, cfg))]) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err
@@ -322,7 +332,8 @@ def test_unknown_keys_and_bad_numbers_are_config_errors(tmp_path, capsys, cfg, k
 
 
 def _keys_read(fn, mapping):
-    return set(re.findall(mapping + r'(?:\.get\(\s*|\[)"(\w+)"', inspect.getsource(fn)))
+    # mapping.get("key", ...), mapping["key"] and _param(mapping, "key", ...)
+    return set(re.findall(mapping + r'(?:\.get\(\s*|\[|, )"(\w+)"', inspect.getsource(fn)))
 
 
 def test_key_tables_match_the_keys_the_code_reads():

@@ -317,12 +317,12 @@ _GAUSS4 = ((-0.8611363115940526, 0.3478548451374538), (-0.3399810435848563, 0.65
            (0.3399810435848563, 0.6521451548625461), (0.8611363115940526, 0.3478548451374538))
 
 
-def _residual_per_step(src, curve, stride):
-    """The geodesic defect one accepted step and one Gauss node at a time."""
+def _residual_per_interval(src, curve, stride):
+    """The geodesic defect one Chebyshev interval and one Gauss node at a time."""
     from finslergeo.spray import spray_values
 
     n = curve.n
-    ts = curve.solver_nodes
+    ts = curve.dense.t
     worst = 0.0
     for i in range(0, len(ts) - 1, stride):
         a, b = ts[i], ts[i + 1]
@@ -345,7 +345,7 @@ def test_batched_geodesic_residual_matches_step_loop(name, request):
     for t_end in (1.0, -0.3):
         geo = integrate_geodesic(ms, w, t_end)
         for stride in (1, 3, 8):
-            ref = _residual_per_step(ms, geo, stride)
+            ref = _residual_per_interval(ms, geo, stride)
             assert ref > 0.0
             assert abs(geodesic_residual(ms, geo, stride=stride) - ref) <= 1e-15 * ref
 
@@ -368,6 +368,75 @@ def test_jacobi_columns_match_single_solves(randers_var, funk):
         for col in range(2):
             one = parallel_transport(ms, geo, J0dot[:, col])
             assert np.max(np.abs(pt.vectors[:, :, col] - one.vectors)) < 1e-8
+
+
+# -- spectral geodesics -------------------------------------------------------------------
+
+
+def _dop853_geodesic(src, w0, t_end):
+    """The geodesic's end state by DOP853 at rtol 1e-12, the integrator the
+    spectral solver replaced."""
+    from finslergeo.spray import spray_values
+
+    n = src.dim
+
+    def rhs(t, s):
+        return np.concatenate([s[n:], -2.0 * spray_values(src, s[:n], s[n:])])
+
+    sol = solve_ivp(rhs, (0.0, t_end), np.concatenate([w0.x, w0.y]), method="DOP853",
+                    rtol=1e-12, atol=1e-14)
+    assert sol.success
+    return sol.y[:, -1]
+
+
+@pytest.mark.parametrize("m", [16, 32, 64, 256])
+def test_integration_matrix_is_exact_on_polynomials(m):
+    Q = variational._integration_matrix(m)
+    xi = -np.cos(np.pi * np.arange(m + 1) / m)
+    for d in range(m + 1):
+        exact = (xi ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
+        assert np.max(np.abs(Q @ xi ** d - exact)) < 1e-13
+    # and so on any polynomial of degree m, through its node values
+    coef = SplitMix64(m).vector(m + 1, -1.0, 1.0)
+    p = np.polynomial.Chebyshev(coef)
+    assert np.max(np.abs(Q @ p(xi) - (p.integ()(xi) - p.integ()(-1.0)))) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["sphere", "funk", "randers_var"])
+def test_batched_geodesics_match_single_solves(name, request):
+    ms = request.getfixturevalue(name)
+    rng = SplitMix64(23)
+    ws = [unit_tangent(ms, random_tangent(ms, rng)) for _ in range(4)]
+    batch = integrate_geodesic(ms, TangentVector.stack(ws), 1.0)
+    assert len(batch) == len(ws)
+    for w, geo in zip(ws, batch):
+        one = integrate_geodesic(ms, w, 1.0)
+        for a, b in ((geo.points, one.points), (geo.velocities, one.velocities)):
+            assert np.max(np.abs(a - b)) <= 10 * DEFAULT_RTOL * max(1.0, np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("name", ["sphere", "poincare", "randers_var"])
+def test_backward_geodesic_matches_dop853(name, request):
+    ms = request.getfixturevalue(name)
+    w0 = unit_tangent(ms, random_tangent(ms, SplitMix64(29)))
+    geo = integrate_geodesic(ms, w0, -0.8)
+    assert geo.grid[0] == -0.8 and geo.grid[-1] == 0.0
+    assert np.array_equal(geo.points[-1], w0.x)
+    ref = _dop853_geodesic(ms, w0, -0.8)
+    assert np.max(np.abs(np.concatenate([geo.points[0], geo.velocities[0]]) - ref)) < 1e-10
+    assert geodesic_residual(ms, geo) < 1e-10
+
+
+def test_funk_geodesic_splits_where_the_first_iterate_leaves_the_disk(funk):
+    # the first iterate, x0 + t v0, reaches |x| = 1.7 at t = 1: outside the disk
+    w0 = TangentVector([0.5, 0.1], [1.2, 0.3])
+    assert np.linalg.norm(w0.x + w0.y) > 1.0
+    geo = integrate_geodesic(funk, w0, 1.0)
+    assert len(geo.dense.segments) > 1
+    assert np.max(np.linalg.norm(geo.points, axis=1)) < 1.0
+    ref = _dop853_geodesic(funk, w0, 1.0)
+    assert np.max(np.abs(np.concatenate([geo.points[-1], geo.velocities[-1]]) - ref)) < 1e-9
+    assert geodesic_residual(funk, geo) < 1e-10
 
 
 # -- frame tables along geodesics --------------------------------------------------------
@@ -459,14 +528,24 @@ def test_jacobi_builds_one_frame_per_table_node(sphere, monkeypatch):
     assert built == [(4, 17)] + [(4, 16 * 2 ** k) for k in range(doublings)]
 
 
-def test_tight_rtol_reintegrates_a_looser_geodesic(sphere):
-    # the dense output at the default rtol cannot resolve a 1e-11 table on this
-    # geodesic, which runs out to |x| ~ 9 in the chart
+def test_tight_rtol_reintegrates_a_looser_geodesic(sphere, monkeypatch):
+    # a 1e-11 table on this geodesic, which runs out to |x| ~ 9 in the chart,
+    # refines the curve's own Chebyshev segments, warm-started at their nodes
     w0 = unit_tangent(sphere, TangentVector([0.1, -0.05], [0.6, 0.45]))
     geo = integrate_geodesic(sphere, w0, 3.0)
     assert geo.rtol == DEFAULT_RTOL
     assert Curve(geo.grid, geo.points, geo.velocities).rtol is None
+    solves = []
+
+    def recording(src, states0, t0, t1, rtol, atol, warm=None):
+        solves.append((rtol, warm))
+        return picard(src, states0, t0, t1, rtol, atol, warm)
+
+    picard = variational._picard_geodesics
+    monkeypatch.setattr(variational, "_picard_geodesics", recording)
     tight = jacobi_integrate(sphere, geo, [0, 0], [0, 1], rtol=1e-11, atol=1e-13)
+    assert solves == [(1e-11, [geo.dense])]
+    monkeypatch.undo()
     ref = jacobi_integrate(sphere, integrate_geodesic(sphere, w0, 3.0, rtol=1e-11, atol=1e-13),
                            [0, 0], [0, 1], rtol=1e-11, atol=1e-13)
     assert np.max(np.abs(tight.vectors - ref.vectors)) <= 1e-9
