@@ -26,6 +26,8 @@ from .rng import SplitMix64
 from .spray import PointFrame, _matvec, _pair
 from .variational import _d1, _linear_flow, integrate_geodesic
 
+_CPRIME_TAU = 1e-3   # time step of the central difference in cprime_transport_residual
+
 
 def levi_civita(ms: MetricSpec, x, y):
     """Levi-Civita symbols and Jacobi operator of a ``metrics.riemannian`` metric, exactly.
@@ -238,30 +240,30 @@ def spray_derivative_residual(lift: LiftSpec, ms: MetricSpec, w: TangentVector,
     return _sup(lhs - rhs)
 
 
-def cprime_transport_residual(ms: MetricSpec, w: TangentVector, tau: float = 1e-3,
+def cprime_transport_residual(ms: MetricSpec, w: TangentVector,
                               rng: SplitMix64 | None = None) -> float:
     """Package C' against the geodesic-transport oracle.
 
     The oracle integrates the geodesic, transports three random vectors
     along it (the columns of one solve on the geodesic's frame table) and
-    differentiates the Cartan contraction in t; the package tensor is minus
-    that derivative (see the C' sign convention).
+    differentiates the Cartan contraction in t by a central difference of
+    step ``_CPRIME_TAU``; the package tensor is minus that derivative (see
+    the C' sign convention).
     """
     rng = rng or SplitMix64(1)
     n = ms.dim
     vecs0 = np.column_stack([rng.direction(n), rng.direction(n), rng.direction(n)])
 
     def contraction(t):
-        # the span starts at w, time 0, and runs backwards for t < 0
-        geo = integrate_geodesic(ms, w, t, rtol=1e-11, atol=1e-13, nodes=5)
-        (flow,) = _linear_flow(ms, geo, 3, lambda fr: fr.N, lambda N, v: (-N @ v,), (vecs0,),
-                               span=(0.0, t), rtol=1e-11, atol=1e-13)
+        # the flow starts at w, time 0, and runs backwards for t < 0
+        geo = integrate_geodesic(ms, w, t, rtol=1e-11, nodes=5)
+        (flow,) = _linear_flow(ms, geo, 3, lambda fr: fr.N, lambda N, v: (-N @ v,), (vecs0,))
         vecs = flow[-1 if t > 0 else 0]
         st = geo.dense(t)
         C = PointFrame(ms, TangentVector(st[:n], st[n:]), order=3).C_low
         return np.einsum("ijk,i,j,k->", C, *vecs.T)
 
-    oracle = (contraction(tau) - contraction(-tau)) / (2.0 * tau)
+    oracle = (contraction(_CPRIME_TAU) - contraction(-_CPRIME_TAU)) / (2.0 * _CPRIME_TAU)
     mine = np.einsum("ijk,i,j,k->", cprime_tensor(ms, w).Cp, *vecs0.T)
     return float(abs(mine + oracle))
 

@@ -29,6 +29,7 @@ from .spray import PointFrame, _matvec
 ADMISSIBILITY_TOL = 1e-7
 
 ALL_CONDITIONS = ("T1", "T2", "T3", "M1", "M2", "M3", "M4", "M5", "M6", "M7")
+_RANDOM_AMPLITUDE = 0.4   # bound of the random lift's constant coefficients
 
 
 class ClassicalKind(str, Enum):
@@ -585,10 +586,11 @@ def lift_curvature(lift: LiftSpec, src, w: TangentVector, u, vertical_noise=None
 
 
 def random_admissible_lift(ms: MetricSpec, seed: int, enforce_t1: bool = False,
-                           enforce_m1m2: bool = False, amplitude: float = 0.4) -> LiftSpec:
+                           enforce_m1m2: bool = False) -> LiftSpec:
     """A random smooth lift, encoded by generic flat rules.
 
-    Both tensors get smooth (x, y)-dependent coefficients; the section slot
+    Both tensors get smooth (x, y)-dependent coefficients, their constant
+    parts uniform in [-_RANDOM_AMPLITUDE, _RANDOM_AMPLITUDE]; the section slot
     is then projected g-orthogonally to the base direction (admissibility).
     ``enforce_t1`` also projects the direction slot of the C'-part;
     ``enforce_m1m2`` instead projects the metric slot of both parts.
@@ -597,8 +599,8 @@ def random_admissible_lift(ms: MetricSpec, seed: int, enforce_t1: bool = False,
     rng = SplitMix64(seed)
 
     def draw():
-        k0 = np.array([rng.uniform(-amplitude, amplitude) for _ in range(n ** 3)]).reshape(n, n, n)
-        k1 = np.array([rng.uniform(-amplitude, amplitude) for _ in range(n ** 3)]).reshape(n, n, n)
+        k0, k1 = (np.array([rng.uniform(-_RANDOM_AMPLITUDE, _RANDOM_AMPLITUDE)
+                            for _ in range(n ** 3)]).reshape(n, n, n) for _ in range(2))
         px = [rng.uniform(-1.0, 1.0) for _ in range(n)]
         py = [rng.uniform(-1.0, 1.0) for _ in range(n)]
         return k0, k1, px, py

@@ -15,6 +15,7 @@ from .jets import Jet, _any, lift_any, smath, space_for
 from .rng import SplitMix64
 
 NULL_DIRECTION_TOL = 1e-12
+_HOMOGENEITY_SCALES = (0.5, 2.0, 7.0)   # the direction rescalings check_metric compares
 COND_LIMIT = 1e12
 
 
@@ -60,6 +61,8 @@ class MetricSpec:
     ``f2(xs, ys)`` receives two lists of scalars (floats or jets) and must
     only use arithmetic and ``smath`` functions. ``domain_margin(x)`` is
     positive inside the validity region of the chart (None: everywhere).
+    It takes a batch of points ``x`` of shape (..., n) and returns their
+    margins, shape (...); one call checks a whole batch.
     """
 
     def __init__(self, dim, f2, name="custom", kind="custom", domain_margin=None,
@@ -98,16 +101,18 @@ def require_points(x, what: str) -> None:
 def _check_domain(x, domain_margin, name) -> None:
     """Refuse points outside the chart domain (``domain_margin(x) <= 0``).
 
-    ``x`` may carry leading batch axes, (..., n); the margin is checked per
-    point, and the message names the first point outside.
+    ``x`` may carry leading batch axes, (..., n); one margin call checks
+    every point, and the message names the first point outside.
     """
     if domain_margin is None:
         return
     x = np.asarray(x, float)
-    for k, p in enumerate(x.reshape(-1, x.shape[-1])):
-        if domain_margin(p) <= 0.0:
-            raise DomainError(f"point {p} outside validity region of {name}"
-                              + _batch_note(x.shape[:-1], k))
+    pts = x.reshape(-1, x.shape[-1])
+    outside = np.asarray(domain_margin(pts)) <= 0.0
+    if outside.any():
+        k = int(np.argmax(np.broadcast_to(outside, len(pts))))
+        raise DomainError(f"point {pts[k]} outside validity region of {name}"
+                          + _batch_note(x.shape[:-1], k))
 
 
 def check_slit_domain(w: TangentVector, dim: int, domain_margin, name) -> None:
@@ -166,6 +171,11 @@ def sphere_stereographic(n: int = 2) -> MetricSpec:
     return riemannian(n, g_field, name="sphere_stereographic", sample_radius=1.2)
 
 
+def _unit_ball_margin(x) -> np.ndarray:
+    """1 - |x|^2 at points (..., n): the domain margin of the unit ball."""
+    return 1.0 - (x * x).sum(axis=-1)
+
+
 def poincare_disk(n: int = 2) -> MetricSpec:
     """Hyperbolic space in the Poincare ball: g = 4 delta / (1-|x|^2)^2."""
 
@@ -174,8 +184,8 @@ def poincare_disk(n: int = 2) -> MetricSpec:
         conf = 4.0 / ((1.0 - r2) * (1.0 - r2))
         return [[conf if i == j else 0.0 for j in range(n)] for i in range(n)]
 
-    return riemannian(n, g_field, name="poincare_disk",
-                      domain_margin=lambda x: 1.0 - float(x @ x), sample_radius=0.6)
+    return riemannian(n, g_field, name="poincare_disk", domain_margin=_unit_ball_margin,
+                      sample_radius=0.6)
 
 
 def randers(n: int, beta, alpha=None, name="randers", sample_radius=1.0) -> MetricSpec:
@@ -222,11 +232,13 @@ def funk(n: int = 2) -> MetricSpec:
         froot = (smath.sqrt(xy * xy + y2 * (1.0 - x2)) + xy) / (1.0 - x2)
         return froot * froot
 
-    return MetricSpec(n, f2, name="funk", kind="funk",
-                      domain_margin=lambda x: 1.0 - float(x @ x), sample_radius=0.6)
+    return MetricSpec(n, f2, name="funk", kind="funk", domain_margin=_unit_ball_margin,
+                      sample_radius=0.6)
 
 
 def custom(n: int, f2, name="custom", domain_margin=None, sample_radius=1.0) -> MetricSpec:
+    """A metric from any generic F^2 rule; ``domain_margin`` maps points
+    (..., n) to margins (...), as on ``MetricSpec``."""
     return MetricSpec(n, f2, name=name, kind="custom", domain_margin=domain_margin,
                       sample_radius=sample_radius)
 
@@ -372,9 +384,9 @@ def _f2_values(ms: MetricSpec, x, y) -> np.ndarray:
         return out
 
 
-def check_metric(ms: MetricSpec, samples: int, seed: int,
-                 lambdas=(0.5, 2.0, 7.0)) -> MetricValidationReport:
-    """Sweep homogeneity, positive definiteness and F^2 = g_w(w,w).
+def check_metric(ms: MetricSpec, samples: int, seed: int) -> MetricValidationReport:
+    """Sweep homogeneity (at the rescalings ``_HOMOGENEITY_SCALES``), positive
+    definiteness and F^2 = g_w(w,w).
 
     The samples are drawn first. F^2 at every sample and rescaled direction
     is one evaluation and g at every sample one y-jet; failures are then
@@ -383,7 +395,7 @@ def check_metric(ms: MetricSpec, samples: int, seed: int,
     rng = SplitMix64(seed)
     rep = MetricValidationReport(metric=ms.name, samples=samples, seed=seed)
     w = TangentVector.stack([random_tangent(ms, rng) for _ in range(samples)])
-    scales = (1.0, *lambdas)
+    scales = (1.0, *_HOMOGENEITY_SCALES)
     f2 = _f2_values(ms, np.tile(w.x, (len(scales), 1)),
                     np.concatenate([lam * w.y for lam in scales])).reshape(len(scales), -1)
     fvals = np.sqrt(np.where(f2 > 0.0, f2, np.nan))
@@ -400,7 +412,7 @@ def check_metric(ms: MetricSpec, samples: int, seed: int,
         if np.isnan(fval):
             rep.failures.append(("domain_error", x.tolist(), y.tolist()))
             continue
-        for lam, fl in zip(lambdas, fvals[1:, k]):
+        for lam, fl in zip(_HOMOGENEITY_SCALES, fvals[1:, k]):
             if np.isnan(fl):
                 break
             rep.homogeneity_max = max(rep.homogeneity_max, abs(fl - lam * fval) / max(1.0, lam))

@@ -58,7 +58,9 @@ class CurvatureEndomorphism:
 class SpraySpec:
     """A bare spray given by a generic coefficient rule (xs, ys) -> [G^1..G^n].
 
-    Accepted wherever no metric structure is required.
+    Accepted wherever no metric structure is required. ``domain_margin``
+    maps points (..., n) to margins (...), positive inside the chart's
+    validity region, as on ``MetricSpec``.
     """
 
     def __init__(self, dim, g_rule, name="spray", domain_margin=None, sample_radius=1.0):

@@ -12,7 +12,8 @@ segment whose iterate leaves the chart or whose sweeps stall is split in
 two. A converged segment with a node past the chart's domain margin, or a
 chart split below ``_MIN_SEGMENT`` of the span, is a ``DomainExit``. The
 converged segments are the curve's dense output, interpolated
-barycentrically (Berrut-Trefethen, *SIAM Review* 46, 2004).
+barycentrically (Berrut-Trefethen, *SIAM Review* 46, 2004), and the dense
+output records the ``rtol`` it was solved to.
 
 Along a known geodesic, Jacobi fields and parallel transport are linear
 ODEs whose coefficients are the spray's N and R (every admissible
@@ -21,10 +22,14 @@ geodesic: a ``PointFrame`` batched over the Chebyshev-Lobatto nodes of the
 geodesic's time interval, at states read off the geodesic's own
 interpolant. The node count doubles from 16 intervals, one batched frame
 over the new nodes per doubling, until the table's Chebyshev tail falls
-below the solve's ``rtol``, and a right-hand side only interpolates the
+below the geodesic's ``rtol``, and a right-hand side only interpolates the
 table. Each such linear ODE, the oracle's below too, is one table and one
 DOP853 solve (Hairer-Norsett-Wanner, *Solving ODEs I*) in
-``_linear_flow``, over (n, m) column blocks.
+``_linear_flow``, over (n, m) column blocks. A flow takes its tolerance,
+its start and its states from the geodesic: it runs at the geodesic's
+``rtol``, from time 0 (at the geodesic's initial vector, so a backward
+flow's initial vectors hold at time 0) to the geodesic's end. Only a curve
+that ``integrate_geodesic`` returns carries that; any other is refused.
 
 The Jacobi oracle is the linearized spray flow, the variational equation of
 the geodesic ODE and so the exact derivative of the exponential map
@@ -50,7 +55,7 @@ from .metrics import MetricSpec, TangentVector
 from .spray import PointFrame, spray_values
 
 DEFAULT_RTOL = 1e-9
-DEFAULT_ATOL = 1e-11
+DEFAULT_ATOL = 1e-11        # a solve at rtol has atol = rtol * DEFAULT_ATOL / DEFAULT_RTOL
 DEFAULT_NODES = 401
 _TABLE_INTERVALS = 16       # first Chebyshev table or segment size; doubled until converged
 _TABLE_MAX_INTERVALS = 256
@@ -70,7 +75,6 @@ class Curve:
     points: np.ndarray      # (N, n)
     velocities: np.ndarray  # (N, n)
     dense: object = None    # optional dense output: grid times t -> states (2n, ...)
-    rtol: float | None = None  # the dense output's tolerance; None: hand-built, taken as exact
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, float)
@@ -132,12 +136,9 @@ def fd_derivative(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve(rhs, state0, span, rtol, atol):
-    """DOP853 over the time ``span`` (t0, t1) with dense output."""
-    sol = solve_ivp(rhs, span, state0, method="DOP853", rtol=rtol, atol=atol, dense_output=True)
-    if not sol.success:
-        raise StepFailure(f"integrator failed: {sol.message}")
-    return sol
+def _atol(rtol: float) -> float:
+    """The absolute tolerance that goes with ``rtol``."""
+    return rtol * DEFAULT_ATOL / DEFAULT_RTOL
 
 
 # -- Chebyshev tables and spectral geodesics ------------------------------------
@@ -261,14 +262,17 @@ def _integration_matrix(m: int) -> np.ndarray:
 
 
 class _ChebyshevCurve:
-    """A geodesic's dense output: its Chebyshev segments in solve order.
+    """A geodesic's dense output: its Chebyshev segments in solve order,
+    solved to ``rtol`` over ``span``, (0, t_end).
 
     At a time it gives the state (2n,), at an array of N times (2n, N);
     each time is interpolated alone, on the segment that holds it.
     """
 
-    def __init__(self, segments):
+    def __init__(self, segments, rtol: float):
         self.segments = segments
+        self.rtol = rtol
+        self.span = (segments[0].t[0], segments[-1].t[-1])
         self._by_time = sorted(segments, key=lambda seg: min(seg.t[0], seg.t[-1]))
         self._starts = np.array([min(seg.t[0], seg.t[-1]) for seg in self._by_time])
 
@@ -293,36 +297,32 @@ class _PicardSegment:
     """One geodesic's Chebyshev-Picard iterate ``values`` at the nodes ``t`` of
     its current segment, which starts at state ``s0``.
 
-    ``plan`` lists the segments still to solve, this one first, as (end time,
-    warm start or None) in solve order; ``done`` holds the converged ones.
+    ``plan`` lists the end times of the segments still to solve, this one
+    first, in solve order; ``done`` holds the converged ones.
     """
 
-    def __init__(self, s0, t0, plan, rtol, atol, margin, floor):
+    def __init__(self, s0, plan, rtol, margin, floor):
         self.n = len(s0) // 2
-        self.rtol, self.atol, self.margin, self.floor = rtol, atol, margin, floor
+        self.rtol, self.atol, self.margin, self.floor = rtol, _atol(rtol), margin, floor
         self.scale0 = max(1.0, np.abs(s0).max())
         self.plan = plan
         self.done = []
-        self._begin(s0, t0)
+        self._begin(s0, 0.0)
 
     def _begin(self, s0, t0):
         n = self.n
-        t1, warm = self.plan.pop(0)
+        t1 = self.plan.pop(0)
         self.s0, self.t0, self.t1, self.sweeps = s0, t0, t1, 0
-        if warm is None:
-            # the first iterate runs straight ahead at the initial velocity
-            self.t = _ChebyshevTable.nodes(t0, t1, _TABLE_INTERVALS)
-            self.values = np.concatenate(
-                [s0[:n] + (self.t - t0)[:, None] * s0[n:], np.tile(s0[n:], (len(self.t), 1))],
-                axis=1)
-        else:
-            self.t, self.values = warm.t, warm.values.copy()
-            self.values[0] = s0
+        # the first iterate runs straight ahead at the initial velocity
+        self.t = _ChebyshevTable.nodes(t0, t1, _TABLE_INTERVALS)
+        self.values = np.concatenate(
+            [s0[:n] + (self.t - t0)[:, None] * s0[n:], np.tile(s0[n:], (len(self.t), 1))],
+            axis=1)
 
     def outside(self) -> bool:
         """Whether a node of the iterate is past the chart's domain margin."""
-        return self.margin is not None and any(
-            self.margin(x) <= _EXIT_MARGIN for x in self.values[:, :self.n])
+        return self.margin is not None and bool(
+            np.any(self.margin(self.values[:, :self.n]) <= _EXIT_MARGIN))
 
     def split(self, left_chart: bool) -> None:
         """Start over on the first half of the segment; the second half follows it."""
@@ -332,7 +332,7 @@ class _PicardSegment:
                 raise DomainExit(f"trajectory left the validity region at t={self.t0:.6g}")
             raise NoConvergence(f"geodesic sweeps do not converge on [{self.t0:.6g}, "
                                 f"{self.t1:.6g}]")
-        self.plan[:0] = [(self.t0 + half, None), (self.t1, None)]
+        self.plan[:0] = [self.t0 + half, self.t1]
         self._begin(self.s0, self.t0)
 
     def sweep(self, G) -> None:
@@ -373,21 +373,13 @@ class _PicardSegment:
         return True
 
 
-def _picard_geodesics(src, states0, t0: float, t1: float, rtol: float, atol: float,
-                      warm=None) -> list:
-    """The geodesics from the states (B, 2n) at time t0 to t1, one
-    ``_ChebyshevCurve`` each, from one batched Chebyshev-Picard solve.
-
-    ``warm``, B curves over the same span, starts each geodesic from its
-    segments: a refinement to a tighter ``rtol``.
-    """
+def _picard_geodesics(src, states0, t_end: float, rtol: float) -> list:
+    """The geodesics from the states (B, 2n) at time 0 to t_end, one
+    ``_ChebyshevCurve`` each, from one batched Chebyshev-Picard solve."""
     n = states0.shape[1] // 2
     margin = getattr(src, "domain_margin", None)
-    floor = _MIN_SEGMENT * max(1.0, abs(t1 - t0))
-    segs = [_PicardSegment(s0, t0, [(t1, None)] if warm is None else
-                           [(seg.t[-1], seg) for seg in warm[b].segments],
-                           rtol, atol, margin, floor)
-            for b, s0 in enumerate(states0)]
+    floor = _MIN_SEGMENT * max(1.0, abs(t_end))
+    segs = [_PicardSegment(s0, [t_end], rtol, margin, floor) for s0 in states0]
     active = segs
     while active:
         for seg in active:
@@ -399,17 +391,17 @@ def _picard_geodesics(src, states0, t0: float, t1: float, rtol: float, atol: flo
         for seg, a, b in zip(active, at[:-1], at[1:]):
             seg.sweep(G[a:b])
         active = [seg for seg in active if seg.settle()]
-    return [_ChebyshevCurve(seg.done) for seg in segs]
+    return [_ChebyshevCurve(seg.done, rtol) for seg in segs]
 
 
 def integrate_geodesic(src, w0: TangentVector, t_end: float,
-                       rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                       nodes: int = DEFAULT_NODES):
+                       rtol: float = DEFAULT_RTOL, nodes: int = DEFAULT_NODES):
     """Solve x-ddot = -2 G(x, x-dot) from w0 and sample on a uniform grid.
 
     ``w0`` of shape (n,) gives one ``Curve``; with a leading batch axis,
     (B, n), it gives a list of B curves from one batched solve, each equal
-    to its own single solve. ``t_end`` may be negative.
+    to its own single solve. ``t_end`` may be negative. Each curve's dense
+    output records ``rtol``, which flows along the curve inherit.
     """
     src.check_tangent(w0)
     t_end = float(t_end)
@@ -421,19 +413,18 @@ def integrate_geodesic(src, w0: TangentVector, t_end: float,
     if t_end < 0:
         grid = grid[::-1]
     curves = []
-    for dense in _picard_geodesics(src, states0.reshape(-1, 2 * n), 0.0, t_end, rtol, atol):
+    for dense in _picard_geodesics(src, states0.reshape(-1, 2 * n), t_end, rtol):
         states = dense(grid)
         curves.append(Curve(grid=grid, points=states[:n].T, velocities=states[n:].T,
-                            dense=dense, rtol=rtol))
+                            dense=dense))
     return curves[0] if states0.ndim == 1 else curves
 
 
-def exponential_map(src, x0, v, t: float, rtol: float = DEFAULT_RTOL,
-                    atol: float = DEFAULT_ATOL) -> np.ndarray:
+def exponential_map(src, x0, v, t: float, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """Endpoint of the geodesic with initial point x0 and velocity v at time t."""
     if t == 0:
         return np.asarray(x0, float).copy()
-    geo = integrate_geodesic(src, TangentVector(x0, v), t, rtol=rtol, atol=atol, nodes=5)
+    geo = integrate_geodesic(src, TangentVector(x0, v), t, rtol=rtol, nodes=5)
     return geo.points[-1] if t > 0 else geo.points[0]
 
 
@@ -443,38 +434,41 @@ _GAUSS4_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461,
                             0.6521451548625461, 0.3478548451374538])
 
 
-def geodesic_residual(src, curve: Curve, stride: int = 1) -> float:
-    """Scale-normalized defect of the geodesic equation along the curve.
+def _solved(curve: Curve) -> _ChebyshevCurve:
+    """The Chebyshev dense output of a geodesic from ``integrate_geodesic``."""
+    if not isinstance(curve.dense, _ChebyshevCurve):
+        raise GridError("need a geodesic from integrate_geodesic: this curve has no "
+                        "Chebyshev dense output")
+    return curve.dense
 
-    With Chebyshev dense output the defect is measured in integrated form
-    on every ``stride``-th interval between consecutive Chebyshev nodes,
-    | dx-dot - integral of -2G | (Gauss quadrature against the dense
-    states), normalized by the local state scale; this is the interpolation
-    error of the spray along the curve and involves no numerical
-    differentiation. Other curves fall back to grid-stencil acceleration.
+
+def geodesic_residual(src, curve: Curve, stride: int = 1) -> float:
+    """Scale-normalized defect of the geodesic equation along a geodesic from
+    ``integrate_geodesic``; any other curve is a ``GridError``.
+
+    The defect is measured in integrated form on every ``stride``-th
+    interval between consecutive Chebyshev nodes, | dx-dot - integral of
+    -2G | (Gauss quadrature against the dense states), normalized by the
+    local state scale; this is the interpolation error of the spray along
+    the curve and involves no numerical differentiation.
     """
     n = curve.n
-    if isinstance(curve.dense, _ChebyshevCurve):
-        ts = curve.dense.t
-        a, b = ts[:-1:stride], ts[1::stride]
-        half = 0.5 * (b - a)
-        # all Gauss nodes, then both interval ends, in one dense evaluation
-        nodes = 0.5 * (a + b)[:, None] + half[:, None] * _GAUSS4_NODES
-        states = curve.dense(np.concatenate([nodes.ravel(), a, b])).T
-        st = states[:nodes.size].reshape(len(a), 4, 2 * n)
-        g2 = 2.0 * spray_values(src, st[..., :n], st[..., n:])
-        quad = np.zeros((len(a), n))
-        for j, weight in enumerate(_GAUSS4_WEIGHTS):
-            quad += weight * g2[:, j]
-        scale = np.maximum(1.0, np.abs(st).max(axis=(1, 2)))
-        ends = states[nodes.size:, n:]
-        defect = (ends[len(a):] - ends[:len(a)]) + half[:, None] * quad
-        return float(np.max(np.abs(defect).max(axis=1) / scale))
-    acc = fd_derivative(curve.velocities, curve.grid)[::stride]
-    pts, vels = curve.points[::stride], curve.velocities[::stride]
-    g2 = 2.0 * spray_values(src, pts, vels)
-    scale = np.maximum(1.0, np.maximum(np.abs(pts).max(axis=1), np.abs(vels).max(axis=1)))
-    return float(np.max(np.abs(acc + g2).max(axis=1) / scale))
+    dense = _solved(curve)
+    ts = dense.t
+    a, b = ts[:-1:stride], ts[1::stride]
+    half = 0.5 * (b - a)
+    # all Gauss nodes, then both interval ends, in one dense evaluation
+    nodes = 0.5 * (a + b)[:, None] + half[:, None] * _GAUSS4_NODES
+    states = dense(np.concatenate([nodes.ravel(), a, b])).T
+    st = states[:nodes.size].reshape(len(a), 4, 2 * n)
+    g2 = 2.0 * spray_values(src, st[..., :n], st[..., n:])
+    quad = np.zeros((len(a), n))
+    for j, weight in enumerate(_GAUSS4_WEIGHTS):
+        quad += weight * g2[:, j]
+    scale = np.maximum(1.0, np.abs(st).max(axis=(1, 2)))
+    ends = states[nodes.size:, n:]
+    defect = (ends[len(a):] - ends[:len(a)]) + half[:, None] * quad
+    return float(np.max(np.abs(defect).max(axis=1) / scale))
 
 
 def _simpson_weights(count: int) -> np.ndarray:
@@ -515,37 +509,19 @@ def energy(ms: MetricSpec, curve: Curve) -> float:
     return float(0.5 * hs[0] / 3.0 * np.sum(_simpson_weights(len(grid)) * vals))
 
 
-def _solved_again(src, geo: Curve, rtol: float) -> _ChebyshevCurve:
-    """The geodesic ``geo`` at ``rtol``: its own Chebyshev segments refined by
-    warm-started doubling, or, for a curve without them, solved from its
-    first state."""
-    atol = DEFAULT_ATOL * min(1.0, rtol / DEFAULT_RTOL)
-    dense = geo.dense
-    if isinstance(dense, _ChebyshevCurve):
-        first, last = dense.segments[0], dense.segments[-1]
-        return _picard_geodesics(src, first.values[:1], first.t[0], last.t[-1], rtol, atol,
-                                 [dense])[0]
-    start = np.concatenate([geo.points[0], geo.velocities[0]])[None]
-    return _picard_geodesics(src, start, geo.grid[0], geo.grid[-1], rtol, atol)[0]
-
-
-def _frame_table(src, geo: Curve, order: int, read, rtol: float) -> _ChebyshevTable:
-    """``read(frame)`` along a geodesic, from one order-``order`` frame batched
-    over each doubling's new table nodes; ``read`` keeps the batch axis first.
-
-    The states are read off the curve's dense output, refined first when it
-    is looser than ``rtol``.
+def _frame_table(src, geo: Curve, order: int, read) -> _ChebyshevTable:
+    """``read(frame)`` along a geodesic from ``integrate_geodesic``, to its
+    ``rtol``, from one order-``order`` frame batched over each doubling's new
+    table nodes at states read off its dense output; ``read`` keeps the batch
+    axis first.
     """
-    n = geo.n
-    states = geo.dense
-    if states is None or (geo.rtol is not None and rtol < geo.rtol):
-        states = _solved_again(src, geo, min(rtol, DEFAULT_RTOL))
+    n, dense = geo.n, geo.dense
 
     def sample(ts):
-        st = states(ts)
+        st = dense(ts)
         return read(PointFrame(src, TangentVector(st[:n].T, st[n:].T), order=order))
 
-    return _ChebyshevTable(sample, geo.grid[0], geo.grid[-1], rtol)
+    return _ChebyshevTable(sample, *sorted(dense.span), dense.rtol)
 
 
 def _require_geodesic(src, geo: Curve) -> None:
@@ -554,36 +530,38 @@ def _require_geodesic(src, geo: Curve) -> None:
         raise GridError(f"input curve is not a geodesic (residual {res:.2e})")
 
 
-def _linear_flow(src, geo: Curve, order: int, read, rhs, s0, span=None,
-                 rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL):
-    """Integrate a linear ODE along a geodesic in one solve.
+def _linear_flow(src, geo: Curve, order: int, read, rhs, s0):
+    """Integrate a linear ODE along a geodesic from ``integrate_geodesic`` in one solve.
 
-    ``s0`` is a tuple of initial blocks of one shape, (n,) or (n, m);
-    ``rhs(c, *blocks)`` returns their derivatives, with ``c = read(frame)``
-    interpolated from one order-``order`` frame table along ``geo``.
-    ``span`` (t0, t1), by default the curve's grid interval, may run
-    backwards. Returns the blocks on ``geo.grid``, each (N,) + block shape.
+    ``s0`` is a tuple of initial blocks of one shape, (n,) or (n, m), at
+    time 0, where the geodesic starts; the solve runs to the geodesic's end,
+    backwards when it does, at the geodesic's ``rtol``. ``rhs(c, *blocks)``
+    returns the blocks' derivatives, with ``c = read(frame)`` interpolated
+    from one order-``order`` frame table along ``geo``. Returns the blocks
+    on ``geo.grid``, each (N,) + block shape.
     """
+    dense = _solved(geo)
     _require_geodesic(src, geo)
     s0 = [np.asarray(b, float) for b in s0]
     shape = s0[0].shape
     if any(b.shape != shape for b in s0) or shape[:1] != (geo.n,) or len(shape) > 2:
         raise ValueError(f"initial vectors must share shape (n,) or (n, m) with n = {geo.n}, "
                          f"got {' and '.join(str(b.shape) for b in s0)}")
-    table = _frame_table(src, geo, order, read, rtol)
+    table = _frame_table(src, geo, order, read)
     blocks = (len(s0),) + shape
 
     def flat_rhs(t, s):
         return np.concatenate([np.ravel(d) for d in rhs(table(t), *s.reshape(blocks))])
 
-    sol = _solve(flat_rhs, np.concatenate([b.ravel() for b in s0]),
-                 span or (geo.grid[0], geo.grid[-1]), rtol, atol)
+    sol = solve_ivp(flat_rhs, dense.span, np.concatenate([b.ravel() for b in s0]),
+                    method="DOP853", rtol=dense.rtol, atol=_atol(dense.rtol), dense_output=True)
+    if not sol.success:
+        raise StepFailure(f"integrator failed: {sol.message}")
     states = sol.sol(geo.grid).T.reshape((len(geo.grid),) + blocks)
     return [states[:, i] for i in range(len(s0))]
 
 
-def jacobi_integrate(src, geo: Curve, J0, J0dot, rtol: float = DEFAULT_RTOL,
-                     atol: float = DEFAULT_ATOL) -> FieldAlongCurve:
+def jacobi_integrate(src, geo: Curve, J0, J0dot) -> FieldAlongCurve:
     """Integrate the Jacobi equation D^2 J + R(J) = 0 along a geodesic.
 
     First-order form in (J, K = covariant derivative of J), a linear system
@@ -591,20 +569,20 @@ def jacobi_integrate(src, geo: Curve, J0, J0dot, rtol: float = DEFAULT_RTOL,
     of N and R along the geodesic. ``J0dot`` is the initial covariant
     derivative. ``J0`` and ``J0dot`` have shape (n,), or (n, m) for m fields
     integrated as the columns of one solve; ``vectors`` and
-    ``covariant_derivative`` then have shape (N, n, m). Raises
-    ``NoConvergence`` when the table does not resolve N and R to ``rtol``.
+    ``covariant_derivative`` then have shape (N, n, m). The initial values
+    hold at time 0, where the geodesic starts. Raises ``NoConvergence``
+    when the table does not resolve N and R to the geodesic's ``rtol``.
     """
     def rhs(c, J, K):
         N, R = c
         return K - N @ J, -R @ J - N @ K
 
     J, K = _linear_flow(src, geo, 4, lambda fr: np.stack([fr.N, fr.R], axis=1), rhs,
-                        (J0, J0dot), rtol=rtol, atol=atol)
+                        (J0, J0dot))
     return FieldAlongCurve(grid=geo.grid, vectors=J, covariant_derivative=K)
 
 
-def jacobi_variation_oracle(src, geo: Curve, u, rtol: float = DEFAULT_RTOL,
-                            atol: float = DEFAULT_ATOL) -> np.ndarray:
+def jacobi_variation_oracle(src, geo: Curve, u) -> np.ndarray:
     """The Jacobi field along a geodesic with J(0) = 0 and covariant initial
     derivative u, as the derivative of the exponential map.
 
@@ -621,14 +599,15 @@ def jacobi_variation_oracle(src, geo: Curve, u, rtol: float = DEFAULT_RTOL,
 
     u = np.asarray(u, float)
     return _linear_flow(src, geo, 3, lambda fr: np.stack([fr.Gx, fr.N], axis=1), rhs,
-                        (np.zeros(u.shape), u), rtol=rtol, atol=atol)[0]
+                        (np.zeros(u.shape), u))[0]
 
 
 def parallel_transport(src, geo: Curve, v0) -> FieldAlongCurve:
     """Solve D^{gdot} V/dt = 0 along a geodesic.
 
-    ``v0`` has shape (n,), or (n, m) to transport m vectors in one solve;
-    ``vectors`` then has shape (N, n) or (N, n, m).
+    ``v0`` has shape (n,), or (n, m) to transport m vectors in one solve,
+    and holds at time 0, where the geodesic starts; ``vectors`` then has
+    shape (N, n) or (N, n, m).
     """
     (V,) = _linear_flow(src, geo, 3, lambda fr: fr.N, lambda N, v: (-N @ v,), (v0,))
     return FieldAlongCurve(grid=geo.grid, vectors=V)
@@ -697,10 +676,9 @@ def _family_points(fam: VariationFamily, s: float, grid: np.ndarray) -> np.ndarr
     return pts
 
 
-def family_curve(fam: VariationFamily, s: float, t0: float = 0.0, t1: float = 1.0,
-                 nodes: int = 801) -> Curve:
-    """Sample one member of a variation family; velocities by finite differences."""
-    grid = np.linspace(t0, t1, nodes)
+def family_curve(fam: VariationFamily, s: float, nodes: int = 801) -> Curve:
+    """Sample one member of a variation family on [0, 1]; velocities by finite differences."""
+    grid = np.linspace(0.0, 1.0, nodes)
     pts = _family_points(fam, s, grid)
     vels = fd_derivative(pts, grid)
     return Curve(grid=grid, points=pts, velocities=vels)

@@ -217,7 +217,7 @@ def _batch(src, count, seed):
 def test_spray_values_batch_bitwise_equals_single_points(sphere, poincare, funk, randers_const,
                                                           randers_var):
     disk = metrics.custom(2, lambda xs, ys: smath.dot(ys, ys) * smath.exp(xs[0] * xs[1]),
-                          name="conformal", domain_margin=lambda x: 1.0 - float(x @ x))
+                          name="conformal", domain_margin=lambda x: 1.0 - (x * x).sum(axis=-1))
     sources = [metrics.euclidean(3), sphere, poincare, funk, metrics.funk(3), randers_const,
                randers_var, _closed_randers(), disk, _quadratic_spray()]
     for k, src in enumerate(sources):

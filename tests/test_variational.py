@@ -76,7 +76,7 @@ def test_domain_exit_and_exp(euclid2, randers_const):
     from finslergeo.jets import smath
 
     disk = custom(2, lambda xs, ys: smath.dot(ys, ys), name="euclidean_disk",
-                  domain_margin=lambda x: 1.0 - float(x @ x))
+                  domain_margin=lambda x: 1.0 - (x * x).sum(axis=-1))
     with pytest.raises(DomainExit):
         integrate_geodesic(disk, TangentVector([0.0, 0.0], [1.0, 0.0]), 5.0)
     assert np.allclose(exponential_map(euclid2, [0.2, -0.5], [0.3, 0.4], 2.0),
@@ -86,6 +86,29 @@ def test_domain_exit_and_exp(euclid2, randers_const):
     a = exponential_map(randers_const, [0.1, 0.2], [1.2, 0.6], 0.5)
     b = exponential_map(randers_const, [0.1, 0.2], [0.6, 0.3], 1.0)
     assert np.max(np.abs(a - b)) < 1e-8
+
+
+def test_domain_margin_is_called_once_per_batch():
+    from finslergeo.errors import DomainError
+    from finslergeo.jets import smath
+    from finslergeo.metrics import custom
+
+    shapes = []
+
+    def margin(x):
+        shapes.append(x.shape)
+        return 1.0 - (x * x).sum(axis=-1)
+
+    disk = custom(2, lambda xs, ys: smath.dot(ys, ys), name="euclidean_disk",
+                  domain_margin=margin)
+    with pytest.raises(DomainError, match=re.escape(
+            "point [1.2 0. ] outside validity region of euclidean_disk at batch index (1, 0)")):
+        disk.check_point([[[0.1, 0.2], [0.3, 0.1]], [[1.2, 0.0], [2.0, 0.0]]])
+    assert shapes == [(4, 2)]
+    shapes.clear()
+    integrate_geodesic(disk, TangentVector([0.0, 0.0], [0.5, 0.2]), 1.0)
+    # the start point, then one call per iterate over all of its nodes
+    assert shapes[0] == (1, 2) and len(shapes) > 1 and all(s[0] >= 17 for s in shapes[1:])
 
 
 # -- energy ----------------------------------------------------------------------
@@ -490,17 +513,6 @@ def test_frame_table_matches_per_rhs_frames(name, request):
     assert np.max(np.abs(one - V_ref[:, :, 0])) <= 1e-7
 
 
-def test_hand_built_geodesic_is_reintegrated(sphere):
-    w0 = unit_tangent(sphere, TangentVector([0.1, 0.2], [0.5, -0.3]))
-    geo = integrate_geodesic(sphere, w0, 1.0)
-    bare = Curve(geo.grid, geo.points, geo.velocities)
-    for a, b in ((jacobi_integrate(sphere, geo, [0, 0], [0.2, 1.0]),
-                  jacobi_integrate(sphere, bare, [0, 0], [0.2, 1.0])),
-                 (parallel_transport(sphere, geo, [1.0, 0.5]),
-                  parallel_transport(sphere, bare, [1.0, 0.5]))):
-        assert np.max(np.abs(a.vectors - b.vectors)) < 1e-9
-
-
 def test_jacobi_builds_one_frame_per_table_node(sphere, monkeypatch):
     built, tables = [], []
 
@@ -528,28 +540,66 @@ def test_jacobi_builds_one_frame_per_table_node(sphere, monkeypatch):
     assert built == [(4, 17)] + [(4, 16 * 2 ** k) for k in range(doublings)]
 
 
-def test_tight_rtol_reintegrates_a_looser_geodesic(sphere, monkeypatch):
-    # a 1e-11 table on this geodesic, which runs out to |x| ~ 9 in the chart,
-    # refines the curve's own Chebyshev segments, warm-started at their nodes
+@pytest.mark.parametrize("call", ["jacobi", "oracle", "transport", "residual"])
+def test_hand_built_copy_of_a_geodesic_is_refused(sphere, euclid2, call):
+    # a flow takes its tolerance, start and states from the solved geodesic; a copy has none
+    run = {"jacobi": lambda ms, c: jacobi_integrate(ms, c, [0, 0], [0.2, 1.0]),
+           "oracle": lambda ms, c: jacobi_variation_oracle(ms, c, [0.2, 1.0]),
+           "transport": lambda ms, c: parallel_transport(ms, c, [1.0, 0.5]),
+           "residual": geodesic_residual}[call]
+    w0 = unit_tangent(sphere, TangentVector([0.1, 0.2], [0.5, -0.3]))
+    geo = integrate_geodesic(sphere, w0, 1.0)
+    with pytest.raises(GridError, match="integrate_geodesic"):
+        run(sphere, Curve(geo.grid, geo.points, geo.velocities))
+    if call != "residual":
+        # a solved geodesic of another metric is still checked, and refused
+        with pytest.raises(GridError, match="not a geodesic"):
+            run(euclid2, geo)
+
+
+@pytest.mark.parametrize("name", ["sphere", "randers_var"])
+def test_backward_flows_start_at_time_zero(name, request):
+    ms = request.getfixturevalue(name)
+    rng = SplitMix64(37)
+    w0 = unit_tangent(ms, random_tangent(ms, rng))
+    geo = integrate_geodesic(ms, w0, -0.8)
+    assert geo.grid[-1] == 0.0
+    J0, J0dot, v0 = rng.direction(2), rng.direction(2), rng.direction(2)
+    J = jacobi_integrate(ms, geo, J0, J0dot)
+    assert np.array_equal(J.vectors[-1], J0)
+    assert np.array_equal(J.covariant_derivative[-1], J0dot)
+    assert np.max(np.abs(J.vectors[0] - J0)) > 0.1
+    assert np.array_equal(parallel_transport(ms, geo, v0).vectors[-1], v0)
+    # the oracle starts at time 0 too, so it agrees with the Jacobi field from (0, u)
+    oracle = jacobi_variation_oracle(ms, geo, J0dot)
+    assert np.array_equal(oracle[-1], [0.0, 0.0])
+    assert np.max(np.abs(jacobi_integrate(ms, geo, [0, 0], J0dot).vectors - oracle)) < 1e-7
+
+
+def test_flows_run_at_their_geodesics_rtol(sphere, monkeypatch):
+    # this geodesic runs out to |x| ~ 9 in the chart
     w0 = unit_tangent(sphere, TangentVector([0.1, -0.05], [0.6, 0.45]))
-    geo = integrate_geodesic(sphere, w0, 3.0)
-    assert geo.rtol == DEFAULT_RTOL
-    assert Curve(geo.grid, geo.points, geo.velocities).rtol is None
-    solves = []
+    geo = integrate_geodesic(sphere, w0, 3.0, rtol=1e-11)
+    assert geo.dense.rtol == 1e-11
+    tolerances = []
 
-    def recording(src, states0, t0, t1, rtol, atol, warm=None):
-        solves.append((rtol, warm))
-        return picard(src, states0, t0, t1, rtol, atol, warm)
+    def recording(*args, **kwargs):
+        tolerances.append((kwargs["rtol"], kwargs["atol"]))
+        return solve(*args, **kwargs)
 
-    picard = variational._picard_geodesics
-    monkeypatch.setattr(variational, "_picard_geodesics", recording)
-    tight = jacobi_integrate(sphere, geo, [0, 0], [0, 1], rtol=1e-11, atol=1e-13)
-    assert solves == [(1e-11, [geo.dense])]
+    solve = variational.solve_ivp
+    monkeypatch.setattr(variational, "solve_ivp", recording)
+    tight = jacobi_integrate(sphere, geo, [0, 0], [0, 1])
     monkeypatch.undo()
-    ref = jacobi_integrate(sphere, integrate_geodesic(sphere, w0, 3.0, rtol=1e-11, atol=1e-13),
-                           [0, 0], [0, 1], rtol=1e-11, atol=1e-13)
-    assert np.max(np.abs(tight.vectors - ref.vectors)) <= 1e-9
-    default = jacobi_integrate(sphere, geo, [0, 0], [0, 1])
+    assert tolerances == [(1e-11, 1e-11 * DEFAULT_ATOL / DEFAULT_RTOL)]
+    # J at nodes 100, 200, 300 and 400 when the geodesic and the Jacobi solve were
+    # each given rtol 1e-11 and atol 1e-13 explicitly
+    ref = [[-2.8696569170999955e-02, 8.4781928214290458e-01],
+           [1.7368945772832173e-02, 2.4481873771452158e+00],
+           [3.4122216623286655e-01, 9.4513976845882244e+00],
+           [-1.6622332860340939e+02, -5.0289331993061275e+01]]
+    assert np.max(np.abs(tight.vectors[[100, 200, 300, 400]] - ref)) <= 1e-9
+    default = jacobi_integrate(sphere, integrate_geodesic(sphere, w0, 3.0), [0, 0], [0, 1])
     assert np.max(np.abs(tight.vectors - default.vectors)) <= 1e-6
 
 
