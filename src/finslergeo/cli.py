@@ -576,15 +576,15 @@ def task_sff_compare(ms, params, seed) -> TaskResult:
             nv = subm.normal_cone_solve(sub, param, ms, guess=-guess)
         u = np.array([rng.uniform(-1.0, 1.0)])
         v = np.array([rng.uniform(-1.0, 1.0)])
-        # one order-4 frame at the normal serves every lift and the shortcut
+        # one order-4 frame at the normal serves every lift, the symplectic reads and the shortcut
         wtv = TangentVector(nv.x, nv.eta)
         fr = PointFrame(ms, wtv, order=4)
         vals = [subm.sff_connection(sub, param, nv.eta, u, v, ms, lift=lf, _frame=fr)
                 for lf in lifts]
         hc = vals[0]    # Berwald, sff_connection's default lift
         rows = subm.normal_bundle_tangent_basis(sub, nv, ms)
-        agree = abs(hc - subm.sff_symplectic(sub, nv, u, v, ms, _basis=rows))
-        lag = max((abs(subm.omega_F(ms, wtv, rows[a], rows[b]))
+        agree = abs(hc - subm.sff_symplectic(sub, nv, u, v, ms, _basis=rows, _frame=fr))
+        lag = max((abs(subm.omega_F(ms, wtv, rows[a], rows[b], _frame=fr))
                    for a in range(ms.dim) for b in range(a + 1, ms.dim)), default=0.0)
         spread = max(vals) - min(vals)
         # unsymmetrized shortcut for torsion-symmetric lifts

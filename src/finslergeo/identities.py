@@ -24,7 +24,7 @@ from .lifts import (LiftSpec, SectionJet, _nabla_g_tensors, adapted_split,
 from .metrics import MetricSpec, TangentVector, _f2_y_jet, g_bilinear, require_points
 from .rng import SplitMix64
 from .spray import PointFrame, _matvec, _pair
-from .variational import _d1, _linear_flow, integrate_geodesic
+from .variational import _d1, integrate_geodesic, parallel_transport
 
 _CPRIME_TAU = 1e-3   # time step of the central difference in cprime_transport_residual
 
@@ -257,8 +257,7 @@ def cprime_transport_residual(ms: MetricSpec, w: TangentVector,
     def contraction(t):
         # the flow starts at w, time 0, and runs backwards for t < 0
         geo = integrate_geodesic(ms, w, t, rtol=1e-11, nodes=5)
-        (flow,) = _linear_flow(ms, geo, 3, lambda fr: fr.N, lambda N, v: (-N @ v,), (vecs0,))
-        vecs = flow[-1 if t > 0 else 0]
+        vecs = parallel_transport(ms, geo, vecs0).vectors[-1 if t > 0 else 0]
         st = geo.dense(t)
         C = PointFrame(ms, TangentVector(st[:n], st[n:]), order=3).C_low
         return np.einsum("ijk,i,j,k->", C, *vecs.T)

@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import InvalidLift, NoConvergence, SingularBasis
 from .jets import lift_any, smath
@@ -190,9 +189,9 @@ def sff_connection(P: Submanifold, param, eta, u, v, ms: MetricSpec,
 # -- symplectic structure ---------------------------------------------------------
 
 
-def omega_F(ms: MetricSpec, w: TangentVector, X1, X2) -> float:
-    """The symplectic pairing of two raw tangent vectors of TM\\0 at w."""
-    fr = PointFrame(ms, w, order=3)
+def omega_F(ms: MetricSpec, w: TangentVector, X1, X2, _frame: PointFrame | None = None) -> float:
+    """The symplectic pairing of two raw tangent vectors of TM\\0 at w (``_frame``: order >= 3)."""
+    fr = _frame if _frame is not None else PointFrame(ms, w, order=3)
     X1 = np.asarray(X1, float)
     X2 = np.asarray(X2, float)
     n = fr.n
@@ -235,8 +234,13 @@ def legendre_inverse(ms: MetricSpec, x, xi, guess=None, tol: float = 1e-12,
     raise NoConvergence(f"Legendre inverse did not converge in {max_iter} iterations")
 
 
-def normal_bundle_tangent_basis(P: Submanifold, nv: NormalVector, ms: MetricSpec,
-                                h: float = 1e-4) -> np.ndarray:
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal null-space columns of ``a`` by SVD, with scipy's rank rule."""
+    _, s, vh = np.linalg.svd(a)
+    return vh[np.sum(s > s.max(initial=0.0) * np.finfo(float).eps * max(a.shape)):].T
+
+
+def normal_bundle_tangent_basis(P: Submanifold, nv: NormalVector, ms: MetricSpec) -> np.ndarray:
     """n tangent vectors of the normal bundle at eta, raw (dx, dy) components.
 
     k vectors follow the solved normal along each parameter direction
@@ -247,6 +251,7 @@ def normal_bundle_tangent_basis(P: Submanifold, nv: NormalVector, ms: MetricSpec
     n, k = P.dim, P.param_dim
     basis = P.jacobian(nv.param)
     rows = np.empty((n, 2 * n))
+    h = 1e-4  # parameter step of the central difference
     for a in range(k):
         dp = np.zeros(k)
         dp[a] = h
@@ -257,7 +262,7 @@ def normal_bundle_tangent_basis(P: Submanifold, nv: NormalVector, ms: MetricSpec
     # fiber directions: g_eta(v, T_x P) = 0
     g = _legendre(ms, nv.x, nv.eta)[1]
     constraints = basis.T @ g  # (k, n)
-    kern = null_space(constraints)
+    kern = _null_space(constraints)
     if kern.shape[1] != n - k:
         raise SingularBasis(
             f"normal-cone fiber has dimension {kern.shape[1]}, expected {n - k}")
@@ -279,7 +284,7 @@ def normal_bundle_tangent_basis(P: Submanifold, nv: NormalVector, ms: MetricSpec
 
 
 def sff_symplectic(P: Submanifold, nv: NormalVector, u, v, ms: MetricSpec,
-                   _basis: np.ndarray | None = None) -> float:
+                   _basis: np.ndarray | None = None, _frame: PointFrame | None = None) -> float:
     """b_eta(u, v) read off the Lagrangean tangent space of the normal bundle.
 
     The along-submanifold rows of the basis have base parts dphi_a, so the
@@ -287,7 +292,8 @@ def sff_symplectic(P: Submanifold, nv: NormalVector, u, v, ms: MetricSpec,
     vertical part v_full gives, by the defining relation of the Lagrangean
     graph, b_eta(u, v) = -g_eta(v_full, dphi(v)). The radial (cone)
     direction has zero base projection and stays out. ``_basis``, if given,
-    is ``normal_bundle_tangent_basis(P, nv, ms)``, shared with other reads.
+    is ``normal_bundle_tangent_basis(P, nv, ms)``, and ``_frame`` a frame of
+    order 3 or more at (x, eta), both shared with other reads.
     """
     u = np.atleast_1d(np.asarray(u, float))
     v = np.atleast_1d(np.asarray(v, float))
@@ -295,7 +301,7 @@ def sff_symplectic(P: Submanifold, nv: NormalVector, u, v, ms: MetricSpec,
     rows = normal_bundle_tangent_basis(P, nv, ms) if _basis is None else _basis
     # vertical part in the split representation: fiber component of the
     # vertical projection, not the raw dy block
-    fr = PointFrame(ms, TangentVector(nv.x, nv.eta), order=3)
+    fr = _frame if _frame is not None else PointFrame(ms, TangentVector(nv.x, nv.eta), 3)
     raw = rows[:k].T @ u  # (2n,) combined raw tangent vector
     v_full = raw[n:] + fr.N @ raw[:n]
     return float(-v_full @ fr.g @ (rows[:k, :n].T @ v))

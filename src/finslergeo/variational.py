@@ -17,34 +17,33 @@ output records the ``rtol`` it was solved to.
 
 Along a known geodesic, Jacobi fields and parallel transport are linear
 ODEs whose coefficients are the spray's N and R (every admissible
-connection gives the same ones). They are read from one frame table per
-geodesic: a ``PointFrame`` batched over the Chebyshev-Lobatto nodes of the
-geodesic's time interval, at states read off the geodesic's own
-interpolant. The node count doubles from 16 intervals, one batched frame
-over the new nodes per doubling, until the table's Chebyshev tail falls
-below the geodesic's ``rtol``, and a right-hand side only interpolates the
-table. Each such linear ODE, the oracle's below too, is one table and one
-DOP853 solve (Hairer-Norsett-Wanner, *Solving ODEs I*) in
-``_linear_flow``, over (n, m) column blocks. A flow takes its tolerance,
-its start and its states from the geodesic: it runs at the geodesic's
-``rtol``, from time 0 (at the geodesic's initial vector, so a backward
-flow's initial vectors hold at time 0) to the geodesic's end. Only a curve
-that ``integrate_geodesic`` returns carries that; any other is refused.
+connection gives the same ones). A geodesic's dense output records the
+source it was solved for and, on first use, one frame table of Gx, N and R:
+an order-4 ``PointFrame`` batched over the Chebyshev-Lobatto nodes of its
+time interval, at states read off its own interpolant, doubling from 16
+intervals (one batched frame over the new nodes each time) until the
+table's Chebyshev tail is below the geodesic's ``rtol``. Jacobi fields read
+N and R from it, the oracle Gx and N, and transport N; a right-hand side
+only interpolates it. Each flow is one DOP853 solve (Hairer-Norsett-Wanner,
+*Solving ODEs I*) in ``_linear_flow``, over (n, m) column blocks, at the
+geodesic's ``rtol``, from time 0 (at the geodesic's initial vector, so a
+backward flow's initial vectors hold at time 0) to the geodesic's end. A
+curve that ``integrate_geodesic`` did not return, or one it solved for
+another metric or spray object, is refused with no spray evaluation.
 
 The Jacobi oracle is the linearized spray flow, the variational equation of
 the geodesic ODE and so the exact derivative of the exponential map
-(Hairer-Norsett-Wanner, section I.14): it reads Gx and N from its own frame
-table and uses neither R nor a connection. The second variation reads g, R
-and the lift's coefficients from one frame batched over the geodesic's
-nodes.
+(Hairer-Norsett-Wanner, section I.14): it uses neither R nor a connection.
+The second variation reads g, R and the lift's coefficients from one frame
+batched over the geodesic's nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.fft import dct
 from scipy.integrate import solve_ivp
 
 from .errors import (DomainExit, GridError, NoConvergence, NormalityViolation,
@@ -203,7 +202,9 @@ class _ChebyshevTable:
     @staticmethod
     def _converged(values, rtol):
         m = len(values) - 1
-        coef = np.abs(dct(values.reshape(m + 1, -1), type=1, axis=0)) / m
+        flat = values.reshape(m + 1, -1)
+        # the type-I DCT, as the real FFT of the even extension
+        coef = np.abs(np.fft.rfft(np.concatenate([flat, flat[-2:0:-1]]), axis=0).real) / m
         coef[[0, -1]] *= 0.5
         return coef[m - m // 4 + 1:].max() <= rtol * np.abs(values).max()
 
@@ -263,15 +264,16 @@ def _integration_matrix(m: int) -> np.ndarray:
 
 class _ChebyshevCurve:
     """A geodesic's dense output: its Chebyshev segments in solve order,
-    solved to ``rtol`` over ``span``, (0, t_end).
+    solved for ``src`` to ``rtol`` over ``span``, (0, t_end).
 
     At a time it gives the state (2n,), at an array of N times (2n, N);
     each time is interpolated alone, on the segment that holds it.
     """
 
-    def __init__(self, segments, rtol: float):
+    def __init__(self, segments, rtol: float, src):
         self.segments = segments
         self.rtol = rtol
+        self.src = src
         self.span = (segments[0].t[0], segments[-1].t[-1])
         self._by_time = sorted(segments, key=lambda seg: min(seg.t[0], seg.t[-1]))
         self._starts = np.array([min(seg.t[0], seg.t[-1]) for seg in self._by_time])
@@ -291,6 +293,18 @@ class _ChebyshevCurve:
             pick = which == k
             out[pick] = self._by_time[k].at(flat[pick])
         return out.T.reshape(out.shape[1:] + t.shape)
+
+    @cached_property
+    def frames(self) -> _ChebyshevTable:
+        """(Gx, N, R) along the curve, stacked on axis 1: the table every linear flow reads."""
+        n = self.src.dim
+
+        def sample(ts):
+            st = self(ts)
+            fr = PointFrame(self.src, TangentVector(st[:n].T, st[n:].T), order=4)
+            return np.stack([fr.Gx, fr.N, fr.R], axis=1)
+
+        return _ChebyshevTable(sample, *sorted(self.span), self.rtol)
 
 
 class _PicardSegment:
@@ -391,7 +405,7 @@ def _picard_geodesics(src, states0, t_end: float, rtol: float) -> list:
         for seg, a, b in zip(active, at[:-1], at[1:]):
             seg.sweep(G[a:b])
         active = [seg for seg in active if seg.settle()]
-    return [_ChebyshevCurve(seg.done, rtol) for seg in segs]
+    return [_ChebyshevCurve(seg.done, rtol, src) for seg in segs]
 
 
 def integrate_geodesic(src, w0: TangentVector, t_end: float,
@@ -401,7 +415,7 @@ def integrate_geodesic(src, w0: TangentVector, t_end: float,
     ``w0`` of shape (n,) gives one ``Curve``; with a leading batch axis,
     (B, n), it gives a list of B curves from one batched solve, each equal
     to its own single solve. ``t_end`` may be negative. Each curve's dense
-    output records ``rtol``, which flows along the curve inherit.
+    output records ``src`` and ``rtol``, which flows along the curve inherit.
     """
     src.check_tangent(w0)
     t_end = float(t_end)
@@ -442,20 +456,20 @@ def _solved(curve: Curve) -> _ChebyshevCurve:
     return curve.dense
 
 
-def geodesic_residual(src, curve: Curve, stride: int = 1) -> float:
+def geodesic_residual(src, curve: Curve) -> float:
     """Scale-normalized defect of the geodesic equation along a geodesic from
     ``integrate_geodesic``; any other curve is a ``GridError``.
 
-    The defect is measured in integrated form on every ``stride``-th
-    interval between consecutive Chebyshev nodes, | dx-dot - integral of
-    -2G | (Gauss quadrature against the dense states), normalized by the
-    local state scale; this is the interpolation error of the spray along
-    the curve and involves no numerical differentiation.
+    The defect is measured in integrated form on every interval between
+    consecutive Chebyshev nodes, | dx-dot - integral of -2G | (Gauss
+    quadrature against the dense states), normalized by the local state
+    scale; this is the interpolation error of the spray along the curve and
+    involves no numerical differentiation.
     """
     n = curve.n
     dense = _solved(curve)
     ts = dense.t
-    a, b = ts[:-1:stride], ts[1::stride]
+    a, b = ts[:-1], ts[1:]
     half = 0.5 * (b - a)
     # all Gauss nodes, then both interval ends, in one dense evaluation
     nodes = 0.5 * (a + b)[:, None] + half[:, None] * _GAUSS4_NODES
@@ -509,45 +523,25 @@ def energy(ms: MetricSpec, curve: Curve) -> float:
     return float(0.5 * hs[0] / 3.0 * np.sum(_simpson_weights(len(grid)) * vals))
 
 
-def _frame_table(src, geo: Curve, order: int, read) -> _ChebyshevTable:
-    """``read(frame)`` along a geodesic from ``integrate_geodesic``, to its
-    ``rtol``, from one order-``order`` frame batched over each doubling's new
-    table nodes at states read off its dense output; ``read`` keeps the batch
-    axis first.
-    """
-    n, dense = geo.n, geo.dense
-
-    def sample(ts):
-        st = dense(ts)
-        return read(PointFrame(src, TangentVector(st[:n].T, st[n:].T), order=order))
-
-    return _ChebyshevTable(sample, *sorted(dense.span), dense.rtol)
-
-
-def _require_geodesic(src, geo: Curve) -> None:
-    res = geodesic_residual(src, geo, stride=8)
-    if res > 1e-6:
-        raise GridError(f"input curve is not a geodesic (residual {res:.2e})")
-
-
-def _linear_flow(src, geo: Curve, order: int, read, rhs, s0):
-    """Integrate a linear ODE along a geodesic from ``integrate_geodesic`` in one solve.
+def _linear_flow(src, geo: Curve, rhs, s0):
+    """Integrate a linear ODE along a geodesic of ``src`` in one solve.
 
     ``s0`` is a tuple of initial blocks of one shape, (n,) or (n, m), at
     time 0, where the geodesic starts; the solve runs to the geodesic's end,
     backwards when it does, at the geodesic's ``rtol``. ``rhs(c, *blocks)``
-    returns the blocks' derivatives, with ``c = read(frame)`` interpolated
-    from one order-``order`` frame table along ``geo``. Returns the blocks
-    on ``geo.grid``, each (N,) + block shape.
+    returns the blocks' derivatives, with ``c`` = (Gx, N, R) interpolated
+    from the geodesic's frame table. Returns the blocks on ``geo.grid``,
+    each (N,) + block shape.
     """
     dense = _solved(geo)
-    _require_geodesic(src, geo)
+    if src is not dense.src:
+        raise GridError(f"curve is not a geodesic of {src!r}: it was solved for {dense.src!r}")
     s0 = [np.asarray(b, float) for b in s0]
     shape = s0[0].shape
     if any(b.shape != shape for b in s0) or shape[:1] != (geo.n,) or len(shape) > 2:
         raise ValueError(f"initial vectors must share shape (n,) or (n, m) with n = {geo.n}, "
                          f"got {' and '.join(str(b.shape) for b in s0)}")
-    table = _frame_table(src, geo, order, read)
+    table = dense.frames
     blocks = (len(s0),) + shape
 
     def flat_rhs(t, s):
@@ -574,11 +568,10 @@ def jacobi_integrate(src, geo: Curve, J0, J0dot) -> FieldAlongCurve:
     when the table does not resolve N and R to the geodesic's ``rtol``.
     """
     def rhs(c, J, K):
-        N, R = c
+        _, N, R = c
         return K - N @ J, -R @ J - N @ K
 
-    J, K = _linear_flow(src, geo, 4, lambda fr: np.stack([fr.N, fr.R], axis=1), rhs,
-                        (J0, J0dot))
+    J, K = _linear_flow(src, geo, rhs, (J0, J0dot))
     return FieldAlongCurve(grid=geo.grid, vectors=J, covariant_derivative=K)
 
 
@@ -588,18 +581,17 @@ def jacobi_variation_oracle(src, geo: Curve, u) -> np.ndarray:
 
     Integrates the linearized spray flow, the variational equation of
     x-ddot = -2 G(x, x-dot): dx-ddot = -2 Gx dx - 2 N dx-dot from
-    (dx, dx-dot) = (0, u), with Gx = dG/dx and N = dG/dy read from an
-    order-3 frame table along ``geo``. It uses neither R nor a connection.
+    (dx, dx-dot) = (0, u), with Gx = dG/dx and N = dG/dy read from the
+    frame table along ``geo``. It uses neither R nor a connection.
     ``u`` has shape (n,) or (n, m); returns dx on ``geo.grid``, shape
     (N, n) or (N, n, m).
     """
     def rhs(c, dx, dv):
-        Gx, N = c
+        Gx, N, _ = c
         return dv, -2.0 * (Gx @ dx + N @ dv)
 
     u = np.asarray(u, float)
-    return _linear_flow(src, geo, 3, lambda fr: np.stack([fr.Gx, fr.N], axis=1), rhs,
-                        (np.zeros(u.shape), u))[0]
+    return _linear_flow(src, geo, rhs, (np.zeros(u.shape), u))[0]
 
 
 def parallel_transport(src, geo: Curve, v0) -> FieldAlongCurve:
@@ -609,7 +601,7 @@ def parallel_transport(src, geo: Curve, v0) -> FieldAlongCurve:
     and holds at time 0, where the geodesic starts; ``vectors`` then has
     shape (N, n) or (N, n, m).
     """
-    (V,) = _linear_flow(src, geo, 3, lambda fr: fr.N, lambda N, v: (-N @ v,), (v0,))
+    (V,) = _linear_flow(src, geo, lambda c, v: (-c[1] @ v,), (v0,))
     return FieldAlongCurve(grid=geo.grid, vectors=V)
 
 

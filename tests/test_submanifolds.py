@@ -5,9 +5,10 @@ from scipy.optimize import minimize_scalar
 from finslergeo import metrics
 from finslergeo.errors import InvalidLift, NoConvergence
 from finslergeo.lifts import classical_lift, random_admissible_lift
-from finslergeo.metrics import TangentVector, metric_value
+from finslergeo.metrics import TangentVector, fundamental_tensor, metric_value
 from finslergeo.rng import SplitMix64
-from finslergeo.submanifolds import (affine_subspace, circle,
+from finslergeo.spray import PointFrame
+from finslergeo.submanifolds import (_null_space, affine_subspace, circle,
                                      graph_curve, legendre_inverse,
                                      legendre_transform,
                                      normal_bundle_tangent_basis,
@@ -271,6 +272,31 @@ def test_sff_symplectic_with_a_shared_basis_is_the_same_number(name, request):
                               (affine_subspace([0.1, -0.2], [[0.8, 0.6]]), [0.3], [-0.6, 0.8])):
         nv = normal_cone_solve(sub, param, ms, guess=guess)
         rows = normal_bundle_tangent_basis(sub, nv, ms)
+        # the order-4 frame sff-compare holds at the normal: N and g to rounding
+        w = TangentVector(nv.x, nv.eta)
+        fr = PointFrame(ms, w, order=4)
         for u, v in (([1.0], [1.0]), ([0.4], [-0.7])):
-            assert sff_symplectic(sub, nv, u, v, ms, _basis=rows) == \
-                sff_symplectic(sub, nv, u, v, ms)
+            alone = sff_symplectic(sub, nv, u, v, ms)
+            assert sff_symplectic(sub, nv, u, v, ms, _basis=rows) == alone
+            shared = sff_symplectic(sub, nv, u, v, ms, _basis=rows, _frame=fr)
+            assert abs(shared - alone) <= 1e-14 * max(1.0, abs(alone))
+        pairing = omega_F(ms, w, rows[0], rows[1])
+        assert abs(omega_F(ms, w, rows[0], rows[1], _frame=fr) - pairing) <= 1e-14
+
+
+def test_null_space_matches_scipy():
+    from scipy.linalg import null_space
+
+    eu3 = metrics.euclidean(3)
+    line = affine_subspace([0.1, -0.2, 0.3], [[0.8, 0.6, -0.2]])
+    sph = sphere2([0.0, 0.0, 0.0], 2.0)
+    for sub, param, guess in ((line, [0.4], [-0.6, 0.8, 0.0]),
+                              (sph, [1.1, 0.4], -sph.value([1.1, 0.4]))):
+        nv = normal_cone_solve(sub, param, eu3, guess=guess)
+        constraints = sub.jacobian(param).T @ fundamental_tensor(eu3, TangentVector(
+            nv.x, nv.eta)).g
+        kern, ref = _null_space(constraints), null_space(constraints)
+        assert kern.shape == ref.shape == (3, 3 - sub.param_dim)
+        assert np.max(np.abs(kern.T @ kern - np.eye(kern.shape[1]))) <= 1e-14
+        assert np.max(np.abs(constraints @ kern)) <= 1e-14
+        assert np.max(np.abs(kern @ kern.T - ref @ ref.T)) <= 1e-14

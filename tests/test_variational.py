@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import exp_map_jacobi_difference
 from scipy.integrate import solve_ivp
+from test_spray import _randers_var_closed_form_spray
 
 from finslergeo import metrics, variational
 from finslergeo.errors import (DomainExit, GridError, NoConvergence,
@@ -340,15 +341,14 @@ _GAUSS4 = ((-0.8611363115940526, 0.3478548451374538), (-0.3399810435848563, 0.65
            (0.3399810435848563, 0.6521451548625461), (0.8611363115940526, 0.3478548451374538))
 
 
-def _residual_per_interval(src, curve, stride):
+def _residual_per_interval(src, curve):
     """The geodesic defect one Chebyshev interval and one Gauss node at a time."""
     from finslergeo.spray import spray_values
 
     n = curve.n
     ts = curve.dense.t
     worst = 0.0
-    for i in range(0, len(ts) - 1, stride):
-        a, b = ts[i], ts[i + 1]
+    for a, b in zip(ts[:-1], ts[1:]):
         half = 0.5 * (b - a)
         quad = np.zeros(n)
         scale = 1.0
@@ -367,10 +367,9 @@ def test_batched_geodesic_residual_matches_step_loop(name, request):
     w = unit_tangent(ms, random_tangent(ms, SplitMix64(5)))
     for t_end in (1.0, -0.3):
         geo = integrate_geodesic(ms, w, t_end)
-        for stride in (1, 3, 8):
-            ref = _residual_per_interval(ms, geo, stride)
-            assert ref > 0.0
-            assert abs(geodesic_residual(ms, geo, stride=stride) - ref) <= 1e-15 * ref
+        ref = _residual_per_interval(ms, geo)
+        assert ref > 0.0
+        assert abs(geodesic_residual(ms, geo) - ref) <= 1e-15 * ref
 
 
 def test_jacobi_columns_match_single_solves(randers_var, funk):
@@ -538,10 +537,16 @@ def test_jacobi_builds_one_frame_per_table_node(sphere, monkeypatch):
     m = len(tables[0].t) - 1
     doublings = int(np.log2(m // 16))
     assert built == [(4, 17)] + [(4, 16 * 2 ** k) for k in range(doublings)]
+    # the oracle and transport read the same table: no frame and no table more
+    frames = list(built)
+    jacobi_variation_oracle(sphere, geo, [0, 1])
+    parallel_transport(sphere, geo, [1.0, 0.5])
+    assert len(tables) == 1
+    assert built == frames
 
 
 @pytest.mark.parametrize("call", ["jacobi", "oracle", "transport", "residual"])
-def test_hand_built_copy_of_a_geodesic_is_refused(sphere, euclid2, call):
+def test_hand_built_copy_of_a_geodesic_is_refused(sphere, euclid2, call, monkeypatch):
     # a flow takes its tolerance, start and states from the solved geodesic; a copy has none
     run = {"jacobi": lambda ms, c: jacobi_integrate(ms, c, [0, 0], [0.2, 1.0]),
            "oracle": lambda ms, c: jacobi_variation_oracle(ms, c, [0.2, 1.0]),
@@ -552,9 +557,13 @@ def test_hand_built_copy_of_a_geodesic_is_refused(sphere, euclid2, call):
     with pytest.raises(GridError, match="integrate_geodesic"):
         run(sphere, Curve(geo.grid, geo.points, geo.velocities))
     if call != "residual":
-        # a solved geodesic of another metric is still checked, and refused
+        # a solved geodesic of another metric is refused before any spray evaluation
+        evaluated = []
+        for name in ("spray_values", "PointFrame"):
+            monkeypatch.setattr(variational, name, lambda *args, **kw: evaluated.append(args))
         with pytest.raises(GridError, match="not a geodesic"):
             run(euclid2, geo)
+        assert evaluated == []
 
 
 @pytest.mark.parametrize("name", ["sphere", "randers_var"])
@@ -574,6 +583,24 @@ def test_backward_flows_start_at_time_zero(name, request):
     oracle = jacobi_variation_oracle(ms, geo, J0dot)
     assert np.array_equal(oracle[-1], [0.0, 0.0])
     assert np.max(np.abs(jacobi_integrate(ms, geo, [0, 0], J0dot).vectors - oracle)) < 1e-7
+
+
+def test_flows_along_a_bare_spray_geodesic(randers_var):
+    # the closed-form spray of randers_var: its flows are the metric's flows
+    spray = _randers_var_closed_form_spray()
+    rng = SplitMix64(43)
+    w0 = unit_tangent(randers_var, random_tangent(randers_var, rng))
+    u = rng.direction(2)
+    geo = integrate_geodesic(spray, w0, 1.0)
+    J = jacobi_integrate(spray, geo, [0, 0], u).vectors
+    oracle = jacobi_variation_oracle(spray, geo, u)
+    assert np.max(np.abs(J - oracle)) < 1e-7
+    metric_geo = integrate_geodesic(randers_var, w0, 1.0)
+    assert np.max(np.abs(J - jacobi_integrate(randers_var, metric_geo, [0, 0], u).vectors)) < 1e-7
+    assert np.max(np.abs(oracle - jacobi_variation_oracle(randers_var, metric_geo, u))) < 1e-7
+    v0 = rng.direction(2)
+    assert np.max(np.abs(parallel_transport(spray, geo, v0).vectors
+                         - parallel_transport(randers_var, metric_geo, v0).vectors)) < 1e-7
 
 
 def test_flows_run_at_their_geodesics_rtol(sphere, monkeypatch):
@@ -601,6 +628,21 @@ def test_flows_run_at_their_geodesics_rtol(sphere, monkeypatch):
     assert np.max(np.abs(tight.vectors[[100, 200, 300, 400]] - ref)) <= 1e-9
     default = jacobi_integrate(sphere, integrate_geodesic(sphere, w0, 3.0), [0, 0], [0, 1])
     assert np.max(np.abs(tight.vectors - default.vectors)) <= 1e-6
+
+
+def test_chebyshev_tail_test_matches_scipy_dct():
+    from scipy.fft import dct
+
+    # 16 intervals: every tail is far above rounding (7e-9 to 2.5e-3 of the values)
+    t = _ChebyshevTable.nodes(0.0, 2.0, 16)
+    for values in (np.stack([np.sin(3 * t), np.exp(t)], axis=-1), 1.0 / (2.5 - t),
+                   np.abs(t - 0.5)):
+        m = len(t) - 1
+        coef = np.abs(dct(values.reshape(m + 1, -1), type=1, axis=0)) / m
+        coef[[0, -1]] *= 0.5
+        ratio = coef[m - m // 4 + 1:].max() / np.abs(values).max()
+        assert _ChebyshevTable._converged(values, ratio * (1 + 1e-9))
+        assert not _ChebyshevTable._converged(values, ratio * (1 - 1e-9))
 
 
 def test_chebyshev_table_interpolates_and_refuses_a_kink():
