@@ -91,6 +91,90 @@ def _refuse_unknown_keys(cfg, known, where: str, what: str = "key") -> None:
                           f"known {what}s: {', '.join(sorted(known))}")
 
 
+# -- scenario parameters ------------------------------------------------------------
+#
+# A parameter table maps each key to (default, kind). A kind, called as
+# kind(key, value, p, dim) with ``p`` the entries parsed before it, returns the
+# value a task reads or raises a ConfigError naming the key. A dict for a kind is
+# a nested table, a default of None makes an entry optional, and a callable
+# default is a function of the metric's dimension.
+
+
+def _kind(ok, what, convert=None):
+    """The kind of a value for which ``ok`` holds, converted by ``convert``."""
+    def kind(key, value, *_):
+        if not ok(value):
+            raise ConfigError(f"parameter {key} must be {what}, got {value!r}")
+        return value if convert is None else convert(value)
+    return kind
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` reads as a finite number; a boolean does not."""
+    try:
+        return not isinstance(value, bool) and bool(np.isfinite(float(value)))
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+_number = _kind(_finite, "a number", float)
+_positive = _kind(lambda v: _finite(v) and float(v) > 0, "a positive number", float)
+_count = _kind(lambda v: type(v) is int and v >= 1, "an integer of at least 1")  # not a boolean
+_natural = _kind(lambda v: type(v) is int and v >= 0, "an integer of at least 0")
+_flag = _kind(lambda v: isinstance(v, bool), "true or false")
+
+
+def _name(among):
+    """The kind of one name from ``among``."""
+    return _kind(lambda v: isinstance(v, str) and v in among, f"one of {', '.join(among)}")
+
+
+def _vector(key, value, p, dim) -> np.ndarray:
+    if not isinstance(value, (list, tuple)) or len(value) != dim:
+        raise ConfigError(f"parameter {key} must be a list of {dim} numbers, got {value!r}")
+    return np.array([_number(key, v) for v in value])
+
+
+def _padded(*head):
+    """The default vector ``head`` padded with zeros to the metric's dimension."""
+    return lambda dim: [*head, *[0.0] * (dim - len(head))]
+
+
+def _names(among, of=None):
+    """The kind of a list of names from ``among`` (names, or the key of an earlier
+    entry); given ``of``, of a mapping from such names to values of kind ``of``."""
+    def kind(key, value, p, dim):
+        if not isinstance(value, dict if of else (list, tuple)) or not all(
+                isinstance(v, str) for v in value):
+            raise ConfigError(f"parameter {key} must be a {'mapping' if of else 'list'} of "
+                              f"names, got {value!r}")
+        _refuse_unknown_keys(value, p[among] if isinstance(among, str) else among,
+                             f"parameter {key}", "name")
+        if of is None:
+            return tuple(value)
+        return {name: of(f"{key}.{name}", v, p, dim) for name, v in value.items()}
+    return kind
+
+
+def _parse(table, given, dim, where, prefix="") -> dict:
+    """Every entry of ``table``, from ``given`` or else its default, converted by its
+    kind; ``where`` names ``given`` in messages, ``prefix`` a nested table's keys."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where} must be a mapping, got {given!r}")
+    _refuse_unknown_keys(given, table, where)
+    p = {}
+    for key, (default, kind) in table.items():
+        value = given.get(key, default)
+        value = value(dim) if callable(value) else value
+        if value is None and default is None:
+            p[key] = None
+        elif isinstance(kind, dict):
+            p[key] = _parse(kind, value, dim, f"parameter {prefix}{key}", f"{prefix}{key}.")
+        else:
+            p[key] = kind(prefix + key, value, p, dim)
+    return p
+
+
 # The keys each metric kind reads besides "kind" and "dim".
 METRIC_KEYS = {"euclidean": (), "sphere_stereographic": (), "poincare_disk": (), "funk": (),
                "randers": ("beta", "name"), "custom": ("f2", "name")}
@@ -103,15 +187,9 @@ def metric_from_config(cfg) -> MetricSpec:
     if not isinstance(kind, str) or kind not in METRIC_KEYS:
         raise ConfigError(f"unknown metric kind {kind!r}")
     _refuse_unknown_keys(cfg, ("kind", "dim", *METRIC_KEYS[kind]), f"metric kind {kind!r}")
-    dim = int(cfg.get("dim", 2))
-    if kind == "euclidean":
-        return metrics_mod.euclidean(dim)
-    if kind == "sphere_stereographic":
-        return metrics_mod.sphere_stereographic(dim)
-    if kind == "poincare_disk":
-        return metrics_mod.poincare_disk(dim)
-    if kind == "funk":
-        return metrics_mod.funk(dim)
+    dim = _count("dim", cfg.get("dim", 2))
+    if not METRIC_KEYS[kind]:  # a built-in of the dimension alone
+        return getattr(metrics_mod, kind)(dim)
     if kind == "randers":
         beta_cfg = cfg.get("beta")
         if not isinstance(beta_cfg, (list, tuple)) or len(beta_cfg) != dim:
@@ -129,21 +207,27 @@ def metric_from_config(cfg) -> MetricSpec:
     return metrics_mod.custom(dim, rule, name=cfg.get("name", "custom"))
 
 
-# The keys each submanifold shape reads besides "shape".
-SHAPE_KEYS = {"circle": ("center", "radius"), "line": ("point", "direction")}
+# The parameter table of each submanifold shape besides "shape".
+SHAPES = {"circle": {"center": (_padded(), _vector), "radius": (1.0, _positive)},
+          "line": {"point": (_padded(), _vector), "direction": (_padded(1.0), _vector)}}
 
 
 def submanifold_from_config(cfg, dim) -> subm.Submanifold:
     if not isinstance(cfg, dict) or "shape" not in cfg:
         raise ConfigError("submanifold descriptor must be a mapping with a 'shape' field")
     shape = cfg["shape"]
-    if not isinstance(shape, str) or shape not in SHAPE_KEYS:
+    if not isinstance(shape, str) or shape not in SHAPES:
         raise ConfigError(f"unknown submanifold shape {shape!r}")
-    _refuse_unknown_keys(cfg, ("shape", *SHAPE_KEYS[shape]), f"submanifold shape {shape!r}")
+    p = _parse(SHAPES[shape], {k: v for k, v in cfg.items() if k != "shape"}, dim,
+               f"submanifold shape {shape!r}")
     if shape == "circle":
-        return subm.circle(cfg.get("center", [0.0] * dim), float(cfg.get("radius", 1.0)))
-    return subm.affine_subspace(cfg.get("point", [0.0] * dim),  # line
-                                [cfg.get("direction", [1.0] + [0.0] * (dim - 1))])
+        return subm.circle(p["center"], p["radius"])
+    return subm.affine_subspace(p["point"], [p["direction"]])  # line
+
+
+def _submanifolds(key, value, p, dim) -> list:
+    _kind(lambda v: isinstance(v, list) and v, "a non-empty list of submanifolds")(key, value)
+    return [submanifold_from_config(c, dim) for c in value]
 
 
 # -- check records and output ------------------------------------------------------
@@ -222,84 +306,56 @@ class TaskResult:
 # -- tasks ------------------------------------------------------------------------
 
 
-# The keys of check-metric's tolerance maps, with their defaults.
-METRIC_TOLERANCES = {"homogeneity": 1e-10, "gww": 1e-10}
+# The tolerances of check-metric's tensor identities.
 IDENTITY_TOLERANCES = {"cartan_contract": 1e-9, "cprime_contract": 1e-9, "full_symmetry": 1e-10,
                        "gww_identity": 1e-10, "euler_gradient": 1e-10, "g_homogeneity": 1e-10,
                        "cartan_homogeneity": 1e-9}
 
 
-def _tolerances(key, given, defaults) -> dict:
-    """The tolerance map of parameter ``key``: ``defaults`` updated by ``given``,
-    whose keys must be among the defaults' and whose values must be numbers."""
-    if not isinstance(given, dict):
-        raise ConfigError(f"parameter {key} must be a mapping, got {given!r}")
-    _refuse_unknown_keys(given, defaults, f"parameter {key}")
-    return {k: _number(f"{key}.{k}", given.get(k, v), float) for k, v in defaults.items()}
-
-
-def task_check_metric(ms, params, seed) -> TaskResult:
-    samples = _param(params, "samples", 100, int)
-    tols = _tolerances("tolerances", params.get("tolerances", {}), METRIC_TOLERANCES)
-    iden_tols = _tolerances("identity_tolerances", params.get("identity_tolerances", {}),
-                            IDENTITY_TOLERANCES)
-    rep = check_metric(ms, samples, seed)
-    res = TaskResult("check-metric", ms, ("quantity", "value"), samples=samples, seed=seed)
+def task_check_metric(ms, p) -> TaskResult:
+    rep = check_metric(ms, p["samples"], p["seed"])
+    res = TaskResult("check-metric", ms, ("quantity", "value"), samples=p["samples"],
+                     seed=p["seed"])
     res.csv_rows = rep.rows()
-    res.check("homogeneity max residual", rep.homogeneity_max, tols["homogeneity"])
-    res.check("F^2 = g_w(w,w) max residual", rep.gww_identity_max, tols["gww"])
-    if params.get("expect_pd_failures", False):
+    res.check("homogeneity max residual", rep.homogeneity_max, p["tolerances"]["homogeneity"])
+    res.check("F^2 = g_w(w,w) max residual", rep.gww_identity_max, p["tolerances"]["gww"])
+    if p["expect_pd_failures"]:
         res.check("positive-definiteness failures found", rep.pd_failures, 0.5, ">")
     else:
         res.check("positive-definiteness failures", rep.pd_failures, 0.5)
-    if params.get("tensor_identities"):
-        rng = SplitMix64(seed + 1)
-        n_id = _param(params, "identity_samples", 25, int)
-        worst = ident.tensor_identity_residuals(
-            ms, TangentVector.stack([random_tangent(ms, rng) for _ in range(n_id)]))
-        for k, tol in iden_tols.items():
+    if p["tensor_identities"]:
+        rng = SplitMix64(p["seed"] + 1)
+        worst = ident.tensor_identity_residuals(ms, TangentVector.stack(
+            [random_tangent(ms, rng) for _ in range(p["identity_samples"])]))
+        for k, tol in IDENTITY_TOLERANCES.items():
             res.check(f"identity {k}", worst[k], tol, row=(k, worst[k]))
     return res
 
 
-def task_condition_matrix(ms, params, seed) -> TaskResult:
-    samples = _param(params, "samples", 50, int)
-    tol = _param(params, "tolerance", 1e-7)
-    lift_names = params.get("lifts", list(CLASSICAL))
-    conditions = tuple(params.get("conditions", ALL_CONDITIONS))
-    _refuse_unknown_keys(lift_names, CLASSICAL, "parameter lifts", "lift")
-    _refuse_unknown_keys(conditions, ALL_CONDITIONS, "parameter conditions", "condition")
-    for key in ("expect", "expect_fail", "expect_exact"):
-        expected = params.get(key, {})
-        if not isinstance(expected, dict):
-            raise ConfigError(f"parameter {key} must be a mapping, got {expected!r}")
-        _refuse_unknown_keys(expected, lift_names, f"parameter {key}", "lift")
-        for name, conds in expected.items():
-            _refuse_unknown_keys(conds, conditions, f"parameter {key} of {name!r}", "condition")
-    rng = SplitMix64(seed)
-    fr = PointFrame(ms, TangentVector.stack([random_tangent(ms, rng) for _ in range(samples)]),
-                    order=4)
+def task_condition_matrix(ms, p) -> TaskResult:
+    lift_names, conditions, tol = p["lifts"], p["conditions"], p["tolerance"]
+    rng = SplitMix64(p["seed"])
+    fr = PointFrame(ms, TangentVector.stack([random_tangent(ms, rng)
+                                             for _ in range(p["samples"])]), order=4)
     worst = {name: condition_residuals(classical_lift(name, ms), fr, conditions)
              for name in lift_names}
 
     res = TaskResult("condition-matrix", ms, ("lift", "condition", "max_residual"),
-                     samples=samples, seed=seed, tolerance=tol)
+                     samples=p["samples"], seed=p["seed"], tolerance=tol)
     res.csv_rows = [(name, c, worst[name][c]) for name in lift_names for c in conditions]
-    for name, conds in params.get("expect", {}).items():
+    for name, conds in p["expect"].items():
         for c in conds:
             res.check(f"{name} satisfies {c}", worst[name][c], tol)
-    for name, fails in params.get("expect_fail", {}).items():
+    for name, fails in p["expect_fail"].items():
         for c, threshold in fails.items():
-            res.check(f"{name} violates {c}", worst[name][c],
-                      _number(f"expect_fail.{name}.{c}", threshold, float), ">")
-    for name, conds in params.get("expect_exact", {}).items():
+            res.check(f"{name} violates {c}", worst[name][c], threshold, ">")
+    for name, conds in p["expect_exact"].items():
         passing = {c for c in conditions if worst[name][c] < tol}
         res.check(f"{name} passes exactly {sorted(conds)} (got {sorted(passing)})",
                   len(passing ^ set(conds)), 0, "=")
 
-    identities = params.get("identities")
-    if identities:
-        _run_identity_battery(ms, identities, seed, res)
+    if p["identities"] is not None:
+        _run_identity_battery(ms, p, res)
     return res
 
 
@@ -316,12 +372,10 @@ def _battery_family(dim):
     return rule
 
 
-def _run_identity_battery(ms, identities, seed, res: TaskResult):
-    rng = SplitMix64(seed + 77)
-    n_pts = _param(identities, "samples", 10, int, "identities.")
-    tol_exact = _param(identities, "tolerance", 1e-7, float, "identities.")
-    tol_fd = _param(identities, "fd_tolerance", 1e-6, float, "identities.")
-    w = TangentVector.stack([random_tangent(ms, rng) for _ in range(n_pts)])
+def _run_identity_battery(ms, p, res: TaskResult):
+    rng = SplitMix64(p["seed"] + 77)
+    tol_exact, tol_fd = p["identities"]["tolerance"], p["identities"]["fd_tolerance"]
+    w = TangentVector.stack([random_tangent(ms, rng) for _ in range(p["identities"]["samples"])])
     lifts = {name: classical_lift(name, ms) for name in CLASSICAL}
 
     # (label, CSV key, tolerance, residual): one call per identity and lift
@@ -351,15 +405,16 @@ def _run_identity_battery(ms, identities, seed, res: TaskResult):
         res.check(label, worst, tol, row=("identity", key, worst))
 
 
-def task_curvature_sweep(ms, params, seed) -> TaskResult:
-    """Flag curvature at random flags. ``christoffel_check`` compares R and the
-    classical affine coefficients at the first 20 samples with the exact
-    oracle ``identities.levi_civita`` (Riemannian built-ins only)."""
-    flags = _param(params, "flags", 100, int)
-    rng = SplitMix64(seed)
-    res = TaskResult("curvature-sweep", ms, ("x", "y", "u", "K"), flags=flags, seed=seed)
+def task_curvature_sweep(ms, p) -> TaskResult:
+    """Flag curvature at random flags, and its invariance under a change of
+    the flag's second vector at the first 20. ``christoffel_check`` compares R
+    and the classical affine coefficients there with the exact oracle
+    ``identities.levi_civita`` (Riemannian built-ins only)."""
+    rng = SplitMix64(p["seed"])
+    res = TaskResult("curvature-sweep", ms, ("x", "y", "u", "K"), flags=p["flags"],
+                     seed=p["seed"])
     ws, us = [], []
-    for _ in range(flags):
+    for _ in range(p["flags"]):
         ws.append(random_tangent(ms, rng))
         u = rng.direction(ms.dim)
         # a near-degenerate flag loses the curvature to cancellation; the
@@ -374,28 +429,24 @@ def task_curvature_sweep(ms, params, seed) -> TaskResult:
     values = flag_curvature(ms, w, u, _frame=fr)
     res.csv_rows = [(*(";".join(_fmt(v) for v in vec) for vec in (x, y, ui)), k)
                     for x, y, ui, k in zip(w.x, w.y, u, values)]
-    if "expect_value" in params:
-        target = _number("expect_value", params["expect_value"], float)
-        res.check(f"flag curvature = {target}", np.max(np.abs(values - target)),
-                  _param(params, "tolerance", 1e-6))
+    target = p["expect_value"]
+    if target is not None:
+        res.check(f"flag curvature = {target}", np.max(np.abs(values - target)), p["tolerance"])
     head = fr[:20]
-    if params.get("flag_invariance", True):
-        k0, uh = values[:20], u[:20]
-        k1 = flag_curvature(ms, head.w, uh + 3.0 * head.y, _frame=head)
-        k2 = flag_curvature(ms, head.w, 0.2 * uh, _frame=head)
-        res.check("flag invariance under u -> u + 3w, 0.2u",
-                  max(np.max(np.abs(k1 - k0)), np.max(np.abs(k2 - k0))), 1e-9)
-    if params.get("christoffel_check"):
+    k0, uh = values[:20], u[:20]
+    k1 = flag_curvature(ms, head.w, uh + 3.0 * head.y, _frame=head)
+    k2 = flag_curvature(ms, head.w, 0.2 * uh, _frame=head)
+    res.check("flag invariance under u -> u + 3w, 0.2u",
+              max(np.max(np.abs(k1 - k0)), np.max(np.abs(k2 - k0))), 1e-9)
+    if p["christoffel_check"]:
         if getattr(ms, "_g_field", None) is None:
             raise ConfigError("christoffel_check requires a Riemannian built-in")
         gams, oracles = ident.levi_civita(ms, head.x, head.y)
         A = [affine_coefficients(classical_lift(name, ms), ms, head.w, _frame=head).A
              for name in CLASSICAL]
-        res.check("curvature matches Christoffel oracle", np.max(np.abs(head.R - oracles)),
-                  _param(params, "riemann_tolerance", 1e-7))
+        res.check("curvature matches Christoffel oracle", np.max(np.abs(head.R - oracles)), 1e-7)
         res.check("affine coefficients = Levi-Civita symbols",
-                  max(np.max(np.abs(a - gams)) for a in A),
-                  _param(params, "affine_tolerance", 1e-8))
+                  max(np.max(np.abs(a - gams)) for a in A), p["affine_tolerance"])
         res.check("four classical lifts identical", max(np.max(np.abs(a - A[0])) for a in A[1:]),
                   1e-12)
     return res
@@ -407,15 +458,11 @@ def _node_table(ms, geo):
     return header, [(t, *x, *y) for t, x, y in zip(geo.grid, geo.points, geo.velocities)]
 
 
-def task_geodesic(ms, params, seed) -> TaskResult:
-    x0 = _vector("x0", params.get("x0", [0.0] * ms.dim), ms.dim)
-    y0 = _vector("y0", params.get("y0", [1.0] + [0.0] * (ms.dim - 1)), ms.dim)
-    t_end = _param(params, "t", 1.0)
-    rtol = _param(params, "rtol", 1e-9)
-    nodes = _param(params, "nodes", 401, int)
-    geo = integrate_geodesic(ms, TangentVector(x0, y0), t_end, rtol=rtol, nodes=nodes)
+def task_geodesic(ms, p) -> TaskResult:
+    rtol, nodes = p["rtol"], p["nodes"]
+    geo = integrate_geodesic(ms, TangentVector(p["x0"], p["y0"]), p["t"], rtol=rtol, nodes=nodes)
     header, rows = _node_table(ms, geo)
-    res = TaskResult("geodesic", ms, header, t=t_end, rtol=rtol, seed=seed)
+    res = TaskResult("geodesic", ms, header, t=p["t"], rtol=rtol, seed=p["seed"])
     res.csv_rows = rows
     fvals = [metrics_mod.metric_value(ms, TangentVector(geo.points[i], geo.velocities[i]))
              for i in range(0, nodes, max(1, nodes // 40))]
@@ -424,25 +471,22 @@ def task_geodesic(ms, params, seed) -> TaskResult:
     return res
 
 
-def task_jacobi_compare(ms, params, seed) -> TaskResult:
-    samples = _param(params, "samples", 10, int)
-    tol = _param(params, "tolerance", 1e-3)
-    t_end = _param(params, "t", 1.0)
-    rng = SplitMix64(seed)
+def task_jacobi_compare(ms, p) -> TaskResult:
+    rng = SplitMix64(p["seed"])
     res = TaskResult("jacobi-compare", ms, ("sample", "sup_norm_diff", "profile_residual"),
-                     samples=samples, seed=seed, tolerance=tol)
-    curv = params.get("constant_curvature")
+                     samples=p["samples"], seed=p["seed"], tolerance=p["tolerance"])
+    kap = p["constant_curvature"]
     # the draws, sample by sample, then one batched solve for every geodesic
     ws, us = [], []
-    for _ in range(samples):
+    for _ in range(p["samples"]):
         w0 = random_tangent(ms, rng)
         ws.append(TangentVector(w0.x, w0.y / metrics_mod.metric_value(ms, w0)))
         us.append(rng.direction(ms.dim))
-    geos = integrate_geodesic(ms, TangentVector.stack(ws), t_end)
+    geos = integrate_geodesic(ms, TangentVector.stack(ws), p["t"])
 
     def one(w0, u, geo):
         Jor = jacobi_variation_oracle(ms, geo, u)
-        if curv is None:
+        if kap is None:
             J = jacobi_integrate(ms, geo, np.zeros(ms.dim), u).vectors
             return float(np.max(np.abs(J - Jor))), 0.0
         # g at w0 and at every 40th node, from one batched y-jet
@@ -456,7 +500,6 @@ def task_jacobi_compare(ms, params, seed) -> TaskResult:
         J = jacobi_integrate(ms, geo, np.zeros((ms.dim, 2)), np.column_stack([u, uperp])).vectors
         Jp = J[:, :, 1]
         prof = 0.0
-        kap = _number("constant_curvature", curv, float)
         for i, gi in zip(nodes, gs[1:]):
             nrm = float(np.sqrt(Jp[i] @ gi @ Jp[i]))
             t = geo.grid[i]
@@ -470,10 +513,11 @@ def task_jacobi_compare(ms, params, seed) -> TaskResult:
         return float(np.max(np.abs(J[:, :, 0] - Jor))), prof
 
     res.csv_rows = [(i, *one(*sample)) for i, sample in enumerate(zip(ws, us, geos))]
-    res.check("ODE vs geodesic-variation oracle (sup norm)", max(r[1] for r in res.csv_rows), tol)
-    if curv is not None:
-        res.check(f"constant-curvature profile K={curv}", max(r[2] for r in res.csv_rows),
-                  _param(params, "profile_tolerance", 1e-3))
+    res.check("ODE vs geodesic-variation oracle (sup norm)", max(r[1] for r in res.csv_rows),
+              p["tolerance"])
+    if kap is not None:
+        res.check(f"constant-curvature profile K={kap}", max(r[2] for r in res.csv_rows),
+                  p["profile_tolerance"])
     return res
 
 
@@ -485,12 +529,12 @@ def _normal_direction(ms, x, vel, rng):
     return d / np.linalg.norm(d)
 
 
-def task_second_variation(ms, params, seed) -> TaskResult:
-    mode = params.get("mode", "fixed")
-    rng = SplitMix64(seed)
-    res = TaskResult("second-variation", ms, ("quantity", "value"), mode=mode, seed=seed)
+def task_second_variation(ms, p) -> TaskResult:
+    rng = SplitMix64(p["seed"])
+    res = TaskResult("second-variation", ms, ("quantity", "value"), mode=p["mode"],
+                     seed=p["seed"])
     ends, h_terms = {}, ()
-    if mode == "fixed":
+    if p["mode"] == "fixed":
         from scipy.interpolate import CubicSpline
 
         w0 = random_tangent(ms, rng)
@@ -503,10 +547,9 @@ def task_second_variation(ms, params, seed) -> TaskResult:
 
         def offset(s, t):
             return s * np.sin(np.pi * t)[..., None] * e_spline(t)
-    elif mode == "submanifold":
-        # geodesic segment normal to an affine line at each end
-        x_a = _vector("x0", params.get("x0", [0.05, -0.1]), ms.dim)
-        d1v = _vector("direction", params.get("direction", [0.9, 0.45]), ms.dim)
+    else:
+        # submanifold mode: a geodesic segment normal to an affine line at each end
+        x_a, d1v = p["x0"], p["direction"]
         line1 = subm.affine_subspace(x_a, [d1v], name="P1")
         nv = subm.normal_cone_solve(line1, [0.0], ms, guess=np.array([-d1v[1], d1v[0]]))
         geo = integrate_geodesic(ms, TangentVector(x_a, nv.eta), 1.0)
@@ -527,8 +570,6 @@ def task_second_variation(ms, params, seed) -> TaskResult:
         ends = {"P1": (line1, [0.0]), "P2": (line2, [0.0])}
         h_terms = (subm.sff_connection(line1, [0.0], geo.velocities[0], [c1], [c1], ms),
                    subm.sff_connection(line2, [0.0], vel_b, [c2], [c2], ms))
-    else:
-        raise ConfigError(f"unknown second-variation mode {mode!r}")
 
     formula = second_variation_formula(ms, geo, vfield, **ends)
     dense, n = geo.dense, ms.dim
@@ -537,29 +578,23 @@ def task_second_variation(ms, params, seed) -> TaskResult:
     first = variation_energy_derivatives(ms, fam, 1)
     res.csv_rows = [("formula", formula), ("fd", fd), ("first_variation", first)]
     res.check("second variation formula vs FD (relative)", abs(formula - fd) / max(1e-12, abs(fd)),
-              _param(params, "tolerance", 1e-3))
-    res.check("first variation at geodesic", abs(first),
-              _param(params, "first_variation_tolerance", 1e-6))
+              p["tolerance"])
+    res.check("first variation at geodesic", abs(first), 1e-6)
     if h_terms:
         res.csv_rows += [("h_term_start", h_terms[0]), ("h_term_end", h_terms[1])]
-        res.check("boundary terms nonzero (exercised)", min(abs(h) for h in h_terms),
-                  _param(params, "h_term_floor", 1e-4), ">")
+        res.check("boundary terms nonzero (exercised)", min(abs(h) for h in h_terms), 1e-4, ">")
     return res
 
 
-def task_sff_compare(ms, params, seed) -> TaskResult:
-    samples = _param(params, "samples", 10, int)
-    rng = SplitMix64(seed)
-    subs = [submanifold_from_config(c, ms.dim) for c in params.get(
-        "submanifolds", [{"shape": "circle", "radius": 1.0},
-                         {"shape": "line", "point": [0.1, -0.2], "direction": [0.8, 0.6]}])]
+def task_sff_compare(ms, p) -> TaskResult:
+    rng, subs = SplitMix64(p["seed"]), p["submanifolds"]
     res = TaskResult("sff-compare", ms,
                      ("submanifold", "param", "agreement", "lagrangean", "lift_spread"),
-                     samples=samples, seed=seed)
+                     samples=p["samples"], seed=p["seed"])
     worst = np.zeros(4)
     lifts = [classical_lift(k, ms) for k in CLASSICAL]
-    lifts.append(random_admissible_lift(ms, seed + 5, enforce_m1m2=True))
-    for i in range(samples):
+    lifts.append(random_admissible_lift(ms, p["seed"] + 5, enforce_m1m2=True))
+    for i in range(p["samples"]):
         sub = subs[i % len(subs)]
         param = [rng.uniform(0.0, 6.28) if sub.name.startswith("circle")
                  else rng.uniform(-0.5, 0.5)]
@@ -593,8 +628,7 @@ def task_sff_compare(ms, params, seed) -> TaskResult:
                                         + np.einsum("ijk,j,k->i", A, basis @ u, basis @ v)))
         worst = np.maximum(worst, [agree, lag, spread, abs(unsym - hc)])
         res.csv_rows.append((sub.name, param[0], agree, lag, spread))
-    tols = (_param(params, "tolerance", 1e-5), _param(params, "lagrangean_tolerance", 1e-6),
-            _param(params, "lift_tolerance", 1e-8), 1e-7)
+    tols = (p["tolerance"], p["lagrangean_tolerance"], 1e-8, 1e-7)
     labels = ("symplectic vs connection second fundamental form",
               "Lagrangean residual of the normal bundle",
               "lift independence of the second fundamental form",
@@ -604,18 +638,15 @@ def task_sff_compare(ms, params, seed) -> TaskResult:
     return res
 
 
-def task_lift_independence(ms, params, seed) -> TaskResult:
-    samples = _param(params, "samples", 25, int)
-    tol = _param(params, "tolerance", 1e-7)
-    n_random = _param(params, "random_lifts", 5, int)
-    checks = params.get("checks", ["curvature", "covariant"])
+def task_lift_independence(ms, p) -> TaskResult:
+    samples, tol, checks, seed = p["samples"], p["tolerance"], p["checks"], p["seed"]
     rng = SplitMix64(seed)
     res = TaskResult("lift-independence", ms, ("check", "max_spread"), samples=samples, seed=seed)
 
     if "curvature" in checks or "covariant" in checks:
         lifts = [classical_lift("berwald", ms), classical_lift("cartan", ms)]
         lifts += [random_admissible_lift(ms, seed + 100 + i, enforce_t1=True)
-                  for i in range(n_random)]
+                  for i in range(p["random_lifts"])]
         # the draws, sample by sample, then one call per lift over all samples
         ws, us, fields = [], [], []
         for _ in range(samples):
@@ -644,7 +675,7 @@ def task_lift_independence(ms, params, seed) -> TaskResult:
                       row=("covariant", worst))
 
     if "affine_families" in checks:
-        tol_co = _param(params, "coincidence_tolerance", 1e-12)
+        tol_co = p["coincidence_tolerance"]
         fr = PointFrame(ms, TangentVector.stack([random_tangent(ms, rng) for _ in range(samples)]),
                         order=4)
         A = {k: affine_coefficients(classical_lift(k, ms), ms, fr.w, _frame=fr).A
@@ -658,8 +689,8 @@ def task_lift_independence(ms, params, seed) -> TaskResult:
                   row=("berwald_vs_hashiguchi", worst_bh))
         res.check("Cartan and Chern-Rund families coincide", worst_cc, tol_co,
                   row=("cartan_vs_chern_rund", worst_cc))
-        res.check("the two families differ somewhere", gap,
-                  _param(params, "family_difference_floor", 1e-3), ">", row=("family_gap", gap))
+        res.check("the two families differ somewhere", gap, p["family_difference_floor"], ">",
+                  row=("family_gap", gap))
     return res
 
 
@@ -674,114 +705,76 @@ TASKS = {
     "lift-independence": task_lift_independence,
 }
 
-TASK_NAMES = tuple(TASKS)
-
-# The parameter keys each task reads, besides "seed"; a scenario naming any
-# other key is refused. The defaults stay in the tasks, where they are read.
-TASK_KEYS = {
-    "check-metric": ("samples", "tolerances", "expect_pd_failures", "tensor_identities",
-                     "identity_tolerances", "identity_samples"),
-    "condition-matrix": ("samples", "tolerance", "lifts", "conditions", "expect",
-                         "expect_fail", "expect_exact", "identities"),
-    "curvature-sweep": ("flags", "expect_value", "tolerance", "flag_invariance",
-                        "christoffel_check", "riemann_tolerance", "affine_tolerance"),
-    "geodesic": ("x0", "y0", "t", "rtol", "nodes"),
-    "jacobi-compare": ("samples", "tolerance", "t", "constant_curvature", "profile_tolerance"),
-    "second-variation": ("mode", "x0", "direction", "tolerance", "first_variation_tolerance",
-                         "h_term_floor"),
-    "sff-compare": ("samples", "submanifolds", "tolerance", "lagrangean_tolerance",
-                    "lift_tolerance"),
-    "lift-independence": ("samples", "tolerance", "random_lifts", "checks",
-                          "coincidence_tolerance", "family_difference_floor"),
+# The parameters of each task, besides "seed", as parameter tables: the keys a
+# scenario may name, their defaults and their kinds.
+PARAMETERS = {
+    "check-metric": {
+        "samples": (100, _count), "identity_samples": (25, _count),
+        "tolerances": ({}, {"homogeneity": (1e-10, _positive), "gww": (1e-10, _positive)}),
+        "expect_pd_failures": (False, _flag), "tensor_identities": (False, _flag)},
+    "condition-matrix": {
+        "samples": (50, _count), "tolerance": (1e-7, _positive),
+        "lifts": (CLASSICAL, _names(CLASSICAL)),
+        "conditions": (ALL_CONDITIONS, _names(ALL_CONDITIONS)),
+        "expect": ({}, _names("lifts", _names("conditions"))),
+        "expect_fail": ({}, _names("lifts", _names("conditions", _positive))),
+        "expect_exact": ({}, _names("lifts", _names("conditions"))),
+        "identities": (None, {"samples": (10, _count), "tolerance": (1e-7, _positive),
+                              "fd_tolerance": (1e-6, _positive)})},
+    "curvature-sweep": {
+        "flags": (100, _count), "expect_value": (None, _number), "tolerance": (1e-6, _positive),
+        "christoffel_check": (False, _flag), "affine_tolerance": (1e-8, _positive)},
+    "geodesic": {
+        "x0": (_padded(), _vector), "y0": (_padded(1.0), _vector), "t": (1.0, _number),
+        "rtol": (1e-9, _positive), "nodes": (401, _count)},
+    "jacobi-compare": {
+        "samples": (10, _count), "tolerance": (1e-3, _positive), "t": (1.0, _number),
+        "constant_curvature": (None, _number), "profile_tolerance": (1e-3, _positive)},
+    "second-variation": {
+        "mode": ("fixed", _name(("fixed", "submanifold"))), "tolerance": (1e-3, _positive),
+        # the start point and direction of the first line in submanifold mode
+        "x0": (_padded(0.05, -0.1), _vector), "direction": (_padded(0.9, 0.45), _vector)},
+    "sff-compare": {
+        "samples": (10, _count), "tolerance": (1e-5, _positive),
+        "lagrangean_tolerance": (1e-6, _positive),
+        "submanifolds": ([{"shape": "circle", "radius": 1.0},
+                          {"shape": "line", "point": [0.1, -0.2], "direction": [0.8, 0.6]}],
+                         _submanifolds)},
+    "lift-independence": {
+        "samples": (25, _count), "tolerance": (1e-7, _positive), "random_lifts": (5, _natural),
+        "checks": (("curvature", "covariant"),
+                   _names(("curvature", "covariant", "affine_families"))),
+        "coincidence_tolerance": (1e-12, _positive), "family_difference_floor": (1e-3, _positive)},
 }
 SCENARIO_KEYS = ("version", "task", "metric", "parameters", "name")
-IDENTITY_KEYS = ("samples", "tolerance", "fd_tolerance")      # condition-matrix "identities"
-LIFT_CHECKS = ("curvature", "covariant", "affine_families")   # lift-independence "checks"
 
 
 # -- scenario runner ----------------------------------------------------------------
 
 
-def load_scenario(path) -> dict:
-    try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ConfigError(f"scenario file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    validate_scenario(cfg)
-    return cfg
-
-
-def _number(key, value, kind):
-    """``kind(value)`` for parameter ``key``, a ``ConfigError`` if it is not a number."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"parameter {key} must be a number, got {value!r}") from exc
-
-
-def _param(params, key, default, kind=float, where=""):
-    """Parameter ``key`` of ``params``, ``default`` when absent, as a number of
-    type ``kind``; ``where`` prefixes the key of a nested map in messages."""
-    return _number(where + key, params.get(key, default), kind)
-
-
-def _vector(key, value, dim) -> np.ndarray:
-    """Parameter ``key``, a list of ``dim`` numbers, as a float array."""
-    if not isinstance(value, (list, tuple)) or len(value) != dim:
-        raise ConfigError(f"parameter {key} must be a list of {dim} numbers, got {value!r}")
-    return np.array([_number(key, v, float) for v in value])
-
-
-def validate_scenario(cfg) -> None:
+def _parse_scenario(cfg):
+    """The metric of scenario ``cfg`` and its task's complete parameters."""
     if not isinstance(cfg, dict):
         raise ConfigError("scenario must be a JSON object")
     _refuse_unknown_keys(cfg, SCENARIO_KEYS, "the scenario")
     if cfg.get("version") != 1:
         raise ConfigError("scenario must declare \"version\": 1")
     task = cfg.get("task")
-    if task not in TASK_NAMES:
-        raise ConfigError(f"task must be one of {TASK_NAMES}, got {task!r}")
-    if "metric" not in cfg:
-        raise ConfigError("scenario must name a metric")
-    params = cfg.get("parameters", {})
-    if not isinstance(params, dict):
-        raise ConfigError("parameters must be a mapping")
-    _refuse_unknown_keys(params, ("seed", *TASK_KEYS[task]), f"the parameters of task {task!r}")
-    identities = params.get("identities")
-    if identities is not None:
-        if not isinstance(identities, dict):
-            raise ConfigError("parameter identities must be a mapping")
-        _refuse_unknown_keys(identities, IDENTITY_KEYS, "parameter identities")
-    checks = params.get("checks", [])
-    if not isinstance(checks, list):
-        raise ConfigError(f"parameter checks must be a list, got {checks!r}")
-    for entry in checks:
-        if entry not in LIFT_CHECKS:
-            raise ConfigError(f"unknown entry {entry!r} in parameter checks; "
-                              f"known entries: {', '.join(LIFT_CHECKS)}")
-    for key in ("tolerance", "lagrangean_tolerance", "profile_tolerance"):
-        if key in params and _number(key, params[key], float) <= 0:
-            raise ConfigError(f"parameter {key} must be positive")
-    counts = {key: params.get(key) for key in ("samples", "flags", "identity_samples")}
-    counts["identities.samples"] = (identities or {}).get("samples")
-    for key, value in counts.items():
-        if value is not None and _number(key, value, int) < 1:
-            raise ConfigError(f"parameter {key} must be at least 1")
-    metric_from_config(cfg["metric"])
+    if not isinstance(task, str) or task not in PARAMETERS:
+        raise ConfigError(f"task must be one of {tuple(PARAMETERS)}, got {task!r}")
+    ms = metric_from_config(cfg.get("metric"))
+    return ms, _parse({"seed": (0, _natural), **PARAMETERS[task]}, cfg.get("parameters", {}),
+                      ms.dim, f"the parameters of task {task!r}")
 
 
 def run_scenario_config(cfg: dict, out_dir=None, seed_override=None,
                         stream=sys.stdout) -> int:
-    validate_scenario(cfg)
-    ms = metric_from_config(cfg["metric"])
-    params = cfg.get("parameters", {})
-    seed = int(seed_override if seed_override is not None else params.get("seed", 0))
+    ms, p = _parse_scenario(cfg)
+    p["seed"] = p["seed"] if seed_override is None else int(seed_override)
     name = cfg.get("name", cfg["task"])
     t0 = time.perf_counter()
     try:
-        result = TASKS[cfg["task"]](ms, params, seed)
+        result = TASKS[cfg["task"]](ms, p)
     except ConfigError:
         raise
     except FinslerError as exc:
@@ -800,9 +793,13 @@ def run_scenario_config(cfg: dict, out_dir=None, seed_override=None,
 
 
 def run_scenario(path, out_dir=None, seed_override=None, stream=sys.stdout) -> int:
-    cfg = load_scenario(path)
-    return run_scenario_config(cfg, out_dir=out_dir, seed_override=seed_override,
-                               stream=stream)
+    try:
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise ConfigError(f"scenario file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    return run_scenario_config(cfg, out_dir=out_dir, seed_override=seed_override, stream=stream)
 
 
 def bundled_scenarios():
@@ -868,14 +865,15 @@ def main(argv=None) -> int:
         if args.command == "verify-all":
             return verify_all(seed=args.seed, out_dir=args.out)
         if args.command == "geodesic":
-            x0 = [float(v) for v in args.x0.split(",")]
+            x0 = args.x0.split(",")
             cfg = {"kind": args.metric, "dim": len(x0)}
             if args.metric == "randers":
-                cfg["beta"] = ([float(v) for v in args.beta.split(",")] if args.beta
+                cfg["beta"] = ([_number("beta", v) for v in args.beta.split(",")] if args.beta
                                else [0.5] + [0.0] * (len(x0) - 1))
             ms = metric_from_config(cfg)
-            y0 = [float(v) for v in args.y0.split(",")]
-            geo = integrate_geodesic(ms, TangentVector(x0, y0), args.t, nodes=args.nodes)
+            p = _parse(PARAMETERS["geodesic"], {"x0": x0, "y0": args.y0.split(","), "t": args.t,
+                                                "nodes": args.nodes}, ms.dim, "the options")
+            geo = integrate_geodesic(ms, TangentVector(p["x0"], p["y0"]), p["t"], nodes=p["nodes"])
             print("\n".join(_csv_lines(*_node_table(ms, geo), [])))
             return 0
     except ConfigError as exc:

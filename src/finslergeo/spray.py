@@ -285,10 +285,6 @@ class PointFrame:
         return np.einsum("...il,...jkl->...ijk", self.ginv, t_low)
 
 
-def frame(src, w: TangentVector, order: int = 4) -> PointFrame:
-    return PointFrame(src, w, order)
-
-
 # -- public operations ---------------------------------------------------------
 
 

@@ -57,6 +57,14 @@ def test_config_error_no_artifacts(tmp_path):
     assert not out.exists()
 
 
+def test_a_scenario_builds_its_metric_once(tmp_path, monkeypatch):
+    seen = []
+    build = cli.metric_from_config
+    monkeypatch.setattr(cli, "metric_from_config", lambda cfg: seen.append(cfg) or build(cfg))
+    assert cli.main(["run", str(_scenario(tmp_path, CHECK_EUCLID))]) == 0
+    assert seen == [CHECK_EUCLID["metric"]]
+
+
 def test_version_field_required(tmp_path):
     bad = dict(CHECK_EUCLID)
     bad.pop("version")
@@ -203,9 +211,7 @@ def test_printed_lines_are_the_task_records(scenario):
     cfg = dict(dict(cli.bundled_scenarios())[scenario])
     out = io.StringIO()
     code = cli.run_scenario_config(cfg, stream=out)
-    params = cfg["parameters"]
-    result = cli.TASKS[cfg["task"]](cli.metric_from_config(cfg["metric"]), params,
-                                    int(params.get("seed", 0)))
+    result = cli.TASKS[cfg["task"]](*cli._parse_scenario(cfg))
     lines = out.getvalue().splitlines()
     assert lines[1:] == [cli.render(c) for c in result.checks]
     assert code == (0 if result.passed else 2)
@@ -293,6 +299,13 @@ def test_console_entry_point():
 FUNK = {"kind": "funk", "dim": 2}
 
 
+def _funk(task, **params):
+    return {"version": 1, "task": task, "metric": FUNK, "parameters": params}
+
+
+GEODESIC = {"x0": [0.0, 0.0], "y0": [0.6, 0.3], "t": 0.5, "nodes": 11}
+
+
 @pytest.mark.parametrize("cfg, key", [
     ({"version": 1, "task": "curvature-sweep", "metric": FUNK,
       "paramters": {"flags": 5, "expect_value": 0.7}}, "paramters"),
@@ -319,32 +332,81 @@ FUNK = {"kind": "funk", "dim": 2}
       "parameters": {"samples": 3, "tolerances": {"homogenity": 1e-30}}}, "homogenity"),
     ({"version": 1, "task": "jacobi-compare", "metric": FUNK,
       "parameters": {"samples": 1, "t": "long"}}, "t"),
+    (_funk("geodesic", **GEODESIC, seed="abc"), "seed"),
+    (_funk("geodesic", **GEODESIC, seed=1.7), "seed"),
+    (_funk("geodesic", **{**GEODESIC, "nodes": 0}), "nodes"),
+    (_funk("geodesic", **{**GEODESIC, "y0": [0.6]}), "y0"),
+    (_funk("check-metric", samples=2.9), "samples"),
+    (_funk("check-metric", samples=True), "samples"),
+    (_funk("check-metric", samples=3, expect_pd_failures="false"), "expect_pd_failures"),
+    (_funk("check-metric", samples=3, tensor_identities="no"), "tensor_identities"),
+    (_funk("check-metric", samples=3, tolerances={"gww": 0}), "tolerances.gww"),
+    (_funk("lift-independence", samples=2, random_lifts=-1), "random_lifts"),
+    (_funk("condition-matrix", samples=2, lifts="berwald"), "lifts"),
+    (_funk("condition-matrix", samples=2, lifts=["berwald"], expect={"cartan": ["T2"]}),
+     "cartan"),
+    (_funk("curvature-sweep", flags=5, expect_value=-0.25, tolerance=float("inf")), "tolerance"),
+    (_funk("curvature-sweep", flags=5, flag_invariance=False), "flag_invariance"),
+    (_funk("sff-compare", samples=1, submanifolds=[{"shape": "circle", "radius": "big"}]),
+     "radius"),
+    (_funk("second-variation", mode="free"), "mode"),
 ], ids=["top-level", "checks-entry", "checks-string", "task", "metric", "submanifold",
         "identities", "not-a-number", "expect-lift", "expect-condition", "tolerance-key",
-        "task-number"])
+        "task-number", "seed-word", "seed-fraction", "nodes-zero", "vector-length",
+        "samples-fraction", "samples-boolean", "flag-word-false", "flag-word-no",
+        "tolerance-zero", "random-lifts-negative", "lifts-string", "expect-unselected-lift",
+        "tolerance-infinite", "removed-key", "submanifold-radius", "mode"])
 def test_unknown_keys_and_bad_numbers_are_config_errors(tmp_path, capsys, cfg, key):
     # a misspelled key used to be ignored, its default used and the scenario
-    # passed; a misspelled name or a word for a number ended in a traceback
+    # passed; a misspelled name or a word for a number ended in a traceback, and
+    # a value of the wrong type or range ran as some other value (2.9 samples
+    # as 2, "false" as true, the string "berwald" as its letters)
     assert cli.main(["run", str(_scenario(tmp_path, cfg))]) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert repr(key) in err or f"parameter {key} " in err
 
 
-def _keys_read(fn, mapping):
-    # mapping.get("key", ...), mapping["key"] and _param(mapping, "key", ...)
-    return set(re.findall(mapping + r'(?:\.get\(\s*|\[|, )"(\w+)"', inspect.getsource(fn)))
+@pytest.mark.parametrize("argv", [
+    ["--metric", "euclidean", "--x0", "a,b", "--y0", "1,0"],
+    ["--metric", "randers", "--x0", "0,0", "--y0", "1,0", "--beta", "0.1,x"],
+    ["--metric", "euclidean", "--x0", "0,0", "--y0", "1"],
+], ids=["x0-words", "beta-word", "y0-length"])
+def test_geodesic_subcommand_refuses_bad_input(capsys, argv):
+    assert cli.main(["geodesic", *argv]) == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
+def _keys_read(*fns):
+    # p["key"] and p["key"]["nested"], as "key" and "key.nested"; a nested read
+    # also reads the enclosing keys
+    keys = set()
+    for chain in re.findall(r'\bp((?:\["\w+"\])+)', "".join(map(inspect.getsource, fns))):
+        parts = re.findall(r'"(\w+)"', chain)
+        keys |= {".".join(parts[:i]) for i in range(1, len(parts) + 1)}
+    return keys
+
+
+def _keys_declared(table, prefix=""):
+    keys = set()
+    for key, (_, kind) in table.items():
+        keys.add(prefix + key)
+        if isinstance(kind, dict):
+            keys |= _keys_declared(kind, f"{prefix}{key}.")
+    return keys
 
 
 def test_key_tables_match_the_keys_the_code_reads():
-    assert set(cli.TASK_KEYS) == set(cli.TASKS)
+    assert set(cli.PARAMETERS) == set(cli.TASKS)
+    helpers = {"condition-matrix": [cli._run_identity_battery]}
     for task, fn in cli.TASKS.items():
-        assert _keys_read(fn, "params") == set(cli.TASK_KEYS[task]), task
-    assert _keys_read(cli._run_identity_battery, "identities") == set(cli.IDENTITY_KEYS)
-    assert _keys_read(cli.submanifold_from_config, "cfg") == \
-        {"shape"} | {k for keys in cli.SHAPE_KEYS.values() for k in keys}
-    assert _keys_read(cli.metric_from_config, "cfg") == \
-        {"kind", "dim"} | {k for keys in cli.METRIC_KEYS.values() for k in keys}
+        assert _keys_read(fn, *helpers.get(task, [])) == \
+            {"seed"} | _keys_declared(cli.PARAMETERS[task]), task
+    assert _keys_read(cli.submanifold_from_config) == \
+        {k for table in cli.SHAPES.values() for k in _keys_declared(table)}
+    # the metric descriptor reads its keys as cfg.get("key", ...) and cfg["key"]
+    assert set(re.findall(r'cfg(?:\.get\(|\[)"(\w+)"', inspect.getsource(cli.metric_from_config))) \
+        == {"kind", "dim"} | {k for keys in cli.METRIC_KEYS.values() for k in keys}
 
 
 def test_identity_battery_in_three_dimensions():
@@ -388,8 +450,7 @@ def test_sff_compare_solves_one_normal_bundle_per_sample(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(subm, "normal_cone_solve", counting)
-    cfg = dict(cli.bundled_scenarios())["20_sff_compare_randers.json"]
-    params = cfg["parameters"]
-    res = cli.task_sff_compare(cli.metric_from_config(cfg["metric"]), params, params["seed"])
-    assert len(res.csv_rows) == params["samples"]
-    assert len(calls) == 3 * params["samples"]
+    ms, p = cli._parse_scenario(dict(cli.bundled_scenarios())["20_sff_compare_randers.json"])
+    res = cli.task_sff_compare(ms, p)
+    assert len(res.csv_rows) == p["samples"]
+    assert len(calls) == 3 * p["samples"]
