@@ -67,8 +67,9 @@ def compile_expression(src: str, dim: int, allow_y: bool = True):
                 raise ConfigError("keyword arguments not allowed in expressions")
         if isinstance(node, ast.Name) and node.id not in names and node.id not in _EXPR_FUNCS:
             raise ConfigError(f"expression {src!r}: unknown name {node.id!r}")
-        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-            raise ConfigError(f"expression {src!r}: only numeric constants allowed")
+        if isinstance(node, ast.Constant) and type(node.value) not in (int, float):  # no bool
+            raise ConfigError(f"expression {src!r}: only numeric constants allowed, "
+                              f"got {node.value!r}")
     code = compile(tree, "<scenario expression>", "eval")
 
     def rule(xs, ys=None):
@@ -195,7 +196,7 @@ def metric_from_config(cfg) -> MetricSpec:
         if not isinstance(beta_cfg, (list, tuple)) or len(beta_cfg) != dim:
             raise ConfigError(f"randers metric needs a 'beta' list of {dim} entries, "
                               f"got {beta_cfg!r}")
-        if all(isinstance(b, (int, float)) for b in beta_cfg):
+        if all(type(b) in (int, float) for b in beta_cfg):  # compile_expression refuses a bool
             beta = [float(b) for b in beta_cfg]
         else:
             comps = [compile_expression(str(b), dim, allow_y=False) for b in beta_cfg]
@@ -762,6 +763,9 @@ def _parse_scenario(cfg):
     task = cfg.get("task")
     if not isinstance(task, str) or task not in PARAMETERS:
         raise ConfigError(f"task must be one of {tuple(PARAMETERS)}, got {task!r}")
+    name = cfg.get("name", task)   # the CSV <out>/<name>.csv must stay inside <out>
+    if not isinstance(name, str) or name in ("", "..") or "/" in name or "\\" in name:
+        raise ConfigError(f"scenario name must be a plain file name, got {name!r}")
     ms = metric_from_config(cfg.get("metric"))
     return ms, _parse({"seed": (0, _natural), **PARAMETERS[task]}, cfg.get("parameters", {}),
                       ms.dim, f"the parameters of task {task!r}")

@@ -198,9 +198,7 @@ def _rule_tensors(lift: LiftSpec, fr: PointFrame) -> np.ndarray:
     first; a constant leaf is broadcast over the batch."""
     n, batch = fr.n, fr.x.shape[:-1]
     x, y = np.moveaxis(fr.x, -1, 0), np.moveaxis(fr.y, -1, 0)
-    w = LiftPoint(x, y)
-    if fr.f is not None:
-        w = LiftPoint(x, y, fr.f.value, np.moveaxis(0.5 * fr.f.derivative(1)[..., n:], -1, 0))
+    w = LiftPoint(x, y) if fr.f is None else LiftPoint(x, y, fr.f.value, np.moveaxis(fr.gw, -1, 0))
     leaves = [np.broadcast_to(np.asarray(t[j][k][l], float), batch)
               for t in _rule_fields(lift, w, n)
               for j in range(n) for k in range(n) for l in range(n)]
@@ -473,16 +471,13 @@ def _classical_flat_jets(kind: ClassicalKind, fr5: PointFrame):
     convention of ``PointFrame.Cp_low``; an absent tensor is zero.
     """
     use_c, use_cp = _CLASSICAL_TABLE[kind]
-    n = fr5.n
-    cpoly = 0.5 * fr5.gpoly.grad()[..., n:]        # flat Cartan tensor at order q-3
-    c1 = cpoly.truncate(1)
+    c1 = fr5.field("C_low")
     cp1 = 0.0 * c1
     if use_cp:
         y1 = _fiber_jets(fr5)
-        n1 = fr5.Gpoly.grad()[..., n:].truncate(1)   # N[m, j] = dG^m/dy^j
-        dc = cpoly.grad()
-        cp1 = -(contract("...ijkl,...l->...ijk", dc[..., :n], y1)
-                - 2.0 * contract("...ijkl,...l->...ijk", dc[..., n:], fr5.Gpoly.truncate(1))
+        n1 = fr5.field("N")
+        cp1 = -(contract("...lijk,...l->...ijk", fr5.field("dC_dx"), y1)
+                - 2.0 * contract("...lijk,...l->...ijk", fr5.field("dC_dy"), fr5.field("G"))
                 - contract("...mi,...mjk->...ijk", n1, c1)
                 - contract("...mj,...imk->...ijk", n1, c1)
                 - contract("...mk,...ijm->...ijk", n1, c1))
@@ -506,7 +501,7 @@ def _lift_field_jets(lift: LiftSpec, fr5: PointFrame):
     else:
         f1 = gw1 = None
         if fr5.f is not None:
-            gw = 0.5 * fr5.f.grad()[..., n:].truncate(1)
+            gw = fr5.field("gw")
             f1, gw1 = fr5.f.truncate(1), Jet(gw.space, _move(gw.c, -2, 0))
         rules = lift_any(lambda v: _rule_fields(lift, LiftPoint(v[:n], v[n:], f1, gw1), n),
                          np.concatenate([fr5.x, fr5.y], axis=-1), 1)
@@ -546,10 +541,9 @@ def lift_curvature(lift: LiftSpec, src, w: TangentVector, u, vertical_noise=None
     fields = _lift_field_jets(lift, fr5)
     cc1, cp1 = fields[..., 0, :, :, :], fields[..., 1, :, :, :]
     y1 = _fiber_jets(fr5)
-    dspray = fr5.Gpoly.grad()
-    gh1 = dspray.grad()[..., n:, n:] + cp1    # Gamma_h^i_{jm} = B + Cp as a field
+    gh1 = fr5.field("B") + cp1    # Gamma_h^i_{jm} = B + Cp as a field
     N, B = fr5.N, fr5.B
-    dNdx = np.swapaxes(fr5._dG(2)[..., :n, n:], -3, -2)    # [l, i, j]
+    dNdx = np.swapaxes(fr5.Gxy, -3, -2)    # [l, i, j]
 
     def split(field):
         """Value, delta/dx and d/dy of an order-1 (..., n, n) field, derivative index first."""
@@ -559,7 +553,7 @@ def lift_curvature(lift: LiftSpec, src, w: TangentVector, u, vertical_noise=None
 
     gh, cc = gh1.value, cc1.value
     # section fields P[i,k] = (nabla_{delta/dx^k} C)^i and V[i,m] = (nabla_{d/dy^m} C)^i
-    P, dP_h, dPdy = split(contract("...ikr,...r->...ik", gh1, y1) - dspray[..., n:].truncate(1))
+    P, dP_h, dPdy = split(contract("...ikr,...r->...ik", gh1, y1) - fr5.field("N"))
     V, dV_h, _ = split(contract("...imr,...r->...im", cc1, y1) + np.eye(n))
 
     # frame bracket curvature of the nonlinear connection

@@ -10,28 +10,23 @@ truncated ring, G = sum_j (-g(w)^-1 d)^j g(w)^-1 rhs / 4 ends after
 B = d2G/dy dy, and the mixed x-derivatives entering the curvature) are
 exact.
 
-Numeric tensors are slices of ``Jet.derivative(k)``, which returns all k-th
-partials in the 2n variables (x first, then y): N and Gx are the y- and
-x-columns of the stacked first derivatives of G, B and Gxy blocks of the
-second, and g, C, dg/dx, dC/dx, dC/dy blocks of the second to fourth
-derivatives of F^2 (times 1/2 or 1/4).
+Every tensor read off these jets is one row of ``_TENSORS``: a source jet,
+F^2 (``f``) or G (``Gpoly``), in the 2n joint variables with x before y,
+the x or y block of each derivative index, and a factor (1 for G's rows,
+1/2 for gw and dg/dx, 1/4 for the Cartan tensor and its derivatives). A
+row is read as numbers, factor * ``Jet.derivative(k)`` on its blocks, or as
+an order-1 field jet, one ``grad()`` per index, whose value is the numbers.
 
 A ``PointFrame`` holds these jets at one tangent point or at a batch of
-them, (..., n): one lift of F^2 at all centers, one positive-definiteness
-guard, one batched g^-1 and one Neumann solve, in fixed-size blocks for
-large batches. Every tensor then carries the batch axes first, and each
-point is bitwise equal to its own single-point frame. Frame tables along
-geodesics, the second variation and the sweeps build one batched frame.
-
-ODE right-hand sides that need only G call ``spray_values``, which skips
-the frame: an order-2 jet of F^2 and one numeric solve. It takes points
-with leading batch axes too, and serves the Gauss nodes of a geodesic
-residual with one lift at all centers, one guard and one batched solve.
+them, (..., n), built with one lift of F^2 and one spray solve for the
+batch. ODE right-hand sides that need only G call ``spray_values``, which
+skips the frame: an order-2 jet of F^2 and one numeric solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,6 +78,28 @@ class SpraySpec:
 _BLOCK = 32
 
 
+# name: (source jet, the block of each derivative index, factor); the index
+# axes follow the source's component axes in the order written
+_TENSORS = {
+    "G": ("Gpoly", "", 1.0),        # G^i
+    "N": ("Gpoly", "y", 1.0),       # N^i_j = dG^i/dy^j
+    "Gx": ("Gpoly", "x", 1.0),      # dG^i/dx^j
+    "B": ("Gpoly", "yy", 1.0),      # Berwald B^i_jk = d2G^i/dy^j dy^k
+    "Gxy": ("Gpoly", "xy", 1.0),    # d2G^i/dx^j dy^k
+    "gw": ("f", "y", 0.5),          # half dF^2/dy^i, g_w(w, e_i) by Euler
+    "C_low": ("f", "yyy", 0.25),    # Cartan C_ijk, all indices down
+    "dg_dx": ("f", "xyy", 0.5),     # (k, i, j): d g_ij / dx^k
+    "dC_dx": ("f", "xyyy", 0.25),   # (l, i, j, k): d C_ijk / dx^l
+    "dC_dy": ("f", "yyyy", 0.25),   # (l, i, j, k): d C_ijk / dy^l
+}
+
+
+@lru_cache(maxsize=None)
+def _index(blocks, n):
+    """The index of a row's blocks in the joint variables: x is :n, y is n:."""
+    return (...,) + tuple(slice(None, n) if b == "x" else slice(n, None) for b in blocks)
+
+
 def _frame_jets(src, x, y, order):
     """(f, g, ginv, gpoly, Gpoly) at points (..., n); the metric parts are
     None for a bare spray. Every jet has the batch axes first."""
@@ -121,9 +138,10 @@ class PointFrame:
     """All jets of a metric/spray at a tangent point or a batch of them, order-managed.
 
     ``order`` is the F^2 jet order q; spray polynomials live at order q-2.
-    q=4 serves every pointwise tensor; q=5 additionally provides first
-    derivatives of the Berwald and Cartan-derived coefficient fields (used
-    by the honest lift-curvature evaluation).
+    A row of ``_TENSORS`` is an attribute (``fr.N``): q=4 serves every row,
+    and q=5 also every row as an order-1 field jet (``fr.field("N")``), for
+    the honest lift-curvature evaluation. ``R``, ``Cdot_low`` and ``Cp_low``
+    are formulas over the rows.
 
     ``w.x`` and ``w.y`` may carry leading batch axes, (..., n). A batch is
     one lift of F^2 at all centers, one positive-definiteness guard, one
@@ -174,31 +192,34 @@ class PointFrame:
             self._cache[key] = builder()
         return self._cache[key]
 
-    # -- spray values and derivatives ---------------------------------------
+    # -- the tensor table -------------------------------------------------------
 
-    @property
-    def G(self):
-        return self._get("G", lambda: self._dG(0))
+    def _row(self, source, blocks, factor):
+        """The numbers of a ``_TENSORS`` row at the frame's point(s)."""
+        k = len(blocks)
+        # one gather per (source, k) serves every row that shares it
+        d = self._get(("derivative", source, k), lambda: self._source(source).derivative(k))
+        block = d[_index(blocks, self.n)]
+        return block if factor == 1.0 else factor * block   # G's rows are views of the gather
 
-    def _dG(self, k):
-        """All k-th partials of the spray coefficients: (..., n) + (2n,)*k, x before y."""
-        return self.Gpoly.derivative(k)
+    def field(self, name):
+        """Order-1 jet of a ``_TENSORS`` row as a field in (x, y), built once: its
+        blocks read with one ``grad()`` per index, so its value is the row's
+        numbers. A row of k indices needs a source of order k + 1."""
+        source, blocks, factor = _TENSORS[name]
 
-    @property
-    def N(self):
-        return self._get("N", lambda: self._dG(1)[..., self.n:])
+        def build():
+            jet = self._source(source).truncate(len(blocks) + 1)
+            for block in blocks:
+                jet = jet.grad()[_index(block, self.n)]
+            return factor * jet
 
-    @property
-    def B(self):
-        return self._get("B", lambda: self._dG(2)[..., self.n:, self.n:])
+        return self._get(("field", name), build)
 
-    @property
-    def Gx(self):
-        return self._get("Gx", lambda: self._dG(1)[..., :self.n])
-
-    @property
-    def Gxy(self):
-        return self._get("Gxy", lambda: self._dG(2)[..., :self.n, self.n:])
+    def _source(self, name):
+        if name == "f":
+            self._need_metric()
+        return getattr(self, name)
 
     @property
     def R(self):
@@ -218,29 +239,6 @@ class PointFrame:
     def _need_metric(self):
         if self.metric is None:
             raise TypeError("operation requires a metric, got a bare spray")
-
-    def _dF2(self, k):
-        """All k-th partials of F^2 in the joint (x, y) variables."""
-        self._need_metric()
-        return self.f.derivative(k)
-
-    @property
-    def C_low(self):
-        """Cartan tensor with all indices down (fully symmetric)."""
-        n = self.n
-        return self._get("C_low", lambda: 0.25 * self._dF2(3)[..., n:, n:, n:])
-
-    @property
-    def dC_dx(self):
-        """(l,i,j,k): d C_ijk / dx^l."""
-        n = self.n
-        return self._get("dC_dx", lambda: 0.25 * self._dF2(4)[..., :n, n:, n:, n:])
-
-    @property
-    def dC_dy(self):
-        """(l,i,j,k): d C_ijk / dy^l."""
-        n = self.n
-        return self._get("dC_dy", lambda: 0.25 * self._dF2(4)[..., n:, n:, n:, n:])
 
     @property
     def Cdot_low(self):
@@ -273,16 +271,16 @@ class PointFrame:
         """
         return self._get("Cp_low_signed", lambda: -self.Cdot_low)
 
-    @property
-    def dg_dx(self):
-        """(k,i,j): d g_ij / dx^k."""
-        n = self.n
-        return self._get("dg_dx", lambda: 0.5 * self._dF2(3)[..., :n, n:, n:])
-
     def raise_last(self, t_low: np.ndarray) -> np.ndarray:
         """Raise the last index of a (u,v,t)-flat tensor: T^i_jk = g^il T_jkl."""
         self._need_metric()
         return np.einsum("...il,...jkl->...ijk", self.ginv, t_low)
+
+
+# each row of _TENSORS is a frame attribute, its numbers built once
+for _name in _TENSORS:
+    setattr(PointFrame, _name, property(
+        lambda fr, name=_name: fr._get(name, lambda: fr._row(*_TENSORS[name]))))
 
 
 # -- public operations ---------------------------------------------------------

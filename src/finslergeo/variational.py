@@ -414,13 +414,14 @@ def integrate_geodesic(src, w0: TangentVector, t_end: float,
 
     ``w0`` of shape (n,) gives one ``Curve``; with a leading batch axis,
     (B, n), it gives a list of B curves from one batched solve, each equal
-    to its own single solve. ``t_end`` may be negative. Each curve's dense
-    output records ``src`` and ``rtol``, which flows along the curve inherit.
+    to its own single solve. ``t_end`` may be negative; 0 is a ``GridError``.
+    Each curve's dense output records ``src`` and ``rtol``, which flows along
+    the curve inherit.
     """
     src.check_tangent(w0)
     t_end = float(t_end)
     if t_end == 0:
-        raise ValueError("t_end must be nonzero")
+        raise GridError("a geodesic needs a nonzero time span, got t_end = 0")
     n = src.dim
     states0 = np.concatenate([w0.x, w0.y], axis=-1)
     grid = np.linspace(0.0, t_end, nodes)

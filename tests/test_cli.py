@@ -236,6 +236,50 @@ def test_geodesic_subcommand_stdout(capsys):
     assert last[1] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("task, params", [("geodesic", {"t": 0}),
+                                          ("jacobi-compare", {"samples": 1, "t": 0})])
+def test_zero_time_span_exits_one(tmp_path, task, params):
+    # integrate_geodesic raised a bare ValueError for t = 0: a traceback, not exit 1
+    cfg = {"version": 1, "task": task, "metric": {"kind": "funk", "dim": 2},
+           "parameters": params, "name": "zero_span"}
+    out = io.StringIO()
+    assert cli.run_scenario(_scenario(tmp_path, cfg), out_dir=tmp_path / "o", stream=out) == 1
+    assert "nonzero time span" in out.getvalue()
+    assert not (tmp_path / "o").exists()
+
+
+def test_geodesic_subcommand_zero_time_exits_one(capsys):
+    argv = ["geodesic", "--metric", "euclidean", "--x0", "0,0", "--y0", "1,0", "--t", "0"]
+    assert cli.main(argv) == 1
+    assert "error: a geodesic needs a nonzero time span" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric, entry", [
+    ({"kind": "randers", "dim": 2, "beta": [True, 0]}, "True"),
+    ({"kind": "randers", "dim": 2, "beta": ["0.1 * x2", False]}, "False"),
+    ({"kind": "randers", "dim": 2, "beta": ["True * 0.1", "0.0"]}, "True * 0.1"),
+    ({"kind": "custom", "dim": 2, "f2": "True*(y1*y1+y2*y2)"}, "True*(y1*y1+y2*y2)"),
+], ids=["beta-true", "beta-false-beside-expression", "beta-expression", "f2-expression"])
+def test_booleans_are_not_numbers_in_metric_descriptors(tmp_path, capsys, metric, entry):
+    # [true, 0] ran as beta = (1, 0), and True*(...) as a custom F^2 that passed check-metric
+    with pytest.raises(ConfigError, match=re.escape(repr(entry))):
+        cli.metric_from_config(metric)
+    cfg = {"version": 1, "task": "check-metric", "metric": metric,
+           "parameters": {"samples": 5}}
+    assert cli.main(["run", str(_scenario(tmp_path, cfg))]) == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["../escaped_probe", "sub/probe", "sub\\probe", "..", ""])
+def test_scenario_name_must_be_a_plain_file_name(tmp_path, capsys, name):
+    # "../escaped_probe" with --out o/sub wrote o/escaped_probe.csv
+    cfg = dict(CHECK_EUCLID, name=name)
+    out = tmp_path / "o" / "sub"
+    assert cli.main(["run", str(_scenario(tmp_path, cfg)), "--out", str(out)]) == 1
+    assert "scenario name must be a plain file name" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_minkowski_condition_scenario_passes():
     cfgs = dict(cli.bundled_scenarios())
     cfg = dict(cfgs["05_condition_matrix_minkowski.json"])

@@ -317,7 +317,7 @@ def test_constant_flag_curvature_operator(kind, dim, K):
 
 # -- batched frames -------------------------------------------------------------------
 
-FRAME_TENSORS = ("G", "N", "B", "Gx", "Gxy", "R", "g", "ginv", "C_low", "dC_dx", "dC_dy",
+FRAME_TENSORS = ("G", "N", "B", "Gx", "Gxy", "R", "g", "ginv", "gw", "C_low", "dC_dx", "dC_dy",
                  "Cdot_low", "Cp_low", "dg_dx")
 
 
@@ -358,6 +358,69 @@ def test_batched_frame_bitwise_equals_single_frames(order, sphere, poincare, fun
             assert view.x.shape == (src.dim,)
             for name, value in _frame_tensors(view).items():
                 assert np.array_equal(value, singles[2][name]), (src.name, name)
+
+
+def _explicit_rows(fr):
+    """Each tensor-table row written out as factor * jet.derivative(k)[blocks];
+    x is variables :n of the joint (x, y) jets, y is n:."""
+    x, y = slice(None, fr.n), slice(fr.n, None)
+    rows = {"G": ("Gpoly", 0, (), 1.0), "N": ("Gpoly", 1, (y,), 1.0),
+            "Gx": ("Gpoly", 1, (x,), 1.0), "B": ("Gpoly", 2, (y, y), 1.0),
+            "Gxy": ("Gpoly", 2, (x, y), 1.0), "gw": ("f", 1, (y,), 0.5),
+            "C_low": ("f", 3, (y, y, y), 0.25), "dg_dx": ("f", 3, (x, y, y), 0.5),
+            "dC_dx": ("f", 4, (x, y, y, y), 0.25), "dC_dy": ("f", 4, (y, y, y, y), 0.25)}
+    out = {}
+    for name, (jet, k, blocks, factor) in rows.items():
+        source = getattr(fr, jet)
+        if source is not None and k <= source.order:
+            out[name] = factor * source.derivative(k)[(...,) + blocks]
+    return out
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_tensor_table_rows_are_derivative_blocks(order, randers_var):
+    for src in (randers_var, metrics.funk(3), _quadratic_spray()):
+        X, Y = _batch(src, 4, 7)
+        fr = PointFrame(src, TangentVector(X, Y), order=order)
+        rows = _explicit_rows(fr)
+        assert {"G", "N", "Gx"} <= rows.keys()
+        assert ("C_low" in rows) == (src.kind != "spray")
+        for name in spray._TENSORS:
+            if name in rows:
+                value = getattr(fr, name)
+                assert value.shape == rows[name].shape, name
+                assert np.array_equal(value, rows[name]), (src.name, order, name)
+            elif spray._TENSORS[name][0] == "f" and src.kind == "spray":
+                with pytest.raises(TypeError, match="requires a metric"):
+                    getattr(fr, name)
+            else:   # beyond the jet order
+                with pytest.raises(IndexError):
+                    getattr(fr, name)
+
+
+@pytest.mark.parametrize("order", [4, 5])
+def test_tensor_table_field_jets_have_the_rows_as_values(order, randers_var):
+    for src in (randers_var, metrics.funk(3), _quadratic_spray()):
+        X, Y = _batch(src, 4, 8)
+        fr = PointFrame(src, TangentVector(X, Y), order=order)
+        for name, (jet, blocks, factor) in spray._TENSORS.items():
+            if jet == "f" and src.kind == "spray":
+                with pytest.raises(TypeError, match="requires a metric"):
+                    fr.field(name)
+                continue
+            if len(blocks) + 1 > getattr(fr, jet).order:
+                continue
+            field = fr.field(name)
+            assert field.order == 1 and field.space.nvars == 2 * src.dim
+            assert np.array_equal(field.value, getattr(fr, name)), (src.name, order, name)
+            assert fr.field(name) is field   # built once
+            source, k = getattr(fr, jet), len(blocks)
+            if k + 1 < source.order:
+                # its first partials are the next derivative's blocks, the new index last
+                x, y = slice(None, src.dim), slice(src.dim, None)
+                index = (...,) + tuple(x if b == "x" else y for b in blocks) + (slice(None),)
+                assert np.array_equal(field.derivative(1),
+                                      factor * source.derivative(k + 1)[index]), (src.name, name)
 
 
 def test_single_point_frame_has_no_batch_to_index(sphere):
