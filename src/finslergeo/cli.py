@@ -30,7 +30,7 @@ from .lifts import (ALL_CONDITIONS, affine_coefficients, classical_lift, conditi
 from .metrics import MetricSpec, TangentVector, check_metric, random_tangent
 from .rng import SplitMix64
 from .spray import PointFrame, _matvec, curvature_endomorphism, flag_curvature
-from .variational import (FieldAlongCurve, VariationFamily, integrate_geodesic,
+from .variational import (DEFAULT_RTOL, FieldAlongCurve, VariationFamily, integrate_geodesic,
                           jacobi_integrate, jacobi_variation_oracle, parallel_transport,
                           second_variation_formula, variation_energy_derivatives,
                           variation_symmetry_residual)
@@ -95,10 +95,10 @@ def _refuse_unknown_keys(cfg, known, where: str, what: str = "key") -> None:
 # -- scenario parameters ------------------------------------------------------------
 #
 # A parameter table maps each key to (default, kind). A kind, called as
-# kind(key, value, p, dim) with ``p`` the entries parsed before it, returns the
-# value a task reads or raises a ConfigError naming the key. A dict for a kind is
-# a nested table, a default of None makes an entry optional, and a callable
-# default is a function of the metric's dimension.
+# kind(key, value, dim), returns the value a task reads or raises a ConfigError
+# naming the key. A dict for a kind is a nested table, a default of None makes
+# an entry optional, and a callable default is a function of the metric's
+# dimension. A setting with one value in use is a constant of its task, not a key.
 
 
 def _kind(ok, what, convert=None):
@@ -130,7 +130,7 @@ def _name(among):
     return _kind(lambda v: isinstance(v, str) and v in among, f"one of {', '.join(among)}")
 
 
-def _vector(key, value, p, dim) -> np.ndarray:
+def _vector(key, value, dim) -> np.ndarray:
     if not isinstance(value, (list, tuple)) or len(value) != dim:
         raise ConfigError(f"parameter {key} must be a list of {dim} numbers, got {value!r}")
     return np.array([_number(key, v) for v in value])
@@ -142,18 +142,17 @@ def _padded(*head):
 
 
 def _names(among, of=None):
-    """The kind of a list of names from ``among`` (names, or the key of an earlier
-    entry); given ``of``, of a mapping from such names to values of kind ``of``."""
-    def kind(key, value, p, dim):
+    """The kind of a list of names from ``among``; given ``of``, of a mapping
+    from such names to values of kind ``of``."""
+    def kind(key, value, dim):
         if not isinstance(value, dict if of else (list, tuple)) or not all(
                 isinstance(v, str) for v in value):
             raise ConfigError(f"parameter {key} must be a {'mapping' if of else 'list'} of "
                               f"names, got {value!r}")
-        _refuse_unknown_keys(value, p[among] if isinstance(among, str) else among,
-                             f"parameter {key}", "name")
+        _refuse_unknown_keys(value, among, f"parameter {key}", "name")
         if of is None:
             return tuple(value)
-        return {name: of(f"{key}.{name}", v, p, dim) for name, v in value.items()}
+        return {name: of(f"{key}.{name}", v, dim) for name, v in value.items()}
     return kind
 
 
@@ -172,7 +171,7 @@ def _parse(table, given, dim, where, prefix="") -> dict:
         elif isinstance(kind, dict):
             p[key] = _parse(kind, value, dim, f"parameter {prefix}{key}", f"{prefix}{key}.")
         else:
-            p[key] = kind(prefix + key, value, p, dim)
+            p[key] = kind(prefix + key, value, dim)
     return p
 
 
@@ -226,7 +225,7 @@ def submanifold_from_config(cfg, dim) -> subm.Submanifold:
     return subm.affine_subspace(p["point"], [p["direction"]])  # line
 
 
-def _submanifolds(key, value, p, dim) -> list:
+def _submanifolds(key, value, dim) -> list:
     _kind(lambda v: isinstance(v, list) and v, "a non-empty list of submanifolds")(key, value)
     return [submanifold_from_config(c, dim) for c in value]
 
@@ -320,10 +319,7 @@ def task_check_metric(ms, p) -> TaskResult:
     res.csv_rows = rep.rows()
     res.check("homogeneity max residual", rep.homogeneity_max, p["tolerances"]["homogeneity"])
     res.check("F^2 = g_w(w,w) max residual", rep.gww_identity_max, p["tolerances"]["gww"])
-    if p["expect_pd_failures"]:
-        res.check("positive-definiteness failures found", rep.pd_failures, 0.5, ">")
-    else:
-        res.check("positive-definiteness failures", rep.pd_failures, 0.5)
+    res.check("positive-definiteness failures", rep.pd_failures, 0.5)
     if p["tensor_identities"]:
         rng = SplitMix64(p["seed"] + 1)
         worst = ident.tensor_identity_residuals(ms, TangentVector.stack(
@@ -334,16 +330,18 @@ def task_check_metric(ms, p) -> TaskResult:
 
 
 def task_condition_matrix(ms, p) -> TaskResult:
-    lift_names, conditions, tol = p["lifts"], p["conditions"], p["tolerance"]
+    """Every condition's residual for each classical lift; the checks compare
+    the ones that ``expect``, ``expect_fail`` and ``expect_exact`` name."""
+    tol = p["tolerance"]
     rng = SplitMix64(p["seed"])
     fr = PointFrame(ms, TangentVector.stack([random_tangent(ms, rng)
                                              for _ in range(p["samples"])]), order=4)
-    worst = {name: condition_residuals(classical_lift(name, ms), fr, conditions)
-             for name in lift_names}
+    worst = {name: condition_residuals(classical_lift(name, ms), fr, ALL_CONDITIONS)
+             for name in CLASSICAL}
 
     res = TaskResult("condition-matrix", ms, ("lift", "condition", "max_residual"),
                      samples=p["samples"], seed=p["seed"], tolerance=tol)
-    res.csv_rows = [(name, c, worst[name][c]) for name in lift_names for c in conditions]
+    res.csv_rows = [(name, c, worst[name][c]) for name in CLASSICAL for c in ALL_CONDITIONS]
     for name, conds in p["expect"].items():
         for c in conds:
             res.check(f"{name} satisfies {c}", worst[name][c], tol)
@@ -351,11 +349,11 @@ def task_condition_matrix(ms, p) -> TaskResult:
         for c, threshold in fails.items():
             res.check(f"{name} violates {c}", worst[name][c], threshold, ">")
     for name, conds in p["expect_exact"].items():
-        passing = {c for c in conditions if worst[name][c] < tol}
+        passing = {c for c in ALL_CONDITIONS if worst[name][c] < tol}
         res.check(f"{name} passes exactly {sorted(conds)} (got {sorted(passing)})",
                   len(passing ^ set(conds)), 0, "=")
 
-    if p["identities"] is not None:
+    if p["identities"]:
         _run_identity_battery(ms, p, res)
     return res
 
@@ -374,9 +372,11 @@ def _battery_family(dim):
 
 
 def _run_identity_battery(ms, p, res: TaskResult):
+    """Seven identity residuals at 10 random points, to 1e-7 where the residual
+    is exact and 1e-6 where it takes a finite difference."""
     rng = SplitMix64(p["seed"] + 77)
-    tol_exact, tol_fd = p["identities"]["tolerance"], p["identities"]["fd_tolerance"]
-    w = TangentVector.stack([random_tangent(ms, rng) for _ in range(p["identities"]["samples"])])
+    tol_exact, tol_fd = 1e-7, 1e-6
+    w = TangentVector.stack([random_tangent(ms, rng) for _ in range(10)])
     lifts = {name: classical_lift(name, ms) for name in CLASSICAL}
 
     # (label, CSV key, tolerance, residual): one call per identity and lift
@@ -447,7 +447,7 @@ def task_curvature_sweep(ms, p) -> TaskResult:
              for name in CLASSICAL]
         res.check("curvature matches Christoffel oracle", np.max(np.abs(head.R - oracles)), 1e-7)
         res.check("affine coefficients = Levi-Civita symbols",
-                  max(np.max(np.abs(a - gams)) for a in A), p["affine_tolerance"])
+                  max(np.max(np.abs(a - gams)) for a in A), 1e-8)
         res.check("four classical lifts identical", max(np.max(np.abs(a - A[0])) for a in A[1:]),
                   1e-12)
     return res
@@ -460,22 +460,25 @@ def _node_table(ms, geo):
 
 
 def task_geodesic(ms, p) -> TaskResult:
-    rtol, nodes = p["rtol"], p["nodes"]
-    geo = integrate_geodesic(ms, TangentVector(p["x0"], p["y0"]), p["t"], rtol=rtol, nodes=nodes)
+    nodes = p["nodes"]
+    geo = integrate_geodesic(ms, TangentVector(p["x0"], p["y0"]), p["t"], nodes=nodes)
     header, rows = _node_table(ms, geo)
-    res = TaskResult("geodesic", ms, header, t=p["t"], rtol=rtol, seed=p["seed"])
+    res = TaskResult("geodesic", ms, header, t=p["t"], rtol=DEFAULT_RTOL, seed=p["seed"])
     res.csv_rows = rows
     fvals = [metrics_mod.metric_value(ms, TangentVector(geo.points[i], geo.velocities[i]))
              for i in range(0, nodes, max(1, nodes // 40))]
     res.check("speed conservation drift", max(fvals) - min(fvals),
-              10.0 * max(rtol, 1e-9) * max(1.0, fvals[0]))
+              10.0 * DEFAULT_RTOL * max(1.0, fvals[0]))
     return res
 
 
 def task_jacobi_compare(ms, p) -> TaskResult:
+    """The Jacobi ODE against the geodesic-variation oracle and, given a
+    constant curvature, the norm profile of a normal field, both to 1e-3."""
+    tol = 1e-3
     rng = SplitMix64(p["seed"])
     res = TaskResult("jacobi-compare", ms, ("sample", "sup_norm_diff", "profile_residual"),
-                     samples=p["samples"], seed=p["seed"], tolerance=p["tolerance"])
+                     samples=p["samples"], seed=p["seed"], tolerance=tol)
     kap = p["constant_curvature"]
     # the draws, sample by sample, then one batched solve for every geodesic
     ws, us = [], []
@@ -514,11 +517,9 @@ def task_jacobi_compare(ms, p) -> TaskResult:
         return float(np.max(np.abs(J[:, :, 0] - Jor))), prof
 
     res.csv_rows = [(i, *one(*sample)) for i, sample in enumerate(zip(ws, us, geos))]
-    res.check("ODE vs geodesic-variation oracle (sup norm)", max(r[1] for r in res.csv_rows),
-              p["tolerance"])
+    res.check("ODE vs geodesic-variation oracle (sup norm)", max(r[1] for r in res.csv_rows), tol)
     if kap is not None:
-        res.check(f"constant-curvature profile K={kap}", max(r[2] for r in res.csv_rows),
-                  p["profile_tolerance"])
+        res.check(f"constant-curvature profile K={kap}", max(r[2] for r in res.csv_rows), tol)
     return res
 
 
@@ -575,11 +576,10 @@ def task_second_variation(ms, p) -> TaskResult:
     formula = second_variation_formula(ms, geo, vfield, **ends)
     dense, n = geo.dense, ms.dim
     fam = VariationFamily(rule=lambda s, t: dense(t)[:n].T + offset(s, t))
-    fd = variation_energy_derivatives(ms, fam, 2)
-    first = variation_energy_derivatives(ms, fam, 1)
+    first, fd = variation_energy_derivatives(ms, fam)
     res.csv_rows = [("formula", formula), ("fd", fd), ("first_variation", first)]
     res.check("second variation formula vs FD (relative)", abs(formula - fd) / max(1e-12, abs(fd)),
-              p["tolerance"])
+              1e-3)
     res.check("first variation at geodesic", abs(first), 1e-6)
     if h_terms:
         res.csv_rows += [("h_term_start", h_terms[0]), ("h_term_end", h_terms[1])]
@@ -629,7 +629,7 @@ def task_sff_compare(ms, p) -> TaskResult:
                                         + np.einsum("ijk,j,k->i", A, basis @ u, basis @ v)))
         worst = np.maximum(worst, [agree, lag, spread, abs(unsym - hc)])
         res.csv_rows.append((sub.name, param[0], agree, lag, spread))
-    tols = (p["tolerance"], p["lagrangean_tolerance"], 1e-8, 1e-7)
+    tols = (1e-5, 1e-6, 1e-8, 1e-7)
     labels = ("symplectic vs connection second fundamental form",
               "Lagrangean residual of the normal bundle",
               "lift independence of the second fundamental form",
@@ -640,7 +640,7 @@ def task_sff_compare(ms, p) -> TaskResult:
 
 
 def task_lift_independence(ms, p) -> TaskResult:
-    samples, tol, checks, seed = p["samples"], p["tolerance"], p["checks"], p["seed"]
+    samples, checks, seed = p["samples"], p["checks"], p["seed"]
     rng = SplitMix64(seed)
     res = TaskResult("lift-independence", ms, ("check", "max_spread"), samples=samples, seed=seed)
 
@@ -662,7 +662,7 @@ def task_lift_independence(ms, p) -> TaskResult:
             fr5 = PointFrame(ms, w, order=5)
             worst = max(float(np.max(np.abs(lift_curvature(lf, ms, w, u, _frame=fr5) - base)))
                         for lf in lifts)
-            res.check("curvature endomorphism across lifts", worst, tol, row=("curvature", worst))
+            res.check("curvature endomorphism across lifts", worst, 1e-7, row=("curvature", worst))
         if "covariant" in checks:
             W, U = (ident.AffineField.stack(col) for col in zip(*fields))
             wx = W(w.x)
@@ -672,11 +672,10 @@ def task_lift_independence(ms, p) -> TaskResult:
                                                  wx, U(w.x))
                     for lf in lifts]
             worst = float(np.max(np.abs(np.max(vals, axis=0) - np.min(vals, axis=0))))
-            res.check("covariant derivative D^W_W across lifts", worst, tol,
+            res.check("covariant derivative D^W_W across lifts", worst, 1e-7,
                       row=("covariant", worst))
 
     if "affine_families" in checks:
-        tol_co = p["coincidence_tolerance"]
         fr = PointFrame(ms, TangentVector.stack([random_tangent(ms, rng) for _ in range(samples)]),
                         order=4)
         A = {k: affine_coefficients(classical_lift(k, ms), ms, fr.w, _frame=fr).A
@@ -686,12 +685,11 @@ def task_lift_independence(ms, p) -> TaskResult:
                              np.max(np.abs(claimed - 2.0 * fr.G))))
         worst_cc = float(np.max(np.abs(A["cartan"] - A["chern-rund"])))
         gap = float(np.max(np.abs(A["cartan"] - A["berwald"])))
-        res.check("Berwald and Hashiguchi families coincide", worst_bh, tol_co,
+        res.check("Berwald and Hashiguchi families coincide", worst_bh, 1e-12,
                   row=("berwald_vs_hashiguchi", worst_bh))
-        res.check("Cartan and Chern-Rund families coincide", worst_cc, tol_co,
+        res.check("Cartan and Chern-Rund families coincide", worst_cc, 1e-12,
                   row=("cartan_vs_chern_rund", worst_cc))
-        res.check("the two families differ somewhere", gap, p["family_difference_floor"], ">",
-                  row=("family_gap", gap))
+        res.check("the two families differ somewhere", gap, 1e-3, ">", row=("family_gap", gap))
     return res
 
 
@@ -712,40 +710,34 @@ PARAMETERS = {
     "check-metric": {
         "samples": (100, _count), "identity_samples": (25, _count),
         "tolerances": ({}, {"homogeneity": (1e-10, _positive), "gww": (1e-10, _positive)}),
-        "expect_pd_failures": (False, _flag), "tensor_identities": (False, _flag)},
+        "tensor_identities": (False, _flag)},
     "condition-matrix": {
         "samples": (50, _count), "tolerance": (1e-7, _positive),
-        "lifts": (CLASSICAL, _names(CLASSICAL)),
-        "conditions": (ALL_CONDITIONS, _names(ALL_CONDITIONS)),
-        "expect": ({}, _names("lifts", _names("conditions"))),
-        "expect_fail": ({}, _names("lifts", _names("conditions", _positive))),
-        "expect_exact": ({}, _names("lifts", _names("conditions"))),
-        "identities": (None, {"samples": (10, _count), "tolerance": (1e-7, _positive),
-                              "fd_tolerance": (1e-6, _positive)})},
+        "expect": ({}, _names(CLASSICAL, _names(ALL_CONDITIONS))),
+        "expect_fail": ({}, _names(CLASSICAL, _names(ALL_CONDITIONS, _positive))),
+        "expect_exact": ({}, _names(CLASSICAL, _names(ALL_CONDITIONS))),
+        "identities": (False, _flag)},
     "curvature-sweep": {
         "flags": (100, _count), "expect_value": (None, _number), "tolerance": (1e-6, _positive),
-        "christoffel_check": (False, _flag), "affine_tolerance": (1e-8, _positive)},
+        "christoffel_check": (False, _flag)},
     "geodesic": {
         "x0": (_padded(), _vector), "y0": (_padded(1.0), _vector), "t": (1.0, _number),
-        "rtol": (1e-9, _positive), "nodes": (401, _count)},
+        "nodes": (401, _count)},
     "jacobi-compare": {
-        "samples": (10, _count), "tolerance": (1e-3, _positive), "t": (1.0, _number),
-        "constant_curvature": (None, _number), "profile_tolerance": (1e-3, _positive)},
+        "samples": (10, _count), "t": (1.0, _number), "constant_curvature": (None, _number)},
     "second-variation": {
-        "mode": ("fixed", _name(("fixed", "submanifold"))), "tolerance": (1e-3, _positive),
+        "mode": ("fixed", _name(("fixed", "submanifold"))),
         # the start point and direction of the first line in submanifold mode
         "x0": (_padded(0.05, -0.1), _vector), "direction": (_padded(0.9, 0.45), _vector)},
     "sff-compare": {
-        "samples": (10, _count), "tolerance": (1e-5, _positive),
-        "lagrangean_tolerance": (1e-6, _positive),
+        "samples": (10, _count),
         "submanifolds": ([{"shape": "circle", "radius": 1.0},
                           {"shape": "line", "point": [0.1, -0.2], "direction": [0.8, 0.6]}],
                          _submanifolds)},
     "lift-independence": {
-        "samples": (25, _count), "tolerance": (1e-7, _positive), "random_lifts": (5, _natural),
+        "samples": (25, _count), "random_lifts": (5, _natural),
         "checks": (("curvature", "covariant"),
-                   _names(("curvature", "covariant", "affine_families"))),
-        "coincidence_tolerance": (1e-12, _positive), "family_difference_floor": (1e-3, _positive)},
+                   _names(("curvature", "covariant", "affine_families")))},
 }
 SCENARIO_KEYS = ("version", "task", "metric", "parameters", "name")
 

@@ -141,12 +141,12 @@ def symmetry_residual(lift: LiftSpec, ms: MetricSpec, x0, rng: SplitMix64) -> fl
     return _sup(lhs - bracket)
 
 
-def metric_compat_residual(lift: LiftSpec, ms: MetricSpec, x0, rng: SplitMix64,
-                           h: float = 1e-4) -> float:
+def metric_compat_residual(lift: LiftSpec, ms: MetricSpec, x0, rng: SplitMix64) -> float:
     """M1+M2 compatibility: U g_W(W,V) = g(D^W_U W, V) + g(W, D^W_U V).
 
-    The left side is a finite-difference directional derivative.
+    The left side is a finite-difference directional derivative, step 1e-4.
     """
+    h = 1e-4
     pts = _points(x0, "metric_compat_residual")
     W, U, V = _drawn(pts, lambda x: [AffineField.random(x, rng, min_norm=0.6),
                                      AffineField.random(x, rng), AffineField.random(x, rng)])
@@ -167,12 +167,11 @@ def metric_compat_residual(lift: LiftSpec, ms: MetricSpec, x0, rng: SplitMix64,
     return _sup(lhs - rhs)
 
 
-def metric_compat_geodesic_residual(ms: MetricSpec, x0, rng: SplitMix64,
-                                    lift: LiftSpec | None = None, h: float = 1e-4) -> float:
-    """W g_W(T,V) = g(D^W_W T, V) + g(T, D^W_W V) where W's integral curve is
-    a geodesic through x0 (constructed by matching the spray at x0)."""
-    if lift is None:
-        lift = classical_lift("berwald", ms)
+def metric_compat_geodesic_residual(ms: MetricSpec, x0, rng: SplitMix64) -> float:
+    """W g_W(T,V) = g(D^W_W T, V) + g(T, D^W_W V) for the Berwald connection,
+    where W's integral curve is a geodesic through x0 (constructed by
+    matching the spray at x0); the left side by a central difference of step 1e-4."""
+    h = 1e-4
     n = ms.dim
     pts = _points(x0, "metric_compat_geodesic_residual")
     w0, T, V = _drawn(pts, lambda x: [rng.direction(n, 0.6), AffineField.random(x, rng),
@@ -188,19 +187,21 @@ def metric_compat_geodesic_residual(ms: MetricSpec, x0, rng: SplitMix64,
         return g_bilinear(ms, x, wx, T(x), V(x))
 
     lhs = _d1(phi, h)
-    A = affine_coefficients(lift, ms, fr.w, _frame=fr).A
+    A = affine_coefficients(classical_lift("berwald", ms), ms, fr.w, _frame=fr).A
     dwt = _affine_cov(A, W, T)
     dwv = _affine_cov(A, W, V)
     rhs = _pair(dwt, fr.g, V(pts)) + _pair(T(pts), fr.g, dwv)
     return _sup(lhs - rhs)
 
 
-def family_metric_identity_residual(kind: str, ms: MetricSpec, x0, rng: SplitMix64, h: float = 1e-5) -> float:
+def family_metric_identity_residual(kind: str, ms: MetricSpec, x0, rng: SplitMix64) -> float:
     """Family-level metric identities of the classical connections.
 
     Cartan/Chern-Rund family: (D^W_U g_W)(T,V) = 2 C_W(D^W_U W, T, V).
     Berwald/Hashiguchi family: ... = 2 C_W(D^W_U W, T, V) + 2 C'_W(U, T, V).
+    The derivative of g along U is a central difference of step 1e-5.
     """
+    h = 1e-5
     lift = classical_lift(kind, ms)
     pts = _points(x0, "family_metric_identity_residual")
     W, U, T, V = _drawn(pts, lambda x: [AffineField.random(x, rng, min_norm=0.6)]

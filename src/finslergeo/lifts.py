@@ -75,7 +75,8 @@ class LiftSpec:
     a nested n x n x n sequence (any other shape raises ``InvalidLift``)
     with axes direction j, section k and slot l. ``c_flat`` / ``cprime_flat``
     give the metric-lowered tensors, l the metric slot; ``c_raw`` /
-    ``cprime_raw`` serve bare sprays, l the output index. ``kind`` marks the
+    ``cprime_raw`` serve bare sprays, l the output index. A lift has flat
+    rules or raw rules, not both (``InvalidLift``). ``kind`` marks the
     four classical connections; they have no rules (all four fields are
     None) and take C and C' from the frame instead.
 
@@ -91,6 +92,13 @@ class LiftSpec:
 
     def __init__(self, name, c_flat=None, cprime_flat=None, c_raw=None,
                  cprime_raw=None, kind=None):
+        rules = {"c_flat": c_flat, "cprime_flat": cprime_flat, "c_raw": c_raw,
+                 "cprime_raw": cprime_raw}
+        given = [field for field, rule in rules.items() if rule is not None]
+        if any(f.endswith("_flat") for f in given) and any(f.endswith("_raw") for f in given):
+            # a raw rule would win and the flat one be ignored in silence
+            raise InvalidLift(f"lift {name}: flat and raw rules cannot be mixed, "
+                              f"got {' and '.join(given)}")
         self.name = name
         self.c_flat = c_flat
         self.cprime_flat = cprime_flat

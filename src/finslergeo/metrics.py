@@ -188,13 +188,12 @@ def poincare_disk(n: int = 2) -> MetricSpec:
                       sample_radius=0.6)
 
 
-def randers(n: int, beta, alpha=None, name="randers", sample_radius=1.0) -> MetricSpec:
-    """Randers metric F = sqrt(y^T a(x) y) + b(x).y.
+def randers(n: int, beta, name="randers") -> MetricSpec:
+    """Randers metric F = |y| + b(x).y.
 
     ``beta``: constant covector of length n (any other length raises
     ``ValueError``) or generic rule xs -> list of n scalars.
-    ``alpha``: None (identity) or generic rule xs -> n x n matrix.
-    Validity (the Randers condition |b|_a < 1) is *not* enforced here; it
+    Validity (the Randers condition |b| < 1) is *not* enforced here; it
     surfaces as positive-definiteness failures during checks.
     """
     if not callable(beta):
@@ -206,20 +205,10 @@ def randers(n: int, beta, alpha=None, name="randers", sample_radius=1.0) -> Metr
         beta_rule = beta
 
     def f2(xs, ys):
-        if alpha is None:
-            a_quad = smath.dot(ys, ys)
-        else:
-            am = alpha(xs)
-            a_quad = None
-            for i in range(n):
-                for j in range(n):
-                    term = am[i][j] * ys[i] * ys[j]
-                    a_quad = term if a_quad is None else a_quad + term
-        b = beta_rule(xs)
-        froot = smath.sqrt(a_quad) + smath.dot(b, ys)
+        froot = smath.sqrt(smath.dot(ys, ys)) + smath.dot(beta_rule(xs), ys)
         return froot * froot
 
-    return MetricSpec(n, f2, name=name, kind="randers", sample_radius=sample_radius)
+    return MetricSpec(n, f2, name=name, kind="randers")
 
 
 def funk(n: int = 2) -> MetricSpec:
@@ -236,11 +225,10 @@ def funk(n: int = 2) -> MetricSpec:
                       sample_radius=0.6)
 
 
-def custom(n: int, f2, name="custom", domain_margin=None, sample_radius=1.0) -> MetricSpec:
+def custom(n: int, f2, name="custom", domain_margin=None) -> MetricSpec:
     """A metric from any generic F^2 rule; ``domain_margin`` maps points
     (..., n) to margins (...), as on ``MetricSpec``."""
-    return MetricSpec(n, f2, name=name, kind="custom", domain_margin=domain_margin,
-                      sample_radius=sample_radius)
+    return MetricSpec(n, f2, name=name, kind="custom", domain_margin=domain_margin)
 
 
 # -- tensor operations ---------------------------------------------------------
@@ -344,9 +332,10 @@ class MetricValidationReport:
     pd_failures: int = 0
     failures: list = field(default_factory=list)
 
-    def passed(self, homogeneity_tol=1e-10, gww_tol=1e-10) -> bool:
-        return (self.pd_failures == 0 and self.homogeneity_max < homogeneity_tol
-                and self.gww_identity_max < gww_tol)
+    def passed(self) -> bool:
+        """No positive-definiteness failure, and both residuals below 1e-10."""
+        return (self.pd_failures == 0 and self.homogeneity_max < 1e-10
+                and self.gww_identity_max < 1e-10)
 
     def rows(self):
         return [
@@ -356,9 +345,10 @@ class MetricValidationReport:
         ]
 
 
-def random_tangent(ms: MetricSpec, rng: SplitMix64, radius: float | None = None) -> TangentVector:
-    """Random admissible chart point and direction for sweeps."""
-    r = ms.sample_radius if radius is None else radius
+def random_tangent(ms: MetricSpec, rng: SplitMix64) -> TangentVector:
+    """Random admissible chart point, in the box of half-width
+    ``ms.sample_radius``, and direction for sweeps."""
+    r = ms.sample_radius
     for _ in range(1000):
         x = rng.vector(ms.dim, -r, r)
         if ms.domain_margin is None or ms.domain_margin(x) > 0.05:

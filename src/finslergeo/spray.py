@@ -58,13 +58,12 @@ class SpraySpec:
     validity region, as on ``MetricSpec``.
     """
 
-    def __init__(self, dim, g_rule, name="spray", domain_margin=None, sample_radius=1.0):
+    def __init__(self, dim, g_rule, name="spray", domain_margin=None):
         self.dim = int(dim)
         self.g_rule = g_rule
         self.name = name
         self.kind = "spray"
         self.domain_margin = domain_margin
-        self.sample_radius = float(sample_radius)
 
     def check_tangent(self, w: TangentVector) -> None:
         check_slit_domain(w, self.dim, self.domain_margin, self.name)

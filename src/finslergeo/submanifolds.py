@@ -24,12 +24,11 @@ class Submanifold:
     derivatives are extracted by jets).
     """
 
-    def __init__(self, param_dim, dim, immersion, name="submanifold", domain=None):
+    def __init__(self, param_dim, dim, immersion, name="submanifold"):
         self.param_dim = int(param_dim)
         self.dim = int(dim)
         self.immersion = immersion
         self.name = name
-        self.domain = domain  # optional ((lo, hi), ...) box per parameter
 
     def __repr__(self):
         return f"Submanifold({self.name}, k={self.param_dim}, n={self.dim})"
@@ -104,14 +103,15 @@ class NormalVector:
     eta: np.ndarray
 
 
-def normal_cone_solve(P: Submanifold, param, ms: MetricSpec, guess,
-                      tol: float = 1e-13, max_iter: int = 50) -> NormalVector:
+def normal_cone_solve(P: Submanifold, param, ms: MetricSpec, guess) -> NormalVector:
     """Solve g_eta(eta, T_x P) = 0 for eta near a guess, normalized to F = 1.
 
     Newton iteration over tangential corrections eta = guess + dphi . c (a
     square k x k system with the tangential Gram matrix as Jacobian); each
-    step reads the residual and the Gram matrix off one Legendre jet.
+    step reads the residual and the Gram matrix off one Legendre jet, and
+    the iteration stops when the residual is below 1e-13, within 50 steps.
     """
+    tol, max_iter = 1e-13, 50
     param = np.atleast_1d(np.asarray(param, float))
     x = P.value(param)
     ms.check_point(x)
@@ -206,9 +206,9 @@ def legendre_transform(ms: MetricSpec, w: TangentVector) -> np.ndarray:
     return _legendre(ms, w.x, w.y)[0]
 
 
-def legendre_inverse(ms: MetricSpec, x, xi, guess=None, tol: float = 1e-12,
-                     max_iter: int = 50) -> np.ndarray:
-    """Solve legendre_transform(x, y) = xi for y by damped Newton."""
+def legendre_inverse(ms: MetricSpec, x, xi, guess=None, max_iter: int = 50) -> np.ndarray:
+    """Solve legendre_transform(x, y) = xi for y, to a residual below 1e-12, by damped Newton."""
+    tol = 1e-12
     xi = np.asarray(xi, float)
     y = np.asarray(guess, float).copy() if guess is not None else xi.copy()
     if np.linalg.norm(y) < 1e-12:

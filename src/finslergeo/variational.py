@@ -267,7 +267,8 @@ class _ChebyshevCurve:
     solved for ``src`` to ``rtol`` over ``span``, (0, t_end).
 
     At a time it gives the state (2n,), at an array of N times (2n, N);
-    each time is interpolated alone, on the segment that holds it.
+    each time is interpolated alone, on the segment that holds it. A time
+    outside the span is a ``GridError``: the curve is not extrapolated.
     """
 
     def __init__(self, segments, rtol: float, src):
@@ -286,8 +287,12 @@ class _ChebyshevCurve:
     def __call__(self, t):
         t = np.asarray(t, float)
         flat = t.reshape(-1)
-        which = np.clip(np.searchsorted(self._starts, flat, side="right") - 1,
-                        0, len(self._starts) - 1)
+        lo, hi = sorted(self.span)
+        outside = ~((flat >= lo) & (flat <= hi))
+        if outside.any():
+            raise GridError(f"time {flat[outside][0]!r} is outside the geodesic's span "
+                            f"[{lo!r}, {hi!r}]")
+        which = np.searchsorted(self._starts, flat, side="right") - 1
         out = np.empty((flat.size, self.segments[0].values.shape[1]))
         for k in np.unique(which):
             pick = which == k
@@ -435,11 +440,11 @@ def integrate_geodesic(src, w0: TangentVector, t_end: float,
     return curves[0] if states0.ndim == 1 else curves
 
 
-def exponential_map(src, x0, v, t: float, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+def exponential_map(src, x0, v, t: float) -> np.ndarray:
     """Endpoint of the geodesic with initial point x0 and velocity v at time t."""
     if t == 0:
         return np.asarray(x0, float).copy()
-    geo = integrate_geodesic(src, TangentVector(x0, v), t, rtol=rtol, nodes=5)
+    geo = integrate_geodesic(src, TangentVector(x0, v), t, nodes=5)
     return geo.points[-1] if t > 0 else geo.points[0]
 
 
@@ -669,40 +674,34 @@ def _family_points(fam: VariationFamily, s: float, grid: np.ndarray) -> np.ndarr
     return pts
 
 
-def family_curve(fam: VariationFamily, s: float, nodes: int = 801) -> Curve:
-    """Sample one member of a variation family on [0, 1]; velocities by finite differences."""
-    grid = np.linspace(0.0, 1.0, nodes)
+def family_curve(fam: VariationFamily, s: float) -> Curve:
+    """Sample one member of a variation family at 801 nodes of [0, 1]; velocities
+    by finite differences."""
+    grid = np.linspace(0.0, 1.0, 801)
     pts = _family_points(fam, s, grid)
     vels = fd_derivative(pts, grid)
     return Curve(grid=grid, points=pts, velocities=vels)
 
 
-def variation_energy_derivatives(ms: MetricSpec, fam: VariationFamily, order: int,
-                                 h: float = 1e-3, nodes: int = 801) -> float:
-    """d/ds or d^2/ds^2 of s -> E(lambda_s) at s=0, 4th-order stencils."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-
-    def e(s):
-        return energy(ms, family_curve(fam, s, nodes=nodes))
-
-    if order == 1:
-        return _d1(e, h)
-    return (-e(-2 * h) + 16 * e(-h) - 30 * e(0.0) + 16 * e(h) - e(2 * h)) / (12 * h * h)
+def variation_energy_derivatives(ms: MetricSpec, fam: VariationFamily) -> tuple[float, float]:
+    """(d/ds, d^2/ds^2) of s -> E(lambda_s) at s=0: 4th-order central stencils
+    over the five energies at s = 0, +-h and +-2h, h = 1e-3."""
+    h = 1e-3
+    em2, em1, e0, e1, e2 = (energy(ms, family_curve(fam, s)) for s in (-2 * h, -h, 0.0, h, 2 * h))
+    return ((em2 - 8 * em1 + 8 * e1 - e2) / (12 * h),
+            (-em2 + 16 * em1 - 30 * e0 + 16 * e1 - e2) / (12 * h * h))
 
 
-def variation_symmetry_residual(ms: MetricSpec, fam: VariationFamily, lift: LiftSpec | None = None,
-                                h: float = 1e-3, nodes: int = 201) -> float:
+def variation_symmetry_residual(ms: MetricSpec, fam: VariationFamily, nodes: int = 201) -> float:
     """Node-wise residual of the covariant-derivative symmetry of a variation.
 
     Compares the s-derivative of T = dH/dt with the t-derivative of
-    U = dH/ds, both corrected by the affine coefficients at direction T;
-    zero for torsion-condition-satisfying lifts. One order-4 frame
-    batched over the nodes serves every node; the residual is the sup
-    over them.
+    U = dH/ds, both corrected by the Berwald affine coefficients at direction
+    T (zero for every lift that satisfies the torsion condition), with s
+    steps of h = 1e-3. One order-4 frame batched over the nodes serves every
+    node; the residual is the sup over them.
     """
-    if lift is None:
-        lift = classical_lift("berwald", ms)
+    h = 1e-3
     grid = np.linspace(0.0, 1.0, nodes)
     svals = np.array([-2 * h, -h, 0.0, h, 2 * h])
     pts = np.array([_family_points(fam, s, grid) for s in svals])
@@ -711,7 +710,7 @@ def variation_symmetry_residual(ms: MetricSpec, fam: VariationFamily, lift: Lift
     dT_ds = fd_derivative(T, svals)[2]
     dU_dt = fd_derivative(U[2], grid)
     fr = PointFrame(ms, TangentVector(pts[2], T[2]), order=4)
-    A = affine_coefficients(lift, ms, fr.w, _frame=fr).A
+    A = affine_coefficients(classical_lift("berwald", ms), ms, fr.w, _frame=fr).A
     lhs = dT_ds + np.einsum("...ijk,...j,...k->...i", A, U[2], T[2])
     rhs = dU_dt + np.einsum("...ijk,...j,...k->...i", A, T[2], U[2])
     return float(np.max(np.abs(lhs - rhs)))

@@ -76,9 +76,8 @@ def test_version_field_required(tmp_path):
     ("curvature-sweep", {"flags": 0, "expect_value": -0.25}),
     ("jacobi-compare", {"samples": 0}),
     ("condition-matrix", {"samples": -3}),
-    ("condition-matrix", {"samples": 2, "identities": {"samples": 0}}),
     ("check-metric", {"tensor_identities": True, "identity_samples": 0}),
-], ids=["flags", "samples-zero", "samples-negative", "identities.samples", "identity_samples"])
+], ids=["flags", "samples-zero", "samples-negative", "identity_samples"])
 def test_counts_below_one_are_config_errors(tmp_path, capsys, task, params):
     cfg = {"version": 1, "task": task, "metric": {"kind": "funk", "dim": 2},
            "parameters": params}
@@ -327,7 +326,7 @@ def test_mutation_sign_flip_fails_jacobi(monkeypatch):
     cfg = {
         "version": 1, "task": "jacobi-compare",
         "metric": {"kind": "sphere_stereographic", "dim": 2},
-        "parameters": {"samples": 2, "seed": 53, "tolerance": 1e-3},
+        "parameters": {"samples": 2, "seed": 53},
         "name": "mutated",
     }
     assert cli.run_scenario_config(cfg, stream=io.StringIO()) == 2
@@ -365,7 +364,7 @@ GEODESIC = {"x0": [0.0, 0.0], "y0": [0.6, 0.3], "t": 0.5, "nodes": 11}
       "parameters": {"samples": 1, "submanifolds": [{"shape": "circle", "raduis": 0.5}]}},
      "raduis"),
     ({"version": 1, "task": "condition-matrix", "metric": FUNK,
-      "parameters": {"samples": 2, "identities": {"sample": 2}}}, "sample"),
+      "parameters": {"samples": 2, "identities": {"sample": 2}}}, "identities"),
     ({"version": 1, "task": "curvature-sweep", "metric": FUNK,
       "parameters": {"flags": 5, "expect_value": -0.25, "tolerance": "tight"}}, "tolerance"),
     ({"version": 1, "task": "condition-matrix", "metric": FUNK,
@@ -382,13 +381,11 @@ GEODESIC = {"x0": [0.0, 0.0], "y0": [0.6, 0.3], "t": 0.5, "nodes": 11}
     (_funk("geodesic", **{**GEODESIC, "y0": [0.6]}), "y0"),
     (_funk("check-metric", samples=2.9), "samples"),
     (_funk("check-metric", samples=True), "samples"),
-    (_funk("check-metric", samples=3, expect_pd_failures="false"), "expect_pd_failures"),
+    (_funk("condition-matrix", samples=3, identities="false"), "identities"),
     (_funk("check-metric", samples=3, tensor_identities="no"), "tensor_identities"),
     (_funk("check-metric", samples=3, tolerances={"gww": 0}), "tolerances.gww"),
     (_funk("lift-independence", samples=2, random_lifts=-1), "random_lifts"),
     (_funk("condition-matrix", samples=2, lifts="berwald"), "lifts"),
-    (_funk("condition-matrix", samples=2, lifts=["berwald"], expect={"cartan": ["T2"]}),
-     "cartan"),
     (_funk("curvature-sweep", flags=5, expect_value=-0.25, tolerance=float("inf")), "tolerance"),
     (_funk("curvature-sweep", flags=5, flag_invariance=False), "flag_invariance"),
     (_funk("sff-compare", samples=1, submanifolds=[{"shape": "circle", "radius": "big"}]),
@@ -398,8 +395,8 @@ GEODESIC = {"x0": [0.0, 0.0], "y0": [0.6, 0.3], "t": 0.5, "nodes": 11}
         "identities", "not-a-number", "expect-lift", "expect-condition", "tolerance-key",
         "task-number", "seed-word", "seed-fraction", "nodes-zero", "vector-length",
         "samples-fraction", "samples-boolean", "flag-word-false", "flag-word-no",
-        "tolerance-zero", "random-lifts-negative", "lifts-string", "expect-unselected-lift",
-        "tolerance-infinite", "removed-key", "submanifold-radius", "mode"])
+        "tolerance-zero", "random-lifts-negative", "lifts-string", "tolerance-infinite",
+        "removed-key", "submanifold-radius", "mode"])
 def test_unknown_keys_and_bad_numbers_are_config_errors(tmp_path, capsys, cfg, key):
     # a misspelled key used to be ignored, its default used and the scenario
     # passed; a misspelled name or a word for a number ended in a traceback, and
@@ -409,6 +406,50 @@ def test_unknown_keys_and_bad_numbers_are_config_errors(tmp_path, capsys, cfg, k
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert repr(key) in err or f"parameter {key} " in err
+
+
+# Keys that scenarios no longer take, each with the one value the corpus gave
+# it: the value is a constant of the task now. The identity battery's table
+# became the flag ``identities``, which refuses the old table.
+REMOVED_KEYS = [
+    ("check-metric", "expect_pd_failures", False),
+    ("condition-matrix", "lifts", ["berwald", "cartan", "chern-rund", "hashiguchi"]),
+    ("condition-matrix", "conditions",
+     ["T1", "T2", "T3", "M1", "M2", "M3", "M4", "M5", "M6", "M7"]),
+    ("condition-matrix", "identities.samples", 10),
+    ("condition-matrix", "identities.tolerance", 1e-7),
+    ("condition-matrix", "identities.fd_tolerance", 1e-6),
+    ("curvature-sweep", "affine_tolerance", 1e-8),
+    ("geodesic", "rtol", 1e-9),
+    ("jacobi-compare", "tolerance", 1e-3),
+    ("jacobi-compare", "profile_tolerance", 1e-3),
+    ("second-variation", "tolerance", 1e-3),
+    ("sff-compare", "tolerance", 1e-5),
+    ("sff-compare", "lagrangean_tolerance", 1e-6),
+    ("lift-independence", "tolerance", 1e-7),
+    ("lift-independence", "coincidence_tolerance", 1e-12),
+    ("lift-independence", "family_difference_floor", 1e-3),
+]
+
+
+@pytest.mark.parametrize("task, key, value", REMOVED_KEYS,
+                         ids=[f"{t}:{k}" for t, k, _ in REMOVED_KEYS])
+def test_removed_keys_are_config_errors(tmp_path, capsys, task, key, value):
+    outer, _, inner = key.partition(".")
+    params = {outer: {inner: value} if inner else value}
+    assert cli.main(["run", str(_scenario(tmp_path, _funk(task, **params)))]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert repr(outer) in err or f"parameter {outer} " in err
+
+
+def test_no_bundled_scenario_sets_a_removed_key():
+    for name, cfg in cli.bundled_scenarios():
+        params = cfg.get("parameters", {})
+        for task, key, _ in REMOVED_KEYS:
+            outer, _, inner = key.partition(".")
+            if cfg["task"] == task and outer in params:
+                assert inner and type(params[outer]) is bool, (name, key)
 
 
 @pytest.mark.parametrize("argv", [

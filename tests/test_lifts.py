@@ -753,6 +753,14 @@ def test_rule_of_wrong_shape_is_invalid(randers_var, rule):
         lift_curvature(lift, randers_var, w, [0.3, -0.8])
 
 
+@pytest.mark.parametrize("flat, raw", [("c_flat", "cprime_raw"), ("cprime_flat", "c_raw")])
+def test_flat_and_raw_rules_do_not_mix(flat, raw):
+    # the raw pair used to be read and the flat rule ignored in silence
+    rule = lambda w: [[[0.1 * w.y[0]] * 2] * 2] * 2
+    with pytest.raises(InvalidLift, match=f"mixed.*{flat} and {raw}"):
+        LiftSpec("mixed", **{flat: rule, raw: rule})
+
+
 def test_rule_lift_of_an_empty_batch(funk):
     empty = np.zeros((0, 2))
     fr = PointFrame(funk, TangentVector(empty, empty))

@@ -259,9 +259,8 @@ def test_transport_isometry(name, tspan, request):
 
 def test_second_variation_euclidean_analytic(euclid2):
     fam = VariationFamily(rule=lambda s, t: np.stack([t, s * np.sin(np.pi * t)], axis=-1))
-    d2 = variation_energy_derivatives(euclid2, fam, 2)
+    d1v, d2 = variation_energy_derivatives(euclid2, fam)
     assert d2 == pytest.approx(np.pi ** 2 / 2, abs=1e-6)
-    d1v = variation_energy_derivatives(euclid2, fam, 1)
     assert abs(d1v) < 1e-6
 
     grid = np.linspace(0, 1, 401)
@@ -287,7 +286,22 @@ def test_second_variation_circle_endpoint_analytic(euclid2):
     fam = VariationFamily(
         rule=lambda s, t: np.stack([np.full_like(t, np.sin(s)),
                                     (1 - t) * (np.cos(s) - 1) + t], axis=-1))
-    assert variation_energy_derivatives(euclid2, fam, 2) == pytest.approx(1.0, abs=1e-6)
+    assert variation_energy_derivatives(euclid2, fam)[1] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_energy_stencil_matches_separate_first_and_second_differences(randers_var):
+    # one set of five energies serves both derivatives, bit for bit as the two stencils
+    fam = VariationFamily(rule=lambda s, t: np.stack([0.3 * t + 0.05 * s * np.sin(np.pi * t),
+                                                      -0.2 + 0.25 * t + 0.04 * s * t * (1 - t)],
+                                                     axis=-1))
+
+    def e(s):
+        return energy(randers_var, family_curve(fam, s))
+
+    h = 1e-3
+    first = (e(-2 * h) - 8 * e(-h) + 8 * e(h) - e(2 * h)) / (12 * h)
+    second = (-e(-2 * h) + 16 * e(-h) - 30 * e(0.0) + 16 * e(h) - e(2 * h)) / (12 * h * h)
+    assert variation_energy_derivatives(randers_var, fam) == (first, second)
 
 
 def test_second_variation_fixed_endpoint_guard(euclid2):
@@ -564,6 +578,19 @@ def test_hand_built_copy_of_a_geodesic_is_refused(sphere, euclid2, call, monkeyp
         with pytest.raises(GridError, match="not a geodesic"):
             run(euclid2, geo)
         assert evaluated == []
+
+
+@pytest.mark.parametrize("t_end", [1.0, -0.8])
+def test_dense_output_refuses_times_outside_the_span(sphere, t_end):
+    # the dense output used to clip to its end segments and extrapolate
+    w0 = unit_tangent(sphere, TangentVector([0.1, 0.2], [0.5, -0.3]))
+    dense = integrate_geodesic(sphere, w0, t_end).dense
+    assert np.array_equal(dense([0.0, t_end]).T, [dense(0.0), dense(t_end)])
+    for t in (2.0 * t_end, -5.0 * t_end, np.nextafter(t_end, 2 * t_end), np.nan):
+        with pytest.raises(GridError, match="outside the geodesic's span"):
+            dense(t)
+    with pytest.raises(GridError, match="outside"):
+        dense([0.5 * t_end, 2.0 * t_end])
 
 
 @pytest.mark.parametrize("name", ["sphere", "randers_var"])
