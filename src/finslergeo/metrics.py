@@ -296,9 +296,15 @@ def fundamental_tensor(ms: MetricSpec, w: TangentVector) -> FundamentalTensor:
 
 
 def cartan_tensor(ms: MetricSpec, w: TangentVector) -> CartanTensor:
-    """Fully symmetric C_w(u,v,z) = (1/4) third fiber derivative of F^2."""
+    """Fully symmetric C_w(u,v,z) = (1/4) third fiber derivative of F^2.
+
+    The order-3 jet also holds g_w, which is checked positive definite as
+    in ``fundamental_tensor``.
+    """
     ms.check_tangent(w)
-    return CartanTensor(w, 0.25 * _f2_y_jet(ms, w.x, w.y, 3).derivative(3))
+    jet = _f2_y_jet(ms, w.x, w.y, 3)
+    require_positive_definite(0.5 * jet.derivative(2), w.x, w.y)
+    return CartanTensor(w, 0.25 * jet.derivative(3))
 
 
 def g_bilinear(ms: MetricSpec, xs, ys, t_vec, v_vec):

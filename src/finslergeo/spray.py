@@ -358,8 +358,11 @@ def flag_curvature(ms: MetricSpec, w: TangentVector, u,
     """
     if not isinstance(ms, MetricSpec):
         raise TypeError("flag curvature requires a metric")
-    fr = _frame if _frame is not None else PointFrame(ms, w, order=4)
     u = np.asarray(u, float)
+    if u.shape[-1:] != (ms.dim,):
+        raise ValueError(f"u of shape {u.shape} must end in n = {ms.dim}, "
+                         f"as w.y of shape {np.shape(w.y)} does")
+    fr = _frame if _frame is not None else PointFrame(ms, w, order=4)
     g = fr.g
     y = fr.y
     # float_power is C pow at every entry, as ** is on a single point's numpy scalar

@@ -117,6 +117,9 @@ def normal_cone_solve(P: Submanifold, param, ms: MetricSpec, guess) -> NormalVec
     ms.check_point(x)
     basis = P.jacobian(param)  # (n, k)
     eta = np.asarray(guess, float).copy()
+    if eta.shape != x.shape:
+        raise ValueError(f"guess of shape {eta.shape} must be a vector of length "
+                         f"n = {len(x)}, as the point of shape {x.shape} is")
     if np.linalg.norm(eta) < 1e-12:
         raise NoConvergence("zero guess for the normal solve")
     for _ in range(max_iter):

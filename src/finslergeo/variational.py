@@ -23,17 +23,24 @@ an order-4 ``PointFrame`` batched over the Chebyshev-Lobatto nodes of its
 time interval, at states read off its own interpolant, doubling from 16
 intervals (one batched frame over the new nodes each time) until the
 table's Chebyshev tail is below the geodesic's ``rtol``. Jacobi fields read
-N and R from it, the oracle Gx and N, and transport N; a right-hand side
-only interpolates it. Each flow is one DOP853 solve (Hairer-Norsett-Wanner,
-*Solving ODEs I*) in ``_linear_flow``, over (n, m) column blocks, at the
-geodesic's ``rtol``, from time 0 (at the geodesic's initial vector, so a
-backward flow's initial vectors hold at time 0) to the geodesic's end. A
-curve that ``integrate_geodesic`` did not return, or one it solved for
-another metric or spray object, is refused with no spray evaluation.
+N and R from it, the oracle Gx and N, and transport N.
+
+Jacobi fields and parallel transport are collocated on the table's nodes in
+``_collocation_flow``: the Picard fixed point s = s0 + integral of A s of a
+linear flow is one linear solve there, over (n, m) column blocks, from time
+0 (at the geodesic's initial vector, so a backward flow's initial vectors
+hold at time 0). While the solution's Chebyshev tail is above the
+geodesic's ``rtol`` the nodes double, with frames at the new ones, locally:
+the cached table never changes. A curve that ``integrate_geodesic`` did
+not return, or one it solved for another metric or spray object, is
+refused with no spray evaluation.
 
 The Jacobi oracle is the linearized spray flow, the variational equation of
 the geodesic ODE and so the exact derivative of the exponential map
 (Hairer-Norsett-Wanner, section I.14): it uses neither R nor a connection.
+It is one DOP853 solve (Hairer-Norsett-Wanner, *Solving ODEs I*) at the
+geodesic's ``rtol``, so the Jacobi check compares two equations solved by
+two integrators; scipy is imported on its first call, not with the package.
 The second variation reads g, R and the lift's coefficients from one frame
 batched over the geodesic's nodes.
 """
@@ -44,7 +51,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (DomainExit, GridError, NoConvergence, NormalityViolation,
                      NullDirection, StepFailure)
@@ -302,14 +308,14 @@ class _ChebyshevCurve:
     @cached_property
     def frames(self) -> _ChebyshevTable:
         """(Gx, N, R) along the curve, stacked on axis 1: the table every linear flow reads."""
+        return _ChebyshevTable(self.frame_values, *sorted(self.span), self.rtol)
+
+    def frame_values(self, ts) -> np.ndarray:
+        """(Gx, N, R) at an array of times, (len(ts), 3, n, n), from one batched frame."""
         n = self.src.dim
-
-        def sample(ts):
-            st = self(ts)
-            fr = PointFrame(self.src, TangentVector(st[:n].T, st[n:].T), order=4)
-            return np.stack([fr.Gx, fr.N, fr.R], axis=1)
-
-        return _ChebyshevTable(sample, *sorted(self.span), self.rtol)
+        st = self(ts)
+        fr = PointFrame(self.src, TangentVector(st[:n].T, st[n:].T), order=4)
+        return np.stack([fr.Gx, fr.N, fr.R], axis=1)
 
 
 class _PicardSegment:
@@ -529,16 +535,10 @@ def energy(ms: MetricSpec, curve: Curve) -> float:
     return float(0.5 * hs[0] / 3.0 * np.sum(_simpson_weights(len(grid)) * vals))
 
 
-def _linear_flow(src, geo: Curve, rhs, s0):
-    """Integrate a linear ODE along a geodesic of ``src`` in one solve.
-
-    ``s0`` is a tuple of initial blocks of one shape, (n,) or (n, m), at
-    time 0, where the geodesic starts; the solve runs to the geodesic's end,
-    backwards when it does, at the geodesic's ``rtol``. ``rhs(c, *blocks)``
-    returns the blocks' derivatives, with ``c`` = (Gx, N, R) interpolated
-    from the geodesic's frame table. Returns the blocks on ``geo.grid``,
-    each (N,) + block shape.
-    """
+def _flow_start(src, geo: Curve, s0):
+    """The dense output of a geodesic of ``src`` and the initial blocks as
+    float arrays of one shape, (n,) or (n, m); anything else is refused
+    before any evaluation."""
     dense = _solved(geo)
     if src is not dense.src:
         raise GridError(f"curve is not a geodesic of {src!r}: it was solved for {dense.src!r}")
@@ -547,18 +547,56 @@ def _linear_flow(src, geo: Curve, rhs, s0):
     if any(b.shape != shape for b in s0) or shape[:1] != (geo.n,) or len(shape) > 2:
         raise ValueError(f"initial vectors must share shape (n,) or (n, m) with n = {geo.n}, "
                          f"got {' and '.join(str(b.shape) for b in s0)}")
-    table = dense.frames
-    blocks = (len(s0),) + shape
+    return dense, s0
 
-    def flat_rhs(t, s):
-        return np.concatenate([np.ravel(d) for d in rhs(table(t), *s.reshape(blocks))])
 
-    sol = solve_ivp(flat_rhs, dense.span, np.concatenate([b.ravel() for b in s0]),
-                    method="DOP853", rtol=dense.rtol, atol=_atol(dense.rtol), dense_output=True)
-    if not sol.success:
-        raise StepFailure(f"integrator failed: {sol.message}")
-    states = sol.sol(geo.grid).T.reshape((len(geo.grid),) + blocks)
+def _collocation_flow(src, geo: Curve, coefficients, s0):
+    """Solve a linear ODE s' = A(t) s along a geodesic of ``src`` by spectral
+    collocation on the nodes of the geodesic's frame table.
+
+    ``s0`` is a tuple of initial blocks of one shape, (n,) or (n, m), at
+    time 0, where the geodesic starts (the table's last node on a backward
+    geodesic). ``coefficients(frames)`` maps table values (k, 3, n, n) of
+    (Gx, N, R) to A (k, d, d), d = n * len(s0). The Picard fixed point
+    S = s0 + integral of A S is one linear solve at the nodes; while the
+    solution's Chebyshev tail is above the geodesic's ``rtol``, the nodes
+    double, with frames at the new ones from the geodesic's dense output
+    (the cached table is left as it is). Past ``_TABLE_MAX_INTERVALS`` it
+    raises ``NoConvergence``. Returns the blocks on ``geo.grid``, each
+    (N,) + block shape.
+    """
+    dense, s0 = _flow_start(src, geo, s0)
+    blocks = (len(s0),) + s0[0].shape
+    start = np.stack(s0).reshape(len(s0) * geo.n, -1)
+    d = len(start)
+    order = slice(None, None, -1) if dense.span[1] < dense.span[0] else slice(None)
+    t, frames = dense.frames.t, dense.frames.values
+    while True:
+        m = len(t) - 1
+        ts, A = t[order], coefficients(frames)[order]
+        half = 0.5 * (ts[-1] - ts[0])
+        Q = _integration_matrix(m)
+        # (I - half (Q x I) blockdiag(A)) S = 1 x s0 over the nodes after the
+        # first, where S is s0 itself; row (j, a), column (k, b) is Q_jk A_k[a, b]
+        M = (-half * Q[1:, None, 1:, None] * A[1:].transpose(1, 0, 2)).reshape(m * d, m * d)
+        M[np.diag_indices(m * d)] += 1.0
+        rhs = start + half * Q[1:, 0, None, None] * (A[0] @ start)
+        S = np.concatenate([start[None], np.linalg.solve(M, rhs.reshape(m * d, -1))
+                            .reshape((m,) + start.shape)])
+        if _ChebyshevTable._converged(S, dense.rtol):
+            break
+        if m >= _TABLE_MAX_INTERVALS:
+            raise NoConvergence(f"linear flow not resolved to rtol {dense.rtol:.1e} with {m} "
+                                f"Chebyshev intervals on [{t[0]:.6g}, {t[-1]:.6g}]")
+        t, frames = _ChebyshevTable._doubled(t, frames, dense.frame_values)
+    states = _ChebyshevTable.from_nodes(ts, S).at(geo.grid).reshape((len(geo.grid),) + blocks)
     return [states[:, i] for i in range(len(s0))]
+
+
+def _jacobi_coefficients(frames):
+    """A = [[-N, I], [-R, -N]] of the Jacobi system in (J, K), from (Gx, N, R) rows."""
+    N, R = frames[:, 1], frames[:, 2]
+    return np.block([[-N, np.broadcast_to(np.eye(N.shape[-1]), N.shape)], [-R, -N]])
 
 
 def jacobi_integrate(src, geo: Curve, J0, J0dot) -> FieldAlongCurve:
@@ -566,19 +604,24 @@ def jacobi_integrate(src, geo: Curve, J0, J0dot) -> FieldAlongCurve:
 
     First-order form in (J, K = covariant derivative of J), a linear system
     J' = K - N J, K' = -R J - N K whose coefficients come from a frame table
-    of N and R along the geodesic. ``J0dot`` is the initial covariant
-    derivative. ``J0`` and ``J0dot`` have shape (n,), or (n, m) for m fields
-    integrated as the columns of one solve; ``vectors`` and
-    ``covariant_derivative`` then have shape (N, n, m). The initial values
-    hold at time 0, where the geodesic starts. Raises ``NoConvergence``
-    when the table does not resolve N and R to the geodesic's ``rtol``.
+    of N and R along the geodesic, solved by collocation on the table's
+    nodes. ``J0dot`` is the initial covariant derivative. ``J0`` and
+    ``J0dot`` have shape (n,), or (n, m) for m fields solved as the columns
+    of one system; ``vectors`` and ``covariant_derivative`` then have shape
+    (N, n, m). The initial values hold at time 0, where the geodesic starts.
+    Raises ``NoConvergence`` when the table, or the field, is not resolved
+    to the geodesic's ``rtol``.
     """
-    def rhs(c, J, K):
-        _, N, R = c
-        return K - N @ J, -R @ J - N @ K
-
-    J, K = _linear_flow(src, geo, rhs, (J0, J0dot))
+    J, K = _collocation_flow(src, geo, _jacobi_coefficients, (J0, J0dot))
     return FieldAlongCurve(grid=geo.grid, vectors=J, covariant_derivative=K)
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy's ``solve_ivp``, imported on first call: only the Jacobi oracle
+    integrates with it, so importing the package does not load scipy."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def jacobi_variation_oracle(src, geo: Curve, u) -> np.ndarray:
@@ -587,27 +630,39 @@ def jacobi_variation_oracle(src, geo: Curve, u) -> np.ndarray:
 
     Integrates the linearized spray flow, the variational equation of
     x-ddot = -2 G(x, x-dot): dx-ddot = -2 Gx dx - 2 N dx-dot from
-    (dx, dx-dot) = (0, u), with Gx = dG/dx and N = dG/dy read from the
-    frame table along ``geo``. It uses neither R nor a connection.
-    ``u`` has shape (n,) or (n, m); returns dx on ``geo.grid``, shape
-    (N, n) or (N, n, m).
+    (dx, dx-dot) = (0, u), with Gx = dG/dx and N = dG/dy interpolated from
+    the frame table along ``geo``. It uses neither R nor a connection, and
+    it is one DOP853 solve (Hairer-Norsett-Wanner, *Solving ODEs I*) at the
+    geodesic's ``rtol``, an integrator independent of the collocation that
+    ``jacobi_integrate`` uses. ``u`` has shape (n,) or (n, m); returns dx
+    on ``geo.grid``, shape (N, n) or (N, n, m).
     """
-    def rhs(c, dx, dv):
-        Gx, N, _ = c
-        return dv, -2.0 * (Gx @ dx + N @ dv)
-
     u = np.asarray(u, float)
-    return _linear_flow(src, geo, rhs, (np.zeros(u.shape), u))[0]
+    dense, s0 = _flow_start(src, geo, (np.zeros(u.shape), u))
+    table = dense.frames
+    blocks = (2,) + u.shape
+
+    def rhs(t, s):
+        Gx, N, _ = table(t)
+        dx, dv = s.reshape(blocks)
+        return np.concatenate([dv.ravel(), -2.0 * (Gx @ dx + N @ dv).ravel()])
+
+    sol = solve_ivp(rhs, dense.span, np.concatenate([b.ravel() for b in s0]),
+                    method="DOP853", rtol=dense.rtol, atol=_atol(dense.rtol), dense_output=True)
+    if not sol.success:
+        raise StepFailure(f"integrator failed: {sol.message}")
+    return sol.sol(geo.grid).T.reshape((len(geo.grid),) + blocks)[:, 0]
 
 
 def parallel_transport(src, geo: Curve, v0) -> FieldAlongCurve:
-    """Solve D^{gdot} V/dt = 0 along a geodesic.
+    """Solve D^{gdot} V/dt = 0, V' = -N V, along a geodesic by collocation
+    on its frame table's nodes.
 
-    ``v0`` has shape (n,), or (n, m) to transport m vectors in one solve,
+    ``v0`` has shape (n,), or (n, m) to transport m vectors in one system,
     and holds at time 0, where the geodesic starts; ``vectors`` then has
     shape (N, n) or (N, n, m).
     """
-    (V,) = _linear_flow(src, geo, lambda c, v: (-c[1] @ v,), (v0,))
+    (V,) = _collocation_flow(src, geo, lambda frames: -frames[:, 1], (v0,))
     return FieldAlongCurve(grid=geo.grid, vectors=V)
 
 

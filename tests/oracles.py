@@ -2,11 +2,13 @@
 
 import numpy as np
 import sympy as sp
+from scipy.integrate import solve_ivp
 
 from finslergeo.jets import smath
 from finslergeo.lifts import LiftSpec
 from finslergeo.metrics import TangentVector, fundamental_tensor
 from finslergeo.rng import SplitMix64
+from finslergeo.spray import PointFrame
 from finslergeo.variational import integrate_geodesic
 
 
@@ -80,6 +82,39 @@ def exp_map_jacobi_difference(src, w0, u, grid, h=1e-3):
     ends = [integrate_geodesic(src, TangentVector(w0.x, w0.y + s * h * u), grid[-1]).dense(grid)[:n]
             for s in (1.0, -1.0)]
     return ((ends[0] - ends[1]) / (2.0 * h)).T
+
+
+def dop853_linear_flow(src, w0, t_end, grid, blocks, rtol=1e-12):
+    """Jacobi fields, blocks (J0, J0dot), or parallel transport, blocks (v0,),
+    along the geodesic of ``src`` from ``w0`` at time 0 to ``t_end``, by one
+    DOP853 solve at ``rtol`` (atol = rtol / 100): the geodesic and the
+    blocks in one state, with G, N and R from one order-4 ``PointFrame`` per
+    right-hand side, so no frame table and no collocation. The blocks share
+    a shape, (n,) or (n, m); each comes back at the times ``grid``,
+    (len(grid),) + block shape.
+    """
+    n = src.dim
+    blocks = [np.asarray(b, float) for b in blocks]
+    shape, size = blocks[0].shape, blocks[0].size
+
+    def rhs(t, s):
+        fr = PointFrame(src, TangentVector(s[:n], s[n:2 * n]), order=4)
+        V = [s[2 * n + k * size:2 * n + (k + 1) * size].reshape(shape)
+             for k in range(len(blocks))]
+        if len(V) == 1:
+            dV = [-fr.N @ V[0]]
+        else:
+            J, K = V
+            dV = [K - fr.N @ J, -fr.R @ J - fr.N @ K]
+        return np.concatenate([s[n:2 * n], -2.0 * fr.G] + [d.ravel() for d in dV])
+
+    state0 = np.concatenate([w0.x, w0.y] + [b.ravel() for b in blocks])
+    sol = solve_ivp(rhs, (0.0, t_end), state0, method="DOP853", rtol=rtol, atol=rtol / 100,
+                    dense_output=True)
+    assert sol.success, sol.message
+    states = sol.sol(grid).T
+    return [states[:, 2 * n + k * size:2 * n + (k + 1) * size].reshape((len(grid),) + shape)
+            for k in range(len(blocks))]
 
 
 # -- finite-difference references --------------------------------------------

@@ -219,3 +219,13 @@ def test_one_legendre_jet_gives_the_order_one_and_two_jets_values(name, request)
         wk = TangentVector(w.x[k], w.y[k])
         assert np.array_equal(legendre_transform(ms, wk),
                               0.5 * metrics._f2_y_jet(ms, wk.x, wk.y, 1).derivative(1))
+
+
+def test_cartan_tensor_refuses_where_the_fundamental_tensor_does():
+    # F = |y| + b.y = -0.5 at y = (-1, 0): g is indefinite there, and C used to
+    # come back as all zeros while g was refused
+    ms = metrics.randers(2, [1.5, 0.0])
+    w = TangentVector([0.0, 0.0], [-1.0, 0.0])
+    for tensor in (fundamental_tensor, cartan_tensor):
+        with pytest.raises(NotPositiveDefinite, match=r"y=\[-1\.  0\.\]"):
+            tensor(ms, w)

@@ -491,3 +491,10 @@ def test_empty_batch_gives_empty_results(order, dim):
             for kind in ("berwald", "cartan"):
                 for t in lift_tensors(classical_lift(kind, src), fr):
                     assert t.shape == (0, dim, dim, dim)
+
+
+def test_flag_curvature_refuses_a_u_of_the_wrong_length():
+    # it used to end in numpy's matmul message
+    w = TangentVector([0.1, 0.0, 0.2], [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"u of shape \(2,\).*w\.y of shape \(3,\)"):
+        flag_curvature(metrics.funk(3), w, [0.0, 1.0])

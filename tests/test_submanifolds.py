@@ -300,3 +300,10 @@ def test_null_space_matches_scipy():
         assert np.max(np.abs(kern.T @ kern - np.eye(kern.shape[1]))) <= 1e-14
         assert np.max(np.abs(constraints @ kern)) <= 1e-14
         assert np.max(np.abs(kern @ kern.T - ref @ ref.T)) <= 1e-14
+
+
+def test_normal_cone_solve_refuses_a_guess_of_the_wrong_length(euclid2):
+    # it used to end in numpy's matmul message
+    line = affine_subspace([0.0, 0.0], [[1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"guess of shape \(3,\).*point of shape \(2,\)"):
+        normal_cone_solve(line, [0.0], euclid2, guess=[0.0, 1.0, 0.0])

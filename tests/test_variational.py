@@ -1,8 +1,9 @@
+import inspect
 import re
 
 import numpy as np
 import pytest
-from oracles import exp_map_jacobi_difference
+from oracles import dop853_linear_flow, exp_map_jacobi_difference
 from scipy.integrate import solve_ivp
 from test_spray import _randers_var_closed_form_spray
 
@@ -478,35 +479,6 @@ def test_funk_geodesic_splits_where_the_first_iterate_leaves_the_disk(funk):
 # -- frame tables along geodesics --------------------------------------------------------
 
 
-def _per_rhs_frame_solve(src, geo, blocks):
-    """The joint solve that frame tables replaced: the geodesic and the linear
-    blocks in one state, with one order-4 PointFrame per right-hand side.
-
-    ``blocks`` is (J0, J0dot) for Jacobi fields or (v0,) for parallel
-    transport; returns the blocks on the geodesic's grid.
-    """
-    n = geo.n
-    shape, size = blocks[0].shape, blocks[0].size
-
-    def rhs(t, s):
-        fr = PointFrame(src, TangentVector(s[:n], s[n:2 * n]), order=4)
-        V = [s[2 * n + k * size:2 * n + (k + 1) * size].reshape(shape)
-             for k in range(len(blocks))]
-        if len(V) == 1:
-            dV = [-fr.N @ V[0]]
-        else:
-            J, K = V
-            dV = [K - fr.N @ J, -fr.R @ J - fr.N @ K]
-        return np.concatenate([s[n:2 * n], -2.0 * fr.G] + [d.ravel() for d in dV])
-
-    state0 = np.concatenate([geo.points[0], geo.velocities[0]] + [b.ravel() for b in blocks])
-    sol = solve_ivp(rhs, (0.0, geo.grid[-1] - geo.grid[0]), state0, method="DOP853",
-                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, dense_output=True)
-    states = sol.sol(geo.grid - geo.grid[0]).T
-    return [states[:, 2 * n + k * size:2 * n + (k + 1) * size].reshape((len(geo.grid),) + shape)
-            for k in range(len(blocks))]
-
-
 @pytest.mark.parametrize("name", ["sphere", "poincare", "randers_var", "funk", "funk3"])
 def test_frame_table_matches_per_rhs_frames(name, request):
     ms = metrics.funk(3) if name == "funk3" else request.getfixturevalue(name)
@@ -516,11 +488,12 @@ def test_frame_table_matches_per_rhs_frames(name, request):
     geo = integrate_geodesic(ms, w0, 1.0)
     J0, J0dot = 0.3 * rng.direction(n), rng.direction(n)
     J = jacobi_integrate(ms, geo, J0, J0dot)
-    J_ref, K_ref = _per_rhs_frame_solve(ms, geo, (J0, J0dot))
+    # the reference is the joint solve that frame tables replaced, at the same rtol
+    J_ref, K_ref = dop853_linear_flow(ms, w0, 1.0, geo.grid, (J0, J0dot), rtol=DEFAULT_RTOL)
     assert np.max(np.abs(J.vectors - J_ref)) <= 1e-7
     assert np.max(np.abs(J.covariant_derivative - K_ref)) <= 1e-7
     v0 = np.column_stack([rng.direction(n), w0.y])
-    (V_ref,) = _per_rhs_frame_solve(ms, geo, (v0,))
+    (V_ref,) = dop853_linear_flow(ms, w0, 1.0, geo.grid, (v0,), rtol=DEFAULT_RTOL)
     assert np.max(np.abs(parallel_transport(ms, geo, v0).vectors - V_ref)) <= 1e-7
     one = parallel_transport(ms, geo, v0[:, 0]).vectors
     assert np.max(np.abs(one - V_ref[:, :, 0])) <= 1e-7
@@ -644,17 +617,108 @@ def test_flows_run_at_their_geodesics_rtol(sphere, monkeypatch):
     solve = variational.solve_ivp
     monkeypatch.setattr(variational, "solve_ivp", recording)
     tight = jacobi_integrate(sphere, geo, [0, 0], [0, 1])
+    oracle = jacobi_variation_oracle(sphere, geo, [0, 1])
     monkeypatch.undo()
+    # only the oracle steps with DOP853, at the geodesic's tolerances; the
+    # Jacobi field is collocated to the geodesic's rtol on its frame table
     assert tolerances == [(1e-11, 1e-11 * DEFAULT_ATOL / DEFAULT_RTOL)]
-    # J at nodes 100, 200, 300 and 400 when the geodesic and the Jacobi solve were
-    # each given rtol 1e-11 and atol 1e-13 explicitly
+    # J at nodes 100, 200, 300 and 400 when the geodesic and a DOP853 Jacobi
+    # solve were each given rtol 1e-11 and atol 1e-13 explicitly
     ref = [[-2.8696569170999955e-02, 8.4781928214290458e-01],
            [1.7368945772832173e-02, 2.4481873771452158e+00],
            [3.4122216623286655e-01, 9.4513976845882244e+00],
            [-1.6622332860340939e+02, -5.0289331993061275e+01]]
     assert np.max(np.abs(tight.vectors[[100, 200, 300, 400]] - ref)) <= 1e-9
+    assert np.max(np.abs(oracle[[100, 200, 300, 400]] - ref)) <= 1e-9
     default = jacobi_integrate(sphere, integrate_geodesic(sphere, w0, 3.0), [0, 0], [0, 1])
     assert np.max(np.abs(tight.vectors - default.vectors)) <= 1e-6
+
+
+# -- collocated flows -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("t_end", [1.0, -0.8])
+@pytest.mark.parametrize("name", ["sphere", "poincare", "randers_var", "funk", "funk3"])
+def test_collocation_flows_match_dop853(name, t_end, request):
+    # the reference steps the geodesic and the blocks together at rtol 1e-12,
+    # with a frame per right-hand side: no frame table and no collocation
+    ms = metrics.funk(3) if name == "funk3" else request.getfixturevalue(name)
+    n = ms.dim
+    rng = SplitMix64(47)
+    w0 = unit_tangent(ms, random_tangent(ms, rng))
+    geo = integrate_geodesic(ms, w0, t_end)
+    J0 = np.column_stack([0.3 * rng.direction(n), np.zeros(n)])
+    J0dot = np.column_stack([rng.direction(n), w0.y])
+    J_ref, K_ref = dop853_linear_flow(ms, w0, t_end, geo.grid, (J0, J0dot))
+    (V_ref,) = dop853_linear_flow(ms, w0, t_end, geo.grid, (J0dot,))
+    both = jacobi_integrate(ms, geo, J0, J0dot)
+    one = jacobi_integrate(ms, geo, J0[:, 0], J0dot[:, 0])
+    for field, ref in ((both.vectors, J_ref), (both.covariant_derivative, K_ref),
+                       (one.vectors, J_ref[:, :, 0]), (one.covariant_derivative, K_ref[:, :, 0]),
+                       (parallel_transport(ms, geo, J0dot).vectors, V_ref),
+                       (parallel_transport(ms, geo, J0dot[:, 0]).vectors, V_ref[:, :, 0])):
+        assert field.shape == ref.shape
+        assert np.max(np.abs(field - ref)) <= 1e-10
+
+
+@pytest.mark.parametrize("name, kappa, t_end", [("sphere", 1.0, 1.0), ("sphere", 1.0, -0.8),
+                                                ("poincare", -1.0, 1.0),
+                                                ("poincare", -1.0, -0.8),
+                                                ("funk", -0.25, 1.0), ("funk", -0.25, 2.0)])
+def test_collocated_jacobi_fields_follow_the_closed_form_profiles(name, kappa, t_end, request):
+    # at constant flag curvature K, a normal Jacobi field with J(0) = 0 and
+    # J'(0) = u has norm |u| |sin(sqrt(K) t)| / sqrt(K), with sinh for K < 0
+    ms = request.getfixturevalue(name)
+    rng = SplitMix64(53)
+    w0 = unit_tangent(ms, random_tangent(ms, rng))
+    geo = integrate_geodesic(ms, w0, t_end)
+    g0 = fundamental_tensor(ms, w0).g
+    u = rng.direction(2)
+    u = u - (u @ g0 @ w0.y) / (w0.y @ g0 @ w0.y) * w0.y
+    J = jacobi_integrate(ms, geo, [0.0, 0.0], u).vectors
+    g = fundamental_tensor(ms, TangentVector(geo.points, geo.velocities)).g
+    norm = np.sqrt(np.einsum("ti,tij,tj->t", J, g, J))
+    root = np.sqrt(abs(kappa))
+    wave = np.sin(root * geo.grid) if kappa > 0 else np.sinh(root * geo.grid)
+    assert np.max(np.abs(norm - np.sqrt(u @ g0 @ u) * np.abs(wave) / root)) <= 1e-12
+
+
+def test_flow_doubling_stays_local_and_stops_at_the_interval_cap(funk, monkeypatch):
+    # the frame table of this geodesic converges at 16 intervals; its Jacobi field needs 32
+    w0 = unit_tangent(funk, TangentVector([0.0, 0.0], [1.0, 0.0]))
+    geo = integrate_geodesic(funk, w0, 6.0)
+    assert len(geo.dense.frames.t) == 17
+    oracle = jacobi_variation_oracle(funk, geo, [0.0, 1.0])
+    J = jacobi_integrate(funk, geo, [0.0, 0.0], [0.0, 1.0]).vectors
+    parallel_transport(funk, geo, [0.0, 1.0])
+    # the cached table is not doubled, so the oracle gives the same numbers after the flows
+    assert len(geo.dense.frames.t) == 17
+    assert np.array_equal(jacobi_variation_oracle(funk, geo, [0.0, 1.0]), oracle)
+    assert np.max(np.abs(J - oracle)) < 1e-8
+    monkeypatch.setattr(variational, "_TABLE_MAX_INTERVALS", 16)
+    with pytest.raises(NoConvergence, match="linear flow not resolved to rtol 1.0e-09 "
+                                            "with 16 Chebyshev intervals"):
+        jacobi_integrate(funk, geo, [0.0, 0.0], [0.0, 1.0])
+
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy serves only the Jacobi oracle's DOP853 solve, imported on its first call
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import finslergeo
+
+    code = ("import sys, finslergeo, finslergeo.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(Path(finslergeo.__file__).parents[1])})
+    assert out.stdout.strip() == "[]"
+    # a module-level function the oracle looks up at call time, so it can be
+    # rebound on the module (the benchmark's tracer counts solves that way)
+    assert inspect.isfunction(variational.solve_ivp)
+    assert variational.solve_ivp.__module__ == "finslergeo.variational"
+    assert "solve_ivp" in jacobi_variation_oracle.__code__.co_names
 
 
 def test_chebyshev_tail_test_matches_scipy_dct():
