@@ -4,7 +4,7 @@ lifts, Jacobi fields and the second variation of energy."""
 from .errors import (ConfigError, DegenerateFlag, DomainError, DomainExit,
                      FinslerError, GridError, InvalidLift, NoConvergence,
                      NormalityViolation, NotPositiveDefinite, NullDirection,
-                     NullReference, SingularBasis, StepFailure)
+                     NullReference, SingularBasis)
 from .jets import Jet, jet_lift, partial as jet_partial, smath
 from .lifts import (AffineCoefficients, ClassicalKind, CPrimeTensor, LiftSpec,
                     SectionJet, affine_coefficients, canonical_section,

@@ -537,18 +537,15 @@ def task_second_variation(ms, p) -> TaskResult:
                      seed=p["seed"])
     ends, h_terms = {}, ()
     if p["mode"] == "fixed":
-        from scipy.interpolate import CubicSpline
-
         w0 = random_tangent(ms, rng)
         w0 = TangentVector(w0.x, w0.y / metrics_mod.metric_value(ms, w0))
         geo = integrate_geodesic(ms, w0, 1.0)
         e0 = _normal_direction(ms, w0.x, w0.y, rng)
         pt = parallel_transport(ms, geo, e0)
-        e_spline = CubicSpline(geo.grid, pt.vectors)
         vfield = FieldAlongCurve(geo.grid, np.sin(np.pi * geo.grid)[:, None] * pt.vectors)
 
         def offset(s, t):
-            return s * np.sin(np.pi * t)[..., None] * e_spline(t)
+            return s * np.sin(np.pi * t)[..., None] * pt.dense(t).T
     else:
         # submanifold mode: a geodesic segment normal to an affine line at each end
         x_a, d1v = p["x0"], p["direction"]

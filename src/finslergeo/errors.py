@@ -41,10 +41,6 @@ class DomainExit(FinslerError):
     """A trajectory left the chart / metric validity region."""
 
 
-class StepFailure(FinslerError):
-    """The adaptive integrator could not take a step."""
-
-
 class NormalityViolation(FinslerError):
     """Endpoint normality/tangency preconditions of the second variation failed."""
 

@@ -10,7 +10,9 @@ linear solve. A segment starts at 16 intervals and doubles, warm-started
 from its interpolant, until its Chebyshev tail is below ``rtol``. A
 segment whose iterate leaves the chart or whose sweeps stall is split in
 two. A converged segment with a node past the chart's domain margin, or a
-chart split below ``_MIN_SEGMENT`` of the span, is a ``DomainExit``. The
+split below ``_MIN_SEGMENT`` of the span inside a stretch whose iterate
+left the chart, is a ``DomainExit``; such a split elsewhere is a stall,
+``NoConvergence``. The
 converged segments are the curve's dense output, interpolated
 barycentrically (Berrut-Trefethen, *SIAM Review* 46, 2004), and the dense
 output records the ``rtol`` it was solved to.
@@ -25,24 +27,26 @@ intervals (one batched frame over the new nodes each time) until the
 table's Chebyshev tail is below the geodesic's ``rtol``. Jacobi fields read
 N and R from it, the oracle Gx and N, and transport N.
 
-Jacobi fields and parallel transport are collocated on the table's nodes in
-``_collocation_flow``: the Picard fixed point s = s0 + integral of A s of a
-linear flow is one linear solve there, over (n, m) column blocks, from time
-0 (at the geodesic's initial vector, so a backward flow's initial vectors
-hold at time 0). While the solution's Chebyshev tail is above the
-geodesic's ``rtol`` the nodes double, with frames at the new ones, locally:
-the cached table never changes. A curve that ``integrate_geodesic`` did
-not return, or one it solved for another metric or spray object, is
-refused with no spray evaluation.
+Jacobi fields, the Jacobi oracle and parallel transport are collocated on
+the table's nodes in ``_collocation_flow``: the Picard fixed point
+s = s0 + integral of A s of a linear flow is one linear solve there, over
+(n, m) column blocks, from time 0 (at the geodesic's initial vector, so a
+backward flow's initial vectors hold at time 0). While the solution's
+Chebyshev tail is above the geodesic's ``rtol`` the nodes double, with
+frames at the new ones, locally: the cached table never changes. A curve
+that ``integrate_geodesic`` did not return, or one it solved for another
+metric or spray object, is refused with no spray evaluation. A transported
+field records its Chebyshev dense output, as a geodesic does.
 
 The Jacobi oracle is the linearized spray flow, the variational equation of
 the geodesic ODE and so the exact derivative of the exponential map
-(Hairer-Norsett-Wanner, section I.14): it uses neither R nor a connection.
-It is one DOP853 solve (Hairer-Norsett-Wanner, *Solving ODEs I*) at the
-geodesic's ``rtol``, so the Jacobi check compares two equations solved by
-two integrators; scipy is imported on its first call, not with the package.
-The second variation reads g, R and the lift's coefficients from one frame
-batched over the geodesic's nodes.
+(Hairer-Norsett-Wanner, *Solving ODEs I*, section I.14): it uses neither R
+nor a connection. It is collocated as J is, so the Jacobi check compares
+two equations on shared nodes, the R-based J against the Gx/N-based dx,
+not two integrators; a test against an independent DOP853
+solve guards the driver. The runtime needs numpy only. The second
+variation reads g, R and the lift's coefficients from one frame batched
+over the geodesic's nodes.
 """
 
 from __future__ import annotations
@@ -52,8 +56,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (DomainExit, GridError, NoConvergence, NormalityViolation,
-                     NullDirection, StepFailure)
+from .errors import DomainExit, GridError, NoConvergence, NormalityViolation, NullDirection
 from .jets import lift_any
 from .lifts import LiftSpec, affine_coefficients, classical_lift, covariant_derivative_curve
 from .metrics import MetricSpec, TangentVector
@@ -100,6 +103,7 @@ class FieldAlongCurve:
     grid: np.ndarray
     vectors: np.ndarray
     covariant_derivative: np.ndarray | None = None
+    dense: object = None    # optional dense output: times t -> vectors (n, ...) or (n, m, ...)
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, float)
@@ -158,9 +162,8 @@ class _ChebyshevTable:
     below ``rtol`` times the largest sampled value. The nodes nest (node k
     of m intervals is node 2k of 2m), so a doubling samples only the new
     nodes. Past ``_TABLE_MAX_INTERVALS`` it raises ``NoConvergence``.
-    Calling the table at a time, or ``at`` at an array of times,
-    interpolates it barycentrically; ``from_nodes`` wraps values already at
-    the nodes.
+    ``at`` interpolates it barycentrically at an array of times;
+    ``from_nodes`` wraps values already at the nodes.
     """
 
     def __init__(self, sample, t0: float, t1: float, rtol: float):
@@ -214,14 +217,6 @@ class _ChebyshevTable:
         coef[[0, -1]] *= 0.5
         return coef[m - m // 4 + 1:].max() <= rtol * np.abs(values).max()
 
-    def __call__(self, t: float) -> np.ndarray:
-        d = t - self.t
-        hit = np.flatnonzero(d == 0.0)
-        if hit.size:
-            return self.values[hit[0]]
-        c = self._weights / d
-        return (c @ self._flat / c.sum()).reshape(self.values.shape[1:])
-
     def at(self, ts) -> np.ndarray:
         """The values at an array of times, (len(ts),) + shape.
 
@@ -269,12 +264,14 @@ def _integration_matrix(m: int) -> np.ndarray:
 
 
 class _ChebyshevCurve:
-    """A geodesic's dense output: its Chebyshev segments in solve order,
-    solved for ``src`` to ``rtol`` over ``span``, (0, t_end).
+    """A dense output: Chebyshev segments in solve order, solved for ``src``
+    to ``rtol`` over ``span``, (0, t_end), of a geodesic's states or of a
+    collocated field along one.
 
-    At a time it gives the state (2n,), at an array of N times (2n, N);
-    each time is interpolated alone, on the segment that holds it. A time
-    outside the span is a ``GridError``: the curve is not extrapolated.
+    At a time it gives a segment row, the state (2n,) of a geodesic, at an
+    array of N times the rows stacked last, (2n, N); each time is
+    interpolated alone, on the segment that holds it. A time outside the
+    span is a ``GridError``: the curve is not extrapolated.
     """
 
     def __init__(self, segments, rtol: float, src):
@@ -299,11 +296,11 @@ class _ChebyshevCurve:
             raise GridError(f"time {flat[outside][0]!r} is outside the geodesic's span "
                             f"[{lo!r}, {hi!r}]")
         which = np.searchsorted(self._starts, flat, side="right") - 1
-        out = np.empty((flat.size, self.segments[0].values.shape[1]))
+        out = np.empty((flat.size,) + self.segments[0].values.shape[1:])
         for k in np.unique(which):
             pick = which == k
             out[pick] = self._by_time[k].at(flat[pick])
-        return out.T.reshape(out.shape[1:] + t.shape)
+        return np.moveaxis(out, 0, -1).reshape(out.shape[1:] + t.shape)
 
     @cached_property
     def frames(self) -> _ChebyshevTable:
@@ -323,7 +320,10 @@ class _PicardSegment:
     its current segment, which starts at state ``s0``.
 
     ``plan`` lists the end times of the segments still to solve, this one
-    first, in solve order; ``done`` holds the converged ones.
+    first, in solve order; ``done`` holds the converged ones. A chart split
+    marks the stretch it splits, up to that stretch's end ``exit_end``, as
+    one that left the chart: a split below the floor there is a
+    ``DomainExit``, elsewhere a stall (``NoConvergence``).
     """
 
     def __init__(self, s0, plan, rtol, margin, floor):
@@ -332,6 +332,7 @@ class _PicardSegment:
         self.scale0 = max(1.0, np.abs(s0).max())
         self.plan = plan
         self.done = []
+        self.exit_end = None
         self._begin(s0, 0.0)
 
     def _begin(self, s0, t0):
@@ -351,9 +352,11 @@ class _PicardSegment:
 
     def split(self, left_chart: bool) -> None:
         """Start over on the first half of the segment; the second half follows it."""
+        if left_chart and self.exit_end is None:
+            self.exit_end = self.t1
         half = 0.5 * (self.t1 - self.t0)
         if abs(half) < self.floor:
-            if left_chart:
+            if self.exit_end is not None:
                 raise DomainExit(f"trajectory left the validity region at t={self.t0:.6g}")
             raise NoConvergence(f"geodesic sweeps do not converge on [{self.t0:.6g}, "
                                 f"{self.t1:.6g}]")
@@ -392,6 +395,8 @@ class _PicardSegment:
                 raise DomainExit("trajectory left the validity region before "
                                  f"t={self.t1:.6g}")
             self.done.append(_ChebyshevTable.from_nodes(self.t, self.values))
+            if self.t1 == self.exit_end:
+                self.exit_end = None
             if not self.plan:
                 return False
             self._begin(self.values[-1], self.t1)
@@ -562,8 +567,8 @@ def _collocation_flow(src, geo: Curve, coefficients, s0):
     solution's Chebyshev tail is above the geodesic's ``rtol``, the nodes
     double, with frames at the new ones from the geodesic's dense output
     (the cached table is left as it is). Past ``_TABLE_MAX_INTERVALS`` it
-    raises ``NoConvergence``. Returns the blocks on ``geo.grid``, each
-    (N,) + block shape.
+    raises ``NoConvergence``. Returns the solution's dense output over the
+    geodesic's span, one segment whose rows are (len(s0),) + block shape.
     """
     dense, s0 = _flow_start(src, geo, s0)
     blocks = (len(s0),) + s0[0].shape
@@ -589,8 +594,13 @@ def _collocation_flow(src, geo: Curve, coefficients, s0):
             raise NoConvergence(f"linear flow not resolved to rtol {dense.rtol:.1e} with {m} "
                                 f"Chebyshev intervals on [{t[0]:.6g}, {t[-1]:.6g}]")
         t, frames = _ChebyshevTable._doubled(t, frames, dense.frame_values)
-    states = _ChebyshevTable.from_nodes(ts, S).at(geo.grid).reshape((len(geo.grid),) + blocks)
-    return [states[:, i] for i in range(len(s0))]
+    return _ChebyshevCurve([_ChebyshevTable.from_nodes(ts, S.reshape((m + 1,) + blocks))],
+                           dense.rtol, src)
+
+
+def _on_grid(flow: _ChebyshevCurve, grid) -> np.ndarray:
+    """A collocated flow's blocks at the times ``grid``, (len(s0), N) + block shape."""
+    return np.moveaxis(flow(grid), -1, 1)
 
 
 def _jacobi_coefficients(frames):
@@ -612,16 +622,15 @@ def jacobi_integrate(src, geo: Curve, J0, J0dot) -> FieldAlongCurve:
     Raises ``NoConvergence`` when the table, or the field, is not resolved
     to the geodesic's ``rtol``.
     """
-    J, K = _collocation_flow(src, geo, _jacobi_coefficients, (J0, J0dot))
+    J, K = _on_grid(_collocation_flow(src, geo, _jacobi_coefficients, (J0, J0dot)), geo.grid)
     return FieldAlongCurve(grid=geo.grid, vectors=J, covariant_derivative=K)
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy's ``solve_ivp``, imported on first call: only the Jacobi oracle
-    integrates with it, so importing the package does not load scipy."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-
-    return scipy_solve_ivp(*args, **kwargs)
+def _variation_coefficients(frames):
+    """A = [[0, I], [-2 Gx, -2 N]] of the variational equation in (dx, dv), from (Gx, N, R) rows."""
+    Gx, N = frames[:, 0], frames[:, 1]
+    eye = np.broadcast_to(np.eye(N.shape[-1]), N.shape)
+    return np.block([[np.zeros_like(N), eye], [-2.0 * Gx, -2.0 * N]])
 
 
 def jacobi_variation_oracle(src, geo: Curve, u) -> np.ndarray:
@@ -630,28 +639,23 @@ def jacobi_variation_oracle(src, geo: Curve, u) -> np.ndarray:
 
     Integrates the linearized spray flow, the variational equation of
     x-ddot = -2 G(x, x-dot): dx-ddot = -2 Gx dx - 2 N dx-dot from
-    (dx, dx-dot) = (0, u), with Gx = dG/dx and N = dG/dy interpolated from
-    the frame table along ``geo``. It uses neither R nor a connection, and
-    it is one DOP853 solve (Hairer-Norsett-Wanner, *Solving ODEs I*) at the
-    geodesic's ``rtol``, an integrator independent of the collocation that
-    ``jacobi_integrate`` uses. ``u`` has shape (n,) or (n, m); returns dx
-    on ``geo.grid``, shape (N, n) or (N, n, m).
+    (dx, dx-dot) = (0, u), with Gx = dG/dx and N = dG/dy from the frame
+    table along ``geo``, collocated on its nodes at the geodesic's ``rtol``
+    as ``jacobi_integrate`` is. It uses neither R nor a connection. ``u``
+    has shape (n,) or (n, m); returns dx on ``geo.grid``, shape (N, n) or
+    (N, n, m).
     """
     u = np.asarray(u, float)
-    dense, s0 = _flow_start(src, geo, (np.zeros(u.shape), u))
-    table = dense.frames
-    blocks = (2,) + u.shape
+    flow = _collocation_flow(src, geo, _variation_coefficients, (np.zeros(u.shape), u))
+    return _on_grid(flow, geo.grid)[0]
 
-    def rhs(t, s):
-        Gx, N, _ = table(t)
-        dx, dv = s.reshape(blocks)
-        return np.concatenate([dv.ravel(), -2.0 * (Gx @ dx + N @ dv).ravel()])
 
-    sol = solve_ivp(rhs, dense.span, np.concatenate([b.ravel() for b in s0]),
-                    method="DOP853", rtol=dense.rtol, atol=_atol(dense.rtol), dense_output=True)
-    if not sol.success:
-        raise StepFailure(f"integrator failed: {sol.message}")
-    return sol.sol(geo.grid).T.reshape((len(geo.grid),) + blocks)[:, 0]
+# the benchmark's tracer rebinds this name (perfbench/tracer.py); the package never calls it
+def solve_ivp(*args, **kwargs):
+    """scipy's ``solve_ivp``, imported on first call."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def parallel_transport(src, geo: Curve, v0) -> FieldAlongCurve:
@@ -660,10 +664,14 @@ def parallel_transport(src, geo: Curve, v0) -> FieldAlongCurve:
 
     ``v0`` has shape (n,), or (n, m) to transport m vectors in one system,
     and holds at time 0, where the geodesic starts; ``vectors`` then has
-    shape (N, n) or (N, n, m).
+    shape (N, n) or (N, n, m). ``dense`` is the field's Chebyshev dense
+    output over the geodesic's span: at an array of N times it gives
+    (n, N) or (n, m, N).
     """
-    (V,) = _collocation_flow(src, geo, lambda frames: -frames[:, 1], (v0,))
-    return FieldAlongCurve(grid=geo.grid, vectors=V)
+    flow = _collocation_flow(src, geo, lambda frames: -frames[:, 1], (v0,))
+    (seg,) = flow.segments
+    V = _ChebyshevCurve([_ChebyshevTable.from_nodes(seg.t, seg.values[:, 0])], flow.rtol, src)
+    return FieldAlongCurve(grid=geo.grid, vectors=np.moveaxis(V(geo.grid), -1, 0), dense=V)
 
 
 # -- second variation -----------------------------------------------------------

@@ -476,6 +476,17 @@ def test_funk_geodesic_splits_where_the_first_iterate_leaves_the_disk(funk):
     assert geodesic_residual(funk, geo) < 1e-10
 
 
+def test_backward_funk_geodesic_that_reaches_the_boundary_is_a_domain_exit(funk):
+    # backward, this Funk geodesic reaches the disk's boundary near t = -0.3196;
+    # its segments used to stall at the split floor there and report NoConvergence
+    w0 = unit_tangent(funk, random_tangent(funk, SplitMix64(53)))
+    geo = integrate_geodesic(funk, w0, -0.3)
+    assert 0.97 < np.max(np.linalg.norm(geo.points, axis=1)) < 1.0
+    assert geodesic_residual(funk, geo) < 1e-10
+    with pytest.raises(DomainExit, match="left the validity region"):
+        integrate_geodesic(funk, w0, -0.5)
+
+
 # -- frame tables along geodesics --------------------------------------------------------
 
 
@@ -608,20 +619,24 @@ def test_flows_run_at_their_geodesics_rtol(sphere, monkeypatch):
     w0 = unit_tangent(sphere, TangentVector([0.1, -0.05], [0.6, 0.45]))
     geo = integrate_geodesic(sphere, w0, 3.0, rtol=1e-11)
     assert geo.dense.rtol == 1e-11
-    tolerances = []
+    tails = []
 
-    def recording(*args, **kwargs):
-        tolerances.append((kwargs["rtol"], kwargs["atol"]))
-        return solve(*args, **kwargs)
+    def recording(values, rtol):
+        tails.append((values.shape[1:], rtol))
+        return converged(values, rtol)
 
-    solve = variational.solve_ivp
-    monkeypatch.setattr(variational, "solve_ivp", recording)
+    converged = _ChebyshevTable._converged
+    monkeypatch.setattr(_ChebyshevTable, "_converged", staticmethod(recording))
     tight = jacobi_integrate(sphere, geo, [0, 0], [0, 1])
+    tails_J = len(tails)
     oracle = jacobi_variation_oracle(sphere, geo, [0, 1])
     monkeypatch.undo()
-    # only the oracle steps with DOP853, at the geodesic's tolerances; the
-    # Jacobi field is collocated to the geodesic's rtol on its frame table
-    assert tolerances == [(1e-11, 1e-11 * DEFAULT_ATOL / DEFAULT_RTOL)]
+    # the frame table, J and the oracle are each resolved to the geodesic's
+    # rtol: every Chebyshev tail test, of the table's (Gx, N, R) rows and of
+    # the flows' stacked (J, K) or (dx, dv) columns, runs at 1e-11
+    assert {shape for shape, _ in tails} == {(3, 2, 2), (4, 1)}
+    assert {rtol for _, rtol in tails} == {1e-11}
+    assert [shape for shape, _ in tails[tails_J:]] == [(4, 1)]
     # J at nodes 100, 200, 300 and 400 when the geodesic and a DOP853 Jacobi
     # solve were each given rtol 1e-11 and atol 1e-13 explicitly
     ref = [[-2.8696569170999955e-02, 8.4781928214290458e-01],
@@ -630,6 +645,8 @@ def test_flows_run_at_their_geodesics_rtol(sphere, monkeypatch):
            [-1.6622332860340939e+02, -5.0289331993061275e+01]]
     assert np.max(np.abs(tight.vectors[[100, 200, 300, 400]] - ref)) <= 1e-9
     assert np.max(np.abs(oracle[[100, 200, 300, 400]] - ref)) <= 1e-9
+    # two equations on the same nodes: J reads R, the oracle Gx and N
+    assert np.max(np.abs(tight.vectors - oracle)) <= 1e-10
     default = jacobi_integrate(sphere, integrate_geodesic(sphere, w0, 3.0), [0, 0], [0, 1])
     assert np.max(np.abs(tight.vectors - default.vectors)) <= 1e-6
 
@@ -638,10 +655,33 @@ def test_flows_run_at_their_geodesics_rtol(sphere, monkeypatch):
 
 
 @pytest.mark.parametrize("t_end", [1.0, -0.8])
+def test_transported_fields_record_their_dense_output(randers_var, t_end):
+    # a transported field between the grid's nodes, as a geodesic's dense output gives states
+    rng = SplitMix64(59)
+    w0 = unit_tangent(randers_var, random_tangent(randers_var, rng))
+    geo = integrate_geodesic(randers_var, w0, t_end)
+    v0 = np.column_stack([rng.direction(2), w0.y])
+    V = parallel_transport(randers_var, geo, v0)
+    assert np.array_equal(np.moveaxis(V.dense(geo.grid), -1, 0), V.vectors)
+    assert V.dense(0.0).shape == (2, 2)
+    assert np.array_equal(V.dense(0.0), v0)
+    between = t_end * np.linspace(0.0013, 0.9987, 37)
+    (ref,) = dop853_linear_flow(randers_var, w0, t_end, between, (v0,))
+    assert V.dense(between).shape == (2, 2, 37)
+    assert np.max(np.abs(np.moveaxis(V.dense(between), -1, 0) - ref)) <= 1e-9
+    one = parallel_transport(randers_var, geo, v0[:, 0])
+    assert one.dense(between).shape == (2, 37)
+    assert np.max(np.abs(one.dense(between) - V.dense(between)[:, 0])) <= 1e-12
+    with pytest.raises(GridError, match="outside"):
+        V.dense(1.5 * t_end)
+
+
+@pytest.mark.parametrize("t_end", [1.0, -0.8])
 @pytest.mark.parametrize("name", ["sphere", "poincare", "randers_var", "funk", "funk3"])
 def test_collocation_flows_match_dop853(name, t_end, request):
     # the reference steps the geodesic and the blocks together at rtol 1e-12,
-    # with a frame per right-hand side: no frame table and no collocation
+    # with a frame per right-hand side: no frame table and no collocation, so
+    # an integrator independent of the driver guards J, transport and the oracle
     ms = metrics.funk(3) if name == "funk3" else request.getfixturevalue(name)
     n = ms.dim
     rng = SplitMix64(47)
@@ -651,12 +691,17 @@ def test_collocation_flows_match_dop853(name, t_end, request):
     J0dot = np.column_stack([rng.direction(n), w0.y])
     J_ref, K_ref = dop853_linear_flow(ms, w0, t_end, geo.grid, (J0, J0dot))
     (V_ref,) = dop853_linear_flow(ms, w0, t_end, geo.grid, (J0dot,))
+    # at J(0) = 0 the covariant and the plain initial derivative agree, so
+    # the Jacobi field from (0, u) is the oracle's dx
+    dx_ref, _ = dop853_linear_flow(ms, w0, t_end, geo.grid, (np.zeros((n, 2)), J0dot))
     both = jacobi_integrate(ms, geo, J0, J0dot)
     one = jacobi_integrate(ms, geo, J0[:, 0], J0dot[:, 0])
     for field, ref in ((both.vectors, J_ref), (both.covariant_derivative, K_ref),
                        (one.vectors, J_ref[:, :, 0]), (one.covariant_derivative, K_ref[:, :, 0]),
                        (parallel_transport(ms, geo, J0dot).vectors, V_ref),
-                       (parallel_transport(ms, geo, J0dot[:, 0]).vectors, V_ref[:, :, 0])):
+                       (parallel_transport(ms, geo, J0dot[:, 0]).vectors, V_ref[:, :, 0]),
+                       (jacobi_variation_oracle(ms, geo, J0dot), dx_ref),
+                       (jacobi_variation_oracle(ms, geo, J0dot[:, 0]), dx_ref[:, :, 0])):
         assert field.shape == ref.shape
         assert np.max(np.abs(field - ref)) <= 1e-10
 
@@ -702,23 +747,23 @@ def test_flow_doubling_stays_local_and_stops_at_the_interval_cap(funk, monkeypat
 
 
 def test_importing_the_package_loads_no_scipy():
-    # scipy serves only the Jacobi oracle's DOP853 solve, imported on its first call
+    # the runtime is numpy-only: a whole verify-all pass in a fresh process
+    # passes every scenario and loads no scipy module
     import subprocess
     import sys
     from pathlib import Path
 
     import finslergeo
 
-    code = ("import sys, finslergeo, finslergeo.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import io, sys, finslergeo.cli\n"
+            "code = finslergeo.cli.verify_all(stream=io.StringIO())\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": str(Path(finslergeo.__file__).parents[1])})
-    assert out.stdout.strip() == "[]"
-    # a module-level function the oracle looks up at call time, so it can be
-    # rebound on the module (the benchmark's tracer counts solves that way)
+    assert out.stdout.strip() == "0 []"
+    # the benchmark's tracer rebinds this module-level name; the package never calls it
     assert inspect.isfunction(variational.solve_ivp)
     assert variational.solve_ivp.__module__ == "finslergeo.variational"
-    assert "solve_ivp" in jacobi_variation_oracle.__code__.co_names
 
 
 def test_chebyshev_tail_test_matches_scipy_dct():
@@ -741,8 +786,8 @@ def test_chebyshev_table_interpolates_and_refuses_a_kink():
                             0.0, 2.0, DEFAULT_RTOL)
     assert np.array_equal(table.t[[0, -1]], [0.0, 2.0])
     assert np.all(np.diff(table.t) > 0)
-    for t in (0.0, 0.0123, 0.77, 1.5, 2.0):
-        assert np.max(np.abs(table(t) - [np.sin(3 * t), np.exp(t)])) < 1e-13
+    t = np.array([0.0, 0.0123, 0.77, 1.5, 2.0])
+    assert np.max(np.abs(table.at(t) - np.stack([np.sin(3 * t), np.exp(t)], axis=-1))) < 1e-13
     with pytest.raises(NoConvergence):
         _ChebyshevTable(lambda t: np.abs(t - 0.5), 0.0, 1.0, DEFAULT_RTOL)
 
