@@ -18,12 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 from .jets import lift_any
-from .lifts import (LiftSpec, SectionJet, _nabla_g_tensors, adapted_split,
-                    affine_coefficients, classical_lift, cprime_tensor, lift_tensors,
-                    nabla_apply)
-from .metrics import MetricSpec, TangentVector, _f2_y_jet, g_bilinear, require_points
+from .lifts import (LiftSpec, SectionJet, _nabla_g_tensors, affine_coefficients,
+                    classical_lift, lift_tensors, nabla_apply)
+from .metrics import MetricSpec, TangentVector, g_bilinear, require_points
 from .rng import SplitMix64
-from .spray import PointFrame, _matvec, _pair
+from .spray import PointFrame, _matvec, _pair, adapted_split
+from .submanifolds import legendre_transform
 from .variational import _d1, integrate_geodesic, parallel_transport
 
 _CPRIME_TAU = 1e-3   # time step of the central difference in cprime_transport_residual
@@ -264,7 +264,7 @@ def cprime_transport_residual(ms: MetricSpec, w: TangentVector,
         return np.einsum("ijk,i,j,k->", C, *vecs.T)
 
     oracle = (contraction(_CPRIME_TAU) - contraction(-_CPRIME_TAU)) / (2.0 * _CPRIME_TAU)
-    mine = np.einsum("ijk,i,j,k->", cprime_tensor(ms, w).Cp, *vecs0.T)
+    mine = np.einsum("ijk,i,j,k->", PointFrame(ms, w, order=4).Cp_low, *vecs0.T)
     return float(abs(mine + oracle))
 
 
@@ -291,9 +291,9 @@ def tensor_identity_residuals(ms: MetricSpec, w: TangentVector) -> dict:
     # one F^2 evaluation over float arrays, component axis first
     f2 = ms.f2(list(w.x.T), list(w.y.T))
     out["gww_identity"] = _sup(_pair(y, fr.g, y) - f2)
-    # Euler: g_w(w, .) equals half the fiber gradient of F^2, from an independent y-only jet
-    grad = _f2_y_jet(ms, w.x, w.y, 1).derivative(1)
-    out["euler_gradient"] = _sup(_matvec(fr.g, y) - 0.5 * grad)
+    # Euler: g_w(w, .) equals the Legendre covector, half the fiber gradient of F^2
+    # from an independent y-only jet
+    out["euler_gradient"] = _sup(_matvec(fr.g, y) - legendre_transform(ms, w))
     # homogeneity of g (degree 0) and C (degree -1)
     out["g_homogeneity"] = max(_sup(frames[k].g - fr.g) for k in (1, 2))
     out["cartan_homogeneity"] = max(_sup(frames[k].C_low - C / lam)

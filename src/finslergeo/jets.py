@@ -27,9 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["Jet", "JetSpace", "contract", "jet_lift", "partial", "smath", "solve_linear"]
-
-MAX_PUBLIC_ORDER = 4
+__all__ = ["Jet", "JetSpace", "contract", "lift_any", "smath", "solve_linear"]
 
 
 def _multi_indices(nvars: int, order: int) -> list[tuple[int, ...]]:
@@ -463,11 +461,13 @@ def _binom_half(j: int) -> float:
 
 
 def lift_any(f, center, order: int) -> Jet:
-    """Lift without the public order cap (``center`` holds floats).
+    """Taylor-expand a map about ``center`` (floats) to total ``order`` >= 0.
 
-    ``f`` receives the list of coordinate jets and returns a scalar or a
-    (nested) sequence of scalars, jets or floats; each level of nesting
-    becomes a leading axis of the one jet returned. A ``center`` of shape
+    ``f`` must be built from +, -, *, /, ** and the ``smath`` functions, so
+    that one rule serves plain and jet evaluation. It receives the list of
+    coordinate jets and returns a scalar or a (nested) sequence of scalars,
+    jets or floats; each level of nesting becomes a leading axis of the one
+    jet returned. A ``center`` of shape
     (..., nvars) lifts at every center of the batch in one rule trace: the
     coordinate jets, and so the result (constants included), carry the
     batch axes last among the leading axes.
@@ -500,23 +500,6 @@ def lift_any(f, center, order: int) -> Jet:
         return out
     c = np.stack(np.broadcast_arrays(*leaves))
     return Jet(space, c.reshape(shape + c.shape[1:]))
-
-
-def jet_lift(f, center, order: int) -> Jet:
-    """Taylor-expand a smooth scalar map about ``center`` to total ``order``.
-
-    ``f`` receives a list of scalars (floats or jets) and must be built from
-    +, -, *, /, ** and the ``smath`` functions so the same code path serves
-    plain evaluation and jet evaluation.
-    """
-    if not 1 <= order <= MAX_PUBLIC_ORDER:
-        raise ValueError(f"order must be in 1..{MAX_PUBLIC_ORDER}, got {order}")
-    return lift_any(f, list(center), order)
-
-
-def partial(jet: Jet, alpha):
-    """Raw partial derivative d^alpha f of the lifted map at its center."""
-    return jet.partial(alpha)
 
 
 def contract(spec: str, a: Jet, b: Jet) -> Jet:

@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import GridError, InvalidLift, NullReference
 from .jets import Jet, contract, lift_any, smath, solve_linear, space_for
-from .metrics import MetricSpec, TangentVector, _batch_note, random_tangent, require_points
+from .metrics import MetricSpec, TangentVector, _batch_note, require_points
 from .rng import SplitMix64
-from .spray import PointFrame, _matvec
+from .spray import PointFrame, _matvec, adapted_split
 
 ADMISSIBILITY_TOL = 1e-7
 
@@ -117,12 +117,6 @@ class AffineCoefficients:
 
 
 @dataclass(frozen=True)
-class CPrimeTensor:
-    at: TangentVector
-    Cp: np.ndarray  # fully symmetric, all indices down
-
-
-@dataclass(frozen=True)
 class SectionJet:
     """A vertical section s^i(x, y) with its first-order jets at a point,
     or at each point of a batch (leading axes)."""
@@ -130,25 +124,6 @@ class SectionJet:
     value: np.ndarray  # (..., n)
     dx: np.ndarray     # (..., n, n): dx[i,j] = ds^i/dx^j
     dy: np.ndarray     # (..., n, n)
-
-
-def section_from_rule(rule, w: TangentVector) -> SectionJet:
-    """Jet a generic section rule (xs, ys) -> list of n scalars at w."""
-    n = w.n
-    sec = lift_any(lambda v: rule(v[:n], v[n:]), np.concatenate([w.x, w.y]), 1)
-    d1 = sec.derivative(1)
-    return SectionJet(sec.value, d1[:, :n], d1[:, n:])
-
-
-def canonical_section(w: TangentVector) -> SectionJet:
-    """The canonical field: fiber components equal to the fiber coordinates."""
-    n = w.n
-    return SectionJet(np.array(w.y, float), np.zeros((n, n)), np.eye(n))
-
-
-def constant_section(w: TangentVector, value) -> SectionJet:
-    n = w.n
-    return SectionJet(np.asarray(value, float), np.zeros((n, n)), np.zeros((n, n)))
 
 
 # -- classical lifts ------------------------------------------------------------
@@ -162,20 +137,6 @@ def classical_lift(kind, ms: MetricSpec) -> LiftSpec:
     """
     kind = ClassicalKind(kind)
     return LiftSpec(name=kind.value, kind=kind)
-
-
-def cprime_tensor(ms: MetricSpec, w: TangentVector) -> CPrimeTensor:
-    """The Landsberg-type tensor of the metric at w.
-
-    Minus the derivative of the Cartan tensor along the geodesic flow
-    (d/dt at t=0 of C along the geodesic with parallel arguments), which is
-    the sign for which the classical connections satisfy their metric
-    compatibility conditions. Fully symmetric; vanishes against w in any
-    slot; identically zero for Berwald-type metrics. Expanded in
-    coordinates through the spray jets, no integration involved.
-    """
-    fr = PointFrame(ms, w, order=4)
-    return CPrimeTensor(at=w, Cp=fr.Cp_low)
 
 
 # -- lift tensors at a point -----------------------------------------------------
@@ -258,16 +219,7 @@ def _check_admissible(cc, cp, y):
             + _batch_note(np.shape(bad), k))
 
 
-def adapted_split(fr: PointFrame, X):
-    """Raw (dx, dy) components -> adapted (horizontal a, vertical-fiber b),
-    over fr's batch axes."""
-    X = np.asarray(X, float)
-    n = fr.n
-    a = X[..., :n]
-    return a, X[..., n:] + _matvec(fr.N, a)
-
-
-# -- connection application and torsion ------------------------------------------
+# -- connection application ------------------------------------------------------
 
 
 def nabla_apply(lift: LiftSpec, src, w: TangentVector, X, section: SectionJet,
@@ -284,19 +236,6 @@ def nabla_apply(lift: LiftSpec, src, w: TangentVector, X, section: SectionJet,
     ds_adapted = section.dx - np.einsum("...im,...mj->...ij", section.dy, fr.N)
     out = _matvec(ds_adapted, a) + np.einsum("...ijk,...j,...k->...i", gh, a, s)
     out += _matvec(section.dy, b) + np.einsum("...ijk,...j,...k->...i", cc, b, s)
-    return out
-
-
-def torsion(lift: LiftSpec, src, w: TangentVector, X, Y,
-            _frame: PointFrame | None = None) -> np.ndarray:
-    """T(X,Y) evaluated on constant-coefficient adapted extensions of X, Y."""
-    fr = _frame if _frame is not None else PointFrame(src, w, order=4)
-    cc, cp = lift_tensors(lift, fr)
-    a1, b1 = adapted_split(fr, X)
-    a2, b2 = adapted_split(fr, Y)
-    asym = cp - np.transpose(cp, (0, 2, 1))
-    out = np.einsum("ijk,j,k->i", asym, a1, a2)
-    out += np.einsum("ijk,j,k->i", cc, b1, a2) - np.einsum("ijk,j,k->i", cc, b2, a1)
     return out
 
 
@@ -317,31 +256,21 @@ def _nabla_g_tensors(fr: PointFrame, cc, cp):
     return h, v
 
 
-def nabla_g(lift: LiftSpec, ms: MetricSpec, w: TangentVector, X, s1, s2,
-            _frame: PointFrame | None = None) -> float:
-    """(nabla_X g)(s1, s2) for constant sections s1, s2 (tensorial)."""
-    fr = _frame if _frame is not None else PointFrame(ms, w, order=4)
-    h, v = _nabla_g_tensors(fr, *lift_tensors(lift, fr))
-    a, b = adapted_split(fr, X)
-    s1 = np.asarray(s1, float)
-    s2 = np.asarray(s2, float)
-    return float(np.einsum("j,jik,i,k->", a, h, s1, s2)
-                 + np.einsum("j,jik,i,k->", b, v, s1, s2))
-
-
 def condition_residuals(lift: LiftSpec, fr: PointFrame, conditions=ALL_CONDITIONS):
     """Sup-norm residual of each requested condition over fr's point(s).
 
     Residuals are coefficient-tensor sup norms, i.e. the exact maximum over
     unit-box argument vectors and over a batched frame's points. The lift
     is evaluated once: metric conditions read its flat tensors and raise them.
-    An empty batch raises ``ValueError``.
+    An empty batch raises ``ValueError``, and a metric condition on a bare
+    spray's frame ``TypeError``.
     """
     y = fr.y
     require_points(y, "condition_residuals")
     out = {}
     need_metric = any(c.startswith("M") for c in conditions)
     if need_metric:
+        fr._need_metric()
         ccf, cpf = lift_tensors_flat(lift, fr)
         cc, cp = fr.raise_last(ccf), fr.raise_last(cpf)
         h, v = _nabla_g_tensors(fr, cc, cp)
@@ -378,39 +307,6 @@ def condition_residuals(lift: LiftSpec, fr: PointFrame, conditions=ALL_CONDITION
         else:
             raise ValueError(f"unknown condition {cond!r}")
     return out
-
-
-@dataclass
-class ConditionReport:
-    lift: str
-    metric: str
-    samples: int
-    seed: int
-    residuals: dict
-
-    def max_residual(self, condition: str) -> float:
-        return self.residuals[condition]
-
-    def satisfied(self, conditions, tol: float) -> bool:
-        return all(self.residuals[c] < tol for c in conditions)
-
-    def rows(self):
-        return sorted(self.residuals.items())
-
-
-def check_conditions(lift: LiftSpec, ms, conditions=ALL_CONDITIONS, samples: int = 25,
-                     seed: int = 0) -> ConditionReport:
-    """Max residual of each condition over random admissible points."""
-    conditions = tuple(conditions)
-    if any(c.startswith("M") for c in conditions) and not isinstance(ms, MetricSpec):
-        raise TypeError("metric conditions require a MetricSpec")
-    if samples < 1:
-        raise ValueError(f"check_conditions needs at least one sample, got {samples}")
-    rng = SplitMix64(seed)
-    fr = PointFrame(ms, TangentVector.stack([random_tangent(ms, rng) for _ in range(samples)]),
-                    order=4)
-    return ConditionReport(lift=lift.name, metric=ms.name, samples=samples,
-                           seed=seed, residuals=condition_residuals(lift, fr, conditions))
 
 
 # -- affine family ---------------------------------------------------------------

@@ -246,8 +246,13 @@ def _f2_y_jet(ms: MetricSpec, x, y, order: int) -> Jet:
 
 
 def metric_value(ms: MetricSpec, w: TangentVector) -> float:
-    """F(w) > 0 on the slit bundle."""
+    """F(w) > 0 on the slit bundle, where g_w is positive definite.
+
+    The strong-convexity test refuses a point where F < 0 although F^2 > 0,
+    as it does in ``fundamental_tensor``.
+    """
     ms.check_tangent(w)
+    _legendre(ms, w.x, w.y)
     v = ms.f2(list(w.x), list(w.y))
     if v <= 0.0:
         raise DomainError(f"F^2(w) = {v} <= 0; invalid metric or point")

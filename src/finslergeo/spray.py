@@ -302,7 +302,10 @@ def spray_values(src, x, y) -> np.ndarray:
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    n = x.shape[-1]
+    n = src.dim
+    if x.shape[-1:] != (n,) or y.shape[-1:] != (n,):
+        raise ValueError(f"dimension mismatch: x of shape {x.shape} and y of shape {y.shape} "
+                         f"must end in n = {n}")
     if isinstance(src, MetricSpec):
         f = lift_any(lambda v: src.f2(v[:n], v[n:]), np.concatenate([x, y], axis=-1), 2)
         h = f.derivative(2)
@@ -316,17 +319,12 @@ def spray_values(src, x, y) -> np.ndarray:
     return np.array([float(v) for v in src.g_rule(list(x), list(y))])
 
 
-def horizontal_lift(s: SprayData, u) -> np.ndarray:
-    """Raw (dx, dy) components of the horizontal lift of u at s.at."""
-    u = np.asarray(u, float)
-    return np.concatenate([u, -s.N @ u])
-
-
-def vertical_projector(s: SprayData, X) -> np.ndarray:
-    """Fiber components of the vertical projection of a raw tangent vector."""
+def adapted_split(fr: PointFrame, X):
+    """Raw (dx, dy) components -> adapted (horizontal a, vertical-fiber b = dy + N a),
+    over fr's batch axes; each point is bitwise equal to its own single-point split."""
     X = np.asarray(X, float)
-    n = s.N.shape[0]
-    return X[n:] + s.N @ X[:n]
+    a = X[..., :fr.n]
+    return a, X[..., fr.n:] + _matvec(fr.N, a)
 
 
 def curvature_endomorphism(src, w: TangentVector) -> CurvatureEndomorphism:

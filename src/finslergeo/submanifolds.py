@@ -13,7 +13,7 @@ from .errors import InvalidLift, NoConvergence, SingularBasis
 from .jets import lift_any, smath
 from .lifts import LiftSpec, classical_lift, condition_residuals, lift_tensors
 from .metrics import MetricSpec, TangentVector, _legendre, metric_value
-from .spray import PointFrame
+from .spray import PointFrame, adapted_split
 
 
 class Submanifold:
@@ -87,15 +87,6 @@ def sphere2(center, radius, name="sphere") -> Submanifold:
     return Submanifold(2, 3, immersion, name=name)
 
 
-def graph_curve(f, name="graph") -> Submanifold:
-    """t -> (t, f(t)) with a generic scalar rule f."""
-
-    def immersion(ps):
-        return [ps[0], f(ps[0])]
-
-    return Submanifold(1, 2, immersion, name=name)
-
-
 @dataclass(frozen=True)
 class NormalVector:
     param: np.ndarray
@@ -145,13 +136,6 @@ def normal_cone_solve(P: Submanifold, param, ms: MetricSpec, guess) -> NormalVec
     return NormalVector(param=param, x=x, eta=eta)
 
 
-def normality_residual(P: Submanifold, param, ms: MetricSpec, eta) -> float:
-    param = np.atleast_1d(np.asarray(param, float))
-    x = P.value(param)
-    basis = P.jacobian(param)
-    return float(np.max(np.abs(basis.T @ _legendre(ms, x, np.asarray(eta, float))[0])))
-
-
 # -- second fundamental form via connections -------------------------------------
 
 
@@ -195,11 +179,8 @@ def sff_connection(P: Submanifold, param, eta, u, v, ms: MetricSpec,
 def omega_F(ms: MetricSpec, w: TangentVector, X1, X2, _frame: PointFrame | None = None) -> float:
     """The symplectic pairing of two raw tangent vectors of TM\\0 at w (``_frame``: order >= 3)."""
     fr = _frame if _frame is not None else PointFrame(ms, w, order=3)
-    X1 = np.asarray(X1, float)
-    X2 = np.asarray(X2, float)
-    n = fr.n
-    a1, b1 = X1[:n], X1[n:] + fr.N @ X1[:n]
-    a2, b2 = X2[:n], X2[n:] + fr.N @ X2[:n]
+    a1, b1 = adapted_split(fr, X1)
+    a2, b2 = adapted_split(fr, X2)
     return float(a1 @ fr.g @ b2 - b1 @ fr.g @ a2)
 
 
@@ -207,34 +188,6 @@ def legendre_transform(ms: MetricSpec, w: TangentVector) -> np.ndarray:
     """The covector g_w(w, .) (half the fiber gradient of F^2)."""
     ms.check_tangent(w)
     return _legendre(ms, w.x, w.y)[0]
-
-
-def legendre_inverse(ms: MetricSpec, x, xi, guess=None, max_iter: int = 50) -> np.ndarray:
-    """Solve legendre_transform(x, y) = xi for y, to a residual below 1e-12, by damped Newton."""
-    tol = 1e-12
-    xi = np.asarray(xi, float)
-    y = np.asarray(guess, float).copy() if guess is not None else xi.copy()
-    if np.linalg.norm(y) < 1e-12:
-        raise NoConvergence("zero guess for the Legendre inverse")
-    cov, g = _legendre(ms, x, y)
-    res = cov - xi
-    for _ in range(max_iter):
-        if np.max(np.abs(res)) < tol:
-            return y
-        step = np.linalg.solve(g, -res)
-        lam = 1.0
-        for _ in range(30):
-            ytry = y + lam * step
-            if np.linalg.norm(ytry) > 1e-12:
-                cov, gtry = _legendre(ms, x, ytry)
-                rtry = cov - xi
-                if np.linalg.norm(rtry) < np.linalg.norm(res):
-                    y, res, g = ytry, rtry, gtry
-                    break
-            lam *= 0.5
-        else:
-            raise NoConvergence("Legendre inverse line search stalled")
-    raise NoConvergence(f"Legendre inverse did not converge in {max_iter} iterations")
 
 
 def _null_space(a: np.ndarray) -> np.ndarray:
@@ -306,5 +259,5 @@ def sff_symplectic(P: Submanifold, nv: NormalVector, u, v, ms: MetricSpec,
     # vertical projection, not the raw dy block
     fr = _frame if _frame is not None else PointFrame(ms, TangentVector(nv.x, nv.eta), 3)
     raw = rows[:k].T @ u  # (2n,) combined raw tangent vector
-    v_full = raw[n:] + fr.N @ raw[:n]
+    _, v_full = adapted_split(fr, raw)
     return float(-v_full @ fr.g @ (rows[:k, :n].T @ v))

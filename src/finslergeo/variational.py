@@ -451,14 +451,6 @@ def integrate_geodesic(src, w0: TangentVector, t_end: float,
     return curves[0] if states0.ndim == 1 else curves
 
 
-def exponential_map(src, x0, v, t: float) -> np.ndarray:
-    """Endpoint of the geodesic with initial point x0 and velocity v at time t."""
-    if t == 0:
-        return np.asarray(x0, float).copy()
-    geo = integrate_geodesic(src, TangentVector(x0, v), t, nodes=5)
-    return geo.points[-1] if t > 0 else geo.points[0]
-
-
 _GAUSS4_NODES = np.array([-0.8611363115940526, -0.3399810435848563,
                           0.3399810435848563, 0.8611363115940526])
 _GAUSS4_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461,

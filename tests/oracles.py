@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 from finslergeo.jets import smath
 from finslergeo.lifts import LiftSpec
-from finslergeo.metrics import TangentVector, fundamental_tensor
+from finslergeo.metrics import TangentVector, _legendre, fundamental_tensor
 from finslergeo.rng import SplitMix64
 from finslergeo.spray import PointFrame
 from finslergeo.variational import integrate_geodesic
@@ -71,6 +71,15 @@ def euler_lagrange_spray(ms, x0, y0, h=1e-5):
     gmat = fundamental_tensor(ms, TangentVector(x0, y0)).g
     acc = np.linalg.solve(gmat, dx - d2 @ y0) / 2.0  # x-ddot
     return -acc / 2.0
+
+
+def normality_residual(P, param, ms, eta) -> float:
+    """max |g_eta(eta, dphi_a)| over the tangent vectors of the submanifold P
+    at param: zero where eta lies in P's normal cone."""
+    param = np.atleast_1d(np.asarray(param, float))
+    x = P.value(param)
+    basis = P.jacobian(param)
+    return float(np.max(np.abs(basis.T @ _legendre(ms, x, np.asarray(eta, float))[0])))
 
 
 def exp_map_jacobi_difference(src, w0, u, grid, h=1e-3):

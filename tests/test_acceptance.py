@@ -13,8 +13,7 @@ import pytest
 
 from finslergeo import cli
 from finslergeo import identities as ident
-from finslergeo.lifts import (ALL_CONDITIONS, affine_coefficients,
-                              check_conditions, classical_lift,
+from finslergeo.lifts import (affine_coefficients, classical_lift, condition_residuals,
                               lift_curvature, random_admissible_lift)
 from finslergeo.metrics import TangentVector, random_tangent
 from finslergeo.rng import SplitMix64
@@ -63,14 +62,14 @@ def test_criterion_2_condition_matrix(randers_var):
     t0 = time.perf_counter()
     expected = {"berwald": ("T3", "M5"), "cartan": ("T2", "M6", "M7"),
                 "chern-rund": ("T3", "M3"), "hashiguchi": ("T2", "M4", "M7")}
+    rng = SplitMix64(19)
+    fr = PointFrame(randers_var, TangentVector.stack([random_tangent(randers_var, rng)
+                                                      for _ in range(50)]))
     worst = 0.0
     for kind, conds in expected.items():
-        rep = check_conditions(classical_lift(kind, randers_var), randers_var,
-                               ALL_CONDITIONS, samples=50, seed=19)
-        for c in conds:
-            worst = max(worst, rep.max_residual(c))
-    m6 = check_conditions(classical_lift("berwald", randers_var), randers_var,
-                          ("M6",), samples=50, seed=19).max_residual("M6")
+        res = condition_residuals(classical_lift(kind, randers_var), fr)
+        worst = max([worst] + [res[c] for c in conds])
+    m6 = condition_residuals(classical_lift("berwald", randers_var), fr, ("M6",))["M6"]
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-7 and m6 > 1e-3 and elapsed < 30.0
     _report(2, "condition matrix", ok,

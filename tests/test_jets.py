@@ -8,30 +8,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslergeo.errors import DomainError
-from finslergeo.jets import (Jet, contract, jet_lift, lift_any, partial, smath,
-                             solve_linear, space_for)
+from finslergeo.jets import Jet, contract, lift_any, smath, solve_linear, space_for
 from finslergeo.rng import SplitMix64
 
 from oracles import sympy_polynomial_jet
 
 
 def test_polynomial_example():
-    j = jet_lift(lambda v: v[0] * v[0] * v[1], [1.0, 2.0], 2)
-    assert partial(j, (2, 0)) == pytest.approx(4.0, abs=1e-14)
-    assert partial(j, (1, 1)) == pytest.approx(2.0, abs=1e-14)
-    assert partial(j, (0, 2)) == 0.0
+    j = lift_any(lambda v: v[0] * v[0] * v[1], [1.0, 2.0], 2)
+    assert j.partial((2, 0)) == pytest.approx(4.0, abs=1e-14)
+    assert j.partial((1, 1)) == pytest.approx(2.0, abs=1e-14)
+    assert j.partial((0, 2)) == 0.0
 
 
 def test_linear_gradient_any_center():
     for center in ([0.0, 0.0], [3.0, -7.5]):
-        j = jet_lift(lambda v: v[0] + v[1], center, 1)
-        assert partial(j, (1, 0)) == 1.0
-        assert partial(j, (0, 1)) == 1.0
+        j = lift_any(lambda v: v[0] + v[1], center, 1)
+        assert j.partial((1, 0)) == 1.0
+        assert j.partial((0, 1)) == 1.0
 
 
 def test_sqrt_hessian_matches_finite_differences():
     f = lambda v: smath.sqrt(v[0] * v[0] + v[1] * v[1])
-    j = jet_lift(f, [3.0, 4.0], 2)
+    j = lift_any(f, [3.0, 4.0], 2)
     h = 1e-4
 
     def fd(i, k):
@@ -48,41 +47,39 @@ def test_sqrt_hessian_matches_finite_differences():
             alpha = [0, 0]
             alpha[i] += 1
             alpha[k] += 1
-            assert partial(j, alpha) == pytest.approx(fd(i, k), abs=1e-6)
+            assert j.partial(alpha) == pytest.approx(fd(i, k), abs=1e-6)
 
 
 def test_partial_trivial_cases():
-    j = jet_lift(lambda v: v[0] * v[0], [3.0], 2)
-    assert partial(j, (2,)) == pytest.approx(2.0)
-    j7 = jet_lift(lambda v: 7.0, [1.0], 2)
-    assert partial(j7, (1,)) == 0.0
-    jexp = jet_lift(lambda v: smath.exp(v[0]) * v[1], [0.0, 1.0], 2)
-    assert partial(jexp, (1, 1)) == pytest.approx(1.0, abs=1e-14)
+    j = lift_any(lambda v: v[0] * v[0], [3.0], 2)
+    assert j.partial((2,)) == pytest.approx(2.0)
+    j7 = lift_any(lambda v: 7.0, [1.0], 2)
+    assert j7.partial((1,)) == 0.0
+    jexp = lift_any(lambda v: smath.exp(v[0]) * v[1], [0.0, 1.0], 2)
+    assert jexp.partial((1, 1)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_partial_order_overflow_raises():
-    j = jet_lift(lambda v: v[0], [1.0], 2)
+    j = lift_any(lambda v: v[0], [1.0], 2)
     with pytest.raises(IndexError):
-        partial(j, (3,))
+        j.partial((3,))
     with pytest.raises(IndexError):
-        partial(j, (1, 1))  # wrong arity
+        j.partial((1, 1))  # wrong arity
     for k in (3, -1):
         with pytest.raises(IndexError):
             j.derivative(k)
 
 
-def test_order_cap_enforced():
+def test_negative_order_refused():
     with pytest.raises(ValueError):
-        jet_lift(lambda v: v[0], [1.0], 5)
-    with pytest.raises(ValueError):
-        jet_lift(lambda v: v[0], [1.0], 0)
+        lift_any(lambda v: v[0], [1.0], -1)
 
 
 def test_domain_error_at_branch():
     with pytest.raises(DomainError):
-        jet_lift(lambda v: smath.sqrt(v[0]), [-1.0], 2)
+        lift_any(lambda v: smath.sqrt(v[0]), [-1.0], 2)
     with pytest.raises(DomainError):
-        jet_lift(lambda v: 1.0 / (v[0] - 2.0), [2.0], 2)
+        lift_any(lambda v: 1.0 / (v[0] - 2.0), [2.0], 2)
 
 
 def test_random_polynomials_exact_against_sympy():
@@ -101,9 +98,9 @@ def test_random_polynomials_exact_against_sympy():
             continue
         fn, exact = sympy_polynomial_jet(coeff_map, nvars)
         center = [rng.uniform(-1.5, 1.5) for _ in range(nvars)]
-        jet = jet_lift(fn, center, 4)
+        jet = lift_any(fn, center, 4)
         for alpha in jet.space.alphas:
-            got = partial(jet, alpha)
+            got = jet.partial(alpha)
             want = exact(alpha, center)
             assert abs(got - want) < 1e-12 * max(1.0, abs(want)), (alpha, got, want)
             checked += 1
@@ -118,8 +115,8 @@ def test_random_polynomials_exact_against_sympy():
 
 
 def test_division_and_series_consistency():
-    a = jet_lift(lambda v: smath.sin(v[0]) + 2.0, [0.3], 4)
-    b = jet_lift(lambda v: smath.exp(0.5 * v[0]) + v[0] * v[0], [0.3], 4)
+    a = lift_any(lambda v: smath.sin(v[0]) + 2.0, [0.3], 4)
+    b = lift_any(lambda v: smath.exp(0.5 * v[0]) + v[0] * v[0], [0.3], 4)
     prod = (a / b) * b
     assert np.max(np.abs(prod.c - a.c)) < 1e-14
     lg = (a.log()).exp()
@@ -129,18 +126,18 @@ def test_division_and_series_consistency():
 
 
 def test_truncate_is_prefix():
-    j = jet_lift(lambda v: smath.exp(v[0] + 0.5 * v[1]), [0.1, 0.2], 4)
+    j = lift_any(lambda v: smath.exp(v[0] + 0.5 * v[1]), [0.1, 0.2], 4)
     t = j.truncate(2)
     assert t.order == 2
     for alpha in t.space.alphas:
-        assert partial(t, alpha) == partial(j, alpha)
+        assert t.partial(alpha) == j.partial(alpha)
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv],
                          ids=["add", "sub", "mul", "truediv"])
 def test_mixed_space_arithmetic_raises(op):
-    a = jet_lift(lambda v: 1.0 + v[0], [1.0, 2.0], 2)
-    b = jet_lift(lambda v: 1.0 + v[0], [1.0, 2.0], 3)
+    a = lift_any(lambda v: 1.0 + v[0], [1.0, 2.0], 2)
+    b = lift_any(lambda v: 1.0 + v[0], [1.0, 2.0], 3)
     with pytest.raises(ValueError):
         _ = op(a, b)
     with pytest.raises(ValueError):
@@ -156,17 +153,17 @@ def test_lift_is_linear_in_rules(a, b, c):
     f = lambda v: a * v[0] + b * v[1] * v[0]
     g = lambda v: c * v[1] * v[1]
     center = [0.7, -0.2]
-    jf = jet_lift(f, center, 3)
-    jg = jet_lift(g, center, 3)
-    jfg = jet_lift(lambda v: f(v) + g(v), center, 3)
+    jf = lift_any(f, center, 3)
+    jg = lift_any(g, center, 3)
+    jfg = lift_any(lambda v: f(v) + g(v), center, 3)
     assert np.max(np.abs(jfg.c - (jf.c + jg.c))) < 1e-12
 
 
 def test_pow_matches_repeated_multiplication():
-    j = jet_lift(lambda v: 1.0 + v[0], [0.2], 4)
+    j = lift_any(lambda v: 1.0 + v[0], [0.2], 4)
     assert np.max(np.abs((j ** 3).c - (j * j * j).c)) < 1e-14
     inv2 = j ** (-2)
-    assert np.max(np.abs((inv2 * j * j).c - jet_lift(lambda v: 1.0, [0.2], 4).c)) < 1e-13
+    assert np.max(np.abs((inv2 * j * j).c - lift_any(lambda v: 1.0, [0.2], 4).c)) < 1e-13
 
 
 @settings(max_examples=60, deadline=None)

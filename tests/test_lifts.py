@@ -4,21 +4,16 @@ import pytest
 from finslergeo import identities as ident
 from finslergeo import metrics
 from finslergeo.errors import GridError, InvalidLift, NullReference
-from finslergeo.lifts import (ALL_CONDITIONS, ClassicalKind, LiftSpec,
-                              affine_coefficients, canonical_section,
-                              check_conditions, classical_lift,
-                              condition_residuals, constant_section,
-                              covariant_derivative_curve, cprime_tensor,
-                              lift_curvature, lift_tensors,
-                              lift_tensors_flat, nabla_apply,
-                              nabla_g, random_admissible_lift,
-                              section_from_rule, torsion)
-from finslergeo.jets import Jet, smath
+from finslergeo.lifts import (ALL_CONDITIONS, ClassicalKind, LiftSpec, SectionJet,
+                              affine_coefficients, classical_lift,
+                              condition_residuals, covariant_derivative_curve,
+                              lift_curvature, lift_tensors, lift_tensors_flat,
+                              nabla_apply, random_admissible_lift)
+from finslergeo.jets import Jet, lift_any, smath
 from finslergeo.metrics import (TangentVector, cartan_tensor, fundamental_tensor,
                                 metric_value, random_tangent, riemannian)
 from finslergeo.rng import SplitMix64
-from finslergeo.spray import (PointFrame, SpraySpec, curvature_endomorphism,
-                              spray_coefficients, spray_values)
+from finslergeo.spray import PointFrame, SpraySpec, curvature_endomorphism
 from finslergeo.variational import (Curve, FieldAlongCurve, VariationFamily, fd_derivative,
                                     integrate_geodesic, parallel_transport,
                                     variation_symmetry_residual)
@@ -66,13 +61,13 @@ def test_hashiguchi_on_riemannian_equals_berwald(sphere):
 
 
 def test_cprime_riemannian_zero(sphere):
-    Cp = cprime_tensor(sphere, TangentVector([0.4, -0.2], [0.3, 0.9])).Cp
+    Cp = PointFrame(sphere, TangentVector([0.4, -0.2], [0.3, 0.9])).Cp_low
     assert np.max(np.abs(Cp)) < 1e-12
 
 
 def test_cprime_minkowski_randers_zero(randers_const):
     w = TangentVector([0.3, 0.1], [0.8, 0.4])
-    Cp = cprime_tensor(randers_const, w).Cp
+    Cp = PointFrame(randers_const, w).Cp_low
     assert np.max(np.abs(Cp)) < 1e-12
     # transported Cartan contraction is t-constant along geodesics
     geo = integrate_geodesic(randers_const, w, 0.5, nodes=51)
@@ -97,7 +92,7 @@ def test_cprime_symmetry_and_contraction(funk):
     rng = SplitMix64(9)
     for _ in range(10):
         w = random_tangent(funk, rng)
-        Cp = cprime_tensor(funk, w).Cp
+        Cp = PointFrame(funk, w).Cp_low
         for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
             assert np.max(np.abs(Cp - np.transpose(Cp, perm))) < 1e-10
         assert np.max(np.abs(np.einsum("ijk,k->ij", Cp, w.y))) < 1e-9
@@ -106,19 +101,27 @@ def test_cprime_symmetry_and_contraction(funk):
 # -- nabla and torsion ----------------------------------------------------------
 
 
+def _canonical_section(w):
+    """The canonical field: fiber components equal to the fiber coordinates."""
+    return SectionJet(np.array(w.y, float), np.zeros((2, 2)), np.eye(2))
+
+
+def _horizontal(fr, u):
+    """Raw (dx, dy) components of the horizontal lift of u at fr's point."""
+    return np.concatenate([u, -fr.N @ u])
+
+
 def test_nabla_apply_canonical_section(randers_var):
     w = TangentVector([0.25, -0.3], [0.7, 0.45])
-    sd = spray_coefficients(randers_var, w)
+    fr = PointFrame(randers_var, w)
     for lift in [classical_lift(k, randers_var) for k in THEOREM_SETS] + \
             [random_admissible_lift(randers_var, 7)]:
         b = np.array([0.4, -0.8])
         out = nabla_apply(lift, randers_var, w, np.concatenate([[0, 0], b]),
-                          canonical_section(w))
+                          _canonical_section(w))
         assert np.max(np.abs(out - b)) < 1e-12  # almost-projectability
-        from finslergeo.spray import horizontal_lift
-
-        out_h = nabla_apply(lift, randers_var, w, horizontal_lift(sd, [1.0, -0.5]),
-                            canonical_section(w))
+        out_h = nabla_apply(lift, randers_var, w, _horizontal(fr, np.array([1.0, -0.5])),
+                            _canonical_section(w))
         assert np.max(np.abs(out_h)) < 1e-12
 
 
@@ -126,16 +129,22 @@ def test_nabla_apply_euclidean_constant_section(euclid2):
     w = TangentVector([0.0, 0.0], [1.0, 0.0])
     lift = classical_lift("berwald", euclid2)
     out = nabla_apply(lift, euclid2, w, [0.3, 0.4, -0.1, 0.2],
-                      constant_section(w, [2.0, -1.0]))
+                      SectionJet(np.array([2.0, -1.0]), np.zeros((2, 2)), np.zeros((2, 2))))
     assert np.max(np.abs(out)) == 0.0
 
 
-def test_nabla_apply_section_from_rule(randers_var):
+def test_nabla_apply_section_from_rule(euclid2):
+    # the section's jet read off a rule; on a flat metric nabla_X s = ds/dx a + ds/dy b
     w = TangentVector([0.1, 0.2], [0.9, -0.2])
-    sec = section_from_rule(lambda xs, ys: [xs[0] * ys[1], xs[1] + 0.5 * ys[0]], w)
-    assert np.allclose(sec.value, [w.x[0] * w.y[1], w.x[1] + 0.5 * w.y[0]])
-    assert np.allclose(sec.dx, [[w.y[1], 0.0], [0.0, 1.0]])
-    assert np.allclose(sec.dy, [[0.0, w.x[0]], [0.5, 0.0]])
+    sec = lift_any(lambda v: [v[0] * v[3], v[1] + 0.5 * v[2]], np.concatenate([w.x, w.y]), 1)
+    d1 = sec.derivative(1)
+    section = SectionJet(sec.value, d1[:, :2], d1[:, 2:])
+    assert np.allclose(section.value, [w.x[0] * w.y[1], w.x[1] + 0.5 * w.y[0]])
+    assert np.allclose(section.dx, [[w.y[1], 0.0], [0.0, 1.0]])
+    assert np.allclose(section.dy, [[0.0, w.x[0]], [0.5, 0.0]])
+    X = np.array([0.3, 0.4, -0.1, 0.2])
+    out = nabla_apply(classical_lift("berwald", euclid2), euclid2, w, X, section)
+    assert np.allclose(out, section.dx @ X[:2] + section.dy @ X[2:], atol=1e-15)
 
 
 def test_invalid_lift_detected(randers_var):
@@ -143,59 +152,55 @@ def test_invalid_lift_detected(randers_var):
                    cprime_flat=lambda w: np.zeros((2, 2, 2)))
     w = TangentVector([0.1, 0.1], [1.0, 0.4])
     with pytest.raises(InvalidLift):
-        nabla_apply(bad, randers_var, w, [1, 0, 0, 0], canonical_section(w))
+        nabla_apply(bad, randers_var, w, [1, 0, 0, 0], _canonical_section(w))
 
 
 def test_torsion_spray_vertical_vanishes(randers_var):
+    # T(S, V) = -Cc(V, y): the vertical lift tensor vanishes on the base direction
     w = TangentVector([0.3, -0.4], [0.8, 0.5])
-    fr = PointFrame(randers_var, w, order=4)
-    s_raw = np.concatenate([w.y, -fr.N @ w.y])
+    fr = PointFrame(randers_var, w)
     for lift in [classical_lift(k, randers_var) for k in THEOREM_SETS] + \
             [random_admissible_lift(randers_var, 13)]:
-        out = torsion(lift, randers_var, w, s_raw, [0.0, 0.0, 0.7, -0.2], _frame=fr)
-        assert np.max(np.abs(out)) < 1e-12
+        cc, _ = lift_tensors(lift, fr)
+        assert np.max(np.abs(np.einsum("ijk,k->ij", cc, w.y))) < 1e-12
 
 
 def test_torsion_classes(randers_var):
     rng = SplitMix64(21)
-    berwald = classical_lift("berwald", randers_var)
-    cartan = classical_lift("cartan", randers_var)
-    hh_seen = 0.0
-    for _ in range(20):
-        w = random_tangent(randers_var, rng)
-        fr = PointFrame(randers_var, w, order=4)
-        X = rng.vector(4)
-        Y = rng.vector(4)
-        assert np.max(np.abs(torsion(berwald, randers_var, w, X, Y, _frame=fr))) < 1e-9
-        from finslergeo.spray import horizontal_lift
-
-        sd = spray_coefficients(randers_var, w)
-        hx = horizontal_lift(sd, rng.direction(2))
-        hy = horizontal_lift(sd, rng.direction(2))
-        assert np.max(np.abs(torsion(cartan, randers_var, w, hx, hy, _frame=fr))) < 1e-9
-        mixed = torsion(cartan, randers_var, w, hx, np.concatenate([[0, 0], rng.direction(2)]),
-                        _frame=fr)
-        hh_seen = max(hh_seen, np.max(np.abs(mixed)))
-    assert hh_seen > 1e-4  # horizontal-vertical torsion of Cartan is generally nonzero
+    fr = _batch(randers_var, [random_tangent(randers_var, rng) for _ in range(20)])
+    berwald = condition_residuals(classical_lift("berwald", randers_var), fr, ("T3",))
+    cartan = condition_residuals(classical_lift("cartan", randers_var), fr, ("T2", "T3"))
+    assert berwald["T3"] < 1e-9
+    assert cartan["T2"] < 1e-9
+    assert cartan["T3"] > 1e-4  # horizontal-vertical torsion of Cartan is generally nonzero
 
 
 # -- condition matrix ------------------------------------------------------------
 
 
+def _batch(ms, ws):
+    return PointFrame(ms, TangentVector.stack(ws))
+
+
+def _sampled(ms, samples, seed):
+    """One frame at ``samples`` random tangent points drawn from ``seed``."""
+    rng = SplitMix64(seed)
+    return _batch(ms, [random_tangent(ms, rng) for _ in range(samples)])
+
+
 def test_theorem_condition_sets(randers_var):
+    fr = _sampled(randers_var, 15, 3)
     for kind, conds in THEOREM_SETS.items():
-        rep = check_conditions(classical_lift(kind, randers_var), randers_var,
-                               ALL_CONDITIONS, samples=15, seed=3)
-        assert rep.satisfied(conds, 1e-7), (kind, rep.residuals)
-    rep_b = check_conditions(classical_lift("berwald", randers_var), randers_var,
-                             ("M6",), samples=15, seed=3)
-    assert rep_b.max_residual("M6") > 1e-3
+        res = condition_residuals(classical_lift(kind, randers_var), fr)
+        assert all(res[c] < 1e-7 for c in conds), (kind, res)
+    res_b = condition_residuals(classical_lift("berwald", randers_var), fr, ("M6",))
+    assert res_b["M6"] > 1e-3
 
 
 def test_minkowski_exact_pass_set(randers_const):
-    rep = check_conditions(classical_lift("berwald", randers_const), randers_const,
-                           ALL_CONDITIONS, samples=15, seed=5)
-    passing = {c for c, v in rep.residuals.items() if v < 1e-8}
+    res = condition_residuals(classical_lift("berwald", randers_const),
+                              _sampled(randers_const, 15, 5))
+    passing = {c for c, v in res.items() if v < 1e-8}
     assert passing == {"T1", "T2", "T3", "M1", "M2", "M3", "M5", "M7"}
 
 
@@ -219,10 +224,6 @@ def test_lift_tensors_of_a_batched_frame(randers_var):
                 assert np.array_equal(part.reshape(6, 2, 2, 2)[k], ref), (lift.name, k)
 
 
-def _batch(ms, ws):
-    return PointFrame(ms, TangentVector.stack(ws))
-
-
 def test_batched_condition_residuals_are_the_sup_over_points(randers_var):
     rng = SplitMix64(37)
     ws = [random_tangent(randers_var, rng) for _ in range(6)]
@@ -242,13 +243,13 @@ def test_batched_condition_residuals_are_the_sup_over_points(randers_var):
 
 
 def test_m_conditions_need_metric():
-    from finslergeo.spray import SpraySpec
-
     spray = SpraySpec(2, lambda xs, ys: [0.0, 0.0])
     lift = LiftSpec("zero", c_raw=lambda w: np.zeros((2, 2, 2)),
                     cprime_raw=lambda w: np.zeros((2, 2, 2)))
+    fr = PointFrame(spray, TangentVector([[0.1, 0.2], [-0.3, 0.4]], [[1.0, 0.5], [0.2, -0.7]]))
+    assert condition_residuals(lift, fr, ("T1", "T3")) == {"T1": 0.0, "T3": 0.0}
     with pytest.raises(TypeError):
-        check_conditions(lift, spray, ("M1",), samples=2, seed=1)
+        condition_residuals(lift, fr, ("M1",))
 
 
 # -- curvature of lifts ----------------------------------------------------------

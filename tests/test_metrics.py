@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslergeo import metrics
+from finslergeo import metrics, spray
 from finslergeo.errors import DomainError, NotPositiveDefinite, NullDirection
+from finslergeo.lifts import affine_coefficients, classical_lift, lift_curvature
 from finslergeo.metrics import (TangentVector, cartan_tensor, check_metric,
                                 fundamental_tensor, g_bilinear, metric_value,
                                 random_tangent)
 from finslergeo.rng import SplitMix64
+from finslergeo.submanifolds import legendre_transform
+from finslergeo.variational import integrate_geodesic
 
 from oracles import hessian, third_derivative
 
@@ -208,8 +211,6 @@ def test_randers_constant_beta_of_wrong_length_is_refused(dim, beta):
 def test_one_legendre_jet_gives_the_order_one_and_two_jets_values(name, request):
     # g and the Legendre covector come from one order-2 y-jet, bit for bit what
     # the separate order-2 and order-1 jets gave, on a batch
-    from finslergeo.submanifolds import legendre_transform
-
     ms = request.getfixturevalue(name)
     rng = SplitMix64(43)
     w = TangentVector.stack([random_tangent(ms, rng) for _ in range(7)])
@@ -229,3 +230,53 @@ def test_cartan_tensor_refuses_where_the_fundamental_tensor_does():
     for tensor in (fundamental_tensor, cartan_tensor):
         with pytest.raises(NotPositiveDefinite, match=r"y=\[-1\.  0\.\]"):
             tensor(ms, w)
+
+
+# -- the admissibility contract -----------------------------------------------------
+
+
+def _u(w):
+    return np.ones(np.shape(w.y))
+
+
+def _berwald(ms):
+    return classical_lift("berwald", ms)
+
+
+# every public entry point that takes a TangentVector, called at (ms, w)
+_ENTRY_POINTS = {
+    "metric_value": metric_value,
+    "fundamental_tensor": fundamental_tensor,
+    "cartan_tensor": cartan_tensor,
+    "legendre_transform": legendre_transform,
+    "spray_coefficients": spray.spray_coefficients,
+    "curvature_endomorphism": spray.curvature_endomorphism,
+    "flag_curvature": lambda ms, w: spray.flag_curvature(ms, w, _u(w)),
+    "PointFrame": spray.PointFrame,
+    "affine_coefficients": lambda ms, w: affine_coefficients(_berwald(ms), ms, w),
+    "lift_curvature": lambda ms, w: lift_curvature(_berwald(ms), ms, w, _u(w)),
+    "integrate_geodesic": lambda ms, w: integrate_geodesic(ms, w, 0.5),
+    "spray_values": lambda ms, w: spray.spray_values(ms, w.x, w.y),
+}
+
+# violation: (metric, tangent vector, the typed error every entry point raises)
+_VIOLATIONS = {
+    "null y": (metrics.funk(2), TangentVector([0.1, 0.2], [0.0, 0.0]), NullDirection),
+    "off chart": (metrics.funk(2), TangentVector([1.2, 0.0], [1.0, 0.0]), DomainError),
+    # F = |y| + b.y = -0.5 < 0 while F^2 = 0.25 > 0
+    "g not positive definite": (metrics.randers(2, [1.5, 0.0]),
+                                TangentVector([0.0, 0.0], [-1.0, 0.0]), NotPositiveDefinite),
+    "3-vector on a 2-D metric": (metrics.randers(2, [0.5, 0.0]),
+                                 TangentVector([0.1, 0.2, 0.3], [1.0, 0.0, 0.0]), ValueError),
+}
+
+
+@pytest.mark.parametrize("entry, violation", [
+    (entry, violation) for entry in _ENTRY_POINTS for violation in _VIOLATIONS
+    # the right-hand-side fast path has no slit or chart test of its own
+    if entry != "spray_values" or violation not in ("null y", "off chart")])
+def test_admissibility_contract(entry, violation):
+    ms, w, error = _VIOLATIONS[violation]
+    with pytest.raises(error) as info:
+        _ENTRY_POINTS[entry](ms, w)
+    assert info.type is error, info.value

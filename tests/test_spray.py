@@ -7,9 +7,8 @@ from finslergeo.lifts import classical_lift, lift_tensors
 from finslergeo.errors import DegenerateFlag, DomainError, NotPositiveDefinite, NullDirection
 from finslergeo.metrics import TangentVector, random_tangent
 from finslergeo.rng import SplitMix64
-from finslergeo.spray import (PointFrame, SpraySpec, curvature_endomorphism,
-                              flag_curvature, horizontal_lift,
-                              spray_coefficients, spray_values, vertical_projector)
+from finslergeo.spray import (PointFrame, SpraySpec, adapted_split, curvature_endomorphism,
+                              flag_curvature, spray_coefficients, spray_values)
 from finslergeo.variational import integrate_geodesic
 
 from oracles import euler_lagrange_spray, riemann_jacobi_operator
@@ -48,19 +47,24 @@ def test_homogeneity_chain(name, request):
 
 def test_horizontal_vertical_split(randers_var):
     w = TangentVector([0.2, 0.1], [0.9, -0.4])
-    sd = spray_coefficients(randers_var, w)
+    fr = PointFrame(randers_var, w)
     u = np.array([1.0, 0.0])
-    lifted = horizontal_lift(sd, u)
-    assert np.allclose(lifted[:2], u)
-    assert np.max(np.abs(vertical_projector(sd, lifted))) < 1e-12
-    assert np.max(np.abs(horizontal_lift(sd, [0.0, 0.0]))) == 0.0
+    # the horizontal lift of u, raw (u, -N u), has adapted parts (u, 0)
+    a, b = adapted_split(fr, np.concatenate([u, -fr.N @ u]))
+    assert np.array_equal(a, u)
+    assert np.max(np.abs(b)) < 1e-12
     # vertical vectors keep their fiber components
-    assert np.allclose(vertical_projector(sd, [0.0, 0.0, 0.3, -0.7]), [0.3, -0.7])
-    # reconstruction: X - hor(dpi X) is vertical with the projected components
+    a, b = adapted_split(fr, [0.0, 0.0, 0.3, -0.7])
+    assert not a.any() and np.array_equal(b, [0.3, -0.7])
+    # reconstruction: X is hor(a) plus the vertical vector with fiber components b
     X = np.array([0.5, -0.2, 0.7, 0.1])
-    rem = X - horizontal_lift(sd, X[:2])
-    assert np.max(np.abs(rem[:2])) < 1e-15
-    assert np.max(np.abs(rem[2:] - vertical_projector(sd, X))) < 1e-12
+    a, b = adapted_split(fr, X)
+    assert np.max(np.abs(np.concatenate([a, b - fr.N @ a]) - X)) < 1e-15
+    # a batch splits each point as its own call does
+    Xs = np.array([X, [0.0, 0.0, 0.3, -0.7], [-1.0, 2.0, 0.5, 0.0]])
+    frames = PointFrame(randers_var, TangentVector(np.stack([w.x] * 3), np.stack([w.y] * 3)))
+    for part, parts in zip(adapted_split(frames, Xs), zip(*(adapted_split(fr, x) for x in Xs))):
+        assert np.array_equal(part, np.stack(parts))
 
 
 def test_euclidean_curvature_zero(euclid2):

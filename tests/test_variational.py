@@ -17,7 +17,7 @@ from finslergeo.spray import PointFrame
 from finslergeo.submanifolds import affine_subspace, circle
 from finslergeo.variational import (DEFAULT_ATOL, DEFAULT_RTOL, Curve,
                                     FieldAlongCurve, VariationFamily, _ChebyshevTable,
-                                    energy, exponential_map, family_curve, fd_derivative,
+                                    energy, family_curve, fd_derivative,
                                     geodesic_residual, integrate_geodesic,
                                     jacobi_integrate, jacobi_variation_oracle,
                                     parallel_transport,
@@ -81,12 +81,13 @@ def test_domain_exit_and_exp(euclid2, randers_const):
                   domain_margin=lambda x: 1.0 - (x * x).sum(axis=-1))
     with pytest.raises(DomainExit):
         integrate_geodesic(disk, TangentVector([0.0, 0.0], [1.0, 0.0]), 5.0)
-    assert np.allclose(exponential_map(euclid2, [0.2, -0.5], [0.3, 0.4], 2.0),
-                       [0.8, 0.3], atol=1e-12)
-    assert np.allclose(exponential_map(euclid2, [0.2, -0.5], [1.0, 1.0], 0.0),
-                       [0.2, -0.5])
-    a = exponential_map(randers_const, [0.1, 0.2], [1.2, 0.6], 0.5)
-    b = exponential_map(randers_const, [0.1, 0.2], [0.6, 0.3], 1.0)
+
+    def endpoint(ms, x0, v, t):
+        return integrate_geodesic(ms, TangentVector(x0, v), t, nodes=5).points[-1]
+
+    assert np.allclose(endpoint(euclid2, [0.2, -0.5], [0.3, 0.4], 2.0), [0.8, 0.3], atol=1e-12)
+    a = endpoint(randers_const, [0.1, 0.2], [1.2, 0.6], 0.5)
+    b = endpoint(randers_const, [0.1, 0.2], [0.6, 0.3], 1.0)
     assert np.max(np.abs(a - b)) < 1e-8
 
 
