@@ -359,6 +359,8 @@ class MetricValidationReport:
 def random_tangent(ms: MetricSpec, rng: SplitMix64) -> TangentVector:
     """Random admissible chart point, in the box of half-width
     ``ms.sample_radius``, and direction for sweeps."""
+    if not isinstance(ms, MetricSpec):
+        raise TypeError(f"random tangent sampling requires a metric, got {ms!r}")
     r = ms.sample_radius
     for _ in range(1000):
         x = rng.vector(ms.dim, -r, r)

@@ -25,6 +25,7 @@ skips the frame: an order-2 jet of F^2 and one numeric solve.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -99,9 +100,37 @@ def _index(blocks, n):
     return (...,) + tuple(slice(None, n) if b == "x" else slice(n, None) for b in blocks)
 
 
+# Frames built at the same points share one lift of F^2 and one spray solve:
+# the jets of the last _MEMO_SIZE builds, least recently used out first. Eight
+# covers the two local doublings (up to three blocks each) that the Jacobi
+# oracle and jacobi_integrate make at the same nodes of one geodesic. The key
+# is the source object, not its rule, so a rule must not change after use; an
+# entry holds its source, so the id in its key is not reused while it lives.
+_MEMO_SIZE = 8
+_memo = OrderedDict()
+
+
 def _frame_jets(src, x, y, order):
-    """(f, g, ginv, gpoly, Gpoly) at points (..., n); the metric parts are
-    None for a bare spray. Every jet has the batch axes first."""
+    """(f, g, ginv, gpoly, Gpoly) at points (..., n), shared read-only by every
+    frame of the same source object at the same points and order; the metric
+    parts are None for a bare spray. Every jet has the batch axes first."""
+    key = (id(src), order, x.shape, x.tobytes(), y.tobytes())
+    entry = _memo.get(key)
+    if entry is not None and entry[0] is src:
+        _memo.move_to_end(key)
+        return entry[1]
+    jets = _build_frame_jets(src, x, y, order)
+    for part in jets:
+        if part is not None:
+            # an in-place write would corrupt every later frame at these points
+            (part.c if isinstance(part, Jet) else part).flags.writeable = False
+    _memo[key] = (src, jets)
+    if len(_memo) > _MEMO_SIZE:
+        _memo.popitem(last=False)
+    return jets
+
+
+def _build_frame_jets(src, x, y, order):
     n = x.shape[-1]
     center = np.concatenate([x, y], axis=-1)
     p = order - 2
@@ -149,6 +178,14 @@ class PointFrame:
     point is bitwise equal to its own single-point frame. One bad point
     (null, outside the domain, or with g not positive definite) refuses
     the batch, naming the first. ``fr[i]`` is the frame at batch index i.
+
+    Frames of the same source object at the same points and order share
+    one lift and one solve: the jets of the last few builds (per block of
+    a large batch) are kept in a bounded memo keyed by the source object,
+    so a source's rule must not change once it has been used. Shared jets
+    (``f``, ``g``, ``ginv``, ``gpoly``, ``Gpoly``) are read-only; a batch
+    built in blocks holds joined copies. The tangent checks run for every
+    frame.
     """
 
     def __init__(self, src, w: TangentVector, order: int = 4):
@@ -208,8 +245,15 @@ class PointFrame:
         source, blocks, factor = _TENSORS[name]
 
         def build():
-            jet = self._source(source).truncate(len(blocks) + 1)
-            for block in blocks:
+            rest = blocks
+            if source == "f" and blocks[:2] == "yy":
+                # the fiber Hessian of F^2 is 2 gpoly exactly: the two grads
+                # _build_frame_jets took, with the same factors in the same order
+                self._need_metric()
+                jet, rest = (2.0 * self.gpoly).truncate(len(blocks) - 1), blocks[2:]
+            else:
+                jet = self._source(source).truncate(len(blocks) + 1)
+            for block in rest:
                 jet = jet.grad()[_index(block, self.n)]
             return factor * jet
 

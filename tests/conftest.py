@@ -1,9 +1,17 @@
 import pytest
 
-from finslergeo import metrics
+from finslergeo import metrics, spray
 from finslergeo.jets import smath
 from finslergeo.metrics import TangentVector
 from finslergeo.rng import SplitMix64
+
+
+@pytest.fixture(autouse=True)
+def fresh_frame_memo():
+    """Start every test with no memoized frame jets: the metric fixtures are
+    session-scoped, so a test that patches ``lift_any``, ``solve_linear`` or a
+    metric's rule would otherwise read jets an earlier test built."""
+    spray._memo.clear()
 
 
 @pytest.fixture(scope="session")

@@ -232,6 +232,13 @@ def test_cartan_tensor_refuses_where_the_fundamental_tensor_does():
             tensor(ms, w)
 
 
+def test_random_tangent_refuses_a_bare_spray():
+    # a spray has no sampling box; this used to end in an AttributeError
+    bare = spray.SpraySpec(2, lambda xs, ys: [0.0, 0.0], name="flat")
+    with pytest.raises(TypeError, match=r"SpraySpec\(flat, dim=2\)"):
+        random_tangent(bare, SplitMix64(0))
+
+
 # -- the admissibility contract -----------------------------------------------------
 
 

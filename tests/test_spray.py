@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -502,3 +504,102 @@ def test_flag_curvature_refuses_a_u_of_the_wrong_length():
     w = TangentVector([0.1, 0.0, 0.2], [1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match=r"u of shape \(2,\).*w\.y of shape \(3,\)"):
         flag_curvature(metrics.funk(3), w, [0.0, 1.0])
+
+
+# -- the frame-jet memo -----------------------------------------------------------------
+
+
+def _counting_lifts(monkeypatch):
+    """The orders of the F^2 (or spray-rule) lifts that frames make from now on."""
+    orders = []
+    real = spray.lift_any
+
+    def lift_any(fn, center, order):
+        orders.append(order)
+        return real(fn, center, order)
+
+    monkeypatch.setattr(spray, "lift_any", lift_any)
+    return orders
+
+
+def test_frames_at_one_point_share_one_lift(randers_var, monkeypatch):
+    w = random_tangent(randers_var, SplitMix64(3))
+    u = np.array([-w.y[1], w.y[0]])
+    lifts = _counting_lifts(monkeypatch)
+    # the library tour at one point: four order-4 frames, one lift of F^2
+    spray_coefficients(randers_var, w)
+    curvature_endomorphism(randers_var, w)
+    flag_curvature(randers_var, w, u)
+    PointFrame(randers_var, w)
+    assert lifts == [4]
+    # a frame over more than one block is memoized per block
+    X, Y = _batch(randers_var, 2 * spray._BLOCK + 5, 9)
+    for _ in range(2):
+        PointFrame(randers_var, TangentVector(X, Y))
+    assert lifts == [4, 4, 4, 4]
+
+
+def test_a_memo_hit_is_bitwise_a_fresh_build(randers_var):
+    w = random_tangent(randers_var, SplitMix64(4))
+    first = PointFrame(randers_var, w)
+    hit = PointFrame(randers_var, w)
+    assert hit.f is first.f
+    spray._memo.clear()
+    fresh = PointFrame(randers_var, w)
+    assert fresh.f is not first.f
+    for name in ("G", "N", "B", "R", "C_low", "Cp_low"):
+        assert getattr(hit, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+
+def test_the_memo_misses_another_source_order_or_point(monkeypatch):
+    ms = metrics.randers(2, [0.3, 0.1])
+    twin = copy.copy(ms)    # the same rule, another object
+    assert twin.f2 is ms.f2
+    w = TangentVector([0.0, 0.2], [1.0, 0.5])
+    PointFrame(ms, w)
+    lifts = _counting_lifts(monkeypatch)
+    PointFrame(ms, w)
+    assert lifts == []
+    PointFrame(twin, w)
+    PointFrame(ms, w, order=5)
+    PointFrame(ms, TangentVector([0.0, np.nextafter(0.2, 1.0)], w.y))
+    PointFrame(ms, TangentVector(w.x, [1.0, np.nextafter(0.5, 0.0)]))
+    PointFrame(ms, TangentVector([-0.0, 0.2], w.y))   # other bytes, the same point
+    assert lifts == [4, 5, 4, 4, 4]
+
+
+def test_the_memo_is_bounded_and_keeps_the_recently_used(randers_var, monkeypatch):
+    size = spray._MEMO_SIZE
+    X, Y = _batch(randers_var, 3 * size, 11)
+    ws = [TangentVector(x, y) for x, y in zip(X, Y)]
+    for w in ws:
+        PointFrame(randers_var, w)
+        assert len(spray._memo) <= size
+    spray._memo.clear()
+    for w in ws[:size]:
+        PointFrame(randers_var, w)
+    PointFrame(randers_var, ws[0])          # used again: ws[1] is now the least recent
+    PointFrame(randers_var, ws[size])       # so it is the one evicted
+    lifts = _counting_lifts(monkeypatch)
+    PointFrame(randers_var, ws[0])
+    PointFrame(randers_var, ws[size])
+    assert lifts == []
+    PointFrame(randers_var, ws[1])
+    assert lifts == [4]
+
+
+def test_shared_frame_jets_are_read_only(randers_var):
+    fr = PointFrame(randers_var, random_tangent(randers_var, SplitMix64(5)))
+    for name, a in (("f", fr.f.c), ("g", fr.g), ("ginv", fr.ginv)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+        assert np.all(np.isfinite(a)), name
+
+
+def test_a_refused_build_leaves_nothing_behind():
+    wild = metrics.randers(2, [1.3, 0.0])
+    w = TangentVector([0.0, 0.0], [-1.0, 0.2])
+    for _ in range(2):
+        with pytest.raises(NotPositiveDefinite):
+            PointFrame(wild, w)
+    assert len(spray._memo) == 0
