@@ -531,6 +531,20 @@ def _normal_direction(ms, x, vel, rng):
     return d / np.linalg.norm(d)
 
 
+def _once_per_times(fn):
+    """``fn`` of a time array, evaluated once while the times repeat: the five
+    energies of a variation family sample it on one grid."""
+    memo = {}
+
+    def at(t):
+        key = (t.shape, t.tobytes())
+        if key not in memo:
+            memo.clear()
+            memo[key] = fn(t)
+        return memo[key]
+    return at
+
+
 def task_second_variation(ms, p) -> TaskResult:
     rng = SplitMix64(p["seed"])
     res = TaskResult("second-variation", ms, ("quantity", "value"), mode=p["mode"],
@@ -543,9 +557,10 @@ def task_second_variation(ms, p) -> TaskResult:
         e0 = _normal_direction(ms, w0.x, w0.y, rng)
         pt = parallel_transport(ms, geo, e0)
         vfield = FieldAlongCurve(geo.grid, np.sin(np.pi * geo.grid)[:, None] * pt.vectors)
+        transported = _once_per_times(lambda t: pt.dense(t).T)
 
         def offset(s, t):
-            return s * np.sin(np.pi * t)[..., None] * pt.dense(t).T
+            return s * np.sin(np.pi * t)[..., None] * transported(t)
     else:
         # submanifold mode: a geodesic segment normal to an affine line at each end
         x_a, d1v = p["x0"], p["direction"]
@@ -571,8 +586,8 @@ def task_second_variation(ms, p) -> TaskResult:
                    subm.sff_connection(line2, [0.0], vel_b, [c2], [c2], ms))
 
     formula = second_variation_formula(ms, geo, vfield, **ends)
-    dense, n = geo.dense, ms.dim
-    fam = VariationFamily(rule=lambda s, t: dense(t)[:n].T + offset(s, t))
+    points = _once_per_times(lambda t: geo.dense(t)[:ms.dim].T)
+    fam = VariationFamily(rule=lambda s, t: points(t) + offset(s, t))
     first, fd = variation_energy_derivatives(ms, fam)
     res.csv_rows = [("formula", formula), ("fd", fd), ("first_variation", first)]
     res.check("second variation formula vs FD (relative)", abs(formula - fd) / max(1e-12, abs(fd)),

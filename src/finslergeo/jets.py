@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -30,22 +29,22 @@ from .errors import DomainError
 __all__ = ["Jet", "JetSpace", "contract", "lift_any", "smath", "solve_linear"]
 
 
-def _multi_indices(nvars: int, order: int) -> list[tuple[int, ...]]:
-    """All multi-indices with |alpha| <= order, sorted by (degree, lex).
+def _multi_indices(nvars: int, order: int) -> np.ndarray:
+    """All multi-indices with |alpha| <= order as the rows of an int array,
+    sorted by (degree, lex).
 
     Degree-major ordering makes the enumeration for a lower order a prefix
     of the one for a higher order (same nvars), so truncation is a slice.
     """
-    out: list[tuple[int, ...]] = []
-    for deg in range(order + 1):
-        block = set()
-        for combo in combinations_with_replacement(range(nvars), deg):
-            alpha = [0] * nvars
-            for v in combo:
-                alpha[v] += 1
-            block.add(tuple(alpha))
-        out.extend(sorted(block))
-    return out
+    # lex order over the last k variables, k = 1 .. nvars: prepend each first
+    # entry in turn to the rows whose degree leaves room for it
+    rows = np.arange(order + 1)[:, None]
+    for _ in range(nvars - 1):
+        deg = rows.sum(axis=1)
+        rows = np.concatenate([np.insert(rows[deg <= order - a], 0, a, axis=1)
+                               for a in range(order + 1)])
+    deg = rows.sum(axis=1)
+    return np.concatenate([rows[deg == d] for d in range(order + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -54,44 +53,48 @@ def space_for(nvars: int, order: int) -> "JetSpace":
 
 
 class JetSpace:
-    """Shared index tables for all jets with a given (nvars, order)."""
+    """Shared index tables for all jets with a given (nvars, order).
+
+    Every table is read off one multi-index array (size, nvars) through a
+    mixed-radix key with |alpha| as its leading digit and alpha_0 .. alpha_n-1
+    after it, base order + 1. The keys increase along the (degree, lex)
+    order, so a binary search finds an index, and key(a + b) = key(a) +
+    key(b) while a + b stays in the space.
+    """
 
     def __init__(self, nvars: int, order: int):
         if nvars < 1 or order < 0:
             raise ValueError("need nvars >= 1 and order >= 0")
         self.nvars = nvars
         self.order = order
-        self.alphas = _multi_indices(nvars, order)
+        self._multi = A = _multi_indices(nvars, order)
+        self.alphas = list(map(tuple, A.tolist()))
         self.size = len(self.alphas)
         self.index = {a: i for i, a in enumerate(self.alphas)}
         # entry [v, k]: coefficient k + 1 (the degree-1 block) of coordinate v
         self._unit_block = np.array(self.alphas[1:nvars + 1], float).T
 
-        ia, ib, ic = [], [], []
-        for i, a in enumerate(self.alphas):
-            da = sum(a)
-            for j, b in enumerate(self.alphas):
-                if da + sum(b) > order:
-                    continue
-                ia.append(i)
-                ib.append(j)
-                ic.append(self.index[tuple(x + y for x, y in zip(a, b))])
-        self._mul_ia = np.array(ia, dtype=np.intp)
-        self._mul_ib = np.array(ib, dtype=np.intp)
-        self._mul_ic = np.array(ic, dtype=np.intp)
+        # the key's weight of alpha_v: its own digit plus its share of |alpha|
+        self._radix = (order + 1) ** nvars + (order + 1) ** np.arange(nvars - 1, -1, -1)
+        self._keys = keys = A @ self._radix
+        deg = A.sum(axis=1)
+        # the alphas of degree <= d are the first n_upto[d]
+        n_upto = np.searchsorted(deg, np.arange(order + 1), side="right")
+
+        # every pair with |a| + |b| <= order, a-major with b ascending: for a,
+        # the b are the prefix of degree <= order - |a|
+        count = n_upto[order - deg]
+        ia = np.repeat(np.arange(self.size), count)
+        ib = np.arange(len(ia)) - np.repeat(np.cumsum(count) - count, count)
+        self._mul_ia, self._mul_ib = ia, ib
+        self._mul_ic = np.searchsorted(keys, keys[ia] + keys[ib])
 
         # gradient index map: coeff of d f/dz_v at beta is
         # (beta_v + 1) * coeff of f at beta + e_v, one row per variable v
         if order >= 1:
-            lower = _multi_indices(nvars, order - 1)
-            self._grad_src = np.empty((nvars, len(lower)), dtype=np.intp)
-            self._grad_fac = np.empty((nvars, len(lower)))
-            for v in range(nvars):
-                for i, a in enumerate(lower):
-                    up = list(a)
-                    up[v] += 1
-                    self._grad_src[v, i] = self.index[tuple(up)]
-                    self._grad_fac[v, i] = up[v]
+            lower = A[:n_upto[order - 1]]
+            self._grad_src = np.searchsorted(keys, keys[:len(lower)] + self._radix[:, None])
+            self._grad_fac = np.ascontiguousarray(lower.T + 1, dtype=float)
         self._gathers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._scatters: dict[int, np.ndarray] = {}
 
@@ -102,12 +105,12 @@ class JetSpace:
             raise IndexError(f"derivative order {k} outside 0..{self.order}")
         if k not in self._gathers:
             shape = (self.nvars,) * k
-            idx = np.empty(shape, dtype=np.intp)
-            weight = np.empty(shape)
-            for t in product(range(self.nvars), repeat=k):
-                alpha = tuple(t.count(v) for v in range(self.nvars))
-                idx[t] = self.index[alpha]
-                weight[t] = _alpha_factorial(alpha)
+            # the key of a tuple's alpha sums the radix of each variable in it
+            tuples = np.indices(shape).reshape(k, self.nvars ** k)
+            idx = np.searchsorted(self._keys, self._radix[tuples].sum(axis=0))
+            factorials = np.array([math.factorial(j) for j in range(k + 1)], float)
+            weight = factorials[self._multi[idx]].prod(axis=1)
+            idx, weight = idx.reshape(shape), weight.reshape(shape)
             self._gathers[k] = (idx, weight)
         return self._gathers[k]
 
@@ -157,7 +160,9 @@ def _any(flags) -> bool:
 
 def _map(fn, c0):
     """A scalar float function at a float, or at every entry of a float array."""
-    return np.vectorize(fn, otypes=[float])(c0) if isinstance(c0, np.ndarray) else fn(c0)
+    if not isinstance(c0, np.ndarray):
+        return fn(c0)
+    return np.fromiter(map(fn, c0.ravel().tolist()), float, c0.size).reshape(c0.shape)
 
 
 def _shift(c: np.ndarray, other) -> np.ndarray:
@@ -185,7 +190,8 @@ class smath:
             return u.sqrt()
         if _any(u <= 0.0):
             raise DomainError(f"sqrt of non-positive value {np.min(u)}")
-        return _map(math.sqrt, u)
+        # np.sqrt is correctly rounded, so it equals math.sqrt entry by entry
+        return np.sqrt(u) if isinstance(u, np.ndarray) else math.sqrt(u)
 
     @staticmethod
     def exp(u):

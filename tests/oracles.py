@@ -1,5 +1,8 @@
 """Independent oracles used by the test suite (never by the main pipeline)."""
 
+import math
+from itertools import combinations_with_replacement, product
+
 import numpy as np
 import sympy as sp
 from scipy.integrate import solve_ivp
@@ -40,6 +43,58 @@ def sympy_polynomial_jet(coeff_map, nvars):
         return float(d.subs({xs[v]: center[v] for v in range(nvars)}))
 
     return fn, exact_partial
+
+
+def naive_jet_tables(nvars: int, order: int, gathers) -> dict:
+    """The index tables of a jet space, by Python loops over the multi-indices.
+
+    Multi-indices with |alpha| <= order, sorted by (degree, lex); every pair
+    (a, b) with |a| + |b| <= order, a-major with b ascending, and the index of
+    a + b; for each variable v, the index of beta + e_v and beta_v + 1 over the
+    lower-order betas; for each k in ``gathers``, the index and alpha! of every
+    ordered k-tuple of variables. Arrays are intp or float64, C-ordered.
+    """
+    alphas = []
+    for deg in range(order + 1):
+        block = set()
+        for combo in combinations_with_replacement(range(nvars), deg):
+            alpha = [0] * nvars
+            for v in combo:
+                alpha[v] += 1
+            block.add(tuple(alpha))
+        alphas.extend(sorted(block))
+    index = {a: i for i, a in enumerate(alphas)}
+    ia, ib, ic = [], [], []
+    for i, a in enumerate(alphas):
+        for j, b in enumerate(alphas):
+            if sum(a) + sum(b) <= order:
+                ia.append(i)
+                ib.append(j)
+                ic.append(index[tuple(x + y for x, y in zip(a, b))])
+    tables = {"alphas": alphas, "index": index,
+              "_mul_ia": np.array(ia, dtype=np.intp), "_mul_ib": np.array(ib, dtype=np.intp),
+              "_mul_ic": np.array(ic, dtype=np.intp), "gathers": {}}
+    if order >= 1:
+        lower = [a for a in alphas if sum(a) < order]
+        src = np.empty((nvars, len(lower)), dtype=np.intp)
+        fac = np.empty((nvars, len(lower)))
+        for v in range(nvars):
+            for i, a in enumerate(lower):
+                up = list(a)
+                up[v] += 1
+                src[v, i] = index[tuple(up)]
+                fac[v, i] = up[v]
+        tables["_grad_src"], tables["_grad_fac"] = src, fac
+    for k in gathers:
+        shape = (nvars,) * k
+        idx = np.empty(shape, dtype=np.intp)
+        weight = np.empty(shape)
+        for t in product(range(nvars), repeat=k):
+            alpha = tuple(t.count(v) for v in range(nvars))
+            idx[t] = index[alpha]
+            weight[t] = math.prod(math.factorial(a) for a in alpha)
+        tables["gathers"][k] = (idx, weight)
+    return tables
 
 
 def euler_lagrange_spray(ms, x0, y0, h=1e-5):

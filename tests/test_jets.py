@@ -8,10 +8,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslergeo.errors import DomainError
-from finslergeo.jets import Jet, contract, lift_any, smath, solve_linear, space_for
+from finslergeo.jets import Jet, JetSpace, contract, lift_any, smath, solve_linear, space_for
 from finslergeo.rng import SplitMix64
 
-from oracles import sympy_polynomial_jet
+from oracles import naive_jet_tables, sympy_polynomial_jet
+
+
+def _same_array(got, want) -> bool:
+    return (type(got) is np.ndarray and got.dtype == want.dtype and got.shape == want.shape
+            and got.flags.c_contiguous == want.flags.c_contiguous
+            and np.array_equal(got, want))
+
+
+@pytest.mark.parametrize("nvars,order", itertools.product(range(1, 7), range(7)))
+def test_space_tables_equal_loop_builders(nvars, order):
+    # the gather loops visit nvars**k tuples; past 8,000 they dominate the test's time
+    gathers = [k for k in range(order + 1) if nvars ** k <= 8000]
+    want = naive_jet_tables(nvars, order, gathers)
+    sp = JetSpace(nvars, order)
+    assert sp.alphas == want["alphas"] and sp.size == len(want["alphas"])
+    assert all(type(a) is int for alpha in sp.alphas for a in alpha)
+    assert list(sp.index.items()) == list(want["index"].items())
+    names = ["_mul_ia", "_mul_ib", "_mul_ic"] + (["_grad_src", "_grad_fac"] if order else [])
+    for name in names:
+        assert _same_array(getattr(sp, name), want[name]), name
+    for k in gathers:
+        for got, ref in zip(sp._gather(k), want["gathers"][k]):
+            assert _same_array(got, ref), k
 
 
 def test_polynomial_example():
