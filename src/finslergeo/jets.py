@@ -13,6 +13,18 @@ last leading axis; ``contract`` sums jet products over leading indices and
 the retained coefficients, so derivatives read from a jet are exact
 derivatives of the evaluated expression.
 
+Each jet also carries a structural degree bound ``deg``: every coefficient
+of a multi-index above it is exactly zero. Coordinates have degree 1 and
+constants 0; + and - take the larger bound, a product the sum (capped at
+the order), ``grad()`` one less, and indexing and a product or quotient
+with a non-jet keep it (``truncate`` caps it at the new order). A jet
+product multiplies only the pairs (a, b) with |a| <= deg and |b| <= deg
+of its factors: a subsequence of the full pair table in its order, whose
+skipped products are exact zeros, so every sum is the full table's bit for
+bit (for finite coefficients). ``contract`` keeps the full table. A jet
+built from raw coefficients without a bound gets the order, which prunes
+nothing.
+
 Coefficients are always float64. A rule written once against ``smath``
 serves both plain float evaluation and jet evaluation.
 """
@@ -88,6 +100,9 @@ class JetSpace:
         ib = np.arange(len(ia)) - np.repeat(np.cumsum(count) - count, count)
         self._mul_ia, self._mul_ib = ia, ib
         self._mul_ic = np.searchsorted(keys, keys[ia] + keys[ib])
+        self._deg = deg
+        # the pairs (ia, ib, ic) and the product's degree bound by those of its factors
+        self._pairs = {(order, order): (ia, ib, self._mul_ic, order)}
 
         # gradient index map: coeff of d f/dz_v at beta is
         # (beta_v + 1) * coeff of f at beta + e_v, one row per variable v
@@ -114,24 +129,39 @@ class JetSpace:
             self._gathers[k] = (idx, weight)
         return self._gathers[k]
 
-    def _scatter(self, prod: np.ndarray) -> np.ndarray:
-        """Sum pair products (..., pairs) into coefficients (..., size), one
-        bincount in scalar-product order, so entries match scalar products bitwise."""
-        m = prod.size // len(self._mul_ic)
+    def _pruned(self, da: int, db: int) -> tuple:
+        """The pairs (ia, ib, ic) with |a| <= da and |b| <= db, in the full
+        table's order, and the product's degree bound; built once per degree pair."""
+        pairs = self._pairs.get((da, db))
+        if pairs is None:
+            ia, ib, ic, _ = self._pairs[(self.order, self.order)]
+            keep = np.flatnonzero((self._deg[ia] <= da) & (self._deg[ib] <= db))
+            pairs = self._pairs[(da, db)] = (ia[keep], ib[keep], ic[keep],
+                                             min(da + db, self.order))
+        return pairs
+
+    def _scatter(self, prod: np.ndarray, ic: np.ndarray) -> np.ndarray:
+        """Sum pair products (..., pairs) into coefficients (..., size) at the
+        pairs' targets ``ic``, one bincount in scalar-product order, so entries
+        match scalar products bitwise."""
+        m = prod.size // len(ic)
         if not m:
             # bincount over no entries gives int64, which jet arithmetic cannot take
             return np.zeros(prod.shape[:-1] + (self.size,))
-        idx = self._scatters.get(m)
+        idx = self._scatters.get(m) if ic is self._mul_ic else None
         if idx is None:
-            idx = (np.arange(m)[:, None] * self.size + self._mul_ic).ravel()
-            self._scatters[m] = idx
+            idx = (ic + np.arange(0, m * self.size, self.size)[:, None]).ravel()
+            # kept for the full table only: one index per (degree pair, batch
+            # size) would cost more memory than its build costs time
+            if ic is self._mul_ic:
+                self._scatters[m] = idx
         out = np.bincount(idx, weights=prod.ravel(), minlength=m * self.size)
         return out.reshape(prod.shape[:-1] + (self.size,))
 
     def constant(self, value) -> "Jet":
         c = np.zeros(self.size)
         c[0] = float(value)
-        return Jet(self, c)
+        return Jet(self, c, 0)
 
     def coordinates(self, center) -> "Jet":
         """The jet of the coordinate functions about ``center``.
@@ -147,7 +177,7 @@ class JetSpace:
         if self.order >= 1:
             c[..., 1:self.nvars + 1] = self._unit_block.reshape(
                 (self.nvars,) + (1,) * batch + (self.nvars,))
-        return Jet(self, c)
+        return Jet(self, c, min(1, self.order))
 
     def __repr__(self):
         return f"JetSpace(nvars={self.nvars}, order={self.order})"
@@ -223,15 +253,20 @@ class smath:
 
 class Jet:
     """Coefficients ``c`` of shape leading axes + (space.size,); a non-jet
-    operand of arithmetic is a float or an array over the leading axes."""
+    operand of arithmetic is a float or an array over the leading axes.
 
-    __slots__ = ("space", "c")
+    ``deg`` is the structural degree bound (see the module docstring); it
+    defaults to the order, which is always sound.
+    """
+
+    __slots__ = ("space", "c", "deg")
     # numpy operands defer to the jet's reflected operators
     __array_ufunc__ = None
 
-    def __init__(self, space: JetSpace, coeffs: np.ndarray):
+    def __init__(self, space: JetSpace, coeffs: np.ndarray, _deg: int | None = None):
         self.space = space
         self.c = coeffs
+        self.deg = space.order if _deg is None else _deg
 
     @property
     def value(self):
@@ -255,7 +290,7 @@ class Jet:
         if self.c.ndim == 1:
             raise TypeError("a scalar jet has no leading axes to index")
         key = key if isinstance(key, tuple) else (key,)
-        return Jet(self.space, self.c[key + (slice(None),)])
+        return Jet(self.space, self.c[key + (slice(None),)], self.deg)
 
     def _ring(self, other) -> bool:
         """True for a jet of this space, False for a scalar.
@@ -271,18 +306,18 @@ class Jet:
 
     def __add__(self, other):
         if self._ring(other):
-            return Jet(self.space, self.c + other.c)
-        return Jet(self.space, _shift(self.c, other))
+            return Jet(self.space, self.c + other.c, max(self.deg, other.deg))
+        return Jet(self.space, _shift(self.c, other), self.deg)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.space, -self.c)
+        return Jet(self.space, -self.c, self.deg)
 
     def __sub__(self, other):
         if self._ring(other):
-            return Jet(self.space, self.c - other.c)
-        return Jet(self.space, _shift(self.c, -other))
+            return Jet(self.space, self.c - other.c, max(self.deg, other.deg))
+        return Jet(self.space, _shift(self.c, -other), self.deg)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -290,14 +325,17 @@ class Jet:
     def __mul__(self, other):
         sp = self.space
         if self._ring(other):
+            da, db = self.deg, other.deg
+            # the lookup inline: a method call would cost small products a few percent
+            ia, ib, ic, deg = sp._pairs.get((da, db)) or sp._pruned(da, db)
             if self.c.ndim == 1 and other.c.ndim == 1:
-                prod = self.c[sp._mul_ia] * other.c[sp._mul_ib]
-                return Jet(sp, np.bincount(sp._mul_ic, weights=prod, minlength=sp.size))
-            prod = self.c.take(sp._mul_ia, axis=-1) * other.c.take(sp._mul_ib, axis=-1)
-            return Jet(sp, sp._scatter(prod))
+                prod = self.c[ia] * other.c[ib]
+                return Jet(sp, np.bincount(ic, weights=prod, minlength=sp.size), deg)
+            prod = self.c.take(ia, axis=-1) * other.c.take(ib, axis=-1)
+            return Jet(sp, sp._scatter(prod, ic), deg)
         if isinstance(other, np.ndarray):
             other = other[..., None]
-        return Jet(sp, self.c * other)
+        return Jet(sp, self.c * other, self.deg)
 
     __rmul__ = __mul__
 
@@ -318,7 +356,7 @@ class Jet:
             return self * other._inverse()
         if isinstance(other, np.ndarray):
             other = other[..., None]
-        return Jet(self.space, self.c / other)
+        return Jet(self.space, self.c / other, self.deg)
 
     def __rtruediv__(self, other):
         return self._inverse() * other
@@ -398,7 +436,8 @@ class Jet:
         if sp.order == 0:
             raise IndexError("cannot differentiate an order-0 jet")
         lower = space_for(sp.nvars, sp.order - 1)
-        return Jet(lower, self.c.take(sp._grad_src, axis=-1) * sp._grad_fac)
+        return Jet(lower, self.c.take(sp._grad_src, axis=-1) * sp._grad_fac,
+                   max(self.deg - 1, 0))
 
     def partial(self, alpha):
         """Raw partial derivative d^alpha f at the center."""
@@ -429,7 +468,7 @@ class Jet:
         if order == self.space.order:
             return self
         lower = space_for(self.space.nvars, order)
-        return Jet(lower, self.c[..., : lower.size].copy())
+        return Jet(lower, self.c[..., : lower.size].copy(), min(self.deg, order))
 
 
 def _sin_cos(x, s0, c0, k, want_sin):
@@ -479,8 +518,15 @@ def lift_any(f, center, order: int) -> Jet:
     batch axes last among the leading axes.
     """
     space = space_for(np.shape(center)[-1], order)
-    batch = np.shape(center)[:-1]
+    coords = space.coordinates(center)
+    out = f([Jet(space, row, coords.deg) for row in coords.c])
+    return _stack(out, space, np.shape(center)[:-1])
 
+
+def _stack(out, space: JetSpace, batch: tuple) -> Jet:
+    """One jet of a rule's result in ``space``: a jet as it is, or a (nested)
+    sequence of scalar jets and floats over ``batch``, each level of nesting
+    a leading axis before the batch axes; a float is a constant over the batch."""
     leaves = []
 
     def nesting(item):
@@ -489,7 +535,7 @@ def lift_any(f, center, order: int) -> Jet:
         if isinstance(item, Jet):
             if item.space is not space:
                 raise ValueError("rule returned a jet from an unexpected space")
-            leaves.append(item.c)
+            leaves.append(item)
             return ()
         if isinstance(item, (list, tuple, np.ndarray)):
             shapes = {nesting(v) for v in item}
@@ -497,15 +543,15 @@ def lift_any(f, center, order: int) -> Jet:
                 raise ValueError("rule returned a ragged or empty sequence")
             return (len(item),) + shapes.pop()
         # a constant carries the batch axes too
-        leaves.append(np.broadcast_to(space.constant(float(item)).c, batch + (space.size,)))
+        leaves.append(Jet(space, np.broadcast_to(space.constant(float(item)).c,
+                                                 batch + (space.size,)), 0))
         return ()
 
-    out = f([Jet(space, row) for row in space.coordinates(center).c])
     shape = nesting(out)
     if isinstance(out, Jet):
         return out
-    c = np.stack(np.broadcast_arrays(*leaves))
-    return Jet(space, c.reshape(shape + c.shape[1:]))
+    c = np.stack(np.broadcast_arrays(*(leaf.c for leaf in leaves)))
+    return Jet(space, c.reshape(shape + c.shape[1:]), max(leaf.deg for leaf in leaves))
 
 
 def contract(spec: str, a: Jet, b: Jet) -> Jet:
@@ -519,9 +565,11 @@ def contract(spec: str, a: Jet, b: Jet) -> Jet:
         raise ValueError("jet spaces differ; truncate explicitly first")
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
+    # the full pair table: the few contractions of a low-degree jet save less
+    # than a pruned table's scatter index costs to build
     prod = np.einsum(f"{sa}Z,{sb}Z->{out}Z", a.c.take(sp._mul_ia, axis=-1),
                      b.c.take(sp._mul_ib, axis=-1))
-    return Jet(sp, sp._scatter(prod))
+    return Jet(sp, sp._scatter(prod, sp._mul_ic), min(a.deg + b.deg, sp.order))
 
 
 def solve_linear(a: Jet, b: Jet, a0inv) -> Jet:

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import GridError, InvalidLift, NullReference
-from .jets import Jet, contract, lift_any, smath, solve_linear, space_for
+from .jets import Jet, _stack, contract, smath, solve_linear, space_for
 from .metrics import MetricSpec, TangentVector, _batch_note, require_points
 from .rng import SplitMix64
 from .spray import PointFrame, _matvec, adapted_split
@@ -54,12 +54,12 @@ class LiftPoint:
 
     ``x``, ``y``: coordinates; ``f2``: F^2 there; ``gw[i]``: half dF^2/dy^i,
     so that g_w(w, v) = smath.dot(gw, v) by Euler's identity. ``f2`` and
-    ``gw`` are None for a bare spray. On a frame these are floats, or float
-    arrays over the frame's batch, with the component axis first (``x[i]``
-    is coordinate i at every point). Inside ``lift_curvature`` ``x`` and
-    ``y`` are lists of order-1 jets in (x, y), ``f2`` is one and ``gw`` is
-    a jet with the component axis first; these jets carry the batch of
-    ``lift_curvature``'s points as leading axes (none for a single point).
+    ``gw`` are None for a bare spray. ``x``, ``y`` and ``gw`` are tensor
+    carriers with the component axis first, and the batch axes (none for a
+    single point) after it: on a frame, float arrays (``x[i]`` is
+    coordinate i at every point of the frame's batch) and ``f2`` a float or
+    a float array over the batch; inside ``lift_curvature``, order-1 jets in
+    (x, y) over the batch of its points, ``x`` and ``y`` one jet each.
     """
 
     x: object
@@ -72,22 +72,26 @@ class LiftSpec:
     """A lift of the canonical connection.
 
     Every rule gives a whole tensor in one call, ``rule(w) -> T[j][k][l]``:
-    a nested n x n x n sequence (any other shape raises ``InvalidLift``)
-    with axes direction j, section k and slot l. ``c_flat`` / ``cprime_flat``
-    give the metric-lowered tensors, l the metric slot; ``c_raw`` /
-    ``cprime_raw`` serve bare sprays, l the output index. A lift has flat
-    rules or raw rules, not both (``InvalidLift``). ``kind`` marks the
-    four classical connections; they have no rules (all four fields are
-    None) and take C and C' from the frame instead.
+    n x n x n, as a nested sequence or as one array or jet (any other shape
+    raises ``InvalidLift``), with axes direction j, section k and slot l.
+    ``c_flat`` / ``cprime_flat`` give the metric-lowered tensors, l the
+    metric slot; ``c_raw`` / ``cprime_raw`` serve bare sprays, l the output
+    index. A lift has flat rules or raw rules, not both (``InvalidLift``).
+    ``kind`` marks the four classical connections; they have no rules (all
+    four fields are None) and take C and C' from the frame instead.
 
     A rule receives ``w`` as a ``LiftPoint``: ``w.x``, ``w.y``, ``w.f2`` and
     ``w.gw``, as floats or float arrays over a frame's batch (once per
     frame) or as order-1 jets when ``lift_curvature`` differentiates the
     lift's fields (once for its whole batch, which the jets carry). Rules
-    must be written with arithmetic and ``smath`` so that one rule serves
-    both, and must combine numpy constants with the carrier entry by entry
-    (``k[a, b, c] * s``, not ``k * s``): an array times a carrier that
-    holds a batch does not broadcast.
+    must be written with arithmetic, indexing and ``smath`` so that one rule
+    serves both. A rule may compute with whole tensors: ``w.y[:, None] *
+    w.gw[None, :]`` is the (n, n) outer product over the batch, and a numpy
+    constant ``k`` combines with a carrier once padded by the batch axes,
+    ``k.reshape(k.shape + (1,) * (len(np.shape(w.y)) - 1))``; it may then
+    return the tensor, (n, n, n) followed by the carrier's batch axes. Or it
+    may index entries (``w.y[a]`` is one scalar over the batch, and
+    ``k[a, b, c] * s`` needs no padding) and return a nested sequence.
     """
 
     def __init__(self, name, c_flat=None, cprime_flat=None, c_raw=None,
@@ -150,9 +154,15 @@ def _rule_fields(lift: LiftSpec, w, n):
     """
     rules = (lift.c_raw, lift.cprime_raw) if _is_raw(lift) else (lift.c_flat, lift.cprime_flat)
     fields = [rule(w) if rule else np.zeros((n, n, n)) for rule in rules]
+    batch = np.shape(w.y)[1:]
     for t in fields:
-        # a float carrier over a batch gives array leaves, one more axis
-        if np.array(t, dtype=object).shape[:3] != (n, n, n):
+        if isinstance(t, (Jet, np.ndarray)):
+            # a tensor carries the carrier's batch axes after its own, or none
+            ok = t.shape[:3] == (n, n, n) and t.shape[3:] in ((), batch)
+        else:
+            # a float carrier over a batch gives array leaves, one more axis
+            ok = np.array(t, dtype=object).shape[:3] == (n, n, n)
+        if not ok:
             raise InvalidLift(f"lift {lift.name}: a rule returned no {n} x {n} x {n} tensor")
     return fields
 
@@ -200,23 +210,27 @@ def lift_tensors_flat(lift: LiftSpec, fr: PointFrame):
     return fields[..., 0, :, :, :], fields[..., 1, :, :, :]
 
 
-def _check_admissible(cc, cp, y):
-    """Refuse lift tensors that do not vanish on the base direction y, at
-    every point of a batch; the message names the first bad point."""
-    def sup(t):
-        """Max |t| over the tensor axes, per point."""
-        return np.max(np.abs(t), axis=tuple(range(y.ndim - 1 - t.ndim, 0)))
-
-    scale = (1.0 + np.maximum(sup(cc), sup(cp))) * np.maximum(1.0, np.linalg.norm(y, axis=-1))
-    bad_c = sup(np.einsum("...ijk,...k->...ij", cc, y))
-    bad_p = sup(np.einsum("...ijk,...k->...ij", cp, y))
-    bad = np.maximum(bad_c, bad_p) > ADMISSIBILITY_TOL * scale
+def _check_admissible(t, y):
+    """Refuse raised lift tensors t, (..., (Cc, Cp), output, direction,
+    section), that do not vanish on the base direction y, at every point of
+    a batch; the message names the first bad point."""
+    on_y = np.abs(t @ y[..., None, None, :, None]).max(axis=(-3, -2, -1))
+    scale = ((1.0 + np.abs(t).max(axis=(-4, -3, -2, -1)))
+             * np.maximum(1.0, np.sqrt((y * y).sum(axis=-1))))
+    bad = on_y.max(axis=-1) > ADMISSIBILITY_TOL * scale
     if np.any(bad):
         k = int(np.argmax(bad))
+        bad_c, bad_p = on_y.reshape(-1, 2)[k]
         raise InvalidLift(
             f"lift tensors do not vanish on the base direction: |C(.,w)|="
-            f"{np.ravel(bad_c)[k]:.2e}, |C'(.,w)|={np.ravel(bad_p)[k]:.2e}"
-            + _batch_note(np.shape(bad), k))
+            f"{bad_c:.2e}, |C'(.,w)|={bad_p:.2e}" + _batch_note(np.shape(bad), k))
+
+
+def _admissible_tensors(lift: LiftSpec, fr: PointFrame):
+    """``lift_tensors(lift, fr)``, refused unless both vanish on the base direction."""
+    cc, cp = lift_tensors(lift, fr)
+    _check_admissible(np.stack([cc, cp], axis=-4), fr.y)
+    return cc, cp
 
 
 # -- connection application ------------------------------------------------------
@@ -228,8 +242,7 @@ def nabla_apply(lift: LiftSpec, src, w: TangentVector, X, section: SectionJet,
 
     ``w``, ``X`` and the section may carry leading batch axes."""
     fr = _frame if _frame is not None else PointFrame(src, w, order=4)
-    cc, cp = lift_tensors(lift, fr)
-    _check_admissible(cc, cp, fr.y)
+    cc, cp = _admissible_tensors(lift, fr)
     a, b = adapted_split(fr, X)
     gh = fr.B + cp
     s = section.value
@@ -316,7 +329,7 @@ def affine_coefficients(lift: LiftSpec, src, w: TangentVector,
                         _frame: PointFrame | None = None) -> AffineCoefficients:
     """A^i_jk(w) of the affine connection induced by the lift at direction w."""
     fr = _frame if _frame is not None else PointFrame(src, w, order=4)
-    _, cp = lift_tensors(lift, fr)
+    _, cp = _admissible_tensors(lift, fr)
     return AffineCoefficients(at=w, A=fr.B + cp)
 
 
@@ -342,7 +355,7 @@ def covariant_derivative_curve(lift: LiftSpec, src, curve, W, V,
         raise NullReference("reference field W vanishes at a node")
     fr = (_frames if _frames is not None
           else PointFrame(src, TangentVector(curve.points, W.vectors), order=4))
-    _, cp = lift_tensors(lift, fr)
+    _, cp = _admissible_tensors(lift, fr)
     a = fr.B + cp
     out = fd_derivative(V.vectors, grid) + np.einsum("...ijk,...j,...k->...i", a,
                                                      curve.velocities, V.vectors)
@@ -403,14 +416,18 @@ def _lift_field_jets(lift: LiftSpec, fr5: PointFrame):
     if lift.kind is not None:
         flat = _classical_flat_jets(lift.kind, fr5)
     else:
+        sp = space_for(2 * n, 1)
+        z = sp.coordinates(np.concatenate([fr5.x, fr5.y], axis=-1))
         f1 = gw1 = None
         if fr5.f is not None:
             gw = fr5.field("gw")
             f1, gw1 = fr5.f.truncate(1), Jet(gw.space, _move(gw.c, -2, 0))
-        rules = lift_any(lambda v: _rule_fields(lift, LiftPoint(v[:n], v[n:], f1, gw1), n),
-                         np.concatenate([fr5.x, fr5.y], axis=-1), 1)
-        # lift_any puts the batch axes after the rules' (2, n, n, n)
-        flat = Jet(rules.space, rules.c.transpose(*range(4, rules.c.ndim - 1), 0, 1, 2, 3, -1))
+        batch = fr5.x.shape[:-1]
+        rules = [_stack(t, sp, batch)
+                 for t in _rule_fields(lift, LiftPoint(z[:n], z[n:], f1, gw1), n)]
+        c = np.stack(np.broadcast_arrays(*(t.c for t in rules)))
+        # the batch axes go before the rules' (2, n, n, n)
+        flat = Jet(sp, c.transpose(*range(4, c.ndim - 1), 0, 1, 2, 3, -1))
         if _is_raw(lift):
             return Jet(flat.space, _move(flat.c, -2, -4))
     # the metric slot goes first after the batch axes for the solve, then back
@@ -444,6 +461,7 @@ def lift_curvature(lift: LiftSpec, src, w: TangentVector, u, vertical_noise=None
     u = np.asarray(u, float)
     fields = _lift_field_jets(lift, fr5)
     cc1, cp1 = fields[..., 0, :, :, :], fields[..., 1, :, :, :]
+    _check_admissible(fields.value, y)
     y1 = _fiber_jets(fr5)
     gh1 = fr5.field("B") + cp1    # Gamma_h^i_{jm} = B + Cp as a field
     N, B = fr5.N, fr5.B
@@ -503,27 +521,30 @@ def random_admissible_lift(ms: MetricSpec, seed: int, enforce_t1: bool = False,
         py = [rng.uniform(-1.0, 1.0) for _ in range(n)]
         return k0, k1, px, py
 
-    def contract_first(t, cols):
-        """sum_a t[a][b][c] cols[j][a] as [b][c][j]: the first slot contracted
-        and moved last; no cols contracts with the identity."""
-        fibers = [[[t[a][b][c] for a in range(n)] for c in range(n)] for b in range(n)]
-        if cols is None:
-            return fibers
-        return [[[smath.dot(fiber, col) for col in cols] for fiber in row] for row in fibers]
+    def project(t, cols, slot):
+        """t with tensor slot ``slot`` projected: the sum over a of t (a in
+        that slot) times cols[a] (j in that slot), added in smath.dot's order."""
+        at = (slice(None),) * slot
+        col = (None,) * slot + (slice(None),) + (None,) * (2 - slot)
+        acc = t[at + (slice(0, 1),)] * cols[0][col]
+        for a in range(1, n):
+            acc = acc + t[at + (slice(a, a + 1),)] * cols[a][col]
+        return acc
 
     def make_rule(params, project_u, project_v, project_t):
         k0, k1, px, py = params
 
         def rule(w):
+            # constants take the carrier's batch axes as trailing axes of length 1
+            pad = (1,) * (len(np.shape(w.y)) - 1)
             inv = 1.0 / w.f2
-            # column j of the g_w-orthogonal projection killing the base direction
-            cols = [[float(a == j) - w.y[a] * w.gw[j] * inv for a in range(n)] for j in range(n)]
+            # cols[a, j]: column j of the g_w-orthogonal projection killing the base direction
+            cols = np.eye(n).reshape((n, n) + pad) - w.y[:, None] * w.gw[None, :] * inv
             s = smath.sin(smath.dot(px, w.x) + smath.dot(py, w.y))
-            # entry by entry: an array times a jet carrying a batch does not broadcast
-            t = [[[k0[a, b, c] + k1[a, b, c] * s for c in range(n)] for b in range(n)]
-                 for a in range(n)]
-            for project in (project_u, project_v, project_t):
-                t = contract_first(t, cols if project else None)
+            t = k0.reshape(k0.shape + pad) + k1.reshape(k1.shape + pad) * s
+            for slot, projected in enumerate((project_u, project_v, project_t)):
+                if projected:
+                    t = project(t, cols, slot)
             return t
 
         return rule

@@ -324,3 +324,51 @@ def basis_triple_random_lift(ms, seed: int, enforce_t1: bool = False,
     c_rule = make_rule(par_c, False, True, enforce_m1m2)
     p_rule = make_rule(par_p, enforce_t1, True, enforce_m1m2)
     return LiftSpec(f"basis-triple[{seed}]", c_flat=c_rule, cprime_flat=p_rule)
+
+
+# -- entry-by-entry random lift --------------------------------------------------
+
+
+def entrywise_random_lift(ms, seed: int, enforce_t1: bool = False,
+                          enforce_m1m2: bool = False, amplitude: float = 0.4) -> LiftSpec:
+    """``lifts.random_admissible_lift`` written entry by entry: the same draws,
+    each tensor a nested n x n x n list of scalars, and each projection of a
+    slot one ``smath.dot`` per entry, in the order the tensor form sums. Its
+    tensors and lift curvature equal the tensor form's bit for bit."""
+    n = ms.dim
+    rng = SplitMix64(seed)
+
+    def draw():
+        k0, k1 = (np.array([rng.uniform(-amplitude, amplitude)
+                            for _ in range(n ** 3)]).reshape(n, n, n) for _ in range(2))
+        px = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        py = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        return k0, k1, px, py
+
+    def contract_first(t, cols):
+        """sum_a t[a][b][c] cols[j][a] as [b][c][j]: the first slot contracted
+        and moved last; no cols contracts with the identity."""
+        fibers = [[[t[a][b][c] for a in range(n)] for c in range(n)] for b in range(n)]
+        if cols is None:
+            return fibers
+        return [[[smath.dot(fiber, col) for col in cols] for fiber in row] for row in fibers]
+
+    def make_rule(params, project_u, project_v, project_t):
+        k0, k1, px, py = params
+
+        def rule(w):
+            inv = 1.0 / w.f2
+            # column j of the g_w-orthogonal projection killing the base direction
+            cols = [[float(a == j) - w.y[a] * w.gw[j] * inv for a in range(n)] for j in range(n)]
+            s = smath.sin(smath.dot(px, w.x) + smath.dot(py, w.y))
+            t = [[[k0[a, b, c] + k1[a, b, c] * s for c in range(n)] for b in range(n)]
+                 for a in range(n)]
+            for project in (project_u, project_v, project_t):
+                t = contract_first(t, cols if project else None)
+            return t
+
+        return rule
+
+    c_rule = make_rule(draw(), False, True, enforce_m1m2)
+    p_rule = make_rule(draw(), enforce_t1, True, enforce_m1m2)
+    return LiftSpec(f"entrywise[{seed}]", c_flat=c_rule, cprime_flat=p_rule)

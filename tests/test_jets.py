@@ -275,3 +275,74 @@ def test_smath_on_float_arrays_is_entrywise():
         smath.sqrt(np.array([1.0, -1.0]))
     with pytest.raises(DomainError):
         smath.log(np.array([0.0, 1.0]))
+
+
+# -- degree bounds and pruned products ---------------------------------------------
+
+
+def _jet_of_degree(sp, deg, shape, rs):
+    """A jet with random coefficients through degree ``deg`` and zeros above."""
+    c = rs.uniform(-2, 2, shape + (sp.size,))
+    c[..., space_for(sp.nvars, deg).size:] = 0.0
+    return Jet(sp, c, deg)
+
+
+def _above_deg_is_zero(j) -> bool:
+    """Every coefficient of a multi-index above ``j.deg`` is exactly 0.0."""
+    return not np.any(j.c[..., space_for(j.space.nvars, j.deg).size:])
+
+
+@pytest.mark.parametrize("nvars,order", itertools.product(range(1, 7), range(7)))
+def test_pruned_product_equals_full_table_bitwise(nvars, order):
+    sp = space_for(nvars, order)
+    rs = np.random.default_rng(10 * nvars + order)
+    for da, db in itertools.product(range(order + 1), repeat=2):
+        for shape in ((), (3,)):
+            a, b = _jet_of_degree(sp, da, shape, rs), _jet_of_degree(sp, db, shape, rs)
+            for value in (None, -0.0):
+                if value is not None:
+                    a.c[..., 0] = value
+                got = a * b
+                # a jet without a bound is multiplied over the whole pair table
+                want = Jet(sp, a.c) * Jet(sp, b.c)
+                assert got.deg == min(da + db, order)
+                assert got.c.tobytes() == want.c.tobytes(), (da, db, shape, value)
+
+
+def test_degree_bound_is_never_below_the_truth():
+    seen = []
+
+    def record(j):
+        seen.append(j)
+        return j
+
+    def rule(v):
+        x, y, z = (record(c) for c in v)
+        p = record(x * y + 2.0)
+        q = record(p * p - z)
+        r = record(3.0 * q / 4.0 - p * np.float64(0.5))
+        series = [smath.sqrt(1.0 + x * x), smath.exp(y) / (2.0 + z), smath.log(3.0 + q),
+                  smath.sin(x) * smath.cos(z), q ** 2, 1.0 / p, (-r) ** 3]
+        return [p, q, r] + [record(s) for s in series] + [1.5]
+
+    centers = np.array([[0.4, -0.3, 0.1], [0.0, 0.7, -0.5]])
+    for order in range(6):
+        seen.clear()
+        jet = lift_any(rule, centers, order)
+        x, q = seen[0], seen[4]
+        # coordinates 1, x y + 2 two, (x y + 2)^2 - z four, capped at the order
+        assert [j.deg for j in seen[:6]] == [min(d, order) for d in (1, 1, 1, 2, 4, 4)]
+        assert jet.deg == order
+        stacked = lift_any(lambda v: [v[0] * v[1], 2.0], centers, order)
+        assert stacked.deg == min(2, order)
+        squares = contract("ib,ib->b", stacked, stacked)
+        assert squares.deg == min(4, order)
+        derived = [jet, jet[3], jet[:2, 1], jet.truncate(order // 2), stacked,
+                   stacked.truncate(min(1, order)), squares]
+        if order >= 1:
+            derived += [q.grad(), q.grad()[..., 2], x.grad()]
+            assert q.grad().deg == min(4, order) - 1 and x.grad().deg == 0
+        if order >= 2:
+            derived += [q.grad().grad(), stacked.grad().grad()]
+        for j in seen + derived:
+            assert _above_deg_is_zero(j)

@@ -18,7 +18,8 @@ from finslergeo.variational import (Curve, FieldAlongCurve, VariationFamily, fd_
                                     integrate_geodesic, parallel_transport,
                                     variation_symmetry_residual)
 
-from oracles import basis_triple_random_lift, christoffel, riemann_jacobi_operator
+from oracles import (basis_triple_random_lift, christoffel, entrywise_random_lift,
+                     riemann_jacobi_operator)
 
 THEOREM_SETS = {
     "berwald": ("T3", "M5"),
@@ -147,12 +148,26 @@ def test_nabla_apply_section_from_rule(euclid2):
     assert np.allclose(out, section.dx @ X[:2] + section.dy @ X[2:], atol=1e-15)
 
 
-def test_invalid_lift_detected(randers_var):
-    bad = LiftSpec("bad", c_flat=lambda w: np.einsum("jk,kl->jkl", np.eye(2), np.eye(2)),
-                   cprime_flat=lambda w: np.zeros((2, 2, 2)))
+@pytest.mark.parametrize("tensor", ["c_flat", "cprime_flat"])
+@pytest.mark.parametrize("entry", ["nabla_apply", "lift_curvature", "affine_coefficients",
+                                   "covariant_derivative_curve"])
+def test_invalid_lift_detected(entry, tensor):
+    # delta x delta does not vanish on any base direction; every entry point but
+    # nabla_apply used to return numbers for it (lift_curvature [0.018, -0.043] for C')
+    ms = metrics.randers(2, [0.2, 0.1])
+    bad = LiftSpec("bad", **{tensor: lambda w: np.einsum("jk,kl->jkl", np.eye(2), np.eye(2))})
     w = TangentVector([0.1, 0.1], [1.0, 0.4])
-    with pytest.raises(InvalidLift):
-        nabla_apply(bad, randers_var, w, [1, 0, 0, 0], _canonical_section(w))
+    with pytest.raises(InvalidLift, match="do not vanish on the base direction"):
+        if entry == "nabla_apply":
+            nabla_apply(bad, ms, w, [1, 0, 0, 0], _canonical_section(w))
+        elif entry == "lift_curvature":
+            lift_curvature(bad, ms, w, [0.3, -0.8])
+        elif entry == "affine_coefficients":
+            affine_coefficients(bad, ms, w)
+        else:
+            geo = integrate_geodesic(ms, w, 0.5, nodes=21)
+            W = FieldAlongCurve(geo.grid, geo.velocities)
+            covariant_derivative_curve(bad, ms, geo, W, W)
 
 
 def test_torsion_spray_vertical_vanishes(randers_var):
@@ -295,13 +310,21 @@ def test_lift_curvature_vertical_noise(randers_var):
 
 
 def _raw_lift_on_a_spray():
-    """A bare spray (no metric) and a lift given by raw rules."""
+    """A bare spray (no metric) and an admissible lift given by raw rules:
+    each tensor is a (direction, output) field times the section covector
+    (-y^2, y^1), which vanishes on the base direction."""
     spray = SpraySpec(2, lambda xs, ys: [0.1 * xs[0] * ys[0] * ys[1] + 0.2 * ys[1] * ys[1],
                                          0.3 * smath.sin(xs[1]) * ys[0] * ys[0]])
-    raw = LiftSpec("raw", c_raw=lambda w: [[[0.0, 0.0], [w.x[0] * w.y[1], 0.0]],
-                                          [[0.0, w.y[1]], [0.0, 0.0]]],
-                   cprime_raw=lambda w: [[[smath.sin(w.x[1]), 0.0], [0.0, 0.0]],
-                                         [[0.0, 0.0], [0.0, w.y[0] * w.y[0]]]])
+
+    def admissible(field):
+        def rule(w):
+            a, p = field(w), (-w.y[1], w.y[0])
+            return [[[p[k] * a[j][l] for l in range(2)] for k in range(2)] for j in range(2)]
+        return rule
+
+    raw = LiftSpec("raw", c_raw=admissible(lambda w: [[w.x[0] * w.y[1], 0.0], [0.0, w.y[1]]]),
+                   cprime_raw=admissible(lambda w: [[smath.sin(w.x[1]), 0.0],
+                                                    [0.0, w.y[0] * w.y[0]]]))
     return spray, raw
 
 
@@ -741,10 +764,38 @@ def test_random_lift_matches_basis_triple_reference(randers_var, funk, flags):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("flags", [(False, False), (True, False), (False, True)])
+def test_random_lift_matches_entrywise_reference_bitwise(randers_var, flags):
+    # the tensor-carrier rule against the entry-by-entry one it replaced: floats
+    # over a batched frame, and order-1 jets over a batch and at a single point
+    def same(got, want):
+        return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    for ms in (randers_var, metrics.funk(3)):
+        new = random_admissible_lift(ms, 61, *flags)
+        ref = entrywise_random_lift(ms, 61, *flags)
+        rng = SplitMix64(67)
+        w = TangentVector.stack([random_tangent(ms, rng) for _ in range(4)])
+        u = np.array([rng.direction(ms.dim) for _ in range(4)])
+        nu = np.array([rng.direction(ms.dim) for _ in range(4)])
+        fr = PointFrame(ms, w, order=4)
+        for got, want in zip(lift_tensors(new, fr) + lift_tensors_flat(new, fr),
+                             lift_tensors(ref, fr) + lift_tensors_flat(ref, fr)):
+            assert same(got, want)
+        w0 = TangentVector(w.x[0], w.y[0])
+        for noise in (None, nu):
+            assert same(lift_curvature(new, ms, w, u, vertical_noise=noise),
+                        lift_curvature(ref, ms, w, u, vertical_noise=noise))
+            noise0 = None if noise is None else noise[0]
+            assert same(lift_curvature(new, ms, w0, u[0], vertical_noise=noise0),
+                        lift_curvature(ref, ms, w0, u[0], vertical_noise=noise0))
+
+
 @pytest.mark.parametrize("rule", [lambda w: np.zeros((2, 2)),
                                   lambda w: np.zeros((2, 2, 3)),
-                                  lambda w: [[[0.0, 0.0], [0.0]], [[0.0, 0.0], [0.0, 0.0]]]],
-                         ids=["rank-2", "wide-slot", "ragged"])
+                                  lambda w: [[[0.0, 0.0], [0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                                  lambda w: w.y[:, None] * w.y[None, :]],
+                         ids=["rank-2", "wide-slot", "ragged", "rank-2-carrier-tensor"])
 def test_rule_of_wrong_shape_is_invalid(randers_var, rule):
     lift = LiftSpec("misshapen", c_flat=rule)
     w = TangentVector([0.1, 0.2], [0.7, -0.3])
