@@ -269,56 +269,72 @@ def _nabla_g_tensors(fr: PointFrame, cc, cp):
     return h, v
 
 
+# name: the residual tensor of a condition, read off a dict of the lift's
+# raised tensors (cc, cp), its flat C (ccf), the metric derivatives (h, v) of
+# _nabla_g_tensors, twice the Cartan and flow tensors (c2, cp2) and y
+_RESIDUALS = {
+    "Cp(y) asym": lambda t: (np.einsum("...ijk,...j->...ik", t["cp"], t["y"])
+                             - np.einsum("...ikj,...j->...ik", t["cp"], t["y"])),
+    "Cc(y)": lambda t: np.einsum("...ijk,...k->...ij", t["cc"], t["y"]),
+    "Cp asym": lambda t: t["cp"] - np.swapaxes(t["cp"], -1, -2),
+    "Cc": lambda t: t["cc"],
+    "h(y)": lambda t: np.einsum("...jik,...k->...ji", t["h"], t["y"]),
+    "v(y)": lambda t: np.einsum("...jik,...k->...ji", t["v"], t["y"]),
+    "Ccf(y)": lambda t: np.einsum("...jkl,...l->...jk", t["ccf"], t["y"]),
+    "h": lambda t: t["h"],
+    "v": lambda t: t["v"],
+    "h - 2C'": lambda t: t["h"] - t["cp2"],
+    "v - 2C": lambda t: t["v"] - t["c2"],
+    "Ccf asym": lambda t: t["ccf"] - np.swapaxes(t["ccf"], -1, -2),
+}
+
+# condition: the residual tensors whose sup norms it takes the max of
+_CONDITIONS = {
+    "T1": ("Cp(y) asym", "Cc(y)"),
+    "T2": ("Cp asym",),
+    "T3": ("Cp asym", "Cc"),
+    "M1": ("h(y)", "v(y)"),
+    "M2": ("Ccf(y)",),
+    "M3": ("h", "v - 2C"),
+    "M4": ("h - 2C'", "v"),
+    "M5": ("h - 2C'", "v - 2C"),
+    "M6": ("h", "v"),
+    "M7": ("Ccf asym",),
+}
+
+
 def condition_residuals(lift: LiftSpec, fr: PointFrame, conditions=ALL_CONDITIONS):
     """Sup-norm residual of each requested condition over fr's point(s).
 
     Residuals are coefficient-tensor sup norms, i.e. the exact maximum over
     unit-box argument vectors and over a batched frame's points. The lift
     is evaluated once: metric conditions read its flat tensors and raise them.
-    An empty batch raises ``ValueError``, and a metric condition on a bare
-    spray's frame ``TypeError``.
+    Each residual tensor of ``_RESIDUALS`` is built and reduced once, however
+    many conditions read it. An empty batch raises ``ValueError``, as does
+    an unknown condition, and a metric condition on a bare spray's frame
+    ``TypeError``.
     """
     y = fr.y
     require_points(y, "condition_residuals")
-    out = {}
-    need_metric = any(c.startswith("M") for c in conditions)
-    if need_metric:
+    for cond in conditions:
+        if cond not in _CONDITIONS:
+            raise ValueError(f"unknown condition {cond!r}")
+    if any(c.startswith("M") for c in conditions):
         fr._need_metric()
         ccf, cpf = lift_tensors_flat(lift, fr)
         cc, cp = fr.raise_last(ccf), fr.raise_last(cpf)
         h, v = _nabla_g_tensors(fr, cc, cp)
-        c2 = 2.0 * fr.C_low
-        cp2 = 2.0 * fr.Cp_low
+        t = dict(y=y, cc=cc, cp=cp, ccf=ccf, h=h, v=v, c2=2.0 * fr.C_low, cp2=2.0 * fr.Cp_low)
     else:
         cc, cp = lift_tensors(lift, fr)
+        t = dict(y=y, cc=cc, cp=cp)
+    sups, out = {}, {}
     for cond in conditions:
-        if cond == "T1":
-            asym_y = (np.einsum("...ijk,...j->...ik", cp, y)
-                      - np.einsum("...ikj,...j->...ik", cp, y))
-            sec_y = np.einsum("...ijk,...k->...ij", cc, y)
-            out[cond] = max(np.max(np.abs(asym_y)), np.max(np.abs(sec_y)))
-        elif cond == "T2":
-            out[cond] = np.max(np.abs(cp - np.swapaxes(cp, -1, -2)))
-        elif cond == "T3":
-            out[cond] = max(np.max(np.abs(cp - np.swapaxes(cp, -1, -2))),
-                            np.max(np.abs(cc)))
-        elif cond == "M1":
-            out[cond] = max(np.max(np.abs(np.einsum("...jik,...k->...ji", h, y))),
-                            np.max(np.abs(np.einsum("...jik,...k->...ji", v, y))))
-        elif cond == "M2":
-            out[cond] = np.max(np.abs(np.einsum("...jkl,...l->...jk", ccf, y)))
-        elif cond == "M3":
-            out[cond] = max(np.max(np.abs(h)), np.max(np.abs(v - c2)))
-        elif cond == "M4":
-            out[cond] = max(np.max(np.abs(h - cp2)), np.max(np.abs(v)))
-        elif cond == "M5":
-            out[cond] = max(np.max(np.abs(h - cp2)), np.max(np.abs(v - c2)))
-        elif cond == "M6":
-            out[cond] = max(np.max(np.abs(h)), np.max(np.abs(v)))
-        elif cond == "M7":
-            out[cond] = np.max(np.abs(ccf - np.swapaxes(ccf, -1, -2)))
-        else:
-            raise ValueError(f"unknown condition {cond!r}")
+        names = _CONDITIONS[cond]
+        for name in names:
+            if name not in sups:
+                sups[name] = np.max(np.abs(_RESIDUALS[name](t)))
+        out[cond] = max([sups[name] for name in names])
     return out
 
 

@@ -245,18 +245,25 @@ def _f2_y_jet(ms: MetricSpec, x, y, order: int) -> Jet:
     return lift_any(lambda ys: ms.f2(xs, ys), np.asarray(y, float), order)
 
 
-def metric_value(ms: MetricSpec, w: TangentVector) -> float:
+def metric_value(ms: MetricSpec, w: TangentVector):
     """F(w) > 0 on the slit bundle, where g_w is positive definite.
 
     The strong-convexity test refuses a point where F < 0 although F^2 > 0,
-    as it does in ``fundamental_tensor``.
+    as it does in ``fundamental_tensor``. ``w`` may carry leading batch
+    axes: F then has shape (...), one rule evaluation on float arrays, and
+    each point is bitwise equal to its own single call (a float).
     """
     ms.check_tangent(w)
     _legendre(ms, w.x, w.y)
-    v = ms.f2(list(w.x), list(w.y))
-    if v <= 0.0:
-        raise DomainError(f"F^2(w) = {v} <= 0; invalid metric or point")
-    return float(np.sqrt(v))
+    xs, ys = (list(np.moveaxis(a, -1, 0)) for a in (w.x, w.y))
+    v = np.broadcast_to(ms.f2(xs, ys), w.x.shape[:-1])
+    bad = v <= 0.0
+    if _any(bad):
+        k = int(np.argmax(bad))
+        raise DomainError(f"F^2(w) = {np.ravel(v)[k]} <= 0; invalid metric or point"
+                          + _batch_note(bad.shape, k))
+    F = np.sqrt(v)
+    return float(F) if F.ndim == 0 else F
 
 
 def _not_positive_definite(g: np.ndarray):

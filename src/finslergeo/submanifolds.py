@@ -1,19 +1,47 @@
 """Submanifolds, normal cones, and the second fundamental form two ways:
 through the affine connections and through the symplectic structure of the
 slit tangent bundle.
+
+Every entry point takes leading batch axes: parameters and parameter-space
+vectors (..., k), points and normals (..., n), raw tangent vectors of TM\\0
+(..., 2n). A batch is one order-2 lift of the immersion (its point,
+Jacobian and Hessian), one stacked rank test, one Newton iteration over all
+of its normal-cone solves (each point stopping at its own step), and one
+frame and one lift evaluation per read; each point is bitwise equal to its
+own single call, which is the batch of no axes. One bad point refuses the
+batch, and the message names its batch index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidLift, NoConvergence, SingularBasis
-from .jets import lift_any, smath
+from .jets import _any, lift_any, smath
 from .lifts import LiftSpec, classical_lift, condition_residuals, lift_tensors
-from .metrics import MetricSpec, TangentVector, _legendre, metric_value
-from .spray import PointFrame, adapted_split
+from .metrics import MetricSpec, TangentVector, _batch_note, _legendre, metric_value
+from .spray import PointFrame, _matvec, _pair, adapted_split
+
+
+class _Immersion(NamedTuple):
+    """The immersion's data at parameters (..., k): point (..., n), Jacobian
+    (..., n, k) and Hessian (..., n, k, k), C-contiguous per point."""
+
+    param: np.ndarray
+    x: np.ndarray
+    basis: np.ndarray
+    hess: np.ndarray
+
+
+def _first(flags):
+    """The flat index of the first set flag of a batch and its batch note, or None."""
+    if not _any(flags):
+        return None
+    k = int(np.argmax(flags))
+    return k, _batch_note(np.shape(flags), k)
 
 
 class Submanifold:
@@ -21,7 +49,8 @@ class Submanifold:
 
     ``immersion(params)`` maps a list of k scalars to a list of n scalars and
     must be generic over the jet scalar type (first and second parameter
-    derivatives are extracted by jets).
+    derivatives are extracted by jets). A scalar may be a float array over a
+    batch, as in the metric rules.
     """
 
     def __init__(self, param_dim, dim, immersion, name="submanifold"):
@@ -33,25 +62,38 @@ class Submanifold:
     def __repr__(self):
         return f"Submanifold({self.name}, k={self.param_dim}, n={self.dim})"
 
-    def value(self, param) -> np.ndarray:
-        out = self.immersion([float(p) for p in np.atleast_1d(param)])
-        return np.array([float(v) for v in out])
+    def _params(self, param) -> np.ndarray:
+        p = np.atleast_1d(np.asarray(param, float))
+        if p.shape[-1] != self.param_dim:
+            raise ValueError(f"parameters of shape {p.shape} must end in k = {self.param_dim}")
+        return p
 
-    def _derivative(self, param, k) -> np.ndarray:
-        """(n,) + (param_dim,)*k array of k-th parameter derivatives."""
-        ps = list(np.atleast_1d(param))
-        return lift_any(self.immersion, ps, k).derivative(k)
+    def value(self, param) -> np.ndarray:
+        """The point (..., n) at parameters (..., k): the rule once, on floats."""
+        out = self.immersion(list(np.moveaxis(self._params(param), -1, 0)))
+        return np.stack(np.broadcast_arrays(*(np.asarray(v, float) for v in out)), axis=-1)
+
+    def _immersion(self, param) -> _Immersion:
+        """Point, Jacobian and Hessian at parameters (..., k), from one order-2
+        lift; one stacked rank test refuses a rank-deficient Jacobian."""
+        p = self._params(param)
+        jet = lift_any(self.immersion, p, 2)
+        x, basis, hess = (np.ascontiguousarray(np.moveaxis(d, 0, -1 - order))
+                          for order, d in enumerate((jet.value, jet.derivative(1),
+                                                     jet.derivative(2))))
+        bad = _first(np.linalg.matrix_rank(basis, tol=1e-10) < self.param_dim)
+        if bad is not None:
+            raise SingularBasis("immersion differential rank-deficient at "
+                                f"{p.reshape(-1, self.param_dim)[bad[0]]}" + bad[1])
+        return _Immersion(p, x, basis, hess)
 
     def jacobian(self, param) -> np.ndarray:
-        """(n, k) matrix of tangent vectors d phi / d p_a."""
-        out = self._derivative(param, 1)
-        if np.linalg.matrix_rank(out, tol=1e-10) < self.param_dim:
-            raise SingularBasis(f"immersion differential rank-deficient at {param}")
-        return out
+        """(..., n, k) tangent vectors d phi / d p_a."""
+        return self._immersion(param).basis
 
     def hessian(self, param) -> np.ndarray:
-        """(n, k, k) second parameter derivatives of the immersion."""
-        return self._derivative(param, 2)
+        """(..., n, k, k) second parameter derivatives of the immersion."""
+        return self._immersion(param).hess
 
 
 def affine_subspace(point, directions, name="affine") -> Submanifold:
@@ -89,9 +131,17 @@ def sphere2(center, radius, name="sphere") -> Submanifold:
 
 @dataclass(frozen=True)
 class NormalVector:
+    """Solved normals: parameters (..., k), points and unit normals (..., n)."""
+
     param: np.ndarray
     x: np.ndarray
     eta: np.ndarray
+
+    @staticmethod
+    def stack(nvs) -> "NormalVector":
+        """One batch (len(nvs), ...) of a sequence of single normals."""
+        return NormalVector(*(np.array(parts) for parts in
+                              zip(*((nv.param, nv.x, nv.eta) for nv in nvs))))
 
 
 def normal_cone_solve(P: Submanifold, param, ms: MetricSpec, guess) -> NormalVector:
@@ -101,154 +151,211 @@ def normal_cone_solve(P: Submanifold, param, ms: MetricSpec, guess) -> NormalVec
     square k x k system with the tangential Gram matrix as Jacobian); each
     step reads the residual and the Gram matrix off one Legendre jet, and
     the iteration stops when the residual is below 1e-13, within 50 steps.
+    ``param`` (..., k) and ``guess`` (..., n) may carry batch axes: every
+    step is one jet over the points still iterating, and each point stops
+    at the step where its own solve stops.
     """
     tol, max_iter = 1e-13, 50
-    param = np.atleast_1d(np.asarray(param, float))
-    x = P.value(param)
+    imm = P._immersion(param)
+    x = imm.x
     ms.check_point(x)
-    basis = P.jacobian(param)  # (n, k)
-    eta = np.asarray(guess, float).copy()
+    eta = np.array(guess, float)
     if eta.shape != x.shape:
         raise ValueError(f"guess of shape {eta.shape} must be a vector of length "
-                         f"n = {len(x)}, as the point of shape {x.shape} is")
-    if np.linalg.norm(eta) < 1e-12:
-        raise NoConvergence("zero guess for the normal solve")
+                         f"n = {x.shape[-1]} per point, as the point of shape {x.shape} is")
+    batch, (n, k) = x.shape[:-1], imm.basis.shape[-2:]
+    todo = np.arange(x[..., 0].size)   # the flat indices of the points still iterating
+
+    def refuse(flags, message):
+        """NoConvergence at the first flagged point of ``todo``."""
+        bad = _first(flags)
+        if bad is not None:
+            raise NoConvergence(message + _batch_note(batch, int(todo[bad[0]])))
+
+    refuse(np.ravel(np.linalg.norm(eta, axis=-1) < 1e-12), "zero guess for the normal solve")
+    xs, basis, etas = x.reshape(-1, n), imm.basis.reshape(-1, n, k), eta.reshape(-1, n)
     for _ in range(max_iter):
-        xi, g = _legendre(ms, x, eta)
-        resid = basis.T @ xi  # g_eta(eta, dphi_a)
-        if np.max(np.abs(resid)) < tol:
+        xi, g = _legendre(ms, xs[todo], etas[todo])
+        bt = np.swapaxes(basis[todo], -1, -2)
+        resid = _matvec(bt, xi)  # g_eta(eta, dphi_a)
+        go = ~(np.abs(resid).max(axis=-1) < tol)
+        todo, bt, g, resid = todo[go], bt[go], g[go], resid[go]
+        if not todo.size:
             break
-        gram = basis.T @ g @ basis
+        gram = bt @ g @ basis[todo]
         try:
-            c = np.linalg.solve(gram, -resid)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"singular tangential Gram matrix: {exc}") from exc
-        eta = eta + basis @ c
-        if np.linalg.norm(eta) < 1e-10:
-            raise NoConvergence("normal solve collapsed to the null direction")
+            c = np.linalg.solve(gram, -resid[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            for i, (m, r) in enumerate(zip(gram, resid)):
+                try:
+                    np.linalg.solve(m, -r)
+                except np.linalg.LinAlgError as exc:
+                    raise NoConvergence(f"singular tangential Gram matrix: {exc}"
+                                        + _batch_note(batch, int(todo[i]))) from exc
+            raise
+        etas[todo] = etas[todo] + _matvec(basis[todo], c)
+        refuse(np.linalg.norm(etas[todo], axis=-1) < 1e-10,
+               "normal solve collapsed to the null direction")
     else:
-        raise NoConvergence(f"normal solve did not reach tolerance {tol} "
-                            f"in {max_iter} iterations")
-    eta = eta / metric_value(ms, TangentVector(x, eta))
-    resid = basis.T @ _legendre(ms, x, eta)[0]
-    if np.max(np.abs(resid)) > 1e-10:
-        raise NoConvergence(f"normality residual {np.max(np.abs(resid)):.2e} after rescale")
-    return NormalVector(param=param, x=x, eta=eta)
+        refuse(todo >= 0, f"normal solve did not reach tolerance {tol} in {max_iter} iterations")
+    eta = eta / np.expand_dims(metric_value(ms, TangentVector(x, eta)), -1)
+    worst = np.abs(_matvec(np.swapaxes(imm.basis, -1, -2), _legendre(ms, x, eta)[0])).max(axis=-1)
+    bad = _first(worst > 1e-10)
+    if bad is not None:
+        raise NoConvergence(f"normality residual {np.ravel(worst)[bad[0]]:.2e} after rescale"
+                            + bad[1])
+    return NormalVector(param=imm.param, x=x, eta=eta)
 
 
 # -- second fundamental form via connections -------------------------------------
 
 
 def sff_connection(P: Submanifold, param, eta, u, v, ms: MetricSpec,
-                   lift: LiftSpec | None = None, _frame: PointFrame | None = None) -> float:
+                   lift: LiftSpec | None = None, _frame: PointFrame | None = None,
+                   _immersion: _Immersion | None = None):
     """h_eta(u, v) = (1/2) g_eta(eta, D^eta_U V + D^eta_V U).
 
     ``u``, ``v`` are parameter-space vectors; extensions are the coordinate
     fields of the immersion, whose derivative data is the immersion Hessian.
     The lift must satisfy the two metric compatibility conditions, checked
-    at eta. ``_frame``, if given, is the order-4 frame at (x, eta), shared
-    by the calls for several lifts.
+    at eta. With batch axes on ``param`` (..., k), ``eta`` (..., n) and
+    ``u``, ``v``, h has shape (...); a float for a single point.
+    ``_frame``, if given, is the order-4 frame at (x, eta), and
+    ``_immersion`` the immersion's data at param (``P._immersion``), both
+    shared by the calls for several lifts.
     """
-    param = np.atleast_1d(np.asarray(param, float))
     eta = np.asarray(eta, float)
     u = np.atleast_1d(np.asarray(u, float))
     v = np.atleast_1d(np.asarray(v, float))
     if lift is None:
         lift = classical_lift("berwald", ms)
-    fr = _frame if _frame is not None else PointFrame(ms, TangentVector(P.value(param), eta),
-                                                      order=4)
-    res = condition_residuals(lift, fr, ("M1", "M2"))
-    if max(res.values()) > 1e-6:
-        raise InvalidLift(
-            f"lift {lift.name} violates the metric compatibility prerequisites "
-            f"at eta: M1={res['M1']:.2e}, M2={res['M2']:.2e}")
-    basis = P.jacobian(param)
-    hess = P.hessian(param)
-    U = basis @ u
-    V = basis @ v
+    imm = _immersion if _immersion is not None else P._immersion(param)
+    fr = _frame if _frame is not None else PointFrame(ms, TangentVector(imm.x, eta), order=4)
+    if max(condition_residuals(lift, fr, ("M1", "M2")).values()) > 1e-6:
+        # the first point beyond the bound, for the message
+        batch = fr.y.shape[:-1]
+        for k, at in enumerate(np.ndindex(batch)):
+            res = condition_residuals(lift, fr[at] if batch else fr, ("M1", "M2"))
+            if max(res.values()) > 1e-6:
+                raise InvalidLift(
+                    f"lift {lift.name} violates the metric compatibility prerequisites "
+                    f"at eta: M1={res['M1']:.2e}, M2={res['M2']:.2e}" + _batch_note(batch, k))
+    U = _matvec(imm.basis, u)
+    V = _matvec(imm.basis, v)
     _, cp = lift_tensors(lift, fr)
     A = fr.B + cp
-    sym = 2.0 * np.einsum("iab,a,b->i", hess, u, v) + np.einsum("ijk,j,k->i", A, U, V) \
-        + np.einsum("ijk,j,k->i", A, V, U)
-    return float(0.5 * eta @ fr.g @ sym)
+    sym = 2.0 * np.einsum("...iab,...a,...b->...i", imm.hess, u, v) \
+        + np.einsum("...ijk,...j,...k->...i", A, U, V) \
+        + np.einsum("...ijk,...j,...k->...i", A, V, U)
+    h = _pair(0.5 * eta, fr.g, sym)
+    return float(h) if h.ndim == 0 else h
 
 
 # -- symplectic structure ---------------------------------------------------------
 
 
-def omega_F(ms: MetricSpec, w: TangentVector, X1, X2, _frame: PointFrame | None = None) -> float:
-    """The symplectic pairing of two raw tangent vectors of TM\\0 at w (``_frame``: order >= 3)."""
+def omega_F(ms: MetricSpec, w: TangentVector, X1, X2, _frame: PointFrame | None = None):
+    """The symplectic pairing of two raw tangent vectors (..., 2n) of TM\\0 at w
+    (``_frame``: order >= 3); a float for a single point."""
     fr = _frame if _frame is not None else PointFrame(ms, w, order=3)
     a1, b1 = adapted_split(fr, X1)
     a2, b2 = adapted_split(fr, X2)
-    return float(a1 @ fr.g @ b2 - b1 @ fr.g @ a2)
+    om = _pair(a1, fr.g, b2) - _pair(b1, fr.g, a2)
+    return float(om) if om.ndim == 0 else om
 
 
 def legendre_transform(ms: MetricSpec, w: TangentVector) -> np.ndarray:
-    """The covector g_w(w, .) (half the fiber gradient of F^2)."""
+    """The covector g_w(w, .) (half the fiber gradient of F^2), (..., n)."""
     ms.check_tangent(w)
     return _legendre(ms, w.x, w.y)[0]
 
 
-def _null_space(a: np.ndarray) -> np.ndarray:
-    """Orthonormal null-space columns of ``a`` by SVD, with scipy's rank rule."""
+def _null_space(a: np.ndarray, dim: int) -> np.ndarray:
+    """The ``dim`` orthonormal null-space columns of each matrix of ``a`` (..., m, p)
+    by SVD, with scipy's rank rule; a matrix of another nullity is refused."""
     _, s, vh = np.linalg.svd(a)
-    return vh[np.sum(s > s.max(initial=0.0) * np.finfo(float).eps * max(a.shape)):].T
+    rank = np.sum(s > s.max(axis=-1, initial=0.0)[..., None] * np.finfo(float).eps
+                  * max(a.shape[-2:]), axis=-1)
+    bad = _first(a.shape[-1] - rank != dim)
+    if bad is not None:
+        raise SingularBasis(f"normal-cone fiber has dimension "
+                            f"{a.shape[-1] - np.ravel(rank)[bad[0]]}, expected {dim}" + bad[1])
+    return np.swapaxes(vh[..., a.shape[-1] - dim:, :], -1, -2)
+
+
+def _dot(a, b):
+    """a @ b over leading batch axes, (..., n) and (..., n)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _fiber(eta: np.ndarray, kern: np.ndarray):
+    """Fiber directions (N, d, n) at normals (N, n) from null-space columns
+    (N, n, d), and their count at each point: eta, then each column
+    orthogonalized against the directions kept before it, kept (normalized)
+    where more than 1e-8 remains."""
+    N, n, d = kern.shape
+    fiber = np.zeros((N, d + 1, n))
+    fiber[:, 0] = eta
+    count = np.ones(N, int)
+    for col in np.moveaxis(kern, -1, 0):
+        vec = col.copy()
+        for m in range(int(count.max())):
+            on = (m < count)[:, None]
+            prev = np.where(on, fiber[:, m], eta)   # at an unfilled slot, discarded below
+            vec = np.where(on, vec - (_dot(vec, prev) / _dot(prev, prev))[:, None] * prev, vec)
+        norm = np.linalg.norm(vec, axis=-1)
+        keep = norm > 1e-8
+        fiber[keep, count[keep]] = vec[keep] / norm[keep, None]
+        count += keep
+    return fiber[:, :d], count
 
 
 def normal_bundle_tangent_basis(P: Submanifold, nv: NormalVector, ms: MetricSpec) -> np.ndarray:
-    """n tangent vectors of the normal bundle at eta, raw (dx, dy) components.
+    """n tangent vectors of the normal bundle at eta, raw (dx, dy) components, (..., n, 2n).
 
     k vectors follow the solved normal along each parameter direction
-    (implicit differentiation by re-solving), plus (n - k) fiber directions
-    of the normal cone, the radial one first. Row a < k has base part
-    dphi_a, the a-th column of the immersion's Jacobian.
+    (implicit differentiation by re-solving: 2k batched solves), plus
+    (n - k) fiber directions of the normal cone, the radial one first. Row
+    a < k has base part dphi_a, the a-th column of the immersion's Jacobian.
     """
     n, k = P.dim, P.param_dim
     basis = P.jacobian(nv.param)
-    rows = np.empty((n, 2 * n))
+    batch = basis.shape[:-2]
+    rows = np.zeros(batch + (n, 2 * n))
     h = 1e-4  # parameter step of the central difference
     for a in range(k):
         dp = np.zeros(k)
         dp[a] = h
         eta_p = normal_cone_solve(P, nv.param + dp, ms, guess=nv.eta).eta
         eta_m = normal_cone_solve(P, nv.param - dp, ms, guess=nv.eta).eta
-        rows[a, :n] = basis[:, a]
-        rows[a, n:] = (eta_p - eta_m) / (2 * h)
+        rows[..., a, :n] = basis[..., a]
+        rows[..., a, n:] = (eta_p - eta_m) / (2 * h)
     # fiber directions: g_eta(v, T_x P) = 0
     g = _legendre(ms, nv.x, nv.eta)[1]
-    constraints = basis.T @ g  # (k, n)
-    kern = _null_space(constraints)
-    if kern.shape[1] != n - k:
-        raise SingularBasis(
-            f"normal-cone fiber has dimension {kern.shape[1]}, expected {n - k}")
-    fiber = [np.asarray(nv.eta, float)]
-    for col in kern.T:
-        v = col.copy()
-        for prev in fiber:
-            v = v - (v @ prev) / (prev @ prev) * prev
-        if np.linalg.norm(v) > 1e-8:
-            fiber.append(v / np.linalg.norm(v))
-    if len(fiber) != n - k:
-        raise SingularBasis("could not complete the fiber basis around the radial direction")
-    for m, v in enumerate(fiber):
-        rows[k + m, :n] = 0.0
-        rows[k + m, n:] = v
-    if np.linalg.matrix_rank(rows, tol=1e-8) < n:
-        raise SingularBasis("normal-bundle tangent basis is rank deficient")
+    kern = _null_space(np.swapaxes(basis, -1, -2) @ g, n - k)
+    fiber, count = _fiber(nv.eta.reshape(-1, n), kern.reshape(-1, n, n - k))
+    bad = _first(count.reshape(batch) != n - k)
+    if bad is not None:
+        raise SingularBasis("could not complete the fiber basis around the radial direction"
+                            + bad[1])
+    rows[..., k:, n:] = fiber.reshape(batch + (n - k, n))
+    bad = _first(np.linalg.matrix_rank(rows, tol=1e-8) < n)
+    if bad is not None:
+        raise SingularBasis("normal-bundle tangent basis is rank deficient" + bad[1])
     return rows
 
 
 def sff_symplectic(P: Submanifold, nv: NormalVector, u, v, ms: MetricSpec,
-                   _basis: np.ndarray | None = None, _frame: PointFrame | None = None) -> float:
+                   _basis: np.ndarray | None = None, _frame: PointFrame | None = None):
     """b_eta(u, v) read off the Lagrangean tangent space of the normal bundle.
 
     The along-submanifold rows of the basis have base parts dphi_a, so the
     combination with base projection dphi(u) has coefficients u; its
     vertical part v_full gives, by the defining relation of the Lagrangean
     graph, b_eta(u, v) = -g_eta(v_full, dphi(v)). The radial (cone)
-    direction has zero base projection and stays out. ``_basis``, if given,
-    is ``normal_bundle_tangent_basis(P, nv, ms)``, and ``_frame`` a frame of
+    direction has zero base projection and stays out. Batched as
+    ``sff_connection``. ``_basis``, if given, is
+    ``normal_bundle_tangent_basis(P, nv, ms)``, and ``_frame`` a frame of
     order 3 or more at (x, eta), both shared with other reads.
     """
     u = np.atleast_1d(np.asarray(u, float))
@@ -258,6 +365,7 @@ def sff_symplectic(P: Submanifold, nv: NormalVector, u, v, ms: MetricSpec,
     # vertical part in the split representation: fiber component of the
     # vertical projection, not the raw dy block
     fr = _frame if _frame is not None else PointFrame(ms, TangentVector(nv.x, nv.eta), 3)
-    raw = rows[:k].T @ u  # (2n,) combined raw tangent vector
-    _, v_full = adapted_split(fr, raw)
-    return float(-v_full @ fr.g @ (rows[:k, :n].T @ v))
+    along = np.swapaxes(rows[..., :k, :], -1, -2)   # (..., 2n, k)
+    _, v_full = adapted_split(fr, _matvec(along, u))
+    b = _pair(-v_full, fr.g, _matvec(along[..., :n, :], v))
+    return float(b) if b.ndim == 0 else b

@@ -698,8 +698,9 @@ def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
                     f"fixed-endpoint variation must vanish at the {which} (|V|={np.linalg.norm(vend):.2e})")
             continue
         sub, param = endpoint
-        basis = sub.jacobian(param)
-        if np.max(np.abs(sub.value(param) - geo.points[idx])) > 1e-8:
+        imm = sub._immersion(param)   # one lift for the checks and the boundary term
+        basis = imm.basis
+        if np.max(np.abs(imm.x - geo.points[idx])) > 1e-8:
             raise NormalityViolation(f"{which} submanifold does not pass through the endpoint")
         fr = frames[idx]
         normality = np.max(np.abs(basis.T @ (fr.g @ vel)))
@@ -710,7 +711,7 @@ def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
         if np.max(np.abs(basis @ coeffs - vend)) > 1e-6:
             raise NormalityViolation(f"variation field is not tangent at the {which} submanifold")
         boundary += sign * sff_connection(sub, param, vel, coeffs, coeffs, ms, lift=lift,
-                                          _frame=fr)
+                                          _frame=fr, _immersion=imm)
 
     W = FieldAlongCurve(grid=grid, vectors=geo.velocities)
     DV = covariant_derivative_curve(lift, ms, geo, W, V, _frames=frames).vectors

@@ -137,6 +137,59 @@ def normality_residual(P, param, ms, eta) -> float:
     return float(np.max(np.abs(basis.T @ _legendre(ms, x, np.asarray(eta, float))[0])))
 
 
+def sff_compare_reference(ms, p):
+    """(CSV rows, worst residuals) of the sff-compare task, one sample at a time.
+
+    The task's per-sample loop before it was batched: every sample solves
+    its own normal (with the guess, else the opposite one), builds its own
+    order-4 frame and normal-bundle basis, and reads every lift at it. The
+    same draws, so the batched task must give the same rows and residuals
+    bit for bit.
+    """
+    from finslergeo import submanifolds as subm
+    from finslergeo.cli import CLASSICAL
+    from finslergeo.errors import FinslerError
+    from finslergeo.lifts import affine_coefficients, classical_lift, random_admissible_lift
+
+    rng, subs = SplitMix64(p["seed"]), p["submanifolds"]
+    rows_out, worst = [], np.zeros(4)
+    lifts = [classical_lift(k, ms) for k in CLASSICAL]
+    lifts.append(random_admissible_lift(ms, p["seed"] + 5, enforce_m1m2=True))
+    for i in range(p["samples"]):
+        sub = subs[i % len(subs)]
+        param = [rng.uniform(0.0, 6.28) if sub.name.startswith("circle")
+                 else rng.uniform(-0.5, 0.5)]
+        x = sub.value(param)
+        if ms.domain_margin is not None and ms.domain_margin(x) <= 0.05:
+            continue
+        basis = sub.jacobian(param)
+        guess = np.array([-basis[1, 0], basis[0, 0]])
+        if sub.name.startswith("circle") and guess @ (np.zeros(ms.dim) - x) < 0:
+            guess = -guess
+        try:
+            nv = subm.normal_cone_solve(sub, param, ms, guess=guess)
+        except FinslerError:
+            nv = subm.normal_cone_solve(sub, param, ms, guess=-guess)
+        u = np.array([rng.uniform(-1.0, 1.0)])
+        v = np.array([rng.uniform(-1.0, 1.0)])
+        wtv = TangentVector(nv.x, nv.eta)
+        fr = PointFrame(ms, wtv, order=4)
+        vals = [subm.sff_connection(sub, param, nv.eta, u, v, ms, lift=lf, _frame=fr)
+                for lf in lifts]
+        hc = vals[0]
+        rows = subm.normal_bundle_tangent_basis(sub, nv, ms)
+        agree = abs(hc - subm.sff_symplectic(sub, nv, u, v, ms, _basis=rows, _frame=fr))
+        lag = max((abs(subm.omega_F(ms, wtv, rows[a], rows[b], _frame=fr))
+                   for a in range(ms.dim) for b in range(a + 1, ms.dim)), default=0.0)
+        spread = max(vals) - min(vals)
+        A = affine_coefficients(lifts[1], ms, wtv, _frame=fr).A
+        unsym = float(nv.eta @ fr.g @ (np.einsum("iab,a,b->i", sub.hessian(param), u, v)
+                                        + np.einsum("ijk,j,k->i", A, basis @ u, basis @ v)))
+        worst = np.maximum(worst, [agree, lag, spread, abs(unsym - hc)])
+        rows_out.append((sub.name, param[0], agree, lag, spread))
+    return rows_out, worst
+
+
 def exp_map_jacobi_difference(src, w0, u, grid, h=1e-3):
     """The Jacobi field with J(0) = 0 and initial derivative u, by central
     differences of the exponential map: (exp(x0, y0 + h u) - exp(x0, y0 - h u)) / 2h

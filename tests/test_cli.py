@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from finslergeo import cli
@@ -523,19 +524,72 @@ def test_g_alone_builds_no_order_two_frame(scenario, monkeypatch):
 
 
 def test_sff_compare_solves_one_normal_bundle_per_sample(monkeypatch):
-    # 1 + 2k normal-cone solves per sample: the normal, then the k re-solve pairs
-    # of one normal-bundle basis, shared by both of its readers
+    # 1 + 2k batched normal-cone solves per submanifold: the normals of its samples, then
+    # the k re-solve pairs of their normal-bundle bases, shared by both of its readers;
+    # together they solve 1 + 2k normals per sample
     from finslergeo import submanifolds as subm
 
-    calls = []
+    batches = []
     solve = subm.normal_cone_solve
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        batches.append(np.shape(args[1])[:-1])
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(subm, "normal_cone_solve", counting)
     ms, p = cli._parse_scenario(dict(cli.bundled_scenarios())["20_sff_compare_randers.json"])
     res = cli.task_sff_compare(ms, p)
+    k = p["submanifolds"][0].param_dim
     assert len(res.csv_rows) == p["samples"]
-    assert len(calls) == 3 * p["samples"]
+    assert len(batches) == len(p["submanifolds"]) * (1 + 2 * k)
+    assert sum(int(np.prod(b)) for b in batches) == (1 + 2 * k) * p["samples"]
+    assert all(len(b) == 1 for b in batches)
+
+
+def _bits(rows):
+    """Rows with every number as its exact bits (the sign of a zero included)."""
+    return [tuple(v if isinstance(v, str) else float(v).hex() for v in row) for row in rows]
+
+
+@pytest.mark.parametrize("offset", [0, 1, 2, 3, 271291275, 1440089986])
+@pytest.mark.parametrize("scenario", ["19_sff_compare_euclidean", "20_sff_compare_randers"])
+def test_batched_sff_compare_is_the_per_sample_loop_bit_for_bit(scenario, offset):
+    from oracles import sff_compare_reference
+
+    ms, p = cli._parse_scenario(dict(cli.bundled_scenarios())[scenario + ".json"])
+    p["seed"] += offset   # verify-all --seed adds its seed to the scenario's own
+    res = cli.task_sff_compare(ms, p)
+    rows, worst = sff_compare_reference(ms, p)
+    assert _bits(res.csv_rows) == _bits(rows)
+    assert _bits([[c.residual for c in res.checks]]) == _bits([worst])
+
+
+def test_sff_compare_falls_back_to_one_sample_at_a_time(monkeypatch):
+    # the first sample's inward guess is refused: its group's batched solve fails, and
+    # that sample is solved again from the opposite guess, as the per-sample loop does
+    from finslergeo import submanifolds as subm
+    from finslergeo.errors import NoConvergence
+    from finslergeo.rng import SplitMix64
+    from oracles import sff_compare_reference
+
+    ms, p = cli._parse_scenario(dict(cli.bundled_scenarios())["20_sff_compare_randers.json"])
+    target = SplitMix64(p["seed"]).uniform(0.0, 6.28)   # the first sample's circle parameter
+    solve, refused = subm.normal_cone_solve, []
+
+    def refusing(P, param, ms_, guess):
+        inward = (np.asarray(guess) * P.value(param)).sum(axis=-1) < 0
+        if np.any((np.asarray(param, float)[..., 0] == target) & inward):
+            refused.append(np.shape(param))
+            raise NoConvergence("refused guess")
+        return solve(P, param, ms_, guess=guess)
+
+    monkeypatch.setattr(subm, "normal_cone_solve", refusing)
+    res = cli.task_sff_compare(ms, p)
+    assert refused == [(5, 1), (1,)]   # the batch, then the sample alone
+    rows, worst = sff_compare_reference(ms, p)
+    assert refused[2:] == [(1,)]   # the reference's own first guess
+    assert _bits(res.csv_rows) == _bits(rows)
+    assert _bits([[c.residual for c in res.checks]]) == _bits([worst])
+    # the sample took the outward normal, so its row is not the unrefused one
+    monkeypatch.setattr(subm, "normal_cone_solve", solve)
+    assert _bits(res.csv_rows[:1]) != _bits(cli.task_sff_compare(ms, p).csv_rows[:1])

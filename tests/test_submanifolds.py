@@ -3,8 +3,8 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from finslergeo import metrics
-from finslergeo.errors import InvalidLift, NoConvergence
-from finslergeo.lifts import classical_lift, random_admissible_lift
+from finslergeo.errors import InvalidLift, NoConvergence, SingularBasis
+from finslergeo.lifts import LiftSpec, classical_lift, random_admissible_lift
 from finslergeo.metrics import TangentVector, fundamental_tensor, metric_value
 from finslergeo.rng import SplitMix64
 from finslergeo.spray import PointFrame
@@ -285,7 +285,7 @@ def test_null_space_matches_scipy():
         nv = normal_cone_solve(sub, param, eu3, guess=guess)
         constraints = sub.jacobian(param).T @ fundamental_tensor(eu3, TangentVector(
             nv.x, nv.eta)).g
-        kern, ref = _null_space(constraints), null_space(constraints)
+        kern, ref = _null_space(constraints, 3 - sub.param_dim), null_space(constraints)
         assert kern.shape == ref.shape == (3, 3 - sub.param_dim)
         assert np.max(np.abs(kern.T @ kern - np.eye(kern.shape[1]))) <= 1e-14
         assert np.max(np.abs(constraints @ kern)) <= 1e-14
@@ -297,3 +297,88 @@ def test_normal_cone_solve_refuses_a_guess_of_the_wrong_length(euclid2):
     line = affine_subspace([0.0, 0.0], [[1.0, 0.0]])
     with pytest.raises(ValueError, match=r"guess of shape \(3,\).*point of shape \(2,\)"):
         normal_cone_solve(line, [0.0], euclid2, guess=[0.0, 1.0, 0.0])
+
+
+# -- batches ----------------------------------------------------------------------------
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["euclid2", "randers_var"])
+@pytest.mark.parametrize("shape", ["circle", "line"])
+def test_batched_entry_points_equal_their_single_calls(name, shape, request):
+    ms = request.getfixturevalue(name)
+    rng = SplitMix64(97)
+    if shape == "circle":
+        sub = circle([0, 0], 1.0)
+        param = np.array([rng.uniform(0.0, 2 * np.pi) for _ in range(6)])
+        guess = np.stack([inward_circle_guess(th) for th in param])
+    else:
+        sub = affine_subspace([0.1, -0.2], [[0.8, 0.6]])
+        param = np.array([rng.uniform(-0.5, 0.5) for _ in range(6)])
+        guess = np.tile([-0.6, 0.8], (6, 1))
+    # two batch axes
+    param, guess = param.reshape(2, 3, 1), guess.reshape(2, 3, 2)
+    u, v = (np.array([rng.uniform(-1, 1) for _ in range(6)]).reshape(2, 3, 1) for _ in "uv")
+    nv = normal_cone_solve(sub, param, ms, guess=guess)
+    w = TangentVector(nv.x, nv.eta)
+    rows = normal_bundle_tangent_basis(sub, nv, ms)
+    lifts = (None, classical_lift("cartan", ms), random_admissible_lift(ms, 23, enforce_m1m2=True))
+    h = [sff_connection(sub, param, nv.eta, u, v, ms, lift=lift) for lift in lifts]
+    b = sff_symplectic(sub, nv, u, v, ms)
+    om = omega_F(ms, w, rows[..., 0, :], rows[..., 1, :])
+    xi = legendre_transform(ms, w)
+    for at in np.ndindex(2, 3):
+        for method in (sub.value, sub.jacobian, sub.hessian):
+            assert _same_bits(method(param)[at], method(param[at]))
+        one = normal_cone_solve(sub, param[at], ms, guess=guess[at])
+        assert all(_same_bits(getattr(nv, f)[at], getattr(one, f)) for f in ("param", "x", "eta"))
+        one_rows = normal_bundle_tangent_basis(sub, one, ms)
+        assert _same_bits(rows[at], one_rows)
+        for lift, hb in zip(lifts, h):
+            assert _same_bits(hb[at], sff_connection(sub, param[at], one.eta, u[at], v[at], ms,
+                                                     lift=lift))
+        assert _same_bits(b[at], sff_symplectic(sub, one, u[at], v[at], ms))
+        one_w = TangentVector(one.x, one.eta)
+        assert _same_bits(om[at], omega_F(ms, one_w, one_rows[0], one_rows[1]))
+        assert _same_bits(xi[at], legendre_transform(ms, one_w))
+        assert _same_bits(metric_value(ms, w)[at], metric_value(ms, one_w))
+
+
+def test_a_rank_deficient_point_refuses_its_batch_by_index(euclid2):
+    cusp = Submanifold(1, 2, lambda ps: [ps[0] * ps[0] * ps[0], ps[0] * ps[0]], name="cusp")
+    param = [[0.5], [0.0], [0.7]]
+    for call in (lambda: cusp.jacobian(param),
+                 lambda: normal_cone_solve(cusp, param, euclid2, guess=[[0.0, 1.0]] * 3),
+                 lambda: sff_connection(cusp, param, [[0.0, 1.0]] * 3, [1.0], [1.0], euclid2)):
+        with pytest.raises(SingularBasis, match=r"rank-deficient at \[0\.\] at batch index \(1,\)"):
+            call()
+
+
+def test_a_normal_solve_that_fails_refuses_its_batch_by_index(euclid2):
+    ax = affine_subspace([0, 0], [[1, 0]])
+    param = [[0.2], [0.0], [-0.4]]
+    with pytest.raises(NoConvergence, match=r"collapsed .* at batch index \(2,\)"):
+        normal_cone_solve(ax, param, euclid2, guess=[[0.1, 1.0], [0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(NoConvergence, match=r"zero guess .* at batch index \(1,\)"):
+        normal_cone_solve(ax, param, euclid2, guess=[[0.1, 1.0], [0.0, 0.0], [1.0, 0.0]])
+
+
+def test_an_incompatible_lift_at_one_point_refuses_its_batch_by_index(euclid2):
+    def c_flat(w):
+        # admissible everywhere (p is orthogonal to y), M2 fails where x^1 > 0.5 only
+        s = np.maximum(0.0, w.x[0] - 0.5)
+        p = [-w.y[1], w.y[0]]
+        return [[[s * w.y[j] * p[k] * w.y[m] for m in range(2)] for k in range(2)]
+                for j in range(2)]
+
+    ax = affine_subspace([0, 0], [[1, 0]])
+    param, eta = [[-0.3], [0.1], [0.8]], [[0.0, 1.0]] * 3
+    bump = LiftSpec("bump", c_flat=c_flat)
+    assert sff_connection(ax, param[:2], eta[:2], [1.0], [1.0], euclid2,
+                          lift=bump).tolist() == [0.0, 0.0]
+    with pytest.raises(InvalidLift, match=r"lift bump violates .* at batch index \(2,\)"):
+        sff_connection(ax, param, eta, [1.0], [1.0], euclid2, lift=bump)
