@@ -249,14 +249,15 @@ def metric_value(ms: MetricSpec, w: TangentVector):
     """F(w) > 0 on the slit bundle, where g_w is positive definite.
 
     The strong-convexity test refuses a point where F < 0 although F^2 > 0,
-    as it does in ``fundamental_tensor``. ``w`` may carry leading batch
-    axes: F then has shape (...), one rule evaluation on float arrays, and
-    each point is bitwise equal to its own single call (a float).
+    as it does in ``fundamental_tensor``; F^2 is the value part of the
+    same y-jet. ``w`` may carry leading batch axes: F then has shape (...),
+    one rule evaluation on jets over the batch, and each point is bitwise
+    equal to its own single call (a float).
     """
     ms.check_tangent(w)
-    _legendre(ms, w.x, w.y)
-    xs, ys = (list(np.moveaxis(a, -1, 0)) for a in (w.x, w.y))
-    v = np.broadcast_to(ms.f2(xs, ys), w.x.shape[:-1])
+    jet = _f2_y_jet(ms, w.x, w.y, 2)
+    require_positive_definite(0.5 * jet.derivative(2), w.x, w.y)
+    v = jet.value
     bad = v <= 0.0
     if _any(bad):
         k = int(np.argmax(bad))

@@ -20,12 +20,15 @@ output records the ``rtol`` it was solved to.
 Along a known geodesic, Jacobi fields and parallel transport are linear
 ODEs whose coefficients are the spray's N and R (every admissible
 connection gives the same ones). A geodesic's dense output records the
-source it was solved for and, on first use, one frame table of Gx, N and R:
-an order-4 ``PointFrame`` batched over the Chebyshev-Lobatto nodes of its
-time interval, at states read off its own interpolant, doubling from 16
-intervals (one batched frame over the new nodes each time) until the
-table's Chebyshev tail is below the geodesic's ``rtol``. Jacobi fields read
-N and R from it, the oracle Gx and N, and transport N.
+source it was solved for and, on first use, one frame table of Gx, N and R
+from order-4 ``PointFrame``s at the Chebyshev-Lobatto nodes of its time
+interval, at states read off its own interpolant, doubling from 16
+intervals until the table's Chebyshev tail is below the geodesic's
+``rtol``. The tables of the curves that a flow reads together are built
+together: one frame batched over the nodes of every curve at 16
+intervals, then one per doubling level over the new nodes of the curves
+not yet converged. Jacobi fields read N and R from the table, the oracle
+Gx and N, and transport N.
 
 Jacobi fields, the Jacobi oracle and parallel transport are collocated on
 the table's nodes in ``_collocation_flow``: the Picard fixed point
@@ -33,10 +36,17 @@ s = s0 + integral of A s of a linear flow is one linear solve there, over
 (n, m) column blocks, from time 0 (at the geodesic's initial vector, so a
 backward flow's initial vectors hold at time 0). While the solution's
 Chebyshev tail is above the geodesic's ``rtol`` the nodes double, with
-frames at the new ones, locally: the cached table never changes. A curve
-that ``integrate_geodesic`` did not return, or one it solved for another
-metric or spray object, is refused with no spray evaluation. A transported
-field records its Chebyshev dense output, as a geodesic does.
+frames at the new ones, locally: the cached table never changes. Each
+flow also takes the list of curves of one ``integrate_geodesic`` batch,
+with the initial vectors on a leading batch axis: the systems of equal
+size are one stacked solve, a flow that doubles goes on alone, and curves
+with the same nodes are sampled in one barycentric pass, their values side
+by side as columns, so every result is bitwise its own single call. A
+curve that ``integrate_geodesic`` did not return, or one it solved for
+another metric or spray object, is refused with no spray evaluation; a
+batch that raises a ``FinslerError`` is redone curve by curve, so it
+raises what the first failing single call raises. A transported field
+records its Chebyshev dense output, as a geodesic does.
 
 The Jacobi oracle is the linearized spray flow, the variational equation of
 the geodesic ODE and so the exact derivative of the exponential map
@@ -52,11 +62,11 @@ over the geodesic's nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainExit, GridError, NoConvergence, NormalityViolation, NullDirection
+from .errors import (DomainExit, FinslerError, GridError, NoConvergence, NormalityViolation,
+                     NullDirection)
 from .jets import lift_any
 from .lifts import LiftSpec, affine_coefficients, classical_lift, covariant_derivative_curve
 from .metrics import MetricSpec, TangentVector
@@ -154,43 +164,56 @@ def _atol(rtol: float) -> float:
 
 
 class _ChebyshevTable:
-    """Samples of a smooth function of t at Chebyshev-Lobatto nodes of [t0, t1].
+    """Values of a smooth function of t at the Chebyshev-Lobatto nodes ``t``
+    of [t0, t1], shape (len(t),) + shape.
 
-    ``sample(ts)`` returns the values at an array of times, shape
-    (len(ts),) + shape. The table starts at ``_TABLE_INTERVALS`` intervals
-    and doubles until the last quarter of the Chebyshev coefficients is
-    below ``rtol`` times the largest sampled value. The nodes nest (node k
-    of m intervals is node 2k of 2m), so a doubling samples only the new
-    nodes. Past ``_TABLE_MAX_INTERVALS`` it raises ``NoConvergence``.
-    ``at`` interpolates it barycentrically at an array of times;
-    ``from_nodes`` wraps values already at the nodes.
+    ``build`` samples several functions, each at 16 intervals
+    (``_TABLE_INTERVALS``) doubled until the last quarter of its Chebyshev
+    coefficients is below ``rtol`` times its largest sampled value. The
+    nodes nest (node k of m intervals is node 2k of 2m), so a doubling
+    samples only the new nodes. Past ``_TABLE_MAX_INTERVALS`` it raises
+    ``NoConvergence``. ``at`` interpolates a table barycentrically at an
+    array of times.
     """
 
-    def __init__(self, sample, t0: float, t1: float, rtol: float):
-        m = _TABLE_INTERVALS
-        t = self.nodes(t0, t1, m)
-        values = np.asarray(sample(t), float)
-        while not self._converged(values, rtol):
-            if m >= _TABLE_MAX_INTERVALS:
-                raise NoConvergence(f"frame table not resolved to rtol {rtol:.1e} "
-                                    f"with {m} Chebyshev intervals on [{t0:.6g}, {t1:.6g}]")
-            t, values = self._doubled(t, values, sample)
-            m *= 2
-        self._set(t, values)
-
-    @classmethod
-    def from_nodes(cls, t, values) -> "_ChebyshevTable":
-        table = cls.__new__(cls)
-        table._set(t, values)
-        return table
-
-    def _set(self, t, values):
+    def __init__(self, t, values):
         m = len(t) - 1
         self.t = t
         self.values = values
         self._flat = values.reshape(m + 1, -1)
         self._weights = (-1.0) ** np.arange(m + 1)
         self._weights[[0, -1]] *= 0.5
+
+    @classmethod
+    def build(cls, sample, spans, rtols) -> list:
+        """The tables of several functions on the spans (t0, t1), each to its
+        own rtol. ``sample(ks, ts)`` gives the values of function k at the
+        times ts[j] for the j-th k of ``ks``; it is called once per doubling
+        level, over every function not yet converged, in order. Each table
+        is the one its function alone would give."""
+        m = _TABLE_INTERVALS
+        ts = [cls.nodes(t0, t1, m) for t0, t1 in spans]
+        values = [np.asarray(v, float) for v in sample(range(len(spans)), ts)]
+        tables = [None] * len(spans)
+        active = range(len(spans))
+        while active:
+            doubling = []
+            for k in active:
+                if cls._converged(values[k], rtols[k]):
+                    tables[k] = cls(ts[k], values[k])
+                elif m >= _TABLE_MAX_INTERVALS:
+                    raise NoConvergence(f"frame table not resolved to rtol {rtols[k]:.1e} with "
+                                        f"{m} Chebyshev intervals on [{spans[k][0]:.6g}, "
+                                        f"{spans[k][1]:.6g}]")
+                else:
+                    doubling.append(k)
+            if doubling:
+                odd = [cls._odd(ts[k]) for k in doubling]
+                for k, tk, new in zip(doubling, odd, sample(doubling, odd)):
+                    ts[k], values[k] = cls._merged(ts[k], values[k], tk, np.asarray(new, float))
+            m *= 2
+            active = doubling
+        return tables
 
     @staticmethod
     def nodes(t0: float, t1: float, m: int) -> np.ndarray:
@@ -200,13 +223,21 @@ class _ChebyshevTable:
         return t
 
     @classmethod
+    def _odd(cls, t) -> np.ndarray:
+        """The nodes that a doubling of the nodes ``t`` adds."""
+        return cls.nodes(t[0], t[-1], 2 * (len(t) - 1))[1::2]
+
+    @staticmethod
+    def _merged(t, values, odd, new):
+        """The nodes ``t`` and the ``odd`` ones interleaved, with their values."""
+        at = np.arange(1, len(t))
+        return np.insert(t, at, odd), np.insert(values, at, new, axis=0)
+
+    @classmethod
     def _doubled(cls, t, values, sample):
         """The nodes of twice the intervals, and the values with ``sample`` at the new ones."""
-        m = len(t) - 1
-        odd = cls.nodes(t[0], t[-1], 2 * m)[1::2]
-        at = np.arange(1, m + 1)
-        return (np.insert(t, at, odd),
-                np.insert(values, at, np.asarray(sample(odd), float), axis=0))
+        odd = cls._odd(t)
+        return cls._merged(t, values, odd, np.asarray(sample(odd), float))
 
     @staticmethod
     def _converged(values, rtol):
@@ -221,7 +252,8 @@ class _ChebyshevTable:
         """The values at an array of times, (len(ts),) + shape.
 
         The sums run node by node, so each time's value is the same
-        whatever other times share the call.
+        whatever other times share the call, and each column of the
+        values is the same whatever other columns share the table.
         """
         d = np.asarray(ts, float).reshape(-1, 1) - self.t
         rows, cols = np.nonzero(d == 0.0)
@@ -231,9 +263,9 @@ class _ChebyshevTable:
         for k in range(1, len(self.t)):
             num += c[:, k:k + 1] * self._flat[k]
             den += c[:, k]
-        out = num / den[:, None]
-        out[rows] = self._flat[cols]
-        return out.reshape((len(out),) + self.values.shape[1:])
+        num /= den[:, None]
+        num[rows] = self._flat[cols]
+        return num.reshape((len(num),) + self.values.shape[1:])
 
 
 def _integration_matrix(m: int) -> np.ndarray:
@@ -281,6 +313,7 @@ class _ChebyshevCurve:
         self.span = (segments[0].t[0], segments[-1].t[-1])
         self._by_time = sorted(segments, key=lambda seg: min(seg.t[0], seg.t[-1]))
         self._starts = np.array([min(seg.t[0], seg.t[-1]) for seg in self._by_time])
+        self._frames = None
 
     @property
     def t(self) -> np.ndarray:
@@ -288,31 +321,73 @@ class _ChebyshevCurve:
         return np.unique(np.concatenate([seg.t for seg in self.segments]))
 
     def __call__(self, t):
+        return _sample([self], [t])[0]
+
+    @property
+    def frames(self) -> _ChebyshevTable:
+        """(Gx, N, R) along the curve, stacked on axis 1: the table every linear flow reads."""
+        if self._frames is None:
+            _frame_tables([self])
+        return self._frames
+
+
+def _sample(curves, ts) -> list:
+    """Each curve at its own times ts[k], as ``curve(t)`` gives it.
+
+    Segments of several curves with the same nodes, read at the same times,
+    share one barycentric pass with their values side by side as columns;
+    ``at`` is elementwise in the columns, so each is bitwise its own pass.
+    """
+    passes, outs = {}, []
+    for curve, t in zip(curves, ts):
         t = np.asarray(t, float)
         flat = t.reshape(-1)
-        lo, hi = sorted(self.span)
+        lo, hi = sorted(curve.span)
         outside = ~((flat >= lo) & (flat <= hi))
         if outside.any():
             raise GridError(f"time {flat[outside][0]!r} is outside the geodesic's span "
                             f"[{lo!r}, {hi!r}]")
-        which = np.searchsorted(self._starts, flat, side="right") - 1
-        out = np.empty((flat.size,) + self.segments[0].values.shape[1:])
+        which = np.searchsorted(curve._starts, flat, side="right") - 1
+        # the rows of a segment, then the times
+        out = np.empty(curve.segments[0].values.shape[1:] + (flat.size,))
+        outs.append(out.reshape(out.shape[:-1] + t.shape))
         for k in np.unique(which):
             pick = which == k
-            out[pick] = self._by_time[k].at(flat[pick])
-        return np.moveaxis(out, 0, -1).reshape(out.shape[1:] + t.shape)
+            seg = curve._by_time[k]
+            times = flat[pick]
+            passes.setdefault((seg.t.tobytes(), times.tobytes()), (seg.t, times, []))[2].append(
+                (seg, out, pick))
+    for nodes, times, group in passes.values():
+        columns = np.concatenate([seg._flat for seg, _, _ in group], axis=1)
+        values = _ChebyshevTable(nodes, columns).at(times)
+        end = 0
+        for seg, out, pick in group:
+            start, end = end, end + seg._flat.shape[1]
+            out[..., pick] = values[:, start:end].T.reshape(out.shape[:-1] + (len(times),))
+    return outs
 
-    @cached_property
-    def frames(self) -> _ChebyshevTable:
-        """(Gx, N, R) along the curve, stacked on axis 1: the table every linear flow reads."""
-        return _ChebyshevTable(self.frame_values, *sorted(self.span), self.rtol)
 
-    def frame_values(self, ts) -> np.ndarray:
-        """(Gx, N, R) at an array of times, (len(ts), 3, n, n), from one batched frame."""
-        n = self.src.dim
-        st = self(ts)
-        fr = PointFrame(self.src, TangentVector(st[:n].T, st[n:].T), order=4)
-        return np.stack([fr.Gx, fr.N, fr.R], axis=1)
+def _frame_values(curves, ts) -> list:
+    """(Gx, N, R) of each curve at its times ts[k], (len(ts[k]), 3, n, n),
+    from one order-4 frame batched over the states of all of them."""
+    n = curves[0].src.dim
+    states = np.concatenate([st.T for st in _sample(curves, ts)])
+    fr = PointFrame(curves[0].src, TangentVector(states[:, :n], states[:, n:]), order=4)
+    values = np.stack([fr.Gx, fr.N, fr.R], axis=1)
+    return np.split(values, np.cumsum([len(t) for t in ts])[:-1])
+
+
+def _frame_tables(curves) -> None:
+    """Give every curve of one source that has no frame table its table,
+    from one batched frame per doubling level over the new nodes of every
+    curve not yet converged."""
+    todo = list({id(c): c for c in curves if c._frames is None}.values())
+    if todo:
+        tables = _ChebyshevTable.build(
+            lambda ks, ts: _frame_values([todo[k] for k in ks], ts),
+            [sorted(c.span) for c in todo], [c.rtol for c in todo])
+        for c, table in zip(todo, tables):
+            c._frames = table
 
 
 class _PicardSegment:
@@ -388,13 +463,13 @@ class _PicardSegment:
                 self.split(False)
             else:
                 self.t, self.values = _ChebyshevTable._doubled(
-                    self.t, self.values, _ChebyshevTable.from_nodes(self.t, self.values).at)
+                    self.t, self.values, _ChebyshevTable(self.t, self.values).at)
                 self.sweeps = 0
         else:
             if self.outside():
                 raise DomainExit("trajectory left the validity region before "
                                  f"t={self.t1:.6g}")
-            self.done.append(_ChebyshevTable.from_nodes(self.t, self.values))
+            self.done.append(_ChebyshevTable(self.t, self.values))
             if self.t1 == self.exit_end:
                 self.exit_end = None
             if not self.plan:
@@ -443,11 +518,9 @@ def integrate_geodesic(src, w0: TangentVector, t_end: float,
     grid = np.linspace(0.0, t_end, nodes)
     if t_end < 0:
         grid = grid[::-1]
-    curves = []
-    for dense in _picard_geodesics(src, states0.reshape(-1, 2 * n), t_end, rtol):
-        states = dense(grid)
-        curves.append(Curve(grid=grid, points=states[:n].T, velocities=states[n:].T,
-                            dense=dense))
+    denses = _picard_geodesics(src, states0.reshape(-1, 2 * n), t_end, rtol)
+    curves = [Curve(grid=grid, points=states[:n].T, velocities=states[n:].T, dense=dense)
+              for dense, states in zip(denses, _sample(denses, [grid] * len(denses)))]
     return curves[0] if states0.ndim == 1 else curves
 
 
@@ -459,7 +532,7 @@ _GAUSS4_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461,
 
 def _solved(curve: Curve) -> _ChebyshevCurve:
     """The Chebyshev dense output of a geodesic from ``integrate_geodesic``."""
-    if not isinstance(curve.dense, _ChebyshevCurve):
+    if not isinstance(getattr(curve, "dense", None), _ChebyshevCurve):
         raise GridError("need a geodesic from integrate_geodesic: this curve has no "
                         "Chebyshev dense output")
     return curve.dense
@@ -532,67 +605,138 @@ def energy(ms: MetricSpec, curve: Curve) -> float:
     return float(0.5 * hs[0] / 3.0 * np.sum(_simpson_weights(len(grid)) * vals))
 
 
-def _flow_start(src, geo: Curve, s0):
-    """The dense output of a geodesic of ``src`` and the initial blocks as
-    float arrays of one shape, (n,) or (n, m); anything else is refused
-    before any evaluation."""
-    dense = _solved(geo)
-    if src is not dense.src:
-        raise GridError(f"curve is not a geodesic of {src!r}: it was solved for {dense.src!r}")
-    s0 = [np.asarray(b, float) for b in s0]
-    shape = s0[0].shape
-    if any(b.shape != shape for b in s0) or shape[:1] != (geo.n,) or len(shape) > 2:
-        raise ValueError(f"initial vectors must share shape (n,) or (n, m) with n = {geo.n}, "
-                         f"got {' and '.join(str(b.shape) for b in s0)}")
-    return dense, s0
+def _flow_jobs(src, geo, *blocks):
+    """The geodesics and the flows' jobs, (dense output, initial blocks) per
+    geodesic. ``geo`` is one geodesic of ``src`` from ``integrate_geodesic``
+    with blocks of one shape, (n,) or (n, m), or a list of them with the
+    blocks on a leading batch axis; anything else is refused before any
+    evaluation."""
+    if isinstance(geo, Curve):
+        geos = [geo]
+        blocks = [[np.asarray(b, float)] for b in blocks]
+    else:
+        geos = list(geo)
+        blocks = [np.asarray(b, float) for b in blocks]
+        for b in blocks:
+            if b.shape[:1] != (len(geos),):
+                raise ValueError(f"initial vectors of {len(geos)} geodesics need a leading "
+                                 f"batch axis of {len(geos)}, got shape {b.shape}")
+    jobs = []
+    for k, curve in enumerate(geos):
+        dense = _solved(curve)
+        if src is not dense.src:
+            raise GridError(f"curve is not a geodesic of {src!r}: it was solved for "
+                            f"{dense.src!r}")
+        s0 = [b[k] for b in blocks]
+        shape = s0[0].shape
+        if any(b.shape != shape for b in s0) or shape[:1] != (curve.n,) or len(shape) > 2:
+            raise ValueError(f"initial vectors must share shape (n,) or (n, m) with n = "
+                             f"{curve.n}, got {' and '.join(str(b.shape) for b in s0)}")
+        jobs.append((dense, s0))
+    return geos, jobs
 
 
-def _collocation_flow(src, geo: Curve, coefficients, s0):
-    """Solve a linear ODE s' = A(t) s along a geodesic of ``src`` by spectral
-    collocation on the nodes of the geodesic's frame table.
+class _LinearFlow:
+    """One job of ``_collocation_flow``: a linear flow from the blocks ``s0``
+    along a geodesic's dense output, on its frame table's nodes until the
+    solution's Chebyshev tail asks for more."""
 
-    ``s0`` is a tuple of initial blocks of one shape, (n,) or (n, m), at
-    time 0, where the geodesic starts (the table's last node on a backward
-    geodesic). ``coefficients(frames)`` maps table values (k, 3, n, n) of
-    (Gx, N, R) to A (k, d, d), d = n * len(s0). The Picard fixed point
-    S = s0 + integral of A S is one linear solve at the nodes; while the
-    solution's Chebyshev tail is above the geodesic's ``rtol``, the nodes
-    double, with frames at the new ones from the geodesic's dense output
-    (the cached table is left as it is). Past ``_TABLE_MAX_INTERVALS`` it
-    raises ``NoConvergence``. Returns the solution's dense output over the
-    geodesic's span, one segment whose rows are (len(s0),) + block shape.
-    """
-    dense, s0 = _flow_start(src, geo, s0)
-    blocks = (len(s0),) + s0[0].shape
-    start = np.stack(s0).reshape(len(s0) * geo.n, -1)
-    d = len(start)
-    order = slice(None, None, -1) if dense.span[1] < dense.span[0] else slice(None)
-    t, frames = dense.frames.t, dense.frames.values
-    while True:
-        m = len(t) - 1
-        ts, A = t[order], coefficients(frames)[order]
+    def __init__(self, dense, s0, coefficients):
+        self.dense, self.coefficients = dense, coefficients
+        self.blocks = (len(s0),) + s0[0].shape
+        self.start = np.stack(s0).reshape(len(s0) * len(s0[0]), -1)
+        self.order = slice(None, None, -1) if dense.span[1] < dense.span[0] else slice(None)
+        self.t, self.frames = dense.frames.t, dense.frames.values
+
+    def system(self, M, rhs) -> None:
+        """Write the collocation system on the current nodes into M and rhs."""
+        m, d = len(self.t) - 1, len(self.start)
+        ts, A = self.t[self.order], self.coefficients(self.frames)[self.order]
         half = 0.5 * (ts[-1] - ts[0])
         Q = _integration_matrix(m)
         # (I - half (Q x I) blockdiag(A)) S = 1 x s0 over the nodes after the
         # first, where S is s0 itself; row (j, a), column (k, b) is Q_jk A_k[a, b]
-        M = (-half * Q[1:, None, 1:, None] * A[1:].transpose(1, 0, 2)).reshape(m * d, m * d)
+        np.multiply(-half * Q[1:, None, 1:, None], A[1:].transpose(1, 0, 2),
+                    out=M.reshape(m, d, m, d))
         M[np.diag_indices(m * d)] += 1.0
-        rhs = start + half * Q[1:, 0, None, None] * (A[0] @ start)
-        S = np.concatenate([start[None], np.linalg.solve(M, rhs.reshape(m * d, -1))
-                            .reshape((m,) + start.shape)])
-        if _ChebyshevTable._converged(S, dense.rtol):
-            break
+        rhs[:] = (self.start + half * Q[1:, 0, None, None] * (A[0] @ self.start)).reshape(m * d, -1)
+
+    def solved(self, X) -> None:
+        """Take the solution X at the nodes after the first and test its tail against rtol."""
+        self.S = np.concatenate([self.start[None], X.reshape((-1,) + self.start.shape)])
+        self.converged = _ChebyshevTable._converged(self.S, self.dense.rtol)
+
+    def double(self) -> None:
+        """Double the nodes, with one frame at the new ones (the cached table is left as it is)."""
+        m, t = len(self.t) - 1, self.t
         if m >= _TABLE_MAX_INTERVALS:
-            raise NoConvergence(f"linear flow not resolved to rtol {dense.rtol:.1e} with {m} "
+            raise NoConvergence(f"linear flow not resolved to rtol {self.dense.rtol:.1e} with {m} "
                                 f"Chebyshev intervals on [{t[0]:.6g}, {t[-1]:.6g}]")
-        t, frames = _ChebyshevTable._doubled(t, frames, dense.frame_values)
-    return _ChebyshevCurve([_ChebyshevTable.from_nodes(ts, S.reshape((m + 1,) + blocks))],
-                           dense.rtol, src)
+        odd = _ChebyshevTable._odd(t)
+        (new,) = _frame_values([self.dense], [odd])
+        self.t, self.frames = _ChebyshevTable._merged(t, self.frames, odd, new)
+
+    def curve(self) -> _ChebyshevCurve:
+        """The solution's dense output: one segment whose rows are the blocks."""
+        table = _ChebyshevTable(self.t[self.order], self.S.reshape((len(self.t),) + self.blocks))
+        return _ChebyshevCurve([table], self.dense.rtol, self.dense.src)
 
 
-def _on_grid(flow: _ChebyshevCurve, grid) -> np.ndarray:
-    """A collocated flow's blocks at the times ``grid``, (len(s0), N) + block shape."""
-    return np.moveaxis(flow(grid), -1, 1)
+def _solve(flows) -> None:
+    """One stacked ``np.linalg.solve`` of the collocation systems of flows
+    with the same node count and block shape, each written into the stack."""
+    m, (d, c) = len(flows[0].t) - 1, flows[0].start.shape
+    M, rhs = np.empty((len(flows), m * d, m * d)), np.empty((len(flows), m * d, c))
+    for flow, Mk, rk in zip(flows, M, rhs):
+        flow.system(Mk, rk)
+    for flow, X in zip(flows, np.linalg.solve(M, rhs)):
+        flow.solved(X)
+
+
+def _collocation_flow(coefficients, jobs) -> list:
+    """Solve linear ODEs s' = A(t) s along geodesics by spectral
+    collocation on the nodes of each geodesic's frame table.
+
+    ``jobs`` lists (dense output, initial blocks) pairs from ``_flow_jobs``:
+    blocks of one shape, (n,) or (n, m), at time 0, where the geodesic
+    starts (the table's last node on a backward geodesic).
+    ``coefficients(frames)`` maps table values (k, 3, n, n) of (Gx, N, R) to
+    A (k, d, d), d = n * len(s0). The Picard fixed point S = s0 + integral
+    of A S is one linear solve at the nodes, stacked into one
+    ``np.linalg.solve`` over the jobs of one node count and block shape.
+    The tables of all the geodesics are built together first. While a
+    solution's Chebyshev tail is above its geodesic's ``rtol``, the job goes
+    on alone, in job order, doubling the nodes with frames at the new ones
+    from the geodesic's dense output (the cached table is left as it is), so
+    flows along the same geodesics repeat their doublings in the same order
+    and find their frames in the frame memo. Past ``_TABLE_MAX_INTERVALS``
+    it raises ``NoConvergence``. If the batch raises a ``FinslerError``, the
+    jobs run one by one in order, so the first failing job raises its own
+    error. Returns each solution's dense output over its geodesic's span,
+    one segment whose rows are (len(s0),) + block shape.
+    """
+    try:
+        _frame_tables([dense for dense, _ in jobs])
+        flows = [_LinearFlow(dense, s0, coefficients) for dense, s0 in jobs]
+        groups = {}
+        for flow in flows:
+            groups.setdefault((len(flow.t), flow.start.shape), []).append(flow)
+        for group in groups.values():
+            _solve(group)
+        for flow in flows:
+            while not flow.converged:
+                flow.double()
+                _solve([flow])
+    except FinslerError:
+        if len(jobs) == 1:
+            raise
+        return [_collocation_flow(coefficients, [job])[0] for job in jobs]
+    return [flow.curve() for flow in flows]
+
+
+def _on_grid(flows, geos) -> list:
+    """Each collocated flow's blocks at its geodesic's grid, (len(s0), N) + block shape."""
+    return [np.moveaxis(v, -1, 1) for v in _sample(flows, [geo.grid for geo in geos])]
 
 
 def _jacobi_coefficients(frames):
@@ -601,7 +745,7 @@ def _jacobi_coefficients(frames):
     return np.block([[-N, np.broadcast_to(np.eye(N.shape[-1]), N.shape)], [-R, -N]])
 
 
-def jacobi_integrate(src, geo: Curve, J0, J0dot) -> FieldAlongCurve:
+def jacobi_integrate(src, geo, J0, J0dot):
     """Integrate the Jacobi equation D^2 J + R(J) = 0 along a geodesic.
 
     First-order form in (J, K = covariant derivative of J), a linear system
@@ -611,11 +755,17 @@ def jacobi_integrate(src, geo: Curve, J0, J0dot) -> FieldAlongCurve:
     ``J0dot`` have shape (n,), or (n, m) for m fields solved as the columns
     of one system; ``vectors`` and ``covariant_derivative`` then have shape
     (N, n, m). The initial values hold at time 0, where the geodesic starts.
+    ``geo`` may also be the list of B geodesics of one ``integrate_geodesic``
+    batch, with ``J0`` and ``J0dot`` of shape (B, n) or (B, n, m): the
+    result is then a list of B fields, each bitwise its own single call.
     Raises ``NoConvergence`` when the table, or the field, is not resolved
     to the geodesic's ``rtol``.
     """
-    J, K = _on_grid(_collocation_flow(src, geo, _jacobi_coefficients, (J0, J0dot)), geo.grid)
-    return FieldAlongCurve(grid=geo.grid, vectors=J, covariant_derivative=K)
+    geos, jobs = _flow_jobs(src, geo, J0, J0dot)
+    fields = [FieldAlongCurve(grid=g.grid, vectors=J, covariant_derivative=K)
+              for g, (J, K) in zip(geos, _on_grid(
+                  _collocation_flow(_jacobi_coefficients, jobs), geos))]
+    return fields[0] if isinstance(geo, Curve) else fields
 
 
 def _variation_coefficients(frames):
@@ -625,7 +775,7 @@ def _variation_coefficients(frames):
     return np.block([[np.zeros_like(N), eye], [-2.0 * Gx, -2.0 * N]])
 
 
-def jacobi_variation_oracle(src, geo: Curve, u) -> np.ndarray:
+def jacobi_variation_oracle(src, geo, u):
     """The Jacobi field along a geodesic with J(0) = 0 and covariant initial
     derivative u, as the derivative of the exponential map.
 
@@ -635,11 +785,13 @@ def jacobi_variation_oracle(src, geo: Curve, u) -> np.ndarray:
     table along ``geo``, collocated on its nodes at the geodesic's ``rtol``
     as ``jacobi_integrate`` is. It uses neither R nor a connection. ``u``
     has shape (n,) or (n, m); returns dx on ``geo.grid``, shape (N, n) or
-    (N, n, m).
+    (N, n, m). For a list of B geodesics ``u`` has a leading batch axis and
+    the result is a list of B arrays, as in ``jacobi_integrate``.
     """
     u = np.asarray(u, float)
-    flow = _collocation_flow(src, geo, _variation_coefficients, (np.zeros(u.shape), u))
-    return _on_grid(flow, geo.grid)[0]
+    geos, jobs = _flow_jobs(src, geo, np.zeros(u.shape), u)
+    dx = [v[0] for v in _on_grid(_collocation_flow(_variation_coefficients, jobs), geos)]
+    return dx[0] if isinstance(geo, Curve) else dx
 
 
 # the benchmark's tracer rebinds this name (perfbench/tracer.py); the package never calls it
@@ -650,7 +802,7 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def parallel_transport(src, geo: Curve, v0) -> FieldAlongCurve:
+def parallel_transport(src, geo, v0):
     """Solve D^{gdot} V/dt = 0, V' = -N V, along a geodesic by collocation
     on its frame table's nodes.
 
@@ -658,12 +810,18 @@ def parallel_transport(src, geo: Curve, v0) -> FieldAlongCurve:
     and holds at time 0, where the geodesic starts; ``vectors`` then has
     shape (N, n) or (N, n, m). ``dense`` is the field's Chebyshev dense
     output over the geodesic's span: at an array of N times it gives
-    (n, N) or (n, m, N).
+    (n, N) or (n, m, N). For a list of B geodesics ``v0`` has a leading
+    batch axis and the result is a list of B fields, as in
+    ``jacobi_integrate``.
     """
-    flow = _collocation_flow(src, geo, lambda frames: -frames[:, 1], (v0,))
-    (seg,) = flow.segments
-    V = _ChebyshevCurve([_ChebyshevTable.from_nodes(seg.t, seg.values[:, 0])], flow.rtol, src)
-    return FieldAlongCurve(grid=geo.grid, vectors=np.moveaxis(V(geo.grid), -1, 0), dense=V)
+    geos, jobs = _flow_jobs(src, geo, v0)
+    Vs = []
+    for flow in _collocation_flow(lambda frames: -frames[:, 1], jobs):
+        (seg,) = flow.segments
+        Vs.append(_ChebyshevCurve([_ChebyshevTable(seg.t, seg.values[:, 0])], flow.rtol, src))
+    fields = [FieldAlongCurve(grid=g.grid, vectors=np.moveaxis(v, -1, 0), dense=V)
+              for g, V, v in zip(geos, Vs, _sample(Vs, [g.grid for g in geos]))]
+    return fields[0] if isinstance(geo, Curve) else fields
 
 
 # -- second variation -----------------------------------------------------------

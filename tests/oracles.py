@@ -190,6 +190,48 @@ def sff_compare_reference(ms, p):
     return rows_out, worst
 
 
+def jacobi_compare_reference(ms, p):
+    """CSV rows of the jacobi-compare task, one sample at a time.
+
+    The task's per-sample loop before its flows were batched: each sample
+    normalizes its draw with its own ``metric_value`` call and, along its own
+    geodesic (from one batched geodesic solve, as before), makes its own
+    oracle, metric and Jacobi calls, in that order. So the batched task must
+    give the same rows bit for bit, or raise the same first error.
+    """
+    from finslergeo import metrics
+    from finslergeo.variational import jacobi_integrate, jacobi_variation_oracle
+
+    rng, kap = SplitMix64(p["seed"]), p["constant_curvature"]
+    ws, us = [], []
+    for _ in range(p["samples"]):
+        w0 = metrics.random_tangent(ms, rng)
+        ws.append(TangentVector(w0.x, w0.y / metrics.metric_value(ms, w0)))
+        us.append(rng.direction(ms.dim))
+    rows = []
+    for i, (w0, u, geo) in enumerate(zip(ws, us, integrate_geodesic(
+            ms, TangentVector.stack(ws), p["t"]))):
+        Jor = jacobi_variation_oracle(ms, geo, u)
+        if kap is None:
+            J = jacobi_integrate(ms, geo, np.zeros(ms.dim), u).vectors
+            rows.append((i, float(np.max(np.abs(J - Jor))), 0.0))
+            continue
+        gs = fundamental_tensor(ms, TangentVector(
+            np.vstack([w0.x, geo.points[::40]]), np.vstack([w0.y, geo.velocities[::40]]))).g
+        uperp = u - (u @ gs[0] @ w0.y) / (w0.y @ gs[0] @ w0.y) * w0.y
+        unorm = float(np.sqrt(uperp @ gs[0] @ uperp))
+        J = jacobi_integrate(ms, geo, np.zeros((ms.dim, 2)), np.column_stack([u, uperp])).vectors
+        prof = 0.0
+        for k, gk in zip(range(0, len(geo.grid), 40), gs[1:]):
+            nrm = float(np.sqrt(J[k, :, 1] @ gk @ J[k, :, 1]))
+            t, root = geo.grid[k], np.sqrt(abs(kap))
+            ref = (unorm * np.sin(root * t) / root if kap > 0 else
+                   unorm * np.sinh(root * t) / root if kap < 0 else unorm * t)
+            prof = max(prof, abs(nrm - abs(ref)))
+        rows.append((i, float(np.max(np.abs(J[:, :, 0] - Jor))), prof))
+    return rows
+
+
 def exp_map_jacobi_difference(src, w0, u, grid, h=1e-3):
     """The Jacobi field with J(0) = 0 and initial derivative u, by central
     differences of the exponential map: (exp(x0, y0 + h u) - exp(x0, y0 - h u)) / 2h

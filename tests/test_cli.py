@@ -564,6 +564,39 @@ def test_batched_sff_compare_is_the_per_sample_loop_bit_for_bit(scenario, offset
     assert _bits([[c.residual for c in res.checks]]) == _bits([worst])
 
 
+@pytest.mark.parametrize("offset", [0, 3])
+@pytest.mark.parametrize("scenario", ["12_jacobi_sphere", "13_jacobi_hyperbolic",
+                                      "14_jacobi_randers", "15_jacobi_funk"])
+def test_batched_jacobi_compare_is_the_per_sample_loop_bit_for_bit(scenario, offset):
+    from oracles import jacobi_compare_reference
+
+    ms, p = cli._parse_scenario(dict(cli.bundled_scenarios())[scenario + ".json"])
+    p["seed"] += offset   # verify-all --seed adds its seed to the scenario's own
+    assert _bits(cli.task_jacobi_compare(ms, p).csv_rows) == _bits(jacobi_compare_reference(ms, p))
+
+
+@pytest.mark.parametrize("scenario, offset, failing", [
+    ("12_jacobi_sphere", 0, "linear flow"), ("12_jacobi_sphere", 3, "frame table"),
+    ("14_jacobi_randers", 0, "frame table")])
+def test_jacobi_compare_raises_what_the_per_sample_loop_raises(scenario, offset, failing,
+                                                               monkeypatch):
+    # capped at 16 intervals some tables or flows of these draws fail; the
+    # batched task raises the error that the per-sample loop meets first
+    from finslergeo import variational
+    from finslergeo.errors import NoConvergence
+    from oracles import jacobi_compare_reference
+
+    monkeypatch.setattr(variational, "_TABLE_MAX_INTERVALS", 16)
+    ms, p = cli._parse_scenario(dict(cli.bundled_scenarios())[scenario + ".json"])
+    p["seed"] += offset
+    with pytest.raises(NoConvergence) as batched:
+        cli.task_jacobi_compare(ms, p)
+    with pytest.raises(NoConvergence) as loop:
+        jacobi_compare_reference(ms, p)
+    assert str(batched.value) == str(loop.value)
+    assert str(loop.value).startswith(failing)
+
+
 def test_sff_compare_falls_back_to_one_sample_at_a_time(monkeypatch):
     # the first sample's inward guess is refused: its group's batched solve fails, and
     # that sample is solved again from the opposite guess, as the per-sample loop does

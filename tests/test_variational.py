@@ -520,28 +520,150 @@ def test_jacobi_builds_one_frame_per_table_node(sphere, monkeypatch):
             super().__init__(src, w, order)
 
     class RecordingTable(_ChebyshevTable):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            tables.append(self)
+        @classmethod
+        def build(cls, *args):
+            tables.append(super().build(*args))
+            return tables[-1]
 
     monkeypatch.setattr(variational, "PointFrame", CountingFrame)
     monkeypatch.setattr(variational, "_ChebyshevTable", RecordingTable)
-    # this geodesic runs out to |x| ~ 9 in the chart: the table doubles several times
-    w0 = unit_tangent(sphere, TangentVector([0.1, -0.05], [0.6, 0.45]))
-    geo = integrate_geodesic(sphere, w0, 3.0)
-    jacobi_integrate(sphere, geo, [0, 0], [0, 1])
+    # the first geodesic runs out to |x| ~ 9 in the chart: its table doubles
+    # several times, the others' fewer times or not at all
+    ws = [unit_tangent(sphere, TangentVector(x, y))
+          for x, y in (([0.1, -0.05], [0.6, 0.45]), ([0.1, 0.2], [0.5, -0.3]),
+                       ([-0.3, 0.1], [0.2, 0.9]))]
+    geos = integrate_geodesic(sphere, TangentVector.stack(ws), 3.0)
+    jacobi_integrate(sphere, geos, np.zeros((3, 2)), np.tile([0.0, 1.0], (3, 1)))
     assert len(tables) == 1
-    assert len(tables[0].t) > 33
-    # one batched frame for the first 17 nodes, then one per doubling over its new nodes
-    m = len(tables[0].t) - 1
-    doublings = int(np.log2(m // 16))
-    assert built == [(4, 17)] + [(4, 16 * 2 ** k) for k in range(doublings)]
-    # the oracle and transport read the same table: no frame and no table more
+    assert [geo.dense.frames for geo in geos] == tables[0]
+    # one batched frame for the first 17 nodes of every curve, then one per
+    # doubling level over the new nodes of the curves still doubling
+    doublings = [int(np.log2((len(geo.dense.frames.t) - 1) // 16)) for geo in geos]
+    assert doublings[0] > 1 and min(doublings) < doublings[0]
+    assert built == [(4, 17 * len(geos))] + [
+        (4, 16 * 2 ** k * sum(d > k for d in doublings)) for k in range(max(doublings))]
+    # the oracle and transport read the same tables: no frame and no table more
     frames = list(built)
-    jacobi_variation_oracle(sphere, geo, [0, 1])
-    parallel_transport(sphere, geo, [1.0, 0.5])
+    jacobi_variation_oracle(sphere, geos, np.tile([0.0, 1.0], (3, 1)))
+    parallel_transport(sphere, geos, np.tile([1.0, 0.5], (3, 1)))
+    for geo in geos:
+        jacobi_integrate(sphere, geo, [0, 0], [0, 1])
     assert len(tables) == 1
     assert built == frames
+
+
+# (metric, t_end, initial vectors, random ones besides): forward and backward
+# spans, geodesics whose frame tables double (to different sizes), one whose
+# flows double locally and Funk geodesics of two or more Chebyshev segments
+_BATCH_CASES = [("sphere", 1.0, (), 3), ("sphere", -0.8, (), 3),
+                ("sphere", 3.0, (([0.1, -0.05], [0.6, 0.45]), ([0.1, 0.2], [0.5, -0.3]),
+                                 ([-0.3, 0.1], [0.2, 0.9])), 0),
+                ("funk", 1.0, (([0.5, 0.1], [1.2, 0.3]),), 3), ("funk", -0.3, (), 3),
+                ("funk", 6.0, (([0.0, 0.0], [1.0, 0.0]),), 3),
+                ("randers_var", 1.0, (), 3), ("randers_var", -0.8, (), 3)]
+
+
+@pytest.mark.parametrize("name, t_end, extra, draws", _BATCH_CASES)
+def test_batched_tables_and_flows_equal_one_call_per_geodesic(name, t_end, extra, draws,
+                                                              request):
+    ms = request.getfixturevalue(name)
+    rng = SplitMix64(61)
+    ws = [unit_tangent(ms, TangentVector(x, y)) for x, y in extra]
+    ws += [unit_tangent(ms, random_tangent(ms, rng)) for _ in range(draws)]
+    B = len(ws)
+    geos = integrate_geodesic(ms, TangentVector.stack(ws), t_end)
+    # the reference: each geodesic's dense output alone, its table built alone
+    singles = [Curve(geo.grid, geo.points, geo.velocities,
+                     dense=variational._ChebyshevCurve(geo.dense.segments, geo.dense.rtol, ms))
+               for geo in geos]
+    for geo, one in zip(geos, singles):
+        states = one.dense(geo.grid)
+        assert np.array_equal(geo.points, states[:2].T)
+        assert np.array_equal(geo.velocities, states[2:].T)
+    u, v = rng.vector(2 * B, -1, 1).reshape(B, 2), rng.vector(2 * B, -1, 1).reshape(B, 2)
+    J0, J0dot = np.stack([0.3 * u, np.zeros((B, 2))], axis=-1), np.stack([v, u], axis=-1)
+    batched = (jacobi_integrate(ms, geos, J0, J0dot), jacobi_integrate(ms, geos, u, v),
+               jacobi_variation_oracle(ms, geos, v), jacobi_variation_oracle(ms, geos, J0dot),
+               parallel_transport(ms, geos, v), parallel_transport(ms, geos, J0dot))
+    between = t_end * np.linspace(0.0013, 0.9987, 37)
+    for k, (geo, one) in enumerate(zip(geos, singles)):
+        assert np.array_equal(geo.dense.frames.t, one.dense.frames.t)
+        assert np.array_equal(geo.dense.frames.values, one.dense.frames.values)
+        J, Ju, dx, dx2, V, V2 = (out[k] for out in batched)
+        for field, ref in ((J, jacobi_integrate(ms, one, J0[k], J0dot[k])),
+                           (Ju, jacobi_integrate(ms, one, u[k], v[k]))):
+            assert np.array_equal(field.vectors, ref.vectors)
+            assert np.array_equal(field.covariant_derivative, ref.covariant_derivative)
+        assert np.array_equal(dx, jacobi_variation_oracle(ms, one, v[k]))
+        assert np.array_equal(dx2, jacobi_variation_oracle(ms, one, J0dot[k]))
+        for field, v0 in ((V, v[k]), (V2, J0dot[k])):
+            ref = parallel_transport(ms, one, v0)
+            assert np.array_equal(field.vectors, ref.vectors)
+            assert np.array_equal(field.dense(between), ref.dense(between))
+    sizes = {len(geo.dense.frames.t) for geo in geos}
+    if t_end == 3.0:
+        assert len(sizes) > 1 and max(sizes) > 33
+    if t_end == 6.0:
+        # the Jacobi field along the first geodesic needs twice its table's nodes
+        _, jobs = variational._flow_jobs(ms, geos[0], [0, 0], [0, 1])
+        (flow,) = variational._collocation_flow(variational._jacobi_coefficients, jobs)
+        assert sizes == {17} and len(flow.segments[0].t) == 33
+    if name == "funk" and t_end == 1.0:
+        assert 2 in {len(geo.dense.segments) for geo in geos}
+
+
+def test_a_batch_refuses_a_curve_of_another_source_before_any_evaluation(sphere, euclid2,
+                                                                         monkeypatch):
+    ws = [unit_tangent(sphere, TangentVector([0.1, 0.2], [0.5, -0.3])),
+          unit_tangent(sphere, TangentVector([-0.2, 0.1], [0.3, 0.4]))]
+    geos = integrate_geodesic(sphere, TangentVector.stack(ws), 1.0)
+    other = integrate_geodesic(euclid2, TangentVector([0.0, 0.0], [1.0, 0.0]), 1.0)
+    copy = Curve(geos[1].grid, geos[1].points, geos[1].velocities)
+    evaluated = []
+    for name in ("spray_values", "PointFrame"):
+        monkeypatch.setattr(variational, name, lambda *args, **kw: evaluated.append(args))
+    zeros, ones = np.zeros((3, 2)), np.ones((3, 2))
+    for batch, error in (([geos[0], other, geos[1]], "not a geodesic"),
+                         ([geos[0], geos[1], copy], "integrate_geodesic")):
+        for run in (lambda: jacobi_integrate(sphere, batch, zeros, ones),
+                    lambda: jacobi_variation_oracle(sphere, batch, ones),
+                    lambda: parallel_transport(sphere, batch, ones)):
+            with pytest.raises(GridError, match=error):
+                run()
+    # the initial vectors need one row per geodesic
+    with pytest.raises(ValueError, match=r"leading batch axis of 2, got shape \(3, 2\)"):
+        parallel_transport(sphere, geos, ones)
+    with pytest.raises(ValueError, match=r"initial vectors .*\(3,\)"):
+        jacobi_variation_oracle(sphere, geos, np.ones((2, 3)))
+    assert evaluated == []
+    assert all(geo.dense._frames is None for geo in geos)
+
+
+def test_a_failing_batch_raises_what_the_first_failing_single_call_raises(poincare,
+                                                                          monkeypatch):
+    # capped at 16 intervals, the Jacobi field along geos[3] fails (its table
+    # does not) and the table of geos[2] fails: a batch builds both tables
+    # before any flow, so it must redo the jobs one by one to raise the first
+    rng = SplitMix64(7)
+    ws = [unit_tangent(poincare, random_tangent(poincare, rng)) for _ in range(4)]
+    monkeypatch.setattr(variational, "_TABLE_MAX_INTERVALS", 16)
+
+    def geodesics():
+        geos = integrate_geodesic(poincare, TangentVector.stack(ws), 2.0)
+        return [geos[3], geos[2]]
+
+    errors = []
+    for batch in (geodesics(), geodesics()):
+        with pytest.raises(NoConvergence) as single:
+            jacobi_integrate(poincare, batch[0], [0.0, 0.0], [0.0, 1.0])
+        errors.append(str(single.value))
+    assert errors[0].startswith("linear flow not resolved to rtol 1.0e-09 with 16")
+    batch = geodesics()
+    with pytest.raises(NoConvergence, match="frame table not resolved"):
+        jacobi_integrate(poincare, batch[1], [0.0, 0.0], [0.0, 1.0])
+    with pytest.raises(NoConvergence) as batched:
+        jacobi_integrate(poincare, geodesics(), np.zeros((2, 2)), np.tile([0.0, 1.0], (2, 1)))
+    assert str(batched.value) == errors[0]
 
 
 @pytest.mark.parametrize("call", ["jacobi", "oracle", "transport", "residual"])
@@ -783,14 +905,17 @@ def test_chebyshev_tail_test_matches_scipy_dct():
 
 
 def test_chebyshev_table_interpolates_and_refuses_a_kink():
-    table = _ChebyshevTable(lambda t: np.stack([np.sin(3 * t), np.exp(t)], axis=-1),
-                            0.0, 2.0, DEFAULT_RTOL)
+    def smooth(ks, ts):
+        return [np.stack([np.sin(3 * t), np.exp(t)], axis=-1) for t in ts]
+
+    (table,) = _ChebyshevTable.build(smooth, [(0.0, 2.0)], [DEFAULT_RTOL])
     assert np.array_equal(table.t[[0, -1]], [0.0, 2.0])
     assert np.all(np.diff(table.t) > 0)
     t = np.array([0.0, 0.0123, 0.77, 1.5, 2.0])
     assert np.max(np.abs(table.at(t) - np.stack([np.sin(3 * t), np.exp(t)], axis=-1))) < 1e-13
     with pytest.raises(NoConvergence):
-        _ChebyshevTable(lambda t: np.abs(t - 0.5), 0.0, 1.0, DEFAULT_RTOL)
+        _ChebyshevTable.build(lambda ks, ts: [np.abs(t - 0.5) for t in ts], [(0.0, 1.0)],
+                              [DEFAULT_RTOL])
 
 
 # -- one rule call per curve, one F^2 lift per energy --------------------------------------
