@@ -250,9 +250,14 @@ def metric_value(ms: MetricSpec, w: TangentVector):
 
     The strong-convexity test refuses a point where F < 0 although F^2 > 0,
     as it does in ``fundamental_tensor``; F^2 is the value part of the
-    same y-jet. ``w`` may carry leading batch axes: F then has shape (...),
-    one rule evaluation on jets over the batch, and each point is bitwise
-    equal to its own single call (a float).
+    same y-jet. For the built-in rules it was bitwise the rule evaluated on
+    floats at every point the bundled scenarios pass in; a custom rule that
+    divides by a y-dependent quantity, or raises one to a non-integer power,
+    goes through the jet's series for 1/b, log and exp, whose value part
+    can differ from a float evaluation in the last bits. ``w`` may carry
+    leading batch axes: F then has shape (...), one rule evaluation on jets
+    over the batch, and each point is bitwise equal to its own single call
+    (a float).
     """
     ms.check_tangent(w)
     jet = _f2_y_jet(ms, w.x, w.y, 2)

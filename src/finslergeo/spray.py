@@ -28,7 +28,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -74,18 +73,9 @@ class SpraySpec:
         return f"SpraySpec({self.name}, dim={self.dim})"
 
 
-# Points per lift in a large batch at 4 variables: bounds the jet temporaries
-# and the number of distinct batch sizes the jet spaces cache a scatter index
-# for. A product's temporaries hold points x pairs entries, so a frame whose
-# jet space has more coefficient pairs at its order gets proportionally fewer
-# points: 8 at (6, 4), 6 at (6, 5).
+# Points per lift in a large batch: bounds the jet temporaries and the
+# number of distinct batch sizes the jet spaces cache a scatter index for.
 _BLOCK = 32
-
-
-def _block(nvars: int, order: int) -> int:
-    """Points per lift of a frame whose F^2 jet lives in (nvars, order)."""
-    # the pairs (a, b) with |a| + |b| <= order in v variables are C(2v + order, order)
-    return max(1, _BLOCK * comb(8 + order, order) // comb(2 * nvars + order, order))
 
 
 # name: (source jet, the block of each derivative index, factor); the index
@@ -111,11 +101,11 @@ def _index(blocks, n):
 
 
 # Frames built at the same points share one lift of F^2 and one spray solve:
-# the jets of the last _MEMO_SIZE builds, least recently used out first. A
-# batched Jacobi oracle call and the jacobi_integrate call after it double
-# their flows locally at the same nodes, one geodesic at a time in the same
-# order, so the second call hits while the first built at most eight blocks
-# (jacobi-compare builds one or two at the CI seeds). The key
+# the jets of the last _MEMO_SIZE builds, least recently used out first. The
+# per-point entry points (spray_coefficients, curvature_endomorphism,
+# flag_curvature) build their frames at one point one after another; the
+# local doublings of the linear flows along a geodesic are kept on the
+# geodesic (variational.py), so a later flow there builds none. The key
 # is the source object, not its rule, so a rule must not change after use; an
 # entry holds its source, so the id in its key is not reused while it lives.
 _MEMO_SIZE = 8
@@ -185,7 +175,7 @@ class PointFrame:
 
     ``w.x`` and ``w.y`` may carry leading batch axes, (..., n). A batch is
     one lift of F^2 at all centers, one positive-definiteness guard, one
-    batched g^-1 and one spray solve, in blocks of ``_block`` points when
+    batched g^-1 and one spray solve, in blocks of ``_BLOCK`` points when
     it is larger; every tensor then carries the batch axes first, and each
     point is bitwise equal to its own single-point frame. One bad point
     (null, outside the domain, or with g not positive definite) refuses
@@ -210,13 +200,12 @@ class PointFrame:
         self.x = w.x
         self.y = w.y
         batch = w.x.shape[:-1]
-        block = _block(2 * n, order)
-        if int(np.prod(batch)) <= block:
+        if int(np.prod(batch)) <= _BLOCK:
             jets = _frame_jets(src, self.x, self.y, order)
         else:
             x, y = self.x.reshape(-1, n), self.y.reshape(-1, n)
-            blocks = [_frame_jets(src, x[k:k + block], y[k:k + block], order)
-                      for k in range(0, len(x), block)]
+            blocks = [_frame_jets(src, x[k:k + _BLOCK], y[k:k + _BLOCK], order)
+                      for k in range(0, len(x), _BLOCK)]
             jets = [_join(parts, batch) for parts in zip(*blocks)]
         self.f, self.g, self.ginv, self.gpoly, self.Gpoly = jets
         self._cache = {}

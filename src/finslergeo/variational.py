@@ -36,16 +36,20 @@ s = s0 + integral of A s of a linear flow is one linear solve there, over
 (n, m) column blocks, from time 0 (at the geodesic's initial vector, so a
 backward flow's initial vectors hold at time 0). While the solution's
 Chebyshev tail is above the geodesic's ``rtol`` the nodes double, with
-frames at the new ones, locally: the cached table never changes. Each
+frames at the new ones, locally: the cached table never changes, and each
+doubled level is built once per geodesic and kept beside it. Each
 flow also takes the list of curves of one ``integrate_geodesic`` batch,
 with the initial vectors on a leading batch axis: the systems of equal
 size are one stacked solve, a flow that doubles goes on alone, and curves
 with the same nodes are sampled in one barycentric pass, their values side
 by side as columns, so every result is bitwise its own single call. A
 curve that ``integrate_geodesic`` did not return, or one it solved for
-another metric or spray object, is refused with no spray evaluation; a
-batch that raises a ``FinslerError`` is redone curve by curve, so it
-raises what the first failing single call raises. A transported field
+another metric or spray object, is refused with no spray evaluation. A
+batch raises the first ``FinslerError`` it meets, which need not be the
+one a loop of single calls meets first: the tables of all the curves are
+built before any flow, and a batched frame names the first bad point of
+the concatenated batch. jacobi-compare redoes a failing batch sample by
+sample for the single path's error. A transported field
 records its Chebyshev dense output, as a geodesic does.
 
 The Jacobi oracle is the linearized spray flow, the variational equation of
@@ -65,8 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainExit, FinslerError, GridError, NoConvergence, NormalityViolation,
-                     NullDirection)
+from .errors import DomainExit, GridError, NoConvergence, NormalityViolation, NullDirection
 from .jets import lift_any
 from .lifts import LiftSpec, affine_coefficients, classical_lift, covariant_derivative_curve
 from .metrics import MetricSpec, TangentVector
@@ -314,6 +317,7 @@ class _ChebyshevCurve:
         self._by_time = sorted(segments, key=lambda seg: min(seg.t[0], seg.t[-1]))
         self._starts = np.array([min(seg.t[0], seg.t[-1]) for seg in self._by_time])
         self._frames = None
+        self._doublings = {}
 
     @property
     def t(self) -> np.ndarray:
@@ -329,6 +333,17 @@ class _ChebyshevCurve:
         if self._frames is None:
             _frame_tables([self])
         return self._frames
+
+    def doubled(self, t, frames):
+        """The nodes ``t`` of a flow along the curve doubled, with the frame
+        values: one frame at the new nodes the first time a flow asks, kept
+        beside the table (which never changes) for every flow after."""
+        key = len(t)
+        if key not in self._doublings:
+            odd = _ChebyshevTable._odd(t)
+            (new,) = _frame_values([self], [odd])
+            self._doublings[key] = _ChebyshevTable._merged(t, frames, odd, new)
+        return self._doublings[key]
 
 
 def _sample(curves, ts) -> list:
@@ -667,14 +682,12 @@ class _LinearFlow:
         self.converged = _ChebyshevTable._converged(self.S, self.dense.rtol)
 
     def double(self) -> None:
-        """Double the nodes, with one frame at the new ones (the cached table is left as it is)."""
+        """Double the nodes, with the geodesic's frames at the new ones."""
         m, t = len(self.t) - 1, self.t
         if m >= _TABLE_MAX_INTERVALS:
             raise NoConvergence(f"linear flow not resolved to rtol {self.dense.rtol:.1e} with {m} "
                                 f"Chebyshev intervals on [{t[0]:.6g}, {t[-1]:.6g}]")
-        odd = _ChebyshevTable._odd(t)
-        (new,) = _frame_values([self.dense], [odd])
-        self.t, self.frames = _ChebyshevTable._merged(t, self.frames, odd, new)
+        self.t, self.frames = self.dense.doubled(t, self.frames)
 
     def curve(self) -> _ChebyshevCurve:
         """The solution's dense output: one segment whose rows are the blocks."""
@@ -706,31 +719,23 @@ def _collocation_flow(coefficients, jobs) -> list:
     ``np.linalg.solve`` over the jobs of one node count and block shape.
     The tables of all the geodesics are built together first. While a
     solution's Chebyshev tail is above its geodesic's ``rtol``, the job goes
-    on alone, in job order, doubling the nodes with frames at the new ones
-    from the geodesic's dense output (the cached table is left as it is), so
-    flows along the same geodesics repeat their doublings in the same order
-    and find their frames in the frame memo. Past ``_TABLE_MAX_INTERVALS``
-    it raises ``NoConvergence``. If the batch raises a ``FinslerError``, the
-    jobs run one by one in order, so the first failing job raises its own
-    error. Returns each solution's dense output over its geodesic's span,
-    one segment whose rows are (len(s0),) + block shape.
+    on alone, in job order, doubling the nodes with the geodesic's frames at
+    the new ones (``_ChebyshevCurve.doubled``: built by the first flow that
+    asks, kept for the flows after). Past ``_TABLE_MAX_INTERVALS`` it raises
+    ``NoConvergence``. Returns each solution's dense output over its
+    geodesic's span, one segment whose rows are (len(s0),) + block shape.
     """
-    try:
-        _frame_tables([dense for dense, _ in jobs])
-        flows = [_LinearFlow(dense, s0, coefficients) for dense, s0 in jobs]
-        groups = {}
-        for flow in flows:
-            groups.setdefault((len(flow.t), flow.start.shape), []).append(flow)
-        for group in groups.values():
-            _solve(group)
-        for flow in flows:
-            while not flow.converged:
-                flow.double()
-                _solve([flow])
-    except FinslerError:
-        if len(jobs) == 1:
-            raise
-        return [_collocation_flow(coefficients, [job])[0] for job in jobs]
+    _frame_tables([dense for dense, _ in jobs])
+    flows = [_LinearFlow(dense, s0, coefficients) for dense, s0 in jobs]
+    groups = {}
+    for flow in flows:
+        groups.setdefault((len(flow.t), flow.start.shape), []).append(flow)
+    for group in groups.values():
+        _solve(group)
+    for flow in flows:
+        while not flow.converged:
+            flow.double()
+            _solve([flow])
     return [flow.curve() for flow in flows]
 
 
@@ -759,7 +764,7 @@ def jacobi_integrate(src, geo, J0, J0dot):
     batch, with ``J0`` and ``J0dot`` of shape (B, n) or (B, n, m): the
     result is then a list of B fields, each bitwise its own single call.
     Raises ``NoConvergence`` when the table, or the field, is not resolved
-    to the geodesic's ``rtol``.
+    to the geodesic's ``rtol``; a batch raises the first error it meets.
     """
     geos, jobs = _flow_jobs(src, geo, J0, J0dot)
     fields = [FieldAlongCurve(grid=g.grid, vectors=J, covariant_derivative=K)

@@ -434,39 +434,18 @@ def test_single_point_frame_has_no_batch_to_index(sphere):
         PointFrame(sphere, TangentVector([0.1, 0.2], [1.0, 0.0]))[0]
 
 
-def _assert_blocked_frame_equals_unblocked(src, shape, order, monkeypatch):
-    n = src.dim
-    count, block = np.prod(shape), spray._block(2 * n, order)
-    assert count % block and count > 2 * block
-    X, Y = _batch(src, count, 41)
-    w = TangentVector(X.reshape(shape + (n,)), Y.reshape(shape + (n,)))
-    blocked = _frame_tensors(PointFrame(src, w, order=order))
-    monkeypatch.setattr(spray, "_BLOCK", 10 ** 6)
-    assert spray._block(2 * n, order) > count
-    whole = _frame_tensors(PointFrame(src, w, order=order))
-    assert blocked.keys() == whole.keys()
-    for name, value in whole.items():
-        assert value.shape[:2] == shape
-        assert np.array_equal(blocked[name], value), name
-
-
 def test_blocked_frame_equals_unblocked(randers_var, monkeypatch):
     # 150 nodes are two full blocks and a partial one
-    _assert_blocked_frame_equals_unblocked(randers_var, (10, 15), 4, monkeypatch)
-
-
-@pytest.mark.parametrize("order", [4, 5])
-def test_blocked_six_variable_frame_equals_unblocked(order, monkeypatch):
-    # 77 nodes are several smaller blocks and a partial one
-    _assert_blocked_frame_equals_unblocked(metrics.funk(3), (7, 11), order, monkeypatch)
-
-
-def test_frame_block_shrinks_with_the_pairs_of_the_jet_space():
-    # 32 points at 4 variables whatever the order; at 6 variables a product has
-    # 3.7 (order 4) to 4.8 (order 5) times the coefficient pairs, so fewer points
-    assert [spray._block(4, q) for q in (2, 3, 4, 5)] == [spray._BLOCK] * 4
-    assert (spray._block(6, 4), spray._block(6, 5)) == (8, 6)
-    assert all(spray._block(8, q) >= 1 for q in range(2, 9))
+    assert 150 % spray._BLOCK and 150 > 2 * spray._BLOCK
+    X, Y = _batch(randers_var, 150, 41)
+    w = TangentVector(X.reshape(10, 15, 2), Y.reshape(10, 15, 2))
+    blocked = _frame_tensors(PointFrame(randers_var, w, order=4))
+    monkeypatch.setattr(spray, "_BLOCK", 10 ** 6)
+    whole = _frame_tensors(PointFrame(randers_var, w, order=4))
+    assert blocked.keys() == whole.keys()
+    for name, value in whole.items():
+        assert value.shape[:2] == (10, 15)
+        assert np.array_equal(blocked[name], value), name
 
 
 def test_batched_frame_refuses_one_bad_point(poincare):
@@ -554,7 +533,7 @@ def test_frames_at_one_point_share_one_lift(randers_var, monkeypatch):
     PointFrame(randers_var, w)
     assert lifts == [4]
     # a frame over more than one block is memoized per block
-    X, Y = _batch(randers_var, 2 * spray._block(4, 4) + 5, 9)
+    X, Y = _batch(randers_var, 2 * spray._BLOCK + 5, 9)
     for _ in range(2):
         PointFrame(randers_var, TangentVector(X, Y))
     assert lifts == [4, 4, 4, 4]

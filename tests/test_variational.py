@@ -7,7 +7,7 @@ from oracles import dop853_linear_flow, exp_map_jacobi_difference
 from scipy.integrate import solve_ivp
 from test_spray import _randers_var_closed_form_spray
 
-from finslergeo import metrics, variational
+from finslergeo import metrics, spray, variational
 from finslergeo.errors import (DomainExit, GridError, NoConvergence,
                                NormalityViolation, NullDirection)
 from finslergeo.metrics import (TangentVector, fundamental_tensor,
@@ -552,6 +552,33 @@ def test_jacobi_builds_one_frame_per_table_node(sphere, monkeypatch):
     assert built == frames
 
 
+def test_flows_along_a_geodesic_build_each_doubled_level_once(funk, monkeypatch):
+    # from the origin to t = 6 every oracle and Jacobi flow doubles its
+    # table's 16 intervals once: the oracle call builds one frame at the 16
+    # new nodes of each of the 10 geodesics, more blocks than the frame memo
+    # keeps, and the Jacobi call after it builds none
+    built = []
+
+    class CountingFrame(PointFrame):
+        def __init__(self, src, w, order=4):
+            built.append(len(w.x))
+            super().__init__(src, w, order)
+
+    monkeypatch.setattr(variational, "PointFrame", CountingFrame)
+    B = 10
+    assert B > spray._MEMO_SIZE
+    ws = [unit_tangent(funk, TangentVector([0.0, 0.0], [np.cos(a), np.sin(a)]))
+          for a in 2 * np.pi * np.arange(B) / B]
+    geos = integrate_geodesic(funk, TangentVector.stack(ws), 6.0)
+    u = np.tile([0.0, 1.0], (B, 1))
+    jacobi_variation_oracle(funk, geos, u)
+    assert built == [17 * B] + [16] * B
+    _, jobs = variational._flow_jobs(funk, geos, np.zeros((B, 2)), u)
+    flows = variational._collocation_flow(variational._jacobi_coefficients, jobs)
+    assert [len(flow.segments[0].t) for flow in flows] == [33] * B
+    assert built == [17 * B] + [16] * B
+
+
 # (metric, t_end, initial vectors, random ones besides): forward and backward
 # spans, geodesics whose frame tables double (to different sizes), one whose
 # flows double locally and Funk geodesics of two or more Chebyshev segments
@@ -639,11 +666,11 @@ def test_a_batch_refuses_a_curve_of_another_source_before_any_evaluation(sphere,
     assert all(geo.dense._frames is None for geo in geos)
 
 
-def test_a_failing_batch_raises_what_the_first_failing_single_call_raises(poincare,
-                                                                          monkeypatch):
+def test_a_failing_batch_raises_the_first_error_it_meets(poincare, monkeypatch):
     # capped at 16 intervals, the Jacobi field along geos[3] fails (its table
     # does not) and the table of geos[2] fails: a batch builds both tables
-    # before any flow, so it must redo the jobs one by one to raise the first
+    # before any flow, so it raises the table's error, not the one a loop of
+    # single calls meets first (jacobi-compare redoes its samples one by one)
     rng = SplitMix64(7)
     ws = [unit_tangent(poincare, random_tangent(poincare, rng)) for _ in range(4)]
     monkeypatch.setattr(variational, "_TABLE_MAX_INTERVALS", 16)
@@ -653,17 +680,14 @@ def test_a_failing_batch_raises_what_the_first_failing_single_call_raises(poinca
         return [geos[3], geos[2]]
 
     errors = []
-    for batch in (geodesics(), geodesics()):
+    for k, start in enumerate(("linear flow", "frame table")):
         with pytest.raises(NoConvergence) as single:
-            jacobi_integrate(poincare, batch[0], [0.0, 0.0], [0.0, 1.0])
+            jacobi_integrate(poincare, geodesics()[k], [0.0, 0.0], [0.0, 1.0])
         errors.append(str(single.value))
-    assert errors[0].startswith("linear flow not resolved to rtol 1.0e-09 with 16")
-    batch = geodesics()
-    with pytest.raises(NoConvergence, match="frame table not resolved"):
-        jacobi_integrate(poincare, batch[1], [0.0, 0.0], [0.0, 1.0])
+        assert errors[k].startswith(f"{start} not resolved to rtol 1.0e-09 with 16")
     with pytest.raises(NoConvergence) as batched:
         jacobi_integrate(poincare, geodesics(), np.zeros((2, 2)), np.tile([0.0, 1.0], (2, 1)))
-    assert str(batched.value) == errors[0]
+    assert str(batched.value) == errors[1]
 
 
 @pytest.mark.parametrize("call", ["jacobi", "oracle", "transport", "residual"])
