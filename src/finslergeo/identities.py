@@ -246,7 +246,7 @@ def cprime_transport_residual(ms: MetricSpec, w: TangentVector,
     """Package C' against the geodesic-transport oracle.
 
     The oracle integrates the geodesic, transports three random vectors
-    along it (the columns of one solve on the geodesic's frame table) and
+    along it (the columns of one collocation solve along the geodesic) and
     differentiates the Cartan contraction in t by a central difference of
     step ``_CPRIME_TAU``; the package tensor is minus that derivative (see
     the C' sign convention).

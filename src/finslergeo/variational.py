@@ -20,37 +20,35 @@ output records the ``rtol`` it was solved to.
 Along a known geodesic, Jacobi fields and parallel transport are linear
 ODEs whose coefficients are the spray's N and R (every admissible
 connection gives the same ones). A geodesic's dense output records the
-source it was solved for and, on first use, one frame table of Gx, N and R
-from order-4 ``PointFrame``s at the Chebyshev-Lobatto nodes of its time
-interval, at states read off its own interpolant, doubling from 16
-intervals until the table's Chebyshev tail is below the geodesic's
-``rtol``. The tables of the curves that a flow reads together are built
-together: one frame batched over the nodes of every curve at 16
-intervals, then one per doubling level over the new nodes of the curves
-not yet converged. Jacobi fields read N and R from the table, the oracle
-Gx and N, and transport N.
+source it was solved for and keeps the frame levels that flows along it
+have read: Gx, N and R from order-4 ``PointFrame``s at the
+Chebyshev-Lobatto nodes of its time interval, at states read off its own
+interpolant, at 16 intervals and at each doubling of them, each level with
+a flag that says whether the (Gx, N, R) tail is below the geodesic's
+``rtol`` there or at a coarser level. Jacobi fields read N and R, the
+oracle Gx and N, and transport N.
 
-Jacobi fields, the Jacobi oracle and parallel transport are collocated on
-the table's nodes in ``_collocation_flow``: the Picard fixed point
-s = s0 + integral of A s of a linear flow is one linear solve there, over
-(n, m) column blocks, from time 0 (at the geodesic's initial vector, so a
-backward flow's initial vectors hold at time 0). While the solution's
-Chebyshev tail is above the geodesic's ``rtol`` the nodes double, with
-frames at the new ones, locally: the cached table never changes, and each
-doubled level is built once per geodesic and kept beside it. Each
-flow also takes the list of curves of one ``integrate_geodesic`` batch,
-with the initial vectors on a leading batch axis: the systems of equal
-size are one stacked solve, a flow that doubles goes on alone, and curves
-with the same nodes are sampled in one barycentric pass, their values side
-by side as columns, so every result is bitwise its own single call. A
-curve that ``integrate_geodesic`` did not return, or one it solved for
-another metric or spray object, is refused with no spray evaluation. A
-batch raises the first ``FinslerError`` it meets, which need not be the
-one a loop of single calls meets first: the tables of all the curves are
-built before any flow, and a batched frame names the first bad point of
-the concatenated batch. jacobi-compare redoes a failing batch sample by
-sample for the single path's error. A transported field
-records its Chebyshev dense output, as a geodesic does.
+Jacobi fields, the Jacobi oracle and parallel transport are collocated in
+``_collocation_flow``: the Picard fixed point s = s0 + integral of A s of
+a linear flow is one linear solve on a level's nodes, over (n, m) column
+blocks, from time 0 (at the geodesic's initial vector, so a backward
+flow's initial vectors hold at time 0). One loop runs over the levels from
+16 intervals. A level is one frame batched over the new nodes of every
+geodesic with a flow still going, built once per geodesic and kept. A flow
+is solved at every resolved level of its geodesic until its own Chebyshev
+tail is below the geodesic's ``rtol``. Each flow also takes the list of
+curves of one ``integrate_geodesic`` batch, with the initial vectors on a
+leading batch axis: the systems of one level are one stacked solve, and
+curves with the same nodes are sampled in one barycentric pass, their
+values side by side as columns, so every result is bitwise its own single
+call. A curve that ``integrate_geodesic`` did not return, or one it solved
+for another metric or spray object, is refused with no spray evaluation.
+Past 256 intervals the first flow of the list still going raises
+``NoConvergence``, the error a loop of single calls meets first; a
+batched frame, though, names the first bad point of the concatenated
+batch, so jacobi-compare redoes a failing batch sample by sample for the
+single path's error. A transported field records its Chebyshev dense
+output, as a geodesic does.
 
 The Jacobi oracle is the linearized spray flow, the variational equation of
 the geodesic ODE and so the exact derivative of the exponential map
@@ -170,13 +168,11 @@ class _ChebyshevTable:
     """Values of a smooth function of t at the Chebyshev-Lobatto nodes ``t``
     of [t0, t1], shape (len(t),) + shape.
 
-    ``build`` samples several functions, each at 16 intervals
-    (``_TABLE_INTERVALS``) doubled until the last quarter of its Chebyshev
-    coefficients is below ``rtol`` times its largest sampled value. The
-    nodes nest (node k of m intervals is node 2k of 2m), so a doubling
-    samples only the new nodes. Past ``_TABLE_MAX_INTERVALS`` it raises
-    ``NoConvergence``. ``at`` interpolates a table barycentrically at an
-    array of times.
+    The nodes nest (node k of m intervals is node 2k of 2m), so a doubling
+    samples only the new nodes (``_odd``, ``_merged``). ``_converged`` tests
+    whether the last quarter of the Chebyshev coefficients is below ``rtol``
+    times the largest value. ``at`` interpolates a table barycentrically at
+    an array of times.
     """
 
     def __init__(self, t, values):
@@ -186,37 +182,6 @@ class _ChebyshevTable:
         self._flat = values.reshape(m + 1, -1)
         self._weights = (-1.0) ** np.arange(m + 1)
         self._weights[[0, -1]] *= 0.5
-
-    @classmethod
-    def build(cls, sample, spans, rtols) -> list:
-        """The tables of several functions on the spans (t0, t1), each to its
-        own rtol. ``sample(ks, ts)`` gives the values of function k at the
-        times ts[j] for the j-th k of ``ks``; it is called once per doubling
-        level, over every function not yet converged, in order. Each table
-        is the one its function alone would give."""
-        m = _TABLE_INTERVALS
-        ts = [cls.nodes(t0, t1, m) for t0, t1 in spans]
-        values = [np.asarray(v, float) for v in sample(range(len(spans)), ts)]
-        tables = [None] * len(spans)
-        active = range(len(spans))
-        while active:
-            doubling = []
-            for k in active:
-                if cls._converged(values[k], rtols[k]):
-                    tables[k] = cls(ts[k], values[k])
-                elif m >= _TABLE_MAX_INTERVALS:
-                    raise NoConvergence(f"frame table not resolved to rtol {rtols[k]:.1e} with "
-                                        f"{m} Chebyshev intervals on [{spans[k][0]:.6g}, "
-                                        f"{spans[k][1]:.6g}]")
-                else:
-                    doubling.append(k)
-            if doubling:
-                odd = [cls._odd(ts[k]) for k in doubling]
-                for k, tk, new in zip(doubling, odd, sample(doubling, odd)):
-                    ts[k], values[k] = cls._merged(ts[k], values[k], tk, np.asarray(new, float))
-            m *= 2
-            active = doubling
-        return tables
 
     @staticmethod
     def nodes(t0: float, t1: float, m: int) -> np.ndarray:
@@ -306,7 +271,8 @@ class _ChebyshevCurve:
     At a time it gives a segment row, the state (2n,) of a geodesic, at an
     array of N times the rows stacked last, (2n, N); each time is
     interpolated alone, on the segment that holds it. A time outside the
-    span is a ``GridError``: the curve is not extrapolated.
+    span is a ``GridError``: the curve is not extrapolated. ``_levels``
+    holds a geodesic's frame levels by interval count (``_frame_levels``).
     """
 
     def __init__(self, segments, rtol: float, src):
@@ -316,8 +282,7 @@ class _ChebyshevCurve:
         self.span = (segments[0].t[0], segments[-1].t[-1])
         self._by_time = sorted(segments, key=lambda seg: min(seg.t[0], seg.t[-1]))
         self._starts = np.array([min(seg.t[0], seg.t[-1]) for seg in self._by_time])
-        self._frames = None
-        self._doublings = {}
+        self._levels = {}
 
     @property
     def t(self) -> np.ndarray:
@@ -326,24 +291,6 @@ class _ChebyshevCurve:
 
     def __call__(self, t):
         return _sample([self], [t])[0]
-
-    @property
-    def frames(self) -> _ChebyshevTable:
-        """(Gx, N, R) along the curve, stacked on axis 1: the table every linear flow reads."""
-        if self._frames is None:
-            _frame_tables([self])
-        return self._frames
-
-    def doubled(self, t, frames):
-        """The nodes ``t`` of a flow along the curve doubled, with the frame
-        values: one frame at the new nodes the first time a flow asks, kept
-        beside the table (which never changes) for every flow after."""
-        key = len(t)
-        if key not in self._doublings:
-            odd = _ChebyshevTable._odd(t)
-            (new,) = _frame_values([self], [odd])
-            self._doublings[key] = _ChebyshevTable._merged(t, frames, odd, new)
-        return self._doublings[key]
 
 
 def _sample(curves, ts) -> list:
@@ -392,17 +339,24 @@ def _frame_values(curves, ts) -> list:
     return np.split(values, np.cumsum([len(t) for t in ts])[:-1])
 
 
-def _frame_tables(curves) -> None:
-    """Give every curve of one source that has no frame table its table,
-    from one batched frame per doubling level over the new nodes of every
-    curve not yet converged."""
-    todo = list({id(c): c for c in curves if c._frames is None}.values())
-    if todo:
-        tables = _ChebyshevTable.build(
-            lambda ks, ts: _frame_values([todo[k] for k in ks], ts),
-            [sorted(c.span) for c in todo], [c.rtol for c in todo])
-        for c, table in zip(todo, tables):
-            c._frames = table
+def _frame_levels(curves, m: int) -> None:
+    """Give each curve that lacks it its frame level of m intervals, (nodes,
+    (Gx, N, R) there, resolved), from one frame batched over the new nodes
+    of all of them: every node at 16 intervals, the odd ones of the level
+    below after that. A level is resolved when its (Gx, N, R) tail, or a
+    coarser level's, is below the curve's ``rtol``."""
+    todo = list({id(c): c for c in curves if m not in c._levels}.values())
+    if not todo:
+        return
+    first = m == _TABLE_INTERVALS
+    ts = [_ChebyshevTable.nodes(*sorted(c.span), m) if first
+          else _ChebyshevTable._odd(c._levels[m // 2][0]) for c in todo]
+    for c, t, new in zip(todo, ts, _frame_values(todo, ts)):
+        values, resolved = new, False
+        if not first:
+            below, frames, resolved = c._levels[m // 2]
+            t, values = _ChebyshevTable._merged(below, frames, t, new)
+        c._levels[m] = (t, values, resolved or _ChebyshevTable._converged(values, c.rtol))
 
 
 class _PicardSegment:
@@ -582,12 +536,21 @@ def geodesic_residual(src, curve: Curve) -> float:
     return float(np.max(np.abs(defect).max(axis=1) / scale))
 
 
-def _simpson_weights(count: int) -> np.ndarray:
-    """Composite Simpson weights (1, 4, 2, ..., 4, 1) over ``count`` nodes, before h/3."""
+def _simpson_weights(grid) -> tuple[float, np.ndarray]:
+    """The step h and the composite Simpson weights (1, 4, 2, ..., 4, 1) of a
+    grid, before h/3; a grid that is not uniform with an odd number of
+    nodes, at least 3, is a ``GridError``."""
+    count = len(grid)
+    if count < 3 or count % 2 == 0:
+        raise GridError(f"Simpson quadrature needs an odd number of nodes, at least 3, "
+                        f"got {count}")
+    hs = np.diff(grid)
+    if np.max(np.abs(hs - hs[0])) > 1e-10 * max(1.0, abs(hs[0])):
+        raise GridError("Simpson quadrature requires a uniform grid")
     weights = np.ones(count)
     weights[1:-1:2] = 4.0
     weights[2:-2:2] = 2.0
-    return weights
+    return hs[0], weights
 
 
 def _d1(f, h: float) -> float:
@@ -596,28 +559,14 @@ def _d1(f, h: float) -> float:
 
 
 def energy(ms: MetricSpec, curve: Curve) -> float:
-    """E = (1/2) integral of F(velocity)^2 by composite Simpson."""
-    grid = curve.grid
-    points = curve.points
-    vels = curve.velocities
-    if len(grid) < DEFAULT_NODES and curve.dense is not None:
-        grid = np.linspace(curve.grid[0], curve.grid[-1], DEFAULT_NODES)
-        states = curve.dense(grid)
-        n = curve.n
-        points, vels = states[:n].T, states[n:].T
-    if len(grid) % 2 == 0:
-        raise GridError("Simpson quadrature needs an odd number of nodes")
-    hs = np.diff(grid)
-    if np.max(np.abs(hs - hs[0])) > 1e-10 * max(1.0, abs(hs[0])):
-        raise GridError("energy quadrature requires a uniform grid")
-    null = np.flatnonzero(np.linalg.norm(vels, axis=1) < 1e-12)
-    if null.size:
-        raise NullDirection(f"zero velocity at node {null[0]}")
+    """E = (1/2) integral of F(velocity)^2 by composite Simpson on the curve's
+    grid, which must be uniform with an odd number of nodes."""
+    h, weights = _simpson_weights(curve.grid)
     # F^2 at all nodes: one order-0 lift at the (N, 2n) centers
-    n = points.shape[1]
+    n = curve.n
     vals = lift_any(lambda v: ms.f2(v[:n], v[n:]),
-                    np.concatenate([points, vels], axis=1), 0).c[:, 0]
-    return float(0.5 * hs[0] / 3.0 * np.sum(_simpson_weights(len(grid)) * vals))
+                    np.concatenate([curve.points, curve.velocities], axis=1), 0).c[:, 0]
+    return float(0.5 * h / 3.0 * np.sum(weights * vals))
 
 
 def _flow_jobs(src, geo, *blocks):
@@ -653,15 +602,15 @@ def _flow_jobs(src, geo, *blocks):
 
 class _LinearFlow:
     """One job of ``_collocation_flow``: a linear flow from the blocks ``s0``
-    along a geodesic's dense output, on its frame table's nodes until the
-    solution's Chebyshev tail asks for more."""
+    along a geodesic's dense output, on the nodes of one frame level at a
+    time."""
 
     def __init__(self, dense, s0, coefficients):
         self.dense, self.coefficients = dense, coefficients
         self.blocks = (len(s0),) + s0[0].shape
         self.start = np.stack(s0).reshape(len(s0) * len(s0[0]), -1)
         self.order = slice(None, None, -1) if dense.span[1] < dense.span[0] else slice(None)
-        self.t, self.frames = dense.frames.t, dense.frames.values
+        self.converged = False
 
     def system(self, M, rhs) -> None:
         """Write the collocation system on the current nodes into M and rhs."""
@@ -680,14 +629,6 @@ class _LinearFlow:
         """Take the solution X at the nodes after the first and test its tail against rtol."""
         self.S = np.concatenate([self.start[None], X.reshape((-1,) + self.start.shape)])
         self.converged = _ChebyshevTable._converged(self.S, self.dense.rtol)
-
-    def double(self) -> None:
-        """Double the nodes, with the geodesic's frames at the new ones."""
-        m, t = len(self.t) - 1, self.t
-        if m >= _TABLE_MAX_INTERVALS:
-            raise NoConvergence(f"linear flow not resolved to rtol {self.dense.rtol:.1e} with {m} "
-                                f"Chebyshev intervals on [{t[0]:.6g}, {t[-1]:.6g}]")
-        self.t, self.frames = self.dense.doubled(t, self.frames)
 
     def curve(self) -> _ChebyshevCurve:
         """The solution's dense output: one segment whose rows are the blocks."""
@@ -708,34 +649,40 @@ def _solve(flows) -> None:
 
 def _collocation_flow(coefficients, jobs) -> list:
     """Solve linear ODEs s' = A(t) s along geodesics by spectral
-    collocation on the nodes of each geodesic's frame table.
+    collocation on the nodes of each geodesic's frame levels.
 
     ``jobs`` lists (dense output, initial blocks) pairs from ``_flow_jobs``:
     blocks of one shape, (n,) or (n, m), at time 0, where the geodesic
-    starts (the table's last node on a backward geodesic).
-    ``coefficients(frames)`` maps table values (k, 3, n, n) of (Gx, N, R) to
+    starts (a level's last node on a backward geodesic).
+    ``coefficients(frames)`` maps level values (k, 3, n, n) of (Gx, N, R) to
     A (k, d, d), d = n * len(s0). The Picard fixed point S = s0 + integral
-    of A S is one linear solve at the nodes, stacked into one
-    ``np.linalg.solve`` over the jobs of one node count and block shape.
-    The tables of all the geodesics are built together first. While a
-    solution's Chebyshev tail is above its geodesic's ``rtol``, the job goes
-    on alone, in job order, doubling the nodes with the geodesic's frames at
-    the new ones (``_ChebyshevCurve.doubled``: built by the first flow that
-    asks, kept for the flows after). Past ``_TABLE_MAX_INTERVALS`` it raises
+    of A S is one linear solve at the nodes. One loop runs over the levels,
+    m = 16, 32, ... intervals (``_frame_levels``, one batched frame over the
+    geodesics whose flows go on); at each, the flows whose geodesic is
+    resolved there are one stacked ``np.linalg.solve``, and those whose
+    Chebyshev tail is above their geodesic's ``rtol`` go on to 2m. Past
+    ``_TABLE_MAX_INTERVALS`` the first flow of the list still going raises
     ``NoConvergence``. Returns each solution's dense output over its
     geodesic's span, one segment whose rows are (len(s0),) + block shape.
     """
-    _frame_tables([dense for dense, _ in jobs])
     flows = [_LinearFlow(dense, s0, coefficients) for dense, s0 in jobs]
-    groups = {}
-    for flow in flows:
-        groups.setdefault((len(flow.t), flow.start.shape), []).append(flow)
-    for group in groups.values():
-        _solve(group)
-    for flow in flows:
-        while not flow.converged:
-            flow.double()
-            _solve([flow])
+    active, m = flows, _TABLE_INTERVALS
+    while active:
+        _frame_levels([flow.dense for flow in active], m)
+        resolved = []
+        for flow in active:
+            flow.t, flow.frames, ready = flow.dense._levels[m]
+            if ready:
+                resolved.append(flow)
+        if resolved:
+            _solve(resolved)
+        active = [flow for flow in active if not flow.converged]
+        if active and m >= _TABLE_MAX_INTERVALS:
+            flow = active[0]
+            what = "linear flow" if flow.dense._levels[m][2] else "frame table"
+            raise NoConvergence(f"{what} not resolved to rtol {flow.dense.rtol:.1e} with {m} "
+                                f"Chebyshev intervals on [{flow.t[0]:.6g}, {flow.t[-1]:.6g}]")
+        m *= 2
     return [flow.curve() for flow in flows]
 
 
@@ -847,6 +794,7 @@ def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
     grid = geo.grid
     if V.vectors.shape != geo.points.shape or not np.allclose(V.grid, grid):
         raise GridError("variation field must live on the geodesic grid")
+    h, weights = _simpson_weights(grid)
 
     # one order-4 frame over the nodes; its end frames serve the boundary terms
     frames = PointFrame(ms, TangentVector(geo.points, geo.velocities), order=4)
@@ -881,8 +829,7 @@ def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
     RV = np.einsum("...ij,...j->...i", frames.R, V.vectors)
     vals = (np.einsum("...i,...ij,...j->...", DV, frames.g, DV)
             - np.einsum("...i,...ij,...j->...", RV, frames.g, V.vectors))
-    h = grid[1] - grid[0]
-    return float(h / 3.0 * np.sum(_simpson_weights(len(grid)) * vals) + boundary)
+    return float(h / 3.0 * np.sum(weights * vals) + boundary)
 
 
 def _family_points(fam: VariationFamily, s: float, grid: np.ndarray) -> np.ndarray:

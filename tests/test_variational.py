@@ -147,7 +147,7 @@ def test_energy_errors(euclid2):
     even = np.linspace(0, 1, 400)
     c = Curve(even, np.stack([even, np.zeros_like(even)], 1),
               np.stack([np.ones_like(even), np.zeros_like(even)], 1))
-    with pytest.raises(GridError):
+    with pytest.raises(GridError, match="odd number of nodes"):
         energy(euclid2, c)
 
 
@@ -271,6 +271,19 @@ def test_second_variation_euclidean_analytic(euclid2):
     V = FieldAlongCurve(grid, np.stack([np.zeros_like(grid), np.sin(np.pi * grid)], 1))
     val = second_variation_formula(euclid2, geo, V)
     assert val == pytest.approx(np.pi ** 2 / 2, abs=1e-8)
+
+
+@pytest.mark.parametrize("nodes", [400, 402])
+def test_second_variation_refuses_an_even_node_count(euclid2, nodes):
+    # Simpson weights on 400 nodes used to give 4.91831, 3.3e-3 off pi^2 / 2
+    geo = integrate_geodesic(euclid2, TangentVector([0.0, 0.0], [1.0, 0.0]), 1.0, nodes=nodes)
+    V = FieldAlongCurve(geo.grid, np.stack([np.zeros(nodes), np.sin(np.pi * geo.grid)], 1))
+    with pytest.raises(GridError, match="odd number of nodes"):
+        second_variation_formula(euclid2, geo, V)
+    # 401 nodes, not uniform
+    geo = Curve(np.linspace(0, 1, 401) ** 2, np.zeros((401, 2)), np.tile([1.0, 0.0], (401, 1)))
+    with pytest.raises(GridError, match="uniform grid"):
+        second_variation_formula(euclid2, geo, FieldAlongCurve(geo.grid, np.zeros((401, 2))))
 
 
 def test_second_variation_circle_endpoint_analytic(euclid2):
@@ -511,52 +524,56 @@ def test_frame_table_matches_per_rhs_frames(name, request):
     assert np.max(np.abs(one - V_ref[:, :, 0])) <= 1e-7
 
 
+def _first_resolved(geo) -> int:
+    """The node count of a geodesic's coarsest resolved frame level."""
+    return min(m for m, (_, _, resolved) in geo.dense._levels.items() if resolved) + 1
+
+
 def test_jacobi_builds_one_frame_per_table_node(sphere, monkeypatch):
-    built, tables = [], []
+    built = []
 
     class CountingFrame(PointFrame):
         def __init__(self, src, w, order=4):
             built.append((order, len(w.x)))
             super().__init__(src, w, order)
 
-    class RecordingTable(_ChebyshevTable):
-        @classmethod
-        def build(cls, *args):
-            tables.append(super().build(*args))
-            return tables[-1]
-
     monkeypatch.setattr(variational, "PointFrame", CountingFrame)
-    monkeypatch.setattr(variational, "_ChebyshevTable", RecordingTable)
-    # the first geodesic runs out to |x| ~ 9 in the chart: its table doubles
-    # several times, the others' fewer times or not at all
+    # the first geodesic runs out to |x| ~ 9 in the chart: its frames are
+    # resolved after several doublings, the others' after fewer or none
     ws = [unit_tangent(sphere, TangentVector(x, y))
           for x, y in (([0.1, -0.05], [0.6, 0.45]), ([0.1, 0.2], [0.5, -0.3]),
                        ([-0.3, 0.1], [0.2, 0.9]))]
     geos = integrate_geodesic(sphere, TangentVector.stack(ws), 3.0)
     jacobi_integrate(sphere, geos, np.zeros((3, 2)), np.tile([0.0, 1.0], (3, 1)))
-    assert len(tables) == 1
-    assert [geo.dense.frames for geo in geos] == tables[0]
-    # one batched frame for the first 17 nodes of every curve, then one per
-    # doubling level over the new nodes of the curves still doubling
-    doublings = [int(np.log2((len(geo.dense.frames.t) - 1) // 16)) for geo in geos]
+    # each field is resolved at the first resolved level of its geodesic,
+    # which keeps every level from 16 intervals up to that one
+    doublings = []
+    for geo in geos:
+        levels = sorted(geo.dense._levels)
+        doublings.append(len(levels) - 1)
+        assert levels == [16 * 2 ** k for k in range(len(levels))]
+        assert [geo.dense._levels[m][2] for m in levels] == [False] * doublings[-1] + [True]
     assert doublings[0] > 1 and min(doublings) < doublings[0]
+    # one batched frame for the first 17 nodes of every curve, then one per
+    # level over the new nodes of the curves whose flows go on
     assert built == [(4, 17 * len(geos))] + [
         (4, 16 * 2 ** k * sum(d > k for d in doublings)) for k in range(max(doublings))]
-    # the oracle and transport read the same tables: no frame and no table more
-    frames = list(built)
+    # the oracle and transport read the same levels: no frame and no level more
+    frames, levels = list(built), [dict(geo.dense._levels) for geo in geos]
     jacobi_variation_oracle(sphere, geos, np.tile([0.0, 1.0], (3, 1)))
     parallel_transport(sphere, geos, np.tile([1.0, 0.5], (3, 1)))
     for geo in geos:
         jacobi_integrate(sphere, geo, [0, 0], [0, 1])
-    assert len(tables) == 1
     assert built == frames
+    assert [geo.dense._levels for geo in geos] == levels
 
 
 def test_flows_along_a_geodesic_build_each_doubled_level_once(funk, monkeypatch):
-    # from the origin to t = 6 every oracle and Jacobi flow doubles its
-    # table's 16 intervals once: the oracle call builds one frame at the 16
-    # new nodes of each of the 10 geodesics, more blocks than the frame memo
-    # keeps, and the Jacobi call after it builds none
+    # from the origin to t = 6 the frames are resolved at 16 intervals and
+    # every oracle and Jacobi flow needs 32: the oracle call builds one frame
+    # at the 17 nodes of each of the 10 geodesics and one at their 16 new
+    # nodes, more blocks than the frame memo keeps, and the Jacobi call after
+    # it builds none
     built = []
 
     class CountingFrame(PointFrame):
@@ -572,16 +589,18 @@ def test_flows_along_a_geodesic_build_each_doubled_level_once(funk, monkeypatch)
     geos = integrate_geodesic(funk, TangentVector.stack(ws), 6.0)
     u = np.tile([0.0, 1.0], (B, 1))
     jacobi_variation_oracle(funk, geos, u)
-    assert built == [17 * B] + [16] * B
+    assert built == [17 * B, 16 * B]
+    assert all(_first_resolved(geo) == 17 for geo in geos)
     _, jobs = variational._flow_jobs(funk, geos, np.zeros((B, 2)), u)
     flows = variational._collocation_flow(variational._jacobi_coefficients, jobs)
     assert [len(flow.segments[0].t) for flow in flows] == [33] * B
-    assert built == [17 * B] + [16] * B
+    assert built == [17 * B, 16 * B]
 
 
 # (metric, t_end, initial vectors, random ones besides): forward and backward
-# spans, geodesics whose frame tables double (to different sizes), one whose
-# flows double locally and Funk geodesics of two or more Chebyshev segments
+# spans, geodesics whose frames are resolved after doublings (to different
+# sizes), one whose flows double past that level and Funk geodesics of two or
+# more Chebyshev segments
 _BATCH_CASES = [("sphere", 1.0, (), 3), ("sphere", -0.8, (), 3),
                 ("sphere", 3.0, (([0.1, -0.05], [0.6, 0.45]), ([0.1, 0.2], [0.5, -0.3]),
                                  ([-0.3, 0.1], [0.2, 0.9])), 0),
@@ -599,7 +618,7 @@ def test_batched_tables_and_flows_equal_one_call_per_geodesic(name, t_end, extra
     ws += [unit_tangent(ms, random_tangent(ms, rng)) for _ in range(draws)]
     B = len(ws)
     geos = integrate_geodesic(ms, TangentVector.stack(ws), t_end)
-    # the reference: each geodesic's dense output alone, its table built alone
+    # the reference: each geodesic's dense output alone, its levels built alone
     singles = [Curve(geo.grid, geo.points, geo.velocities,
                      dense=variational._ChebyshevCurve(geo.dense.segments, geo.dense.rtol, ms))
                for geo in geos]
@@ -614,8 +633,6 @@ def test_batched_tables_and_flows_equal_one_call_per_geodesic(name, t_end, extra
                parallel_transport(ms, geos, v), parallel_transport(ms, geos, J0dot))
     between = t_end * np.linspace(0.0013, 0.9987, 37)
     for k, (geo, one) in enumerate(zip(geos, singles)):
-        assert np.array_equal(geo.dense.frames.t, one.dense.frames.t)
-        assert np.array_equal(geo.dense.frames.values, one.dense.frames.values)
         J, Ju, dx, dx2, V, V2 = (out[k] for out in batched)
         for field, ref in ((J, jacobi_integrate(ms, one, J0[k], J0dot[k])),
                            (Ju, jacobi_integrate(ms, one, u[k], v[k]))):
@@ -627,11 +644,17 @@ def test_batched_tables_and_flows_equal_one_call_per_geodesic(name, t_end, extra
             ref = parallel_transport(ms, one, v0)
             assert np.array_equal(field.vectors, ref.vectors)
             assert np.array_equal(field.dense(between), ref.dense(between))
-    sizes = {len(geo.dense.frames.t) for geo in geos}
+        # the same levels, nodes, frames and flags, as one batched frame per level built them
+        assert sorted(geo.dense._levels) == sorted(one.dense._levels)
+        for m, (t, frames, resolved) in geo.dense._levels.items():
+            t_one, frames_one, resolved_one = one.dense._levels[m]
+            assert np.array_equal(t, t_one) and np.array_equal(frames, frames_one)
+            assert resolved == resolved_one
+    sizes = {_first_resolved(geo) for geo in geos}
     if t_end == 3.0:
         assert len(sizes) > 1 and max(sizes) > 33
     if t_end == 6.0:
-        # the Jacobi field along the first geodesic needs twice its table's nodes
+        # the Jacobi field along the first geodesic needs twice its first resolved level's nodes
         _, jobs = variational._flow_jobs(ms, geos[0], [0, 0], [0, 1])
         (flow,) = variational._collocation_flow(variational._jacobi_coefficients, jobs)
         assert sizes == {17} and len(flow.segments[0].t) == 33
@@ -663,14 +686,14 @@ def test_a_batch_refuses_a_curve_of_another_source_before_any_evaluation(sphere,
     with pytest.raises(ValueError, match=r"initial vectors .*\(3,\)"):
         jacobi_variation_oracle(sphere, geos, np.ones((2, 3)))
     assert evaluated == []
-    assert all(geo.dense._frames is None for geo in geos)
+    assert all(geo.dense._levels == {} for geo in geos)
 
 
 def test_a_failing_batch_raises_the_first_error_it_meets(poincare, monkeypatch):
-    # capped at 16 intervals, the Jacobi field along geos[3] fails (its table
-    # does not) and the table of geos[2] fails: a batch builds both tables
-    # before any flow, so it raises the table's error, not the one a loop of
-    # single calls meets first (jacobi-compare redoes its samples one by one)
+    # capped at 16 intervals, the Jacobi field along geos[3] fails (its
+    # frames are resolved) and the frames of geos[2] fail: one loop over the
+    # levels meets both at the cap and raises the first in the list, as a
+    # loop of single calls does
     rng = SplitMix64(7)
     ws = [unit_tangent(poincare, random_tangent(poincare, rng)) for _ in range(4)]
     monkeypatch.setattr(variational, "_TABLE_MAX_INTERVALS", 16)
@@ -687,7 +710,7 @@ def test_a_failing_batch_raises_the_first_error_it_meets(poincare, monkeypatch):
         assert errors[k].startswith(f"{start} not resolved to rtol 1.0e-09 with 16")
     with pytest.raises(NoConvergence) as batched:
         jacobi_integrate(poincare, geodesics(), np.zeros((2, 2)), np.tile([0.0, 1.0], (2, 1)))
-    assert str(batched.value) == errors[1]
+    assert str(batched.value) == errors[0]
 
 
 @pytest.mark.parametrize("call", ["jacobi", "oracle", "transport", "residual"])
@@ -876,15 +899,16 @@ def test_collocated_jacobi_fields_follow_the_closed_form_profiles(name, kappa, t
 
 
 def test_flow_doubling_stays_local_and_stops_at_the_interval_cap(funk, monkeypatch):
-    # the frame table of this geodesic converges at 16 intervals; its Jacobi field needs 32
+    # the frames of this geodesic are resolved at 16 intervals; its Jacobi field needs 32
     w0 = unit_tangent(funk, TangentVector([0.0, 0.0], [1.0, 0.0]))
     geo = integrate_geodesic(funk, w0, 6.0)
-    assert len(geo.dense.frames.t) == 17
     oracle = jacobi_variation_oracle(funk, geo, [0.0, 1.0])
+    assert _first_resolved(geo) == 17
     J = jacobi_integrate(funk, geo, [0.0, 0.0], [0.0, 1.0]).vectors
     parallel_transport(funk, geo, [0.0, 1.0])
-    # the cached table is not doubled, so the oracle gives the same numbers after the flows
-    assert len(geo.dense.frames.t) == 17
+    # a flow starts at the first resolved level whatever the levels that
+    # flows before it added, so the oracle gives the same numbers after them
+    assert sorted(geo.dense._levels) == [16, 32]
     assert np.array_equal(jacobi_variation_oracle(funk, geo, [0.0, 1.0]), oracle)
     assert np.max(np.abs(J - oracle)) < 1e-8
     monkeypatch.setattr(variational, "_TABLE_MAX_INTERVALS", 16)
@@ -929,17 +953,24 @@ def test_chebyshev_tail_test_matches_scipy_dct():
 
 
 def test_chebyshev_table_interpolates_and_refuses_a_kink():
-    def smooth(ks, ts):
-        return [np.stack([np.sin(3 * t), np.exp(t)], axis=-1) for t in ts]
+    def smooth(t):
+        return np.stack([np.sin(3 * t), np.exp(t)], axis=-1)
 
-    (table,) = _ChebyshevTable.build(smooth, [(0.0, 2.0)], [DEFAULT_RTOL])
+    # doubled from 16 intervals until the tail is below rtol, as a frame level is
+    t = _ChebyshevTable.nodes(0.0, 2.0, 16)
+    values = smooth(t)
+    while not _ChebyshevTable._converged(values, DEFAULT_RTOL):
+        t, values = _ChebyshevTable._doubled(t, values, smooth)
+    table = _ChebyshevTable(t, values)
     assert np.array_equal(table.t[[0, -1]], [0.0, 2.0])
     assert np.all(np.diff(table.t) > 0)
-    t = np.array([0.0, 0.0123, 0.77, 1.5, 2.0])
-    assert np.max(np.abs(table.at(t) - np.stack([np.sin(3 * t), np.exp(t)], axis=-1))) < 1e-13
-    with pytest.raises(NoConvergence):
-        _ChebyshevTable.build(lambda ks, ts: [np.abs(t - 0.5) for t in ts], [(0.0, 1.0)],
-                              [DEFAULT_RTOL])
+    ts = np.array([0.0, 0.0123, 0.77, 1.5, 2.0])
+    assert np.max(np.abs(table.at(ts) - smooth(ts))) < 1e-13
+    # |t - 0.5| has a kink: its tail stays above rtol at every level up to the cap
+    assert variational._TABLE_MAX_INTERVALS == 256
+    for m in (16, 32, 64, 128, 256):
+        t = _ChebyshevTable.nodes(0.0, 1.0, m)
+        assert not _ChebyshevTable._converged(np.abs(t - 0.5), DEFAULT_RTOL)
 
 
 # -- one rule call per curve, one F^2 lift per energy --------------------------------------
@@ -970,20 +1001,6 @@ def test_vectorized_family_and_energy_match_node_loops(name, request):
     assert abs(energy(ms, curve) - ref) <= 1e-14 * abs(ref)
     with pytest.raises(ValueError):
         family_curve(VariationFamily(rule=lambda s, t: rule(s, t)[0]), 0.0)
-
-
-def test_energy_names_first_zero_velocity_node(euclid2):
-    # few nodes plus dense output: energy resamples 401 nodes, two of them at rest
-    def dense(t):
-        t = np.asarray(t, float)
-        speed = np.where((np.abs(t - 0.5) < 1e-12) | (np.abs(t - 0.75) < 1e-12), 0.0, 1.0)
-        return np.stack([t, 0.0 * t, speed, 0.0 * t])
-
-    grid = np.linspace(0, 1, 5)
-    curve = Curve(grid, np.stack([grid, 0 * grid], 1), np.tile([1.0, 0.0], (5, 1)),
-                  dense=dense)
-    with pytest.raises(NullDirection, match="node 200$"):
-        energy(euclid2, curve)
 
 
 @pytest.fixture(scope="module")
