@@ -362,20 +362,20 @@ def _battery_family(dim):
     """The variation of the battery's covariant-derivative symmetry check: a
     plane family, padded with zero coordinates in dimension ``dim``."""
     d = np.array([0.25, 0.1] + [0.0] * (dim - 2))
+    e1, e2 = np.eye(dim)[:2]
 
     def rule(s, t):
-        offset = np.stack([0.05 * s * np.sin(np.pi * t), 0.04 * s * t * (1 - t) + 0.03 * s]
-                          + [np.zeros_like(t)] * (dim - 2), axis=-1)
-        return np.zeros(dim) + t[..., None] * d + offset
+        t = t[..., None]
+        return t * d + s * (0.05 * np.sin(np.pi * t) * e1 + (0.04 * t * (1 - t) + 0.03) * e2)
 
     return rule
 
 
 def _run_identity_battery(ms, p, res: TaskResult):
-    """Seven identity residuals at 10 random points, to 1e-7 where the residual
-    is exact and 1e-6 where it takes a finite difference."""
+    """Seven identity residuals at 10 random points, to 1e-7 for nabla_S g and
+    the spray-direction identity and 1e-6 for the other five."""
     rng = SplitMix64(p["seed"] + 77)
-    tol_exact, tol_fd = 1e-7, 1e-6
+    tol_tight, tol_loose = 1e-7, 1e-6
     w = TangentVector.stack([random_tangent(ms, rng) for _ in range(10)])
     lifts = {name: classical_lift(name, ms) for name in CLASSICAL}
 
@@ -383,21 +383,21 @@ def _run_identity_battery(ms, p, res: TaskResult):
     # over all points, run in this order, since the calls draw from rng in
     # turn, point by point
     battery = (
-        ("nabla_S g = 0 (all classical lifts)", "nabla_S_g", tol_exact,
+        ("nabla_S g = 0 (all classical lifts)", "nabla_S_g", tol_tight,
          lambda: max(ident.nabla_s_g_residual(lift, ms, w) for lift in lifts.values())),
-        ("covariant symmetry (T2 lifts)", "symmetry_D", tol_fd,
+        ("covariant symmetry (T2 lifts)", "symmetry_D", tol_loose,
          lambda: max(ident.symmetry_residual(lift, ms, w.x, rng) for lift in lifts.values())),
-        ("metric compatibility (M1+M2)", "metric_compat", tol_fd,
+        ("metric compatibility (M1+M2)", "metric_compat", tol_loose,
          lambda: max(ident.metric_compat_residual(lifts[name], ms, w.x, rng)
                      for name in ("berwald", "cartan"))),
-        ("metric compatibility along geodesic fields", "metric_compat_geodesic", tol_fd,
+        ("metric compatibility along geodesic fields", "metric_compat_geodesic", tol_loose,
          lambda: ident.metric_compat_geodesic_residual(ms, w.x, rng)),
-        ("family metric identities", "family_metric", tol_fd,
+        ("family metric identities", "family_metric", tol_loose,
          lambda: max(ident.family_metric_identity_residual(name, ms, w.x, rng)
                      for name in CLASSICAL)),
-        ("spray-direction derivative identity (T1 lifts)", "spray_derivative", tol_exact,
+        ("spray-direction derivative identity (T1 lifts)", "spray_derivative", tol_tight,
          lambda: max(ident.spray_derivative_residual(lift, ms, w, rng) for lift in lifts.values())),
-        ("variation covariant-derivative symmetry", "variation_symmetry", tol_fd,
+        ("variation covariant-derivative symmetry", "variation_symmetry", tol_loose,
          lambda: variation_symmetry_residual(ms, VariationFamily(rule=_battery_family(ms.dim)),
                                              nodes=101)),
     )
@@ -552,20 +552,6 @@ def _normal_direction(ms, x, vel, rng):
     return d / np.linalg.norm(d)
 
 
-def _once_per_times(fn):
-    """``fn`` of a time array, evaluated once while the times repeat: the five
-    energies of a variation family sample it on one grid."""
-    memo = {}
-
-    def at(t):
-        key = (t.shape, t.tobytes())
-        if key not in memo:
-            memo.clear()
-            memo[key] = fn(t)
-        return memo[key]
-    return at
-
-
 def task_second_variation(ms, p) -> TaskResult:
     rng = SplitMix64(p["seed"])
     res = TaskResult("second-variation", ms, ("quantity", "value"), mode=p["mode"],
@@ -578,10 +564,9 @@ def task_second_variation(ms, p) -> TaskResult:
         e0 = _normal_direction(ms, w0.x, w0.y, rng)
         pt = parallel_transport(ms, geo, e0)
         vfield = FieldAlongCurve(geo.grid, np.sin(np.pi * geo.grid)[:, None] * pt.vectors)
-        transported = _once_per_times(lambda t: pt.dense(t).T)
 
-        def offset(s, t):
-            return s * np.sin(np.pi * t)[..., None] * transported(t)
+        def direction(t):
+            return np.sin(np.pi * t)[..., None] * pt.dense(t).T
     else:
         # submanifold mode: a geodesic segment normal to an affine line at each end
         x_a, d1v = p["x0"], p["direction"]
@@ -594,21 +579,17 @@ def task_second_variation(ms, p) -> TaskResult:
         c1, c2 = 0.8, -0.6
         e0 = rng.direction(ms.dim)
 
-        def vfun(t):
+        def direction(t):
             t = t[..., None]
             return (1 - t) * c1 * d1v + t * c2 * d2v + np.sin(np.pi * t) * e0
 
-        def offset(s, t):
-            return s * vfun(t)
-
-        vfield = FieldAlongCurve(geo.grid, vfun(geo.grid))
+        vfield = FieldAlongCurve(geo.grid, direction(geo.grid))
         ends = {"P1": (line1, [0.0]), "P2": (line2, [0.0])}
         h_terms = (subm.sff_connection(line1, [0.0], geo.velocities[0], [c1], [c1], ms),
                    subm.sff_connection(line2, [0.0], vel_b, [c2], [c2], ms))
 
     formula = second_variation_formula(ms, geo, vfield, **ends)
-    points = _once_per_times(lambda t: geo.dense(t)[:ms.dim].T)
-    fam = VariationFamily(rule=lambda s, t: points(t) + offset(s, t))
+    fam = VariationFamily(rule=lambda s, t: geo.dense(t)[:ms.dim].T + s * direction(t))
     first, fd = variation_energy_derivatives(ms, fam)
     res.csv_rows = [("formula", formula), ("fd", fd), ("first_variation", first)]
     res.check("second variation formula vs FD (relative)", abs(formula - fd) / max(1e-12, abs(fd)),

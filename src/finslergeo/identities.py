@@ -7,24 +7,24 @@ takes points with leading batch axes, (..., n), builds one frame for all
 of them and returns the sup over them; random fields are drawn point by
 point, so a batch consumes a shared RNG as a loop over its points does,
 and an empty batch raises ``ValueError``. The metric compatibility
-residuals differentiate along a curve by a 4th-order central difference,
-one evaluation of ``g_bilinear`` per stencil offset for all points; ``levi_civita`` is the exact classical oracle behind the
-Riemannian-reduction check, read from jets of the coefficient field g(x)
-alone, with no F^2 and no spray.
+residuals take the derivative of g_W(T, V) along a line exactly, from one
+jet of F^2 for all points, independent of the frame; ``levi_civita`` is the
+exact classical oracle behind the Riemannian-reduction check, read from
+jets of the coefficient field g(x) alone, with no F^2 and no spray.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .jets import lift_any
+from .jets import lift_any, space_for
 from .lifts import (LiftSpec, SectionJet, _nabla_g_tensors, affine_coefficients,
                     classical_lift, lift_tensors, nabla_apply)
-from .metrics import MetricSpec, TangentVector, g_bilinear, require_points
+from .metrics import MetricSpec, TangentVector, require_points
 from .rng import SplitMix64
 from .spray import PointFrame, _matvec, _pair, adapted_split
 from .submanifolds import legendre_transform
-from .variational import _d1, integrate_geodesic, parallel_transport
+from .variational import integrate_geodesic, parallel_transport
 
 _CPRIME_TAU = 1e-3   # time step of the central difference in cprime_transport_residual
 
@@ -120,6 +120,22 @@ def _affine_cov(A, U: AffineField, V: AffineField) -> np.ndarray:
     return _matvec(V.A, u) + np.einsum("...ijk,...j,...k->...i", A, u, v)
 
 
+def _g_rate(ms: MetricSpec, pts, u, W: AffineField, T: AffineField, V: AffineField):
+    """d/dt of g_W(T, V) at t = 0 along x = pts + t u, at every point.
+
+    Half the t a b coefficient of one order-3 jet of
+    F^2(x, W(x) + a T(x) + b V(x)) in (t, a, b) about 0: exact, since the
+    fields are affine, so that their values along the line are affine in t.
+    """
+    t, a, b = space_for(3, 3).coordinates(np.zeros(pts.shape[:-1] + (3,)))
+    # component axis first: one jet over the points per coordinate
+    xs = [p + t * du for p, du in zip(pts.T, u.T)]
+    (w, dw), (tv, dt), (v, dv) = ((F(pts).T, _matvec(F.A, u).T) for F in (W, T, V))
+    ys = [w[i] + t * dw[i] + a * (tv[i] + t * dt[i]) + b * (v[i] + t * dv[i])
+          for i in range(ms.dim)]
+    return 0.5 * ms.f2(xs, ys).partial((1, 1, 1))
+
+
 def nabla_s_g_residual(lift: LiftSpec, ms: MetricSpec, w: TangentVector) -> float:
     """| (nabla_S g) | at w, exact zero for every lift of the canonical connection."""
     fr = PointFrame(ms, _tangents(w, "nabla_s_g_residual"), order=4)
@@ -144,20 +160,13 @@ def symmetry_residual(lift: LiftSpec, ms: MetricSpec, x0, rng: SplitMix64) -> fl
 def metric_compat_residual(lift: LiftSpec, ms: MetricSpec, x0, rng: SplitMix64) -> float:
     """M1+M2 compatibility: U g_W(W,V) = g(D^W_U W, V) + g(W, D^W_U V).
 
-    The left side is a finite-difference directional derivative, step 1e-4.
+    The left side is the exact directional derivative ``_g_rate``.
     """
-    h = 1e-4
     pts = _points(x0, "metric_compat_residual")
     W, U, V = _drawn(pts, lambda x: [AffineField.random(x, rng, min_norm=0.6),
                                      AffineField.random(x, rng), AffineField.random(x, rng)])
     u0 = U(pts)
-
-    def phi(t):
-        x = pts + t * u0
-        wx = W(x)
-        return g_bilinear(ms, x, wx, wx, V(x))
-
-    lhs = _d1(phi, h)
+    lhs = _g_rate(ms, pts, u0, W, W, V)
     w0 = W(pts)
     fr = PointFrame(ms, TangentVector(pts, w0), order=4)
     A = affine_coefficients(lift, ms, fr.w, _frame=fr).A
@@ -170,8 +179,7 @@ def metric_compat_residual(lift: LiftSpec, ms: MetricSpec, x0, rng: SplitMix64) 
 def metric_compat_geodesic_residual(ms: MetricSpec, x0, rng: SplitMix64) -> float:
     """W g_W(T,V) = g(D^W_W T, V) + g(T, D^W_W V) for the Berwald connection,
     where W's integral curve is a geodesic through x0 (constructed by
-    matching the spray at x0); the left side by a central difference of step 1e-4."""
-    h = 1e-4
+    matching the spray at x0); the left side by ``_g_rate``, exactly."""
     n = ms.dim
     pts = _points(x0, "metric_compat_geodesic_residual")
     w0, T, V = _drawn(pts, lambda x: [rng.direction(n, 0.6), AffineField.random(x, rng),
@@ -180,13 +188,7 @@ def metric_compat_geodesic_residual(ms: MetricSpec, x0, rng: SplitMix64) -> floa
     ww = np.array([float(w @ w) for w in w0])
     a_w = (-2.0 * fr.G)[:, :, None] * w0[:, None, :] / ww[:, None, None]
     W = AffineField(pts, w0, a_w)
-
-    def phi(t):
-        x = pts + t * w0
-        wx = W(x)
-        return g_bilinear(ms, x, wx, T(x), V(x))
-
-    lhs = _d1(phi, h)
+    lhs = _g_rate(ms, pts, w0, W, T, V)
     A = affine_coefficients(classical_lift("berwald", ms), ms, fr.w, _frame=fr).A
     dwt = _affine_cov(A, W, T)
     dwv = _affine_cov(A, W, V)
@@ -199,9 +201,9 @@ def family_metric_identity_residual(kind: str, ms: MetricSpec, x0, rng: SplitMix
 
     Cartan/Chern-Rund family: (D^W_U g_W)(T,V) = 2 C_W(D^W_U W, T, V).
     Berwald/Hashiguchi family: ... = 2 C_W(D^W_U W, T, V) + 2 C'_W(U, T, V).
-    The derivative of g along U is a central difference of step 1e-5.
+    The derivative of g along U is ``_g_rate``'s, exact, with T and V
+    held at their values at x0.
     """
-    h = 1e-5
     lift = classical_lift(kind, ms)
     pts = _points(x0, "family_metric_identity_residual")
     W, U, T, V = _drawn(pts, lambda x: [AffineField.random(x, rng, min_norm=0.6)]
@@ -209,13 +211,7 @@ def family_metric_identity_residual(kind: str, ms: MetricSpec, x0, rng: SplitMix
     u0, t0, v0 = U(pts), T(pts), V(pts)
     w0 = W(pts)
     fr = PointFrame(ms, TangentVector(pts, w0), order=4)
-
-    def phi(s):
-        x = pts + s * u0
-        wx = W(x)
-        return g_bilinear(ms, x, wx, t0, v0)
-
-    dg = _d1(phi, h)
+    dg = _g_rate(ms, pts, u0, W, *(AffineField(pts, c, 0.0 * W.A) for c in (t0, v0)))
     A = affine_coefficients(lift, ms, fr.w, _frame=fr).A
     # D^W_U of the constant fields T(x0) and V(x0)
     dut = np.einsum("...ijk,...j,...k->...i", A, u0, t0)

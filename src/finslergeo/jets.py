@@ -197,13 +197,20 @@ def _map(fn, c0):
 
 def _shift(c: np.ndarray, other) -> np.ndarray:
     """A copy of coefficients ``c`` with ``other`` added to each value part;
-    an array ``other`` broadcasts against the leading axes like numpy, from the back."""
-    c = c.copy()
-    if c.ndim == 1:
-        c[0] += other   # a scalar jet: item access is several times cheaper
-    else:
-        c[..., 0] += other
-    return c
+    an array ``other`` broadcasts against the leading axes like numpy, from the
+    back, and where it has more or longer axes the coefficients broadcast too."""
+    out = c.copy()
+    try:
+        if out.ndim == 1:
+            out[0] += other   # a scalar jet: item access is several times cheaper
+        else:
+            out[..., 0] += other
+    except ValueError:
+        other = np.asarray(other, float)
+        lead = np.broadcast_shapes(c.shape[:-1], other.shape)
+        out = np.array(np.broadcast_to(c, lead + c.shape[-1:]))
+        out[..., 0] += other
+    return out
 
 
 class smath:
@@ -253,7 +260,8 @@ class smath:
 
 class Jet:
     """Coefficients ``c`` of shape leading axes + (space.size,); a non-jet
-    operand of arithmetic is a float or an array over the leading axes.
+    operand of arithmetic is a float or an array, which broadcasts against the
+    leading axes like numpy: a sum, difference or product has the joint shape.
 
     ``deg`` is the structural degree bound (see the module docstring); it
     defaults to the order, which is always sound.

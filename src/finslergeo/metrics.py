@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NotPositiveDefinite, NullDirection
-from .jets import Jet, _any, lift_any, smath, space_for
+from .jets import Jet, _any, lift_any, smath
 from .rng import SplitMix64
 
 NULL_DIRECTION_TOL = 1e-12
@@ -323,24 +323,6 @@ def cartan_tensor(ms: MetricSpec, w: TangentVector) -> CartanTensor:
     jet = _f2_y_jet(ms, w.x, w.y, 3)
     require_positive_definite(0.5 * jet.derivative(2), w.x, w.y)
     return CartanTensor(w, 0.25 * jet.derivative(3))
-
-
-def g_bilinear(ms: MetricSpec, xs, ys, t_vec, v_vec):
-    """g_w(t_vec, v_vec) at a float point (xs, ys), or at every point of a batch.
-
-    Half the mixed second derivative of (s, t) -> F^2(x, y + s T + t V).
-    All four arguments may carry leading batch axes, (..., n): one
-    evaluation of the F^2 rule then serves every point (its x arguments
-    are float arrays over the batch), and each point is bitwise equal to
-    its own single-point call.
-    """
-    # component axis first: a single point gives float components
-    xs, ys, t_vec, v_vec = (np.moveaxis(np.asarray(a, float), -1, 0)
-                            for a in (xs, ys, t_vec, v_vec))
-    s, t = space_for(2, 2).coordinates(np.zeros(ys.shape[1:] + (2,)))
-    shifted = [yi + s * ti + t * vi for yi, ti, vi in zip(ys, t_vec, v_vec)]
-    out = ms.f2(list(xs), shifted)
-    return out.partial((1, 1)) * 0.5
 
 
 # -- metric validation ----------------------------------------------------------

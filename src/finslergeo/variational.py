@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainExit, GridError, NoConvergence, NormalityViolation, NullDirection
-from .jets import lift_any
+from .jets import Jet, lift_any, space_for
 from .lifts import LiftSpec, affine_coefficients, classical_lift, covariant_derivative_curve
 from .metrics import MetricSpec, TangentVector
 from .spray import PointFrame, spray_values
@@ -125,9 +125,10 @@ class FieldAlongCurve:
 class VariationFamily:
     """A smooth family of curves: rule(s, t) -> chart points.
 
-    ``s`` is a float and ``t`` an array of N times; the rule returns the N
-    points of curve s as an array of shape (N, n), so one call samples a
-    whole curve.
+    ``t`` is an array of N times and the rule returns the N points of curve
+    s, shape (N, n). Like an F^2 rule, it is written once with arithmetic and
+    ``smath`` in ``s``, so that ``s`` may be a float or a one-variable jet:
+    one call at a jet in s gives the exact s-derivatives of every point.
     """
 
     rule: object
@@ -553,20 +554,21 @@ def _simpson_weights(grid) -> tuple[float, np.ndarray]:
     return hs[0], weights
 
 
-def _d1(f, h: float) -> float:
-    """df/dt at t = 0 of a scalar function of one variable, 4th-order central difference."""
-    return (f(-2 * h) - 8 * f(-h) + 8 * f(h) - f(2 * h)) / (12 * h)
+def _simpson(grid, vals):
+    """Composite Simpson integral over ``grid`` of the node values ``vals``,
+    which have the nodes on their last axis."""
+    h, weights = _simpson_weights(grid)
+    return h / 3.0 * np.sum(weights * vals, axis=-1)
 
 
 def energy(ms: MetricSpec, curve: Curve) -> float:
     """E = (1/2) integral of F(velocity)^2 by composite Simpson on the curve's
     grid, which must be uniform with an odd number of nodes."""
-    h, weights = _simpson_weights(curve.grid)
     # F^2 at all nodes: one order-0 lift at the (N, 2n) centers
     n = curve.n
     vals = lift_any(lambda v: ms.f2(v[:n], v[n:]),
                     np.concatenate([curve.points, curve.velocities], axis=1), 0).c[:, 0]
-    return float(0.5 * h / 3.0 * np.sum(weights * vals))
+    return float(0.5 * _simpson(curve.grid, vals))
 
 
 def _flow_jobs(src, geo, *blocks):
@@ -794,7 +796,7 @@ def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
     grid = geo.grid
     if V.vectors.shape != geo.points.shape or not np.allclose(V.grid, grid):
         raise GridError("variation field must live on the geodesic grid")
-    h, weights = _simpson_weights(grid)
+    _simpson_weights(grid)   # the grid is checked before any evaluation
 
     # one order-4 frame over the nodes; its end frames serve the boundary terms
     frames = PointFrame(ms, TangentVector(geo.points, geo.velocities), order=4)
@@ -829,54 +831,54 @@ def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
     RV = np.einsum("...ij,...j->...i", frames.R, V.vectors)
     vals = (np.einsum("...i,...ij,...j->...", DV, frames.g, DV)
             - np.einsum("...i,...ij,...j->...", RV, frames.g, V.vectors))
-    return float(h / 3.0 * np.sum(weights * vals) + boundary)
+    return float(_simpson(grid, vals) + boundary)
 
 
-def _family_points(fam: VariationFamily, s: float, grid: np.ndarray) -> np.ndarray:
-    pts = np.asarray(fam.rule(s, grid), float)
-    if pts.ndim != 2 or len(pts) != len(grid):
-        raise ValueError(f"a variation rule must map {len(grid)} times to an (N, n) "
-                         f"array, got shape {pts.shape}")
-    return pts
-
-
-def family_curve(fam: VariationFamily, s: float) -> Curve:
-    """Sample one member of a variation family at 801 nodes of [0, 1]; velocities
-    by finite differences."""
-    grid = np.linspace(0.0, 1.0, 801)
-    pts = _family_points(fam, s, grid)
-    vels = fd_derivative(pts, grid)
-    return Curve(grid=grid, points=pts, velocities=vels)
+def _family_jet(ms: MetricSpec, fam: VariationFamily, order: int, grid) -> Jet:
+    """The family's points at the times ``grid`` as one jet of ``order`` in s
+    about 0, leading axes (N, n); a rule that ignores s gives constant jets."""
+    s = space_for(1, order).coordinates(np.zeros(1))[0]
+    points = 0.0 * s + fam.rule(s, grid)
+    if points.shape != (len(grid), ms.dim):
+        raise ValueError(f"a variation rule must map {len(grid)} times to an "
+                         f"({len(grid)}, {ms.dim}) array, got shape {points.shape}")
+    return points
 
 
 def variation_energy_derivatives(ms: MetricSpec, fam: VariationFamily) -> tuple[float, float]:
-    """(d/ds, d^2/ds^2) of s -> E(lambda_s) at s=0: 4th-order central stencils
-    over the five energies at s = 0, +-h and +-2h, h = 1e-3."""
-    h = 1e-3
-    em2, em1, e0, e1, e2 = (energy(ms, family_curve(fam, s)) for s in (-2 * h, -h, 0.0, h, 2 * h))
-    return ((em2 - 8 * em1 + 8 * e1 - e2) / (12 * h),
-            (-em2 + 16 * em1 - 30 * e0 + 16 * e1 - e2) / (12 * h * h))
+    """(d/ds, d^2/ds^2) of s -> E(lambda_s) at s = 0, exact in s.
+
+    The rule runs once, at an order-2 jet in s, over 801 nodes of [0, 1];
+    the velocities are ``fd_derivative`` in t of its coefficients, F^2 is
+    evaluated on the point and velocity jets, and ``energy``'s Simpson sum
+    takes each coefficient.
+    """
+    grid = np.linspace(0.0, 1.0, 801)
+    points = _family_jet(ms, fam, 2, grid)
+    # component axis first, so that F^2 receives one jet over the nodes per coordinate
+    xs, ys = (Jet(points.space, np.moveaxis(c, 1, 0), points.deg)
+              for c in (points.c, fd_derivative(points.c, grid)))
+    f2 = ms.f2([xs[i] for i in range(ms.dim)], [ys[i] for i in range(ms.dim)])
+    e = 0.5 * _simpson(grid, f2.c.T)
+    return float(e[1]), float(2.0 * e[2])
 
 
 def variation_symmetry_residual(ms: MetricSpec, fam: VariationFamily, nodes: int = 201) -> float:
-    """Node-wise residual of the covariant-derivative symmetry of a variation.
+    """Node-wise residual of the covariant-derivative symmetry of a variation,
+    D_s T = D_t U with T = dH/dt and U = dH/ds, for the Berwald connection.
 
-    Compares the s-derivative of T = dH/dt with the t-derivative of
-    U = dH/ds, both corrected by the Berwald affine coefficients at direction
-    T (zero for every lift that satisfies the torsion condition), with s
-    steps of h = 1e-3. One order-4 frame batched over the nodes serves every
-    node; the residual is the sup over them.
+    The rule runs once, at an order-1 jet in s, so U is exact and d/ds of T
+    and d/dt of U are one array, ``fd_derivative`` in t of U; what is left
+    is the torsion asymmetry A(U, T) - A(T, U) of the Berwald affine
+    coefficients at direction T, zero for every lift that satisfies the
+    torsion condition. One order-4 frame batched over the nodes serves
+    every node; the residual is the sup over them.
     """
-    h = 1e-3
     grid = np.linspace(0.0, 1.0, nodes)
-    svals = np.array([-2 * h, -h, 0.0, h, 2 * h])
-    pts = np.array([_family_points(fam, s, grid) for s in svals])
-    T = np.array([fd_derivative(pts[j], grid) for j in range(len(svals))])
-    U = fd_derivative(pts, svals)
-    dT_ds = fd_derivative(T, svals)[2]
-    dU_dt = fd_derivative(U[2], grid)
-    fr = PointFrame(ms, TangentVector(pts[2], T[2]), order=4)
+    points = _family_jet(ms, fam, 1, grid)
+    pts, U = points.c[..., 0], points.c[..., 1]
+    T = fd_derivative(pts, grid)
+    fr = PointFrame(ms, TangentVector(pts, T), order=4)
     A = affine_coefficients(classical_lift("berwald", ms), ms, fr.w, _frame=fr).A
-    lhs = dT_ds + np.einsum("...ijk,...j,...k->...i", A, U[2], T[2])
-    rhs = dU_dt + np.einsum("...ijk,...j,...k->...i", A, T[2], U[2])
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(np.einsum("...ijk,...j,...k->...i", A, U, T)
+                               - np.einsum("...ijk,...j,...k->...i", A, T, U))))

@@ -223,6 +223,22 @@ def test_tensor_jet_ops_match_scalar_components(nvars, order, seed):
             a.grad()
 
 
+def test_sums_with_a_wider_array_broadcast_the_jet_as_products_do():
+    # a scalar jet plus a vector, and a jet of leading axes (4, 1) plus a (4, 3) array
+    sp = space_for(1, 2)
+    rs = np.random.default_rng(7)
+    cases = ((sp.coordinates(np.zeros(1))[0], np.ones(3)),
+             (Jet(sp, rs.uniform(-2, 2, (4, 1, sp.size))), rs.uniform(-2, 2, (4, 3))))
+    for jet, arr in cases:
+        lead = np.broadcast_shapes(jet.shape, arr.shape)
+        assert (jet * arr).shape == lead
+        wide = Jet(sp, np.array(np.broadcast_to(jet.c, lead + (sp.size,))))
+        for got, want in ((jet + arr, wide + arr), (arr + jet, arr + wide),
+                          (jet - arr, wide - arr), (arr - jet, arr - wide)):
+            assert got.c.shape == want.c.shape
+            assert np.array_equal(got.c, want.c)
+
+
 @pytest.mark.parametrize("order", range(6))
 def test_solve_linear_residual(order):
     rs = np.random.default_rng(100 + order)

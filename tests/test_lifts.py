@@ -588,6 +588,19 @@ def test_metric_compatibility_and_theorem46(randers_var):
     assert ident.metric_compat_geodesic_residual(randers_var, x0, SplitMix64(8)) < 1e-6
 
 
+@pytest.mark.parametrize("name", ["randers_var", "funk", "funk3", "sphere"])
+def test_metric_identity_residuals_are_exact(name, request):
+    # d/dt g_W(T, V) from one jet in (t, a, b): central differences of step 1e-4 and
+    # 1e-5 read 1.25e-12 to 1.06e-10 here
+    ms = metrics.funk(3) if name == "funk3" else request.getfixturevalue(name)
+    rng = SplitMix64(31)
+    x = np.array([random_tangent(ms, rng).x for _ in range(10)])
+    for kind in THEOREM_SETS:
+        assert ident.metric_compat_residual(classical_lift(kind, ms), ms, x, rng) <= 1e-13
+        assert ident.family_metric_identity_residual(kind, ms, x, rng) <= 1e-13
+    assert ident.metric_compat_geodesic_residual(ms, x, rng) <= 1e-13
+
+
 def test_spray_direction_derivative_identity(randers_var):
     rng = SplitMix64(73)
     for _ in range(5):
@@ -643,9 +656,8 @@ def test_identity_residuals_build_one_frame_per_call(randers_var, monkeypatch):
     calls = {key: (lambda fn=fn: fn(w, SplitMix64(1)))
              for key, fn in _identity_residuals(randers_var).items()}
     calls["tensor"] = lambda: ident.tensor_identity_residuals(randers_var, w)
-    calls["variation_symmetry"] = lambda: variation_symmetry_residual(
-        randers_var, VariationFamily(rule=lambda s, t: np.stack([0.3 * t + 0.05 * s, 0.2 * t], -1)),
-        nodes=41)
+    family = VariationFamily(rule=lambda s, t: np.outer(t, [0.3, 0.2]) + s * np.array([0.05, 0.0]))
+    calls["variation_symmetry"] = lambda: variation_symmetry_residual(randers_var, family, nodes=41)
     calls["lift_curvature"] = lambda: lift_curvature(
         random_admissible_lift(randers_var, 3), randers_var, w, w.y)
     for key, call in calls.items():

@@ -7,8 +7,7 @@ from finslergeo import metrics, spray
 from finslergeo.errors import DomainError, NotPositiveDefinite, NullDirection
 from finslergeo.lifts import affine_coefficients, classical_lift, lift_curvature
 from finslergeo.metrics import (TangentVector, cartan_tensor, check_metric,
-                                fundamental_tensor, g_bilinear, metric_value,
-                                random_tangent)
+                                fundamental_tensor, metric_value, random_tangent)
 from finslergeo.rng import SplitMix64
 from finslergeo.submanifolds import legendre_transform
 from finslergeo.variational import integrate_geodesic
@@ -118,23 +117,6 @@ def test_euler_identity(name, request):
                          for i in range(ms.dim)])
         assert np.max(np.abs(g @ w.y - 0.5 * grad)) < 1e-10
         assert abs(w.y @ g @ w.y - metric_value(ms, w) ** 2) < 1e-10
-
-
-@pytest.mark.parametrize("name", ALL_BUILTINS)
-def test_batched_g_bilinear_is_bitwise_per_point(name, request):
-    # one F^2 evaluation at float arrays of x serves the batch
-    ms = request.getfixturevalue(name)
-    rng = SplitMix64(29)
-    ws = [random_tangent(ms, rng) for _ in range(6)]
-    t, v = np.array([rng.direction(ms.dim) for _ in ws]), np.array([rng.direction(ms.dim) for _ in ws])
-    w = TangentVector.stack(ws)
-    got = g_bilinear(ms, w.x.reshape(2, 3, -1), w.y.reshape(2, 3, -1), t.reshape(2, 3, -1),
-                     v.reshape(2, 3, -1))
-    assert got.shape == (2, 3)
-    for k, wk in enumerate(ws):
-        ref = g_bilinear(ms, list(wk.x), list(wk.y), t[k], v[k])
-        assert got.reshape(6)[k] == ref
-        assert abs(ref - t[k] @ fundamental_tensor(ms, wk).g @ v[k]) < 1e-12
 
 
 def test_check_metric_euclidean_clean(euclid2):

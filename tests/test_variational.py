@@ -10,6 +10,7 @@ from test_spray import _randers_var_closed_form_spray
 from finslergeo import metrics, spray, variational
 from finslergeo.errors import (DomainExit, GridError, NoConvergence,
                                NormalityViolation, NullDirection)
+from finslergeo.jets import smath
 from finslergeo.metrics import (TangentVector, fundamental_tensor,
                                 metric_value, random_tangent)
 from finslergeo.rng import SplitMix64
@@ -17,7 +18,7 @@ from finslergeo.spray import PointFrame
 from finslergeo.submanifolds import affine_subspace, circle
 from finslergeo.variational import (DEFAULT_ATOL, DEFAULT_RTOL, Curve,
                                     FieldAlongCurve, VariationFamily, _ChebyshevTable,
-                                    energy, family_curve, fd_derivative,
+                                    energy, fd_derivative,
                                     geodesic_residual, integrate_geodesic,
                                     jacobi_integrate, jacobi_variation_oracle,
                                     parallel_transport,
@@ -260,10 +261,13 @@ def test_transport_isometry(name, tspan, request):
 
 
 def test_second_variation_euclidean_analytic(euclid2):
-    fam = VariationFamily(rule=lambda s, t: np.stack([t, s * np.sin(np.pi * t)], axis=-1))
+    # H(s, t) = (t, s sin(pi t)), exact in s: only the t-grid is discretized, where a
+    # five-energy stencil in s read 6.8e-11
+    fam = VariationFamily(rule=lambda s, t: np.stack([t, 0 * t], axis=-1)
+                          + s * np.stack([0 * t, np.sin(np.pi * t)], axis=-1))
     d1v, d2 = variation_energy_derivatives(euclid2, fam)
-    assert d2 == pytest.approx(np.pi ** 2 / 2, abs=1e-6)
-    assert abs(d1v) < 1e-6
+    assert abs(d2 - np.pi ** 2 / 2) <= 3e-11 * np.pi ** 2 / 2
+    assert d1v == 0.0
 
     grid = np.linspace(0, 1, 401)
     geo = Curve(grid, np.stack([grid, np.zeros_like(grid)], 1),
@@ -298,25 +302,11 @@ def test_second_variation_circle_endpoint_analytic(euclid2):
     val = second_variation_formula(euclid2, geo, V,
                                    P1=(circ, [np.pi / 2]), P2=(line, [0.0]))
     assert val == pytest.approx(1.0, abs=1e-10)
+    # H(s, t) = (sin s, (1 - t)(cos s - 1) + t), written once for floats and jets in s
     fam = VariationFamily(
-        rule=lambda s, t: np.stack([np.full_like(t, np.sin(s)),
-                                    (1 - t) * (np.cos(s) - 1) + t], axis=-1))
+        rule=lambda s, t: smath.sin(s) * np.array([1.0, 0.0])
+        + ((1 - t) * (smath.cos(s) - 1) + t)[..., None] * np.array([0.0, 1.0]))
     assert variation_energy_derivatives(euclid2, fam)[1] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_energy_stencil_matches_separate_first_and_second_differences(randers_var):
-    # one set of five energies serves both derivatives, bit for bit as the two stencils
-    fam = VariationFamily(rule=lambda s, t: np.stack([0.3 * t + 0.05 * s * np.sin(np.pi * t),
-                                                      -0.2 + 0.25 * t + 0.04 * s * t * (1 - t)],
-                                                     axis=-1))
-
-    def e(s):
-        return energy(randers_var, family_curve(fam, s))
-
-    h = 1e-3
-    first = (e(-2 * h) - 8 * e(-h) + 8 * e(h) - e(2 * h)) / (12 * h)
-    second = (-e(-2 * h) + 16 * e(-h) - 30 * e(0.0) + 16 * e(h) - e(2 * h)) / (12 * h * h)
-    assert variation_energy_derivatives(randers_var, fam) == (first, second)
 
 
 def test_second_variation_fixed_endpoint_guard(euclid2):
@@ -341,8 +331,8 @@ def test_second_variation_normality_guard(euclid2):
 
 def test_variation_symmetry_residual(randers_var):
     def rule(s, t):
-        return np.stack([0.3 * t + 0.05 * s * np.sin(np.pi * t),
-                         -0.2 + 0.25 * t + 0.04 * s * t * (1 - t) + 0.02 * s], axis=-1)
+        return (np.stack([0.3 * t, -0.2 + 0.25 * t], axis=-1)
+                + s * np.stack([0.05 * np.sin(np.pi * t), 0.04 * t * (1 - t) + 0.02], axis=-1))
 
     assert variation_symmetry_residual(randers_var, VariationFamily(rule=rule),
                                        nodes=101) < 1e-6
@@ -973,7 +963,7 @@ def test_chebyshev_table_interpolates_and_refuses_a_kink():
         assert not _ChebyshevTable._converged(np.abs(t - 0.5), DEFAULT_RTOL)
 
 
-# -- one rule call per curve, one F^2 lift per energy --------------------------------------
+# -- one F^2 lift per energy, and the shape a variation rule must return ------------------
 
 
 def _simpson_energy_per_node(ms, curve):
@@ -990,17 +980,16 @@ def test_vectorized_family_and_energy_match_node_loops(name, request):
     ms = request.getfixturevalue(name)
 
     def rule(s, t):
-        return np.stack([0.3 * t + 0.05 * s * np.sin(np.pi * t),
-                         -0.2 + 0.25 * t + 0.04 * s * t * (1 - t)], axis=-1)
+        return (np.stack([0.3 * t, -0.2 + 0.25 * t], axis=-1)
+                + s * np.stack([0.05 * np.sin(np.pi * t), 0.04 * t * (1 - t)], axis=-1))
 
-    fam = VariationFamily(rule=rule)
-    curve = family_curve(fam, 0.01)
-    per_node = np.array([rule(0.01, np.array([t]))[0] for t in curve.grid])
-    assert np.array_equal(curve.points, per_node)
+    grid = np.linspace(0.0, 1.0, 801)
+    points = rule(0.01, grid)
+    curve = Curve(grid, points, fd_derivative(points, grid))
     ref = _simpson_energy_per_node(ms, curve)
     assert abs(energy(ms, curve) - ref) <= 1e-14 * abs(ref)
-    with pytest.raises(ValueError):
-        family_curve(VariationFamily(rule=lambda s, t: rule(s, t)[0]), 0.0)
+    with pytest.raises(ValueError, match=r"\(801, 2\) array, got shape \(2,\)"):
+        variation_energy_derivatives(ms, VariationFamily(rule=lambda s, t: rule(s, t)[0]))
 
 
 @pytest.fixture(scope="module")
