@@ -21,7 +21,7 @@ from .submanifolds import (NormalVector, Submanifold, affine_subspace, circle,
                            legendre_transform, normal_bundle_tangent_basis,
                            normal_cone_solve, omega_F, sff_connection,
                            sff_symplectic, sphere2)
-from .variational import (Curve, FieldAlongCurve, VariationFamily, energy,
+from .variational import (Curve, FieldAlongCurve, VariationFamily,
                           geodesic_residual, integrate_geodesic,
                           jacobi_integrate, jacobi_variation_oracle,
                           parallel_transport, second_variation_formula,

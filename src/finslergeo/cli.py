@@ -398,8 +398,7 @@ def _run_identity_battery(ms, p, res: TaskResult):
         ("spray-direction derivative identity (T1 lifts)", "spray_derivative", tol_tight,
          lambda: max(ident.spray_derivative_residual(lift, ms, w, rng) for lift in lifts.values())),
         ("variation covariant-derivative symmetry", "variation_symmetry", tol_loose,
-         lambda: variation_symmetry_residual(ms, VariationFamily(rule=_battery_family(ms.dim)),
-                                             nodes=101)),
+         lambda: variation_symmetry_residual(ms, VariationFamily(rule=_battery_family(ms.dim)))),
     )
     for label, key, tol, residual in battery:
         worst = residual()
@@ -563,7 +562,6 @@ def task_second_variation(ms, p) -> TaskResult:
         geo = integrate_geodesic(ms, w0, 1.0)
         e0 = _normal_direction(ms, w0.x, w0.y, rng)
         pt = parallel_transport(ms, geo, e0)
-        vfield = FieldAlongCurve(geo.grid, np.sin(np.pi * geo.grid)[:, None] * pt.vectors)
 
         def direction(t):
             return np.sin(np.pi * t)[..., None] * pt.dense(t).T
@@ -571,7 +569,9 @@ def task_second_variation(ms, p) -> TaskResult:
         # submanifold mode: a geodesic segment normal to an affine line at each end
         x_a, d1v = p["x0"], p["direction"]
         line1 = subm.affine_subspace(x_a, [d1v], name="P1")
-        nv = subm.normal_cone_solve(line1, [0.0], ms, guess=np.array([-d1v[1], d1v[0]]))
+        guess = np.zeros(ms.dim)
+        guess[:2] = -d1v[1], d1v[0]
+        nv = subm.normal_cone_solve(line1, [0.0], ms, guess=guess)
         geo = integrate_geodesic(ms, TangentVector(x_a, nv.eta), 1.0)
         x_b, vel_b = geo.points[-1], geo.velocities[-1]
         d2v = _normal_direction(ms, x_b, vel_b, rng)
@@ -583,11 +583,11 @@ def task_second_variation(ms, p) -> TaskResult:
             t = t[..., None]
             return (1 - t) * c1 * d1v + t * c2 * d2v + np.sin(np.pi * t) * e0
 
-        vfield = FieldAlongCurve(geo.grid, direction(geo.grid))
         ends = {"P1": (line1, [0.0]), "P2": (line2, [0.0])}
         h_terms = (subm.sff_connection(line1, [0.0], geo.velocities[0], [c1], [c1], ms),
                    subm.sff_connection(line2, [0.0], vel_b, [c2], [c2], ms))
 
+    vfield = FieldAlongCurve(geo.grid, direction(geo.grid), dense=lambda t: direction(t).T)
     formula = second_variation_formula(ms, geo, vfield, **ends)
     fam = VariationFamily(rule=lambda s, t: geo.dense(t)[:ms.dim].T + s * direction(t))
     first, fd = variation_energy_derivatives(ms, fam)

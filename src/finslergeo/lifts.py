@@ -351,30 +351,30 @@ def affine_coefficients(lift: LiftSpec, src, w: TangentVector,
 
 def covariant_derivative_curve(lift: LiftSpec, src, curve, W, V,
                                _frames: PointFrame | None = None):
-    """(D^W V / dt) along a curve from grid samples of W and V.
+    """(D^W V / dt) along a curve from samples of W and V at its grid, the
+    Chebyshev-Lobatto nodes of its span (any other grid is a ``GridError``).
 
-    Uses the coefficient form Vdot + A(lambda(t), W(t))(lambdadot, V); the
-    correction term of the non-horizontal-lift formula cancels exactly
-    against the vertical transport term (a dedicated test re-verifies this
-    against the raw two-term evaluation). The frames at all nodes are one
-    order-4 frame batched over (curve.points, W.vectors); ``_frames``, if
-    given, is that frame.
+    Uses the coefficient form Vdot + A(lambda(t), W(t))(lambdadot, V), Vdot
+    spectral; the correction term of the non-horizontal-lift formula cancels
+    exactly against the vertical transport term (a dedicated test
+    re-verifies this against the raw two-term evaluation). The frames at all
+    nodes are one order-4 frame over (curve.points, W.vectors), ``_frames``
+    if given.
     """
-    from .variational import FieldAlongCurve, fd_derivative
+    from .variational import FieldAlongCurve, _derivative
 
     grid = np.asarray(curve.grid, float)
-    if W.vectors.shape != V.vectors.shape or len(grid) != len(W.vectors):
+    if (W.vectors.shape != V.vectors.shape or len(grid) != len(W.vectors)
+            or not np.allclose(W.grid, grid) or not np.allclose(V.grid, grid)):
         raise GridError("curve and field grids do not match")
-    if not np.allclose(np.asarray(W.grid), grid) or not np.allclose(np.asarray(V.grid), grid):
-        raise GridError("curve and field grids do not match")
+    vdot = _derivative(grid, V.vectors)
     if np.min(np.linalg.norm(W.vectors, axis=1)) < 1e-12:
         raise NullReference("reference field W vanishes at a node")
     fr = (_frames if _frames is not None
           else PointFrame(src, TangentVector(curve.points, W.vectors), order=4))
     _, cp = _admissible_tensors(lift, fr)
     a = fr.B + cp
-    out = fd_derivative(V.vectors, grid) + np.einsum("...ijk,...j,...k->...i", a,
-                                                     curve.velocities, V.vectors)
+    out = vdot + np.einsum("...ijk,...j,...k->...i", a, curve.velocities, V.vectors)
     return FieldAlongCurve(grid=grid, vectors=out)
 
 

@@ -313,26 +313,30 @@ def _fiber(eta: np.ndarray, kern: np.ndarray):
 def normal_bundle_tangent_basis(P: Submanifold, nv: NormalVector, ms: MetricSpec) -> np.ndarray:
     """n tangent vectors of the normal bundle at eta, raw (dx, dy) components, (..., n, 2n).
 
-    k vectors follow the solved normal along each parameter direction
-    (implicit differentiation by re-solving: 2k batched solves), plus
+    k vectors follow the solved normal along each parameter direction, plus
     (n - k) fiber directions of the normal cone, the radial one first. Row
-    a < k has base part dphi_a, the a-th column of the immersion's Jacobian.
+    b < k is (B_b, d eta / dp_b), B the immersion's Jacobian, with the
+    implicit-function theorem on B^T g eta = 0 and F(x, eta) = 1 along the
+    solve's tangential corrections: d eta / dp_b = B c_b + mu_b eta, (B^T g
+    B) c_b = -(d2phi/dp dp_b . g eta + B^T (dg/dx . eta) B_b) and mu_b =
+    -(1/2) (dg/dx . eta . eta) . B_b, from one order-4 frame at (x, eta).
     """
     n, k = P.dim, P.param_dim
-    basis = P.jacobian(nv.param)
+    imm = P._immersion(nv.param)
+    basis = imm.basis
     batch = basis.shape[:-2]
+    fr = PointFrame(ms, TangentVector(nv.x, nv.eta), order=4)
+    bt = np.swapaxes(basis, -1, -2)
+    # (dg/dx . eta)[i, l] = d g_ij / dx^l eta^j
+    dg_eta = np.einsum("...lij,...j->...il", fr.dg_dx, nv.eta)
+    rhs = -(np.einsum("...iab,...i->...ab", imm.hess, fr.gw) + bt @ dg_eta @ basis)
+    c = np.linalg.solve(bt @ fr.g @ basis, rhs)
+    mu = -0.5 * _matvec(bt, _matvec(np.swapaxes(dg_eta, -1, -2), nv.eta))
     rows = np.zeros(batch + (n, 2 * n))
-    h = 1e-4  # parameter step of the central difference
-    for a in range(k):
-        dp = np.zeros(k)
-        dp[a] = h
-        eta_p = normal_cone_solve(P, nv.param + dp, ms, guess=nv.eta).eta
-        eta_m = normal_cone_solve(P, nv.param - dp, ms, guess=nv.eta).eta
-        rows[..., a, :n] = basis[..., a]
-        rows[..., a, n:] = (eta_p - eta_m) / (2 * h)
+    rows[..., :k, :n] = bt
+    rows[..., :k, n:] = np.swapaxes(basis @ c + nv.eta[..., :, None] * mu[..., None, :], -1, -2)
     # fiber directions: g_eta(v, T_x P) = 0
-    g = _legendre(ms, nv.x, nv.eta)[1]
-    kern = _null_space(np.swapaxes(basis, -1, -2) @ g, n - k)
+    kern = _null_space(bt @ fr.g, n - k)
     fiber, count = _fiber(nv.eta.reshape(-1, n), kern.reshape(-1, n, n - k))
     bad = _first(count.reshape(batch) != n - k)
     if bad is not None:

@@ -1,64 +1,46 @@
-"""Geodesic integration, energy, Jacobi fields and the second variation.
+"""Geodesics, Jacobi fields, parallel transport and the second variation.
+
+One discretization runs along every curve: Chebyshev-Lobatto nodes of a
+time span, 16 intervals doubled until the Chebyshev tail of what is sampled
+there is below ``rtol`` (``_ChebyshevTable``), spectral integration
+(``_integration_matrix``, whose last row is the Clenshaw-Curtis rule) and
+spectral differentiation (``_derivative``); past 256 intervals a curve is
+not resolved, ``NoConvergence`` (Trefethen, *Spectral Methods in MATLAB*,
+SIAM 2000). A dense output is interpolated barycentrically
+(Berrut-Trefethen, *SIAM Review* 46, 2004) and records its ``rtol``.
 
 A geodesic is the Picard fixed point s = s0 + integral of f(s), with
 f(x, v) = (v, -2 G(x, v)), solved by Chebyshev-Picard iteration
 (Clenshaw-Norton, *Comput. J.* 6, 1963; Bai-Junkins, *J. Astronaut. Sci.*
-58, 2011) on the Chebyshev-Lobatto nodes of its time span. One sweep is
-one batched ``spray_values`` call over every node of every geodesic being
-solved, then products with a spectral integration matrix; there is no
-linear solve. A segment starts at 16 intervals and doubles, warm-started
-from its interpolant, until its Chebyshev tail is below ``rtol``. A
-segment whose iterate leaves the chart or whose sweeps stall is split in
-two. A converged segment with a node past the chart's domain margin, or a
-split below ``_MIN_SEGMENT`` of the span inside a stretch whose iterate
-left the chart, is a ``DomainExit``; such a split elsewhere is a stall,
-``NoConvergence``. The
-converged segments are the curve's dense output, interpolated
-barycentrically (Berrut-Trefethen, *SIAM Review* 46, 2004), and the dense
-output records the ``rtol`` it was solved to.
+58, 2011): one sweep is one batched ``spray_values`` call over every node
+of every geodesic being solved. A segment whose iterate leaves the chart or
+whose sweeps stall is split in two. A converged segment with a node past
+the chart's domain margin, or a split below ``_MIN_SEGMENT`` of the span
+inside a stretch whose iterate left the chart, is a ``DomainExit``; such a
+split elsewhere is a stall, ``NoConvergence``.
 
-Along a known geodesic, Jacobi fields and parallel transport are linear
-ODEs whose coefficients are the spray's N and R (every admissible
-connection gives the same ones). A geodesic's dense output records the
-source it was solved for and keeps the frame levels that flows along it
-have read: Gx, N and R from order-4 ``PointFrame``s at the
-Chebyshev-Lobatto nodes of its time interval, at states read off its own
-interpolant, at 16 intervals and at each doubling of them, each level with
-a flag that says whether the (Gx, N, R) tail is below the geodesic's
-``rtol`` there or at a coarser level. Jacobi fields read N and R, the
-oracle Gx and N, and transport N.
+Jacobi fields (from N and R), the Jacobi oracle (the linearized spray flow,
+from Gx and N: the exact derivative of the exponential map,
+Hairer-Norsett-Wanner, *Solving ODEs I*, section I.14, with neither R nor a
+connection) and parallel transport (from N) are linear flows, collocated in
+``_collocation_flow``: one linear solve on a level's nodes, from time 0. A
+geodesic's dense output records its source and keeps the frame levels its
+flows have read, (Gx, N, R) from one order-4 ``PointFrame`` batched over
+the new nodes of every geodesic with a flow still going, each flagged
+resolved or not. A flow takes the list of curves of one
+``integrate_geodesic`` batch, with the initial vectors on a leading batch
+axis: the systems of one level are one stacked solve and every result is
+bitwise its own single call. A curve that ``integrate_geodesic`` did not
+return, or one it solved for another source, is refused with no spray
+evaluation; in a batch the first flow still going raises, and a batched
+frame names the first bad point of the concatenated batch, so
+jacobi-compare redoes a failing batch sample by sample.
 
-Jacobi fields, the Jacobi oracle and parallel transport are collocated in
-``_collocation_flow``: the Picard fixed point s = s0 + integral of A s of
-a linear flow is one linear solve on a level's nodes, over (n, m) column
-blocks, from time 0 (at the geodesic's initial vector, so a backward
-flow's initial vectors hold at time 0). One loop runs over the levels from
-16 intervals. A level is one frame batched over the new nodes of every
-geodesic with a flow still going, built once per geodesic and kept. A flow
-is solved at every resolved level of its geodesic until its own Chebyshev
-tail is below the geodesic's ``rtol``. Each flow also takes the list of
-curves of one ``integrate_geodesic`` batch, with the initial vectors on a
-leading batch axis: the systems of one level are one stacked solve, and
-curves with the same nodes are sampled in one barycentric pass, their
-values side by side as columns, so every result is bitwise its own single
-call. A curve that ``integrate_geodesic`` did not return, or one it solved
-for another metric or spray object, is refused with no spray evaluation.
-Past 256 intervals the first flow of the list still going raises
-``NoConvergence``, the error a loop of single calls meets first; a
-batched frame, though, names the first bad point of the concatenated
-batch, so jacobi-compare redoes a failing batch sample by sample for the
-single path's error. A transported field records its Chebyshev dense
-output, as a geodesic does.
-
-The Jacobi oracle is the linearized spray flow, the variational equation of
-the geodesic ODE and so the exact derivative of the exponential map
-(Hairer-Norsett-Wanner, *Solving ODEs I*, section I.14): it uses neither R
-nor a connection. It is collocated as J is, so the Jacobi check compares
-two equations on shared nodes, the R-based J against the Gx/N-based dx,
-not two integrators; a test against an independent DOP853
-solve guards the driver. The runtime needs numpy only. The second
-variation reads g, R and the lift's coefficients from one frame batched
-over the geodesic's nodes.
+The second variation resolves the geodesic's state and the variation field
+together, reads g, R and the lift's coefficients from one frame batched
+over those nodes and sums with Clenshaw-Curtis; the energy derivatives and
+the variation symmetry evaluate a family's jet in s at its resolved nodes.
+The runtime needs numpy only.
 """
 
 from __future__ import annotations
@@ -68,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainExit, GridError, NoConvergence, NormalityViolation, NullDirection
-from .jets import Jet, lift_any, space_for
+from .jets import Jet, space_for
 from .lifts import LiftSpec, affine_coefficients, classical_lift, covariant_derivative_curve
 from .metrics import MetricSpec, TangentVector
 from .spray import PointFrame, spray_values
@@ -84,6 +66,7 @@ _BLOWUP = 1e6               # an iterate this many times larger than its start h
 _EXIT_MARGIN = 1e-9         # a node whose domain margin is this small has left the chart
 _MIN_SEGMENT = 1e-9         # the shortest segment, relative to the span, before a split gives up
 _INTEGRATION = {}           # spectral integration matrices by interval count, built on first use
+_DIFFERENTIATION = {}       # spectral differentiation matrices by interval count, the same way
 
 
 @dataclass
@@ -132,29 +115,6 @@ class VariationFamily:
     """
 
     rule: object
-
-
-def fd_derivative(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """d/dt of grid samples: 4th-order central inside, 3rd-order one-sided ends.
-
-    Requires a uniform grid.
-    """
-    values = np.asarray(values, float)
-    grid = np.asarray(grid, float)
-    hs = np.diff(grid)
-    h = hs[0]
-    if np.max(np.abs(hs - h)) > 1e-10 * max(1.0, abs(h)):
-        raise GridError("finite differencing requires a uniform grid")
-    if len(grid) < 5:
-        raise GridError("need at least 5 nodes for the differentiation stencils")
-    v = values
-    out = np.empty_like(v)
-    out[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
-    out[0] = (-11 * v[0] + 18 * v[1] - 9 * v[2] + 2 * v[3]) / (6 * h)
-    out[1] = (-3 * v[0] - 10 * v[1] + 18 * v[2] - 6 * v[3] + v[4]) / (12 * h)
-    out[-2] = (3 * v[-1] + 10 * v[-2] - 18 * v[-3] + 6 * v[-4] - v[-5]) / (12 * h)
-    out[-1] = (11 * v[-1] - 18 * v[-2] + 9 * v[-3] - 2 * v[-4]) / (6 * h)
-    return out
 
 
 def _atol(rtol: float) -> float:
@@ -262,6 +222,48 @@ def _integration_matrix(m: int) -> np.ndarray:
         Q[0] = 0.0
         _INTEGRATION[m] = Q
     return Q
+
+
+def _derivative(t, values) -> np.ndarray:
+    """d/dt of the degree-m polynomial through ``values`` (node axis first) at
+    the Chebyshev-Lobatto nodes ``t`` of m intervals, else a ``GridError``.
+    The differentiation matrix (Trefethen 2000, ch. 6) has its node
+    differences from a product of sines and its diagonal as minus the row
+    sum; cached per m."""
+    t, values = np.asarray(t, float), np.asarray(values, float)
+    m = len(t) - 1
+    if m < 1 or np.max(np.abs(t - _ChebyshevTable.nodes(t[0], t[-1], m))) > 1e-10 * max(
+            1.0, abs(t[-1] - t[0])):
+        raise GridError("spectral differentiation needs the Chebyshev-Lobatto nodes of the "
+                        "grid's span")
+    D = _DIFFERENTIATION.get(m)
+    if D is None:
+        k = np.arange(m + 1)
+        c = (-1.0) ** k * np.where((k == 0) | (k == m), 2.0, 1.0)
+        # xi_i - xi_j for xi_k = -cos(pi k / m), 1 on the diagonal
+        diff = 2.0 * np.sin(np.pi * np.add.outer(k, k) / (2 * m)) * np.sin(
+            np.pi * np.subtract.outer(k, k) / (2 * m)) + np.eye(m + 1)
+        D = np.outer(c, 1.0 / c) / diff - np.eye(m + 1)
+        D[k, k] = -D.sum(axis=1)
+        _DIFFERENTIATION[m] = D
+    out = D @ values.reshape(m + 1, -1) / (0.5 * (t[-1] - t[0]))
+    return out.reshape(values.shape)
+
+
+def _resolved(sample, span, rtol: float):
+    """The Chebyshev-Lobatto nodes t of ``span`` from low to high and the
+    values ``sample(t)`` there (node axis first), from 16 intervals, doubled
+    until the Chebyshev tail is below ``rtol``; past 256 intervals a
+    ``NoConvergence``."""
+    t0, t1 = sorted(span)
+    t = _ChebyshevTable.nodes(t0, t1, _TABLE_INTERVALS)
+    values = np.asarray(sample(t), float)
+    while not _ChebyshevTable._converged(values, rtol):
+        if len(t) - 1 >= _TABLE_MAX_INTERVALS:
+            raise NoConvergence(f"not resolved to rtol {rtol:.1e} with {len(t) - 1} Chebyshev "
+                                f"intervals on [{t0:.6g}, {t1:.6g}]")
+        t, values = _ChebyshevTable._doubled(t, values, sample)
+    return t, values
 
 
 class _ChebyshevCurve:
@@ -500,11 +502,15 @@ _GAUSS4_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461,
                             0.6521451548625461, 0.3478548451374538])
 
 
-def _solved(curve: Curve) -> _ChebyshevCurve:
-    """The Chebyshev dense output of a geodesic from ``integrate_geodesic``."""
+def _solved(curve: Curve, src=None) -> _ChebyshevCurve:
+    """The Chebyshev dense output of a geodesic from ``integrate_geodesic``,
+    solved for ``src`` if one is given."""
     if not isinstance(getattr(curve, "dense", None), _ChebyshevCurve):
         raise GridError("need a geodesic from integrate_geodesic: this curve has no "
                         "Chebyshev dense output")
+    if src is not None and src is not curve.dense.src:
+        raise GridError(f"curve is not a geodesic of {src!r}: it was solved for "
+                        f"{curve.dense.src!r}")
     return curve.dense
 
 
@@ -537,40 +543,6 @@ def geodesic_residual(src, curve: Curve) -> float:
     return float(np.max(np.abs(defect).max(axis=1) / scale))
 
 
-def _simpson_weights(grid) -> tuple[float, np.ndarray]:
-    """The step h and the composite Simpson weights (1, 4, 2, ..., 4, 1) of a
-    grid, before h/3; a grid that is not uniform with an odd number of
-    nodes, at least 3, is a ``GridError``."""
-    count = len(grid)
-    if count < 3 or count % 2 == 0:
-        raise GridError(f"Simpson quadrature needs an odd number of nodes, at least 3, "
-                        f"got {count}")
-    hs = np.diff(grid)
-    if np.max(np.abs(hs - hs[0])) > 1e-10 * max(1.0, abs(hs[0])):
-        raise GridError("Simpson quadrature requires a uniform grid")
-    weights = np.ones(count)
-    weights[1:-1:2] = 4.0
-    weights[2:-2:2] = 2.0
-    return hs[0], weights
-
-
-def _simpson(grid, vals):
-    """Composite Simpson integral over ``grid`` of the node values ``vals``,
-    which have the nodes on their last axis."""
-    h, weights = _simpson_weights(grid)
-    return h / 3.0 * np.sum(weights * vals, axis=-1)
-
-
-def energy(ms: MetricSpec, curve: Curve) -> float:
-    """E = (1/2) integral of F(velocity)^2 by composite Simpson on the curve's
-    grid, which must be uniform with an odd number of nodes."""
-    # F^2 at all nodes: one order-0 lift at the (N, 2n) centers
-    n = curve.n
-    vals = lift_any(lambda v: ms.f2(v[:n], v[n:]),
-                    np.concatenate([curve.points, curve.velocities], axis=1), 0).c[:, 0]
-    return float(0.5 * _simpson(curve.grid, vals))
-
-
 def _flow_jobs(src, geo, *blocks):
     """The geodesics and the flows' jobs, (dense output, initial blocks) per
     geodesic. ``geo`` is one geodesic of ``src`` from ``integrate_geodesic``
@@ -589,10 +561,7 @@ def _flow_jobs(src, geo, *blocks):
                                  f"batch axis of {len(geos)}, got shape {b.shape}")
     jobs = []
     for k, curve in enumerate(geos):
-        dense = _solved(curve)
-        if src is not dense.src:
-            raise GridError(f"curve is not a geodesic of {src!r}: it was solved for "
-                            f"{dense.src!r}")
+        dense = _solved(curve, src)
         s0 = [b[k] for b in blocks]
         shape = s0[0].shape
         if any(b.shape != shape for b in s0) or shape[:1] != (curve.n,) or len(shape) > 2:
@@ -787,24 +756,41 @@ def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
 
     integral of g(DV, DV) - g(R(V), V) plus the second-fundamental-form
     boundary terms; P1/P2 are (Submanifold, param) pairs or None for fixed
-    endpoints (where V must vanish).
+    endpoints (where V must vanish), at the lower end of the span first.
+    ``geo`` is a geodesic of ``ms`` from ``integrate_geodesic`` and
+    ``V.dense`` maps N times to the field there, (n, N); another curve or a
+    field without one is a ``GridError``. The state and V are resolved
+    together at the geodesic's ``rtol``; one order-4 frame over those nodes
+    serves the integrand and the boundary terms (the end nodes are the
+    span's ends exactly), D^W V is ``covariant_derivative_curve`` there, and
+    the sum is Clenshaw-Curtis.
     """
     from .submanifolds import sff_connection
 
     if lift is None:
         lift = classical_lift("berwald", ms)
-    grid = geo.grid
-    if V.vectors.shape != geo.points.shape or not np.allclose(V.grid, grid):
-        raise GridError("variation field must live on the geodesic grid")
-    _simpson_weights(grid)   # the grid is checked before any evaluation
+    dense = _solved(geo, ms)
+    if getattr(V, "dense", None) is None:
+        raise GridError("the variation field needs a dense output: times t -> vectors (n, N)")
+    n = ms.dim
+
+    def sample(t):
+        field = np.asarray(V.dense(t), float)
+        if field.shape != (n, len(t)):
+            raise GridError(f"the variation field's dense output must map {len(t)} times to "
+                            f"an ({n}, {len(t)}) array, got shape {field.shape}")
+        return np.concatenate([dense(t), field]).T
+
+    t, values = _resolved(sample, dense.span, dense.rtol)
+    curve = Curve(t, values[:, :n], values[:, n:2 * n])
+    vectors = values[:, 2 * n:]
 
     # one order-4 frame over the nodes; its end frames serve the boundary terms
-    frames = PointFrame(ms, TangentVector(geo.points, geo.velocities), order=4)
+    frames = PointFrame(ms, TangentVector(curve.points, curve.velocities), order=4)
     boundary = 0.0
     for which, endpoint, sign in (("start", P1, -1.0), ("end", P2, +1.0)):
         idx = 0 if which == "start" else -1
-        vel = geo.velocities[idx]
-        vend = V.vectors[idx]
+        vel, vend = curve.velocities[idx], vectors[idx]
         if endpoint is None:
             if np.linalg.norm(vend) > 1e-6:
                 raise NormalityViolation(
@@ -813,7 +799,7 @@ def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
         sub, param = endpoint
         imm = sub._immersion(param)   # one lift for the checks and the boundary term
         basis = imm.basis
-        if np.max(np.abs(imm.x - geo.points[idx])) > 1e-8:
+        if np.max(np.abs(imm.x - curve.points[idx])) > 1e-8:
             raise NormalityViolation(f"{which} submanifold does not pass through the endpoint")
         fr = frames[idx]
         normality = np.max(np.abs(basis.T @ (fr.g @ vel)))
@@ -826,58 +812,66 @@ def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
         boundary += sign * sff_connection(sub, param, vel, coeffs, coeffs, ms, lift=lift,
                                           _frame=fr, _immersion=imm)
 
-    W = FieldAlongCurve(grid=grid, vectors=geo.velocities)
-    DV = covariant_derivative_curve(lift, ms, geo, W, V, _frames=frames).vectors
-    RV = np.einsum("...ij,...j->...i", frames.R, V.vectors)
+    W = FieldAlongCurve(grid=t, vectors=curve.velocities)
+    DV = covariant_derivative_curve(lift, ms, curve, W, FieldAlongCurve(t, vectors),
+                                    _frames=frames).vectors
+    RV = np.einsum("...ij,...j->...i", frames.R, vectors)
     vals = (np.einsum("...i,...ij,...j->...", DV, frames.g, DV)
-            - np.einsum("...i,...ij,...j->...", RV, frames.g, V.vectors))
-    return float(_simpson(grid, vals) + boundary)
+            - np.einsum("...i,...ij,...j->...", RV, frames.g, vectors))
+    # the last row of the integration matrix is the Clenshaw-Curtis rule
+    return float(0.5 * (t[-1] - t[0]) * (_integration_matrix(len(t) - 1)[-1] @ vals) + boundary)
 
 
-def _family_jet(ms: MetricSpec, fam: VariationFamily, order: int, grid) -> Jet:
-    """The family's points at the times ``grid`` as one jet of ``order`` in s
-    about 0, leading axes (N, n); a rule that ignores s gives constant jets."""
-    s = space_for(1, order).coordinates(np.zeros(1))[0]
-    points = 0.0 * s + fam.rule(s, grid)
-    if points.shape != (len(grid), ms.dim):
-        raise ValueError(f"a variation rule must map {len(grid)} times to an "
-                         f"({len(grid)}, {ms.dim}) array, got shape {points.shape}")
-    return points
+def _family_jets(ms: MetricSpec, fam: VariationFamily, order: int) -> tuple[np.ndarray, Jet]:
+    """The nodes t of [0, 1] where the family's points, jets of ``order`` in s
+    about 0, are resolved to ``DEFAULT_RTOL``, and those points, (N, n)."""
+    sp = space_for(1, order)
+    s = sp.coordinates(np.zeros(1))[0]
+
+    def sample(t):
+        points = 0.0 * s + fam.rule(s, t)
+        if points.shape != (len(t), ms.dim):
+            raise ValueError(f"a variation rule must map {len(t)} times to an "
+                             f"({len(t)}, {ms.dim}) array, got shape {points.shape}")
+        return points.c
+
+    t, c = _resolved(sample, (0.0, 1.0), DEFAULT_RTOL)
+    return t, Jet(sp, c)
 
 
 def variation_energy_derivatives(ms: MetricSpec, fam: VariationFamily) -> tuple[float, float]:
     """(d/ds, d^2/ds^2) of s -> E(lambda_s) at s = 0, exact in s.
 
-    The rule runs once, at an order-2 jet in s, over 801 nodes of [0, 1];
-    the velocities are ``fd_derivative`` in t of its coefficients, F^2 is
-    evaluated on the point and velocity jets, and ``energy``'s Simpson sum
-    takes each coefficient.
+    The rule runs at an order-2 jet in s on the nodes of [0, 1] where that
+    jet is resolved; the velocities are its spectral t-derivative, F^2 is
+    evaluated on the point and velocity jets, and Clenshaw-Curtis sums each
+    coefficient of E = (1/2) integral of F^2.
     """
-    grid = np.linspace(0.0, 1.0, 801)
-    points = _family_jet(ms, fam, 2, grid)
+    t, points = _family_jets(ms, fam, 2)
     # component axis first, so that F^2 receives one jet over the nodes per coordinate
-    xs, ys = (Jet(points.space, np.moveaxis(c, 1, 0), points.deg)
-              for c in (points.c, fd_derivative(points.c, grid)))
+    xs, ys = (Jet(points.space, np.moveaxis(c, 1, 0))
+              for c in (points.c, _derivative(t, points.c)))
     f2 = ms.f2([xs[i] for i in range(ms.dim)], [ys[i] for i in range(ms.dim)])
-    e = 0.5 * _simpson(grid, f2.c.T)
+    # E's 1/2 times the half-width of [0, 1]
+    e = 0.5 * 0.5 * (_integration_matrix(len(t) - 1)[-1] @ f2.c)
     return float(e[1]), float(2.0 * e[2])
 
 
-def variation_symmetry_residual(ms: MetricSpec, fam: VariationFamily, nodes: int = 201) -> float:
+def variation_symmetry_residual(ms: MetricSpec, fam: VariationFamily) -> float:
     """Node-wise residual of the covariant-derivative symmetry of a variation,
     D_s T = D_t U with T = dH/dt and U = dH/ds, for the Berwald connection.
 
-    The rule runs once, at an order-1 jet in s, so U is exact and d/ds of T
-    and d/dt of U are one array, ``fd_derivative`` in t of U; what is left
-    is the torsion asymmetry A(U, T) - A(T, U) of the Berwald affine
-    coefficients at direction T, zero for every lift that satisfies the
-    torsion condition. One order-4 frame batched over the nodes serves
-    every node; the residual is the sup over them.
+    The rule runs at an order-1 jet in s on the nodes of [0, 1] where that
+    jet is resolved, so U is exact and d/ds of T and d/dt of U are one
+    array, the spectral t-derivative of U; what is left is the torsion
+    asymmetry A(U, T) - A(T, U) of the Berwald affine coefficients
+    at direction T, zero for every lift that satisfies the torsion
+    condition. One order-4 frame batched over the nodes serves every node;
+    the residual is the sup over them.
     """
-    grid = np.linspace(0.0, 1.0, nodes)
-    points = _family_jet(ms, fam, 1, grid)
+    t, points = _family_jets(ms, fam, 1)
     pts, U = points.c[..., 0], points.c[..., 1]
-    T = fd_derivative(pts, grid)
+    T = _derivative(t, pts)
     fr = PointFrame(ms, TangentVector(pts, T), order=4)
     A = affine_coefficients(classical_lift("berwald", ms), ms, fr.w, _frame=fr).A
     return float(np.max(np.abs(np.einsum("...ijk,...j,...k->...i", A, U, T)

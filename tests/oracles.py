@@ -190,6 +190,26 @@ def sff_compare_reference(ms, p):
     return rows_out, worst
 
 
+def normal_rows_by_resolve(P, nv, ms, h=1e-4):
+    """The k along-parameter rows of the normal bundle's tangent basis at one
+    solved normal, (k, 2n), by central differences of re-solved normals: row a
+    is (dphi/dp_a, (eta(p + h e_a) - eta(p - h e_a)) / 2h), each normal solved
+    by ``normal_cone_solve`` from the normal ``nv.eta`` as its guess, so it
+    follows the solve's tangential corrections. Off by O(h^2) and by the
+    solve's tolerance over h."""
+    from finslergeo.submanifolds import normal_cone_solve
+
+    n, k = P.dim, P.param_dim
+    rows = np.zeros((k, 2 * n))
+    rows[:, :n] = P.jacobian(nv.param).T
+    for a in range(k):
+        dp = h * np.eye(k)[a]
+        plus, minus = (normal_cone_solve(P, nv.param + sign * dp, ms, guess=nv.eta).eta
+                       for sign in (1.0, -1.0))
+        rows[a, n:] = (plus - minus) / (2 * h)
+    return rows
+
+
 def jacobi_compare_reference(ms, p):
     """CSV rows of the jacobi-compare task, one sample at a time.
 

@@ -524,9 +524,9 @@ def test_g_alone_builds_no_order_two_frame(scenario, monkeypatch):
 
 
 def test_sff_compare_solves_one_normal_bundle_per_sample(monkeypatch):
-    # 1 + 2k batched normal-cone solves per submanifold: the normals of its samples, then
-    # the k re-solve pairs of their normal-bundle bases, shared by both of its readers;
-    # together they solve 1 + 2k normals per sample
+    # one batched normal-cone solve per submanifold, over all of its samples: the
+    # normal-bundle bases read their along rows off the implicit-function theorem,
+    # so they solve no normal of their own
     from finslergeo import submanifolds as subm
 
     batches = []
@@ -539,11 +539,24 @@ def test_sff_compare_solves_one_normal_bundle_per_sample(monkeypatch):
     monkeypatch.setattr(subm, "normal_cone_solve", counting)
     ms, p = cli._parse_scenario(dict(cli.bundled_scenarios())["20_sff_compare_randers.json"])
     res = cli.task_sff_compare(ms, p)
-    k = p["submanifolds"][0].param_dim
     assert len(res.csv_rows) == p["samples"]
-    assert len(batches) == len(p["submanifolds"]) * (1 + 2 * k)
-    assert sum(int(np.prod(b)) for b in batches) == (1 + 2 * k) * p["samples"]
+    assert len(batches) == len(p["submanifolds"])
+    assert sum(int(np.prod(b)) for b in batches) == p["samples"]
     assert all(len(b) == 1 for b in batches)
+
+
+@pytest.mark.parametrize("offset", [0, 1, 2, 3])
+def test_second_variation_submanifold_in_three_dimensions(offset):
+    # the normal guess is the scenario's 2-vector padded with zeros; a 2-entry guess
+    # used to escape as numpy's ValueError at n = 3
+    cfg = dict(cli.bundled_scenarios())["18_second_variation_submanifold.json"]
+    cfg["metric"]["dim"] = 3
+    cfg["metric"]["beta"].append("0.1*sin(x3)")
+    cfg["parameters"].update(x0=[0.05, -0.1, 0.02], direction=[0.9, 0.45, 0.1])
+    cfg["parameters"]["seed"] += offset
+    out = io.StringIO()
+    assert cli.run_scenario_config(cfg, stream=out) == 0
+    assert out.getvalue().count("[PASS]") == 3
 
 
 def _bits(rows):

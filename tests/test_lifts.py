@@ -14,7 +14,7 @@ from finslergeo.metrics import (TangentVector, cartan_tensor, fundamental_tensor
                                 metric_value, random_tangent, riemannian)
 from finslergeo.rng import SplitMix64
 from finslergeo.spray import PointFrame, SpraySpec, curvature_endomorphism
-from finslergeo.variational import (Curve, FieldAlongCurve, VariationFamily, fd_derivative,
+from finslergeo.variational import (Curve, FieldAlongCurve, VariationFamily, _ChebyshevTable,
                                     integrate_geodesic, parallel_transport,
                                     variation_symmetry_residual)
 
@@ -165,9 +165,9 @@ def test_invalid_lift_detected(entry, tensor):
         elif entry == "affine_coefficients":
             affine_coefficients(bad, ms, w)
         else:
-            geo = integrate_geodesic(ms, w, 0.5, nodes=21)
-            W = FieldAlongCurve(geo.grid, geo.velocities)
-            covariant_derivative_curve(bad, ms, geo, W, W)
+            curve = _chebyshev_curve(integrate_geodesic(ms, w, 0.5), 16)
+            W = FieldAlongCurve(curve.grid, curve.velocities)
+            covariant_derivative_curve(bad, ms, curve, W, W)
 
 
 def test_torsion_spray_vertical_vanishes(randers_var):
@@ -457,23 +457,32 @@ def test_levi_civita_oracle(n):
 # -- covariant derivatives along curves -------------------------------------------
 
 
+def _chebyshev_curve(geo, m=32):
+    """A geodesic's states at the Chebyshev-Lobatto nodes of m intervals of its span."""
+    t = _ChebyshevTable.nodes(*sorted(geo.dense.span), m)
+    states = geo.dense(t)
+    n = geo.n
+    return Curve(t, states[:n].T, states[n:].T)
+
+
 def test_covariant_derivative_constant_euclidean(euclid2):
-    grid = np.linspace(0, 1, 41)
+    grid = _ChebyshevTable.nodes(0.0, 1.0, 16)
     pts = np.stack([grid, 0.5 * grid], axis=1)
     vel = np.stack([np.ones_like(grid), 0.5 * np.ones_like(grid)], axis=1)
     curve = Curve(grid, pts, vel)
     W = FieldAlongCurve(grid, vel.copy())
-    V = FieldAlongCurve(grid, np.tile([2.0, -1.0], (41, 1)))
+    V = FieldAlongCurve(grid, np.tile([2.0, -1.0], (17, 1)))
     out = covariant_derivative_curve(classical_lift("berwald", euclid2), euclid2,
                                      curve, W, V)
     assert np.max(np.abs(out.vectors)) < 1e-12
 
 
 def test_covariant_derivative_two_term_form(randers_var):
-    """Dedicated check: simplified coefficient form vs raw two-term evaluation."""
-    grid = np.linspace(0, 0.6, 61)
+    """Dedicated check: simplified coefficient form vs raw two-term evaluation,
+    the raw one with the exact t-derivatives of the fields."""
+    grid = _ChebyshevTable.nodes(0.0, 0.6, 32)
     pts = np.stack([0.2 + 0.5 * grid, -0.1 + 0.3 * np.sin(grid)], axis=1)
-    vel = fd_derivative(pts, grid)
+    vel = np.stack([np.full_like(grid, 0.5), 0.3 * np.cos(grid)], axis=1)
     curve = Curve(grid, pts, vel)
     wv = np.stack([0.8 + 0.2 * np.cos(grid), 0.5 + 0.1 * grid], axis=1)
     vv = np.stack([np.sin(grid) + 0.5, 0.3 * grid - 0.7], axis=1)
@@ -483,8 +492,8 @@ def test_covariant_derivative_two_term_form(randers_var):
 
     simplified = covariant_derivative_curve(lift, randers_var, curve, W, V)
 
-    vdot = fd_derivative(vv, grid)
-    wdot = fd_derivative(wv, grid)
+    vdot = np.stack([np.cos(grid), np.full_like(grid, 0.3)], axis=1)
+    wdot = np.stack([-0.2 * np.sin(grid), np.full_like(grid, 0.1)], axis=1)
     raw = np.empty_like(vv)
     for i, t in enumerate(grid):
         wt = TangentVector(pts[i], wv[i])
@@ -500,48 +509,49 @@ def test_covariant_derivative_two_term_form(randers_var):
 
 def test_remark_vertical_projection_of_field_derivative(randers_var):
     # D^W W/dt equals the fiber part of the vertical projection of dW/dt
-    grid = np.linspace(0, 0.5, 101)
+    grid = _ChebyshevTable.nodes(0.0, 0.5, 32)
     pts = np.stack([0.1 + 0.4 * grid, 0.2 * grid ** 2 - 0.3], axis=1)
-    vel = fd_derivative(pts, grid)
+    vel = np.stack([np.full_like(grid, 0.4), 0.4 * grid], axis=1)
     curve = Curve(grid, pts, vel)
     wv = np.stack([0.9 + 0.1 * np.sin(2 * grid), 0.4 - 0.2 * grid], axis=1)
     W = FieldAlongCurve(grid, wv)
     lift = classical_lift("berwald", randers_var)
     dww = covariant_derivative_curve(lift, randers_var, curve, W, W)
-    wdot = fd_derivative(wv, grid)
-    for i in range(0, 101, 20):
+    wdot = np.stack([0.2 * np.cos(2 * grid), np.full_like(grid, -0.2)], axis=1)
+    for i in range(0, 33, 4):
         fr = PointFrame(randers_var, TangentVector(pts[i], wv[i]), order=3)
         expect = wdot[i] + fr.N @ vel[i]
-        assert np.max(np.abs(dww.vectors[i] - expect)) < 1e-6
+        assert np.max(np.abs(dww.vectors[i] - expect)) < 1e-12
 
 
 def test_geodesic_self_derivative_vanishes(randers_var):
     geo = integrate_geodesic(randers_var, TangentVector([0.1, -0.2], [0.8, 0.5]), 1.0)
-    W = FieldAlongCurve(geo.grid, geo.velocities)
+    curve = _chebyshev_curve(geo)
+    W = FieldAlongCurve(curve.grid, curve.velocities)
     for kind in ("berwald", "cartan"):
         out = covariant_derivative_curve(classical_lift(kind, randers_var),
-                                         randers_var, geo, W, W)
-        interior = out.vectors[5:-5]
-        assert np.max(np.abs(interior)) < 1e-5
+                                         randers_var, curve, W, W)
+        # every node, the ends included: the geodesic is resolved to rtol 1e-9
+        assert np.max(np.abs(out.vectors)) < 1e-8
 
 
 def test_covariant_derivative_lift_independent_for_t1(randers_var):
-    geo = integrate_geodesic(randers_var, TangentVector([0.0, 0.1], [0.7, -0.4]), 0.8,
-                             nodes=101)
-    W = FieldAlongCurve(geo.grid, geo.velocities)
-    vv = np.stack([np.cos(geo.grid), np.sin(2 * geo.grid) - 0.4], axis=1)
-    V = FieldAlongCurve(geo.grid, vv)
+    geo = integrate_geodesic(randers_var, TangentVector([0.0, 0.1], [0.7, -0.4]), 0.8)
+    curve = _chebyshev_curve(geo)
+    W = FieldAlongCurve(curve.grid, curve.velocities)
+    vv = np.stack([np.cos(curve.grid), np.sin(2 * curve.grid) - 0.4], axis=1)
+    V = FieldAlongCurve(curve.grid, vv)
     outs = []
     for lift in (classical_lift("berwald", randers_var),
                  classical_lift("cartan", randers_var),
                  random_admissible_lift(randers_var, 55, enforce_t1=True)):
-        outs.append(covariant_derivative_curve(lift, randers_var, geo, W, V).vectors)
+        outs.append(covariant_derivative_curve(lift, randers_var, curve, W, V).vectors)
     assert np.max(np.abs(outs[0] - outs[1])) < 1e-10
     assert np.max(np.abs(outs[0] - outs[2])) < 1e-10
 
 
 def test_grid_errors(randers_var):
-    grid = np.linspace(0, 1, 21)
+    grid = _ChebyshevTable.nodes(0.0, 1.0, 20)
     pts = np.stack([grid, grid], axis=1)
     vel = np.ones((21, 2))
     curve = Curve(grid, pts, vel)
@@ -554,6 +564,12 @@ def test_grid_errors(randers_var):
         covariant_derivative_curve(lift, randers_var, curve,
                                    FieldAlongCurve(grid, np.zeros((21, 2))),
                                    FieldAlongCurve(grid, vel))
+    # a uniform grid is refused before any frame is built
+    uniform = np.linspace(0.0, 1.0, 21)
+    line = Curve(uniform, np.stack([uniform, uniform], axis=1), vel)
+    with pytest.raises(GridError, match="Chebyshev-Lobatto nodes"):
+        covariant_derivative_curve(lift, randers_var, line, FieldAlongCurve(uniform, vel),
+                                   FieldAlongCurve(uniform, vel))
 
 
 # -- identity battery -------------------------------------------------------------
@@ -657,7 +673,7 @@ def test_identity_residuals_build_one_frame_per_call(randers_var, monkeypatch):
              for key, fn in _identity_residuals(randers_var).items()}
     calls["tensor"] = lambda: ident.tensor_identity_residuals(randers_var, w)
     family = VariationFamily(rule=lambda s, t: np.outer(t, [0.3, 0.2]) + s * np.array([0.05, 0.0]))
-    calls["variation_symmetry"] = lambda: variation_symmetry_residual(randers_var, family, nodes=41)
+    calls["variation_symmetry"] = lambda: variation_symmetry_residual(randers_var, family)
     calls["lift_curvature"] = lambda: lift_curvature(
         random_admissible_lift(randers_var, 3), randers_var, w, w.y)
     for key, call in calls.items():

@@ -4,6 +4,7 @@ from scipy.optimize import minimize_scalar
 
 from finslergeo import metrics
 from finslergeo.errors import InvalidLift, NoConvergence, SingularBasis
+from finslergeo.jets import lift_any, smath
 from finslergeo.lifts import LiftSpec, classical_lift, random_admissible_lift
 from finslergeo.metrics import TangentVector, fundamental_tensor, metric_value
 from finslergeo.rng import SplitMix64
@@ -13,7 +14,7 @@ from finslergeo.submanifolds import (Submanifold, _null_space, affine_subspace, 
                                      normal_cone_solve, omega_F, sff_connection,
                                      sff_symplectic, sphere2)
 
-from oracles import normality_residual
+from oracles import normal_rows_by_resolve, normality_residual
 
 
 def inward_circle_guess(theta):
@@ -272,6 +273,58 @@ def test_sff_symplectic_with_a_shared_basis_is_the_same_number(name, request):
             assert abs(shared - alone) <= 1e-14 * max(1.0, abs(alone))
         pairing = omega_F(ms, w, rows[0], rows[1])
         assert abs(omega_F(ms, w, rows[0], rows[1], _frame=fr) - pairing) <= 1e-14
+
+
+def _linearized_normality(P, nv, ms, rows):
+    """The largest t-derivative at 0 of F^2(x(t), eta(t)) and of g(eta(t), dphi_a(p(t)))
+    along each row b < k, with p(t) = p + t e_b and eta(t) = eta + t (row b's fiber
+    part): exact jets of F^2 and of the immersion rule, no frame. Both vanish for the
+    derivative of a unit normal."""
+    n, k = P.dim, P.param_dim
+    p, eta = nv.param, nv.eta
+    worst = 0.0
+    for b in range(k):
+        for a in range(k):
+            def fn(z, a=a, b=b):
+                t, s = z[0], z[1]
+                pt = [p[i] + (t if i == b else 0.0) for i in range(k)]
+                x = P.immersion(pt)
+                # phi(p(t) + s e_a) - phi(p(t)) is s dphi_a(p(t)) to first order in s
+                xa = P.immersion([pt[i] + (s if i == a else 0.0) for i in range(k)])
+                return ms.f2(x, [eta[i] + t * rows[b, n + i] + (xa[i] - x[i]) for i in range(n)])
+
+            jet = lift_any(fn, np.zeros(2), 2)
+            worst = max(worst, abs(jet.derivative(1)[0]), abs(jet.derivative(2)[0, 1]))
+    return worst
+
+
+_SPHERE = sphere2([0.0, 0.0, 0.0], 0.8)
+_NORMAL_BUNDLE_CASES = {
+    "circle": (circle([0, 0], 1.0), [2.3], inward_circle_guess(2.3)),
+    "line": (affine_subspace([0.1, -0.2], [[0.8, 0.6]]), [0.3], [-0.6, 0.8]),
+    "line3": (affine_subspace([0.1, -0.2, 0.05], [[0.8, 0.6, 0.1]]), [0.2], [-0.6, 0.8, 0.3]),
+    "sphere": (_SPHERE, [1.1, 0.4], -_SPHERE.value([1.1, 0.4])),
+}
+
+
+@pytest.mark.parametrize("name, shape", [("euclid2", "circle"), ("randers_var", "circle"),
+                                         ("randers_var", "line"), ("randers3", "line3"),
+                                         ("randers3", "sphere")])
+def test_normal_bundle_rows_are_the_implicit_derivative(name, shape, request):
+    # the along rows come from one Gram solve, not from re-solved normals: they satisfy
+    # the linearized normal-cone equations to rounding and match a central-difference
+    # re-solve (h = 1e-4) to its truncation and tolerance error
+    if name == "randers3":
+        ms = metrics.randers(3, lambda xs: [0.2 + 0.1 * smath.sin(xs[1]),
+                                            0.15 * smath.cos(xs[0]), 0.1 * smath.sin(xs[2])])
+    else:
+        ms = request.getfixturevalue(name)
+    sub, param, guess = _NORMAL_BUNDLE_CASES[shape]
+    nv = normal_cone_solve(sub, param, ms, guess=guess)
+    rows = normal_bundle_tangent_basis(sub, nv, ms)
+    k = sub.param_dim
+    assert _linearized_normality(sub, nv, ms, rows) <= 1e-13
+    assert np.max(np.abs(rows[:k] - normal_rows_by_resolve(sub, nv, ms))) <= 1e-7
 
 
 def test_null_space_matches_scipy():

@@ -10,7 +10,7 @@ from test_spray import _randers_var_closed_form_spray
 from finslergeo import metrics, spray, variational
 from finslergeo.errors import (DomainExit, GridError, NoConvergence,
                                NormalityViolation, NullDirection)
-from finslergeo.jets import smath
+from finslergeo.jets import Jet, smath
 from finslergeo.metrics import (TangentVector, fundamental_tensor,
                                 metric_value, random_tangent)
 from finslergeo.rng import SplitMix64
@@ -18,7 +18,6 @@ from finslergeo.spray import PointFrame
 from finslergeo.submanifolds import affine_subspace, circle
 from finslergeo.variational import (DEFAULT_ATOL, DEFAULT_RTOL, Curve,
                                     FieldAlongCurve, VariationFamily, _ChebyshevTable,
-                                    energy, fd_derivative,
                                     geodesic_residual, integrate_geodesic,
                                     jacobi_integrate, jacobi_variation_oracle,
                                     parallel_transport,
@@ -115,41 +114,15 @@ def test_domain_margin_is_called_once_per_batch():
     assert shapes[0] == (1, 2) and len(shapes) > 1 and all(s[0] >= 17 for s in shapes[1:])
 
 
-# -- energy ----------------------------------------------------------------------
+# -- curves ----------------------------------------------------------------------
 
 
-def test_energy_values(euclid2, sphere):
-    grid = np.linspace(0, 1, 401)
-    line = Curve(grid, np.stack([grid, np.zeros_like(grid)], 1),
-                 np.stack([np.ones_like(grid), np.zeros_like(grid)], 1))
-    assert energy(euclid2, line) == pytest.approx(0.5, abs=1e-12)
-
-    s = 0.5 * grid + 0.5 * grid ** 2  # same endpoints, non-affine parameterization
-    reparam = Curve(grid, np.stack([s, np.zeros_like(grid)], 1),
-                    np.stack([0.5 + grid, np.zeros_like(grid)], 1))
-    assert energy(euclid2, reparam) > 0.5 + 1e-3
-
-    w = unit_tangent(sphere, TangentVector([0.05, 0.0], [1.0, 0.2]))
-    ell = 0.9
-    geo = integrate_geodesic(sphere, w, ell)
-    # affine unit-speed parameterization on [0, ell], rescale to [0,1]
-    grid01 = np.linspace(0, 1, 401)
-    states = geo.dense(ell * grid01)
-    resc = Curve(grid01, states[:2].T, ell * states[2:].T)
-    assert energy(sphere, resc) == pytest.approx(ell ** 2 / 2, abs=1e-8)
-
-
-def test_energy_errors(euclid2):
+def test_curve_refuses_a_zero_velocity():
     grid = np.linspace(0, 1, 401)
     vel = np.stack([np.ones_like(grid), np.zeros_like(grid)], 1)
     vel[200] = 0.0
     with pytest.raises(NullDirection):
         Curve(grid, np.stack([grid, np.zeros_like(grid)], 1), vel)
-    even = np.linspace(0, 1, 400)
-    c = Curve(even, np.stack([even, np.zeros_like(even)], 1),
-              np.stack([np.ones_like(even), np.zeros_like(even)], 1))
-    with pytest.raises(GridError, match="odd number of nodes"):
-        energy(euclid2, c)
 
 
 # -- Jacobi fields ---------------------------------------------------------------
@@ -221,14 +194,15 @@ def test_linearized_flow_oracle_matches_exponential_map_difference(name, request
 def test_linearized_flow_oracle_needs_a_geodesic(euclid2):
     grid = np.linspace(0, 1, 101)
     pts = np.stack([grid, grid ** 2], axis=1)
+    vel = np.stack([np.ones_like(grid), 2 * grid], axis=1)
     with pytest.raises(GridError):
-        jacobi_variation_oracle(euclid2, Curve(grid, pts, fd_derivative(pts, grid)), [1, 0])
+        jacobi_variation_oracle(euclid2, Curve(grid, pts, vel), [1, 0])
 
 
 def test_jacobi_requires_geodesic(euclid2):
     grid = np.linspace(0, 1, 101)
     pts = np.stack([grid, grid ** 2], axis=1)  # a parabola is not a geodesic
-    vel = fd_derivative(pts, grid)
+    vel = np.stack([np.ones_like(grid), 2 * grid], axis=1)
     with pytest.raises(GridError):
         jacobi_integrate(euclid2, Curve(grid, pts, vel), [0, 0], [1, 0])
 
@@ -260,34 +234,53 @@ def test_transport_isometry(name, tspan, request):
 # -- first and second variation -----------------------------------------------------
 
 
+def _field(rule):
+    """A field along a curve from its rule t -> (N, n): samples at no grid, and the dense output."""
+    return FieldAlongCurve(np.zeros(0), np.zeros((0, 2)), dense=lambda t: rule(t).T)
+
+
 def test_second_variation_euclidean_analytic(euclid2):
-    # H(s, t) = (t, s sin(pi t)), exact in s: only the t-grid is discretized, where a
-    # five-energy stencil in s read 6.8e-11
+    # H(s, t) = (t, s sin(pi t)), exact in s and spectral in t: the prototype read 2.2e-15
     fam = VariationFamily(rule=lambda s, t: np.stack([t, 0 * t], axis=-1)
                           + s * np.stack([0 * t, np.sin(np.pi * t)], axis=-1))
     d1v, d2 = variation_energy_derivatives(euclid2, fam)
-    assert abs(d2 - np.pi ** 2 / 2) <= 3e-11 * np.pi ** 2 / 2
+    assert abs(d2 - np.pi ** 2 / 2) <= 1e-13 * np.pi ** 2 / 2
     assert d1v == 0.0
 
-    grid = np.linspace(0, 1, 401)
-    geo = Curve(grid, np.stack([grid, np.zeros_like(grid)], 1),
-                np.stack([np.ones_like(grid), np.zeros_like(grid)], 1))
-    V = FieldAlongCurve(grid, np.stack([np.zeros_like(grid), np.sin(np.pi * grid)], 1))
+    geo = integrate_geodesic(euclid2, TangentVector([0.0, 0.0], [1.0, 0.0]), 1.0)
+    V = _field(lambda t: np.stack([np.zeros_like(t), np.sin(np.pi * t)], 1))
     val = second_variation_formula(euclid2, geo, V)
-    assert val == pytest.approx(np.pi ** 2 / 2, abs=1e-8)
+    assert abs(val - np.pi ** 2 / 2) <= 1e-12
 
 
-@pytest.mark.parametrize("nodes", [400, 402])
-def test_second_variation_refuses_an_even_node_count(euclid2, nodes):
-    # Simpson weights on 400 nodes used to give 4.91831, 3.3e-3 off pi^2 / 2
-    geo = integrate_geodesic(euclid2, TangentVector([0.0, 0.0], [1.0, 0.0]), 1.0, nodes=nodes)
-    V = FieldAlongCurve(geo.grid, np.stack([np.zeros(nodes), np.sin(np.pi * geo.grid)], 1))
-    with pytest.raises(GridError, match="odd number of nodes"):
+def test_second_variation_refuses_a_hand_built_curve_or_a_field_without_dense(euclid2, sphere):
+    # the formula resolves the geodesic's dense output, which a hand-built curve lacks
+    geo = integrate_geodesic(euclid2, TangentVector([0.0, 0.0], [1.0, 0.0]), 1.0)
+    V = _field(lambda t: np.stack([np.zeros_like(t), np.sin(np.pi * t)], 1))
+    hand = Curve(geo.grid, geo.points, geo.velocities)
+    with pytest.raises(GridError, match="integrate_geodesic"):
+        second_variation_formula(euclid2, hand, V)
+    with pytest.raises(GridError, match="not a geodesic of"):
+        second_variation_formula(sphere, geo, V)
+    samples_only = FieldAlongCurve(geo.grid, np.stack([np.zeros(401), np.sin(np.pi * geo.grid)], 1))
+    with pytest.raises(GridError, match="dense output"):
+        second_variation_formula(euclid2, geo, samples_only)
+    with pytest.raises(GridError, match=r"\(2, 17\) array, got shape \(17, 2\)"):
+        second_variation_formula(euclid2, geo, FieldAlongCurve(
+            geo.grid, samples_only.vectors,
+            dense=lambda t: np.stack([np.zeros_like(t), np.sin(np.pi * t)], 1)))
+
+
+def test_second_variation_refuses_a_kinked_field(euclid2):
+    # |t - 1/2| is not resolved at 256 intervals: no number instead of a wrong one
+    geo = integrate_geodesic(euclid2, TangentVector([0.0, 0.0], [1.0, 0.0]), 1.0)
+    V = _field(lambda t: np.stack([np.zeros_like(t), 0.5 - np.abs(t - 0.5)], 1))
+    with pytest.raises(NoConvergence, match="256 Chebyshev intervals"):
         second_variation_formula(euclid2, geo, V)
-    # 401 nodes, not uniform
-    geo = Curve(np.linspace(0, 1, 401) ** 2, np.zeros((401, 2)), np.tile([1.0, 0.0], (401, 1)))
-    with pytest.raises(GridError, match="uniform grid"):
-        second_variation_formula(euclid2, geo, FieldAlongCurve(geo.grid, np.zeros((401, 2))))
+    fam = VariationFamily(rule=lambda s, t: np.stack([t, 0 * t], axis=-1)
+                          + s * np.stack([0 * t, 0.5 - np.abs(t - 0.5)], axis=-1))
+    with pytest.raises(NoConvergence, match="256 Chebyshev intervals"):
+        variation_energy_derivatives(euclid2, fam)
 
 
 def test_second_variation_circle_endpoint_analytic(euclid2):
@@ -295,36 +288,31 @@ def test_second_variation_circle_endpoint_analytic(euclid2):
     # vertical unit-speed geodesic between them; d2E/ds2 = +1 exactly.
     circ = circle([0.0, -1.0], 1.0)
     line = affine_subspace([0.0, 1.0], [[1.0, 0.0]])
-    grid = np.linspace(0, 1, 401)
-    geo = Curve(grid, np.stack([np.zeros_like(grid), grid], 1),
-                np.stack([np.zeros_like(grid), np.ones_like(grid)], 1))
-    V = FieldAlongCurve(grid, np.stack([np.ones_like(grid), np.zeros_like(grid)], 1))
+    geo = integrate_geodesic(euclid2, TangentVector([0.0, 0.0], [0.0, 1.0]), 1.0)
+    V = _field(lambda t: np.stack([np.ones_like(t), np.zeros_like(t)], 1))
     val = second_variation_formula(euclid2, geo, V,
                                    P1=(circ, [np.pi / 2]), P2=(line, [0.0]))
-    assert val == pytest.approx(1.0, abs=1e-10)
+    assert abs(val - 1.0) <= 1e-12
     # H(s, t) = (sin s, (1 - t)(cos s - 1) + t), written once for floats and jets in s
     fam = VariationFamily(
         rule=lambda s, t: smath.sin(s) * np.array([1.0, 0.0])
         + ((1 - t) * (smath.cos(s) - 1) + t)[..., None] * np.array([0.0, 1.0]))
-    assert variation_energy_derivatives(euclid2, fam)[1] == pytest.approx(1.0, abs=1e-6)
+    assert abs(variation_energy_derivatives(euclid2, fam)[1] - 1.0) <= 1e-13
 
 
 def test_second_variation_fixed_endpoint_guard(euclid2):
-    grid = np.linspace(0, 1, 401)
-    geo = Curve(grid, np.stack([grid, np.zeros_like(grid)], 1),
-                np.stack([np.ones_like(grid), np.zeros_like(grid)], 1))
-    V = FieldAlongCurve(grid, np.stack([np.ones_like(grid), np.zeros_like(grid)], 1))
+    geo = integrate_geodesic(euclid2, TangentVector([0.0, 0.0], [1.0, 0.0]), 1.0)
+    V = _field(lambda t: np.stack([np.ones_like(t), np.zeros_like(t)], 1))
     with pytest.raises(NormalityViolation):
         second_variation_formula(euclid2, geo, V)  # V does not vanish at the ends
 
 
 def test_second_variation_normality_guard(euclid2):
     line = affine_subspace([0.0, 0.0], [[1.0, 0.0]])
-    grid = np.linspace(0, 1, 401)
     # geodesic leaving the line at 45 degrees: not normal
     d = np.array([1.0, 1.0]) / np.sqrt(2)
-    geo = Curve(grid, grid[:, None] * d, np.tile(d, (401, 1)))
-    V = FieldAlongCurve(grid, np.stack([1 - grid, np.zeros_like(grid)], 1))
+    geo = integrate_geodesic(euclid2, TangentVector([0.0, 0.0], d), 1.0)
+    V = _field(lambda t: np.stack([1 - t, np.zeros_like(t)], 1))
     with pytest.raises(NormalityViolation):
         second_variation_formula(euclid2, geo, V, P1=(line, [0.0]))
 
@@ -334,8 +322,8 @@ def test_variation_symmetry_residual(randers_var):
         return (np.stack([0.3 * t, -0.2 + 0.25 * t], axis=-1)
                 + s * np.stack([0.05 * np.sin(np.pi * t), 0.04 * t * (1 - t) + 0.02], axis=-1))
 
-    assert variation_symmetry_residual(randers_var, VariationFamily(rule=rule),
-                                       nodes=101) < 1e-6
+    assert variation_symmetry_residual(randers_var, VariationFamily(rule=rule)) < 1e-6
+    assert "nodes" not in inspect.signature(variation_symmetry_residual).parameters
 
 
 def test_second_variation_sphere_analytic(sphere):
@@ -348,9 +336,10 @@ def test_second_variation_sphere_analytic(sphere):
     e = e - (e @ g0 @ w0.y) / (w0.y @ g0 @ w0.y) * w0.y
     e = e / np.sqrt(e @ g0 @ e)
     pt = parallel_transport(sphere, geo, e)
-    V = FieldAlongCurve(geo.grid, np.sin(np.pi * geo.grid)[:, None] * pt.vectors)
+    V = FieldAlongCurve(geo.grid, np.sin(np.pi * geo.grid)[:, None] * pt.vectors,
+                        dense=lambda t: np.sin(np.pi * t) * pt.dense(t))
     val = second_variation_formula(sphere, geo, V)
-    assert val == pytest.approx(np.pi ** 2 / 2 - 0.5, abs=1e-6)
+    assert abs(val - (np.pi ** 2 / 2 - 0.5)) <= 1e-12
 
 
 # -- batched and stacked ODE work ------------------------------------------------------
@@ -963,32 +952,32 @@ def test_chebyshev_table_interpolates_and_refuses_a_kink():
         assert not _ChebyshevTable._converged(np.abs(t - 0.5), DEFAULT_RTOL)
 
 
-# -- one F^2 lift per energy, and the shape a variation rule must return ------------------
-
-
-def _simpson_energy_per_node(ms, curve):
-    vals = [ms.f2(list(x), list(v)) for x, v in zip(curve.points, curve.velocities)]
-    weights = np.ones(len(curve.grid))
-    weights[1:-1:2] = 4.0
-    weights[2:-2:2] = 2.0
-    h = curve.grid[1] - curve.grid[0]
-    return float(0.5 * h / 3.0 * np.sum(weights * vals))
+# -- one F^2 evaluation per energy, and the shape a variation rule must return ------------
 
 
 @pytest.mark.parametrize("name", ["randers_var", "funk", "sphere"])
 def test_vectorized_family_and_energy_match_node_loops(name, request):
+    # the rule once over all nodes and F^2 once over all of them, against the rule
+    # and F^2 node by node at the same resolved nodes, summed by the same rule
     ms = request.getfixturevalue(name)
 
     def rule(s, t):
         return (np.stack([0.3 * t, -0.2 + 0.25 * t], axis=-1)
                 + s * np.stack([0.05 * np.sin(np.pi * t), 0.04 * t * (1 - t)], axis=-1))
 
-    grid = np.linspace(0.0, 1.0, 801)
-    points = rule(0.01, grid)
-    curve = Curve(grid, points, fd_derivative(points, grid))
-    ref = _simpson_energy_per_node(ms, curve)
-    assert abs(energy(ms, curve) - ref) <= 1e-14 * abs(ref)
-    with pytest.raises(ValueError, match=r"\(801, 2\) array, got shape \(2,\)"):
+    d1, d2 = variation_energy_derivatives(ms, VariationFamily(rule=rule))
+    t, points = variational._family_jets(ms, VariationFamily(rule=rule), 2)
+    sp = points.space
+    s = sp.coordinates(np.zeros(1))[0]
+    coef = np.array([(0.0 * s + rule(s, t[i:i + 1])).c[0] for i in range(len(t))])
+    assert np.array_equal(coef, points.c)
+    vel = variational._derivative(t, coef)
+    f2 = np.array([ms.f2([Jet(sp, c) for c in x], [Jet(sp, c) for c in y]).c
+                   for x, y in zip(coef, vel)])
+    e = 0.25 * variational._integration_matrix(len(t) - 1)[-1] @ f2
+    assert abs(d1 - e[1]) <= 1e-14 * max(1.0, abs(e[1]))
+    assert abs(d2 - 2.0 * e[2]) <= 1e-14 * abs(2.0 * e[2])
+    with pytest.raises(ValueError, match=r"\(17, 2\) array, got shape \(2,\)"):
         variation_energy_derivatives(ms, VariationFamily(rule=lambda s, t: rule(s, t)[0]))
 
 
