@@ -3,8 +3,8 @@ lifts, Jacobi fields and the second variation of energy."""
 
 from .errors import (ConfigError, DegenerateFlag, DomainError, DomainExit,
                      FinslerError, GridError, InvalidLift, NoConvergence,
-                     NormalityViolation, NotPositiveDefinite, NullDirection,
-                     NullReference, SingularBasis)
+                     NormalityViolation, NotHomogeneous, NotPositiveDefinite,
+                     NullDirection, NullReference, SingularBasis)
 from .jets import Jet, smath
 from .lifts import (AffineCoefficients, ClassicalKind, LiftSpec, SectionJet,
                     affine_coefficients, classical_lift, condition_residuals,

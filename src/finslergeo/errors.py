@@ -17,6 +17,11 @@ class NotPositiveDefinite(FinslerError):
     """The fundamental tensor failed its positive-definiteness check."""
 
 
+class NotHomogeneous(FinslerError):
+    """A bare spray's coefficients G are not 2-homogeneous in y: Euler's
+    relation N y = 2G fails."""
+
+
 class DegenerateFlag(FinslerError):
     """Flag denominator g(w,w)g(u,u) - g(w,u)^2 below tolerance."""
 

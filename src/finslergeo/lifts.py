@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -255,37 +256,60 @@ def nabla_apply(lift: LiftSpec, src, w: TangentVector, X, section: SectionJet,
 # -- metric compatibility -----------------------------------------------------
 
 
+# the frame-only terms of nabla g, built once per frame: twice the Cartan and
+# flow tensors, and dg_h[..., j,i,k] = dg_ik/dx^j - N^m_j 2C_mik
+_FRAME_TERMS = {
+    "2C": lambda fr: 2.0 * fr.C_low,
+    "2C'": lambda fr: 2.0 * fr.Cp_low,
+    "dg_h": lambda fr: fr.dg_dx - np.einsum("...mj,...mik->...jik", fr.N, _frame_term(fr, "2C")),
+}
+
+
+def _frame_term(fr: PointFrame, name):
+    return fr._get(name, lambda: _FRAME_TERMS[name](fr))
+
+
+def _g_block(base, g, t):
+    """base - g_mk t^m_ji - g_im t^m_jk, [..., j, i, k]: a block of nabla g in
+    the adapted frame for a raised lift half t over direction j."""
+    return (base - np.einsum("...mk,...mji->...jik", g, t)
+            - np.einsum("...im,...mjk->...jik", g, t))
+
+
+# A lift's two halves: C, its vertical part, and C', its horizontal part.
+# Each residual reads one half, through t(name): C as its flat tensor ccf,
+# its raise cc and the componentwise nabla g over d/dy^j, v[..., j,i,k] =
+# (nabla_{d/dy^j} g)(e_i, e_k); C' as its raise cp and h, nabla g over
+# delta/dx^j. _HALF_TENSORS builds v and h from their half.
+_HALVES = ("C", "C'")   # in the order of _CLASSICAL_TABLE's pairs
+_HALF_TENSORS = {
+    "v": lambda fr, t: _g_block(_frame_term(fr, "2C"), fr.g, t("cc")),
+    "h": lambda fr, t: _g_block(_frame_term(fr, "dg_h"), fr.g, fr.B + t("cp")),
+}
+
+
 def _nabla_g_tensors(fr: PointFrame, cc, cp):
-    """Componentwise nabla g in the adapted frame, for raised lift tensors (cc, cp).
-
-    h[..., j,i,k] = (nabla_{delta/dx^j} g)(e_i, e_k); v[..., j,i,k] over d/dy^j.
-    """
-    g = fr.g
-    c2 = 2.0 * fr.C_low
-    gh = fr.B + cp
-    dg_h = fr.dg_dx - np.einsum("...mj,...mik->...jik", fr.N, c2)
-    h = dg_h - np.einsum("...mk,...mji->...jik", g, gh) - np.einsum("...im,...mjk->...jik", g, gh)
-    v = c2 - np.einsum("...mk,...mji->...jik", g, cc) - np.einsum("...im,...mjk->...jik", g, cc)
-    return h, v
+    """(h, v), componentwise nabla g in the adapted frame, for raised lift
+    tensors (cc, cp)."""
+    t = {"cc": cc, "cp": cp}.__getitem__
+    return _HALF_TENSORS["h"](fr, t), _HALF_TENSORS["v"](fr, t)
 
 
-# name: the residual tensor of a condition, read off a dict of the lift's
-# raised tensors (cc, cp), its flat C (ccf), the metric derivatives (h, v) of
-# _nabla_g_tensors, twice the Cartan and flow tensors (c2, cp2) and y
+# name: (the half it reads, the residual tensor from that half's t and the frame)
 _RESIDUALS = {
-    "Cp(y) asym": lambda t: (np.einsum("...ijk,...j->...ik", t["cp"], t["y"])
-                             - np.einsum("...ikj,...j->...ik", t["cp"], t["y"])),
-    "Cc(y)": lambda t: np.einsum("...ijk,...k->...ij", t["cc"], t["y"]),
-    "Cp asym": lambda t: t["cp"] - np.swapaxes(t["cp"], -1, -2),
-    "Cc": lambda t: t["cc"],
-    "h(y)": lambda t: np.einsum("...jik,...k->...ji", t["h"], t["y"]),
-    "v(y)": lambda t: np.einsum("...jik,...k->...ji", t["v"], t["y"]),
-    "Ccf(y)": lambda t: np.einsum("...jkl,...l->...jk", t["ccf"], t["y"]),
-    "h": lambda t: t["h"],
-    "v": lambda t: t["v"],
-    "h - 2C'": lambda t: t["h"] - t["cp2"],
-    "v - 2C": lambda t: t["v"] - t["c2"],
-    "Ccf asym": lambda t: t["ccf"] - np.swapaxes(t["ccf"], -1, -2),
+    "Cp(y) asym": ("C'", lambda t, fr: (np.einsum("...ijk,...j->...ik", t("cp"), fr.y)
+                                        - np.einsum("...ikj,...j->...ik", t("cp"), fr.y))),
+    "Cc(y)": ("C", lambda t, fr: np.einsum("...ijk,...k->...ij", t("cc"), fr.y)),
+    "Cp asym": ("C'", lambda t, fr: t("cp") - np.swapaxes(t("cp"), -1, -2)),
+    "Cc": ("C", lambda t, fr: t("cc")),
+    "h(y)": ("C'", lambda t, fr: np.einsum("...jik,...k->...ji", t("h"), fr.y)),
+    "v(y)": ("C", lambda t, fr: np.einsum("...jik,...k->...ji", t("v"), fr.y)),
+    "Ccf(y)": ("C", lambda t, fr: np.einsum("...jkl,...l->...jk", t("ccf"), fr.y)),
+    "h": ("C'", lambda t, fr: t("h")),
+    "v": ("C", lambda t, fr: t("v")),
+    "h - 2C'": ("C'", lambda t, fr: t("h") - _frame_term(fr, "2C'")),
+    "v - 2C": ("C", lambda t, fr: t("v") - _frame_term(fr, "2C")),
+    "Ccf asym": ("C", lambda t, fr: t("ccf") - np.swapaxes(t("ccf"), -1, -2)),
 }
 
 # condition: the residual tensors whose sup norms it takes the max of
@@ -303,39 +327,98 @@ _CONDITIONS = {
 }
 
 
+@lru_cache(maxsize=64)
+def _residual_plan(conditions):
+    """(whether a condition is a metric one, the residual names that
+    ``conditions`` read, one tuple per half of ``_HALVES``); an unknown
+    condition raises ``ValueError``."""
+    for cond in conditions:
+        if cond not in _CONDITIONS:
+            raise ValueError(f"unknown condition {cond!r}")
+    names = dict.fromkeys(name for cond in conditions for name in _CONDITIONS[cond])
+    return (any(cond.startswith("M") for cond in conditions),
+            tuple(tuple(name for name in names if _RESIDUALS[name][0] == half)
+                  for half in _HALVES))
+
+
+def _sup(res) -> float:
+    return float(np.abs(res).max())
+
+
+def _rule_half_tensors(lift: LiftSpec, fr: PointFrame, metric: bool):
+    """name -> tensor of either half of a rule lift at fr, each built once
+    per call from one evaluation of the rules: metric conditions read the flat
+    tensors and raise them, torsion conditions alone ``lift_tensors``."""
+    if metric:
+        ccf, cpf = lift_tensors_flat(lift, fr)
+        given = {"ccf": ccf, "cc": fr.raise_last(ccf), "cp": fr.raise_last(cpf)}
+    else:
+        cc, cp = lift_tensors(lift, fr)
+        given = {"cc": cc, "cp": cp}
+
+    def t(name):
+        if name not in given:
+            given[name] = _HALF_TENSORS[name](fr, t)
+        return given[name]
+
+    return t
+
+
+def _classical_half(fr: PointFrame, half, used):
+    """name -> tensor of one half of a classical lift at fr, each built once
+    per frame and kept on it under (half, used): the half is the frame's
+    Cartan tensor (C) or flow tensor (C') where the lift uses it, else zero."""
+
+    def t(name):
+        return fr._get((half, used, name), lambda: build(name))
+
+    def build(name):
+        if name in ("ccf", "cpf"):
+            return ((fr.C_low if half == "C" else fr.Cp_low) if used
+                    else np.zeros(fr.y.shape + (fr.n, fr.n)))
+        if name in ("cc", "cp"):
+            # as lift_tensors: an absent half stays an unraised zero
+            flat = t(name + "f")
+            return fr.raise_last(flat) if used else flat
+        return _HALF_TENSORS[name](fr, t)
+
+    return t
+
+
 def condition_residuals(lift: LiftSpec, fr: PointFrame, conditions=ALL_CONDITIONS):
     """Sup-norm residual of each requested condition over fr's point(s).
 
     Residuals are coefficient-tensor sup norms, i.e. the exact maximum over
-    unit-box argument vectors and over a batched frame's points. The lift
-    is evaluated once: metric conditions read its flat tensors and raise them.
-    Each residual tensor of ``_RESIDUALS`` is built and reduced once, however
-    many conditions read it. An empty batch raises ``ValueError``, as does
-    an unknown condition, and a metric condition on a bare spray's frame
-    ``TypeError``.
+    unit-box argument vectors and over a batched frame's points. Each
+    residual tensor of ``_RESIDUALS`` reads one half of the lift, C or C',
+    and is built and reduced once, however many conditions read it. A rule
+    lift's rules are called once per call: metric conditions read its flat
+    tensors and raise them. A classical lift's half is the frame's C or C'
+    tensor or zero, so each half's tensors and sup norms are kept on the
+    frame: the four classical lifts evaluate each half once per frame, four
+    half-evaluations instead of eight, and every frame at the same points
+    shares them (see ``PointFrame``). An empty batch raises ``ValueError``,
+    as does an unknown condition, and a metric condition on a bare spray's
+    frame ``TypeError``.
     """
-    y = fr.y
-    require_points(y, "condition_residuals")
-    for cond in conditions:
-        if cond not in _CONDITIONS:
-            raise ValueError(f"unknown condition {cond!r}")
-    if any(c.startswith("M") for c in conditions):
+    require_points(fr.y, "condition_residuals")
+    conditions = tuple(conditions)
+    metric, names = _residual_plan(conditions)
+    if metric:
         fr._need_metric()
-        ccf, cpf = lift_tensors_flat(lift, fr)
-        cc, cp = fr.raise_last(ccf), fr.raise_last(cpf)
-        h, v = _nabla_g_tensors(fr, cc, cp)
-        t = dict(y=y, cc=cc, cp=cp, ccf=ccf, h=h, v=v, c2=2.0 * fr.C_low, cp2=2.0 * fr.Cp_low)
+    if lift.kind is None:
+        t = _rule_half_tensors(lift, fr, metric)
+        sups = {name: _sup(_RESIDUALS[name][1](t, fr))
+                for half_names in names for name in half_names}
     else:
-        cc, cp = lift_tensors(lift, fr)
-        t = dict(y=y, cc=cc, cp=cp)
-    sups, out = {}, {}
-    for cond in conditions:
-        names = _CONDITIONS[cond]
-        for name in names:
-            if name not in sups:
-                sups[name] = np.max(np.abs(_RESIDUALS[name](t)))
-        out[cond] = max([sups[name] for name in names])
-    return out
+        sups = {}
+        for half, used, half_names in zip(_HALVES, _CLASSICAL_TABLE[lift.kind], names):
+            cached = fr._get(("sup", half, used), dict)
+            for name in half_names:
+                if name not in cached:
+                    cached[name] = _sup(_RESIDUALS[name][1](_classical_half(fr, half, used), fr))
+                sups[name] = cached[name]
+    return {cond: max([sups[name] for name in _CONDITIONS[cond]]) for cond in conditions}
 
 
 # -- affine family ---------------------------------------------------------------

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateFlag
+from .errors import DegenerateFlag, NotHomogeneous
 from .jets import Jet, _any, contract, lift_any, solve_linear, space_for
 from .metrics import (MetricSpec, TangentVector, _batch_note, check_slit_domain,
                       require_positive_definite)
@@ -56,7 +56,11 @@ class SpraySpec:
 
     Accepted wherever no metric structure is required. ``domain_margin``
     maps points (..., n) to margins (...), positive inside the chart's
-    validity region, as on ``MetricSpec``.
+    validity region, as on ``MetricSpec``. The rule must be 2-homogeneous
+    in y: a frame of order 3 or more checks Euler's relation N y = 2G at
+    each of its points and refuses the batch with ``NotHomogeneous``,
+    naming the first bad point. ``spray_values`` and the geodesic driver,
+    which build no jet, do not check it.
     """
 
     def __init__(self, dim, g_rule, name="spray", domain_margin=None):
@@ -100,36 +104,50 @@ def _index(blocks, n):
     return (...,) + tuple(slice(None, n) if b == "x" else slice(n, None) for b in blocks)
 
 
-# Frames built at the same points share one lift of F^2 and one spray solve:
-# the jets of the last _MEMO_SIZE builds, least recently used out first. The
-# per-point entry points (spray_coefficients, curvature_endomorphism,
-# flag_curvature) build their frames at one point one after another; the
-# local doublings of the linear flows along a geodesic are kept on the
-# geodesic (variational.py), so a later flow there builds none. The key
-# is the source object, not its rule, so a rule must not change after use; an
-# entry holds its source, so the id in its key is not reused while it lives.
+# Frames built at the same points share one lift of F^2 and one spray solve,
+# and every tensor derived from them: a memo entry holds the jets of a build
+# and the derived-tensor cache that every frame of at most _BLOCK points at
+# that key adopts, for the last _MEMO_SIZE builds, least recently used out
+# first. The per-point entry points (spray_coefficients,
+# curvature_endomorphism, flag_curvature) build their frames at one point one
+# after another; the local doublings of the linear flows along a geodesic are
+# kept on the geodesic (variational.py), so a later flow there builds none.
+# The key is the source object, not its rule, so a rule must not change after
+# use; an entry holds its source, so the id in its key is not reused while it
+# lives.
 _MEMO_SIZE = 8
 _memo = OrderedDict()
 
 
 def _frame_jets(src, x, y, order):
-    """(f, g, ginv, gpoly, Gpoly) at points (..., n), shared read-only by every
-    frame of the same source object at the same points and order; the metric
-    parts are None for a bare spray. Every jet has the batch axes first."""
+    """((f, g, ginv, gpoly, Gpoly), cache) at points (..., n), shared read-only
+    by every frame of the same source object at the same points and order; the
+    metric parts are None for a bare spray. Every jet has the batch axes first.
+    ``cache`` is the derived-tensor dict of the frames that adopt the entry."""
     key = (id(src), order, x.shape, x.tobytes(), y.tobytes())
     entry = _memo.get(key)
     if entry is not None and entry[0] is src:
         _memo.move_to_end(key)
-        return entry[1]
+        return entry[1], entry[2]
     jets = _build_frame_jets(src, x, y, order)
     for part in jets:
         if part is not None:
-            # an in-place write would corrupt every later frame at these points
-            (part.c if isinstance(part, Jet) else part).flags.writeable = False
-    _memo[key] = (src, jets)
+            _freeze(part)
+    cache = {}
+    _memo[key] = (src, jets, cache)
     if len(_memo) > _MEMO_SIZE:
         _memo.popitem(last=False)
-    return jets
+    return jets, cache
+
+
+def _freeze(value):
+    """Make a shared array or jet read-only: an in-place write would corrupt
+    every later frame at its points."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, Jet):
+        value.c.flags.writeable = False
+    return value
 
 
 def _build_frame_jets(src, x, y, order):
@@ -138,7 +156,10 @@ def _build_frame_jets(src, x, y, order):
     p = order - 2
     if not isinstance(src, MetricSpec):
         G = lift_any(lambda v: src.g_rule(v[:n], v[n:]), center, p)
-        return None, None, None, None, Jet(G.space, np.moveaxis(G.c, 0, -2))
+        Gpoly = Jet(G.space, np.moveaxis(G.c, 0, -2))
+        if p >= 1:
+            _require_homogeneous(src, Gpoly, x, y)
+        return None, None, None, None, Gpoly
     f = lift_any(lambda v: src.f2(v[:n], v[n:]), center, order)
     g = 0.5 * f.derivative(2)[..., n:, n:]
     require_positive_definite(g, x, y)
@@ -151,6 +172,26 @@ def _build_frame_jets(src, x, y, order):
     yj = Jet(sp, np.moveaxis(sp.coordinates(center).c[n:], 0, -2))
     rhs = contract("...lk,...k->...l", hess[..., n:, :n], yj) - grad[..., :n].truncate(p)
     return f, g, ginv, gpoly, 0.25 * solve_linear(gpoly, rhs, ginv)
+
+
+# Euler's relation N y = 2G holds to this fraction of |N| |y| + 2 |G|
+_EULER_TOL = 1e-9
+
+
+def _require_homogeneous(src, Gpoly, x, y):
+    """Refuse a bare spray whose G jet (..., n) at points (x, y) breaks
+    Euler's relation N y = 2G, the mark of 2-homogeneity in y; the message
+    names the first bad point of the batch."""
+    n = src.dim
+    G, N = Gpoly.value, Gpoly.derivative(1)[..., n:]
+    resid = np.abs(_matvec(N, y) - 2.0 * G).max(axis=-1)
+    scale = (np.abs(N) @ np.abs(y)[..., None])[..., 0].max(axis=-1) + 2.0 * np.abs(G).max(axis=-1)
+    bad = resid > _EULER_TOL * scale
+    if _any(bad):
+        k = int(np.argmax(bad))
+        raise NotHomogeneous(
+            f"{src.name}: G is not 2-homogeneous in y, |N y - 2G| = {np.ravel(resid)[k]:.2e} "
+            f"at x={x.reshape(-1, n)[k]}, y={y.reshape(-1, n)[k]}")
 
 
 def _join(parts, batch):
@@ -182,12 +223,15 @@ class PointFrame:
     the batch, naming the first. ``fr[i]`` is the frame at batch index i.
 
     Frames of the same source object at the same points and order share
-    one lift and one solve: the jets of the last few builds (per block of
-    a large batch) are kept in a bounded memo keyed by the source object,
-    so a source's rule must not change once it has been used. Shared jets
-    (``f``, ``g``, ``ginv``, ``gpoly``, ``Gpoly``) are read-only; a batch
-    built in blocks holds joined copies. The tangent checks run for every
-    frame.
+    one lift and one solve, and every tensor derived from them: the jets of
+    the last few builds (per block of a large batch) are kept in a bounded
+    memo keyed by the source object, so a source's rule must not change
+    once it has been used, and a frame of at most ``_BLOCK`` points adopts
+    its entry's derived-tensor cache (the rows, ``R``, the field jets and
+    the condition residuals' lift halves). A batch built in blocks holds
+    joined copies of the jets and a cache of its own. Every jet and tensor
+    a frame hands out is read-only, so an in-place write raises instead of
+    corrupting a later frame. The tangent checks run for every frame.
     """
 
     def __init__(self, src, w: TangentVector, order: int = 4):
@@ -201,18 +245,19 @@ class PointFrame:
         self.y = w.y
         batch = w.x.shape[:-1]
         if int(np.prod(batch)) <= _BLOCK:
-            jets = _frame_jets(src, self.x, self.y, order)
+            jets, self._cache = _frame_jets(src, self.x, self.y, order)
         else:
             x, y = self.x.reshape(-1, n), self.y.reshape(-1, n)
-            blocks = [_frame_jets(src, x[k:k + _BLOCK], y[k:k + _BLOCK], order)
+            blocks = [_frame_jets(src, x[k:k + _BLOCK], y[k:k + _BLOCK], order)[0]
                       for k in range(0, len(x), _BLOCK)]
             jets = [_join(parts, batch) for parts in zip(*blocks)]
+            self._cache = {}
         self.f, self.g, self.ginv, self.gpoly, self.Gpoly = jets
-        self._cache = {}
 
     def __getitem__(self, i):
         """The frame at batch index ``i``: the batch's jets and computed
-        tensors, sliced; nothing is rebuilt."""
+        tensors, sliced; nothing is rebuilt. Sup norms (keys ``("sup", ...)``)
+        are reductions over the batch, so the frame at i gets none."""
         if self.x.ndim == 1:
             raise TypeError("a single-point frame has no batch axes to index")
         fr = object.__new__(type(self))
@@ -222,12 +267,15 @@ class PointFrame:
         for name in ("f", "g", "ginv", "gpoly", "Gpoly"):
             value = getattr(self, name)
             setattr(fr, name, None if value is None else value[i])
-        fr._cache = {key: value[i] for key, value in self._cache.items()}
+        fr._cache = {key: value[i] for key, value in self._cache.items()
+                     if key[0] != "sup"}
         return fr
 
     def _get(self, key, builder):
+        """The derived value ``key``, built once for every frame that shares
+        this frame's cache; an array or jet is handed out read-only."""
         if key not in self._cache:
-            self._cache[key] = builder()
+            self._cache[key] = _freeze(builder())
         return self._cache[key]
 
     # -- the tensor table -------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from finslergeo import identities as ident
-from finslergeo import metrics
+from finslergeo import lifts, metrics, spray
 from finslergeo.errors import GridError, InvalidLift, NullReference
 from finslergeo.lifts import (ALL_CONDITIONS, ClassicalKind, LiftSpec, SectionJet,
                               affine_coefficients, classical_lift,
@@ -265,6 +265,74 @@ def test_m_conditions_need_metric():
     assert condition_residuals(lift, fr, ("T1", "T3")) == {"T1": 0.0, "T3": 0.0}
     with pytest.raises(TypeError):
         condition_residuals(lift, fr, ("M1",))
+
+
+def _classical_lifts(ms):
+    return [classical_lift(k, ms) for k in ClassicalKind]
+
+
+def test_classical_lifts_evaluate_each_half_once_per_frame(randers_var, monkeypatch):
+    w = random_tangent(randers_var, SplitMix64(61))
+    cold = {}
+    for lift in _classical_lifts(randers_var):
+        spray._memo.clear()
+        cold[lift.name] = condition_residuals(lift, PointFrame(randers_var, w))
+    spray._memo.clear()
+    fr = PointFrame(randers_var, w)
+    raised, blocks = [], []
+    raise_last = fr.raise_last
+    monkeypatch.setattr(fr, "raise_last", lambda t: raised.append(1) or raise_last(t))
+    g_block = lifts._g_block
+    monkeypatch.setattr(lifts, "_g_block", lambda *a: blocks.append(1) or g_block(*a))
+    for lift in _classical_lifts(randers_var):
+        # equal floats, and none is negative, so bitwise equal
+        assert condition_residuals(lift, fr) == cold[lift.name], lift.name
+    # four halves, C and C' each zero or the frame's tensor: one v or h block
+    # each, and one raise for each of the two that are not zero
+    assert len(blocks) == 4
+    assert len(raised) == 2
+    # torsion-only and metric-only subsets read the same cached halves
+    for lift in _classical_lifts(randers_var):
+        for subset in (("T1", "T3"), ("M2", "M5"), ("M7",)):
+            assert condition_residuals(lift, fr, subset) == {c: cold[lift.name][c] for c in subset}
+    assert len(blocks) == 4 and len(raised) == 2
+
+
+def test_a_sliced_frame_computes_its_own_sup_norms(randers_var):
+    rng = SplitMix64(63)
+    ws = [random_tangent(randers_var, rng) for _ in range(5)]
+    batch = _batch(randers_var, ws)
+    kinds = _classical_lifts(randers_var) + [random_admissible_lift(randers_var, 64)]
+    for lift in kinds:
+        condition_residuals(lift, batch)
+    for k, w in enumerate(ws):
+        single = PointFrame(randers_var, w)
+        for lift in kinds:
+            assert condition_residuals(lift, batch[k]) == condition_residuals(lift, single), \
+                (lift.name, k)
+
+
+def test_a_rule_lift_after_the_classical_ones_computes_its_own_halves(randers_var):
+    w = random_tangent(randers_var, SplitMix64(65))
+    base = random_admissible_lift(randers_var, 66)
+    calls = []
+
+    def counted(rule):
+        def wrapped(p):
+            calls.append(1)
+            return rule(p)
+        return wrapped
+
+    lift = LiftSpec("counted", c_flat=counted(base.c_flat), cprime_flat=counted(base.cprime_flat))
+    cold = condition_residuals(lift, PointFrame(randers_var, w))
+    spray._memo.clear()
+    fr = PointFrame(randers_var, w)
+    for classical in _classical_lifts(randers_var):
+        condition_residuals(classical, fr)
+    calls.clear()
+    assert condition_residuals(lift, fr) == cold
+    assert condition_residuals(lift, fr, ("T1",)) == {"T1": cold["T1"]}
+    assert len(calls) == 4   # both rules, once per call: nothing is cached
 
 
 # -- curvature of lifts ----------------------------------------------------------

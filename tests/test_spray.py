@@ -5,8 +5,9 @@ import pytest
 
 from finslergeo import metrics, spray
 from finslergeo.jets import smath
-from finslergeo.lifts import classical_lift, lift_tensors
-from finslergeo.errors import DegenerateFlag, DomainError, NotPositiveDefinite, NullDirection
+from finslergeo.lifts import affine_coefficients, classical_lift, lift_tensors
+from finslergeo.errors import (DegenerateFlag, DomainError, NotHomogeneous, NotPositiveDefinite,
+                               NullDirection)
 from finslergeo.metrics import TangentVector, random_tangent
 from finslergeo.rng import SplitMix64
 from finslergeo.spray import (PointFrame, SpraySpec, adapted_split, curvature_endomorphism,
@@ -206,8 +207,9 @@ def _quadratic_spray():
     gam = np.array([[[0.3, 0.1], [0.1, -0.2]], [[0.0, 0.25], [0.25, 0.4]]])
 
     def g_rule(xs, ys):
+        # 2-homogeneous in y, and x-dependent
         return [0.5 * sum(gam[i][j][k] * ys[j] * ys[k] for j in range(2) for k in range(2))
-                + 0.1 * xs[i] * ys[i] for i in range(2)]
+                + 0.1 * (xs[0] * ys[0] + xs[1] * ys[1]) * ys[i] for i in range(2)]
 
     return SpraySpec(2, g_rule, name="quadratic")
 
@@ -594,6 +596,82 @@ def test_shared_frame_jets_are_read_only(randers_var):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
         assert np.all(np.isfinite(a)), name
+
+
+def test_frames_at_a_point_share_their_derived_tensors(randers_var):
+    w = random_tangent(randers_var, SplitMix64(14))
+    names = ("G", "N", "B", "Gx", "Gxy", "gw", "C_low", "dg_dx", "dC_dx", "dC_dy", "R",
+             "Cdot_low", "Cp_low")
+    first = PointFrame(randers_var, w)
+    built = {name: getattr(first, name) for name in names}
+    hit = PointFrame(randers_var, w)
+    for name in names:
+        assert getattr(hit, name) is built[name], name
+    assert spray_coefficients(randers_var, w).N is built["N"]
+    assert curvature_endomorphism(randers_var, w).R is built["R"]
+    assert hit.field("N") is first.field("N")
+    spray._memo.clear()
+    fresh = PointFrame(randers_var, w)
+    for name in names:
+        assert getattr(fresh, name) is not built[name], name
+        assert getattr(fresh, name).tobytes() == built[name].tobytes(), name
+    # a frame of another order or a batch joined from blocks has a cache of its own
+    assert PointFrame(randers_var, w, order=5).N is not fresh.N
+    X, Y = _batch(randers_var, spray._BLOCK + 1, 15)
+    joined = PointFrame(randers_var, TangentVector(X, Y))
+    assert joined.N is not PointFrame(randers_var, TangentVector(X, Y)).N
+
+
+def test_derived_tensors_are_read_only(randers_var):
+    w = random_tangent(randers_var, SplitMix64(16))
+    fr = PointFrame(randers_var, w)
+    X, Y = _batch(randers_var, 3, 17)
+    batch = PointFrame(randers_var, TangentVector(X, Y))
+    for a in (fr.R, fr.N, spray_coefficients(randers_var, w).B, fr.field("N").c, batch.R,
+              batch[1].N):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    assert np.array_equal(fr.N, PointFrame(randers_var, w).N)
+
+
+def _linear_term_spray():
+    """Not a spray: 0.1 x^i y^i is linear in y."""
+    return SpraySpec(2, lambda xs, ys: [0.1 * xs[i] * ys[i] for i in range(2)], name="linear")
+
+
+@pytest.mark.parametrize("entry", [
+    lambda src, w: spray_coefficients(src, w),
+    lambda src, w: curvature_endomorphism(src, w),
+    lambda src, w: PointFrame(src, w, order=3),
+    lambda src, w: PointFrame(src, w, order=5),
+    lambda src, w: affine_coefficients(classical_lift("berwald", src), src, w),
+], ids=["spray_coefficients", "curvature_endomorphism", "PointFrame-3", "PointFrame-5",
+        "affine_coefficients"])
+def test_a_rule_that_is_not_2_homogeneous_is_refused(entry):
+    src = _linear_term_spray()
+    # N y - 2G = -0.1 x^i y^i: 0.021 and -0.008 here
+    w = TangentVector([0.3, -0.2], [0.7, 0.4])
+    with pytest.raises(NotHomogeneous, match=r"2\.10e-02 at x=\[ 0\.3 -0\.2\], y=\[0\.7 0\.4\]"):
+        entry(src, w)
+    assert len(spray._memo) == 0
+    # a batch names its first bad point; x = 0 is a good one
+    X = np.array([[0.0, 0.0], [0.0, 0.5], [0.3, -0.2]])
+    Y = np.array([[0.7, 0.4], [0.7, 0.4], [0.7, 0.4]])
+    with pytest.raises(NotHomogeneous, match=r"at x=\[0\.  0\.5\]"):
+        entry(src, TangentVector(X, Y))
+    # the order-2 frame and the right-hand-side fast path build no derivative to check
+    assert PointFrame(src, w, order=2).Gpoly.value.shape == (2,)
+    assert np.array_equal(spray_values(src, w.x, w.y), [0.1 * 0.3 * 0.7, -0.1 * 0.2 * 0.4])
+
+
+def test_genuine_sprays_pass_the_homogeneity_check(randers_var):
+    w = TangentVector([0.3, -0.2], [0.7, 0.4])
+    for src in (_quadratic_spray(), _randers_var_closed_form_spray(),
+                SpraySpec(2, lambda xs, ys: [0.0, 0.0], name="flat")):
+        sd = spray_coefficients(src, w)
+        assert np.max(np.abs(sd.N @ w.y - 2 * sd.G)) < 1e-14
+    X, Y = _batch(_quadratic_spray(), 3 * spray._BLOCK, 18)
+    assert PointFrame(_quadratic_spray(), TangentVector(X, Y), order=5).R.shape == (96, 2, 2)
 
 
 def test_a_refused_build_leaves_nothing_behind():
