@@ -425,26 +425,25 @@ def task_curvature_sweep(ms, p) -> TaskResult:
             u = perp / np.linalg.norm(perp)
         us.append(u)
     w, u = TangentVector.stack(ws), np.array(us)
-    fr = PointFrame(ms, w, order=4)
-    values = flag_curvature(ms, w, u, _frame=fr)
+    values = flag_curvature(ms, w, u)
     res.csv_rows = [(*(";".join(_fmt(v) for v in vec) for vec in (x, y, ui)), k)
                     for x, y, ui, k in zip(w.x, w.y, u, values)]
     target = p["expect_value"]
     if target is not None:
         res.check(f"flag curvature = {target}", np.max(np.abs(values - target)), p["tolerance"])
-    head = fr[:20]
-    k0, uh = values[:20], u[:20]
-    k1 = flag_curvature(ms, head.w, uh + 3.0 * head.y, _frame=head)
-    k2 = flag_curvature(ms, head.w, 0.2 * uh, _frame=head)
+    # every call is over all flags, sharing their frame; each point is bitwise its own call
+    k0 = values[:20]
+    k1 = flag_curvature(ms, w, u + 3.0 * w.y)[:20]
+    k2 = flag_curvature(ms, w, 0.2 * u)[:20]
     res.check("flag invariance under u -> u + 3w, 0.2u",
               max(np.max(np.abs(k1 - k0)), np.max(np.abs(k2 - k0))), 1e-9)
     if p["christoffel_check"]:
         if getattr(ms, "_g_field", None) is None:
             raise ConfigError("christoffel_check requires a Riemannian built-in")
-        gams, oracles = ident.levi_civita(ms, head.x, head.y)
-        A = [affine_coefficients(classical_lift(name, ms), ms, head.w, _frame=head).A
-             for name in CLASSICAL]
-        res.check("curvature matches Christoffel oracle", np.max(np.abs(head.R - oracles)), 1e-7)
+        gams, oracles = ident.levi_civita(ms, w.x[:20], w.y[:20])
+        A = [affine_coefficients(classical_lift(name, ms), ms, w).A[:20] for name in CLASSICAL]
+        R = curvature_endomorphism(ms, w).R[:20]
+        res.check("curvature matches Christoffel oracle", np.max(np.abs(R - oracles)), 1e-7)
         res.check("affine coefficients = Levi-Civita symbols",
                   max(np.max(np.abs(a - gams)) for a in A), 1e-8)
         res.check("four classical lifts identical", max(np.max(np.abs(a - A[0])) for a in A[1:]),
@@ -587,7 +586,8 @@ def task_second_variation(ms, p) -> TaskResult:
         h_terms = (subm.sff_connection(line1, [0.0], geo.velocities[0], [c1], [c1], ms),
                    subm.sff_connection(line2, [0.0], vel_b, [c2], [c2], ms))
 
-    vfield = FieldAlongCurve(geo.grid, direction(geo.grid), dense=lambda t: direction(t).T)
+    # second_variation_formula reads the field's dense output alone
+    vfield = FieldAlongCurve(np.zeros(0), np.zeros((0, ms.dim)), dense=lambda t: direction(t).T)
     formula = second_variation_formula(ms, geo, vfield, **ends)
     fam = VariationFamily(rule=lambda s, t: geo.dense(t)[:ms.dim].T + s * direction(t))
     first, fd = variation_energy_derivatives(ms, fam)
@@ -646,20 +646,18 @@ def task_sff_compare(ms, p) -> TaskResult:
         # one order-4 frame at the normals serves every lift, the symplectic reads and the shortcut
         w = TangentVector(nv.x, nv.eta)
         fr = PointFrame(ms, w, order=4)
-        vals = np.array([subm.sff_connection(sub, param, nv.eta, u, v, ms, lift=lf, _frame=fr,
-                                             _immersion=imm)
+        vals = np.array([subm.sff_connection(sub, param, nv.eta, u, v, ms, lift=lf, _immersion=imm)
                          for lf in lifts])
         hc = vals[0]    # Berwald, sff_connection's default lift
         rows = subm.normal_bundle_tangent_basis(sub, nv, ms)
-        agree = np.abs(hc - subm.sff_symplectic(sub, nv, u, v, ms, _basis=rows, _frame=fr))
+        agree = np.abs(hc - subm.sff_symplectic(sub, nv, u, v, ms, _basis=rows))
         lag = np.zeros(len(order))
         for a in range(ms.dim):
             for b in range(a + 1, ms.dim):
-                lag = np.maximum(lag, np.abs(subm.omega_F(ms, w, rows[:, a], rows[:, b],
-                                                          _frame=fr)))
+                lag = np.maximum(lag, np.abs(subm.omega_F(ms, w, rows[:, a], rows[:, b])))
         spread = vals.max(axis=0) - vals.min(axis=0)
         # unsymmetrized shortcut for torsion-symmetric lifts
-        A = affine_coefficients(lifts[1], ms, w, _frame=fr).A
+        A = affine_coefficients(lifts[1], ms, w).A
         unsym = _pair(nv.eta, fr.g, np.einsum("...iab,...a,...b->...i", imm.hess, u, v)
                       + np.einsum("...ijk,...j,...k->...i", A, _matvec(imm.basis, u),
                                   _matvec(imm.basis, v)))
@@ -697,17 +695,15 @@ def task_lift_independence(ms, p) -> TaskResult:
         w, u = TangentVector.stack(ws), np.array(us)
         if "curvature" in checks:
             base = _matvec(curvature_endomorphism(ms, w).R, u)
-            fr5 = PointFrame(ms, w, order=5)
-            worst = max(float(np.max(np.abs(lift_curvature(lf, ms, w, u, _frame=fr5) - base)))
+            worst = max(float(np.max(np.abs(lift_curvature(lf, ms, w, u) - base)))
                         for lf in lifts)
             res.check("curvature endomorphism across lifts", worst, 1e-7, row=("curvature", worst))
         if "covariant" in checks:
             W, U = (ident.AffineField.stack(col) for col in zip(*fields))
             wx = W(w.x)
-            fr = PointFrame(ms, TangentVector(w.x, wx), order=4)
+            ww = TangentVector(w.x, wx)
             vals = [_matvec(U.A, wx) + np.einsum("...ijk,...j,...k->...i",
-                                                 affine_coefficients(lf, ms, fr.w, _frame=fr).A,
-                                                 wx, U(w.x))
+                                                 affine_coefficients(lf, ms, ww).A, wx, U(w.x))
                     for lf in lifts]
             worst = float(np.max(np.abs(np.max(vals, axis=0) - np.min(vals, axis=0))))
             res.check("covariant derivative D^W_W across lifts", worst, 1e-7,
@@ -716,8 +712,7 @@ def task_lift_independence(ms, p) -> TaskResult:
     if "affine_families" in checks:
         fr = PointFrame(ms, TangentVector.stack([random_tangent(ms, rng) for _ in range(samples)]),
                         order=4)
-        A = {k: affine_coefficients(classical_lift(k, ms), ms, fr.w, _frame=fr).A
-             for k in CLASSICAL}
+        A = {k: affine_coefficients(classical_lift(k, ms), ms, fr.w).A for k in CLASSICAL}
         claimed = np.einsum("...ijk,...j,...k->...i", A["cartan"], fr.y, fr.y)
         worst_bh = float(max(np.max(np.abs(A["berwald"] - A["hashiguchi"])),
                              np.max(np.abs(claimed - 2.0 * fr.G))))

@@ -150,8 +150,7 @@ def symmetry_residual(lift: LiftSpec, ms: MetricSpec, x0, rng: SplitMix64) -> fl
     """Torsion symmetry of the affine family: D^W_U V - D^W_V U - [U, V]."""
     pts = _points(x0, "symmetry_residual")
     W, U, V = _drawn(pts, lambda x: [AffineField.random(x, rng) for _ in range(3)])
-    fr = PointFrame(ms, TangentVector(pts, W(pts)), order=4)
-    A = affine_coefficients(lift, ms, fr.w, _frame=fr).A
+    A = affine_coefficients(lift, ms, TangentVector(pts, W(pts))).A
     bracket = _matvec(V.A, U(pts)) - _matvec(U.A, V(pts))
     lhs = _affine_cov(A, U, V) - _affine_cov(A, V, U)
     return _sup(lhs - bracket)
@@ -169,7 +168,7 @@ def metric_compat_residual(lift: LiftSpec, ms: MetricSpec, x0, rng: SplitMix64) 
     lhs = _g_rate(ms, pts, u0, W, W, V)
     w0 = W(pts)
     fr = PointFrame(ms, TangentVector(pts, w0), order=4)
-    A = affine_coefficients(lift, ms, fr.w, _frame=fr).A
+    A = affine_coefficients(lift, ms, fr.w).A
     duw = _matvec(W.A, u0) + np.einsum("...ijk,...j,...k->...i", A, u0, w0)
     duv = _affine_cov(A, U, V)
     rhs = _pair(duw, fr.g, V(pts)) + _pair(w0, fr.g, duv)
@@ -189,7 +188,7 @@ def metric_compat_geodesic_residual(ms: MetricSpec, x0, rng: SplitMix64) -> floa
     a_w = (-2.0 * fr.G)[:, :, None] * w0[:, None, :] / ww[:, None, None]
     W = AffineField(pts, w0, a_w)
     lhs = _g_rate(ms, pts, w0, W, T, V)
-    A = affine_coefficients(classical_lift("berwald", ms), ms, fr.w, _frame=fr).A
+    A = affine_coefficients(classical_lift("berwald", ms), ms, fr.w).A
     dwt = _affine_cov(A, W, T)
     dwv = _affine_cov(A, W, V)
     rhs = _pair(dwt, fr.g, V(pts)) + _pair(T(pts), fr.g, dwv)
@@ -212,7 +211,7 @@ def family_metric_identity_residual(kind: str, ms: MetricSpec, x0, rng: SplitMix
     w0 = W(pts)
     fr = PointFrame(ms, TangentVector(pts, w0), order=4)
     dg = _g_rate(ms, pts, u0, W, *(AffineField(pts, c, 0.0 * W.A) for c in (t0, v0)))
-    A = affine_coefficients(lift, ms, fr.w, _frame=fr).A
+    A = affine_coefficients(lift, ms, fr.w).A
     # D^W_U of the constant fields T(x0) and V(x0)
     dut = np.einsum("...ijk,...j,...k->...i", A, u0, t0)
     duv = np.einsum("...ijk,...j,...k->...i", A, u0, v0)
@@ -232,7 +231,7 @@ def spray_derivative_residual(lift: LiftSpec, ms: MetricSpec, w: TangentVector,
     fr = PointFrame(ms, w, order=4)
     s_raw = np.concatenate([fr.y, -_matvec(fr.N, fr.y)], axis=-1)
     section = SectionJet(U(w.x), U.A.copy(), np.zeros(U.A.shape))
-    lhs = nabla_apply(lift, ms, w, s_raw, section, _frame=fr)
+    lhs = nabla_apply(lift, ms, w, s_raw, section)
     rhs = _matvec(U.A, fr.y) + _matvec(fr.N, U(w.x))
     return _sup(lhs - rhs)
 

@@ -237,12 +237,11 @@ def _admissible_tensors(lift: LiftSpec, fr: PointFrame):
 # -- connection application ------------------------------------------------------
 
 
-def nabla_apply(lift: LiftSpec, src, w: TangentVector, X, section: SectionJet,
-                _frame: PointFrame | None = None) -> np.ndarray:
+def nabla_apply(lift: LiftSpec, src, w: TangentVector, X, section: SectionJet) -> np.ndarray:
     """Fiber components of nabla_X J(Y) for the given section jet at w.
 
     ``w``, ``X`` and the section may carry leading batch axes."""
-    fr = _frame if _frame is not None else PointFrame(src, w, order=4)
+    fr = PointFrame(src, w, order=4)
     cc, cp = _admissible_tensors(lift, fr)
     a, b = adapted_split(fr, X)
     gh = fr.B + cp
@@ -424,16 +423,14 @@ def condition_residuals(lift: LiftSpec, fr: PointFrame, conditions=ALL_CONDITION
 # -- affine family ---------------------------------------------------------------
 
 
-def affine_coefficients(lift: LiftSpec, src, w: TangentVector,
-                        _frame: PointFrame | None = None) -> AffineCoefficients:
+def affine_coefficients(lift: LiftSpec, src, w: TangentVector) -> AffineCoefficients:
     """A^i_jk(w) of the affine connection induced by the lift at direction w."""
-    fr = _frame if _frame is not None else PointFrame(src, w, order=4)
+    fr = PointFrame(src, w, order=4)
     _, cp = _admissible_tensors(lift, fr)
     return AffineCoefficients(at=w, A=fr.B + cp)
 
 
-def covariant_derivative_curve(lift: LiftSpec, src, curve, W, V,
-                               _frames: PointFrame | None = None):
+def covariant_derivative_curve(lift: LiftSpec, src, curve, W, V):
     """(D^W V / dt) along a curve from samples of W and V at its grid, the
     Chebyshev-Lobatto nodes of its span (any other grid is a ``GridError``).
 
@@ -441,8 +438,7 @@ def covariant_derivative_curve(lift: LiftSpec, src, curve, W, V,
     spectral; the correction term of the non-horizontal-lift formula cancels
     exactly against the vertical transport term (a dedicated test
     re-verifies this against the raw two-term evaluation). The frames at all
-    nodes are one order-4 frame over (curve.points, W.vectors), ``_frames``
-    if given.
+    nodes are one order-4 frame over (curve.points, W.vectors).
     """
     from .variational import FieldAlongCurve, _derivative
 
@@ -453,8 +449,7 @@ def covariant_derivative_curve(lift: LiftSpec, src, curve, W, V,
     vdot = _derivative(grid, V.vectors)
     if np.min(np.linalg.norm(W.vectors, axis=1)) < 1e-12:
         raise NullReference("reference field W vanishes at a node")
-    fr = (_frames if _frames is not None
-          else PointFrame(src, TangentVector(curve.points, W.vectors), order=4))
+    fr = PointFrame(src, TangentVector(curve.points, W.vectors), order=4)
     _, cp = _admissible_tensors(lift, fr)
     a = fr.B + cp
     out = vdot + np.einsum("...ijk,...j,...k->...i", a, curve.velocities, V.vectors)
@@ -535,8 +530,7 @@ def _lift_field_jets(lift: LiftSpec, fr5: PointFrame):
     return Jet(raised.space, _move(raised.c, -5, -4))
 
 
-def lift_curvature(lift: LiftSpec, src, w: TangentVector, u, vertical_noise=None,
-                   _frame: PointFrame | None = None) -> np.ndarray:
+def lift_curvature(lift: LiftSpec, src, w: TangentVector, u, vertical_noise=None) -> np.ndarray:
     """i_w^{-1} R(S, X)C computed from the lift's coefficient fields.
 
     X is the horizontal lift of u, optionally plus vertical noise (fiber
@@ -549,12 +543,9 @@ def lift_curvature(lift: LiftSpec, src, w: TangentVector, u, vertical_noise=None
     ``w``, ``u`` and ``vertical_noise`` may carry leading batch axes,
     (..., n): one order-5 frame and one evaluation of the lift's fields
     serve every point, the result is (..., n), and each point is bitwise
-    equal to its own single-point call. ``_frame``, if given, is that
-    order-5 frame at w, shared by the calls for several lifts.
+    equal to its own single-point call.
     """
-    fr5 = _frame if _frame is not None else PointFrame(src, w, order=5)
-    if fr5.order != 5:
-        raise ValueError(f"lift_curvature needs an order-5 frame, got order {fr5.order}")
+    fr5 = PointFrame(src, w, order=5)
     n = fr5.n
     y = fr5.y
     u = np.asarray(u, float)

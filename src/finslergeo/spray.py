@@ -106,9 +106,9 @@ def _index(blocks, n):
 
 # Frames built at the same points share one lift of F^2 and one spray solve,
 # and every tensor derived from them: a memo entry holds the jets of a build
-# and the derived-tensor cache that every frame of at most _BLOCK points at
-# that key adopts, for the last _MEMO_SIZE builds, least recently used out
-# first. The per-point entry points (spray_coefficients,
+# at its whole batch, whatever its size, and the derived-tensor cache that
+# every frame at that key adopts, for the last _MEMO_SIZE builds, least
+# recently used out first. The per-point entry points (spray_coefficients,
 # curvature_endomorphism, flag_curvature) build their frames at one point one
 # after another; the local doublings of the linear flows along a geodesic are
 # kept on the geodesic (variational.py), so a later flow there builds none.
@@ -129,7 +129,15 @@ def _frame_jets(src, x, y, order):
     if entry is not None and entry[0] is src:
         _memo.move_to_end(key)
         return entry[1], entry[2]
-    jets = _build_frame_jets(src, x, y, order)
+    batch = x.shape[:-1]
+    if int(np.prod(batch)) <= _BLOCK:
+        jets = _build_frame_jets(src, x, y, order)
+    else:
+        n = x.shape[-1]
+        x, y = x.reshape(-1, n), y.reshape(-1, n)
+        blocks = [_build_frame_jets(src, x[k:k + _BLOCK], y[k:k + _BLOCK], order)
+                  for k in range(0, len(x), _BLOCK)]
+        jets = [_join(parts, batch) for parts in zip(*blocks)]
     for part in jets:
         if part is not None:
             _freeze(part)
@@ -224,14 +232,13 @@ class PointFrame:
 
     Frames of the same source object at the same points and order share
     one lift and one solve, and every tensor derived from them: the jets of
-    the last few builds (per block of a large batch) are kept in a bounded
+    the last few builds, each over its whole batch, are kept in a bounded
     memo keyed by the source object, so a source's rule must not change
-    once it has been used, and a frame of at most ``_BLOCK`` points adopts
-    its entry's derived-tensor cache (the rows, ``R``, the field jets and
-    the condition residuals' lift halves). A batch built in blocks holds
-    joined copies of the jets and a cache of its own. Every jet and tensor
-    a frame hands out is read-only, so an in-place write raises instead of
-    corrupting a later frame. The tangent checks run for every frame.
+    once it has been used, and every frame adopts its entry's derived-tensor
+    cache (the rows, ``R``, the field jets and the condition residuals' lift
+    halves). Every jet and tensor a frame hands out is read-only, so an
+    in-place write raises instead of corrupting a later frame. The tangent
+    checks run for every frame.
     """
 
     def __init__(self, src, w: TangentVector, order: int = 4):
@@ -239,19 +246,11 @@ class PointFrame:
         self.src = src
         self.metric = src if isinstance(src, MetricSpec) else None
         self.w = w
-        self.n = n = src.dim
+        self.n = src.dim
         self.order = order
         self.x = w.x
         self.y = w.y
-        batch = w.x.shape[:-1]
-        if int(np.prod(batch)) <= _BLOCK:
-            jets, self._cache = _frame_jets(src, self.x, self.y, order)
-        else:
-            x, y = self.x.reshape(-1, n), self.y.reshape(-1, n)
-            blocks = [_frame_jets(src, x[k:k + _BLOCK], y[k:k + _BLOCK], order)[0]
-                      for k in range(0, len(x), _BLOCK)]
-            jets = [_join(parts, batch) for parts in zip(*blocks)]
-            self._cache = {}
+        jets, self._cache = _frame_jets(src, self.x, self.y, order)
         self.f, self.g, self.ginv, self.gpoly, self.Gpoly = jets
 
     def __getitem__(self, i):
@@ -439,8 +438,7 @@ def _pair(a, g, b):
     return ((a[..., None, :] @ g) @ b[..., :, None])[..., 0, 0]
 
 
-def flag_curvature(ms: MetricSpec, w: TangentVector, u,
-                   _frame: PointFrame | None = None):
+def flag_curvature(ms: MetricSpec, w: TangentVector, u):
     """K(w,u) = g(R_w(u),u) / (g(w,w) g(u,u) - g(w,u)^2).
 
     ``w`` and ``u`` may carry leading batch axes, (..., n): one frame serves
@@ -454,7 +452,7 @@ def flag_curvature(ms: MetricSpec, w: TangentVector, u,
     if u.shape[-1:] != (ms.dim,):
         raise ValueError(f"u of shape {u.shape} must end in n = {ms.dim}, "
                          f"as w.y of shape {np.shape(w.y)} does")
-    fr = _frame if _frame is not None else PointFrame(ms, w, order=4)
+    fr = PointFrame(ms, w, order=4)
     g = fr.g
     y = fr.y
     # float_power is C pow at every entry, as ** is on a single point's numpy scalar

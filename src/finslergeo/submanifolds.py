@@ -211,8 +211,7 @@ def normal_cone_solve(P: Submanifold, param, ms: MetricSpec, guess) -> NormalVec
 
 
 def sff_connection(P: Submanifold, param, eta, u, v, ms: MetricSpec,
-                   lift: LiftSpec | None = None, _frame: PointFrame | None = None,
-                   _immersion: _Immersion | None = None):
+                   lift: LiftSpec | None = None, _immersion: _Immersion | None = None):
     """h_eta(u, v) = (1/2) g_eta(eta, D^eta_U V + D^eta_V U).
 
     ``u``, ``v`` are parameter-space vectors; extensions are the coordinate
@@ -220,9 +219,8 @@ def sff_connection(P: Submanifold, param, eta, u, v, ms: MetricSpec,
     The lift must satisfy the two metric compatibility conditions, checked
     at eta. With batch axes on ``param`` (..., k), ``eta`` (..., n) and
     ``u``, ``v``, h has shape (...); a float for a single point.
-    ``_frame``, if given, is the order-4 frame at (x, eta), and
-    ``_immersion`` the immersion's data at param (``P._immersion``), both
-    shared by the calls for several lifts.
+    ``_immersion``, if given, is the immersion's data at param
+    (``P._immersion``), shared by the calls for several lifts.
     """
     eta = np.asarray(eta, float)
     u = np.atleast_1d(np.asarray(u, float))
@@ -230,7 +228,7 @@ def sff_connection(P: Submanifold, param, eta, u, v, ms: MetricSpec,
     if lift is None:
         lift = classical_lift("berwald", ms)
     imm = _immersion if _immersion is not None else P._immersion(param)
-    fr = _frame if _frame is not None else PointFrame(ms, TangentVector(imm.x, eta), order=4)
+    fr = PointFrame(ms, TangentVector(imm.x, eta), order=4)
     if max(condition_residuals(lift, fr, ("M1", "M2")).values()) > 1e-6:
         # the first point beyond the bound, for the message
         batch = fr.y.shape[:-1]
@@ -254,10 +252,10 @@ def sff_connection(P: Submanifold, param, eta, u, v, ms: MetricSpec,
 # -- symplectic structure ---------------------------------------------------------
 
 
-def omega_F(ms: MetricSpec, w: TangentVector, X1, X2, _frame: PointFrame | None = None):
-    """The symplectic pairing of two raw tangent vectors (..., 2n) of TM\\0 at w
-    (``_frame``: order >= 3); a float for a single point."""
-    fr = _frame if _frame is not None else PointFrame(ms, w, order=3)
+def omega_F(ms: MetricSpec, w: TangentVector, X1, X2):
+    """The symplectic pairing of two raw tangent vectors (..., 2n) of TM\\0 at w,
+    read off the order-4 frame at w; a float for a single point."""
+    fr = PointFrame(ms, w, order=4)
     a1, b1 = adapted_split(fr, X1)
     a2, b2 = adapted_split(fr, X2)
     om = _pair(a1, fr.g, b2) - _pair(b1, fr.g, a2)
@@ -350,7 +348,7 @@ def normal_bundle_tangent_basis(P: Submanifold, nv: NormalVector, ms: MetricSpec
 
 
 def sff_symplectic(P: Submanifold, nv: NormalVector, u, v, ms: MetricSpec,
-                   _basis: np.ndarray | None = None, _frame: PointFrame | None = None):
+                   _basis: np.ndarray | None = None):
     """b_eta(u, v) read off the Lagrangean tangent space of the normal bundle.
 
     The along-submanifold rows of the basis have base parts dphi_a, so the
@@ -359,16 +357,16 @@ def sff_symplectic(P: Submanifold, nv: NormalVector, u, v, ms: MetricSpec,
     graph, b_eta(u, v) = -g_eta(v_full, dphi(v)). The radial (cone)
     direction has zero base projection and stays out. Batched as
     ``sff_connection``. ``_basis``, if given, is
-    ``normal_bundle_tangent_basis(P, nv, ms)``, and ``_frame`` a frame of
-    order 3 or more at (x, eta), both shared with other reads.
+    ``normal_bundle_tangent_basis(P, nv, ms)``, shared with other reads.
     """
     u = np.atleast_1d(np.asarray(u, float))
     v = np.atleast_1d(np.asarray(v, float))
     n, k = P.dim, P.param_dim
     rows = normal_bundle_tangent_basis(P, nv, ms) if _basis is None else _basis
     # vertical part in the split representation: fiber component of the
-    # vertical projection, not the raw dy block
-    fr = _frame if _frame is not None else PointFrame(ms, TangentVector(nv.x, nv.eta), 3)
+    # vertical projection, not the raw dy block; the order-4 frame at the
+    # normal is the one the basis and sff_connection read
+    fr = PointFrame(ms, TangentVector(nv.x, nv.eta), order=4)
     along = np.swapaxes(rows[..., :k, :], -1, -2)   # (..., 2n, k)
     _, v_full = adapted_split(fr, _matvec(along, u))
     b = _pair(-v_full, fr.g, _matvec(along[..., :n, :], v))

@@ -785,7 +785,8 @@ def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
     curve = Curve(t, values[:, :n], values[:, n:2 * n])
     vectors = values[:, 2 * n:]
 
-    # one order-4 frame over the nodes; its end frames serve the boundary terms
+    # one order-4 frame over the nodes, read again by covariant_derivative_curve;
+    # its g at the ends serves the normality checks
     frames = PointFrame(ms, TangentVector(curve.points, curve.velocities), order=4)
     boundary = 0.0
     for which, endpoint, sign in (("start", P1, -1.0), ("end", P2, +1.0)):
@@ -801,8 +802,7 @@ def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
         basis = imm.basis
         if np.max(np.abs(imm.x - curve.points[idx])) > 1e-8:
             raise NormalityViolation(f"{which} submanifold does not pass through the endpoint")
-        fr = frames[idx]
-        normality = np.max(np.abs(basis.T @ (fr.g @ vel)))
+        normality = np.max(np.abs(basis.T @ (frames.g[idx] @ vel)))
         if normality > 1e-6:
             raise NormalityViolation(
                 f"geodesic is not normal to the {which} submanifold (residual {normality:.2e})")
@@ -810,11 +810,10 @@ def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
         if np.max(np.abs(basis @ coeffs - vend)) > 1e-6:
             raise NormalityViolation(f"variation field is not tangent at the {which} submanifold")
         boundary += sign * sff_connection(sub, param, vel, coeffs, coeffs, ms, lift=lift,
-                                          _frame=fr, _immersion=imm)
+                                          _immersion=imm)
 
     W = FieldAlongCurve(grid=t, vectors=curve.velocities)
-    DV = covariant_derivative_curve(lift, ms, curve, W, FieldAlongCurve(t, vectors),
-                                    _frames=frames).vectors
+    DV = covariant_derivative_curve(lift, ms, curve, W, FieldAlongCurve(t, vectors)).vectors
     RV = np.einsum("...ij,...j->...i", frames.R, vectors)
     vals = (np.einsum("...i,...ij,...j->...", DV, frames.g, DV)
             - np.einsum("...i,...ij,...j->...", RV, frames.g, vectors))
@@ -872,7 +871,6 @@ def variation_symmetry_residual(ms: MetricSpec, fam: VariationFamily) -> float:
     t, points = _family_jets(ms, fam, 1)
     pts, U = points.c[..., 0], points.c[..., 1]
     T = _derivative(t, pts)
-    fr = PointFrame(ms, TangentVector(pts, T), order=4)
-    A = affine_coefficients(classical_lift("berwald", ms), ms, fr.w, _frame=fr).A
+    A = affine_coefficients(classical_lift("berwald", ms), ms, TangentVector(pts, T)).A
     return float(np.max(np.abs(np.einsum("...ijk,...j,...k->...i", A, U, T)
                                - np.einsum("...ijk,...j,...k->...i", A, T, U))))

@@ -174,15 +174,14 @@ def sff_compare_reference(ms, p):
         v = np.array([rng.uniform(-1.0, 1.0)])
         wtv = TangentVector(nv.x, nv.eta)
         fr = PointFrame(ms, wtv, order=4)
-        vals = [subm.sff_connection(sub, param, nv.eta, u, v, ms, lift=lf, _frame=fr)
-                for lf in lifts]
+        vals = [subm.sff_connection(sub, param, nv.eta, u, v, ms, lift=lf) for lf in lifts]
         hc = vals[0]
         rows = subm.normal_bundle_tangent_basis(sub, nv, ms)
-        agree = abs(hc - subm.sff_symplectic(sub, nv, u, v, ms, _basis=rows, _frame=fr))
-        lag = max((abs(subm.omega_F(ms, wtv, rows[a], rows[b], _frame=fr))
+        agree = abs(hc - subm.sff_symplectic(sub, nv, u, v, ms, _basis=rows))
+        lag = max((abs(subm.omega_F(ms, wtv, rows[a], rows[b]))
                    for a in range(ms.dim) for b in range(a + 1, ms.dim)), default=0.0)
         spread = max(vals) - min(vals)
-        A = affine_coefficients(lifts[1], ms, wtv, _frame=fr).A
+        A = affine_coefficients(lifts[1], ms, wtv).A
         unsym = float(nv.eta @ fr.g @ (np.einsum("iab,a,b->i", sub.hessian(param), u, v)
                                         + np.einsum("ijk,j,k->i", A, basis @ u, basis @ v)))
         worst = np.maximum(worst, [agree, lag, spread, abs(unsym - hc)])

@@ -20,6 +20,7 @@ from finslergeo.variational import (Curve, FieldAlongCurve, VariationFamily, _Ch
 
 from oracles import (basis_triple_random_lift, christoffel, entrywise_random_lift,
                      riemann_jacobi_operator)
+from test_spray import _counting_lifts
 
 THEOREM_SETS = {
     "berwald": ("T3", "M5"),
@@ -423,16 +424,22 @@ def test_batched_lift_curvature_is_bitwise_per_point(name, request):
                 assert np.array_equal(got.reshape(6, n)[k], ref), (lift.name, k, noise is None)
 
 
-def test_lift_curvature_shares_an_order_5_frame(randers_var):
+def test_lift_curvature_shares_an_order_5_frame(randers_var, monkeypatch):
     rng = SplitMix64(31)
     ws = [random_tangent(randers_var, rng) for _ in range(3)]
     w, u = TangentVector.stack(ws), np.array([rng.direction(2) for _ in ws])
-    lift = random_admissible_lift(randers_var, 5, enforce_t1=True)
-    fr5 = PointFrame(randers_var, w, order=5)
-    assert np.array_equal(lift_curvature(lift, randers_var, w, u, _frame=fr5),
-                          lift_curvature(lift, randers_var, w, u))
-    with pytest.raises(ValueError, match="order-5"):
-        lift_curvature(lift, randers_var, w, u, _frame=PointFrame(randers_var, w, order=4))
+    kinds = _classical_lifts(randers_var) + [random_admissible_lift(randers_var, 5,
+                                                                    enforce_t1=True)]
+    cold = []
+    for lift in kinds:
+        spray._memo.clear()
+        cold.append(lift_curvature(lift, randers_var, w, u))
+    spray._memo.clear()
+    lifts = _counting_lifts(monkeypatch)
+    for lift, alone in zip(kinds, cold):
+        assert np.array_equal(lift_curvature(lift, randers_var, w, u), alone), lift.name
+    # several lifts at the same points lift F^2 once, at order 5
+    assert lifts == [5]
 
 
 def test_empty_batches(funk):
@@ -467,7 +474,7 @@ def test_affine_family_coincidences(randers_var, funk):
         for _ in range(10):
             w = random_tangent(ms, rng)
             fr = PointFrame(ms, w, order=4)
-            A = {k: affine_coefficients(lf, ms, w, _frame=fr).A for k, lf in lifts.items()}
+            A = {k: affine_coefficients(lf, ms, w).A for k, lf in lifts.items()}
             assert np.max(np.abs(A["berwald"] - A["hashiguchi"])) < 1e-12
             assert np.max(np.abs(A["cartan"] - A["chern-rund"])) < 1e-12
             gap = max(gap, float(np.max(np.abs(A["cartan"] - A["berwald"]))))
@@ -515,7 +522,7 @@ def test_levi_civita_oracle(n):
     fr = PointFrame(ms, TangentVector(X, Y), order=4)
     assert np.max(np.abs(fr.R - R)) < 1e-13
     for k in THEOREM_SETS:
-        A = affine_coefficients(classical_lift(k, ms), ms, fr.w, _frame=fr).A
+        A = affine_coefficients(classical_lift(k, ms), ms, fr.w).A
         assert np.max(np.abs(A - gam)) < 1e-13
     # a point of the batch is that point's own oracle
     single = ident.levi_civita(ms, X[4], Y[4])
@@ -727,14 +734,7 @@ def test_batched_identity_residuals_are_the_sup_over_points(name, request):
 
 
 def test_identity_residuals_build_one_frame_per_call(randers_var, monkeypatch):
-    built = []
-    init = PointFrame.__init__
-
-    def counted(self, src, w, order=4):
-        built.append(order)
-        init(self, src, w, order)
-
-    monkeypatch.setattr(PointFrame, "__init__", counted)
+    built = _counting_lifts(monkeypatch)
     rng = SplitMix64(47)
     w = TangentVector.stack([random_tangent(randers_var, rng) for _ in range(3)])
     calls = {key: (lambda fn=fn: fn(w, SplitMix64(1)))
@@ -745,6 +745,7 @@ def test_identity_residuals_build_one_frame_per_call(randers_var, monkeypatch):
     calls["lift_curvature"] = lambda: lift_curvature(
         random_admissible_lift(randers_var, 3), randers_var, w, w.y)
     for key, call in calls.items():
+        spray._memo.clear()
         built.clear()
         call()
         assert len(built) == 1, key

@@ -534,7 +534,7 @@ def test_frames_at_one_point_share_one_lift(randers_var, monkeypatch):
     flag_curvature(randers_var, w, u)
     PointFrame(randers_var, w)
     assert lifts == [4]
-    # a frame over more than one block is memoized per block
+    # a frame over more than one block is built block by block and memoized whole
     X, Y = _batch(randers_var, 2 * spray._BLOCK + 5, 9)
     for _ in range(2):
         PointFrame(randers_var, TangentVector(X, Y))
@@ -615,11 +615,32 @@ def test_frames_at_a_point_share_their_derived_tensors(randers_var):
     for name in names:
         assert getattr(fresh, name) is not built[name], name
         assert getattr(fresh, name).tobytes() == built[name].tobytes(), name
-    # a frame of another order or a batch joined from blocks has a cache of its own
+    # a frame of another order has a cache of its own; a batch joined from blocks shares its own
     assert PointFrame(randers_var, w, order=5).N is not fresh.N
     X, Y = _batch(randers_var, spray._BLOCK + 1, 15)
     joined = PointFrame(randers_var, TangentVector(X, Y))
-    assert joined.N is not PointFrame(randers_var, TangentVector(X, Y)).N
+    assert joined.N is PointFrame(randers_var, TangentVector(X, Y)).N
+
+
+def test_calls_at_a_blocked_batch_read_its_frame(randers_var, monkeypatch):
+    X, Y = _batch(randers_var, 2 * spray._BLOCK + 5, 19)
+    w = TangentVector(X, Y)
+    u = np.stack([-Y[:, 1], Y[:, 0]], axis=-1)
+    fr = PointFrame(randers_var, w)
+    lifts = _counting_lifts(monkeypatch)
+    missed = []
+    get = PointFrame._get
+    monkeypatch.setattr(PointFrame, "_get", lambda frame, key, builder: get(
+        frame, key, lambda: missed.append(key) or builder()))
+    flag_curvature(randers_var, w, u)
+    for kind in ("berwald", "cartan", "chern-rund", "hashiguchi"):
+        affine_coefficients(classical_lift(kind, randers_var), randers_var, w)
+    assert lifts == []
+    # the calls built B, C' and R into the frame's cache: reading them builds nothing
+    missed.clear()
+    for name in ("B", "Cp_low", "R"):
+        assert not getattr(fr, name).flags.writeable, name
+    assert missed == []
 
 
 def test_derived_tensors_are_read_only(randers_var):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from finslergeo import metrics
+from finslergeo import metrics, spray
 from finslergeo.errors import InvalidLift, NoConvergence, SingularBasis
 from finslergeo.jets import lift_any, smath
 from finslergeo.lifts import LiftSpec, classical_lift, random_admissible_lift
@@ -15,6 +15,7 @@ from finslergeo.submanifolds import (Submanifold, _null_space, affine_subspace, 
                                      sff_symplectic, sphere2)
 
 from oracles import normal_rows_by_resolve, normality_residual
+from test_spray import _counting_lifts
 
 
 def inward_circle_guess(theta):
@@ -109,20 +110,24 @@ def test_sff_lift_independence(randers_var):
     assert max(vals) - min(vals) < 1e-8
 
 
-def test_sff_connection_on_a_given_frame(randers_var):
-    from finslergeo.spray import PointFrame
-
+def test_sff_connection_on_a_given_frame(randers_var, monkeypatch):
     circ = circle([0, 0], 1.0)
     nv = normal_cone_solve(circ, [0.3], randers_var, guess=inward_circle_guess(0.3))
-    fr = PointFrame(randers_var, TangentVector(nv.x, nv.eta), order=4)
-    for lift in (None, classical_lift("cartan", randers_var),
-                 random_admissible_lift(randers_var, 23, enforce_m1m2=True)):
-        assert (sff_connection(circ, [0.3], nv.eta, [0.7], [-0.4], randers_var, lift=lift,
-                               _frame=fr)
-                == sff_connection(circ, [0.3], nv.eta, [0.7], [-0.4], randers_var, lift=lift))
+    kinds = (None, classical_lift("cartan", randers_var),
+             random_admissible_lift(randers_var, 23, enforce_m1m2=True))
+    alone = []
+    for lift in kinds:
+        spray._memo.clear()
+        alone.append(sff_connection(circ, [0.3], nv.eta, [0.7], [-0.4], randers_var, lift=lift))
+    # every lift reads the order-4 frame already built at the normal
+    PointFrame(randers_var, TangentVector(nv.x, nv.eta), order=4)
+    lifts = _counting_lifts(monkeypatch)
+    for lift, value in zip(kinds, alone):
+        assert sff_connection(circ, [0.3], nv.eta, [0.7], [-0.4], randers_var, lift=lift) == value
     with pytest.raises(InvalidLift):
         sff_connection(circ, [0.3], nv.eta, [0.7], [-0.4], randers_var,
-                       lift=random_admissible_lift(randers_var, 29), _frame=fr)
+                       lift=random_admissible_lift(randers_var, 29))
+    assert lifts == []
 
 
 def test_sff_rejects_incompatible_lift(randers_var):
@@ -257,22 +262,20 @@ def test_graph_curve_vertex_curvature(euclid2):
 
 
 @pytest.mark.parametrize("name", ["euclid2", "randers_var"])
-def test_sff_symplectic_with_a_shared_basis_is_the_same_number(name, request):
+def test_sff_symplectic_with_a_shared_basis_is_the_same_number(name, request, monkeypatch):
     ms = request.getfixturevalue(name)
+    lifts = _counting_lifts(monkeypatch)
     for sub, param, guess in ((circle([0, 0], 1.0), [0.9], inward_circle_guess(0.9)),
                               (affine_subspace([0.1, -0.2], [[0.8, 0.6]]), [0.3], [-0.6, 0.8])):
         nv = normal_cone_solve(sub, param, ms, guess=guess)
         rows = normal_bundle_tangent_basis(sub, nv, ms)
-        # the order-4 frame sff-compare holds at the normal: N and g to rounding
-        w = TangentVector(nv.x, nv.eta)
-        fr = PointFrame(ms, w, order=4)
+        # the symplectic reads take the order-4 frame the basis built at the normal
+        built = len(lifts)
         for u, v in (([1.0], [1.0]), ([0.4], [-0.7])):
             alone = sff_symplectic(sub, nv, u, v, ms)
             assert sff_symplectic(sub, nv, u, v, ms, _basis=rows) == alone
-            shared = sff_symplectic(sub, nv, u, v, ms, _basis=rows, _frame=fr)
-            assert abs(shared - alone) <= 1e-14 * max(1.0, abs(alone))
-        pairing = omega_F(ms, w, rows[0], rows[1])
-        assert abs(omega_F(ms, w, rows[0], rows[1], _frame=fr) - pairing) <= 1e-14
+        omega_F(ms, TangentVector(nv.x, nv.eta), rows[0], rows[1])
+        assert len(lifts) == built
 
 
 def _linearized_normality(P, nv, ms, rows):
