@@ -13,17 +13,26 @@ last leading axis; ``contract`` sums jet products over leading indices and
 the retained coefficients, so derivatives read from a jet are exact
 derivatives of the evaluated expression.
 
-Each jet also carries a structural degree bound ``deg``: every coefficient
-of a multi-index above it is exactly zero. Coordinates have degree 1 and
-constants 0; + and - take the larger bound, a product the sum (capped at
-the order), ``grad()`` one less, and indexing and a product or quotient
-with a non-jet keep it (``truncate`` caps it at the new order). A jet
-product multiplies only the pairs (a, b) with |a| <= deg and |b| <= deg
-of its factors: a subsequence of the full pair table in its order, whose
-skipped products are exact zeros, so every sum is the full table's bit for
-bit (for finite coefficients). ``contract`` keeps the full table. A jet
-built from raw coefficients without a bound gets the order, which prunes
-nothing.
+Each jet also carries two structural bounds. Its degree bound ``deg``:
+every coefficient of a multi-index above it is exactly zero. Coordinates
+have degree 1 and constants 0; + and - take the larger bound, a product the
+sum (capped at the order), ``grad()`` one less, and indexing and a product
+or quotient with a non-jet keep it (``truncate`` caps it at the new order).
+Its variable support ``support``, a bit mask: every coefficient of a
+multi-index that involves a variable outside the mask is exactly zero.
+Coordinate v has bit v alone and a constant none; +, - and a product take
+the union of their operands' masks, as does the stack of a rule's results
+in ``lift_any``, and scalar arithmetic, the series functions, ``grad()``,
+``truncate`` and indexing keep it, so that a factor such as a conformal
+factor of x alone or |y| keeps to its own variables.
+
+A jet product multiplies only the pairs (a, b) with a within the degree
+bound and support of its first factor and b within those of its second: a
+subsequence of the full pair table in its order, whose skipped products
+are exact zeros, so every sum is the full table's bit for bit (for finite
+coefficients). ``contract`` keeps the full table and returns the union of
+the supports. A jet built from raw coefficients without bounds gets the
+order and every variable, which prunes nothing.
 
 Coefficients are always float64. A rule written once against ``smath``
 serves both plain float evaluation and jet evaluation.
@@ -101,8 +110,12 @@ class JetSpace:
         self._mul_ia, self._mul_ib = ia, ib
         self._mul_ic = np.searchsorted(keys, keys[ia] + keys[ib])
         self._deg = deg
-        # the pairs (ia, ib, ic) and the product's degree bound by those of its factors
-        self._pairs = {(order, order): (ia, ib, self._mul_ic, order)}
+        # a support has bit v for variable v
+        self.all_vars = (1 << nvars) - 1
+        # the pairs (ia, ib, ic) and the product's degree bound by the degree
+        # bounds and supports of its factors
+        self._pairs = {(order, order, self.all_vars, self.all_vars):
+                       (ia, ib, self._mul_ic, order)}
 
         # gradient index map: coeff of d f/dz_v at beta is
         # (beta_v + 1) * coeff of f at beta + e_v, one row per variable v
@@ -129,15 +142,26 @@ class JetSpace:
             self._gathers[k] = (idx, weight)
         return self._gathers[k]
 
-    def _pruned(self, da: int, db: int) -> tuple:
-        """The pairs (ia, ib, ic) with |a| <= da and |b| <= db, in the full
-        table's order, and the product's degree bound; built once per degree pair."""
-        pairs = self._pairs.get((da, db))
+    def _degrees(self, support: int) -> np.ndarray:
+        """Per alpha: |alpha|, or more than the order where alpha involves a
+        variable outside ``support``."""
+        outside = [v for v in range(self.nvars) if not support >> v & 1]
+        return self._deg + (self.order + 1) * self._multi[:, outside].sum(axis=1)
+
+    def _pruned(self, da: int, db: int, sa: int, sb: int) -> tuple:
+        """The pairs (ia, ib, ic) with a within degree da and support sa and b
+        within db and sb, in the full table's order, and the product's degree
+        bound; built once per (da, db, sa, sb)."""
+        key = (da, db, sa, sb)
+        pairs = self._pairs.get(key)
         if pairs is None:
-            ia, ib, ic, _ = self._pairs[(self.order, self.order)]
-            keep = np.flatnonzero((self._deg[ia] <= da) & (self._deg[ib] <= db))
-            pairs = self._pairs[(da, db)] = (ia[keep], ib[keep], ic[keep],
-                                             min(da + db, self.order))
+            ia, ib = self._mul_ia, self._mul_ib
+            # integer degrees gathered over the pairs, as for the degree bound
+            # alone: boolean masks gathered instead raised the lift-curvature
+            # benchmark's peak memory by 0.4 MB
+            keep = np.flatnonzero((self._degrees(sa)[ia] <= da) & (self._degrees(sb)[ib] <= db))
+            pairs = self._pairs[key] = (ia[keep], ib[keep], self._mul_ic[keep],
+                                        min(da + db, self.order))
         return pairs
 
     def _scatter(self, prod: np.ndarray, ic: np.ndarray) -> np.ndarray:
@@ -151,7 +175,7 @@ class JetSpace:
         idx = self._scatters.get(m) if ic is self._mul_ic else None
         if idx is None:
             idx = (ic + np.arange(0, m * self.size, self.size)[:, None]).ravel()
-            # kept for the full table only: one index per (degree pair, batch
+            # kept for the full table only: one index per (pruned table, batch
             # size) would cost more memory than its build costs time
             if ic is self._mul_ic:
                 self._scatters[m] = idx
@@ -161,7 +185,7 @@ class JetSpace:
     def constant(self, value) -> "Jet":
         c = np.zeros(self.size)
         c[0] = float(value)
-        return Jet(self, c, 0)
+        return Jet(self, c, 0, 0)
 
     def coordinates(self, center) -> "Jet":
         """The jet of the coordinate functions about ``center``.
@@ -263,18 +287,21 @@ class Jet:
     operand of arithmetic is a float or an array, which broadcasts against the
     leading axes like numpy: a sum, difference or product has the joint shape.
 
-    ``deg`` is the structural degree bound (see the module docstring); it
-    defaults to the order, which is always sound.
+    ``deg`` is the structural degree bound and ``support`` the variable
+    support (see the module docstring); they default to the order and to
+    every variable, which is always sound.
     """
 
-    __slots__ = ("space", "c", "deg")
+    __slots__ = ("space", "c", "deg", "support")
     # numpy operands defer to the jet's reflected operators
     __array_ufunc__ = None
 
-    def __init__(self, space: JetSpace, coeffs: np.ndarray, _deg: int | None = None):
+    def __init__(self, space: JetSpace, coeffs: np.ndarray, _deg: int | None = None,
+                 _support: int | None = None):
         self.space = space
         self.c = coeffs
         self.deg = space.order if _deg is None else _deg
+        self.support = space.all_vars if _support is None else _support
 
     @property
     def value(self):
@@ -298,7 +325,7 @@ class Jet:
         if self.c.ndim == 1:
             raise TypeError("a scalar jet has no leading axes to index")
         key = key if isinstance(key, tuple) else (key,)
-        return Jet(self.space, self.c[key + (slice(None),)], self.deg)
+        return Jet(self.space, self.c[key + (slice(None),)], self.deg, self.support)
 
     def _ring(self, other) -> bool:
         """True for a jet of this space, False for a scalar.
@@ -314,18 +341,20 @@ class Jet:
 
     def __add__(self, other):
         if self._ring(other):
-            return Jet(self.space, self.c + other.c, max(self.deg, other.deg))
-        return Jet(self.space, _shift(self.c, other), self.deg)
+            return Jet(self.space, self.c + other.c, max(self.deg, other.deg),
+                       self.support | other.support)
+        return Jet(self.space, _shift(self.c, other), self.deg, self.support)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.space, -self.c, self.deg)
+        return Jet(self.space, -self.c, self.deg, self.support)
 
     def __sub__(self, other):
         if self._ring(other):
-            return Jet(self.space, self.c - other.c, max(self.deg, other.deg))
-        return Jet(self.space, _shift(self.c, -other), self.deg)
+            return Jet(self.space, self.c - other.c, max(self.deg, other.deg),
+                       self.support | other.support)
+        return Jet(self.space, _shift(self.c, -other), self.deg, self.support)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -333,17 +362,18 @@ class Jet:
     def __mul__(self, other):
         sp = self.space
         if self._ring(other):
-            da, db = self.deg, other.deg
+            key = (self.deg, other.deg, self.support, other.support)
             # the lookup inline: a method call would cost small products a few percent
-            ia, ib, ic, deg = sp._pairs.get((da, db)) or sp._pruned(da, db)
+            ia, ib, ic, deg = sp._pairs.get(key) or sp._pruned(*key)
+            support = self.support | other.support
             if self.c.ndim == 1 and other.c.ndim == 1:
                 prod = self.c[ia] * other.c[ib]
-                return Jet(sp, np.bincount(ic, weights=prod, minlength=sp.size), deg)
+                return Jet(sp, np.bincount(ic, weights=prod, minlength=sp.size), deg, support)
             prod = self.c.take(ia, axis=-1) * other.c.take(ib, axis=-1)
-            return Jet(sp, sp._scatter(prod, ic), deg)
+            return Jet(sp, sp._scatter(prod, ic), deg, support)
         if isinstance(other, np.ndarray):
             other = other[..., None]
-        return Jet(sp, self.c * other, self.deg)
+        return Jet(sp, self.c * other, self.deg, self.support)
 
     __rmul__ = __mul__
 
@@ -364,7 +394,7 @@ class Jet:
             return self * other._inverse()
         if isinstance(other, np.ndarray):
             other = other[..., None]
-        return Jet(self.space, self.c / other, self.deg)
+        return Jet(self.space, self.c / other, self.deg, self.support)
 
     def __rtruediv__(self, other):
         return self._inverse() * other
@@ -445,7 +475,7 @@ class Jet:
             raise IndexError("cannot differentiate an order-0 jet")
         lower = space_for(sp.nvars, sp.order - 1)
         return Jet(lower, self.c.take(sp._grad_src, axis=-1) * sp._grad_fac,
-                   max(self.deg - 1, 0))
+                   max(self.deg - 1, 0), self.support)
 
     def partial(self, alpha):
         """Raw partial derivative d^alpha f at the center."""
@@ -476,7 +506,7 @@ class Jet:
         if order == self.space.order:
             return self
         lower = space_for(self.space.nvars, order)
-        return Jet(lower, self.c[..., : lower.size].copy(), min(self.deg, order))
+        return Jet(lower, self.c[..., : lower.size].copy(), min(self.deg, order), self.support)
 
 
 def _sin_cos(x, s0, c0, k, want_sin):
@@ -527,7 +557,7 @@ def lift_any(f, center, order: int) -> Jet:
     """
     space = space_for(np.shape(center)[-1], order)
     coords = space.coordinates(center)
-    out = f([Jet(space, row, coords.deg) for row in coords.c])
+    out = f([Jet(space, row, coords.deg, 1 << v) for v, row in enumerate(coords.c)])
     return _stack(out, space, np.shape(center)[:-1])
 
 
@@ -552,14 +582,18 @@ def _stack(out, space: JetSpace, batch: tuple) -> Jet:
             return (len(item),) + shapes.pop()
         # a constant carries the batch axes too
         leaves.append(Jet(space, np.broadcast_to(space.constant(float(item)).c,
-                                                 batch + (space.size,)), 0))
+                                                 batch + (space.size,)), 0, 0))
         return ()
 
     shape = nesting(out)
     if isinstance(out, Jet):
         return out
     c = np.stack(np.broadcast_arrays(*(leaf.c for leaf in leaves)))
-    return Jet(space, c.reshape(shape + c.shape[1:]), max(leaf.deg for leaf in leaves))
+    support = 0
+    for leaf in leaves:
+        support |= leaf.support
+    return Jet(space, c.reshape(shape + c.shape[1:]), max(leaf.deg for leaf in leaves),
+               support)
 
 
 def contract(spec: str, a: Jet, b: Jet) -> Jet:
@@ -577,7 +611,8 @@ def contract(spec: str, a: Jet, b: Jet) -> Jet:
     # than a pruned table's scatter index costs to build
     prod = np.einsum(f"{sa}Z,{sb}Z->{out}Z", a.c.take(sp._mul_ia, axis=-1),
                      b.c.take(sp._mul_ib, axis=-1))
-    return Jet(sp, sp._scatter(prod, sp._mul_ic), min(a.deg + b.deg, sp.order))
+    return Jet(sp, sp._scatter(prod, sp._mul_ic), min(a.deg + b.deg, sp.order),
+               a.support | b.support)
 
 
 def solve_linear(a: Jet, b: Jet, a0inv) -> Jet:

@@ -293,7 +293,7 @@ def test_smath_on_float_arrays_is_entrywise():
         smath.log(np.array([0.0, 1.0]))
 
 
-# -- degree bounds and pruned products ---------------------------------------------
+# -- degree bounds, variable supports and pruned products ------------------------------
 
 
 def _jet_of_degree(sp, deg, shape, rs):
@@ -303,9 +303,28 @@ def _jet_of_degree(sp, deg, shape, rs):
     return Jet(sp, c, deg)
 
 
+def _variables(sp) -> np.ndarray:
+    """Each alpha's variables as a bit mask, bit v for variable v."""
+    return np.array([sum(1 << v for v, a in enumerate(alpha) if a) for alpha in sp.alphas])
+
+
+def _jet_within(sp, deg, support, shape, rs, degrees, variables):
+    """A jet with random coefficients on the alphas of degree <= ``deg`` in
+    the variables of ``support``, and zeros elsewhere; ``degrees`` and
+    ``variables`` are each alpha's |alpha| and variables."""
+    c = rs.uniform(-2, 2, shape + (sp.size,))
+    c[..., (degrees > deg) | (variables & ~support != 0)] = 0.0
+    return Jet(sp, c, deg, support)
+
+
 def _above_deg_is_zero(j) -> bool:
     """Every coefficient of a multi-index above ``j.deg`` is exactly 0.0."""
     return not np.any(j.c[..., space_for(j.space.nvars, j.deg).size:])
+
+
+def _outside_support_is_zero(j) -> bool:
+    """Every coefficient of a multi-index with a variable outside ``j.support`` is exactly 0.0."""
+    return not np.any(j.c[..., _variables(j.space) & ~j.support != 0])
 
 
 @pytest.mark.parametrize("nvars,order", itertools.product(range(1, 7), range(7)))
@@ -325,6 +344,34 @@ def test_pruned_product_equals_full_table_bitwise(nvars, order):
                 assert got.c.tobytes() == want.c.tobytes(), (da, db, shape, value)
 
 
+@pytest.mark.parametrize("nvars,order", itertools.product(range(1, 7), range(7)))
+def test_support_pruned_product_equals_full_table_bitwise(nvars, order):
+    # a private space: the pruned tables of the many support pairs go with the test
+    sp = JetSpace(nvars, order)
+    rs = np.random.default_rng(100 * nvars + order)
+    supports = list(itertools.product(range(1 << nvars), repeat=2))
+    if nvars == 6:
+        # a sample of the 4,096 pairs, with no support, one variable and every variable
+        picked = rs.choice(len(supports), 200, replace=False)
+        supports = [supports[k] for k in picked] + [(0, 63), (63, 0), (1, 32), (7, 56), (63, 63)]
+    degrees = list(itertools.product(range(order + 1), repeat=2))
+    tables = (np.array([sum(alpha) for alpha in sp.alphas]), _variables(sp))
+    # every support pair and every degree pair, each at least once
+    for k in range(max(len(supports), len(degrees))):
+        (sa, sb), (da, db) = supports[k % len(supports)], degrees[k % len(degrees)]
+        for shape in ((), (3,)):
+            a = _jet_within(sp, da, sa, shape, rs, *tables)
+            b = _jet_within(sp, db, sb, shape, rs, *tables)
+            for value in (None, -0.0):
+                if value is not None:
+                    a.c[..., 0] = value
+                got = a * b
+                # a jet without bounds is multiplied over the whole pair table
+                want = Jet(sp, a.c) * Jet(sp, b.c)
+                assert got.support == sa | sb and got.deg == min(da + db, order)
+                assert got.c.tobytes() == want.c.tobytes(), (sa, sb, da, db, shape, value)
+
+
 def test_degree_bound_is_never_below_the_truth():
     seen = []
 
@@ -334,31 +381,50 @@ def test_degree_bound_is_never_below_the_truth():
 
     def rule(v):
         x, y, z = (record(c) for c in v)
-        p = record(x * y + 2.0)
-        q = record(p * p - z)
+        p = record(x * y + 2.0)                   # two variables
+        q = record(p * p - z)                     # mixed: all three
         r = record(3.0 * q / 4.0 - p * np.float64(0.5))
+        u = record(x * x * 0.5 + 1.0)             # one variable
+        w = record(2.0 - z * z)                   # one variable
+        m = record(u * w + 0.25 * y)              # mixed: one-variable terms of each
         series = [smath.sqrt(1.0 + x * x), smath.exp(y) / (2.0 + z), smath.log(3.0 + q),
-                  smath.sin(x) * smath.cos(z), q ** 2, 1.0 / p, (-r) ** 3]
-        return [p, q, r] + [record(s) for s in series] + [1.5]
+                  smath.sin(x) * smath.cos(z), q ** 2, 1.0 / p, (-r) ** 3,
+                  smath.sqrt(u), smath.exp(w), smath.log(u), smath.sin(w), smath.cos(u),
+                  u ** 3, 1.0 / u, w ** -2, u / w, m ** 2, 1.0 / m]
+        return [p, q, r, u, w, m] + [record(s) for s in series] + [1.5]
 
     centers = np.array([[0.4, -0.3, 0.1], [0.0, 0.7, -0.5]])
     for order in range(6):
         seen.clear()
         jet = lift_any(rule, centers, order)
-        x, q = seen[0], seen[4]
+        x, q, (u, w, m) = seen[0], seen[4], seen[6:9]
         # coordinates 1, x y + 2 two, (x y + 2)^2 - z four, capped at the order
         assert [j.deg for j in seen[:6]] == [min(d, order) for d in (1, 1, 1, 2, 4, 4)]
-        assert jet.deg == order
-        stacked = lift_any(lambda v: [v[0] * v[1], 2.0], centers, order)
-        assert stacked.deg == min(2, order)
-        squares = contract("ib,ib->b", stacked, stacked)
-        assert squares.deg == min(4, order)
-        derived = [jet, jet[3], jet[:2, 1], jet.truncate(order // 2), stacked,
-                   stacked.truncate(min(1, order)), squares]
+        assert [j.support for j in seen[:9]] == [1, 2, 4, 3, 7, 7, 1, 4, 7]
         if order >= 1:
-            derived += [q.grad(), q.grad()[..., 2], x.grad()]
+            # an order-0 series is its constant term alone, which has no support
+            assert [j.support for j in seen[9:]] == [1, 6, 7, 5, 7, 3, 7, 1, 4, 1, 4, 1,
+                                                     1, 1, 4, 5, 7, 7]
+        assert jet.deg == order and jet.support == 7
+        stacked = lift_any(lambda v: [v[0] * v[1], 2.0], centers, order)
+        assert stacked.deg == min(2, order) and stacked.support == 3
+        squares = contract("ib,ib->b", stacked, stacked)
+        assert squares.deg == min(4, order) and squares.support == 3
+        # a float leaf is a constant: it adds no variable to a stack
+        in_z = lift_any(lambda v: [v[2] * v[2] + 1.0, 2.0], centers, order)
+        mixed = contract("ib,ib->b", stacked, in_z)
+        assert in_z.support == 4 and mixed.support == 7
+        derived = [jet, jet[3], jet[:2, 1], jet[6:8], jet.truncate(order // 2), stacked,
+                   stacked.truncate(min(1, order)), squares, in_z, in_z[1], mixed,
+                   u.truncate(order // 2), contract("b,b->b", u, w)]
+        if order >= 1:
+            derived += [q.grad(), q.grad()[..., 2], x.grad(), u.grad(), u.grad()[..., 0],
+                        w.grad()[..., 1], m.grad()]
             assert q.grad().deg == min(4, order) - 1 and x.grad().deg == 0
+            assert u.grad().support == 1 and m.grad().support == 7
         if order >= 2:
-            derived += [q.grad().grad(), stacked.grad().grad()]
+            derived += [q.grad().grad(), stacked.grad().grad(), u.grad().grad(),
+                        in_z.grad().grad()]
         for j in seen + derived:
             assert _above_deg_is_zero(j)
+            assert _outside_support_is_zero(j)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finslergeo import metrics, spray
-from finslergeo.jets import smath
+from finslergeo.jets import Jet, lift_any, smath, space_for
 from finslergeo.lifts import affine_coefficients, classical_lift, lift_tensors
 from finslergeo.errors import (DegenerateFlag, DomainError, NotHomogeneous, NotPositiveDefinite,
                                NullDirection)
@@ -235,6 +235,31 @@ def test_spray_values_batch_bitwise_equals_single_points(sphere, poincare, funk,
         grid = spray_values(src, X.reshape(3, 4, -1), Y.reshape(3, 4, -1))
         assert grid.shape == (3, 4, src.dim)
         assert np.array_equal(grid.reshape(12, -1), single), src.name
+
+
+@pytest.mark.parametrize("order", [2, 4, 5])
+def test_supported_lift_equals_unpruned_rule_bitwise(order, sphere, poincare, funk, randers_var):
+    # coordinate jets built from raw coefficients carry no support or degree
+    # bound, so the rule on them multiplies over the whole pair table
+    for k, ms in enumerate([sphere, poincare, funk, metrics.funk(3), randers_var]):
+        n = ms.dim
+        for count in (1, 17, 40):
+            X, Y = _batch(ms, count, 300 + 10 * k + count)
+            if count == 1:
+                X, Y = X[0], Y[0]
+            center = np.concatenate([X, Y], axis=-1)
+            got = lift_any(lambda v: ms.f2(v[:n], v[n:]), center, order)
+            sp = space_for(2 * n, order)
+            raw = [Jet(sp, row) for row in sp.coordinates(center).c]
+            want = ms.f2(raw[:n], raw[n:])
+            assert got.support == sp.all_vars
+            assert got.c.tobytes() == want.c.tobytes(), (ms.name, n, order, count)
+            if order == 2:
+                # spray_values' solve, from the unpruned jet
+                h = want.derivative(2)
+                rhs = (h[..., n:, :n] * Y[..., None, :]).sum(axis=-1) - want.derivative(1)[..., :n]
+                G = 0.25 * np.linalg.solve(0.5 * h[..., n:, n:], rhs[..., None])[..., 0]
+                assert spray_values(ms, X, Y).tobytes() == G.tobytes(), (ms.name, n, count)
 
 
 def test_spray_values_batch_refuses_one_indefinite_point():
