@@ -13,6 +13,13 @@ last leading axis; ``contract`` sums jet products over leading indices and
 the retained coefficients, so derivatives read from a jet are exact
 derivatives of the evaluated expression.
 
+The series of sqrt, 1/b and log run on u = a / a0 - 1 and those of exp,
+sin and cos on a - a0, each with its value part exactly 0.0, so u is
+exactly nilpotent in the truncated ring. A coefficient of degree <= k then
+sums the same products in the same order at every order, and an order-q
+lift truncated to order k is the order-k lift bit for bit; the value part
+of sqrt(a) is the float sqrt(a0) and that of 1/a is fl(1/a0).
+
 Each jet also carries two structural bounds. Its degree bound ``deg``:
 every coefficient of a multi-index above it is exactly zero. Coordinates
 have degree 1 and constants 0; + and - take the larger bound, a product the
@@ -377,13 +384,20 @@ class Jet:
 
     __rmul__ = __mul__
 
+    def _nilpotent(self, inv_c0):
+        """u = self / c0 - 1, the part the series run on, with its value part
+        exactly 0.0: as c0 * fl(1/c0) - 1 it can be 2^-53 off, and the series
+        would then carry that into every coefficient, differently at each order."""
+        u = self * inv_c0
+        u.c.T[0] = 0.0
+        return u
+
     def _inverse(self):
         c0 = self.value
         if _any(abs(c0) < 1e-300):
             raise DomainError("division by a jet with zero value part")
         inv_c0 = 1.0 / c0
-        u = self * inv_c0
-        u.c.T[0] -= 1.0
+        u = self._nilpotent(inv_c0)
         acc = self.space.constant(1.0)
         for _ in range(self.space.order):
             acc = 1.0 - u * acc
@@ -423,8 +437,7 @@ class Jet:
             raise DomainError(f"sqrt of non-positive jet value {np.min(c0)}")
         k = self.space.order
         inv_c0 = 1.0 / c0
-        u = self * inv_c0
-        u.c.T[0] -= 1.0
+        u = self._nilpotent(inv_c0)
         acc = self.space.constant(_binom_half(k))
         for j in reversed(range(k)):
             acc = acc * u + _binom_half(j)
@@ -445,8 +458,7 @@ class Jet:
             raise DomainError(f"log of non-positive jet value {np.min(c0)}")
         k = self.space.order
         inv_c0 = 1.0 / c0
-        u = self * inv_c0
-        u.c.T[0] -= 1.0
+        u = self._nilpotent(inv_c0)
         acc = self.space.constant((-1.0) ** (k + 1) / k if k >= 1 else 0.0)
         for j in reversed(range(1, k)):
             acc = acc * u + (-1.0) ** (j + 1) / j
@@ -625,6 +637,13 @@ def solve_linear(a: Jet, b: Jet, a0inv) -> Jet:
     x <- a0inv (b - d x), from x = a0inv b, fixes one more degree, so
     ``order`` passes give the exact truncated solution. Each batch entry
     is bitwise equal to its own unbatched solve.
+
+    The value part of the solution is then set to a0inv b0, with b0 the
+    value part of b as (..., n, R), R the product of b's axes after the
+    solved-for one, from a product of its own: a column of the matmul over
+    all coefficients at once can round differently with their number, so
+    x's value part, like a lift's coefficients of degree <= k, does not
+    depend on the order. For R = 1 it is ``np.matmul(a0inv, b0[..., None])``.
     """
     d = Jet(a.space, a.c.copy())
     d.c[..., 0] = 0.0
@@ -644,4 +663,7 @@ def solve_linear(a: Jet, b: Jet, a0inv) -> Jet:
     x = apply_inv(b)
     for _ in range(b.order):
         x = apply_inv(b - apply_d(x))
+    # the value part of b - d x is b's, as d's is zero
+    b0 = b.value.reshape(b.c.shape[:lead] + (math.prod(b.c.shape[lead:-1]),))
+    x.c[..., 0] = np.matmul(a0inv, b0).reshape(b.c.shape[:-1])
     return x

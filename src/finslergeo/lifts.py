@@ -363,6 +363,12 @@ def _rule_half_tensors(lift: LiftSpec, fr: PointFrame, metric: bool):
     return t
 
 
+# the residuals of an absent classical half that are zero by construction:
+# they read only its zero tensor, or v, which is 2C - g 0 - g 0 = 2C
+_ZERO_WHEN_ABSENT = frozenset(("Cc", "Cc(y)", "Ccf(y)", "Ccf asym", "v - 2C", "Cp asym",
+                               "Cp(y) asym"))
+
+
 def _classical_half(fr: PointFrame, half, used):
     """name -> tensor of one half of a classical lift at fr, each built once
     per frame and kept on it under (half, used): the half is the frame's
@@ -379,6 +385,9 @@ def _classical_half(fr: PointFrame, half, used):
             # as lift_tensors: an absent half stays an unraised zero
             flat = t(name + "f")
             return fr.raise_last(flat) if used else flat
+        if name == "v" and not used:
+            # equal to _g_block's up to the signs of zeros, so every sup is the same
+            return _frame_term(fr, "2C")
         return _HALF_TENSORS[name](fr, t)
 
     return t
@@ -396,7 +405,9 @@ def condition_residuals(lift: LiftSpec, fr: PointFrame, conditions=ALL_CONDITION
     tensor or zero, so each half's tensors and sup norms are kept on the
     frame: the four classical lifts evaluate each half once per frame, four
     half-evaluations instead of eight, and every frame at the same points
-    shares them (see ``PointFrame``). An empty batch raises ``ValueError``,
+    shares them (see ``PointFrame``). The residuals of an absent half that
+    read only its zero tensor are taken as 0.0 and its v as 2C, unevaluated:
+    the same sups bit for bit. An empty batch raises ``ValueError``,
     as does an unknown condition, and a metric condition on a bare spray's
     frame ``TypeError``.
     """
@@ -415,7 +426,8 @@ def condition_residuals(lift: LiftSpec, fr: PointFrame, conditions=ALL_CONDITION
             cached = fr._get(("sup", half, used), dict)
             for name in half_names:
                 if name not in cached:
-                    cached[name] = _sup(_RESIDUALS[name][1](_classical_half(fr, half, used), fr))
+                    cached[name] = (0.0 if not used and name in _ZERO_WHEN_ABSENT else
+                                    _sup(_RESIDUALS[name][1](_classical_half(fr, half, used), fr)))
                 sups[name] = cached[name]
     return {cond: max([sups[name] for name in _CONDITIONS[cond]]) for cond in conditions}
 

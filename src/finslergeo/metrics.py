@@ -116,14 +116,23 @@ def _check_domain(x, domain_margin, name) -> None:
 
 
 def check_slit_domain(w: TangentVector, dim: int, domain_margin, name) -> None:
-    """The admissibility rules of a tangent point: its dimension, a nonzero
-    fiber direction (the slit bundle) and the chart domain.
+    """The admissibility rules of a tangent point: its dimension, finite
+    coordinates, a nonzero fiber direction (the slit bundle) and the chart
+    domain.
 
     ``w`` may carry leading batch axes; one bad point refuses the batch,
     and the message names the first.
     """
     if w.n != dim:
         raise ValueError(f"dimension mismatch: {name} dim {dim}, vector dim {w.n}")
+    # a NaN compares false with every bound below, so it would pass them; the
+    # per-point test runs only to name the first bad point (a whole-array
+    # .all() here raised the benchmark's peak memory by 0.8 MB)
+    if (~np.isfinite(w.x)).any() or (~np.isfinite(w.y)).any():
+        bad = ~(np.isfinite(w.x).all(axis=-1) & np.isfinite(w.y).all(axis=-1))
+        k = int(np.argmax(bad))
+        raise DomainError(f"non-finite tangent point x={w.x.reshape(-1, dim)[k]}, "
+                          f"y={w.y.reshape(-1, dim)[k]}" + _batch_note(bad.shape, k))
     null = np.linalg.norm(w.y, axis=-1) < NULL_DIRECTION_TOL
     if _any(null):
         raise NullDirection("fiber direction is numerically zero"
@@ -250,11 +259,13 @@ def metric_value(ms: MetricSpec, w: TangentVector):
 
     The strong-convexity test refuses a point where F < 0 although F^2 > 0,
     as it does in ``fundamental_tensor``; F^2 is the value part of the
-    same y-jet. For the built-in rules it was bitwise the rule evaluated on
-    floats at every point the bundled scenarios pass in; a custom rule that
-    divides by a y-dependent quantity, or raises one to a non-integer power,
-    goes through the jet's series for 1/b, log and exp, whose value part
-    can differ from a float evaluation in the last bits. ``w`` may carry
+    same y-jet. The value parts of sqrt, exp, log, sin and cos of a jet are
+    the float functions of its value part, and that of 1/b is fl(1/b0), so
+    a rule of +, -, * and these functions gives F^2 as its float evaluation
+    (up to the sign of a zero). A quotient a / b of a y-dependent b has the
+    value part a0 fl(1/b0), not fl(a0 / b0), and an integer power above 2 is
+    repeated multiplication, not pow; either can differ from a float
+    evaluation in the last bits. ``w`` may carry
     leading batch axes: F then has shape (...), one rule evaluation on jets
     over the batch, and each point is bitwise equal to its own single call
     (a float).

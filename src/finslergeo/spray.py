@@ -19,8 +19,13 @@ an order-1 field jet, one ``grad()`` per index, whose value is the numbers.
 
 A ``PointFrame`` holds these jets at one tangent point or at a batch of
 them, (..., n), built with one lift of F^2 and one spray solve for the
-batch. ODE right-hand sides that need only G call ``spray_values``, which
-skips the frame: an order-2 jet of F^2 and one numeric solve.
+batch. The value part of G, the solve's numbers at the points, takes the
+same arithmetic at every jet order (``_spray_parts``): g^-1 of the lift's g,
+the right-hand side summed in index order, and a one-column product. ODE
+right-hand sides that need only G call ``spray_values``, which equals the
+G of every frame at its points bit for bit: it reads G from the point's
+frame where one was built, and elsewhere solves from an order-2 jet of F^2
+without building a frame.
 """
 
 from __future__ import annotations
@@ -169,17 +174,38 @@ def _build_frame_jets(src, x, y, order):
             _require_homogeneous(src, Gpoly, x, y)
         return None, None, None, None, Gpoly
     f = lift_any(lambda v: src.f2(v[:n], v[n:]), center, order)
-    g = 0.5 * f.derivative(2)[..., n:, n:]
-    require_positive_definite(g, x, y)
-    ginv = np.linalg.inv(g)
     grad = f.grad()
     hess = grad.grad()
+    # the values of grad and hess are f.derivative(1) and (2) bit for bit, so
+    # g, g^-1 and the right-hand side's value part are spray_values' own, and
+    # solve_linear's one-column product gives G the value part it returns
+    g, ginv, rhs0 = _spray_parts(grad.value, hess.value, x, y)
     gpoly = 0.5 * hess[..., n:, n:]
     # 4 g G = (d2F^2/dy dx) y - dF^2/dx, all jets at order p
     sp = space_for(2 * n, p)
     yj = Jet(sp, np.moveaxis(sp.coordinates(center).c[n:], 0, -2))
     rhs = contract("...lk,...k->...l", hess[..., n:, :n], yj) - grad[..., :n].truncate(p)
+    rhs.c[..., 0] = rhs0
     return f, g, ginv, gpoly, 0.25 * solve_linear(gpoly, rhs, ginv)
+
+
+def _spray_parts(d1, d2, x, y):
+    """(g, g^-1, rhs) at points (..., n) from the first and second derivatives
+    of F^2 in the joint variables, x before y, read off a lift of any order.
+
+    g is checked positive definite, and rhs = (d2F^2/dy dx) y - dF^2/dx sums
+    over k in index order, so that a frame and ``spray_values`` at the same
+    points get the same numbers at every jet order. G = g^-1 rhs / 4 is then
+    a one-column product, which ``solve_linear`` makes a frame's value part.
+    """
+    n = x.shape[-1]
+    g = 0.5 * d2[..., n:, n:]
+    require_positive_definite(g, x, y)
+    terms = d2[..., n:, :n] * y[..., None, :]
+    rhs = terms[..., 0]
+    for k in range(1, n):
+        rhs = rhs + terms[..., k]
+    return g, np.linalg.inv(g), rhs - d1[..., :n]
 
 
 # Euler's relation N y = 2G holds to this fraction of |N| |y| + 2 |G|
@@ -387,11 +413,15 @@ def spray_coefficients(src, w: TangentVector) -> SprayData:
 def spray_values(src, x, y) -> np.ndarray:
     """Fast G-only evaluation for ODE right-hand sides (g checked positive definite).
 
-    ``x`` and ``y`` have shape (..., n); G has the same shape. A batch of
-    points is one order-2 lift of F^2 at all centers, one positive-
-    definiteness guard and one batched linear solve, and each point's G is
-    bitwise equal to its own unbatched call. A bare spray's rule runs once
-    per point.
+    ``x`` and ``y`` have shape (..., n); G has the same shape, and equals
+    the G of ``PointFrame(src, TangentVector(x, y), order=q)`` bit for bit
+    for every q >= 2. A metric's G is read from the frame-jet memo where a
+    frame of any order was built at exactly these points, and lifts
+    nothing; elsewhere the points are checked as a frame checks them and a
+    batch is one order-2 lift of F^2 at all centers, one positive-
+    definiteness guard and one batched solve, each point bitwise equal to
+    its own unbatched call. A bare spray's rule runs once per point on
+    floats, as the jet value of a / b is a fl(1/b), not fl(a / b).
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
@@ -399,17 +429,21 @@ def spray_values(src, x, y) -> np.ndarray:
     if x.shape[-1:] != (n,) or y.shape[-1:] != (n,):
         raise ValueError(f"dimension mismatch: x of shape {x.shape} and y of shape {y.shape} "
                          f"must end in n = {n}")
-    if isinstance(src, MetricSpec):
+    metric = isinstance(src, MetricSpec)
+    if metric and x.shape == y.shape:
+        points = (x.shape, x.tobytes(), y.tobytes())
+        # a peek: the entry keeps its place in the memo
+        for key, (owner, jets, _) in _memo.items():
+            if owner is src and key[2:] == points:
+                return jets[4].value.copy()
+    src.check_tangent(TangentVector(x, y))
+    if metric:
         f = lift_any(lambda v: src.f2(v[:n], v[n:]), np.concatenate([x, y], axis=-1), 2)
-        h = f.derivative(2)
-        g = 0.5 * h[..., n:, n:]
-        require_positive_definite(g, x, y)
-        # a row sum, not a matmul, keeps the summation order of G fixed
-        rhs = (h[..., n:, :n] * y[..., None, :]).sum(axis=-1) - f.derivative(1)[..., :n]
-        return 0.25 * np.linalg.solve(g, rhs[..., None])[..., 0]
-    if x.ndim > 1:
-        return np.array([spray_values(src, xi, yi) for xi, yi in zip(x, y)])
-    return np.array([float(v) for v in src.g_rule(list(x), list(y))])
+        _, ginv, rhs = _spray_parts(f.derivative(1), f.derivative(2), x, y)
+        return 0.25 * np.matmul(ginv, rhs[..., None])[..., 0]
+    G = [[float(v) for v in src.g_rule(list(xi), list(yi))]
+         for xi, yi in zip(x.reshape(-1, n), y.reshape(-1, n))]
+    return np.array(G).reshape(x.shape)
 
 
 def adapted_split(fr: PointFrame, X):

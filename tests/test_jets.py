@@ -156,6 +156,46 @@ def test_truncate_is_prefix():
         assert t.partial(alpha) == j.partial(alpha)
 
 
+def _series_rule(v):
+    """A rule through every series and power: sqrt, /, log, exp, sin, cos and
+    integer powers, positive and negative."""
+    r2 = smath.dot(v, v)
+    return [smath.sqrt(1.0 + r2) / (2.0 + v[0]) + smath.log(1.5 + v[-1] * v[0]),
+            smath.exp(0.3 * v[1]) * smath.sin(v[0]) + smath.cos(v[-1]) ** 3,
+            (1.0 + r2) ** -2 + v[0] ** 5 / (1.0 + v[1] * v[1]) - 1.0 / (3.0 - v[-1])]
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_truncated_lift_equals_the_lower_order_lift_bitwise(nvars):
+    # the series run on an exactly nilpotent part, so a coefficient of degree
+    # <= k does not depend on the lift's order
+    rs = np.random.default_rng(40 + nvars)
+    batch = rs.uniform(-0.6, 0.6, (60, nvars))
+    for center in [batch] + list(batch[:8]):
+        jets = [lift_any(_series_rule, center, q) for q in range(6)]
+        for k, q in itertools.combinations(range(6), 2):
+            assert jets[q].truncate(k).c.tobytes() == jets[k].c.tobytes(), (q, k, center.shape)
+
+
+@pytest.mark.parametrize("order", range(6))
+def test_solve_linear_value_part_is_its_own_product(order):
+    # a0inv b0 as (..., n, R): the value part does not depend on the order
+    rs = np.random.default_rng(200 + order)
+    sp = space_for(4, order)
+    n = 3
+    # (batch axes, axes after the solved-for one)
+    for batch, rest in (((), ()), ((), (2,)), ((5,), ()), ((5,), (4,))):
+        m = rs.uniform(-1, 1, batch + (n, n))
+        c = rs.uniform(-1, 1, batch + (n, n, sp.size))
+        c[..., 0] = m @ np.swapaxes(m, -1, -2) + 0.5 * np.eye(n)
+        a = Jet(sp, c)
+        b = Jet(sp, rs.uniform(-1, 1, batch + (n,) + rest + (sp.size,)))
+        a0inv = np.linalg.inv(a.value)
+        x = solve_linear(a, b, a0inv)
+        b0 = np.ascontiguousarray(b.value).reshape(batch + (n, int(np.prod(rest))))
+        assert x.value.tobytes() == np.matmul(a0inv, b0).reshape(x.shape).tobytes(), (batch, rest)
+
+
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv],
                          ids=["add", "sub", "mul", "truediv"])
 def test_mixed_space_arithmetic_raises(op):

@@ -289,14 +289,57 @@ def test_classical_lifts_evaluate_each_half_once_per_frame(randers_var, monkeypa
         # equal floats, and none is negative, so bitwise equal
         assert condition_residuals(lift, fr) == cold[lift.name], lift.name
     # four halves, C and C' each zero or the frame's tensor: one v or h block
-    # each, and one raise for each of the two that are not zero
-    assert len(blocks) == 4
+    # each, except the zero C, whose v is 2C unevaluated, and one raise for
+    # each of the two that are not zero
+    assert len(blocks) == 3
     assert len(raised) == 2
     # torsion-only and metric-only subsets read the same cached halves
     for lift in _classical_lifts(randers_var):
         for subset in (("T1", "T3"), ("M2", "M5"), ("M7",)):
             assert condition_residuals(lift, fr, subset) == {c: cold[lift.name][c] for c in subset}
-    assert len(blocks) == 4 and len(raised) == 2
+    assert len(blocks) == 3 and len(raised) == 2
+
+
+def _full_half(fr, half, used):
+    """name -> tensor of one classical half at fr with every residual tensor
+    built, an absent half's zeros included; nothing is kept on the frame."""
+    built = {}
+
+    def t(name):
+        if name not in built:
+            if name in ("ccf", "cpf"):
+                built[name] = ((fr.C_low if half == "C" else fr.Cp_low) if used
+                               else np.zeros(fr.y.shape + (fr.n, fr.n)))
+            elif name in ("cc", "cp"):
+                built[name] = fr.raise_last(t(name + "f")) if used else t(name + "f")
+            else:
+                built[name] = lifts._HALF_TENSORS[name](fr, t)
+        return built[name]
+
+    return t
+
+
+@pytest.mark.parametrize("name", ["randers_var", "funk", "sphere"])
+def test_absent_classical_halves_give_the_full_evaluations_sups(name, request):
+    ms = request.getfixturevalue(name)
+    rng = SplitMix64(67)
+    ws = [random_tangent(ms, rng) for _ in range(4)]
+    for w in ws + [TangentVector.stack(ws)]:
+        spray._memo.clear()
+        fr = PointFrame(ms, w)
+        for lift in _classical_lifts(ms):
+            sups = {}
+            for half, used in zip(lifts._HALVES, lifts._CLASSICAL_TABLE[lift.kind]):
+                t = _full_half(fr, half, used)
+                for res, (of, residual) in lifts._RESIDUALS.items():
+                    if of == half:
+                        sups[res] = lifts._sup(residual(t, fr))
+                        if not used and res in lifts._ZERO_WHEN_ABSENT:
+                            assert sups[res] == 0.0, (lift.name, res)
+            got = condition_residuals(lift, fr)
+            for cond, names in lifts._CONDITIONS.items():
+                # non-negative floats: equal means bitwise equal
+                assert got[cond] == max(sups[res] for res in names), (name, lift.name, cond)
 
 
 def test_a_sliced_frame_computes_its_own_sup_norms(randers_var):

@@ -257,15 +257,31 @@ _VIOLATIONS = {
                                 TangentVector([0.0, 0.0], [-1.0, 0.0]), NotPositiveDefinite),
     "3-vector on a 2-D metric": (metrics.randers(2, [0.5, 0.0]),
                                  TangentVector([0.1, 0.2, 0.3], [1.0, 0.0, 0.0]), ValueError),
+    # a NaN passes every comparison-based test: the flag curvature came out NaN
+    "NaN x": (metrics.funk(2), TangentVector([np.nan, 0.1], [1.0, 0.0]), DomainError),
+    "NaN y": (metrics.sphere_stereographic(2), TangentVector([0.1, 0.2], [np.nan, 0.0]),
+              DomainError),
+    "inf y": (metrics.randers(2, [0.5, 0.0]), TangentVector([0.1, 0.2], [np.inf, 1.0]),
+              DomainError),
 }
 
 
 @pytest.mark.parametrize("entry, violation", [
-    (entry, violation) for entry in _ENTRY_POINTS for violation in _VIOLATIONS
-    # the right-hand-side fast path has no slit or chart test of its own
-    if entry != "spray_values" or violation not in ("null y", "off chart")])
+    (entry, violation) for entry in _ENTRY_POINTS for violation in _VIOLATIONS])
 def test_admissibility_contract(entry, violation):
     ms, w, error = _VIOLATIONS[violation]
     with pytest.raises(error) as info:
         _ENTRY_POINTS[entry](ms, w)
     assert info.type is error, info.value
+
+
+def test_a_non_finite_point_refuses_the_batch_naming_the_first():
+    ms = metrics.funk(2)
+    x = np.tile([0.1, 0.2], (2, 3, 1))
+    y = np.tile([1.0, 0.0], (2, 3, 1))
+    x[1, 0, 1] = np.nan
+    y[1, 2, 0] = np.inf
+    for entry in ("PointFrame", "spray_values", "metric_value"):
+        with pytest.raises(DomainError, match=r"x=\[0\.1 nan\], y=\[1\. 0\.\] at batch index "
+                                              r"\(1, 0\)"):
+            _ENTRY_POINTS[entry](ms, TangentVector(x, y))

@@ -255,11 +255,58 @@ def test_supported_lift_equals_unpruned_rule_bitwise(order, sphere, poincare, fu
             assert got.support == sp.all_vars
             assert got.c.tobytes() == want.c.tobytes(), (ms.name, n, order, count)
             if order == 2:
-                # spray_values' solve, from the unpruned jet
+                # spray_values' solve, from the unpruned jet: the sum over k
+                # in index order and a one-column product with g^-1
                 h = want.derivative(2)
-                rhs = (h[..., n:, :n] * Y[..., None, :]).sum(axis=-1) - want.derivative(1)[..., :n]
-                G = 0.25 * np.linalg.solve(0.5 * h[..., n:, n:], rhs[..., None])[..., 0]
+                rhs = h[..., n:, 0] * Y[..., None, 0]
+                for j in range(1, n):
+                    rhs = rhs + h[..., n:, j] * Y[..., None, j]
+                rhs = rhs - want.derivative(1)[..., :n]
+                ginv = np.linalg.inv(0.5 * h[..., n:, n:])
+                G = 0.25 * np.matmul(ginv, rhs[..., None])[..., 0]
                 assert spray_values(ms, X, Y).tobytes() == G.tobytes(), (ms.name, n, count)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_spray_values_equals_every_frames_G_bitwise(order, sphere, poincare, funk, randers_const,
+                                                    randers_var, monkeypatch):
+    disk = metrics.custom(2, lambda xs, ys: smath.dot(ys, ys) * smath.exp(xs[0] * xs[1])
+                          / (1.0 + 0.3 * xs[0] ** 2),
+                          name="conformal", domain_margin=lambda x: 1.0 - (x * x).sum(axis=-1))
+    sources = [sphere, poincare, funk, metrics.funk(3), metrics.euclidean(3), randers_var,
+               randers_const, disk]
+    lifts = _counting_lifts(monkeypatch)
+    for k, ms in enumerate(sources):
+        X, Y = _batch(ms, 40, 500 + 10 * k + order)
+        for x, y in [(X, Y), (X[:5].reshape(5, 1, -1), Y[:5].reshape(5, 1, -1))] + list(zip(X, Y)):
+            spray._memo.clear()
+            cold = spray_values(ms, x, y)
+            G = PointFrame(ms, TangentVector(x, y), order=order).G
+            del lifts[:]
+            hit = spray_values(ms, x, y)
+            assert lifts == [], ms.name
+            assert cold.tobytes() == G.tobytes() == hit.tobytes(), (ms.name, order, x.shape)
+            # a copy: writing it leaves the frame's G as it was
+            hit[...] = 0.0
+            assert PointFrame(ms, TangentVector(x, y), order=order).G.tobytes() == G.tobytes()
+
+
+def test_spray_values_reads_no_frame_at_other_points_or_of_a_bare_spray(randers_var,
+                                                                        monkeypatch):
+    X, Y = _batch(randers_var, 6, 511)
+    PointFrame(randers_var, TangentVector(X, Y))
+    lifts = _counting_lifts(monkeypatch)
+    # a sub-batch, another shape of the same points and another source miss the entry
+    spray_values(randers_var, X[:5], Y[:5])
+    spray_values(randers_var, X.reshape(2, 3, 2), Y.reshape(2, 3, 2))
+    spray_values(metrics.randers(2, [0.2, 0.1]), X, Y)
+    assert lifts == [2, 2, 2]
+    # a bare spray's rule runs on floats, never on the frame's jets
+    bare = _quadratic_spray()
+    X, Y = _batch(bare, 4, 512)
+    PointFrame(bare, TangentVector(X, Y))
+    want = np.array([[float(v) for v in bare.g_rule(list(x), list(y))] for x, y in zip(X, Y)])
+    assert spray_values(bare, X, Y).tobytes() == want.tobytes()
 
 
 def test_spray_values_batch_refuses_one_indefinite_point():
