@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .jets import lift_any, space_for
-from .lifts import (LiftSpec, SectionJet, _nabla_g_tensors, affine_coefficients,
-                    classical_lift, lift_tensors, nabla_apply)
+from .lifts import (LiftSpec, SectionJet, _reader, affine_coefficients, classical_lift,
+                    nabla_apply)
 from .metrics import MetricSpec, TangentVector, require_points
 from .rng import SplitMix64
 from .spray import PointFrame, _matvec, _pair, adapted_split
@@ -140,7 +140,8 @@ def nabla_s_g_residual(lift: LiftSpec, ms: MetricSpec, w: TangentVector) -> floa
     """| (nabla_S g) | at w, exact zero for every lift of the canonical connection."""
     fr = PointFrame(ms, _tangents(w, "nabla_s_g_residual"), order=4)
     s_raw = np.concatenate([fr.y, -_matvec(fr.N, fr.y)], axis=-1)
-    h, v = _nabla_g_tensors(fr, *lift_tensors(lift, fr))
+    t = _reader(lift, fr)
+    h, v = t("h"), t("v")
     a, b = adapted_split(fr, s_raw)
     # (nabla_S g)(e_i, e_k) for every i, k
     return _sup(np.einsum("...j,...jik->...ik", a, h) + np.einsum("...j,...jik->...ik", b, v))
@@ -273,10 +274,7 @@ def tensor_identity_residuals(ms: MetricSpec, w: TangentVector) -> dict:
     lams = (0.5, 3.0)
     frames = PointFrame(ms, TangentVector(np.stack([w.x] * 3), np.stack(
         [w.y] + [lam * w.y for lam in lams])), order=4)
-    fr = frames[0]
-    y = fr.y
-    C = fr.C_low
-    Cp = fr.Cp_low
+    y, g, C, Cp = w.y, frames.g[0], frames.C_low[0], frames.Cp_low[0]
     out = {}
     out["cartan_contract"] = _sup(np.einsum("...ijk,...k->...ij", C, y))
     out["cprime_contract"] = _sup(np.einsum("...ijk,...k->...ij", Cp, y))
@@ -285,12 +283,12 @@ def tensor_identity_residuals(ms: MetricSpec, w: TangentVector) -> dict:
                                for t in (C, Cp))
     # one F^2 evaluation over float arrays, component axis first
     f2 = ms.f2(list(w.x.T), list(w.y.T))
-    out["gww_identity"] = _sup(_pair(y, fr.g, y) - f2)
+    out["gww_identity"] = _sup(_pair(y, g, y) - f2)
     # Euler: g_w(w, .) equals the Legendre covector, half the fiber gradient of F^2
     # from an independent y-only jet
-    out["euler_gradient"] = _sup(_matvec(fr.g, y) - legendre_transform(ms, w))
+    out["euler_gradient"] = _sup(_matvec(g, y) - legendre_transform(ms, w))
     # homogeneity of g (degree 0) and C (degree -1)
-    out["g_homogeneity"] = max(_sup(frames[k].g - fr.g) for k in (1, 2))
-    out["cartan_homogeneity"] = max(_sup(frames[k].C_low - C / lam)
+    out["g_homogeneity"] = max(_sup(frames.g[k] - g) for k in (1, 2))
+    out["cartan_homogeneity"] = max(_sup(frames.C_low[k] - C / lam)
                                     for k, lam in zip((1, 2), lams))
     return out

@@ -11,6 +11,14 @@ a vertical section s reads
 with B the Berwald coefficients and Cc/Cp the lift tensors with the output
 index raised (layout [output, direction, section]). Admissibility is the
 vanishing of both tensors when the section slot is fed the base direction.
+
+The two tensors are the lift's halves: C, the vertical one, and C', the
+horizontal one, whose family A = B + C' is all the calculus of variations
+sees. Every entry point but ``lift_curvature``, which differentiates the
+lift's fields, reads a lift at a frame through one reader, ``_reader``:
+each half's flat tensor, its raise and its block of nabla g, built once.
+A classical half is the frame's C or C' or zero, kept on the frame; a
+rule lift's rules run once per reader.
 """
 
 from __future__ import annotations
@@ -190,25 +198,8 @@ def lift_tensors(lift: LiftSpec, fr: PointFrame):
 
     A batched frame gives tensors with its batch axes first.
     """
-    if _is_raw(lift):
-        fields = np.moveaxis(_rule_tensors(lift, fr), -1, -3)
-        return fields[..., 0, :, :, :], fields[..., 1, :, :, :]
-    used = _CLASSICAL_TABLE[lift.kind] if lift.kind is not None else (True, True)
-    return tuple(fr.raise_last(t) if u else t for t, u in zip(lift_tensors_flat(lift, fr), used))
-
-
-def lift_tensors_flat(lift: LiftSpec, fr: PointFrame):
-    """(C_flat, Cp_flat) with layout [..., direction, section, metric-slot]."""
-    shape = fr.y.shape + (fr.n, fr.n)
-    if lift.kind is not None:
-        use_c, use_cp = _CLASSICAL_TABLE[lift.kind]
-        ccf = fr.C_low if use_c else np.zeros(shape)
-        cpf = fr.Cp_low if use_cp else np.zeros(shape)
-        return ccf, cpf
-    if _is_raw(lift):
-        return tuple(np.einsum("...il,...ijk->...jkl", fr.g, t) for t in lift_tensors(lift, fr))
-    fields = _rule_tensors(lift, fr)
-    return fields[..., 0, :, :, :], fields[..., 1, :, :, :]
+    t = _reader(lift, fr)
+    return t("cc"), t("cp")
 
 
 def _check_admissible(t, y):
@@ -276,25 +267,62 @@ def _g_block(base, g, t):
 
 
 # A lift's two halves: C, its vertical part, and C', its horizontal part.
-# Each residual reads one half, through t(name): C as its flat tensor ccf,
-# its raise cc and the componentwise nabla g over d/dy^j, v[..., j,i,k] =
-# (nabla_{d/dy^j} g)(e_i, e_k); C' as its raise cp and h, nabla g over
-# delta/dx^j. _HALF_TENSORS builds v and h from their half.
-_HALVES = ("C", "C'")   # in the order of _CLASSICAL_TABLE's pairs
-_HALF_TENSORS = {
-    "v": lambda fr, t: _g_block(_frame_term(fr, "2C"), fr.g, t("cc")),
-    "h": lambda fr, t: _g_block(_frame_term(fr, "dg_h"), fr.g, fr.B + t("cp")),
-}
+# _reader reads each half by name: C as its flat tensor ccf, its raise cc
+# and the componentwise nabla g over d/dy^j, v[..., j,i,k] =
+# (nabla_{d/dy^j} g)(e_i, e_k); C' as cpf, cp and h, nabla g over delta/dx^j.
+_HALVES = {"C": ("ccf", "cc", "v"), "C'": ("cpf", "cp", "h")}   # in _CLASSICAL_TABLE's order
+_HALF_OF = {name: half for half, names in _HALVES.items() for name in names}
 
 
-def _nabla_g_tensors(fr: PointFrame, cc, cp):
-    """(h, v), componentwise nabla g in the adapted frame, for raised lift
-    tensors (cc, cp)."""
-    t = {"cc": cc, "cp": cp}.__getitem__
-    return _HALF_TENSORS["h"](fr, t), _HALF_TENSORS["v"](fr, t)
+def _reader(lift: LiftSpec, fr: PointFrame):
+    """t(name) -> the tensor ``name`` of ``_HALVES`` of the lift at fr, each
+    built once.
+
+    A classical half is the frame's Cartan tensor (C) or flow tensor (C')
+    where the lift uses it, else an unraised zero whose v is 2C, equal to
+    its ``_g_block`` up to the signs of zeros; its tensors are kept on the
+    frame under (half, used, name), so every frame at the same points
+    shares them. A rule lift's rules run once per reader, and its tensors
+    live as long as the reader: flat rules are raised, raw rules lowered.
+    """
+    if lift.kind is None:
+        fields = _rule_tensors(lift, fr)
+        raw = _is_raw(lift)
+        if raw:   # the output index goes first
+            fields = np.moveaxis(fields, -1, -3)
+        # raw rules give each half's raise, flat rules its flat tensor
+        given = {names[int(raw)]: fields[..., k, :, :, :]
+                 for k, names in enumerate(_HALVES.values())}
+
+        def t(name):
+            if name not in given:
+                given[name] = build(name, True)
+            return given[name]
+    else:
+        uses = dict(zip(_HALVES, _CLASSICAL_TABLE[lift.kind]))
+
+        def t(name):
+            half = _HALF_OF[name]
+            return fr._get((half, uses[half], name), lambda: build(name, uses[half]))
+
+    def build(name, used):
+        half = _HALF_OF[name]
+        flat, raised, _ = _HALVES[half]
+        if name == flat:
+            if lift.kind is None:   # a raw rule's
+                return np.einsum("...il,...ijk->...jkl", fr.g, t(raised))
+            return ((fr.C_low if half == "C" else fr.Cp_low) if used
+                    else np.zeros(fr.y.shape + (fr.n, fr.n)))
+        if name == raised:
+            return fr.raise_last(t(flat)) if used else t(flat)
+        if name == "h":
+            return _g_block(_frame_term(fr, "dg_h"), fr.g, fr.B + t("cp"))
+        return _g_block(_frame_term(fr, "2C"), fr.g, t("cc")) if used else _frame_term(fr, "2C")
+
+    return t
 
 
-# name: (the half it reads, the residual tensor from that half's t and the frame)
+# name: (the half it reads, the residual tensor from the lift's reader t and the frame)
 _RESIDUALS = {
     "Cp(y) asym": ("C'", lambda t, fr: (np.einsum("...ijk,...j->...ik", t("cp"), fr.y)
                                         - np.einsum("...ikj,...j->...ik", t("cp"), fr.y))),
@@ -344,53 +372,10 @@ def _sup(res) -> float:
     return float(np.abs(res).max())
 
 
-def _rule_half_tensors(lift: LiftSpec, fr: PointFrame, metric: bool):
-    """name -> tensor of either half of a rule lift at fr, each built once
-    per call from one evaluation of the rules: metric conditions read the flat
-    tensors and raise them, torsion conditions alone ``lift_tensors``."""
-    if metric:
-        ccf, cpf = lift_tensors_flat(lift, fr)
-        given = {"ccf": ccf, "cc": fr.raise_last(ccf), "cp": fr.raise_last(cpf)}
-    else:
-        cc, cp = lift_tensors(lift, fr)
-        given = {"cc": cc, "cp": cp}
-
-    def t(name):
-        if name not in given:
-            given[name] = _HALF_TENSORS[name](fr, t)
-        return given[name]
-
-    return t
-
-
 # the residuals of an absent classical half that are zero by construction:
 # they read only its zero tensor, or v, which is 2C - g 0 - g 0 = 2C
 _ZERO_WHEN_ABSENT = frozenset(("Cc", "Cc(y)", "Ccf(y)", "Ccf asym", "v - 2C", "Cp asym",
                                "Cp(y) asym"))
-
-
-def _classical_half(fr: PointFrame, half, used):
-    """name -> tensor of one half of a classical lift at fr, each built once
-    per frame and kept on it under (half, used): the half is the frame's
-    Cartan tensor (C) or flow tensor (C') where the lift uses it, else zero."""
-
-    def t(name):
-        return fr._get((half, used, name), lambda: build(name))
-
-    def build(name):
-        if name in ("ccf", "cpf"):
-            return ((fr.C_low if half == "C" else fr.Cp_low) if used
-                    else np.zeros(fr.y.shape + (fr.n, fr.n)))
-        if name in ("cc", "cp"):
-            # as lift_tensors: an absent half stays an unraised zero
-            flat = t(name + "f")
-            return fr.raise_last(flat) if used else flat
-        if name == "v" and not used:
-            # equal to _g_block's up to the signs of zeros, so every sup is the same
-            return _frame_term(fr, "2C")
-        return _HALF_TENSORS[name](fr, t)
-
-    return t
 
 
 def condition_residuals(lift: LiftSpec, fr: PointFrame, conditions=ALL_CONDITIONS):
@@ -399,14 +384,14 @@ def condition_residuals(lift: LiftSpec, fr: PointFrame, conditions=ALL_CONDITION
     Residuals are coefficient-tensor sup norms, i.e. the exact maximum over
     unit-box argument vectors and over a batched frame's points. Each
     residual tensor of ``_RESIDUALS`` reads one half of the lift, C or C',
-    and is built and reduced once, however many conditions read it. A rule
-    lift's rules are called once per call: metric conditions read its flat
-    tensors and raise them. A classical lift's half is the frame's C or C'
-    tensor or zero, so each half's tensors and sup norms are kept on the
-    frame: the four classical lifts evaluate each half once per frame, four
-    half-evaluations instead of eight, and every frame at the same points
-    shares them (see ``PointFrame``). The residuals of an absent half that
-    read only its zero tensor are taken as 0.0 and its v as 2C, unevaluated:
+    through the lift's ``_reader``, and is built and reduced once, however
+    many conditions read it. A rule lift's rules are called once per call.
+    A classical lift's half is the frame's C or C' tensor or zero, so its
+    sup norms are kept on the frame with its tensors: the four classical
+    lifts evaluate each half once per frame, four half-evaluations instead
+    of eight, and every frame at the same points shares them (see
+    ``PointFrame``). The residuals of an absent half that read only its zero
+    tensor are taken as 0.0 and its v as 2C, unevaluated:
     the same sups bit for bit. An empty batch raises ``ValueError``,
     as does an unknown condition, and a metric condition on a bare spray's
     frame ``TypeError``.
@@ -416,19 +401,17 @@ def condition_residuals(lift: LiftSpec, fr: PointFrame, conditions=ALL_CONDITION
     metric, names = _residual_plan(conditions)
     if metric:
         fr._need_metric()
-    if lift.kind is None:
-        t = _rule_half_tensors(lift, fr, metric)
-        sups = {name: _sup(_RESIDUALS[name][1](t, fr))
-                for half_names in names for name in half_names}
-    else:
-        sups = {}
-        for half, used, half_names in zip(_HALVES, _CLASSICAL_TABLE[lift.kind], names):
-            cached = fr._get(("sup", half, used), dict)
-            for name in half_names:
-                if name not in cached:
-                    cached[name] = (0.0 if not used and name in _ZERO_WHEN_ABSENT else
-                                    _sup(_RESIDUALS[name][1](_classical_half(fr, half, used), fr)))
-                sups[name] = cached[name]
+    t = _reader(lift, fr)
+    sups = {}
+    for half, used, half_names in zip(_HALVES, _CLASSICAL_TABLE.get(lift.kind, (True, True)),
+                                      names):
+        # a classical half's sups are kept on the frame with its tensors
+        cached = {} if lift.kind is None else fr._get(("sup", half, used), dict)
+        for name in half_names:
+            if name not in cached:
+                cached[name] = (0.0 if not used and name in _ZERO_WHEN_ABSENT
+                                else _sup(_RESIDUALS[name][1](t, fr)))
+            sups[name] = cached[name]
     return {cond: max([sups[name] for name in _CONDITIONS[cond]]) for cond in conditions}
 
 
@@ -461,9 +444,7 @@ def covariant_derivative_curve(lift: LiftSpec, src, curve, W, V):
     vdot = _derivative(grid, V.vectors)
     if np.min(np.linalg.norm(W.vectors, axis=1)) < 1e-12:
         raise NullReference("reference field W vanishes at a node")
-    fr = PointFrame(src, TangentVector(curve.points, W.vectors), order=4)
-    _, cp = _admissible_tensors(lift, fr)
-    a = fr.B + cp
+    a = affine_coefficients(lift, src, TangentVector(curve.points, W.vectors)).A
     out = vdot + np.einsum("...ijk,...j,...k->...i", a, curve.velocities, V.vectors)
     return FieldAlongCurve(grid=grid, vectors=out)
 
@@ -514,11 +495,17 @@ def _lift_field_jets(lift: LiftSpec, fr5: PointFrame):
     Classical lifts are assembled in the truncated ring from the order-5
     metric jet; rule lifts evaluate their rules once at the order-1 jet
     carrier, which holds the whole batch. Flat tensors of either kind are
-    raised through one order-1 g^-1 solve.
+    raised through one order-1 g^-1 solve. Berwald's fields are the zero
+    jet, so it alone of the flat lifts serves a bare spray.
     """
     n = fr5.n
-    if not _is_raw(lift) and fr5.metric is None:
-        raise InvalidLift("flat lift rules require a metric")
+    if lift.kind is not None and not any(_CLASSICAL_TABLE[lift.kind]):
+        # Berwald's fields are zero, so it needs no metric
+        sp = space_for(2 * n, 1)
+        return Jet(sp, np.zeros(fr5.x.shape[:-1] + (2, n, n, n, sp.size)))
+    if fr5.metric is None and not _is_raw(lift):
+        raise InvalidLift(f"lift {lift.name}: flat lift tensors require a metric, "
+                          f"got a bare spray")
     if lift.kind is not None:
         flat = _classical_flat_jets(lift.kind, fr5)
     else:

@@ -254,15 +254,15 @@ class PointFrame:
     it is larger; every tensor then carries the batch axes first, and each
     point is bitwise equal to its own single-point frame. One bad point
     (null, outside the domain, or with g not positive definite) refuses
-    the batch, naming the first. ``fr[i]`` is the frame at batch index i.
+    the batch, naming the first.
 
     Frames of the same source object at the same points and order share
     one lift and one solve, and every tensor derived from them: the jets of
     the last few builds, each over its whole batch, are kept in a bounded
     memo keyed by the source object, so a source's rule must not change
     once it has been used, and every frame adopts its entry's derived-tensor
-    cache (the rows, ``R``, the field jets and the condition residuals' lift
-    halves). Every jet and tensor a frame hands out is read-only, so an
+    cache (the rows, ``R``, the field jets and the classical lifts' halves
+    and their sup norms). Every jet and tensor a frame hands out is read-only, so an
     in-place write raises instead of corrupting a later frame. The tangent
     checks run for every frame.
     """
@@ -278,23 +278,6 @@ class PointFrame:
         self.y = w.y
         jets, self._cache = _frame_jets(src, self.x, self.y, order)
         self.f, self.g, self.ginv, self.gpoly, self.Gpoly = jets
-
-    def __getitem__(self, i):
-        """The frame at batch index ``i``: the batch's jets and computed
-        tensors, sliced; nothing is rebuilt. Sup norms (keys ``("sup", ...)``)
-        are reductions over the batch, so the frame at i gets none."""
-        if self.x.ndim == 1:
-            raise TypeError("a single-point frame has no batch axes to index")
-        fr = object.__new__(type(self))
-        fr.src, fr.metric, fr.n, fr.order = self.src, self.metric, self.n, self.order
-        fr.x, fr.y = self.x[i], self.y[i]
-        fr.w = TangentVector(fr.x, fr.y)
-        for name in ("f", "g", "ginv", "gpoly", "Gpoly"):
-            value = getattr(self, name)
-            setattr(fr, name, None if value is None else value[i])
-        fr._cache = {key: value[i] for key, value in self._cache.items()
-                     if key[0] != "sup"}
-        return fr
 
     def _get(self, key, builder):
         """The derived value ``key``, built once for every frame that shares

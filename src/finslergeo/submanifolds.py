@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidLift, NoConvergence, SingularBasis
 from .jets import _any, lift_any, smath
-from .lifts import LiftSpec, classical_lift, condition_residuals, lift_tensors
+from .lifts import LiftSpec, _admissible_tensors, classical_lift, condition_residuals
 from .metrics import MetricSpec, TangentVector, _batch_note, _legendre, metric_value
 from .spray import PointFrame, _matvec, _pair, adapted_split
 
@@ -216,9 +216,10 @@ def sff_connection(P: Submanifold, param, eta, u, v, ms: MetricSpec,
 
     ``u``, ``v`` are parameter-space vectors; extensions are the coordinate
     fields of the immersion, whose derivative data is the immersion Hessian.
-    The lift must satisfy the two metric compatibility conditions, checked
-    at eta. With batch axes on ``param`` (..., k), ``eta`` (..., n) and
-    ``u``, ``v``, h has shape (...); a float for a single point.
+    The lift must be admissible and satisfy the two metric compatibility
+    conditions, checked at eta. With batch axes on ``param`` (..., k),
+    ``eta`` (..., n) and ``u``, ``v``, h has shape (...); a float for a
+    single point.
     ``_immersion``, if given, is the immersion's data at param
     (``P._immersion``), shared by the calls for several lifts.
     """
@@ -229,18 +230,19 @@ def sff_connection(P: Submanifold, param, eta, u, v, ms: MetricSpec,
         lift = classical_lift("berwald", ms)
     imm = _immersion if _immersion is not None else P._immersion(param)
     fr = PointFrame(ms, TangentVector(imm.x, eta), order=4)
+    _, cp = _admissible_tensors(lift, fr)
     if max(condition_residuals(lift, fr, ("M1", "M2")).values()) > 1e-6:
         # the first point beyond the bound, for the message
         batch = fr.y.shape[:-1]
         for k, at in enumerate(np.ndindex(batch)):
-            res = condition_residuals(lift, fr[at] if batch else fr, ("M1", "M2"))
+            res = condition_residuals(lift, PointFrame(ms, TangentVector(fr.x[at], fr.y[at])),
+                                      ("M1", "M2"))
             if max(res.values()) > 1e-6:
                 raise InvalidLift(
                     f"lift {lift.name} violates the metric compatibility prerequisites "
                     f"at eta: M1={res['M1']:.2e}, M2={res['M2']:.2e}" + _batch_note(batch, k))
     U = _matvec(imm.basis, u)
     V = _matvec(imm.basis, v)
-    _, cp = lift_tensors(lift, fr)
     A = fr.B + cp
     sym = 2.0 * np.einsum("...iab,...a,...b->...i", imm.hess, u, v) \
         + np.einsum("...ijk,...j,...k->...i", A, U, V) \

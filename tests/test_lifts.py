@@ -7,13 +7,14 @@ from finslergeo.errors import GridError, InvalidLift, NullReference
 from finslergeo.lifts import (ALL_CONDITIONS, ClassicalKind, LiftSpec, SectionJet,
                               affine_coefficients, classical_lift,
                               condition_residuals, covariant_derivative_curve,
-                              lift_curvature, lift_tensors, lift_tensors_flat,
-                              nabla_apply, random_admissible_lift)
+                              lift_curvature, lift_tensors, nabla_apply,
+                              random_admissible_lift)
 from finslergeo.jets import Jet, lift_any, smath
 from finslergeo.metrics import (TangentVector, cartan_tensor, fundamental_tensor,
                                 metric_value, random_tangent, riemannian)
 from finslergeo.rng import SplitMix64
 from finslergeo.spray import PointFrame, SpraySpec, curvature_endomorphism
+from finslergeo.submanifolds import affine_subspace, sff_connection
 from finslergeo.variational import (Curve, FieldAlongCurve, VariationFamily, _ChebyshevTable,
                                     integrate_geodesic, parallel_transport,
                                     variation_symmetry_residual)
@@ -36,8 +37,8 @@ THEOREM_SETS = {
 def test_berwald_rules_vanish(randers_var):
     lf = classical_lift("berwald", randers_var)
     fr = PointFrame(randers_var, TangentVector([0.1, 0.2], [0.7, -0.3]), order=4)
-    ccf, cpf = lift_tensors_flat(lf, fr)
-    assert not ccf.any() and not cpf.any()
+    t = lifts._reader(lf, fr)
+    assert not t("ccf").any() and not t("cpf").any()
 
 
 def test_cartan_lift_carries_cartan_tensor(randers_var):
@@ -46,7 +47,7 @@ def test_cartan_lift_carries_cartan_tensor(randers_var):
     fr = PointFrame(randers_var, w, order=4)
     # Hashiguchi carries the same flat C
     for kind in (ClassicalKind.CARTAN, "hashiguchi"):
-        ccf, _ = lift_tensors_flat(classical_lift(kind, randers_var), fr)
+        ccf = lifts._reader(classical_lift(kind, randers_var), fr)("ccf")
         assert np.max(np.abs(ccf - C)) < 1e-12
 
 
@@ -151,7 +152,7 @@ def test_nabla_apply_section_from_rule(euclid2):
 
 @pytest.mark.parametrize("tensor", ["c_flat", "cprime_flat"])
 @pytest.mark.parametrize("entry", ["nabla_apply", "lift_curvature", "affine_coefficients",
-                                   "covariant_derivative_curve"])
+                                   "covariant_derivative_curve", "sff_connection"])
 def test_invalid_lift_detected(entry, tensor):
     # delta x delta does not vanish on any base direction; every entry point but
     # nabla_apply used to return numbers for it (lift_curvature [0.018, -0.043] for C')
@@ -165,6 +166,9 @@ def test_invalid_lift_detected(entry, tensor):
             lift_curvature(bad, ms, w, [0.3, -0.8])
         elif entry == "affine_coefficients":
             affine_coefficients(bad, ms, w)
+        elif entry == "sff_connection":
+            line = affine_subspace(w.x, [[1.0, 0.0]])
+            sff_connection(line, [0.0], w.y, [1.0], [1.0], ms, lift=bad)
         else:
             curve = _chebyshev_curve(integrate_geodesic(ms, w, 0.5), 16)
             W = FieldAlongCurve(curve.grid, curve.velocities)
@@ -300,23 +304,49 @@ def test_classical_lifts_evaluate_each_half_once_per_frame(randers_var, monkeypa
     assert len(blocks) == 3 and len(raised) == 2
 
 
-def _full_half(fr, half, used):
-    """name -> tensor of one classical half at fr with every residual tensor
-    built, an absent half's zeros included; nothing is kept on the frame."""
+# each half's flat tensor, its raise and its block of nabla g
+_HALF_NAMES = {"C": ("ccf", "cc", "v"), "C'": ("cpf", "cp", "h")}
+
+
+def _full_half(lift, fr, half):
+    """name -> tensor of one half of ``lift`` at fr, written out with every
+    tensor built, an absent classical half's zeros and its v = 2C - g 0 - g 0
+    included; nothing is kept on the frame. A rule lift's rule is called at
+    the frame's float carrier (a single point); a raw rule's flat tensor is
+    its lowering, a flat rule's raise its raising. On a bare spray only the
+    raw tensors exist."""
+    flat, raised, block = _HALF_NAMES[half]
     built = {}
-
-    def t(name):
-        if name not in built:
-            if name in ("ccf", "cpf"):
-                built[name] = ((fr.C_low if half == "C" else fr.Cp_low) if used
-                               else np.zeros(fr.y.shape + (fr.n, fr.n)))
-            elif name in ("cc", "cp"):
-                built[name] = fr.raise_last(t(name + "f")) if used else t(name + "f")
-            else:
-                built[name] = lifts._HALF_TENSORS[name](fr, t)
-        return built[name]
-
-    return t
+    if lift.kind is None:
+        raw = lift.c_raw is not None or lift.cprime_raw is not None
+        rule = {("C", False): lift.c_flat, ("C'", False): lift.cprime_flat,
+                ("C", True): lift.c_raw, ("C'", True): lift.cprime_raw}[half, raw]
+        w = (lifts.LiftPoint(fr.x, fr.y) if fr.f is None
+             else lifts.LiftPoint(fr.x, fr.y, fr.f.value, fr.gw))
+        T = np.zeros((fr.n,) * 3) if rule is None else np.array(rule(w), float)
+        if raw:
+            built[raised] = np.moveaxis(T, -1, 0)    # the output index first
+            if fr.metric is not None:
+                built[flat] = np.einsum("...il,...ijk->...jkl", fr.g, built[raised])
+        else:
+            built[flat] = T
+            built[raised] = np.einsum("...il,...jkl->...ijk", fr.ginv, T)
+        used = True
+    else:
+        used = lifts._CLASSICAL_TABLE[lift.kind][half == "C'"]
+        built[flat] = ((fr.C_low if half == "C" else fr.Cp_low) if used
+                       else np.zeros(fr.y.shape + (fr.n, fr.n)))
+        built[raised] = (np.einsum("...il,...jkl->...ijk", fr.ginv, built[flat]) if used
+                         else built[flat])
+    if fr.metric is not None:
+        if half == "C":
+            base, t = 2.0 * fr.C_low, built[raised]
+        else:
+            base = fr.dg_dx - np.einsum("...mj,...mik->...jik", fr.N, 2.0 * fr.C_low)
+            t = fr.B + built[raised]
+        built[block] = (base - np.einsum("...mk,...mji->...jik", fr.g, t)
+                        - np.einsum("...im,...mjk->...jik", fr.g, t))
+    return built
 
 
 @pytest.mark.parametrize("name", ["randers_var", "funk", "sphere"])
@@ -329,8 +359,8 @@ def test_absent_classical_halves_give_the_full_evaluations_sups(name, request):
         fr = PointFrame(ms, w)
         for lift in _classical_lifts(ms):
             sups = {}
-            for half, used in zip(lifts._HALVES, lifts._CLASSICAL_TABLE[lift.kind]):
-                t = _full_half(fr, half, used)
+            for half, used in zip(_HALF_NAMES, lifts._CLASSICAL_TABLE[lift.kind]):
+                t = _full_half(lift, fr, half).__getitem__
                 for res, (of, residual) in lifts._RESIDUALS.items():
                     if of == half:
                         sups[res] = lifts._sup(residual(t, fr))
@@ -342,18 +372,40 @@ def test_absent_classical_halves_give_the_full_evaluations_sups(name, request):
                 assert got[cond] == max(sups[res] for res in names), (name, lift.name, cond)
 
 
-def test_a_sliced_frame_computes_its_own_sup_norms(randers_var):
-    rng = SplitMix64(63)
-    ws = [random_tangent(randers_var, rng) for _ in range(5)]
-    batch = _batch(randers_var, ws)
-    kinds = _classical_lifts(randers_var) + [random_admissible_lift(randers_var, 64)]
-    for lift in kinds:
-        condition_residuals(lift, batch)
-    for k, w in enumerate(ws):
-        single = PointFrame(randers_var, w)
-        for lift in kinds:
-            assert condition_residuals(lift, batch[k]) == condition_residuals(lift, single), \
-                (lift.name, k)
+def _raw_rule_lift():
+    """A raw rule lift with no constant leaf, for a metric's frame."""
+    return LiftSpec("raw", c_raw=lambda w: [[[w.x[0] * w.y[1], w.y[0]], [w.y[1], w.x[1] * w.y[0]]],
+                                           [[w.y[0] * w.y[0], w.x[0]], [w.y[1], w.y[0]]]],
+                    cprime_raw=lambda w: [[[smath.sin(w.x[1]), w.y[1]], [w.y[0], w.x[0]]],
+                                          [[w.x[1], w.y[1] * w.y[0]], [w.y[0], w.y[1]]]])
+
+
+@pytest.mark.parametrize("kind", [k.value for k in ClassicalKind]
+                         + ["flat rule", "raw rule", "raw rule on a spray"])
+def test_the_reader_gives_each_lift_tensor_as_written_out(kind, randers_var, funk):
+    sources = [randers_var, funk]
+    if kind == "raw rule on a spray":
+        src, lift = _raw_lift_on_a_spray()
+        sources = [src]
+    elif kind == "raw rule":
+        lift = _raw_rule_lift()
+    elif kind == "flat rule":
+        lift = random_admissible_lift(randers_var, 73)
+    else:
+        lift = classical_lift(kind, randers_var)
+    rng = SplitMix64(71)
+    for src in sources:
+        for _ in range(3):
+            w = TangentVector(rng.vector(2, -0.4, 0.4), rng.direction(2, 0.6))
+            spray._memo.clear()
+            fr = PointFrame(src, w)
+            want = {**_full_half(lift, fr, "C"), **_full_half(lift, fr, "C'")}
+            names = {"cc", "cp"} if fr.metric is None else set(lifts._HALF_OF)
+            assert want.keys() == names
+            t = lifts._reader(lift, fr)
+            for name, ref in want.items():
+                # equal values: an absent half's v may differ in the signs of zeros
+                assert np.array_equal(t(name), ref), (kind, src.name, name)
 
 
 def test_a_rule_lift_after_the_classical_ones_computes_its_own_halves(randers_var):
@@ -438,6 +490,38 @@ def _raw_lift_on_a_spray():
                    cprime_raw=admissible(lambda w: [[smath.sin(w.x[1]), 0.0],
                                                     [0.0, w.y[0] * w.y[0]]]))
     return spray, raw
+
+
+def _generic_spray():
+    """A bare spray of no metric, 2-homogeneous in y but not quadratic:
+    G^i = Gamma^i_jk(x) y^j y^k / 2 + P(x, y) y^i + c^i(x) |y|_4^2."""
+
+    def g_rule(xs, ys):
+        gam = [[[0.3 + 0.1 * xs[1], 0.1], [0.1, -0.2]], [[0.0, 0.25 * xs[0]], [0.25 * xs[0], 0.4]]]
+        r = smath.sqrt(ys[0] * ys[0] + 2.0 * ys[1] * ys[1] + 0.4 * ys[0] * ys[1])
+        p = (0.15 * (1.0 + 0.2 * smath.sin(xs[0])) * r
+             + 0.1 * ys[0] * ys[0] * ys[0] / (ys[0] * ys[0] + ys[1] * ys[1]))
+        q = smath.sqrt(ys[0] * ys[0] * ys[0] * ys[0] + ys[1] * ys[1] * ys[1] * ys[1])
+        c = [0.05 * smath.cos(xs[1]), -0.08 * xs[0]]
+        return [0.5 * sum(gam[i][j][k] * ys[j] * ys[k] for j in range(2) for k in range(2))
+                + p * ys[i] + c[i] * q for i in range(2)]
+
+    return SpraySpec(2, g_rule, name="generic")
+
+
+def test_berwald_lift_curvature_on_a_bare_spray():
+    # Berwald needs only the spray; the other classical lifts read C off F^2
+    src = _generic_spray()
+    berwald = classical_lift("berwald", src)
+    rng = SplitMix64(75)
+    for _ in range(8):
+        w = TangentVector(rng.vector(2, -0.5, 0.5), rng.direction(2))
+        u = rng.direction(2)
+        want = curvature_endomorphism(src, w).R @ u
+        assert np.max(np.abs(lift_curvature(berwald, src, w, u) - want)) <= 1e-12
+    for kind in ("cartan", "chern-rund", "hashiguchi"):
+        with pytest.raises(InvalidLift, match=f"lift {kind}: flat lift tensors require a metric"):
+            lift_curvature(classical_lift(kind, src), src, w, u)
 
 
 @pytest.mark.parametrize("name", ["randers_var", "funk", "funk3", "euclid2", "spray"])
@@ -919,9 +1003,9 @@ def test_random_lift_matches_entrywise_reference_bitwise(randers_var, flags):
         u = np.array([rng.direction(ms.dim) for _ in range(4)])
         nu = np.array([rng.direction(ms.dim) for _ in range(4)])
         fr = PointFrame(ms, w, order=4)
-        for got, want in zip(lift_tensors(new, fr) + lift_tensors_flat(new, fr),
-                             lift_tensors(ref, fr) + lift_tensors_flat(ref, fr)):
-            assert same(got, want)
+        got, want = lifts._reader(new, fr), lifts._reader(ref, fr)
+        for name in ("cc", "cp", "ccf", "cpf"):
+            assert same(got(name), want(name)), name
         w0 = TangentVector(w.x[0], w.y[0])
         for noise in (None, nu):
             assert same(lift_curvature(new, ms, w, u, vertical_noise=noise),
@@ -957,5 +1041,6 @@ def test_rule_lift_of_an_empty_batch(funk):
     empty = np.zeros((0, 2))
     fr = PointFrame(funk, TangentVector(empty, empty))
     lift = random_admissible_lift(funk, 3)
-    for t in lift_tensors(lift, fr) + lift_tensors_flat(lift, fr):
-        assert t.shape == (0, 2, 2, 2)
+    t = lifts._reader(lift, fr)
+    for name in ("cc", "cp", "ccf", "cpf"):
+        assert t(name).shape == (0, 2, 2, 2)

@@ -433,11 +433,6 @@ def test_batched_frame_bitwise_equals_single_frames(order, sphere, poincare, fun
                 assert value.shape[:len(shape)] == shape, (src.name, name)
                 ref = np.array([single[name] for single in singles[:count]])
                 assert np.array_equal(value.reshape(ref.shape), ref), (src.name, order, name)
-            # a point of the batch is that point's frame, cached tensors included
-            view = fr[2] if len(shape) == 1 else fr[0][2]
-            assert view.x.shape == (src.dim,)
-            for name, value in _frame_tensors(view).items():
-                assert np.array_equal(value, singles[2][name]), (src.name, name)
 
 
 def _explicit_rows(fr):
@@ -721,7 +716,7 @@ def test_derived_tensors_are_read_only(randers_var):
     X, Y = _batch(randers_var, 3, 17)
     batch = PointFrame(randers_var, TangentVector(X, Y))
     for a in (fr.R, fr.N, spray_coefficients(randers_var, w).B, fr.field("N").c, batch.R,
-              batch[1].N):
+              batch.N):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
     assert np.array_equal(fr.N, PointFrame(randers_var, w).N)

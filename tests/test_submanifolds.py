@@ -5,7 +5,9 @@ from scipy.optimize import minimize_scalar
 from finslergeo import metrics, spray
 from finslergeo.errors import InvalidLift, NoConvergence, SingularBasis
 from finslergeo.jets import lift_any, smath
-from finslergeo.lifts import LiftSpec, classical_lift, random_admissible_lift
+from finslergeo.lifts import (_CLASSICAL_TABLE, ClassicalKind, LiftSpec, affine_coefficients,
+                              classical_lift, condition_residuals, lift_tensors,
+                              random_admissible_lift)
 from finslergeo.metrics import TangentVector, fundamental_tensor, metric_value
 from finslergeo.rng import SplitMix64
 from finslergeo.spray import PointFrame
@@ -130,6 +132,31 @@ def test_sff_connection_on_a_given_frame(randers_var, monkeypatch):
     assert lifts == []
 
 
+def test_a_classical_lift_raises_its_halves_once_per_frame(randers_var, monkeypatch):
+    # condition_residuals keeps a classical lift's raised halves on the frame, and
+    # every later reader of the lift at the same points reads them there
+    circ = circle([0, 0], 1.0)
+    nv = normal_cone_solve(circ, [0.3], randers_var, guess=inward_circle_guess(0.3))
+    w = TangentVector(nv.x, nv.eta)
+    raised = []
+    raise_last = PointFrame.raise_last
+    monkeypatch.setattr(PointFrame, "raise_last",
+                        lambda fr, t: raised.append(1) or raise_last(fr, t))
+    for kind in ClassicalKind:
+        lift = classical_lift(kind, randers_var)
+        spray._memo.clear()
+        fr = PointFrame(randers_var, w, order=4)
+        raised.clear()
+        condition_residuals(lift, fr)
+        # one raise per half the lift carries: C' alone for Chern-Rund, none for Berwald
+        assert len(raised) == sum(_CLASSICAL_TABLE[kind]), kind
+        raised.clear()
+        affine_coefficients(lift, randers_var, w)
+        lift_tensors(lift, fr)
+        sff_connection(circ, [0.3], nv.eta, [0.7], [-0.4], randers_var, lift=lift)
+        assert raised == [], kind
+
+
 def test_sff_rejects_incompatible_lift(randers_var):
     circ = circle([0, 0], 1.0)
     nv = normal_cone_solve(circ, [0.5], randers_var, guess=inward_circle_guess(0.5))
@@ -141,9 +168,6 @@ def test_sff_rejects_incompatible_lift(randers_var):
 def test_sff_unsymmetrized_shortcut_for_t2(randers_var):
     circ = circle([0, 0], 1.0)
     nv = normal_cone_solve(circ, [1.1], randers_var, guess=inward_circle_guess(1.1))
-    from finslergeo.lifts import lift_tensors
-    from finslergeo.spray import PointFrame
-
     lift = classical_lift("cartan", randers_var)
     h_sym = sff_connection(circ, [1.1], nv.eta, [0.8], [0.6], randers_var, lift=lift)
     fr = PointFrame(randers_var, TangentVector(nv.x, nv.eta), order=4)
