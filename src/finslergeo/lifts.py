@@ -180,6 +180,16 @@ def _is_raw(lift: LiftSpec) -> bool:
     return lift.c_raw is not None or lift.cprime_raw is not None
 
 
+def _refuse_flat_on_a_spray(lift: LiftSpec, fr: PointFrame) -> None:
+    """Refuse, at a bare spray's frame, a lift whose tensors need a metric:
+    flat rules, or a classical lift that carries C or C'. Berwald's halves
+    are zero, so it alone of the flat lifts serves a spray."""
+    berwald = lift.kind is not None and not any(_CLASSICAL_TABLE[lift.kind])
+    if fr.metric is None and not _is_raw(lift) and not berwald:
+        raise InvalidLift(f"lift {lift.name}: flat lift tensors require a metric, "
+                          f"got a bare spray")
+
+
 def _rule_tensors(lift: LiftSpec, fr: PointFrame) -> np.ndarray:
     """The lift's rule fields at every point of fr, shape (..., 2, n, n, n):
     one call per rule on a float carrier over fr's batch, component axis
@@ -284,7 +294,10 @@ def _reader(lift: LiftSpec, fr: PointFrame):
     frame under (half, used, name), so every frame at the same points
     shares them. A rule lift's rules run once per reader, and its tensors
     live as long as the reader: flat rules are raised, raw rules lowered.
+    A lift that needs a metric is refused at a bare spray's frame with
+    ``InvalidLift``, as ``lift_curvature`` refuses it.
     """
+    _refuse_flat_on_a_spray(lift, fr)
     if lift.kind is None:
         fields = _rule_tensors(lift, fr)
         raw = _is_raw(lift)
@@ -394,7 +407,8 @@ def condition_residuals(lift: LiftSpec, fr: PointFrame, conditions=ALL_CONDITION
     tensor are taken as 0.0 and its v as 2C, unevaluated:
     the same sups bit for bit. An empty batch raises ``ValueError``,
     as does an unknown condition, and a metric condition on a bare spray's
-    frame ``TypeError``.
+    frame ``TypeError``; there a lift that needs a metric raises
+    ``InvalidLift`` (see ``_reader``).
     """
     require_points(fr.y, "condition_residuals")
     conditions = tuple(conditions)
@@ -499,13 +513,11 @@ def _lift_field_jets(lift: LiftSpec, fr5: PointFrame):
     jet, so it alone of the flat lifts serves a bare spray.
     """
     n = fr5.n
+    _refuse_flat_on_a_spray(lift, fr5)
     if lift.kind is not None and not any(_CLASSICAL_TABLE[lift.kind]):
         # Berwald's fields are zero, so it needs no metric
         sp = space_for(2 * n, 1)
         return Jet(sp, np.zeros(fr5.x.shape[:-1] + (2, n, n, n, sp.size)))
-    if fr5.metric is None and not _is_raw(lift):
-        raise InvalidLift(f"lift {lift.name}: flat lift tensors require a metric, "
-                          f"got a bare spray")
     if lift.kind is not None:
         flat = _classical_flat_jets(lift.kind, fr5)
     else:

@@ -2,10 +2,21 @@
 
 A metric is specified by its squared norm F^2 as a rule generic over the jet
 scalar type; every tensor below is extracted from jets of that single rule.
+
+F, g, the Cartan tensor C and the Legendre covector are fiber derivatives
+of F^2 at a tangent point, so their public readers share one order-3 y-jet
+of F^2 per point or batch of points: a read-only entry of a bounded memo
+(``_PointMemo``, the policy the frame memo of ``spray.py`` uses too), made
+only once the point has passed ``check_tangent`` and its g the strong-
+convexity test. A later reader at exactly these points runs neither. F, g
+and the covector of an order-3 jet are bit for bit those of an order-2 one.
+The package's internal sweeps (``_legendre``, ``check_metric``) lift
+unchecked order-2 jets and make no entry.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,8 +128,8 @@ def _check_domain(x, domain_margin, name) -> None:
 
 def check_slit_domain(w: TangentVector, dim: int, domain_margin, name) -> None:
     """The admissibility rules of a tangent point: its dimension, finite
-    coordinates, a nonzero fiber direction (the slit bundle) and the chart
-    domain.
+    coordinates, a nonzero fiber direction (the slit bundle) of finite
+    squared norm, and the chart domain.
 
     ``w`` may carry leading batch axes; one bad point refuses the batch,
     and the message names the first.
@@ -133,11 +144,29 @@ def check_slit_domain(w: TangentVector, dim: int, domain_margin, name) -> None:
         k = int(np.argmax(bad))
         raise DomainError(f"non-finite tangent point x={w.x.reshape(-1, dim)[k]}, "
                           f"y={w.y.reshape(-1, dim)[k]}" + _batch_note(bad.shape, k))
-    null = np.linalg.norm(w.y, axis=-1) < NULL_DIRECTION_TOL
+    _require_fiber_direction(w.x, w.y)
+    _check_domain(w.x, domain_margin, name)
+
+
+def _require_fiber_direction(x, y) -> None:
+    """Refuse finite fiber directions y (..., n) at points x whose squared
+    norm overflows (``DomainError``) or whose norm is below
+    ``NULL_DIRECTION_TOL`` (``NullDirection``); the message names the first
+    bad point. The norm is ``np.linalg.norm``'s bit for bit, and an overflow
+    is refused without a floating-point warning."""
+    with np.errstate(over="ignore"):
+        sq = (y * y).sum(axis=-1)
+    huge = np.isinf(sq)
+    if _any(huge):
+        k = int(np.argmax(huge))
+        n = np.shape(y)[-1]
+        raise DomainError(f"fiber direction overflows: |y|^2 is not finite at "
+                          f"x={np.reshape(x, (-1, n))[k]}, y={np.reshape(y, (-1, n))[k]}"
+                          + _batch_note(huge.shape, k))
+    null = np.sqrt(sq) < NULL_DIRECTION_TOL
     if _any(null):
         raise NullDirection("fiber direction is numerically zero"
                             + _batch_note(null.shape, int(np.argmax(null))))
-    _check_domain(w.x, domain_margin, name)
 
 
 # -- built-in metrics ----------------------------------------------------------
@@ -240,6 +269,67 @@ def custom(n: int, f2, name="custom", domain_margin=None) -> MetricSpec:
     return MetricSpec(n, f2, name=name, kind="custom", domain_margin=domain_margin)
 
 
+# -- the point memo ------------------------------------------------------------
+
+
+class _PointMemo(OrderedDict):
+    """A bounded memo of values built at tangent points, least recently used
+    out first once it holds more than ``size`` entries.
+
+    A key is the source object, a tag (a frame's jet order) and the exact
+    shape and bytes of the points x and y, (..., n): another object with the
+    same rule, or the same point in other bytes (-0.0 for 0.0), misses. So a
+    source's rule must not change after use. An entry holds its source, so
+    the id in its key is not reused while it lives. A value is stored only
+    once its points have passed the checks of its build, so a hit needs none.
+    """
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+
+    @staticmethod
+    def key(src, tag, x, y):
+        return (id(src), tag, x.shape, x.tobytes(), y.tobytes())
+
+    def find(self, key):
+        """The value stored under ``key``, now the most recently used, or None."""
+        entry = self.get(key)
+        if entry is None:
+            return None
+        self.move_to_end(key)
+        return entry[1]
+
+    def put(self, src, key, value):
+        """Store ``value`` of ``src`` under ``key``, evicting the least recently used."""
+        self[key] = (src, value)
+        if len(self) > self.size:
+            self.popitem(last=False)
+        return value
+
+    def peek(self, src, x, y):
+        """The value of ``src`` at exactly these points under any tag, or None;
+        the entry keeps its place."""
+        points = (x.shape, x.tobytes(), y.tobytes())
+        for key, (owner, value) in self.items():
+            if owner is src and key[2:] == points:
+                return value
+        return None
+
+
+_MEMO_SIZE = 8
+
+
+def _freeze(value):
+    """Make a shared array or jet read-only: an in-place write would corrupt
+    every later reader at its points."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, Jet):
+        value.c.flags.writeable = False
+    return value
+
+
 # -- tensor operations ---------------------------------------------------------
 
 
@@ -254,25 +344,53 @@ def _f2_y_jet(ms: MetricSpec, x, y, order: int) -> Jet:
     return lift_any(lambda ys: ms.f2(xs, ys), np.asarray(y, float), order)
 
 
+# the checked y-jets of the last _MEMO_SIZE tangent points or batches read
+_y_jets = _PointMemo(_MEMO_SIZE)
+
+
+def _y_jet(ms: MetricSpec, w: TangentVector, store: bool = True) -> Jet:
+    """The order-3 y-jet of F^2 at w, (..., n), read-only, with w checked
+    admissible and its g positive definite.
+
+    A memo entry of ``ms`` at exactly w's points is returned with no check,
+    as its build ran them; else w is checked and lifted, and with ``store``
+    the jet becomes an entry. A caller that reads one batch once passes
+    ``store=False`` and gets an order-2 jet, which holds the same F, g and
+    covector bit for bit.
+    """
+    key = _y_jets.key(ms, 3, w.x, w.y)
+    jet = _y_jets.find(key)
+    if jet is not None:
+        return jet
+    ms.check_tangent(w)
+    jet = _f2_y_jet(ms, w.x, w.y, 3 if store else 2)
+    require_positive_definite(0.5 * jet.derivative(2), w.x, w.y)
+    if store:
+        _y_jets.put(ms, key, _freeze(jet))
+    return jet
+
+
 def metric_value(ms: MetricSpec, w: TangentVector):
     """F(w) > 0 on the slit bundle, where g_w is positive definite.
 
-    The strong-convexity test refuses a point where F < 0 although F^2 > 0,
-    as it does in ``fundamental_tensor``; F^2 is the value part of the
-    same y-jet. The value parts of sqrt, exp, log, sin and cos of a jet are
-    the float functions of its value part, and that of 1/b is fl(1/b0), so
-    a rule of +, -, * and these functions gives F^2 as its float evaluation
-    (up to the sign of a zero). A quotient a / b of a y-dependent b has the
-    value part a0 fl(1/b0), not fl(a0 / b0), and an integer power above 2 is
-    repeated multiplication, not pow; either can differ from a float
-    evaluation in the last bits. ``w`` may carry
-    leading batch axes: F then has shape (...), one rule evaluation on jets
-    over the batch, and each point is bitwise equal to its own single call
-    (a float).
+    F^2 is the value part of w's checked y-jet (``_y_jet``), shared with
+    ``fundamental_tensor``, ``cartan_tensor`` and ``legendre_transform`` at
+    the same points; so a point where g fails the strong-convexity test is
+    refused here too, and one where F^2 <= 0 is refused on every call. The
+    value parts of sqrt, exp, log, sin and cos of a jet are the float
+    functions of its value part, and that of 1/b is fl(1/b0), so a rule of
+    +, -, * and these functions gives F^2 as its float evaluation (up to the
+    sign of a zero). A quotient a / b of a y-dependent b has the value part
+    a0 fl(1/b0), not fl(a0 / b0), and an integer power above 2 is repeated
+    multiplication, not pow; either can differ from a float evaluation in
+    the last bits. ``w`` may carry leading batch axes: F then has shape
+    (...), and each point is bitwise equal to its own single call (a float).
     """
-    ms.check_tangent(w)
-    jet = _f2_y_jet(ms, w.x, w.y, 2)
-    require_positive_definite(0.5 * jet.derivative(2), w.x, w.y)
+    return _metric_value(_y_jet(ms, w))
+
+
+def _metric_value(jet: Jet):
+    """F from a y-jet of F^2, refused where F^2 <= 0."""
     v = jet.value
     bad = v <= 0.0
     if _any(bad):
@@ -309,8 +427,10 @@ def _legendre(ms: MetricSpec, x, y):
     """(xi, g) at (x, y): the Legendre covector g_y(y, .), half the fiber
     gradient of F^2, and the fundamental tensor g_y, half its fiber Hessian.
 
-    One order-2 y-jet gives both; g is checked positive definite. ``x`` and
-    ``y`` may carry leading batch axes, (..., n).
+    One order-2 y-jet gives both; g is checked positive definite, the point
+    is not checked and no memo entry is made: the Newton iterates of
+    ``normal_cone_solve`` read it. ``x`` and ``y`` may carry leading batch
+    axes, (..., n).
     """
     jet = _f2_y_jet(ms, x, y, 2)
     g = 0.5 * jet.derivative(2)
@@ -319,21 +439,22 @@ def _legendre(ms: MetricSpec, x, y):
 
 
 def fundamental_tensor(ms: MetricSpec, w: TangentVector) -> FundamentalTensor:
-    """g_w = half the fiber Hessian of F^2 at w; checked positive definite."""
-    ms.check_tangent(w)
-    return FundamentalTensor(w, _legendre(ms, w.x, w.y)[1])
+    """g_w = half the fiber Hessian of F^2 at w; checked positive definite.
+
+    Read off w's checked y-jet (``_y_jet``), lifted once for this reader,
+    ``metric_value``, ``cartan_tensor`` and ``legendre_transform`` at the
+    same points. ``w`` may carry leading batch axes, (..., n).
+    """
+    return FundamentalTensor(w, 0.5 * _y_jet(ms, w).derivative(2))
 
 
 def cartan_tensor(ms: MetricSpec, w: TangentVector) -> CartanTensor:
     """Fully symmetric C_w(u,v,z) = (1/4) third fiber derivative of F^2.
 
-    The order-3 jet also holds g_w, which is checked positive definite as
-    in ``fundamental_tensor``.
+    Read off w's checked y-jet (``_y_jet``) as in ``fundamental_tensor``,
+    so a point where g is not positive definite is refused here too.
     """
-    ms.check_tangent(w)
-    jet = _f2_y_jet(ms, w.x, w.y, 3)
-    require_positive_definite(0.5 * jet.derivative(2), w.x, w.y)
-    return CartanTensor(w, 0.25 * jet.derivative(3))
+    return CartanTensor(w, 0.25 * _y_jet(ms, w).derivative(3))
 
 
 # -- metric validation ----------------------------------------------------------

@@ -25,12 +25,19 @@ the right-hand side summed in index order, and a one-column product. ODE
 right-hand sides that need only G call ``spray_values``, which equals the
 G of every frame at its points bit for bit: it reads G from the point's
 frame where one was built, and elsewhere solves from an order-2 jet of F^2
-without building a frame.
+without building a frame. The Chebyshev-Picard sweeps of
+``integrate_geodesic`` solve the same way at their own iterates
+(``_iterate_spray_values``), which they have already tested finite and
+inside the chart.
+
+A frame checks its points only when it builds: the frame memo
+(``metrics._PointMemo``, the policy of the metric readers' y-jet memo too)
+stores an entry once its build has passed every check, so a frame that
+adopts one at exactly the same points and order checks nothing.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,7 +45,8 @@ import numpy as np
 
 from .errors import DegenerateFlag, NotHomogeneous
 from .jets import Jet, _any, contract, lift_any, solve_linear, space_for
-from .metrics import (MetricSpec, TangentVector, _batch_note, check_slit_domain,
+from .metrics import (_MEMO_SIZE, MetricSpec, TangentVector, _batch_note, _freeze,
+                      _PointMemo, _require_fiber_direction, check_slit_domain,
                       require_positive_definite)
 
 
@@ -113,27 +121,27 @@ def _index(blocks, n):
 # and every tensor derived from them: a memo entry holds the jets of a build
 # at its whole batch, whatever its size, and the derived-tensor cache that
 # every frame at that key adopts, for the last _MEMO_SIZE builds, least
-# recently used out first. The per-point entry points (spray_coefficients,
+# recently used out first (metrics._PointMemo, keyed by the source object, the
+# order and the points' bytes). The per-point entry points (spray_coefficients,
 # curvature_endomorphism, flag_curvature) build their frames at one point one
 # after another; the local doublings of the linear flows along a geodesic are
 # kept on the geodesic (variational.py), so a later flow there builds none.
-# The key is the source object, not its rule, so a rule must not change after
-# use; an entry holds its source, so the id in its key is not reused while it
-# lives.
-_MEMO_SIZE = 8
-_memo = OrderedDict()
+_memo = _PointMemo(_MEMO_SIZE)
 
 
-def _frame_jets(src, x, y, order):
-    """((f, g, ginv, gpoly, Gpoly), cache) at points (..., n), shared read-only
-    by every frame of the same source object at the same points and order; the
-    metric parts are None for a bare spray. Every jet has the batch axes first.
-    ``cache`` is the derived-tensor dict of the frames that adopt the entry."""
-    key = (id(src), order, x.shape, x.tobytes(), y.tobytes())
-    entry = _memo.get(key)
-    if entry is not None and entry[0] is src:
-        _memo.move_to_end(key)
-        return entry[1], entry[2]
+def _frame_jets(src, w: TangentVector, order):
+    """((f, g, ginv, gpoly, Gpoly), cache) at w's points (..., n), shared
+    read-only by every frame of the same source object at the same points and
+    order; the metric parts are None for a bare spray. Every jet has the batch
+    axes first. ``cache`` is the derived-tensor dict of the frames that adopt
+    the entry. A build checks w first; a hit checks nothing, as an entry is
+    stored only once its build has passed every check."""
+    x, y = w.x, w.y
+    key = _memo.key(src, order, x, y)
+    hit = _memo.find(key)
+    if hit is not None:
+        return hit
+    src.check_tangent(w)
     batch = x.shape[:-1]
     if int(np.prod(batch)) <= _BLOCK:
         jets = _build_frame_jets(src, x, y, order)
@@ -146,21 +154,7 @@ def _frame_jets(src, x, y, order):
     for part in jets:
         if part is not None:
             _freeze(part)
-    cache = {}
-    _memo[key] = (src, jets, cache)
-    if len(_memo) > _MEMO_SIZE:
-        _memo.popitem(last=False)
-    return jets, cache
-
-
-def _freeze(value):
-    """Make a shared array or jet read-only: an in-place write would corrupt
-    every later frame at its points."""
-    if isinstance(value, np.ndarray):
-        value.flags.writeable = False
-    elif isinstance(value, Jet):
-        value.c.flags.writeable = False
-    return value
+    return _memo.put(src, key, (jets, {}))
 
 
 def _build_frame_jets(src, x, y, order):
@@ -264,11 +258,11 @@ class PointFrame:
     cache (the rows, ``R``, the field jets and the classical lifts' halves
     and their sup norms). Every jet and tensor a frame hands out is read-only, so an
     in-place write raises instead of corrupting a later frame. The tangent
-    checks run for every frame.
+    checks run on a build: a memo entry at exactly these points and order
+    was stored only after its build had checked them.
     """
 
     def __init__(self, src, w: TangentVector, order: int = 4):
-        src.check_tangent(w)
         self.src = src
         self.metric = src if isinstance(src, MetricSpec) else None
         self.w = w
@@ -276,7 +270,7 @@ class PointFrame:
         self.order = order
         self.x = w.x
         self.y = w.y
-        jets, self._cache = _frame_jets(src, self.x, self.y, order)
+        jets, self._cache = _frame_jets(src, w, order)
         self.f, self.g, self.ginv, self.gpoly, self.Gpoly = jets
 
     def _get(self, key, builder):
@@ -408,19 +402,39 @@ def spray_values(src, x, y) -> np.ndarray:
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
+    _require_dimension(src, x, y)
+    if isinstance(src, MetricSpec) and x.shape == y.shape:
+        # a peek: the entry keeps its place in the memo
+        hit = _memo.peek(src, x, y)
+        if hit is not None:
+            jets, _ = hit
+            return jets[4].value.copy()
+    src.check_tangent(TangentVector(x, y))
+    return _solve_spray(src, x, y)
+
+
+def _iterate_spray_values(src, x, y) -> np.ndarray:
+    """``spray_values`` at the iterates of the geodesic sweeps, bit for bit,
+    for float arrays (N, n) whose points ``_picard_geodesics`` has already
+    tested finite and inside the chart: only the dimension and the fiber-direction tests
+    run, and no frame is looked up, as an iterate is not a frame's point."""
+    _require_dimension(src, x, y)
+    _require_fiber_direction(x, y)
+    return _solve_spray(src, x, y)
+
+
+def _require_dimension(src, x, y) -> None:
     n = src.dim
     if x.shape[-1:] != (n,) or y.shape[-1:] != (n,):
         raise ValueError(f"dimension mismatch: x of shape {x.shape} and y of shape {y.shape} "
                          f"must end in n = {n}")
-    metric = isinstance(src, MetricSpec)
-    if metric and x.shape == y.shape:
-        points = (x.shape, x.tobytes(), y.tobytes())
-        # a peek: the entry keeps its place in the memo
-        for key, (owner, jets, _) in _memo.items():
-            if owner is src and key[2:] == points:
-                return jets[4].value.copy()
-    src.check_tangent(TangentVector(x, y))
-    if metric:
+
+
+def _solve_spray(src, x, y) -> np.ndarray:
+    """G at checked points (..., n), solved from an order-2 lift of a metric's
+    F^2, or a bare spray's rule on floats point by point."""
+    n = src.dim
+    if isinstance(src, MetricSpec):
         f = lift_any(lambda v: src.f2(v[:n], v[n:]), np.concatenate([x, y], axis=-1), 2)
         _, ginv, rhs = _spray_parts(f.derivative(1), f.derivative(2), x, y)
         return 0.25 * np.matmul(ginv, rhs[..., None])[..., 0]

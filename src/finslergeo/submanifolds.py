@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InvalidLift, NoConvergence, SingularBasis
 from .jets import _any, lift_any, smath
 from .lifts import LiftSpec, _admissible_tensors, classical_lift, condition_residuals
-from .metrics import MetricSpec, TangentVector, _batch_note, _legendre, metric_value
+from .metrics import MetricSpec, TangentVector, _batch_note, _legendre, _metric_value, _y_jet
 from .spray import PointFrame, _matvec, _pair, adapted_split
 
 
@@ -198,7 +198,9 @@ def normal_cone_solve(P: Submanifold, param, ms: MetricSpec, guess) -> NormalVec
                "normal solve collapsed to the null direction")
     else:
         refuse(todo >= 0, f"normal solve did not reach tolerance {tol} in {max_iter} iterations")
-    eta = eta / np.expand_dims(metric_value(ms, TangentVector(x, eta)), -1)
+    # F at the converged normals, checked as metric_value checks them; a
+    # solve's points are its own, so they make no memo entry
+    eta = eta / np.expand_dims(_metric_value(_y_jet(ms, TangentVector(x, eta), store=False)), -1)
     worst = np.abs(_matvec(np.swapaxes(imm.basis, -1, -2), _legendre(ms, x, eta)[0])).max(axis=-1)
     bad = _first(worst > 1e-10)
     if bad is not None:
@@ -265,9 +267,13 @@ def omega_F(ms: MetricSpec, w: TangentVector, X1, X2):
 
 
 def legendre_transform(ms: MetricSpec, w: TangentVector) -> np.ndarray:
-    """The covector g_w(w, .) (half the fiber gradient of F^2), (..., n)."""
-    ms.check_tangent(w)
-    return _legendre(ms, w.x, w.y)[0]
+    """The covector g_w(w, .) (half the fiber gradient of F^2), (..., n).
+
+    Read off w's checked y-jet of F^2 (``metrics._y_jet``), which
+    ``metric_value``, ``fundamental_tensor`` and ``cartan_tensor`` at the
+    same points share; g is checked positive definite on the lift.
+    """
+    return 0.5 * _y_jet(ms, w).derivative(1)
 
 
 def _null_space(a: np.ndarray, dim: int) -> np.ndarray:

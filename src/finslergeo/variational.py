@@ -12,12 +12,14 @@ SIAM 2000). A dense output is interpolated barycentrically
 A geodesic is the Picard fixed point s = s0 + integral of f(s), with
 f(x, v) = (v, -2 G(x, v)), solved by Chebyshev-Picard iteration
 (Clenshaw-Norton, *Comput. J.* 6, 1963; Bai-Junkins, *J. Astronaut. Sci.*
-58, 2011): one sweep is one batched ``spray_values`` call over every node
-of every geodesic being solved. A segment whose iterate leaves the chart or
-whose sweeps stall is split in two. A converged segment with a node past
-the chart's domain margin, or a split below ``_MIN_SEGMENT`` of the span
-inside a stretch whose iterate left the chart, is a ``DomainExit``; such a
-split elsewhere is a stall, ``NoConvergence``.
+58, 2011): one sweep is one batched evaluation of G over every node of
+every geodesic being solved, ``spray_values`` less its finite and chart
+tests, which the sweeps have made (``_iterate_spray_values``). A segment
+whose iterate leaves the chart or whose sweeps stall is split in two. A
+converged segment with a node past the chart's domain margin, or a split
+below ``_MIN_SEGMENT`` of the span inside a stretch whose iterate left the
+chart, is a ``DomainExit``; such a split elsewhere is a stall,
+``NoConvergence``.
 
 Jacobi fields (from N and R), the Jacobi oracle (the linearized spray flow,
 from Gx and N: the exact derivative of the exponential map,
@@ -53,7 +55,7 @@ from .errors import DomainExit, GridError, NoConvergence, NormalityViolation, Nu
 from .jets import Jet, space_for
 from .lifts import LiftSpec, affine_coefficients, classical_lift, covariant_derivative_curve
 from .metrics import MetricSpec, TangentVector
-from .spray import PointFrame, spray_values
+from .spray import PointFrame, _iterate_spray_values, spray_values
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11        # a solve at rtol has atol = rtol * DEFAULT_ATOL / DEFAULT_RTOL
@@ -463,7 +465,8 @@ def _picard_geodesics(src, states0, t_end: float, rtol: float) -> list:
             while seg.outside():
                 seg.split(True)
         states = np.concatenate([seg.values for seg in active])
-        G = spray_values(src, states[:, :n], states[:, n:])
+        # every node is finite (settle splits a segment that is not) and inside the chart
+        G = _iterate_spray_values(src, states[:, :n], states[:, n:])
         at = np.cumsum([0] + [len(seg.t) for seg in active])
         for seg, a, b in zip(active, at[:-1], at[1:]):
             seg.sweep(G[a:b])

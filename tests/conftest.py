@@ -8,10 +8,12 @@ from finslergeo.rng import SplitMix64
 
 @pytest.fixture(autouse=True)
 def fresh_frame_memo():
-    """Start every test with no memoized frame jets: the metric fixtures are
-    session-scoped, so a test that patches ``lift_any``, ``solve_linear`` or a
-    metric's rule would otherwise read jets an earlier test built."""
+    """Start every test with no memoized frame jets or y-jets: the metric
+    fixtures live for the whole test run, so a test that patches
+    ``lift_any``, ``solve_linear`` or a metric's rule would otherwise read
+    jets an earlier test built."""
     spray._memo.clear()
+    metrics._y_jets.clear()
 
 
 @pytest.fixture(scope="session")

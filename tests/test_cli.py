@@ -523,6 +523,18 @@ def test_g_alone_builds_no_order_two_frame(scenario, monkeypatch):
     assert orders and 2 not in orders
 
 
+def test_lift_independence_lifts_its_samples_once(monkeypatch):
+    # R is read off the order-5 frame that every lift_curvature call reads, not
+    # off an order-4 frame of its own at the same points; the covariant check's
+    # order-4 frame is at other points, (x, W(x))
+    from test_spray import _counting_lifts
+
+    lifts = _counting_lifts(monkeypatch)
+    cfg = dict(cli.bundled_scenarios())["10_lift_independence_randers.json"]
+    assert cli.run_scenario_config(cfg, stream=io.StringIO()) == 0
+    assert lifts == [5, 4]
+
+
 def test_sff_compare_solves_one_normal_bundle_per_sample(monkeypatch):
     # one batched normal-cone solve per submanifold, over all of its samples: the
     # normal-bundle bases read their along rows off the implicit-function theorem,

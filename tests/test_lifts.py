@@ -524,6 +524,32 @@ def test_berwald_lift_curvature_on_a_bare_spray():
             lift_curvature(classical_lift(kind, src), src, w, u)
 
 
+def test_every_lift_reader_refuses_a_metric_lift_on_a_bare_spray_alike():
+    # the frame readers used to end in the frame's generic TypeError here, while
+    # lift_curvature named the lift
+    src = _generic_spray()
+    w = TangentVector([0.2, -0.1], [0.6, 0.8])
+    fr = PointFrame(src, w)
+    entries = {
+        "affine_coefficients": lambda lift: affine_coefficients(lift, src, w),
+        "lift_tensors": lambda lift: lift_tensors(lift, fr),
+        "condition_residuals": lambda lift: condition_residuals(lift, fr, ("T1", "T3")),
+        "lift_curvature": lambda lift: lift_curvature(lift, src, w, w.y),
+    }
+    metric_lifts = [classical_lift(k, src) for k in ("cartan", "chern-rund", "hashiguchi")]
+    metric_lifts.append(LiftSpec("flat", c_flat=lambda p: np.zeros((2, 2, 2))))
+    for call in entries.values():
+        for lift in metric_lifts:
+            with pytest.raises(InvalidLift, match=f"lift {lift.name}: flat lift tensors require "
+                                                  f"a metric, got a bare spray"):
+                call(lift)
+        call(classical_lift("berwald", src))    # Berwald's halves are zero: it serves a spray
+    # a metric condition on a spray's frame keeps its TypeError, whatever the lift
+    for kind in ("berwald", "cartan"):
+        with pytest.raises(TypeError, match="requires a metric"):
+            condition_residuals(classical_lift(kind, src), fr, ("M1",))
+
+
 @pytest.mark.parametrize("name", ["randers_var", "funk", "funk3", "euclid2", "spray"])
 def test_batched_lift_curvature_is_bitwise_per_point(name, request):
     if name == "spray":

@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from finslergeo import metrics, spray
 from finslergeo.errors import DomainError, NotPositiveDefinite, NullDirection
-from finslergeo.lifts import affine_coefficients, classical_lift, lift_curvature
+from finslergeo.jets import smath
+from finslergeo.lifts import (SectionJet, affine_coefficients, classical_lift,
+                              condition_residuals, lift_curvature, nabla_apply)
 from finslergeo.metrics import (TangentVector, cartan_tensor, check_metric,
                                 fundamental_tensor, metric_value, random_tangent)
 from finslergeo.rng import SplitMix64
-from finslergeo.submanifolds import legendre_transform
+from finslergeo.submanifolds import circle, legendre_transform, normal_cone_solve, omega_F
 from finslergeo.variational import integrate_geodesic
 
 from oracles import hessian, third_derivative
@@ -191,8 +193,8 @@ def test_randers_constant_beta_of_wrong_length_is_refused(dim, beta):
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)
 def test_one_legendre_jet_gives_the_order_one_and_two_jets_values(name, request):
-    # g and the Legendre covector come from one order-2 y-jet, bit for bit what
-    # the separate order-2 and order-1 jets gave, on a batch
+    # g and the Legendre covector come from one y-jet, bit for bit what the
+    # separate order-2 and order-1 jets gave, on a batch
     ms = request.getfixturevalue(name)
     rng = SplitMix64(43)
     w = TangentVector.stack([random_tangent(ms, rng) for _ in range(7)])
@@ -232,6 +234,16 @@ def _berwald(ms):
     return classical_lift("berwald", ms)
 
 
+def _X(w):
+    """A raw tangent vector (..., 2n) of TM\\0 at every point of w."""
+    return np.ones(np.shape(w.y)[:-1] + (2 * np.shape(w.y)[-1],))
+
+
+def _section(w):
+    n = np.shape(w.y)[-1]
+    return SectionJet(_u(w), np.zeros(np.shape(w.y) + (n,)), np.zeros(np.shape(w.y) + (n,)))
+
+
 # every public entry point that takes a TangentVector, called at (ms, w)
 _ENTRY_POINTS = {
     "metric_value": metric_value,
@@ -246,6 +258,8 @@ _ENTRY_POINTS = {
     "lift_curvature": lambda ms, w: lift_curvature(_berwald(ms), ms, w, _u(w)),
     "integrate_geodesic": lambda ms, w: integrate_geodesic(ms, w, 0.5),
     "spray_values": lambda ms, w: spray.spray_values(ms, w.x, w.y),
+    "nabla_apply": lambda ms, w: nabla_apply(_berwald(ms), ms, w, _X(w), _section(w)),
+    "omega_F": lambda ms, w: omega_F(ms, w, _X(w), _X(w)),
 }
 
 # violation: (metric, tangent vector, the typed error every entry point raises)
@@ -263,6 +277,8 @@ _VIOLATIONS = {
               DomainError),
     "inf y": (metrics.randers(2, [0.5, 0.0]), TangentVector([0.1, 0.2], [np.inf, 1.0]),
               DomainError),
+    # |y|^2 overflows: numpy's overflow warning used to end the call untyped
+    "overflowing y": (metrics.funk(2), TangentVector([0.1, 0.2], [1e200, 1e200]), DomainError),
 }
 
 
@@ -270,9 +286,12 @@ _VIOLATIONS = {
     (entry, violation) for entry in _ENTRY_POINTS for violation in _VIOLATIONS])
 def test_admissibility_contract(entry, violation):
     ms, w, error = _VIOLATIONS[violation]
-    with pytest.raises(error) as info:
-        _ENTRY_POINTS[entry](ms, w)
-    assert info.type is error, info.value
+    # a refused point leaves no memo entry, so a second call refuses again
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            _ENTRY_POINTS[entry](ms, w)
+        assert info.type is error, info.value
+    assert len(metrics._y_jets) == 0 and len(spray._memo) == 0
 
 
 def test_a_non_finite_point_refuses_the_batch_naming_the_first():
@@ -285,3 +304,164 @@ def test_a_non_finite_point_refuses_the_batch_naming_the_first():
         with pytest.raises(DomainError, match=r"x=\[0\.1 nan\], y=\[1\. 0\.\] at batch index "
                                               r"\(1, 0\)"):
             _ENTRY_POINTS[entry](ms, TangentVector(x, y))
+
+
+def test_every_exported_tangent_vector_entry_point_has_a_contract_row():
+    # a public function or constructor with a TangentVector parameter is an
+    # entry point of the admissibility contract; the result records are not
+    import dataclasses
+    import inspect
+
+    import finslergeo
+
+    takers = set()
+    for name in dir(finslergeo):
+        obj = getattr(finslergeo, name)
+        if name.startswith("_") or not callable(obj) or dataclasses.is_dataclass(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters.values()
+        except (TypeError, ValueError):
+            continue
+        if any("TangentVector" in str(p.annotation) for p in params):
+            takers.add(name)
+    assert "metric_value" in takers and "PointFrame" in takers
+    assert takers - _ENTRY_POINTS.keys() == set()
+
+
+def test_an_overflowing_direction_names_the_first_bad_point():
+    x = np.tile([0.1, 0.2], (3, 1))
+    y = np.tile([1.0, 0.5], (3, 1))
+    y[2] = [1e200, 1e200]
+    with pytest.raises(DomainError, match=r"overflows.*x=\[0\.1 0\.2\], y=\[1\.e\+200 1\.e\+200\] "
+                                          r"at batch index \(2,\)"):
+        fundamental_tensor(metrics.funk(2), TangentVector(x, y))
+    # a large direction whose squared norm is finite is still admissible
+    g = fundamental_tensor(metrics.euclidean(2), TangentVector([0.0, 0.0], [1e150, 1e150])).g
+    assert np.array_equal(g, np.eye(2))
+
+
+# -- the y-jet memo -------------------------------------------------------------------
+
+
+def _conformal():
+    return metrics.custom(2, lambda xs, ys: smath.dot(ys, ys) * smath.exp(xs[0] * xs[1]),
+                          name="conformal", domain_margin=lambda x: 1.0 - (x * x).sum(axis=-1))
+
+
+# every metric kind: the six built-in fixtures and a custom rule
+_KINDS = ALL_BUILTINS + ["conformal"]
+
+
+def _metric(name, request):
+    return _conformal() if name == "conformal" else request.getfixturevalue(name)
+
+
+def _y_readers(ms, w):
+    """F, g, C and the Legendre covector at w through the public readers."""
+    return {"F": np.asarray(metric_value(ms, w)), "g": fundamental_tensor(ms, w).g,
+            "C": cartan_tensor(ms, w).C, "xi": legendre_transform(ms, w)}
+
+
+def _counting_y_lifts(monkeypatch):
+    """The orders of the y-jet lifts of F^2 from now on."""
+    orders = []
+    real = metrics.lift_any
+    monkeypatch.setattr(metrics, "lift_any",
+                        lambda fn, center, order: orders.append(order) or real(fn, center, order))
+    return orders
+
+
+@pytest.mark.parametrize("name", _KINDS)
+def test_a_y_jet_memo_hit_is_bitwise_a_fresh_lift(name, request, monkeypatch):
+    ms = _metric(name, request)
+    rng = SplitMix64(53)
+    single = random_tangent(ms, rng)
+    batch = TangentVector.stack([random_tangent(ms, rng) for _ in range(5)])
+    for w in (single, batch):
+        # what the readers gave before they shared a jet: an order-2 lift for F,
+        # g and the covector, an order-3 one for C
+        j2, j3 = (metrics._f2_y_jet(ms, w.x, w.y, q) for q in (2, 3))
+        fresh = {"F": np.sqrt(j2.value), "g": 0.5 * j2.derivative(2),
+                 "C": 0.25 * j3.derivative(3), "xi": 0.5 * j2.derivative(1)}
+        lifts = _counting_y_lifts(monkeypatch)
+        first = _y_readers(ms, w)
+        hit = _y_readers(ms, w)
+        assert lifts == [3]
+        monkeypatch.undo()
+        for key, value in fresh.items():
+            assert first[key].tobytes() == value.tobytes(), (key, w.x.shape)
+            assert hit[key].tobytes() == value.tobytes(), (key, w.x.shape)
+
+
+def test_a_point_tour_op_checks_twice_and_lifts_twice(randers_var, monkeypatch):
+    from finslergeo.lifts import ClassicalKind
+
+    rng = SplitMix64(59)
+    w = random_tangent(randers_var, rng)
+    u = np.array([-w.y[1], w.y[0]])
+    checks = []
+    check = metrics.MetricSpec.check_tangent
+    monkeypatch.setattr(metrics.MetricSpec, "check_tangent",
+                        lambda ms, at: checks.append(1) or check(ms, at))
+    lifts = _counting_y_lifts(monkeypatch)
+    real = spray.lift_any
+    monkeypatch.setattr(spray, "lift_any",
+                        lambda fn, center, order: lifts.append(order) or real(fn, center, order))
+    # the benchmark's library tour at one point, with F and the covector as well
+    fundamental_tensor(randers_var, w)
+    cartan_tensor(randers_var, w)
+    spray.spray_coefficients(randers_var, w)
+    spray.curvature_endomorphism(randers_var, w)
+    spray.flag_curvature(randers_var, w, u)
+    spray.spray_values(randers_var, w.x, w.y)
+    fr = spray.PointFrame(randers_var, w, order=4)
+    for kind in ClassicalKind:
+        condition_residuals(classical_lift(kind, randers_var), fr)
+    metric_value(randers_var, w)
+    legendre_transform(randers_var, w)
+    # one y-jet and one frame, each checked on its build
+    assert lifts == [3, 4]
+    assert len(checks) == 2
+
+
+def test_the_internal_sweeps_make_no_y_jet_entry(randers_var):
+    nv = normal_cone_solve(circle([0, 0], 1.0), [0.3], randers_var, guess=[-0.9, -0.3])
+    check_metric(randers_var, 20, seed=5)
+    assert len(metrics._y_jets) == 0
+    assert metric_value(randers_var, TangentVector(nv.x, nv.eta)) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_a_memoized_y_jet_is_read_only_and_the_tensors_are_the_callers(randers_var):
+    w = random_tangent(randers_var, SplitMix64(61))
+    g = fundamental_tensor(randers_var, w).g
+    jet = metrics._y_jet(randers_var, w)
+    assert len(metrics._y_jets) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        jet.c[...] = 0.0
+    # a reader hands out a fresh array: writing it leaves the next read as it was
+    g[...] = 0.0
+    C = cartan_tensor(randers_var, w).C
+    C[...] = 0.0
+    assert np.all(fundamental_tensor(randers_var, w).g != 0.0)
+    assert np.any(cartan_tensor(randers_var, w).C != 0.0)
+
+
+def test_the_y_jet_memo_misses_another_source_or_point_and_is_bounded(monkeypatch):
+    import copy
+
+    ms = metrics.randers(2, [0.3, 0.1])
+    twin = copy.copy(ms)
+    w = TangentVector([0.0, 0.2], [1.0, 0.5])
+    fundamental_tensor(ms, w)
+    lifts = _counting_y_lifts(monkeypatch)
+    cartan_tensor(ms, w)
+    assert lifts == []
+    cartan_tensor(twin, w)
+    cartan_tensor(ms, TangentVector([-0.0, 0.2], w.y))   # other bytes, the same point
+    cartan_tensor(ms, TangentVector.stack([w]))          # another shape
+    assert lifts == [3, 3, 3]
+    rng = SplitMix64(67)
+    for _ in range(3 * metrics._MEMO_SIZE):
+        metric_value(ms, random_tangent(ms, rng))
+        assert len(metrics._y_jets) <= metrics._MEMO_SIZE

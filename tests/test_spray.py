@@ -291,6 +291,45 @@ def test_spray_values_equals_every_frames_G_bitwise(order, sphere, poincare, fun
             assert PointFrame(ms, TangentVector(x, y), order=order).G.tobytes() == G.tobytes()
 
 
+def test_order_4_and_order_5_frames_agree_bitwise(euclid2, sphere, poincare, funk, randers_const,
+                                                 randers_var):
+    # the series run on an exactly nilpotent part, so every row, R and C' of an
+    # order-4 frame are the order-5 frame's: a caller that builds an order-5
+    # frame reads them there (scenario 10's R), on every metric kind and a spray
+    disk = metrics.custom(2, lambda xs, ys: smath.dot(ys, ys) * smath.exp(xs[0] * xs[1]),
+                          name="conformal", domain_margin=lambda x: 1.0 - (x * x).sum(axis=-1))
+    sources = [euclid2, sphere, poincare, funk, metrics.funk(3), randers_const, randers_var,
+               disk, _quadratic_spray()]
+    for k, src in enumerate(sources):
+        X, Y = _batch(src, 25, 700 + k)
+        for w in (TangentVector(X, Y), TangentVector(X[0], Y[0])):
+            fr4, fr5 = PointFrame(src, w, order=4), PointFrame(src, w, order=5)
+            names = [name for name, (jet, _, _) in spray._TENSORS.items()
+                     if jet == "Gpoly" or src.kind != "spray"] + ["R"]
+            names += ["Cp_low"] if src.kind != "spray" else []
+            for name in names:
+                assert getattr(fr4, name).tobytes() == getattr(fr5, name).tobytes(), \
+                    (src.name, name, w.x.shape)
+
+
+def test_integrate_geodesic_checks_its_start_alone(funk, monkeypatch):
+    # the Picard sweeps' own iterates are finite and inside the chart by the
+    # solve's own tests, so only the initial point runs the tangent check
+    checks = []
+    check = metrics.MetricSpec.check_tangent
+    monkeypatch.setattr(metrics.MetricSpec, "check_tangent",
+                        lambda ms, at: checks.append(1) or check(ms, at))
+    geo = integrate_geodesic(funk, TangentVector([0.1, -0.2], [0.6, 0.3]), 1.0)
+    assert checks == [1]
+    # the sweeps' G is spray_values' at the same nodes, bit for bit
+    n = funk.dim
+    nodes = np.concatenate([geo.points, geo.velocities], axis=1)
+    assert spray._iterate_spray_values(funk, nodes[:, :n], nodes[:, n:]).tobytes() == \
+        spray_values(funk, nodes[:, :n], nodes[:, n:]).tobytes()
+    with pytest.raises(NullDirection):
+        spray._iterate_spray_values(funk, nodes[:2, :n], np.zeros((2, n)))
+
+
 def test_spray_values_reads_no_frame_at_other_points_or_of_a_bare_spray(randers_var,
                                                                         monkeypatch):
     X, Y = _batch(randers_var, 6, 511)
