@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import GridError, InvalidLift, NullReference
 from .jets import Jet, _stack, contract, smath, solve_linear, space_for
-from .metrics import MetricSpec, TangentVector, _batch_note, require_points
+from .metrics import NULL_DIRECTION_TOL, MetricSpec, TangentVector, _batch_note, require_points
 from .rng import SplitMix64
 from .spray import PointFrame, _matvec, adapted_split
 
@@ -456,7 +456,7 @@ def covariant_derivative_curve(lift: LiftSpec, src, curve, W, V):
             or not np.allclose(W.grid, grid) or not np.allclose(V.grid, grid)):
         raise GridError("curve and field grids do not match")
     vdot = _derivative(grid, V.vectors)
-    if np.min(np.linalg.norm(W.vectors, axis=1)) < 1e-12:
+    if np.min(np.linalg.norm(W.vectors, axis=1)) < NULL_DIRECTION_TOL:
         raise NullReference("reference field W vanishes at a node")
     a = affine_coefficients(lift, src, TangentVector(curve.points, W.vectors)).A
     out = vdot + np.einsum("...ijk,...j,...k->...i", a, curve.velocities, V.vectors)

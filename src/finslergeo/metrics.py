@@ -5,18 +5,18 @@ scalar type; every tensor below is extracted from jets of that single rule.
 
 F, g, the Cartan tensor C and the Legendre covector are fiber derivatives
 of F^2 at a tangent point, so their public readers share one order-3 y-jet
-of F^2 per point or batch of points: a read-only entry of a bounded memo
-(``_PointMemo``, the policy the frame memo of ``spray.py`` uses too), made
-only once the point has passed ``check_tangent`` and its g the strong-
-convexity test. A later reader at exactly these points runs neither. F, g
-and the covector of an order-3 jet are bit for bit those of an order-2 one.
-The package's internal sweeps (``_legendre``, ``check_metric``) lift
-unchecked order-2 jets and make no entry.
+of F^2 per point or batch of points. It is kept read-only in the one memo
+slot (``_slot``), which holds the last value built at tangent points, a
+checked y-jet or the jets of a ``spray.py`` frame, and is filled only once
+the point has passed ``check_tangent`` and its g the strong-convexity test.
+A later reader at exactly these points, with no other build in between,
+runs neither. F, g and the covector of an order-3 jet are bit for bit
+those of an order-2 one. The package's internal sweeps (``_legendre``,
+``check_metric``) lift unchecked order-2 jets and leave the slot as it was.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,55 +269,50 @@ def custom(n: int, f2, name="custom", domain_margin=None) -> MetricSpec:
     return MetricSpec(n, f2, name=name, kind="custom", domain_margin=domain_margin)
 
 
-# -- the point memo ------------------------------------------------------------
+# -- the memo slot --------------------------------------------------------------
 
 
-class _PointMemo(OrderedDict):
-    """A bounded memo of values built at tangent points, least recently used
-    out first once it holds more than ``size`` entries.
+class _PointSlot:
+    """The one memo slot: the last value built at tangent points, with the
+    key it was built under.
 
-    A key is the source object, a tag (a frame's jet order) and the exact
-    shape and bytes of the points x and y, (..., n): another object with the
-    same rule, or the same point in other bytes (-0.0 for 0.0), misses. So a
-    source's rule must not change after use. An entry holds its source, so
-    the id in its key is not reused while it lives. A value is stored only
-    once its points have passed the checks of its build, so a hit needs none.
+    A key is the source object, a tag (a frame's jet order, or ``_Y_JET``)
+    and the exact shape and bytes of the points x and y, (..., n): another
+    object with the same rule, or the same point in other bytes (-0.0 for
+    0.0), misses. So a source's rule must not change after use. The slot
+    holds its source, so the id in its key is not reused while it lives. A
+    value is put only once its points have passed the checks of its build,
+    so a hit needs none, and a refused build leaves the slot as it was.
     """
 
-    def __init__(self, size: int):
-        super().__init__()
-        self.size = size
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.key = self.src = self.value = None
 
     @staticmethod
-    def key(src, tag, x, y):
+    def key_of(src, tag, x, y):
         return (id(src), tag, x.shape, x.tobytes(), y.tobytes())
 
     def find(self, key):
-        """The value stored under ``key``, now the most recently used, or None."""
-        entry = self.get(key)
-        if entry is None:
-            return None
-        self.move_to_end(key)
-        return entry[1]
+        """The value held under ``key``, or None."""
+        return self.value if key == self.key else None
 
     def put(self, src, key, value):
-        """Store ``value`` of ``src`` under ``key``, evicting the least recently used."""
-        self[key] = (src, value)
-        if len(self) > self.size:
-            self.popitem(last=False)
+        """Hold ``value`` of ``src`` under ``key`` in place of the last build."""
+        self.key, self.src, self.value = key, src, value
         return value
 
     def peek(self, src, x, y):
-        """The value of ``src`` at exactly these points under any tag, or None;
-        the entry keeps its place."""
-        points = (x.shape, x.tobytes(), y.tobytes())
-        for key, (owner, value) in self.items():
-            if owner is src and key[2:] == points:
-                return value
-        return None
+        """(tag, value) held for ``src`` at exactly these points, or (None, None)."""
+        if self.src is src and self.key[2:] == (x.shape, x.tobytes(), y.tobytes()):
+            return self.key[1], self.value
+        return None, None
 
 
-_MEMO_SIZE = 8
+_slot = _PointSlot()
+_Y_JET = "y-jet"   # the slot tag of a checked y-jet; a frame's tag is its order
 
 
 def _freeze(value):
@@ -344,30 +339,22 @@ def _f2_y_jet(ms: MetricSpec, x, y, order: int) -> Jet:
     return lift_any(lambda ys: ms.f2(xs, ys), np.asarray(y, float), order)
 
 
-# the checked y-jets of the last _MEMO_SIZE tangent points or batches read
-_y_jets = _PointMemo(_MEMO_SIZE)
-
-
-def _y_jet(ms: MetricSpec, w: TangentVector, store: bool = True) -> Jet:
+def _y_jet(ms: MetricSpec, w: TangentVector) -> Jet:
     """The order-3 y-jet of F^2 at w, (..., n), read-only, with w checked
     admissible and its g positive definite.
 
-    A memo entry of ``ms`` at exactly w's points is returned with no check,
-    as its build ran them; else w is checked and lifted, and with ``store``
-    the jet becomes an entry. A caller that reads one batch once passes
-    ``store=False`` and gets an order-2 jet, which holds the same F, g and
-    covector bit for bit.
+    If the memo slot holds the y-jet of ``ms`` at exactly w's points, it is
+    returned with no check, as its build ran them; else w is checked and
+    lifted, and the jet takes the slot.
     """
-    key = _y_jets.key(ms, 3, w.x, w.y)
-    jet = _y_jets.find(key)
+    key = _slot.key_of(ms, _Y_JET, w.x, w.y)
+    jet = _slot.find(key)
     if jet is not None:
         return jet
     ms.check_tangent(w)
-    jet = _f2_y_jet(ms, w.x, w.y, 3 if store else 2)
+    jet = _f2_y_jet(ms, w.x, w.y, 3)
     require_positive_definite(0.5 * jet.derivative(2), w.x, w.y)
-    if store:
-        _y_jets.put(ms, key, _freeze(jet))
-    return jet
+    return _slot.put(ms, key, _freeze(jet))
 
 
 def metric_value(ms: MetricSpec, w: TangentVector):
@@ -428,7 +415,7 @@ def _legendre(ms: MetricSpec, x, y):
     gradient of F^2, and the fundamental tensor g_y, half its fiber Hessian.
 
     One order-2 y-jet gives both; g is checked positive definite, the point
-    is not checked and no memo entry is made: the Newton iterates of
+    is not checked and the memo slot is left as it was: the Newton iterates of
     ``normal_cone_solve`` read it. ``x`` and ``y`` may carry leading batch
     axes, (..., n).
     """

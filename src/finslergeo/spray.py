@@ -30,10 +30,10 @@ without building a frame. The Chebyshev-Picard sweeps of
 (``_iterate_spray_values``), which they have already tested finite and
 inside the chart.
 
-A frame checks its points only when it builds: the frame memo
-(``metrics._PointMemo``, the policy of the metric readers' y-jet memo too)
-stores an entry once its build has passed every check, so a frame that
-adopts one at exactly the same points and order checks nothing.
+A frame checks its points only when it builds: the memo slot
+(``metrics._slot``, which the metric readers' checked y-jets share) takes
+the last build once it has passed every check, so a frame that adopts it
+at exactly the same points and order checks nothing.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ import numpy as np
 
 from .errors import DegenerateFlag, NotHomogeneous
 from .jets import Jet, _any, contract, lift_any, solve_linear, space_for
-from .metrics import (_MEMO_SIZE, MetricSpec, TangentVector, _batch_note, _freeze,
-                      _PointMemo, _require_fiber_direction, check_slit_domain,
-                      require_positive_definite)
+from .metrics import (MetricSpec, TangentVector, _batch_note, _freeze, _require_fiber_direction,
+                      _slot, check_slit_domain, require_positive_definite)
 
 
 @dataclass(frozen=True)
@@ -117,16 +116,10 @@ def _index(blocks, n):
     return (...,) + tuple(slice(None, n) if b == "x" else slice(n, None) for b in blocks)
 
 
-# Frames built at the same points share one lift of F^2 and one spray solve,
-# and every tensor derived from them: a memo entry holds the jets of a build
-# at its whole batch, whatever its size, and the derived-tensor cache that
-# every frame at that key adopts, for the last _MEMO_SIZE builds, least
-# recently used out first (metrics._PointMemo, keyed by the source object, the
-# order and the points' bytes). The per-point entry points (spray_coefficients,
-# curvature_endomorphism, flag_curvature) build their frames at one point one
-# after another; the local doublings of the linear flows along a geodesic are
-# kept on the geodesic (variational.py), so a later flow there builds none.
-_memo = _PointMemo(_MEMO_SIZE)
+# The per-point entry points (spray_coefficients, curvature_endomorphism,
+# flag_curvature) build their frames at one point one after another, so the
+# memo slot serves them all; the local doublings of the linear flows along a
+# geodesic are kept on the geodesic (variational.py), not in the slot.
 
 
 def _frame_jets(src, w: TangentVector, order):
@@ -134,11 +127,11 @@ def _frame_jets(src, w: TangentVector, order):
     read-only by every frame of the same source object at the same points and
     order; the metric parts are None for a bare spray. Every jet has the batch
     axes first. ``cache`` is the derived-tensor dict of the frames that adopt
-    the entry. A build checks w first; a hit checks nothing, as an entry is
-    stored only once its build has passed every check."""
+    the slot. A build checks w first; a hit checks nothing, as the slot takes
+    a build only once it has passed every check."""
     x, y = w.x, w.y
-    key = _memo.key(src, order, x, y)
-    hit = _memo.find(key)
+    key = _slot.key_of(src, order, x, y)
+    hit = _slot.find(key)
     if hit is not None:
         return hit
     src.check_tangent(w)
@@ -154,7 +147,7 @@ def _frame_jets(src, w: TangentVector, order):
     for part in jets:
         if part is not None:
             _freeze(part)
-    return _memo.put(src, key, (jets, {}))
+    return _slot.put(src, key, (jets, {}))
 
 
 def _build_frame_jets(src, x, y, order):
@@ -252,14 +245,15 @@ class PointFrame:
 
     Frames of the same source object at the same points and order share
     one lift and one solve, and every tensor derived from them: the jets of
-    the last few builds, each over its whole batch, are kept in a bounded
-    memo keyed by the source object, so a source's rule must not change
-    once it has been used, and every frame adopts its entry's derived-tensor
-    cache (the rows, ``R``, the field jets and the classical lifts' halves
-    and their sup norms). Every jet and tensor a frame hands out is read-only, so an
-    in-place write raises instead of corrupting a later frame. The tangent
-    checks run on a build: a memo entry at exactly these points and order
-    was stored only after its build had checked them.
+    the last build, over its whole batch, are kept in the memo slot keyed by
+    the source object, so a source's rule must not change once it has been
+    used, and every frame adopts the slot's derived-tensor cache (the rows,
+    ``R``, the field jets and the classical lifts' halves and their sup
+    norms) until a build at other points replaces it. Every jet and tensor a
+    frame hands out is read-only, so an in-place write raises instead of
+    corrupting a later frame. The tangent checks run on a build: the slot
+    holds a build at exactly these points and order only after it checked
+    them.
     """
 
     def __init__(self, src, w: TangentVector, order: int = 4):
@@ -392,23 +386,22 @@ def spray_values(src, x, y) -> np.ndarray:
 
     ``x`` and ``y`` have shape (..., n); G has the same shape, and equals
     the G of ``PointFrame(src, TangentVector(x, y), order=q)`` bit for bit
-    for every q >= 2. A metric's G is read from the frame-jet memo where a
-    frame of any order was built at exactly these points, and lifts
-    nothing; elsewhere the points are checked as a frame checks them and a
-    batch is one order-2 lift of F^2 at all centers, one positive-
-    definiteness guard and one batched solve, each point bitwise equal to
-    its own unbatched call. A bare spray's rule runs once per point on
+    for every q >= 2. A metric's G is read from the memo slot where it holds
+    a frame of any order at exactly these points (a y-jet there is not a
+    frame), and lifts nothing; elsewhere the points are checked as a frame
+    checks them and a batch is one order-2 lift of F^2 at all centers, one
+    positive-definiteness guard and one batched solve, each point bitwise
+    equal to its own unbatched call. A bare spray's rule runs once per point on
     floats, as the jet value of a / b is a fl(1/b), not fl(a / b).
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     _require_dimension(src, x, y)
     if isinstance(src, MetricSpec) and x.shape == y.shape:
-        # a peek: the entry keeps its place in the memo
-        hit = _memo.peek(src, x, y)
-        if hit is not None:
-            jets, _ = hit
-            return jets[4].value.copy()
+        # a frame's tag is its order; a checked y-jet holds no G
+        tag, hit = _slot.peek(src, x, y)
+        if isinstance(tag, int):
+            return hit[0][4].value.copy()
     src.check_tangent(TangentVector(x, y))
     return _solve_spray(src, x, y)
 

@@ -22,7 +22,8 @@ import numpy as np
 from .errors import InvalidLift, NoConvergence, SingularBasis
 from .jets import _any, lift_any, smath
 from .lifts import LiftSpec, _admissible_tensors, classical_lift, condition_residuals
-from .metrics import MetricSpec, TangentVector, _batch_note, _legendre, _metric_value, _y_jet
+from .metrics import (NULL_DIRECTION_TOL, MetricSpec, TangentVector, _batch_note, _legendre,
+                      _metric_value, _y_jet)
 from .spray import PointFrame, _matvec, _pair, adapted_split
 
 
@@ -172,7 +173,8 @@ def normal_cone_solve(P: Submanifold, param, ms: MetricSpec, guess) -> NormalVec
         if bad is not None:
             raise NoConvergence(message + _batch_note(batch, int(todo[bad[0]])))
 
-    refuse(np.ravel(np.linalg.norm(eta, axis=-1) < 1e-12), "zero guess for the normal solve")
+    refuse(np.ravel(np.linalg.norm(eta, axis=-1) < NULL_DIRECTION_TOL),
+           "zero guess for the normal solve")
     xs, basis, etas = x.reshape(-1, n), imm.basis.reshape(-1, n, k), eta.reshape(-1, n)
     for _ in range(max_iter):
         xi, g = _legendre(ms, xs[todo], etas[todo])
@@ -198,9 +200,8 @@ def normal_cone_solve(P: Submanifold, param, ms: MetricSpec, guess) -> NormalVec
                "normal solve collapsed to the null direction")
     else:
         refuse(todo >= 0, f"normal solve did not reach tolerance {tol} in {max_iter} iterations")
-    # F at the converged normals, checked as metric_value checks them; a
-    # solve's points are its own, so they make no memo entry
-    eta = eta / np.expand_dims(_metric_value(_y_jet(ms, TangentVector(x, eta), store=False)), -1)
+    # F at the converged normals, read and checked as metric_value reads them
+    eta = eta / np.expand_dims(_metric_value(_y_jet(ms, TangentVector(x, eta))), -1)
     worst = np.abs(_matvec(np.swapaxes(imm.basis, -1, -2), _legendre(ms, x, eta)[0])).max(axis=-1)
     bad = _first(worst > 1e-10)
     if bad is not None:

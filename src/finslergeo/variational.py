@@ -51,10 +51,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainExit, GridError, NoConvergence, NormalityViolation, NullDirection
-from .jets import Jet, space_for
+from .errors import (DomainError, DomainExit, GridError, NoConvergence, NormalityViolation,
+                     NullDirection)
+from .jets import Jet, _any, space_for
 from .lifts import LiftSpec, affine_coefficients, classical_lift, covariant_derivative_curve
-from .metrics import MetricSpec, TangentVector
+from .metrics import NULL_DIRECTION_TOL, MetricSpec, TangentVector, _batch_note
 from .spray import PointFrame, _iterate_spray_values, spray_values
 
 DEFAULT_RTOL = 1e-9
@@ -86,7 +87,7 @@ class Curve:
         self.velocities = np.asarray(self.velocities, float)
         if np.any(np.diff(self.grid) <= 0):
             raise GridError("curve grid must be strictly increasing")
-        if np.min(np.linalg.norm(self.velocities, axis=1)) < 1e-12:
+        if np.min(np.linalg.norm(self.velocities, axis=1)) < NULL_DIRECTION_TOL:
             raise NullDirection("curve has a node with zero velocity")
 
     @property
@@ -482,13 +483,23 @@ def integrate_geodesic(src, w0: TangentVector, t_end: float,
     (B, n), it gives a list of B curves from one batched solve, each equal
     to its own single solve. ``t_end`` may be negative; 0 is a ``GridError``.
     Each curve's dense output records ``src`` and ``rtol``, which flows along
-    the curve inherit.
+    the curve inherit. A span whose straight first iterate x0 + t y0 leaves
+    the floating-point range, its end or that end's squared norm not
+    finite, is a ``DomainError``.
     """
     src.check_tangent(w0)
     t_end = float(t_end)
     if t_end == 0:
         raise GridError("a geodesic needs a nonzero time span, got t_end = 0")
     n = src.dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        end = w0.x + t_end * w0.y
+        bad = ~np.isfinite((end * end).sum(axis=-1))
+    if _any(bad):
+        k = int(np.argmax(bad))
+        raise DomainError(f"the straight first iterate x0 + t y0 leaves the floating-point "
+                          f"range by t_end = {t_end:g} from x0={w0.x.reshape(-1, n)[k]}, "
+                          f"y0={w0.y.reshape(-1, n)[k]}" + _batch_note(bad.shape, k))
     states0 = np.concatenate([w0.x, w0.y], axis=-1)
     grid = np.linspace(0.0, t_end, nodes)
     if t_end < 0:
@@ -788,9 +799,12 @@ def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
     curve = Curve(t, values[:, :n], values[:, n:2 * n])
     vectors = values[:, 2 * n:]
 
-    # one order-4 frame over the nodes, read again by covariant_derivative_curve;
+    # one order-4 frame over the nodes, read again by covariant_derivative_curve
+    # while it holds the memo slot, before the boundary terms' frames take it;
     # its g at the ends serves the normality checks
     frames = PointFrame(ms, TangentVector(curve.points, curve.velocities), order=4)
+    W = FieldAlongCurve(grid=t, vectors=curve.velocities)
+    DV = covariant_derivative_curve(lift, ms, curve, W, FieldAlongCurve(t, vectors)).vectors
     boundary = 0.0
     for which, endpoint, sign in (("start", P1, -1.0), ("end", P2, +1.0)):
         idx = 0 if which == "start" else -1
@@ -815,8 +829,6 @@ def second_variation_formula(ms: MetricSpec, geo: Curve, V: FieldAlongCurve,
         boundary += sign * sff_connection(sub, param, vel, coeffs, coeffs, ms, lift=lift,
                                           _immersion=imm)
 
-    W = FieldAlongCurve(grid=t, vectors=curve.velocities)
-    DV = covariant_derivative_curve(lift, ms, curve, W, FieldAlongCurve(t, vectors)).vectors
     RV = np.einsum("...ij,...j->...i", frames.R, vectors)
     vals = (np.einsum("...i,...ij,...j->...", DV, frames.g, DV)
             - np.einsum("...i,...ij,...j->...", RV, frames.g, vectors))

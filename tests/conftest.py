@@ -1,6 +1,6 @@
 import pytest
 
-from finslergeo import metrics, spray
+from finslergeo import metrics
 from finslergeo.jets import smath
 from finslergeo.metrics import TangentVector
 from finslergeo.rng import SplitMix64
@@ -8,12 +8,10 @@ from finslergeo.rng import SplitMix64
 
 @pytest.fixture(autouse=True)
 def fresh_frame_memo():
-    """Start every test with no memoized frame jets or y-jets: the metric
-    fixtures live for the whole test run, so a test that patches
-    ``lift_any``, ``solve_linear`` or a metric's rule would otherwise read
-    jets an earlier test built."""
-    spray._memo.clear()
-    metrics._y_jets.clear()
+    """Start every test with an empty memo slot: the metric fixtures live for
+    the whole test run, so a test that patches ``lift_any``, ``solve_linear``
+    or a metric's rule would otherwise read jets an earlier test built."""
+    metrics._slot.clear()
 
 
 @pytest.fixture(scope="session")

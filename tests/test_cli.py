@@ -535,6 +535,31 @@ def test_lift_independence_lifts_its_samples_once(monkeypatch):
     assert lifts == [5, 4]
 
 
+def test_second_variation_builds_its_node_frame_once(monkeypatch):
+    # D^W V reads the node frame while it holds the memo slot, before the two
+    # single-point boundary frames of the submanifold ends take it
+    from finslergeo import spray
+
+    centers, calls = [], []
+    real_lift, real_formula = spray.lift_any, cli.second_variation_formula
+    monkeypatch.setattr(spray, "lift_any", lambda fn, center, order: centers.append(
+        (np.shape(center), order)) or real_lift(fn, center, order))
+
+    def formula(*args, **kwargs):
+        centers.clear()
+        value = real_formula(*args, **kwargs)
+        calls.append(list(centers))
+        return value
+
+    monkeypatch.setattr(cli, "second_variation_formula", formula)
+    cfg = dict(cli.bundled_scenarios())["18_second_variation_submanifold.json"]
+    assert cli.run_scenario_config(cfg, stream=io.StringIO()) == 0
+    [lifts] = calls
+    nodes = [shape for shape, order in lifts if len(shape) == 2]
+    assert len(nodes) == 1 and nodes[0][0] > 2
+    assert lifts == [(nodes[0], 4), ((4,), 4), ((4,), 4)]
+
+
 def test_sff_compare_solves_one_normal_bundle_per_sample(monkeypatch):
     # one batched normal-cone solve per submanifold, over all of its samples: the
     # normal-bundle bases read their along rows off the implicit-function theorem,

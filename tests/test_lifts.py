@@ -280,9 +280,9 @@ def test_classical_lifts_evaluate_each_half_once_per_frame(randers_var, monkeypa
     w = random_tangent(randers_var, SplitMix64(61))
     cold = {}
     for lift in _classical_lifts(randers_var):
-        spray._memo.clear()
+        spray._slot.clear()
         cold[lift.name] = condition_residuals(lift, PointFrame(randers_var, w))
-    spray._memo.clear()
+    spray._slot.clear()
     fr = PointFrame(randers_var, w)
     raised, blocks = [], []
     raise_last = fr.raise_last
@@ -355,7 +355,7 @@ def test_absent_classical_halves_give_the_full_evaluations_sups(name, request):
     rng = SplitMix64(67)
     ws = [random_tangent(ms, rng) for _ in range(4)]
     for w in ws + [TangentVector.stack(ws)]:
-        spray._memo.clear()
+        spray._slot.clear()
         fr = PointFrame(ms, w)
         for lift in _classical_lifts(ms):
             sups = {}
@@ -397,7 +397,7 @@ def test_the_reader_gives_each_lift_tensor_as_written_out(kind, randers_var, fun
     for src in sources:
         for _ in range(3):
             w = TangentVector(rng.vector(2, -0.4, 0.4), rng.direction(2, 0.6))
-            spray._memo.clear()
+            spray._slot.clear()
             fr = PointFrame(src, w)
             want = {**_full_half(lift, fr, "C"), **_full_half(lift, fr, "C'")}
             names = {"cc", "cp"} if fr.metric is None else set(lifts._HALF_OF)
@@ -421,7 +421,7 @@ def test_a_rule_lift_after_the_classical_ones_computes_its_own_halves(randers_va
 
     lift = LiftSpec("counted", c_flat=counted(base.c_flat), cprime_flat=counted(base.cprime_flat))
     cold = condition_residuals(lift, PointFrame(randers_var, w))
-    spray._memo.clear()
+    spray._slot.clear()
     fr = PointFrame(randers_var, w)
     for classical in _classical_lifts(randers_var):
         condition_residuals(classical, fr)
@@ -585,9 +585,9 @@ def test_lift_curvature_shares_an_order_5_frame(randers_var, monkeypatch):
                                                                     enforce_t1=True)]
     cold = []
     for lift in kinds:
-        spray._memo.clear()
+        spray._slot.clear()
         cold.append(lift_curvature(lift, randers_var, w, u))
-    spray._memo.clear()
+    spray._slot.clear()
     lifts = _counting_lifts(monkeypatch)
     for lift, alone in zip(kinds, cold):
         assert np.array_equal(lift_curvature(lift, randers_var, w, u), alone), lift.name
@@ -898,7 +898,7 @@ def test_identity_residuals_build_one_frame_per_call(randers_var, monkeypatch):
     calls["lift_curvature"] = lambda: lift_curvature(
         random_admissible_lift(randers_var, 3), randers_var, w, w.y)
     for key, call in calls.items():
-        spray._memo.clear()
+        spray._slot.clear()
         built.clear()
         call()
         assert len(built) == 1, key

@@ -286,12 +286,12 @@ _VIOLATIONS = {
     (entry, violation) for entry in _ENTRY_POINTS for violation in _VIOLATIONS])
 def test_admissibility_contract(entry, violation):
     ms, w, error = _VIOLATIONS[violation]
-    # a refused point leaves no memo entry, so a second call refuses again
+    # a refused point leaves the memo slot empty, so a second call refuses again
     for _ in range(2):
         with pytest.raises(error) as info:
             _ENTRY_POINTS[entry](ms, w)
         assert info.type is error, info.value
-    assert len(metrics._y_jets) == 0 and len(spray._memo) == 0
+    assert metrics._slot.key is None
 
 
 def test_a_non_finite_point_refuses_the_batch_naming_the_first():
@@ -408,9 +408,12 @@ def test_a_point_tour_op_checks_twice_and_lifts_twice(randers_var, monkeypatch):
     real = spray.lift_any
     monkeypatch.setattr(spray, "lift_any",
                         lambda fn, center, order: lifts.append(order) or real(fn, center, order))
-    # the benchmark's library tour at one point, with F and the covector as well
+    # the benchmark's library tour at one point, with F and the covector read
+    # next to g and C, while their y-jet holds the memo slot
     fundamental_tensor(randers_var, w)
     cartan_tensor(randers_var, w)
+    metric_value(randers_var, w)
+    legendre_transform(randers_var, w)
     spray.spray_coefficients(randers_var, w)
     spray.curvature_endomorphism(randers_var, w)
     spray.flag_curvature(randers_var, w, u)
@@ -418,17 +421,21 @@ def test_a_point_tour_op_checks_twice_and_lifts_twice(randers_var, monkeypatch):
     fr = spray.PointFrame(randers_var, w, order=4)
     for kind in ClassicalKind:
         condition_residuals(classical_lift(kind, randers_var), fr)
-    metric_value(randers_var, w)
-    legendre_transform(randers_var, w)
     # one y-jet and one frame, each checked on its build
     assert lifts == [3, 4]
     assert len(checks) == 2
 
 
-def test_the_internal_sweeps_make_no_y_jet_entry(randers_var):
-    nv = normal_cone_solve(circle([0, 0], 1.0), [0.3], randers_var, guess=[-0.9, -0.3])
+def test_the_internal_sweeps_make_no_y_jet_entry(randers_var, monkeypatch):
     check_metric(randers_var, 20, seed=5)
-    assert len(metrics._y_jets) == 0
+    assert metrics._slot.key is None
+    lifts = _counting_y_lifts(monkeypatch)
+    nv = normal_cone_solve(circle([0, 0], 1.0), [0.3], randers_var, guess=[-0.9, -0.3])
+    # the Newton iterates and the normality test lift unchecked order-2 jets;
+    # F at the converged normal is one checked read, whose y-jet takes the slot
+    assert lifts.count(3) == 1 and set(lifts) == {2, 3}
+    assert metrics._slot.key[1] == metrics._Y_JET
+    monkeypatch.undo()
     assert metric_value(randers_var, TangentVector(nv.x, nv.eta)) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -436,7 +443,7 @@ def test_a_memoized_y_jet_is_read_only_and_the_tensors_are_the_callers(randers_v
     w = random_tangent(randers_var, SplitMix64(61))
     g = fundamental_tensor(randers_var, w).g
     jet = metrics._y_jet(randers_var, w)
-    assert len(metrics._y_jets) == 1
+    assert metrics._slot.value is jet
     with pytest.raises(ValueError, match="read-only"):
         jet.c[...] = 0.0
     # a reader hands out a fresh array: writing it leaves the next read as it was
@@ -447,7 +454,7 @@ def test_a_memoized_y_jet_is_read_only_and_the_tensors_are_the_callers(randers_v
     assert np.any(cartan_tensor(randers_var, w).C != 0.0)
 
 
-def test_the_y_jet_memo_misses_another_source_or_point_and_is_bounded(monkeypatch):
+def test_the_y_jet_memo_misses_another_source_or_point(monkeypatch):
     import copy
 
     ms = metrics.randers(2, [0.3, 0.1])
@@ -461,7 +468,10 @@ def test_the_y_jet_memo_misses_another_source_or_point_and_is_bounded(monkeypatc
     cartan_tensor(ms, TangentVector([-0.0, 0.2], w.y))   # other bytes, the same point
     cartan_tensor(ms, TangentVector.stack([w]))          # another shape
     assert lifts == [3, 3, 3]
-    rng = SplitMix64(67)
-    for _ in range(3 * metrics._MEMO_SIZE):
-        metric_value(ms, random_tangent(ms, rng))
-        assert len(metrics._y_jets) <= metrics._MEMO_SIZE
+    # the slot keeps the last build only: the batch replaced w, and a frame
+    # at w replaces its y-jet again
+    cartan_tensor(ms, w)
+    metric_value(ms, w)
+    spray.PointFrame(ms, w)
+    metric_value(ms, w)
+    assert lifts == [3, 3, 3, 3, 3]

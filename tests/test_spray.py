@@ -279,7 +279,7 @@ def test_spray_values_equals_every_frames_G_bitwise(order, sphere, poincare, fun
     for k, ms in enumerate(sources):
         X, Y = _batch(ms, 40, 500 + 10 * k + order)
         for x, y in [(X, Y), (X[:5].reshape(5, 1, -1), Y[:5].reshape(5, 1, -1))] + list(zip(X, Y)):
-            spray._memo.clear()
+            spray._slot.clear()
             cold = spray_values(ms, x, y)
             G = PointFrame(ms, TangentVector(x, y), order=order).G
             del lifts[:]
@@ -652,7 +652,7 @@ def test_a_memo_hit_is_bitwise_a_fresh_build(randers_var):
     first = PointFrame(randers_var, w)
     hit = PointFrame(randers_var, w)
     assert hit.f is first.f
-    spray._memo.clear()
+    spray._slot.clear()
     fresh = PointFrame(randers_var, w)
     assert fresh.f is not first.f
     for name in ("G", "N", "B", "R", "C_low", "Cp_low"):
@@ -676,24 +676,54 @@ def test_the_memo_misses_another_source_order_or_point(monkeypatch):
     assert lifts == [4, 5, 4, 4, 4]
 
 
-def test_the_memo_is_bounded_and_keeps_the_recently_used(randers_var, monkeypatch):
-    size = spray._MEMO_SIZE
-    X, Y = _batch(randers_var, 3 * size, 11)
-    ws = [TangentVector(x, y) for x, y in zip(X, Y)]
-    for w in ws:
-        PointFrame(randers_var, w)
-        assert len(spray._memo) <= size
-    spray._memo.clear()
-    for w in ws[:size]:
-        PointFrame(randers_var, w)
-    PointFrame(randers_var, ws[0])          # used again: ws[1] is now the least recent
-    PointFrame(randers_var, ws[size])       # so it is the one evicted
+def test_the_slot_keeps_the_last_build_only(randers_var, monkeypatch):
+    X, Y = _batch(randers_var, 2, 11)
+    a, b = TangentVector(X[0], Y[0]), TangentVector(X[1], Y[1])
+    first = PointFrame(randers_var, a)
     lifts = _counting_lifts(monkeypatch)
-    PointFrame(randers_var, ws[0])
-    PointFrame(randers_var, ws[size])
+    assert PointFrame(randers_var, a).f is first.f
     assert lifts == []
-    PointFrame(randers_var, ws[1])
-    assert lifts == [4]
+    # one build at other points in between takes the slot, so a rebuilds
+    PointFrame(randers_var, b)
+    again = PointFrame(randers_var, a)
+    assert lifts == [4, 4]
+    assert again.f is not first.f and again.f.c.tobytes() == first.f.c.tobytes()
+    # so does a checked y-jet at the same points: it is not a frame
+    metrics.fundamental_tensor(randers_var, a)
+    assert metrics._slot.key[1] == metrics._Y_JET
+    assert PointFrame(randers_var, a).N.tobytes() == again.N.tobytes()
+    assert lifts == [4, 4, 4]
+
+
+def test_spray_values_never_reads_a_y_jet_as_a_frame(randers_var, monkeypatch):
+    w = random_tangent(randers_var, SplitMix64(12))
+    G = PointFrame(randers_var, w).G
+    metrics._slot.clear()
+    jet = metrics._y_jet(randers_var, w)
+    lifts = _counting_lifts(monkeypatch)
+    assert spray_values(randers_var, w.x, w.y).tobytes() == G.tobytes()
+    assert lifts == [2]
+    assert metrics._slot.value is jet
+    # a frame in the slot is read, and nothing is lifted
+    PointFrame(randers_var, w, order=3)
+    assert spray_values(randers_var, w.x, w.y).tobytes() == G.tobytes()
+    assert lifts == [2, 3]
+
+
+def test_a_refused_point_leaves_the_slot_as_it_was(randers_var):
+    w = random_tangent(randers_var, SplitMix64(13))
+    fr = PointFrame(randers_var, w)
+    key, value = metrics._slot.key, metrics._slot.value
+    wild = metrics.randers(2, [1.3, 0.0])
+    bad = TangentVector([0.0, 0.0], [-1.0, 0.2])
+    for entry in (PointFrame, metrics.fundamental_tensor,
+                  lambda ms, at: spray_values(ms, at.x, at.y)):
+        with pytest.raises(NotPositiveDefinite):
+            entry(wild, bad)
+        with pytest.raises(DomainError):
+            entry(randers_var, TangentVector(w.x, [np.inf, 1.0]))
+        assert metrics._slot.key is key and metrics._slot.value is value
+    assert PointFrame(randers_var, w).f is fr.f
 
 
 def test_shared_frame_jets_are_read_only(randers_var):
@@ -716,7 +746,7 @@ def test_frames_at_a_point_share_their_derived_tensors(randers_var):
     assert spray_coefficients(randers_var, w).N is built["N"]
     assert curvature_endomorphism(randers_var, w).R is built["R"]
     assert hit.field("N") is first.field("N")
-    spray._memo.clear()
+    spray._slot.clear()
     fresh = PointFrame(randers_var, w)
     for name in names:
         assert getattr(fresh, name) is not built[name], name
@@ -780,7 +810,7 @@ def test_a_rule_that_is_not_2_homogeneous_is_refused(entry):
     w = TangentVector([0.3, -0.2], [0.7, 0.4])
     with pytest.raises(NotHomogeneous, match=r"2\.10e-02 at x=\[ 0\.3 -0\.2\], y=\[0\.7 0\.4\]"):
         entry(src, w)
-    assert len(spray._memo) == 0
+    assert metrics._slot.key is None
     # a batch names its first bad point; x = 0 is a good one
     X = np.array([[0.0, 0.0], [0.0, 0.5], [0.3, -0.2]])
     Y = np.array([[0.7, 0.4], [0.7, 0.4], [0.7, 0.4]])
@@ -807,4 +837,4 @@ def test_a_refused_build_leaves_nothing_behind():
     for _ in range(2):
         with pytest.raises(NotPositiveDefinite):
             PointFrame(wild, w)
-    assert len(spray._memo) == 0
+    assert metrics._slot.key is None

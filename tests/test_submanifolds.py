@@ -119,7 +119,7 @@ def test_sff_connection_on_a_given_frame(randers_var, monkeypatch):
              random_admissible_lift(randers_var, 23, enforce_m1m2=True))
     alone = []
     for lift in kinds:
-        spray._memo.clear()
+        spray._slot.clear()
         alone.append(sff_connection(circ, [0.3], nv.eta, [0.7], [-0.4], randers_var, lift=lift))
     # every lift reads the order-4 frame already built at the normal
     PointFrame(randers_var, TangentVector(nv.x, nv.eta), order=4)
@@ -144,7 +144,7 @@ def test_a_classical_lift_raises_its_halves_once_per_frame(randers_var, monkeypa
                         lambda fr, t: raised.append(1) or raise_last(fr, t))
     for kind in ClassicalKind:
         lift = classical_lift(kind, randers_var)
-        spray._memo.clear()
+        spray._slot.clear()
         fr = PointFrame(randers_var, w, order=4)
         raised.clear()
         condition_residuals(lift, fr)

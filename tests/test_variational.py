@@ -1,5 +1,6 @@
 import inspect
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from oracles import dop853_linear_flow, exp_map_jacobi_difference
 from scipy.integrate import solve_ivp
 from test_spray import _randers_var_closed_form_spray
 
-from finslergeo import metrics, spray, variational
-from finslergeo.errors import (DomainExit, GridError, NoConvergence,
+from finslergeo import metrics, variational
+from finslergeo.errors import (DomainError, DomainExit, GridError, NoConvergence,
                                NormalityViolation, NullDirection)
 from finslergeo.jets import Jet, smath
 from finslergeo.metrics import (TangentVector, fundamental_tensor,
@@ -112,6 +113,30 @@ def test_domain_margin_is_called_once_per_batch():
     integrate_geodesic(disk, TangentVector([0.0, 0.0], [0.5, 0.2]), 1.0)
     # the start point, then one call per iterate over all of its nodes
     assert shapes[0] == (1, 2) and len(shapes) > 1 and all(s[0] >= 17 for s in shapes[1:])
+
+
+@pytest.mark.parametrize("ms, w0, t_end", [
+    (metrics.sphere_stereographic(2), TangentVector([0.1, 0.2], [1.0, 0.5]), 1e308),
+    (metrics.funk(2), TangentVector([0.1, 0.2], [1e150, 1e150]), 1e160),
+    (metrics.funk(2), TangentVector([0.1, 0.2], [1.0, 1.0]), np.inf),
+    (metrics.funk(2), TangentVector([0.1, 0.2], [1.0, 1.0]), np.nan),
+], ids=["sphere end's squared norm", "funk end", "infinite span", "NaN span"])
+def test_a_span_whose_straight_first_iterate_overflows_is_refused(ms, w0, t_end):
+    # the first sweep runs straight ahead, x0 + t y0: an end, or a squared norm
+    # of it, out of the floating-point range ended in numpy's overflow warning,
+    # and an infinite or NaN span never returned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(
+                f"leaves the floating-point range by t_end = {t_end:g} from x0=[0.1 0.2]")):
+            integrate_geodesic(ms, w0, t_end)
+
+
+def test_a_batch_names_its_first_overflowing_span(funk):
+    w0 = TangentVector.stack([TangentVector([0.1, 0.2], [0.6, 0.8]),
+                              TangentVector([0.1, 0.2], [1e150, 1e150])])
+    with pytest.raises(DomainError, match=re.escape("y0=[1.e+150 1.e+150] at batch index (1,)")):
+        integrate_geodesic(funk, w0, 1e150)
 
 
 # -- curves ----------------------------------------------------------------------
@@ -568,8 +593,9 @@ def test_flows_along_a_geodesic_build_each_doubled_level_once(funk, monkeypatch)
     # from the origin to t = 6 the frames are resolved at 16 intervals and
     # every oracle and Jacobi flow needs 32: the oracle call builds one frame
     # at the 17 nodes of each of the 10 geodesics and one at their 16 new
-    # nodes, more blocks than the frame memo keeps, and the Jacobi call after
-    # it builds none
+    # nodes, which the memo slot no longer holds once the later one is built,
+    # and the Jacobi call after it builds none: the doubled levels are kept on
+    # the geodesics
     built = []
 
     class CountingFrame(PointFrame):
@@ -579,7 +605,6 @@ def test_flows_along_a_geodesic_build_each_doubled_level_once(funk, monkeypatch)
 
     monkeypatch.setattr(variational, "PointFrame", CountingFrame)
     B = 10
-    assert B > spray._MEMO_SIZE
     ws = [unit_tangent(funk, TangentVector([0.0, 0.0], [np.cos(a), np.sin(a)]))
           for a in 2 * np.pi * np.arange(B) / B]
     geos = integrate_geodesic(funk, TangentVector.stack(ws), 6.0)
