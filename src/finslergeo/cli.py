@@ -478,43 +478,37 @@ def task_jacobi_compare(ms, p) -> TaskResult:
     res = TaskResult("jacobi-compare", ms, ("sample", "sup_norm_diff", "profile_residual"),
                      samples=p["samples"], seed=p["seed"], tolerance=tol)
     kap = p["constant_curvature"]
-    # the draws, sample by sample, then one batched call per step for every sample
+    # the draws, sample by sample, then one batched call per step for every
+    # sample; a refusal names its sample by its batch index
     raw, us = [], []
     for _ in range(p["samples"]):
         raw.append(random_tangent(ms, rng))
         us.append(rng.direction(ms.dim))
     w = TangentVector.stack(raw)
-    try:
-        F = metrics_mod.metric_value(ms, w)
-    except FinslerError:    # the first refused draw, as its own call names it
-        F = [metrics_mod.metric_value(ms, wk) for wk in raw]
+    F = metrics_mod.metric_value(ms, w)
     x0, y0 = w.x, w.y / np.reshape(F, (-1, 1))
     geos = integrate_geodesic(ms, TangentVector(x0, y0), p["t"])
     us = np.array(us)
-
-    def rows(batch):
-        """(sup norm, profile residual) of the samples in ``batch``: one oracle,
-        one metric and one Jacobi call for all of them."""
-        curves, u = [geos[i] for i in batch], us[batch]
-        Jor = jacobi_variation_oracle(ms, curves, u)
-        if kap is None:
-            J = jacobi_integrate(ms, curves, np.zeros(u.shape), u)
-            return [(float(np.max(np.abs(Jk.vectors - Jork))), 0.0) for Jk, Jork in zip(J, Jor)]
+    Jor = jacobi_variation_oracle(ms, geos, us)
+    if kap is None:
+        J = jacobi_integrate(ms, geos, np.zeros(us.shape), us)
+        out = [(float(np.max(np.abs(Jk.vectors - Jork))), 0.0) for Jk, Jork in zip(J, Jor)]
+    else:
         # g at w0 and at every 40th node of each geodesic, from one batched y-jet
-        nodes = range(0, len(curves[0].grid), 40)
+        nodes = range(0, len(geos[0].grid), 40)
         gs = metrics_mod.fundamental_tensor(ms, TangentVector(
-            np.stack([np.vstack([x0[i], g.points[::40]]) for i, g in zip(batch, curves)]),
-            np.stack([np.vstack([y0[i], g.velocities[::40]]) for i, g in zip(batch, curves)]))).g
+            np.stack([np.vstack([x0k, g.points[::40]]) for x0k, g in zip(x0, geos)]),
+            np.stack([np.vstack([y0k, g.velocities[::40]]) for y0k, g in zip(y0, geos)]))).g
         # u and its g-normal part as the two columns of one Jacobi solve per geodesic
         uperps, unorms = [], []
-        for i, gm0 in zip(batch, gs[:, 0]):
-            uperp = us[i] - (us[i] @ gm0 @ y0[i]) / (y0[i] @ gm0 @ y0[i]) * y0[i]
+        for u, y0k, gm0 in zip(us, y0, gs[:, 0]):
+            uperp = u - (u @ gm0 @ y0k) / (y0k @ gm0 @ y0k) * y0k
             uperps.append(uperp)
             unorms.append(float(np.sqrt(uperp @ gm0 @ uperp)))
-        J = jacobi_integrate(ms, curves, np.zeros(u.shape + (2,)),
-                             np.stack([u, np.array(uperps)], axis=-1))
+        J = jacobi_integrate(ms, geos, np.zeros(us.shape + (2,)),
+                             np.stack([us, np.array(uperps)], axis=-1))
         out = []
-        for g, Jk, Jork, gk, unorm in zip(curves, J, Jor, gs, unorms):
+        for g, Jk, Jork, gk, unorm in zip(geos, J, Jor, gs, unorms):
             Jp = Jk.vectors[:, :, 1]
             prof = 0.0
             for i, gi in zip(nodes, gk[1:]):
@@ -528,13 +522,6 @@ def task_jacobi_compare(ms, p) -> TaskResult:
                     ref = unorm * t
                 prof = max(prof, abs(nrm - abs(ref)))
             out.append((float(np.max(np.abs(Jk.vectors[:, :, 0] - Jork))), prof))
-        return out
-
-    everyone = list(range(p["samples"]))
-    try:
-        out = rows(everyone)
-    except FinslerError:    # sample by sample, so the first failing sample raises its own error
-        out = [row for i in everyone for row in rows([i])]
     res.csv_rows = [(i, *row) for i, row in enumerate(out)]
     res.check("ODE vs geodesic-variation oracle (sup norm)", max(r[1] for r in res.csv_rows), tol)
     if kap is not None:
@@ -601,14 +588,6 @@ def task_second_variation(ms, p) -> TaskResult:
     return res
 
 
-def _normal_either_way(sub, param, ms, guess):
-    """The normal at one sample from its guess, or else from the opposite guess."""
-    try:
-        return subm.normal_cone_solve(sub, param, ms, guess=guess)
-    except FinslerError:
-        return subm.normal_cone_solve(sub, param, ms, guess=-guess)
-
-
 def task_sff_compare(ms, p) -> TaskResult:
     rng, subs = SplitMix64(p["seed"]), p["submanifolds"]
     res = TaskResult("sff-compare", ms,
@@ -638,11 +617,7 @@ def task_sff_compare(ms, p) -> TaskResult:
         if sub.name.startswith("circle"):
             outward = subm._dot(guess, np.zeros(ms.dim) - imm.x) < 0
             guess = np.where(outward[:, None], -guess, guess)
-        try:
-            nv = subm.normal_cone_solve(sub, param, ms, guess=guess)
-        except FinslerError:
-            nv = subm.NormalVector.stack([_normal_either_way(sub, pk, ms, gk)
-                                          for pk, gk in zip(param, guess)])
+        nv = subm.normal_cone_solve(sub, param, ms, guess=guess)
         # one order-4 frame at the normals serves every lift, the symplectic reads and the shortcut
         w = TangentVector(nv.x, nv.eta)
         fr = PointFrame(ms, w, order=4)

@@ -394,34 +394,38 @@ def _not_positive_definite(g: np.ndarray):
     return (ev[0] <= ev[-1] / COND_LIMIT).T
 
 
-def require_positive_definite(g: np.ndarray, x, y) -> None:
+def require_positive_definite(g: np.ndarray, x, y, _at=None) -> None:
     """The package's one strong-convexity test: refuse the fundamental tensor
     g at (x, y) unless its smallest eigenvalue exceeds its largest / COND_LIMIT.
 
     ``g`` may carry leading batch axes, (..., n, n), matching those of
     ``x`` and ``y``; one failing point refuses the batch, and the message
-    names the first such point.
+    names the first such point and its batch index. ``_at``, (batch shape,
+    flat indices), places g's points in a larger batch whose index it names.
     """
     bad = _not_positive_definite(g)
     if _any(bad):
-        at = np.unravel_index(np.argmax(bad), bad.shape)
-        x, y = np.asarray(x, float)[at], np.asarray(y, float)[at]
+        k = int(np.argmax(bad))
+        n = np.shape(x)[-1]
+        note = _batch_note(bad.shape, k) if _at is None else _batch_note(_at[0], int(_at[1][k]))
         raise NotPositiveDefinite(
-            f"fundamental tensor indefinite or near-degenerate at x={x}, y={y}")
+            f"fundamental tensor indefinite or near-degenerate at "
+            f"x={np.reshape(x, (-1, n))[k]}, y={np.reshape(y, (-1, n))[k]}" + note)
 
 
-def _legendre(ms: MetricSpec, x, y):
+def _legendre(ms: MetricSpec, x, y, at=None):
     """(xi, g) at (x, y): the Legendre covector g_y(y, .), half the fiber
     gradient of F^2, and the fundamental tensor g_y, half its fiber Hessian.
 
     One order-2 y-jet gives both; g is checked positive definite, the point
     is not checked and the memo slot is left as it was: the Newton iterates of
     ``normal_cone_solve`` read it. ``x`` and ``y`` may carry leading batch
-    axes, (..., n).
+    axes, (..., n); ``at`` places them in a larger batch, as in
+    ``require_positive_definite``.
     """
     jet = _f2_y_jet(ms, x, y, 2)
     g = 0.5 * jet.derivative(2)
-    require_positive_definite(g, x, y)
+    require_positive_definite(g, x, y, at)
     return 0.5 * jet.derivative(1), g
 
 

@@ -141,7 +141,8 @@ def _frame_jets(src, w: TangentVector, order):
     else:
         n = x.shape[-1]
         x, y = x.reshape(-1, n), y.reshape(-1, n)
-        blocks = [_build_frame_jets(src, x[k:k + _BLOCK], y[k:k + _BLOCK], order)
+        blocks = [_build_frame_jets(src, x[k:k + _BLOCK], y[k:k + _BLOCK], order,
+                                    (batch, range(k, k + _BLOCK)))
                   for k in range(0, len(x), _BLOCK)]
         jets = [_join(parts, batch) for parts in zip(*blocks)]
     for part in jets:
@@ -150,7 +151,7 @@ def _frame_jets(src, w: TangentVector, order):
     return _slot.put(src, key, (jets, {}))
 
 
-def _build_frame_jets(src, x, y, order):
+def _build_frame_jets(src, x, y, order, at=None):
     n = x.shape[-1]
     center = np.concatenate([x, y], axis=-1)
     p = order - 2
@@ -166,7 +167,7 @@ def _build_frame_jets(src, x, y, order):
     # the values of grad and hess are f.derivative(1) and (2) bit for bit, so
     # g, g^-1 and the right-hand side's value part are spray_values' own, and
     # solve_linear's one-column product gives G the value part it returns
-    g, ginv, rhs0 = _spray_parts(grad.value, hess.value, x, y)
+    g, ginv, rhs0 = _spray_parts(grad.value, hess.value, x, y, at)
     gpoly = 0.5 * hess[..., n:, n:]
     # 4 g G = (d2F^2/dy dx) y - dF^2/dx, all jets at order p
     sp = space_for(2 * n, p)
@@ -176,18 +177,19 @@ def _build_frame_jets(src, x, y, order):
     return f, g, ginv, gpoly, 0.25 * solve_linear(gpoly, rhs, ginv)
 
 
-def _spray_parts(d1, d2, x, y):
+def _spray_parts(d1, d2, x, y, at=None):
     """(g, g^-1, rhs) at points (..., n) from the first and second derivatives
     of F^2 in the joint variables, x before y, read off a lift of any order.
 
-    g is checked positive definite, and rhs = (d2F^2/dy dx) y - dF^2/dx sums
-    over k in index order, so that a frame and ``spray_values`` at the same
-    points get the same numbers at every jet order. G = g^-1 rhs / 4 is then
+    g is checked positive definite (``at`` places the points in a larger
+    batch, as in ``require_positive_definite``), and rhs = (d2F^2/dy dx) y -
+    dF^2/dx sums over k in index order, so that a frame and ``spray_values``
+    at the same points get the same numbers at every jet order. G = g^-1 rhs / 4 is then
     a one-column product, which ``solve_linear`` makes a frame's value part.
     """
     n = x.shape[-1]
     g = 0.5 * d2[..., n:, n:]
-    require_positive_definite(g, x, y)
+    require_positive_definite(g, x, y, at)
     terms = d2[..., n:, :n] * y[..., None, :]
     rhs = terms[..., 0]
     for k in range(1, n):
@@ -406,14 +408,16 @@ def spray_values(src, x, y) -> np.ndarray:
     return _solve_spray(src, x, y)
 
 
-def _iterate_spray_values(src, x, y) -> np.ndarray:
+def _iterate_spray_values(src, x, y, at=None) -> np.ndarray:
     """``spray_values`` at the iterates of the geodesic sweeps, bit for bit,
     for float arrays (N, n) whose points ``_picard_geodesics`` has already
     tested finite and inside the chart: only the dimension and the fiber-direction tests
-    run, and no frame is looked up, as an iterate is not a frame's point."""
+    run, and no frame is looked up, as an iterate is not a frame's point.
+    ``at`` places the points in the batch of geodesics, as in
+    ``require_positive_definite``."""
     _require_dimension(src, x, y)
     _require_fiber_direction(x, y)
-    return _solve_spray(src, x, y)
+    return _solve_spray(src, x, y, at)
 
 
 def _require_dimension(src, x, y) -> None:
@@ -423,13 +427,14 @@ def _require_dimension(src, x, y) -> None:
                          f"must end in n = {n}")
 
 
-def _solve_spray(src, x, y) -> np.ndarray:
+def _solve_spray(src, x, y, at=None) -> np.ndarray:
     """G at checked points (..., n), solved from an order-2 lift of a metric's
-    F^2, or a bare spray's rule on floats point by point."""
+    F^2, or a bare spray's rule on floats point by point; ``at`` as in
+    ``_spray_parts``."""
     n = src.dim
     if isinstance(src, MetricSpec):
         f = lift_any(lambda v: src.f2(v[:n], v[n:]), np.concatenate([x, y], axis=-1), 2)
-        _, ginv, rhs = _spray_parts(f.derivative(1), f.derivative(2), x, y)
+        _, ginv, rhs = _spray_parts(f.derivative(1), f.derivative(2), x, y, at)
         return 0.25 * np.matmul(ginv, rhs[..., None])[..., 0]
     G = [[float(v) for v in src.g_rule(list(xi), list(yi))]
          for xi, yi in zip(x.reshape(-1, n), y.reshape(-1, n))]

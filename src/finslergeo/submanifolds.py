@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import InvalidLift, NoConvergence, SingularBasis
 from .jets import _any, lift_any, smath
-from .lifts import LiftSpec, _admissible_tensors, classical_lift, condition_residuals
+from .lifts import (_CONDITIONS, _RESIDUALS, LiftSpec, _admissible_tensors, _reader,
+                    classical_lift, condition_residuals)
 from .metrics import (NULL_DIRECTION_TOL, MetricSpec, TangentVector, _batch_note, _legendre,
                       _metric_value, _y_jet)
 from .spray import PointFrame, _matvec, _pair, adapted_split
@@ -138,12 +139,6 @@ class NormalVector:
     x: np.ndarray
     eta: np.ndarray
 
-    @staticmethod
-    def stack(nvs) -> "NormalVector":
-        """One batch (len(nvs), ...) of a sequence of single normals."""
-        return NormalVector(*(np.array(parts) for parts in
-                              zip(*((nv.param, nv.x, nv.eta) for nv in nvs))))
-
 
 def normal_cone_solve(P: Submanifold, param, ms: MetricSpec, guess) -> NormalVector:
     """Solve g_eta(eta, T_x P) = 0 for eta near a guess, normalized to F = 1.
@@ -177,7 +172,7 @@ def normal_cone_solve(P: Submanifold, param, ms: MetricSpec, guess) -> NormalVec
            "zero guess for the normal solve")
     xs, basis, etas = x.reshape(-1, n), imm.basis.reshape(-1, n, k), eta.reshape(-1, n)
     for _ in range(max_iter):
-        xi, g = _legendre(ms, xs[todo], etas[todo])
+        xi, g = _legendre(ms, xs[todo], etas[todo], (batch, todo))
         bt = np.swapaxes(basis[todo], -1, -2)
         resid = _matvec(bt, xi)  # g_eta(eta, dphi_a)
         go = ~(np.abs(resid).max(axis=-1) < tol)
@@ -235,15 +230,13 @@ def sff_connection(P: Submanifold, param, eta, u, v, ms: MetricSpec,
     fr = PointFrame(ms, TangentVector(imm.x, eta), order=4)
     _, cp = _admissible_tensors(lift, fr)
     if max(condition_residuals(lift, fr, ("M1", "M2")).values()) > 1e-6:
-        # the first point beyond the bound, for the message
-        batch = fr.y.shape[:-1]
-        for k, at in enumerate(np.ndindex(batch)):
-            res = condition_residuals(lift, PointFrame(ms, TangentVector(fr.x[at], fr.y[at])),
-                                      ("M1", "M2"))
-            if max(res.values()) > 1e-6:
-                raise InvalidLift(
-                    f"lift {lift.name} violates the metric compatibility prerequisites "
-                    f"at eta: M1={res['M1']:.2e}, M2={res['M2']:.2e}" + _batch_note(batch, k))
+        # the same residual tensors, reduced point by point, name the first point beyond the bound
+        t, batch = _reader(lift, fr), fr.y.shape[:-1]
+        m1, m2 = (np.max([np.abs(_RESIDUALS[name][1](t, fr)).reshape(batch + (-1,)).max(axis=-1)
+                          for name in _CONDITIONS[cond]], axis=0) for cond in ("M1", "M2"))
+        k, note = _first(np.maximum(m1, m2) > 1e-6)
+        raise InvalidLift(f"lift {lift.name} violates the metric compatibility prerequisites "
+                          f"at eta: M1={np.ravel(m1)[k]:.2e}, M2={np.ravel(m2)[k]:.2e}" + note)
     U = _matvec(imm.basis, u)
     V = _matvec(imm.basis, v)
     A = fr.B + cp

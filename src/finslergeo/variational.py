@@ -34,9 +34,9 @@ resolved or not. A flow takes the list of curves of one
 axis: the systems of one level are one stacked solve and every result is
 bitwise its own single call. A curve that ``integrate_geodesic`` did not
 return, or one it solved for another source, is refused with no spray
-evaluation; in a batch the first flow still going raises, and a batched
-frame names the first bad point of the concatenated batch, so
-jacobi-compare redoes a failing batch sample by sample.
+evaluation; in a batch the first flow still going raises, naming its
+geodesic's batch index, and a batched frame names the first bad point of
+the concatenated batch by its x and y.
 
 The second variation resolves the geodesic's state and the variation field
 together, reads g, R and the lift's coefficients from one frame batched
@@ -373,12 +373,15 @@ class _PicardSegment:
     first, in solve order; ``done`` holds the converged ones. A chart split
     marks the stretch it splits, up to that stretch's end ``exit_end``, as
     one that left the chart: a split below the floor there is a
-    ``DomainExit``, elsewhere a stall (``NoConvergence``).
+    ``DomainExit``, elsewhere a stall (``NoConvergence``). ``where``, (batch
+    shape, flat index), places the geodesic in its batch, and each refusal
+    names that index.
     """
 
-    def __init__(self, s0, plan, rtol, margin, floor):
+    def __init__(self, s0, plan, rtol, margin, floor, where):
         self.n = len(s0) // 2
         self.rtol, self.atol, self.margin, self.floor = rtol, _atol(rtol), margin, floor
+        self.index, self.note = where[1], _batch_note(*where)
         self.scale0 = max(1.0, np.abs(s0).max())
         self.plan = plan
         self.done = []
@@ -407,9 +410,10 @@ class _PicardSegment:
         half = 0.5 * (self.t1 - self.t0)
         if abs(half) < self.floor:
             if self.exit_end is not None:
-                raise DomainExit(f"trajectory left the validity region at t={self.t0:.6g}")
+                raise DomainExit(f"trajectory left the validity region at t={self.t0:.6g}"
+                                 + self.note)
             raise NoConvergence(f"geodesic sweeps do not converge on [{self.t0:.6g}, "
-                                f"{self.t1:.6g}]")
+                                f"{self.t1:.6g}]" + self.note)
         self.plan[:0] = [self.t0 + half, self.t1]
         self._begin(self.s0, self.t0)
 
@@ -443,7 +447,7 @@ class _PicardSegment:
         else:
             if self.outside():
                 raise DomainExit("trajectory left the validity region before "
-                                 f"t={self.t1:.6g}")
+                                 f"t={self.t1:.6g}" + self.note)
             self.done.append(_ChebyshevTable(self.t, self.values))
             if self.t1 == self.exit_end:
                 self.exit_end = None
@@ -454,21 +458,27 @@ class _PicardSegment:
 
 
 def _picard_geodesics(src, states0, t_end: float, rtol: float) -> list:
-    """The geodesics from the states (B, 2n) at time 0 to t_end, one
-    ``_ChebyshevCurve`` each, from one batched Chebyshev-Picard solve."""
-    n = states0.shape[1] // 2
+    """The geodesics from the states (..., 2n) at time 0 to t_end, one
+    ``_ChebyshevCurve`` each in flat order, from one batched Chebyshev-Picard
+    solve; a refusal names its geodesic's batch index."""
+    n = states0.shape[-1] // 2
     margin = getattr(src, "domain_margin", None)
     floor = _MIN_SEGMENT * max(1.0, abs(t_end))
-    segs = [_PicardSegment(s0, [t_end], rtol, margin, floor) for s0 in states0]
+    batch = states0.shape[:-1]
+    segs = [_PicardSegment(s0, [t_end], rtol, margin, floor, (batch, k))
+            for k, s0 in enumerate(states0.reshape(-1, 2 * n))]
     active = segs
     while active:
         for seg in active:
             while seg.outside():
                 seg.split(True)
         states = np.concatenate([seg.values for seg in active])
-        # every node is finite (settle splits a segment that is not) and inside the chart
-        G = _iterate_spray_values(src, states[:, :n], states[:, n:])
-        at = np.cumsum([0] + [len(seg.t) for seg in active])
+        sizes = [len(seg.t) for seg in active]
+        # every node is finite (settle splits a segment that is not) and inside the chart;
+        # g's refusal names the node's geodesic
+        G = _iterate_spray_values(src, states[:, :n], states[:, n:],
+                                  (batch, np.repeat([seg.index for seg in active], sizes)))
+        at = np.cumsum([0] + sizes)
         for seg, a, b in zip(active, at[:-1], at[1:]):
             seg.sweep(G[a:b])
         active = [seg for seg in active if seg.settle()]
@@ -485,7 +495,8 @@ def integrate_geodesic(src, w0: TangentVector, t_end: float,
     Each curve's dense output records ``src`` and ``rtol``, which flows along
     the curve inherit. A span whose straight first iterate x0 + t y0 leaves
     the floating-point range, its end or that end's squared norm not
-    finite, is a ``DomainError``.
+    finite, is a ``DomainError``. A batch's refusal names the batch index
+    of its geodesic.
     """
     src.check_tangent(w0)
     t_end = float(t_end)
@@ -504,7 +515,7 @@ def integrate_geodesic(src, w0: TangentVector, t_end: float,
     grid = np.linspace(0.0, t_end, nodes)
     if t_end < 0:
         grid = grid[::-1]
-    denses = _picard_geodesics(src, states0.reshape(-1, 2 * n), t_end, rtol)
+    denses = _picard_geodesics(src, states0, t_end, rtol)
     curves = [Curve(grid=grid, points=states[:n].T, velocities=states[n:].T, dense=dense)
               for dense, states in zip(denses, _sample(denses, [grid] * len(denses)))]
     return curves[0] if states0.ndim == 1 else curves
@@ -558,19 +569,20 @@ def geodesic_residual(src, curve: Curve) -> float:
 
 
 def _flow_jobs(src, geo, *blocks):
-    """The geodesics and the flows' jobs, (dense output, initial blocks) per
-    geodesic. ``geo`` is one geodesic of ``src`` from ``integrate_geodesic``
-    with blocks of one shape, (n,) or (n, m), or a list of them with the
-    blocks on a leading batch axis; anything else is refused before any
-    evaluation."""
+    """The geodesics and the flows' jobs, (dense output, initial blocks, batch
+    note) per geodesic. ``geo`` is one geodesic of ``src`` from
+    ``integrate_geodesic`` with blocks of one shape, (n,) or (n, m), or a
+    list of them with the blocks on a leading batch axis, whose jobs' notes
+    name their index; anything else is refused before any evaluation."""
     if isinstance(geo, Curve):
-        geos = [geo]
+        geos, batch = [geo], ()
         blocks = [[np.asarray(b, float)] for b in blocks]
     else:
         geos = list(geo)
+        batch = (len(geos),)
         blocks = [np.asarray(b, float) for b in blocks]
         for b in blocks:
-            if b.shape[:1] != (len(geos),):
+            if b.shape[:1] != batch:
                 raise ValueError(f"initial vectors of {len(geos)} geodesics need a leading "
                                  f"batch axis of {len(geos)}, got shape {b.shape}")
     jobs = []
@@ -581,17 +593,17 @@ def _flow_jobs(src, geo, *blocks):
         if any(b.shape != shape for b in s0) or shape[:1] != (curve.n,) or len(shape) > 2:
             raise ValueError(f"initial vectors must share shape (n,) or (n, m) with n = "
                              f"{curve.n}, got {' and '.join(str(b.shape) for b in s0)}")
-        jobs.append((dense, s0))
+        jobs.append((dense, s0, _batch_note(batch, k)))
     return geos, jobs
 
 
 class _LinearFlow:
     """One job of ``_collocation_flow``: a linear flow from the blocks ``s0``
     along a geodesic's dense output, on the nodes of one frame level at a
-    time."""
+    time; ``note`` places its geodesic in the caller's batch."""
 
-    def __init__(self, dense, s0, coefficients):
-        self.dense, self.coefficients = dense, coefficients
+    def __init__(self, dense, s0, note, coefficients):
+        self.dense, self.note, self.coefficients = dense, note, coefficients
         self.blocks = (len(s0),) + s0[0].shape
         self.start = np.stack(s0).reshape(len(s0) * len(s0[0]), -1)
         self.order = slice(None, None, -1) if dense.span[1] < dense.span[0] else slice(None)
@@ -636,8 +648,8 @@ def _collocation_flow(coefficients, jobs) -> list:
     """Solve linear ODEs s' = A(t) s along geodesics by spectral
     collocation on the nodes of each geodesic's frame levels.
 
-    ``jobs`` lists (dense output, initial blocks) pairs from ``_flow_jobs``:
-    blocks of one shape, (n,) or (n, m), at time 0, where the geodesic
+    ``jobs`` lists (dense output, initial blocks, batch note) from
+    ``_flow_jobs``: blocks of one shape, (n,) or (n, m), at time 0, where the geodesic
     starts (a level's last node on a backward geodesic).
     ``coefficients(frames)`` maps level values (k, 3, n, n) of (Gx, N, R) to
     A (k, d, d), d = n * len(s0). The Picard fixed point S = s0 + integral
@@ -647,10 +659,11 @@ def _collocation_flow(coefficients, jobs) -> list:
     resolved there are one stacked ``np.linalg.solve``, and those whose
     Chebyshev tail is above their geodesic's ``rtol`` go on to 2m. Past
     ``_TABLE_MAX_INTERVALS`` the first flow of the list still going raises
-    ``NoConvergence``. Returns each solution's dense output over its
-    geodesic's span, one segment whose rows are (len(s0),) + block shape.
+    ``NoConvergence``, naming its geodesic's batch index. Returns each
+    solution's dense output over its geodesic's span, one segment whose rows
+    are (len(s0),) + block shape.
     """
-    flows = [_LinearFlow(dense, s0, coefficients) for dense, s0 in jobs]
+    flows = [_LinearFlow(dense, s0, note, coefficients) for dense, s0, note in jobs]
     active, m = flows, _TABLE_INTERVALS
     while active:
         _frame_levels([flow.dense for flow in active], m)
@@ -666,7 +679,8 @@ def _collocation_flow(coefficients, jobs) -> list:
             flow = active[0]
             what = "linear flow" if flow.dense._levels[m][2] else "frame table"
             raise NoConvergence(f"{what} not resolved to rtol {flow.dense.rtol:.1e} with {m} "
-                                f"Chebyshev intervals on [{flow.t[0]:.6g}, {flow.t[-1]:.6g}]")
+                                f"Chebyshev intervals on [{flow.t[0]:.6g}, {flow.t[-1]:.6g}]"
+                                + flow.note)
         m *= 2
     return [flow.curve() for flow in flows]
 
@@ -696,7 +710,8 @@ def jacobi_integrate(src, geo, J0, J0dot):
     batch, with ``J0`` and ``J0dot`` of shape (B, n) or (B, n, m): the
     result is then a list of B fields, each bitwise its own single call.
     Raises ``NoConvergence`` when the table, or the field, is not resolved
-    to the geodesic's ``rtol``; a batch raises the first error it meets.
+    to the geodesic's ``rtol``; a batch raises at the first geodesic whose
+    flow fails, and names its batch index.
     """
     geos, jobs = _flow_jobs(src, geo, J0, J0dot)
     fields = [FieldAlongCurve(grid=g.grid, vectors=J, covariant_derivative=K)

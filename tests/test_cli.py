@@ -631,11 +631,14 @@ def test_batched_jacobi_compare_is_the_per_sample_loop_bit_for_bit(scenario, off
 def test_jacobi_compare_raises_what_the_per_sample_loop_raises(scenario, offset, failing,
                                                                monkeypatch):
     # capped at 16 intervals some tables or flows of these draws fail; the
-    # batched task raises the error that the per-sample loop meets first
+    # batched task raises the error that the per-sample loop meets first,
+    # naming that sample by its batch index
     from finslergeo import variational
     from finslergeo.errors import NoConvergence
     from oracles import jacobi_compare_reference
 
+    sample = {("12_jacobi_sphere", 0): 3, ("12_jacobi_sphere", 3): 4,
+              ("14_jacobi_randers", 0): 2}[scenario, offset]
     monkeypatch.setattr(variational, "_TABLE_MAX_INTERVALS", 16)
     ms, p = cli._parse_scenario(dict(cli.bundled_scenarios())[scenario + ".json"])
     p["seed"] += offset
@@ -643,36 +646,29 @@ def test_jacobi_compare_raises_what_the_per_sample_loop_raises(scenario, offset,
         cli.task_jacobi_compare(ms, p)
     with pytest.raises(NoConvergence) as loop:
         jacobi_compare_reference(ms, p)
-    assert str(batched.value) == str(loop.value)
+    assert str(batched.value) == str(loop.value) + f" at batch index ({sample},)"
     assert str(loop.value).startswith(failing)
+    # the loop meets it at that sample: the samples before it pass
+    jacobi_compare_reference(ms, dict(p, samples=sample))
 
 
-def test_sff_compare_falls_back_to_one_sample_at_a_time(monkeypatch):
-    # the first sample's inward guess is refused: its group's batched solve fails, and
-    # that sample is solved again from the opposite guess, as the per-sample loop does
+def test_sff_compare_refuses_a_failing_normal_solve_as_one_batch(monkeypatch):
+    # the second sample of the circle's batch gets a zero guess: the one batched
+    # solve refuses, naming it by its index in that batch, and nothing is solved again
     from finslergeo import submanifolds as subm
     from finslergeo.errors import NoConvergence
-    from finslergeo.rng import SplitMix64
-    from oracles import sff_compare_reference
 
     ms, p = cli._parse_scenario(dict(cli.bundled_scenarios())["20_sff_compare_randers.json"])
-    target = SplitMix64(p["seed"]).uniform(0.0, 6.28)   # the first sample's circle parameter
-    solve, refused = subm.normal_cone_solve, []
+    solve, calls = subm.normal_cone_solve, []
 
-    def refusing(P, param, ms_, guess):
-        inward = (np.asarray(guess) * P.value(param)).sum(axis=-1) < 0
-        if np.any((np.asarray(param, float)[..., 0] == target) & inward):
-            refused.append(np.shape(param))
-            raise NoConvergence("refused guess")
+    def zero_second_guess(P, param, ms_, guess):
+        calls.append(np.shape(param))
+        guess = np.array(guess)
+        guess[1] = 0.0
         return solve(P, param, ms_, guess=guess)
 
-    monkeypatch.setattr(subm, "normal_cone_solve", refusing)
-    res = cli.task_sff_compare(ms, p)
-    assert refused == [(5, 1), (1,)]   # the batch, then the sample alone
-    rows, worst = sff_compare_reference(ms, p)
-    assert refused[2:] == [(1,)]   # the reference's own first guess
-    assert _bits(res.csv_rows) == _bits(rows)
-    assert _bits([[c.residual for c in res.checks]]) == _bits([worst])
-    # the sample took the outward normal, so its row is not the unrefused one
-    monkeypatch.setattr(subm, "normal_cone_solve", solve)
-    assert _bits(res.csv_rows[:1]) != _bits(cli.task_sff_compare(ms, p).csv_rows[:1])
+    monkeypatch.setattr(subm, "normal_cone_solve", zero_second_guess)
+    with pytest.raises(NoConvergence, match=re.escape(
+            "zero guess for the normal solve at batch index (1,)")):
+        cli.task_sff_compare(ms, p)
+    assert calls == [(5, 1)]

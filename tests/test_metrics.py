@@ -212,8 +212,15 @@ def test_cartan_tensor_refuses_where_the_fundamental_tensor_does():
     ms = metrics.randers(2, [1.5, 0.0])
     w = TangentVector([0.0, 0.0], [-1.0, 0.0])
     for tensor in (fundamental_tensor, cartan_tensor):
-        with pytest.raises(NotPositiveDefinite, match=r"y=\[-1\.  0\.\]"):
+        with pytest.raises(NotPositiveDefinite, match=r"y=\[-1\.  0\.\]$"):
             tensor(ms, w)
+    # in a batch the refusal names the indefinite point's batch index too
+    batch = TangentVector(np.zeros((2, 2, 2)),
+                          [[[1.0, 0.0], [0.0, 1.0]], [[-1.0, 0.0], [1.0, 1.0]]])
+    for tensor in (fundamental_tensor, cartan_tensor, metric_value):
+        with pytest.raises(NotPositiveDefinite,
+                           match=r"y=\[-1\.  0\.\] at batch index \(1, 0\)$"):
+            tensor(ms, batch)
 
 
 def test_random_tangent_refuses_a_bare_spray():

@@ -561,14 +561,18 @@ def test_batched_frame_refuses_one_bad_point(poincare):
     wild = metrics.randers(2, [1.3, 0.0])
     Y = np.array([[1.0, 0.2], [0.5, 1.0], [-1.0, 0.2]])
     PointFrame(wild, TangentVector(np.zeros((2, 2)), Y[:2]))
-    for perm in ([0, 1, 2], [2, 0, 1]):
-        with pytest.raises(NotPositiveDefinite, match=r"y=\[-1\.\s+0\.2\]"):
+    for perm, at in (([0, 1, 2], 2), ([2, 0, 1], 0)):
+        with pytest.raises(NotPositiveDefinite,
+                           match=rf"y=\[-1\.\s+0\.2\] at batch index \({at},\)$"):
             PointFrame(wild, TangentVector(np.zeros((3, 2)), Y[perm]))
-    # and in a batch large enough to be built in blocks, in its last block
+    # and in a batch large enough to be built in blocks, in its last block, by
+    # its index in the whole batch
     many = np.tile(Y[:2], (40, 1))
     many[-3] = Y[2]
-    with pytest.raises(NotPositiveDefinite, match=r"y=\[-1\.\s+0\.2\]"):
+    with pytest.raises(NotPositiveDefinite, match=r"y=\[-1\.\s+0\.2\] at batch index \(77,\)$"):
         PointFrame(wild, TangentVector(np.zeros((80, 2)), many))
+    with pytest.raises(NotPositiveDefinite, match=r"at batch index \(1, 37\)$"):
+        PointFrame(wild, TangentVector(np.zeros((2, 40, 2)), many.reshape(2, 40, 2)))
 
     X = np.full((2, 3, 2), 0.1)
     Yp = np.ones((2, 3, 2))

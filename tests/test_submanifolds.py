@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
 from finslergeo import metrics, spray
-from finslergeo.errors import InvalidLift, NoConvergence, SingularBasis
+from finslergeo.errors import InvalidLift, NoConvergence, NotPositiveDefinite, SingularBasis
 from finslergeo.jets import lift_any, smath
 from finslergeo.lifts import (_CLASSICAL_TABLE, ClassicalKind, LiftSpec, affine_coefficients,
                               classical_lift, condition_residuals, lift_tensors,
@@ -445,9 +447,13 @@ def test_a_normal_solve_that_fails_refuses_its_batch_by_index(euclid2):
         normal_cone_solve(ax, param, euclid2, guess=[[0.1, 1.0], [0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(NoConvergence, match=r"zero guess .* at batch index \(1,\)"):
         normal_cone_solve(ax, param, euclid2, guess=[[0.1, 1.0], [0.0, 0.0], [1.0, 0.0]])
+    # |beta| > 1: g is indefinite at the second guess only
+    wild = metrics.randers(2, [1.3, 0.0])
+    with pytest.raises(NotPositiveDefinite, match=r"y=\[-1\.\s+0\.2\] at batch index \(1,\)$"):
+        normal_cone_solve(ax, param, wild, guess=[[0.5, 1.0], [-1.0, 0.2], [1.0, 0.2]])
 
 
-def test_an_incompatible_lift_at_one_point_refuses_its_batch_by_index(euclid2):
+def test_an_incompatible_lift_at_one_point_refuses_its_batch_by_index(euclid2, monkeypatch):
     def c_flat(w):
         # admissible everywhere (p is orthogonal to y), M2 fails where x^1 > 0.5 only
         s = np.maximum(0.0, w.x[0] - 0.5)
@@ -460,5 +466,19 @@ def test_an_incompatible_lift_at_one_point_refuses_its_batch_by_index(euclid2):
     bump = LiftSpec("bump", c_flat=c_flat)
     assert sff_connection(ax, param[:2], eta[:2], [1.0], [1.0], euclid2,
                           lift=bump).tolist() == [0.0, 0.0]
-    with pytest.raises(InvalidLift, match=r"lift bump violates .* at batch index \(2,\)"):
+    # the refusal reads the batch's one frame: it builds no frame of its own
+    build, builds = spray._build_frame_jets, []
+
+    def counting(*args):
+        builds.append(args[1].shape)
+        return build(*args)
+
+    monkeypatch.setattr(spray, "_build_frame_jets", counting)
+    spray._slot.clear()
+    refusal = ("lift bump violates the metric compatibility prerequisites at eta: "
+               "M1=3.00e-01, M2=3.00e-01")
+    with pytest.raises(InvalidLift, match=re.escape(refusal + " at batch index (2,)") + "$"):
         sff_connection(ax, param, eta, [1.0], [1.0], euclid2, lift=bump)
+    assert builds == [(3, 2)]
+    with pytest.raises(InvalidLift, match=re.escape(refusal) + "$"):
+        sff_connection(ax, param[2], eta[2], [1.0], [1.0], euclid2, lift=bump)

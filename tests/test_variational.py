@@ -4,13 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import dop853_linear_flow, exp_map_jacobi_difference
+from oracles import closed_form_geodesic, dop853_linear_flow, exp_map_jacobi_difference
 from scipy.integrate import solve_ivp
 from test_spray import _randers_var_closed_form_spray
 
 from finslergeo import metrics, variational
 from finslergeo.errors import (DomainError, DomainExit, GridError, NoConvergence,
-                               NormalityViolation, NullDirection)
+                               NormalityViolation, NotPositiveDefinite, NullDirection)
 from finslergeo.jets import Jet, smath
 from finslergeo.metrics import (TangentVector, fundamental_tensor,
                                 metric_value, random_tangent)
@@ -74,14 +74,55 @@ def test_funk_rays_from_center(funk):
     assert np.max(np.abs(small - d / np.linalg.norm(d))) < 1e-6
 
 
+def _closed_form_gap(ms, geos):
+    """The largest distance of a geodesic's states at its dense output's
+    nodes from its closed form, relative to max(1, |x|)."""
+    gap = 0.0
+    for geo in geos:
+        t = geo.dense.t
+        x = geo.dense(t)[:ms.dim].T
+        ref = closed_form_geodesic(ms.name, geo.points[0], geo.velocities[0], t)
+        gap = max(gap, float(np.max(np.linalg.norm(x - ref, axis=1)
+                                    / np.maximum(1.0, np.linalg.norm(ref, axis=1)))))
+    return gap
+
+
+@pytest.mark.parametrize("name, seed", [("sphere", 53), ("poincare", 59), ("funk", 67)])
+def test_geodesics_follow_their_closed_form(name, seed, request):
+    # the ten unit draws of jacobi-compare's scenarios 12, 13 and 15, to t = 1,
+    # within ten times the driver's tolerance (the speed drift's bound)
+    ms = request.getfixturevalue(name)
+    rng, ws = SplitMix64(seed), []
+    for _ in range(10):
+        ws.append(random_tangent(ms, rng))
+        rng.direction(ms.dim)
+    w = TangentVector.stack(ws)
+    w = TangentVector(w.x, w.y / metric_value(ms, w)[:, None])
+    assert _closed_form_gap(ms, integrate_geodesic(ms, w, 1.0)) < 10.0 * DEFAULT_RTOL
+
+
+def test_a_long_sphere_geodesic_follows_its_great_circle(sphere):
+    # 22 segments out to |x| of about 400 in the chart
+    rng = SplitMix64(7)
+    random_tangent(sphere, rng)
+    geo = integrate_geodesic(sphere, unit_tangent(sphere, random_tangent(sphere, rng)), 3.0)
+    assert len(geo.dense.segments) == 22
+    assert _closed_form_gap(sphere, [geo]) < 10.0 * DEFAULT_RTOL
+
+
 def test_domain_exit_and_exp(euclid2, randers_const):
     from finslergeo.metrics import custom
     from finslergeo.jets import smath
 
     disk = custom(2, lambda xs, ys: smath.dot(ys, ys), name="euclidean_disk",
                   domain_margin=lambda x: 1.0 - (x * x).sum(axis=-1))
-    with pytest.raises(DomainExit):
+    with pytest.raises(DomainExit) as single:
         integrate_geodesic(disk, TangentVector([0.0, 0.0], [1.0, 0.0]), 5.0)
+    assert "batch index" not in str(single.value)
+    # in a batch only the second start leaves the disk by t = 5, and the refusal names it
+    with pytest.raises(DomainExit, match=r"at batch index \(1,\)$"):
+        integrate_geodesic(disk, TangentVector([[0.0, 0.0], [0.0, 0.0]],
+                                               [[0.1, 0.0], [1.0, 0.0]]), 5.0)
 
     def endpoint(ms, x0, v, t):
         return integrate_geodesic(ms, TangentVector(x0, v), t, nodes=5).points[-1]
@@ -137,6 +178,13 @@ def test_a_batch_names_its_first_overflowing_span(funk):
                               TangentVector([0.1, 0.2], [1e150, 1e150])])
     with pytest.raises(DomainError, match=re.escape("y0=[1.e+150 1.e+150] at batch index (1,)")):
         integrate_geodesic(funk, w0, 1e150)
+    # |beta| > 1: g is indefinite along the second straight line only; the
+    # sweeps' refusal names its geodesic, not a node of the joint sweep
+    wild = metrics.randers(2, [1.3, 0.0])
+    with pytest.raises(NotPositiveDefinite, match=r"y=\[-1\.\s+0\.2\]$"):
+        integrate_geodesic(wild, TangentVector([0.0, 0.0], [-1.0, 0.2]), 1.0)
+    with pytest.raises(NotPositiveDefinite, match=r"y=\[-1\.\s+0\.2\] at batch index \(1,\)$"):
+        integrate_geodesic(wild, TangentVector(np.zeros((2, 2)), [[1.0, 0.2], [-1.0, 0.2]]), 1.0)
 
 
 # -- curves ----------------------------------------------------------------------
@@ -714,7 +762,7 @@ def test_a_failing_batch_raises_the_first_error_it_meets(poincare, monkeypatch):
     # capped at 16 intervals, the Jacobi field along geos[3] fails (its
     # frames are resolved) and the frames of geos[2] fail: one loop over the
     # levels meets both at the cap and raises the first in the list, as a
-    # loop of single calls does
+    # loop of single calls does, naming its batch index
     rng = SplitMix64(7)
     ws = [unit_tangent(poincare, random_tangent(poincare, rng)) for _ in range(4)]
     monkeypatch.setattr(variational, "_TABLE_MAX_INTERVALS", 16)
@@ -731,7 +779,7 @@ def test_a_failing_batch_raises_the_first_error_it_meets(poincare, monkeypatch):
         assert errors[k].startswith(f"{start} not resolved to rtol 1.0e-09 with 16")
     with pytest.raises(NoConvergence) as batched:
         jacobi_integrate(poincare, geodesics(), np.zeros((2, 2)), np.tile([0.0, 1.0], (2, 1)))
-    assert str(batched.value) == errors[0]
+    assert str(batched.value) == errors[0] + " at batch index (0,)"
 
 
 @pytest.mark.parametrize("call", ["jacobi", "oracle", "transport", "residual"])
